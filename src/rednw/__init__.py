@@ -51,7 +51,6 @@ from .npregress import (
     gaussian_quantile,
     nw_batch,
     nw_estimate,
-    nw_oracle_estimate,
     uniform_sup_error,
 )
 from .simulate import (

@@ -21,9 +21,9 @@ from . import __version__
 from .dataio import (
     RunManifest,
     bandwidth_rule_to_dict,
+    cubic_fy,
     load_csv,
     load_test_rows,
-    recompute_cell_from_manifest,
     run_predict_workflow,
     sha256_file,
     simulation_plan_from_config,
@@ -37,10 +37,11 @@ from .kernels import (
     make_kernel,
     validate_conditions,
 )
-from .npregress import BandwidthRule
-from .reduction import oracle_basis, pfc_fit, pls_fit, sir_fit
+from .npregress import BANDWIDTH_KINDS, EXPONENT_DIMS, BandwidthRule
+from .reduction import FIT_METHODS, fit, oracle_basis
 from .simulate import (
     METHOD_NAMES,
+    NPRT_REDUCTIONS,
     Model1Config,
     Model2Config,
     coverage_experiment,
@@ -52,7 +53,10 @@ from .simulate import (
     undersmoothed_rule,
 )
 
-__all__ = ["main", "recompute_cell_from_manifest"]
+__all__ = ["main"]
+
+# reduce fits a proper reduction; fit and predict also accept "np"
+_REDUCE_METHODS = FIT_METHODS[1:]
 
 
 def _csv_list(value, conv=str) -> list:
@@ -169,18 +173,6 @@ def _cmd_kernel_check(args) -> int:
 
 # --------------------------------------------------------------------- reduce
 
-def _fit_reduction(args, ds):
-    if args.method == "pls":
-        return pls_fit(ds.X, ds.Y, args.d)
-    if args.method == "pfc":
-        def fy(y):
-            return np.column_stack([y, y ** 2, y ** 3])
-        return pfc_fit(ds.X, ds.Y, fy, args.d, ridge=args.ridge)
-    if args.method == "sir":
-        return sir_fit(ds.X, ds.Y, args.slices, args.d)
-    raise ArgumentError(f"unknown reduction method {args.method!r}")
-
-
 def _snapshot(args, keys) -> dict:
     # fit and predict share one handler and key list but not every flag:
     # options a subcommand does not expose are recorded as None
@@ -213,7 +205,10 @@ def _cmd_reduce(args) -> int:
     ds = load_csv(args.input, args.response,
                   transforms=_parse_transforms(args.transform),
                   skip_bad_rows=args.skip_bad_rows)
-    basis = _fit_reduction(args, ds)
+    if args.method not in _REDUCE_METHODS:
+        raise ArgumentError(f"unknown reduction method {args.method!r}")
+    basis = fit(args.method, ds.X, ds.Y, args.d, fy=cubic_fy, ridge=args.ridge,
+                slices=args.slices)
     meta = {
         "method": basis.method,
         "d": basis.d,
@@ -444,11 +439,10 @@ def _add_data_args(sp):
 
 
 def _add_bandwidth_args(sp):
-    sp.add_argument("--bandwidth-kind", choices=["power_rule", "fixed", "loocv"],
-                    default=None)
+    sp.add_argument("--bandwidth-kind", choices=list(BANDWIDTH_KINDS), default=None)
     sp.add_argument("--bandwidth-constant", type=float, default=None,
                     help="c in h = c * n^(-exponent)")
-    sp.add_argument("--exponent-dim", choices=["ambient_p", "reduced_d"], default=None)
+    sp.add_argument("--exponent-dim", choices=list(EXPONENT_DIMS), default=None)
     sp.add_argument("--exponent", type=float, default=None,
                     help="override the 1/(4+m) power-rule exponent")
     sp.add_argument("--h", type=float, default=None, help="fixed bandwidth value")
@@ -475,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rd = sub.add_parser("reduce", help="fit a reduction basis and write it as CSV")
     _add_data_args(rd)
-    rd.add_argument("--method", choices=["pls", "pfc", "sir"], default="pls")
+    rd.add_argument("--method", choices=list(_REDUCE_METHODS), default="pls")
     rd.add_argument("--d", type=int, default=1)
     rd.add_argument("--ridge", type=float, default=None, help="pfc residual ridge")
     rd.add_argument("--slices", type=int, default=None, help="sir slice count")
@@ -486,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             ("predict", "predict at test rows (default in-sample)")):
         fp = sub.add_parser(name, help=help_text)
         _add_data_args(fp)
-        fp.add_argument("--method", choices=["np", "pls", "pfc", "sir"], default="pls")
+        fp.add_argument("--method", choices=list(FIT_METHODS), default="pls")
         fp.add_argument("--d", type=int, default=1)
         fp.add_argument("--basis", default=None, help="basis CSV from `reduce`")
         fp.add_argument("--kernel", choices=list(BUILTIN_PROFILES),
@@ -510,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--nrep", type=int, default=100)
     sm.add_argument("--points", type=int, default=10, help="number of test points")
     sm.add_argument("--nprt-reduction",
-                    choices=["pls", "pfc", "sir", "root_n_oracle"], default=None)
+                    choices=list(NPRT_REDUCTIONS), default=None)
     sm.add_argument("--d", type=int, default=1)
     _add_bandwidth_args(sm)
     sm.add_argument("--equivalence", action="store_true",

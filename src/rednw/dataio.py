@@ -7,9 +7,11 @@ stable across platforms.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +22,7 @@ from numpy.typing import NDArray
 from .errors import ArgumentError, DataError
 from .kernels import builtin_profile, make_kernel
 from .npregress import BandwidthRule, NWConfig, nw_batch
-from .reduction import oracle_basis, pfc_fit, pls_fit, sir_fit
+from .reduction import FIT_METHODS, fit
 from .simulate import (
     CellStats,
     MethodSpec,
@@ -85,6 +87,39 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+@contextlib.contextmanager
+def _csv_rows(path: Path, kind: str):
+    """The stripped header of a CSV file, and (1-based data row number,
+    cells) for each row that is not blank."""
+    if not path.exists():
+        raise DataError(f"{kind} file not found: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: file is empty, expected a header row") from None
+        yield header, ((i, raw) for i, raw in enumerate(reader, start=1)
+                       if raw and any(c.strip() for c in raw))
+
+
+def _parse_row(path, i: int, header: list[str], raw: list[str]) -> list[float]:
+    """The numbers of data row i; DataError names the row and the column."""
+    if len(raw) != len(header):
+        raise DataError(f"{path}: row {i} has {len(raw)} cells, header has {len(header)}")
+    vals = []
+    for name, cell in zip(header, raw):
+        try:
+            v = float(cell)
+        except ValueError:
+            raise DataError(
+                f"{path}: row {i}, column {name!r}: cannot parse {cell.strip()!r} as a number") from None
+        if not math.isfinite(v):
+            raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell.strip()!r}")
+        vals.append(v)
+    return vals
+
+
 def load_csv(path, response_col: str,
              transforms: Sequence[tuple[str, str]] | None = None,
              skip_bad_rows: bool = False) -> Dataset:
@@ -100,16 +135,8 @@ def load_csv(path, response_col: str,
             value; messages carry 1-based data row numbers and column names.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
     transforms = tuple(transforms or ())
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, expected a header row") from None
-        header = [h.strip() for h in header]
+    with _csv_rows(path, "input") as (header, data_rows):
         if response_col not in header:
             raise DataError(f"{path}: response column {response_col!r} not in header {header}")
         for col, op in transforms:
@@ -119,32 +146,13 @@ def load_csv(path, response_col: str,
                 raise ArgumentError(f"unknown transform {op!r}; expected one of {TRANSFORMS}")
         rows = []
         dropped = []
-        for i, raw in enumerate(reader, start=1):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            if len(raw) != len(header):
-                if skip_bad_rows:
-                    dropped.append(i)
-                    continue
-                raise DataError(f"{path}: row {i} has {len(raw)} cells, header has {len(header)}")
-            vals = []
-            bad = None
-            for name, cell in zip(header, raw):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    bad = f"{path}: row {i}, column {name!r}: cannot parse {cell.strip()!r} as a number"
-                    break
-                if not np.isfinite(v):
-                    bad = f"{path}: row {i}, column {name!r}: non-finite value {cell.strip()!r}"
-                    break
-                vals.append(v)
-            if bad:
-                if skip_bad_rows:
-                    dropped.append(i)
-                    continue
-                raise DataError(bad)
-            rows.append((i, vals))
+        for i, raw in data_rows:
+            try:
+                rows.append((i, _parse_row(path, i, header, raw)))
+            except DataError:
+                if not skip_bad_rows:
+                    raise
+                dropped.append(i)
 
     # log must be checked per surviving row before any arithmetic
     col_idx = {name: j for j, name in enumerate(header)}
@@ -199,27 +207,11 @@ def load_test_rows(path, dataset: Dataset) -> NDArray[np.floating]:
     matrix.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"test file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, expected a header row") from None
+    with _csv_rows(path, "test") as (header, data_rows):
         if set(header) != set(dataset.column_names):
             raise DataError(
                 f"{path}: test columns {header} do not match predictors {list(dataset.column_names)}")
-        rows = []
-        for i, raw in enumerate(reader, start=1):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            if len(raw) != len(header):
-                raise DataError(f"{path}: row {i} has {len(raw)} cells, header has {len(header)}")
-            try:
-                rows.append([float(c) for c in raw])
-            except ValueError:
-                raise DataError(f"{path}: row {i} contains a non-numeric cell") from None
+        rows = [_parse_row(path, i, header, raw) for i, raw in data_rows]
     order = [header.index(name) for name in dataset.column_names]
     mat = np.array(rows, dtype=float).reshape(len(rows), len(header))[:, order] \
         if rows else np.empty((0, dataset.p))
@@ -375,8 +367,8 @@ def recompute_cell_from_manifest(manifest: RunManifest | str | Path,
                           bandwidth_rule=plan.bandwidth_rule, n_threads=n_threads)
 
 
-def _default_fy(y):
-    # cubic polynomial inverse-regression features, a common default
+def cubic_fy(y):
+    """PFC feature map [y, y^2, y^3] of the CLI and the prediction workflow."""
     return np.column_stack([y, y ** 2, y ** 3])
 
 
@@ -404,7 +396,8 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
     """Reduce, fit, and predict with confidence intervals.
 
     Args:
-        method: "np" (no reduction, full dimension) or "pls"/"pfc"/"sir".
+        method: "np" (no reduction, full dimension) or "pls"/"pfc"/"sir";
+            pfc uses the feature map ``cubic_fy``.
         test_rows: m x p matrix of prediction points; None means in-sample
             fitted values at every data row.
         precomputed_basis: a ReductionBasis to use instead of fitting one
@@ -424,23 +417,14 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
             raise ArgumentError(
                 f"basis expects p={precomputed_basis.p} columns, data has {p}")
         basis = precomputed_basis
-        dim = basis.d
         method = "file"
-    elif method == "np":
-        basis = oracle_basis(np.eye(p))
-        dim = p
-    elif method in ("pls", "pfc", "sir"):
-        if not (1 <= d < p):
-            raise ArgumentError(f"need 1 <= d < p for method {method!r}, got d={d}, p={p}")
-        if method == "pls":
-            basis = pls_fit(X, Y, d)
-        elif method == "pfc":
-            basis = pfc_fit(X, Y, _default_fy, d)
-        else:
-            basis = sir_fit(X, Y, None, d)
-        dim = d
     else:
-        raise ArgumentError(f"unknown workflow method {method!r}; expected np, pls, pfc, or sir")
+        if method not in FIT_METHODS:
+            raise ArgumentError(f"unknown workflow method {method!r}; expected np, pls, pfc, or sir")
+        if method != "np" and not (1 <= d < p):
+            raise ArgumentError(f"need 1 <= d < p for method {method!r}, got d={d}, p={p}")
+        basis = fit(method, X, Y, d, fy=cubic_fy)
+    dim = basis.d
 
     rule = bandwidth_rule if bandwidth_rule is not None else \
         BandwidthRule(kind="power_rule", constant=1.0, exponent_dim="ambient_p")

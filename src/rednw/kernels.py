@@ -48,44 +48,18 @@ class KernelProfile:
     raw_derivative: Callable[[NDArray[np.floating]], NDArray[np.floating]] | None = None
 
 
-def _triweight(t):
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, (1.0 - np.minimum(t * t, 1.0)) ** 3, 0.0)
+def _power_profile(k: int):
+    """The profile (1 - t^2)^k on |t| <= 1 and its derivative."""
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.abs(t) <= 1.0, (1.0 - np.minimum(t * t, 1.0)) ** k, 0.0)
 
-
-def _triweight_d(t):
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, -6.0 * t * (1.0 - np.minimum(t * t, 1.0)) ** 2, 0.0)
-
-
-def _biweight(t):
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, (1.0 - np.minimum(t * t, 1.0)) ** 2, 0.0)
-
-
-def _biweight_d(t):
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, -4.0 * t * (1.0 - np.minimum(t * t, 1.0)), 0.0)
-
-
-def _epanechnikov(t):
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, 1.0 - np.minimum(t * t, 1.0), 0.0)
-
-
-def _epanechnikov_d(t):
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, -2.0 * t, 0.0)
-
-
-def _uniform(t):
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= 1.0, 1.0, 0.0)
-
-
-def _uniform_d(t):
-    t = np.asarray(t, dtype=float)
-    return np.zeros_like(t)
+    def fd(t):
+        t = np.asarray(t, dtype=float)
+        if k == 0:
+            return np.zeros_like(t)
+        return np.where(np.abs(t) <= 1.0, -2.0 * k * t * (1.0 - np.minimum(t * t, 1.0)) ** (k - 1), 0.0)
+    return f, fd
 
 
 def builtin_profile(name: str) -> KernelProfile:
@@ -95,17 +69,19 @@ def builtin_profile(name: str) -> KernelProfile:
     support edge: (1-t^2)^3 keeps two, (1-t^2)^2 one, 1-t^2 none (kink),
     and the uniform profile is discontinuous there (-1).
     """
+    # name: (power k of (1 - t^2)^k, smoothness order)
     table = {
-        "triweight_poly3": (_triweight, _triweight_d, 2),
-        "biweight": (_biweight, _biweight_d, 1),
-        "epanechnikov": (_epanechnikov, _epanechnikov_d, 0),
-        "uniform": (_uniform, _uniform_d, -1),
+        "triweight_poly3": (3, 2),
+        "biweight": (2, 1),
+        "epanechnikov": (1, 0),
+        "uniform": (0, -1),
     }
     if name not in table:
         raise ArgumentError(
             f"unknown kernel profile {name!r}; built-ins: {', '.join(BUILTIN_PROFILES)}"
         )
-    f, fd, smooth = table[name]
+    k, smooth = table[name]
+    f, fd = _power_profile(k)
     return KernelProfile(name=name, raw_profile=f, support_radius=1.0,
                          smoothness_order=smooth, raw_derivative=fd)
 
@@ -195,11 +171,6 @@ class RadialKernel:
         if np.any(inside):
             out[inside] = self.norm_const * self._values(t[inside])
         return out
-
-
-def eval(kernel: RadialKernel, u) -> float:  # noqa: A001 - established operation name
-    """Module-level alias for RadialKernel.eval."""
-    return kernel.eval(u)
 
 
 def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:

@@ -21,6 +21,8 @@ from .reduction import ReductionBasis, reduce as _reduce
 
 BANDWIDTH_KINDS = ("power_rule", "fixed", "loocv")
 EXPONENT_DIMS = ("ambient_p", "reduced_d")
+# total kernel weight below which a window counts as empty
+_MIN_EFFECTIVE_MASS = 1e-12
 
 # rational approximation of the standard normal quantile (Acklam's
 # coefficients), refined below by one Halley step against erfc
@@ -100,7 +102,6 @@ class NWConfig:
     kernel: RadialKernel
     bandwidth: BandwidthRule
     d: int
-    min_effective_mass: float = 1e-12
     ci_level: float = 0.95
     allow_nonsmooth_kernel: bool = False
 
@@ -186,47 +187,14 @@ def bandwidth(rule: BandwidthRule, n: int, p: int, d: int,
     return _loocv_bandwidth(rule, kernel, np.asarray(W, dtype=float), np.asarray(Y, dtype=float))
 
 
-def _check_fit_inputs(config: NWConfig, basis: ReductionBasis, X, Y, x0):
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float).ravel()
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if X.ndim != 2:
-        raise ArgumentError(f"X must be 2-d, got ndim={X.ndim}")
-    n, p = X.shape
-    if n < 2:
-        raise ArgumentError(f"need n >= 2 observations, got {n}")
-    if Y.shape[0] != n:
-        raise ArgumentError(f"X has {n} rows but Y has {Y.shape[0]} entries")
-    if x0.shape[0] != p:
-        raise ArgumentError(f"x0 has length {x0.shape[0]} but X has {p} columns")
-    if basis.p != p:
-        raise ArgumentError(f"basis expects p={basis.p} columns, data has {p}")
-    if basis.d != config.d:
-        raise ArgumentError(f"basis dimension d={basis.d} does not match config d={config.d}")
-    if config.kernel.profile.smoothness_order < 2 and not config.allow_nonsmooth_kernel:
-        raise ArgumentError(
-            f"kernel profile {config.kernel.profile.name!r} has smoothness order "
-            f"{config.kernel.profile.smoothness_order} (< 2); the confidence theory assumes a "
-            f"twice-differentiable profile. Set allow_nonsmooth_kernel=True to proceed anyway."
-        )
-    return X, Y, x0
-
-
-def _resolve_h(config: NWConfig, W, Y, p: int) -> float:
-    rule = config.bandwidth
-    if rule.kind == "loocv":
-        return _loocv_bandwidth(rule, config.kernel, W, Y)
-    return bandwidth(rule, n=W.shape[0], p=p, d=config.d)
-
-
 def _fit_at(config: NWConfig, W: NDArray[np.floating], Y: NDArray[np.floating],
-            w0: NDArray[np.floating], h: float) -> NWFit:
+            w0: NDArray[np.floating], h: float, z: float) -> NWFit:
     n = W.shape[0]
     d = config.d
     t = np.linalg.norm((w0[None, :] - W) / h, axis=1)
     wts = config.kernel.weights(t)
     mass = float(wts.sum())
-    if mass < config.min_effective_mass:
+    if mass < _MIN_EFFECTIVE_MASS:
         raise EmptyWindowError(
             f"no sample points inside the kernel window at w0={np.array2string(w0, precision=6)} "
             f"with h={h:.6g} (effective mass {mass:.3e})"
@@ -242,14 +210,70 @@ def _fit_at(config: NWConfig, W: NDArray[np.floating], Y: NDArray[np.floating],
             f"with h={h:.6g}"
         )
     eta = float(wts @ Y) / mass
-    m2 = float(wts @ (Y * Y)) / mass
-    sigma2 = max(m2 - eta * eta, 0.0)
-    z = gaussian_quantile(1.0 - (1.0 - config.ci_level) / 2.0)
+    # centered weighted variance (West 1979): E[Y^2] - E[Y]^2 cancels when
+    # |Y| is large against its spread
+    resid2 = Y - eta
+    resid2 *= resid2
+    sigma2 = max(float(wts @ resid2) / mass, 0.0)
     # n * h**d * f_hat == mass exactly; dividing by mass avoids re-forming a
     # product that can overflow for large d.
     half = z * math.sqrt(sigma2 * config.kernel.l2_const / mass)
     return NWFit(eta_hat=eta, f_hat=f_hat, sigma2_hat=sigma2, h_used=h, n=n,
                  ci_lo=eta - half, ci_hi=eta + half, effective_mass=mass)
+
+
+def nw_batch(config: NWConfig, basis: ReductionBasis,
+             X: NDArray[np.floating], Y: NDArray[np.floating],
+             X0: NDArray[np.floating]) -> list[PointResult]:
+    """NW estimate at every row of X0; failed rows carry the error message.
+
+    Raises:
+        ArgumentError: Y, X @ basis.T or a reduced row of X0 is not finite.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    if X0.ndim != 2 or X0.shape[0] < 1:
+        raise ArgumentError(f"X0 must be a non-empty 2-d array, got shape {X0.shape}")
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float).ravel()
+    if X.ndim != 2:
+        raise ArgumentError(f"X must be 2-d, got ndim={X.ndim}")
+    n, p = X.shape
+    if n < 2:
+        raise ArgumentError(f"need n >= 2 observations, got {n}")
+    if Y.shape[0] != n:
+        raise ArgumentError(f"X has {n} rows but Y has {Y.shape[0]} entries")
+    if not np.isfinite(Y).all():
+        raise ArgumentError("Y must be finite")
+    if X0.shape[1] != p:
+        raise ArgumentError(f"x0 has length {X0.shape[1]} but X has {p} columns")
+    if basis.p != p:
+        raise ArgumentError(f"basis expects p={basis.p} columns, data has {p}")
+    if basis.d != config.d:
+        raise ArgumentError(f"basis dimension d={basis.d} does not match config d={config.d}")
+    if config.kernel.profile.smoothness_order < 2 and not config.allow_nonsmooth_kernel:
+        raise ArgumentError(
+            f"kernel profile {config.kernel.profile.name!r} has smoothness order "
+            f"{config.kernel.profile.smoothness_order} (< 2); the confidence theory assumes a "
+            f"twice-differentiable profile. Set allow_nonsmooth_kernel=True to proceed anyway."
+        )
+    # an inf or NaN anywhere in a row of X makes its reduced row non-finite
+    W = _reduce(basis, X)
+    if not np.isfinite(W).all():
+        raise ArgumentError("reduced predictors X @ basis.T are not finite; X must be finite")
+    h = bandwidth(config.bandwidth, n=n, p=p, d=config.d, kernel=config.kernel, W=W, Y=Y)
+    z = gaussian_quantile(1.0 - (1.0 - config.ci_level) / 2.0)
+    out = []
+    for i in range(X0.shape[0]):
+        # rows are reduced one at a time: one matrix product over X0 rounds
+        # differently in the last bits
+        w0 = _reduce(basis, X0[i])
+        if not np.isfinite(w0).all():
+            raise ArgumentError(f"query point {i} has non-finite reduced coordinates {w0}")
+        try:
+            out.append(PointResult(index=i, fit=_fit_at(config, W, Y, w0, h, z), error=None))
+        except EmptyWindowError as exc:
+            out.append(PointResult(index=i, fit=None, error=str(exc)))
+    return out
 
 
 def nw_estimate(config: NWConfig, basis: ReductionBasis,
@@ -261,42 +285,10 @@ def nw_estimate(config: NWConfig, basis: ReductionBasis,
         EmptyWindowError: no kernel mass at the reduced point (names the
             reduced coordinate and the bandwidth).
     """
-    X, Y, x0 = _check_fit_inputs(config, basis, X, Y, x0)
-    W = _reduce(basis, X)
-    w0 = _reduce(basis, x0)
-    h = _resolve_h(config, W, Y, X.shape[1])
-    return _fit_at(config, W, Y, w0, h)
-
-
-def nw_oracle_estimate(config: NWConfig, beta0: ReductionBasis,
-                       X: NDArray[np.floating], Y: NDArray[np.floating],
-                       x0: Sequence[float] | NDArray[np.floating]) -> NWFit:
-    """Same estimator evaluated with the true reduction.
-
-    Identical arithmetic to nw_estimate; the separate name marks the
-    unfeasible baseline that experiments compare the plug-in against.
-    """
-    return nw_estimate(config, beta0, X, Y, x0)
-
-
-def nw_batch(config: NWConfig, basis: ReductionBasis,
-             X: NDArray[np.floating], Y: NDArray[np.floating],
-             X0: NDArray[np.floating]) -> list[PointResult]:
-    """Per-row nw_estimate over X0; failed rows carry the error message."""
-    X0 = np.asarray(X0, dtype=float)
-    if X0.ndim != 2 or X0.shape[0] < 1:
-        raise ArgumentError(f"X0 must be a non-empty 2-d array, got shape {X0.shape}")
-    X, Y, _ = _check_fit_inputs(config, basis, X, Y, X0[0])
-    W = _reduce(basis, X)
-    h = _resolve_h(config, W, Y, X.shape[1])
-    out = []
-    for i in range(X0.shape[0]):
-        w0 = _reduce(basis, X0[i])
-        try:
-            out.append(PointResult(index=i, fit=_fit_at(config, W, Y, w0, h), error=None))
-        except EmptyWindowError as exc:
-            out.append(PointResult(index=i, fit=None, error=str(exc)))
-    return out
+    res = nw_batch(config, basis, X, Y, np.asarray(x0, dtype=float).reshape(1, -1))[0]
+    if not res.ok:
+        raise EmptyWindowError(res.error)
+    return res.fit
 
 
 def uniform_sup_error(config: NWConfig, basis: ReductionBasis,
@@ -313,11 +305,9 @@ def uniform_sup_error(config: NWConfig, basis: ReductionBasis,
         raise ArgumentError(
             f"grid shape {grid.shape} does not match {truth.shape[0]} truth values"
         )
-    X, Y, _ = _check_fit_inputs(config, basis, X, Y, grid[0])
-    W = _reduce(basis, X)
-    h = _resolve_h(config, W, Y, X.shape[1])
     worst = 0.0
-    for j in range(grid.shape[0]):
-        fit = _fit_at(config, W, Y, _reduce(basis, grid[j]), h)
-        worst = max(worst, abs(fit.eta_hat - truth[j]))
+    for res in nw_batch(config, basis, X, Y, grid):
+        if not res.ok:
+            raise EmptyWindowError(res.error)
+        worst = max(worst, abs(res.fit.eta_hat - truth[res.index]))
     return worst

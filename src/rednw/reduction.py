@@ -23,6 +23,8 @@ from .errors import (
 )
 
 METHODS = ("pls", "pfc", "sir", "oracle", "from_projection")
+# names reduction.fit accepts; "np" is the identity basis (no reduction)
+FIT_METHODS = ("np", "pls", "pfc", "sir")
 
 _ORTHO_TOL = 1e-10
 
@@ -260,6 +262,27 @@ def sir_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
     evals, evecs = np.linalg.eigh(between)
     top = evecs[:, np.argsort(evals)[::-1][:d]]
     return _make_basis((whiten @ top).T, "sir")
+
+
+def fit(method: str, X: NDArray[np.floating], Y: NDArray[np.floating], d: int, *,
+        fy: Callable | None = None, ridge: float | None = None,
+        slices: int | None = None) -> ReductionBasis:
+    """Fit the reduction named ``method``, one of ``FIT_METHODS``.
+
+    "np" is the p x p identity basis and ignores d. ``fy`` and ``ridge`` go
+    to pfc_fit, which needs ``fy``; ``slices`` goes to sir_fit.
+    """
+    if method == "np":
+        return oracle_basis(np.eye(np.shape(X)[1]))
+    if method == "pls":
+        return pls_fit(X, Y, d)
+    if method == "pfc":
+        if fy is None:
+            raise ArgumentError("pfc needs a feature map fy")
+        return pfc_fit(X, Y, fy, d, ridge=ridge)
+    if method == "sir":
+        return sir_fit(X, Y, slices, d)
+    raise ArgumentError(f"unknown reduction method {method!r}; expected one of {FIT_METHODS}")
 
 
 def projection_to_basis(P: ProjectionMatrix | NDArray[np.floating],

@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,10 +23,10 @@ from numpy.typing import NDArray
 from .errors import ArgumentError, NumericError, RednwError
 from .kernels import RadialKernel, builtin_profile, make_kernel, second_moment
 from .npregress import BandwidthRule, NWConfig, bandwidth, nw_batch, nw_estimate
-from .reduction import ReductionBasis, oracle_basis, pfc_fit, pls_fit, sir_fit
+from .reduction import FIT_METHODS, ReductionBasis, fit, oracle_basis
 
 METHOD_NAMES = ("np", "npr", "nprt")
-NPRT_REDUCTIONS = ("pls", "pfc", "sir", "root_n_oracle")
+NPRT_REDUCTIONS = FIT_METHODS[1:] + ("root_n_oracle",)
 
 _MASK = (1 << 63) - 1
 
@@ -95,6 +96,10 @@ class Model1Config:
         bb = np.outer(self.beta0, self.beta0)
         return self.sigma_signal * bb + self.sigma_noise_cov * (np.eye(self.p) - bb)
 
+    @cached_property
+    def _x_factor(self) -> NDArray[np.floating]:
+        return _psd_sqrt(self.covariance())
+
     def truth(self, x: NDArray[np.floating]) -> NDArray[np.floating] | float:
         w = np.asarray(x, dtype=float) @ self.beta0
         return w * w
@@ -134,12 +139,11 @@ class Model2Config:
         object.__setattr__(self, "S", s)
         if not self.delta_scale > 0:
             raise ArgumentError(f"delta_scale must be > 0, got {self.delta_scale}")
-        delta = self.delta_scale * (s @ s.T)
-        cond = float(np.linalg.cond(delta))
+        cond = float(np.linalg.cond(self.delta))
         if cond > 1e12:
             raise ArgumentError(f"Delta condition number {cond:.3e} exceeds 1e12; choose a better S")
 
-    @property
+    @cached_property
     def delta(self) -> NDArray[np.floating]:
         return self.delta_scale * (self.S @ self.S.T)
 
@@ -147,14 +151,23 @@ class Model2Config:
     def e_abs_y(self) -> float:
         return self.y_sd * math.sqrt(2.0 / math.pi)
 
-    @property
+    @cached_property
     def beta_pop(self) -> NDArray[np.floating]:
         b = np.linalg.solve(self.delta, self.A)
         return b / float(np.linalg.norm(b))
 
-    def fy(self, y: NDArray[np.floating]) -> NDArray[np.floating]:
-        y = np.asarray(y, dtype=float)
-        return np.column_stack([y, np.abs(y) - self.e_abs_y])
+    @cached_property
+    def _x_factor(self) -> NDArray[np.floating]:
+        return _psd_sqrt(self.delta)
+
+
+def _draw_x(cfg, rng: np.random.Generator, n: int):
+    # n rows of X, and for model 2 the responses they were drawn given
+    if isinstance(cfg, Model1Config):
+        return rng.standard_normal((n, cfg.p)) @ cfg._x_factor, None
+    y = rng.normal(0.0, cfg.y_sd, n)
+    f_sum = y + np.abs(y) - cfg.e_abs_y
+    return np.outer(f_sum, cfg.A) + rng.standard_normal((n, cfg.p)) @ cfg._x_factor, y
 
 
 def gen_model1(cfg: Model1Config, n: int, rng_stream: int = 0):
@@ -162,8 +175,7 @@ def gen_model1(cfg: Model1Config, n: int, rng_stream: int = 0):
     if n < 1:
         raise ArgumentError(f"n must be >= 1, got {n}")
     rng = _rng(cfg.seed, _TAG_MODEL1, n, rng_stream)
-    factor = _psd_sqrt(cfg.covariance())
-    X = rng.standard_normal((n, cfg.p)) @ factor
+    X, _ = _draw_x(cfg, rng, n)
     eps = rng.normal(0.0, cfg.eps_sd, n) if cfg.eps_sd > 0 else np.zeros(n)
     Y = (X @ cfg.beta0) ** 2 + eps
     return X, Y, cfg.truth
@@ -173,10 +185,7 @@ def gen_model2(cfg: Model2Config, n: int, rng_stream: int = 0):
     """Draw (X, Y, beta_pop) from the inverse regression model."""
     if n < 1:
         raise ArgumentError(f"n must be >= 1, got {n}")
-    rng = _rng(cfg.seed, _TAG_MODEL2, n, rng_stream)
-    Y = rng.normal(0.0, cfg.y_sd, n)
-    f_sum = Y + np.abs(Y) - cfg.e_abs_y
-    X = np.outer(f_sum, cfg.A) + rng.standard_normal((n, cfg.p)) @ _psd_sqrt(cfg.delta)
+    X, Y = _draw_x(cfg, _rng(cfg.seed, _TAG_MODEL2, n, rng_stream), n)
     return X, Y, cfg.beta_pop
 
 
@@ -200,12 +209,7 @@ def draw_test_points(cfg, m: int = 10) -> NDArray[np.floating]:
     """m points from the model's X distribution at a recorded sub-stream."""
     if m < 1:
         raise ArgumentError(f"m must be >= 1, got {m}")
-    rng = _rng(cfg.seed, _TAG_POINTS)
-    if isinstance(cfg, Model1Config):
-        return rng.standard_normal((m, cfg.p)) @ _psd_sqrt(cfg.covariance())
-    y = rng.normal(0.0, cfg.y_sd, m)
-    f_sum = y + np.abs(y) - cfg.e_abs_y
-    return np.outer(f_sum, cfg.A) + rng.standard_normal((m, cfg.p)) @ _psd_sqrt(cfg.delta)
+    return _draw_x(cfg, _rng(cfg.seed, _TAG_POINTS), m)[0]
 
 
 @dataclass(frozen=True)
@@ -287,34 +291,27 @@ def _true_direction(cfg) -> NDArray[np.floating]:
     return cfg.beta0 if isinstance(cfg, Model1Config) else cfg.beta_pop
 
 
-def _generate(cfg, n: int, rep: int):
-    if isinstance(cfg, Model1Config):
-        return gen_model1(cfg, n, rng_stream=rep)[:2]
-    return gen_model2(cfg, n, rng_stream=rep)[:2]
+def _root_n_oracle(cfg, n: int, rep: int, base_seed: int) -> ReductionBasis:
+    # the true direction plus an n^(-1/2) perturbation whose Gaussian draw
+    # is shared across n (paired comparisons across sizes)
+    g = _rng(base_seed, _TAG_ORACLE, rep).standard_normal(cfg.p)
+    return oracle_basis((_true_direction(cfg) + g / math.sqrt(n))[None, :])
 
 
 def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int, base_seed: int) -> ReductionBasis:
-    p = X.shape[1]
-    if spec.method == "np":
-        return oracle_basis(np.eye(p))
     if spec.method == "npr":
         return oracle_basis(_true_direction(cfg)[None, :])
-    if spec.reduction == "pls":
-        return pls_fit(X, Y, spec.d)
-    if spec.reduction == "pfc":
-        return pfc_fit(X, Y, lambda y: np.column_stack([y, np.abs(y)]), spec.d)
-    if spec.reduction == "sir":
-        return sir_fit(X, Y, None, spec.d)
-    # root_n_oracle: the true direction plus an n^(-1/2) perturbation whose
-    # Gaussian draw is shared across n (paired comparisons across sizes)
-    g = _rng(base_seed, _TAG_ORACLE, rep).standard_normal(p)
-    b = _true_direction(cfg) + g / math.sqrt(X.shape[0])
-    return oracle_basis(b[None, :])
+    if spec.reduction == "root_n_oracle":
+        return _root_n_oracle(cfg, X.shape[0], rep, base_seed)
+    # np takes the identity basis; pfc gets model 2's f_y = (y, |y|) uncentered
+    return fit(spec.reduction or "np", X, Y, spec.d,
+               fy=lambda y: np.column_stack([y, np.abs(y)]))
 
 
 def _one_rep(cfg, methods, n: int, rep: int, base_seed: int,
              test_points, rule: BandwidthRule, kernels: dict) -> dict:
-    X, Y = _generate(cfg, n, rep)
+    gen = gen_model1 if isinstance(cfg, Model1Config) else gen_model2
+    X, Y, _ = gen(cfg, n, rng_stream=rep)
     p = X.shape[1]
     out = {}
     for spec in methods:
@@ -475,6 +472,7 @@ def equivalence_experiment(cfg: Model1Config, ns: Sequence[int], n_rep: int,
     rows = []
     for n in ns:
         h = bandwidth(rule, n=n, p=cfg.p, d=1)
+        config = NWConfig(kernel=kernel, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=1)
         stats = []
         n_missing = 0
         for rep in range(n_rep):
@@ -484,15 +482,13 @@ def equivalence_experiment(cfg: Model1Config, ns: Sequence[int], n_rep: int,
             elif reduction == "oracle":
                 basis = true_basis
             elif reduction == "pls":
-                basis = pls_fit(X, Y, 1)
+                basis = fit("pls", X, Y, 1)
             elif reduction == "root_n_oracle":
-                g = _rng(base_seed, _TAG_ORACLE, rep).standard_normal(cfg.p)
-                basis = oracle_basis((cfg.beta0 + g / math.sqrt(n))[None, :])
+                basis = _root_n_oracle(cfg, n, rep, base_seed)
             else:  # wrong_direction: fixed unit vector misaligned with beta0
                 wrong = np.zeros(cfg.p)
                 wrong[0] = 1.0
                 basis = oracle_basis(wrong[None, :])
-            config = NWConfig(kernel=kernel, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=1)
             try:
                 eta = nw_estimate(config, basis, X, Y, x0).eta_hat
                 xi = nw_estimate(config, true_basis, X, Y, x0).eta_hat

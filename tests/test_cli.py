@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rednw
 from rednw.cli import main
 from rednw.dataio import recompute_cell_from_manifest, synthetic_shellfish, write_table
 
@@ -101,6 +104,20 @@ class TestReduce:
         np.testing.assert_allclose(basis @ basis.T, [[1.0]], atol=1e-10)
         assert (out_dir / "basis_meta.json").exists()
         assert (out_dir / "manifest.json").exists()
+
+    def test_np_from_config_file_exits_2(self, shellfish_csv, tmp_path, capsys):
+        # config files bypass argparse choices; reduce has no identity "reduction"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = np\n")
+        code, _, err = run_cli(
+            [
+                "reduce", "--input", str(shellfish_csv),
+                "--response", "muscle_mass", "--config", str(cfg),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "unknown reduction method 'np'" in err
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -210,6 +227,21 @@ class TestFitPredict:
         assert len(points) == 1
         # predictors are reassembled in training order and log-transformed
         np.testing.assert_allclose(points[0]["x0"][0], np.log(205.0), rtol=1e-12)
+
+    def test_predict_nan_test_cell_exits_3(self, shellfish_csv, tmp_path, capsys):
+        test_csv = tmp_path / "new.csv"
+        test_csv.write_text("length,width,height,shell_mass\n205.0,70.0,nan,30.0\n")
+        code, out, err = run_cli(
+            [
+                "predict", "--input", str(shellfish_csv),
+                "--response", "muscle_mass", *LOG_FLAGS,
+                "--method", "pls", "--d", "1", "--test-csv", str(test_csv),
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "row 1, column 'height': non-finite value 'nan'" in err
 
     def test_predict_empty_test_set(self, shellfish_csv, tmp_path, capsys):
         test_csv = tmp_path / "empty.csv"
@@ -406,10 +438,13 @@ class TestSimulate:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
+        # the child imports the rednw under test, installed or not
+        root = str(Path(rednw.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "rednw.cli", "kernel-check",
              "--profile", "uniform", "--dim", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)

@@ -152,6 +152,13 @@ class TestTestRows:
         with pytest.raises(DataError):
             load_test_rows(path, ds)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_addressed(self, small_csv, tmp_path, cell):
+        ds = load_csv(small_csv, response_col="y")
+        path = write_csv(tmp_path / "t.csv", f"a,b\n1.0,1.0\n2.0,{cell}\n")
+        with pytest.raises(DataError, match=f"row 2, column 'b': non-finite value '{cell}'"):
+            load_test_rows(path, ds)
+
     def test_nonpositive_log_value_addressed(self, small_csv, tmp_path):
         ds = load_csv(small_csv, response_col="y", transforms=[("a", "log")])
         path = write_csv(tmp_path / "t.csv", "a,b\n1.0,1.0\n-2.0,1.0\n")

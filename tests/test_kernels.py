@@ -16,7 +16,6 @@ from rednw.kernels import (
     surface_area,
     validate_conditions,
 )
-from rednw.kernels import eval as kernel_eval
 
 BUILTINS = ("triweight_poly3", "biweight", "epanechnikov", "uniform")
 
@@ -127,11 +126,6 @@ class TestEval:
         k = make_kernel(builtin_profile("triweight_poly3"), 2)
         with pytest.raises(ArgumentError):
             k.eval(np.zeros(3))
-
-    def test_module_level_eval_alias(self):
-        k = make_kernel(builtin_profile("biweight"), 1)
-        u = np.array([0.3])
-        assert kernel_eval(k, u) == k.eval(u)
 
     def test_weights_match_eval_on_radii(self):
         k = make_kernel(builtin_profile("triweight_poly3"), 2)

@@ -14,7 +14,6 @@ from rednw.npregress import (
     gaussian_quantile,
     nw_batch,
     nw_estimate,
-    nw_oracle_estimate,
     uniform_sup_error,
 )
 from rednw.reduction import ReductionBasis, oracle_basis
@@ -252,16 +251,6 @@ class TestPointEstimate:
         fit_p = nw_estimate(cfg, basis, X[perm], Y[perm], [0.0])
         np.testing.assert_allclose(fit_p.eta_hat, fit.eta_hat, rtol=1e-13)
 
-    def test_oracle_estimate_same_formula(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(-1.0, 1.0, size=(30, 3))
-        Y = rng.standard_normal(30)
-        basis = oracle_basis([[1.0, 1.0, 1.0]])
-        cfg = default_config()
-        a = nw_estimate(cfg, basis, X, Y, [0.0, 0.0, 0.0])
-        b = nw_oracle_estimate(cfg, basis, X, Y, [0.0, 0.0, 0.0])
-        assert a == b
-
     def test_ci_half_width_formula(self):
         """Interval endpoints reproduce z*sqrt(sigma2*l2/(n h^d f_hat)) exactly."""
         rng = np.random.default_rng(15)
@@ -442,3 +431,66 @@ class TestVarianceBands:
                 widths.append(fit.ci_hi - fit.ci_lo)
             med[n] = float(np.median(widths))
         assert med[4000] < med[1000] < med[250]
+
+
+def _shift_data(seed=21, n=400):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, 2))
+    Y = np.sin(2.0 * X[:, 0]) + 0.3 * rng.standard_normal(n)
+    return X, Y
+
+
+class TestShiftEquivariance:
+    def test_shift_moves_eta_only(self):
+        """Adding a constant to Y shifts eta_hat by it and leaves the variance
+        and interval width alone; E[Y^2] - E[Y]^2 loses them to cancellation."""
+        X, Y = _shift_data()
+        basis = oracle_basis([[1.0, 0.0]])
+        cfg = default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.3))
+        x0 = [0.2, 0.0]
+        base = nw_estimate(cfg, basis, X, Y, x0)
+        shifted = nw_estimate(cfg, basis, X, Y + 1e8, x0)
+        assert base.sigma2_hat > 0.01
+        np.testing.assert_allclose(shifted.eta_hat, base.eta_hat + 1e8, rtol=1e-14)
+        np.testing.assert_allclose(shifted.sigma2_hat, base.sigma2_hat, rtol=1e-6)
+        np.testing.assert_allclose(shifted.ci_hi - shifted.ci_lo, base.ci_hi - base.ci_lo,
+                                   rtol=1e-6)
+
+
+def _call_entry(entry, cfg, basis, X, Y, x0):
+    if entry == "nw_estimate":
+        return nw_estimate(cfg, basis, X, Y, x0)
+    if entry == "nw_batch":
+        return nw_batch(cfg, basis, X, Y, np.atleast_2d(x0))
+    return uniform_sup_error(cfg, basis, X, Y, np.atleast_2d(x0), np.zeros(1))
+
+
+ENTRIES = ("nw_estimate", "nw_batch", "uniform_sup_error")
+
+
+class TestNonFiniteInputs:
+    """Every NW entry point rejects non-finite data instead of returning NaN,
+    silently dropping a row, or misreporting an empty window."""
+
+    def setup_method(self):
+        self.X, self.Y = _shift_data(seed=5, n=100)
+        self.basis = oracle_basis([[1.0, 0.0]])
+        self.cfg = default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.5))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_nan_in_y(self, entry):
+        self.Y[7] = np.nan
+        with pytest.raises(ArgumentError, match="Y must be finite"):
+            _call_entry(entry, self.cfg, self.basis, self.X, self.Y, [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_inf_in_zero_weight_column(self, entry):
+        self.X[3, 1] = np.inf
+        with pytest.raises(ArgumentError, match="not finite"):
+            _call_entry(entry, self.cfg, self.basis, self.X, self.Y, [0.0, 0.0])
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_nan_in_query_point(self, entry):
+        with pytest.raises(ArgumentError, match="query point 0"):
+            _call_entry(entry, self.cfg, self.basis, self.X, self.Y, [np.nan, 0.0])

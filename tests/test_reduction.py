@@ -10,8 +10,10 @@ from rednw.errors import (
     NumericError,
 )
 from rednw.reduction import (
+    FIT_METHODS,
     ProjectionMatrix,
     ReductionBasis,
+    fit,
     oracle_basis,
     pfc_fit,
     pls_fit,
@@ -275,3 +277,45 @@ class TestReduce:
         # first entry of magnitude above threshold is made positive
         b = oracle_basis([[-2.0, 1.0, 0.0]])
         assert b.matrix[0, 0] > 0.0
+
+
+class TestDispatcher:
+    def setup_method(self):
+        rng = np.random.default_rng(17)
+        self.X = rng.standard_normal((200, 4))
+        self.Y = self.X[:, 0] + 0.5 * self.X[:, 1] ** 2 + 0.2 * rng.standard_normal(200)
+
+    def cubic(self, y):
+        return np.column_stack([y, y ** 2, y ** 3])
+
+    def test_np_first_then_reductions(self):
+        # the CLI offers FIT_METHODS[1:] to `reduce`, which has no "np"
+        assert FIT_METHODS == ("np", "pls", "pfc", "sir")
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_same_matrix_as_direct_call(self, d):
+        X, Y = self.X, self.Y
+        direct = {
+            "np": oracle_basis(np.eye(4)),
+            "pls": pls_fit(X, Y, d),
+            "pfc": pfc_fit(X, Y, self.cubic, d, ridge=1e-6),
+            "sir": sir_fit(X, Y, 5, d),
+        }
+        for method in FIT_METHODS:
+            got = fit(method, X, Y, d, fy=self.cubic, ridge=1e-6, slices=5)
+            assert got.method == direct[method].method
+            assert np.array_equal(got.matrix, direct[method].matrix), method
+
+    def test_defaults_match_direct_call(self):
+        X, Y = self.X, self.Y
+        assert np.array_equal(fit("pfc", X, Y, 1, fy=self.cubic).matrix,
+                              pfc_fit(X, Y, self.cubic, 1).matrix)
+        assert np.array_equal(fit("sir", X, Y, 1).matrix, sir_fit(X, Y, None, 1).matrix)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ArgumentError, match="unknown reduction method 'oracle'"):
+            fit("oracle", self.X, self.Y, 1)
+
+    def test_pfc_needs_feature_map(self):
+        with pytest.raises(ArgumentError, match="feature map"):
+            fit("pfc", self.X, self.Y, 1)
