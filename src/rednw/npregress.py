@@ -4,6 +4,13 @@ Point estimates eta_hat(x0) = sum_i w_i Y_i / sum_i w_i with radial kernel
 weights w_i = K((basis x0 - basis X_i)/h), plug-in density and conditional
 variance estimates, and asymptotic confidence intervals with half-width
 z * sqrt(sigma2 * R(K) / (n h^d f_hat)).
+
+Batches, leave-one-out bandwidth selection and the replication density all
+run on one core, ``_nw_core``. A batch with many query rows sorts the
+sample by its first reduced coordinate, so each query only scans the
+contiguous slab of samples that can lie inside the kernel support (the
+window itself when d = 1; Fan & Marron 1994), in blocks of bounded size;
+memory stays linear in n. Small batches scan the whole sample.
 """
 
 from __future__ import annotations
@@ -23,6 +30,16 @@ BANDWIDTH_KINDS = ("power_rule", "fixed", "loocv")
 EXPONENT_DIMS = ("ambient_p", "reduced_d")
 # total kernel weight below which a window counts as empty
 _MIN_EFFECTIVE_MASS = 1e-12
+# a batch with at least this many query rows sorts the sample first; fewer
+# queries scan the whole sample, since they cannot repay an O(n log n) sort
+# when their windows hold most of it
+_SORT_MIN_QUERIES = 32
+# radii evaluated per block (rows x slab), so temporaries stay bounded;
+# a block always holds at least one row
+_BLOCK_ELEMS = 1 << 14
+# relative widening of a slab's bounds: rounding in q +- R*h must never drop
+# a sample whose radius t is exactly R; kernel.weights makes the exact test
+_SLAB_RTOL = 16 * np.finfo(float).eps
 
 # rational approximation of the standard normal quantile (Acklam's
 # coefficients), refined below by one Halley step against erfc
@@ -137,26 +154,99 @@ class PointResult:
         return self.fit is not None
 
 
+def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating],
+           W0: NDArray[np.floating], h: float, own: NDArray[np.intp] | None
+           ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
+    """_nw_core's sums for query rows W0 over the slab (W, Y); row i's own
+    sample, if any, sits at column own[i]. Its temporaries die on return."""
+    # one expression each, so numpy reuses the temporaries in place
+    if W.shape[1] == 1:
+        # |x| / h equals the 1-d norm of x / h
+        t = np.abs(W0[:, None, 0] - W[None, :, 0]) / h
+    else:
+        t = np.linalg.norm((W0[:, None, :] - W[None, :, :]) / h, axis=2)
+    wts = kernel.weights(t)
+    if own is not None:
+        wts[np.arange(own.size), own] = 0.0
+    mass = wts.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # reduced in the same order as the mass, so Y = 1 gives exactly 1;
+        # a BLAS product here runs threaded and leaves its workers spinning
+        # against the replication harness's own threads
+        eta = (wts * Y).sum(axis=1) / mass
+        # centered weighted variance (West 1979): E[Y^2] - E[Y]^2 cancels
+        # when |Y| is large against its spread
+        resid2 = Y[None, :] - eta[:, None]
+        resid2 *= resid2
+        resid2 *= wts
+        sigma2 = resid2.sum(axis=1) / mass
+    return mass, eta, np.maximum(sigma2, 0.0)
+
+
+def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating],
+             W0: NDArray[np.floating], h: float, leave_one_out: bool = False
+             ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
+    """Kernel mass, NW estimate and centered weighted variance at each row of W0.
+
+    Args:
+        kernel: weights are ``kernel.weights(||w0 - W_i|| / h)``.
+        W, Y: n x d reduced sample and its n responses.
+        W0: m x d query rows. With ``leave_one_out`` it must be W itself and
+            each row's own sample gets weight zero, so an isolated point
+            keeps exactly zero mass.
+        h: bandwidth.
+
+    Returns:
+        (mass, eta, sigma2), each of length m; eta and sigma2 are NaN where
+        the mass is zero.
+    """
+    n, m = W.shape[0], W0.shape[0]
+    qorder = None
+    lo, hi = [0] * m, [n] * m
+    if m >= _SORT_MIN_QUERIES:
+        order = np.argsort(W[:, 0], kind="stable")
+        W, Y = W[order], Y[order]
+        qorder = order if leave_one_out else np.argsort(W0[:, 0], kind="stable")
+        W0 = W if leave_one_out else W0[qorder]
+        # sorted queries' slabs |w_1 - q_1| <= R*h start and end in order
+        q = W0[:, 0]
+        r = kernel.profile.support_radius * h
+        reach = r + _SLAB_RTOL * (np.abs(q) + r)
+        lo = np.searchsorted(W[:, 0], q - reach, side="left").tolist()
+        hi = np.searchsorted(W[:, 0], q + reach, side="right").tolist()
+    mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
+    a = 0
+    while a < m:
+        # consecutive queries share the union of their slabs
+        b = a + 1
+        while b < m and (b + 1 - a) * (hi[b] - lo[a]) <= _BLOCK_ELEMS:
+            b += 1
+        s0, s1 = lo[a], hi[b - 1]
+        own = np.arange(a, b) - s0 if leave_one_out else None
+        mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, own)
+        a = b
+    if qorder is None:
+        return mass, eta, sigma2
+    out = np.empty((3, m))
+    out[:, qorder] = (mass, eta, sigma2)
+    return out[0], out[1], out[2]
+
+
 def _loocv_bandwidth(rule: BandwidthRule, kernel: RadialKernel,
                      W: NDArray[np.floating], Y: NDArray[np.floating]) -> float:
     if not rule.cv_grid:
         raise ArgumentError("loocv bandwidth requires a non-empty cv_grid")
     if any(h <= 0 for h in rule.cv_grid):
         raise ArgumentError(f"cv_grid values must be positive, got {rule.cv_grid}")
-    n = W.shape[0]
-    dists = np.linalg.norm(W[:, None, :] - W[None, :, :], axis=2)
     best_h, best_err = None, math.inf
     for h in rule.cv_grid:
-        wts = kernel.weights(dists / h)
-        np.fill_diagonal(wts, 0.0)
-        mass = wts.sum(axis=1)
+        mass, pred, _ = _nw_core(kernel, W, Y, W, h, leave_one_out=True)
         ok = mass > 0
         if not np.any(ok):
             continue
-        pred = (wts[ok] @ Y) / mass[ok]
         # points with an empty leave-one-out window are charged the
         # response variance so narrow bandwidths cannot win by dropping them
-        err = float(np.sum((Y[ok] - pred) ** 2)) + float(np.sum(~ok)) * float(np.var(Y))
+        err = float(np.sum((Y[ok] - pred[ok]) ** 2)) + float(np.sum(~ok)) * float(np.var(Y))
         if err < best_err:
             best_h, best_err = h, err
     if best_h is None:
@@ -185,41 +275,6 @@ def bandwidth(rule: BandwidthRule, n: int, p: int, d: int,
     if kernel is None or W is None or Y is None:
         raise ArgumentError("loocv bandwidth needs kernel and reduced data (W, Y)")
     return _loocv_bandwidth(rule, kernel, np.asarray(W, dtype=float), np.asarray(Y, dtype=float))
-
-
-def _fit_at(config: NWConfig, W: NDArray[np.floating], Y: NDArray[np.floating],
-            w0: NDArray[np.floating], h: float, z: float) -> NWFit:
-    n = W.shape[0]
-    d = config.d
-    t = np.linalg.norm((w0[None, :] - W) / h, axis=1)
-    wts = config.kernel.weights(t)
-    mass = float(wts.sum())
-    if mass < _MIN_EFFECTIVE_MASS:
-        raise EmptyWindowError(
-            f"no sample points inside the kernel window at w0={np.array2string(w0, precision=6)} "
-            f"with h={h:.6g} (effective mass {mass:.3e})"
-        )
-    f_hat = mass / (n * h ** d)
-    # The density value itself scales like h^{-d} and is legitimately tiny in
-    # high dimensions; emptiness is a statement about mass, which the guard
-    # above already covers.  Only a degenerate value (underflow to zero, or
-    # h**d overflowing) is an error here.
-    if not math.isfinite(f_hat) or f_hat <= 0.0:
-        raise EmptyWindowError(
-            f"degenerate density estimate {f_hat:.3e} at w0={np.array2string(w0, precision=6)} "
-            f"with h={h:.6g}"
-        )
-    eta = float(wts @ Y) / mass
-    # centered weighted variance (West 1979): E[Y^2] - E[Y]^2 cancels when
-    # |Y| is large against its spread
-    resid2 = Y - eta
-    resid2 *= resid2
-    sigma2 = max(float(wts @ resid2) / mass, 0.0)
-    # n * h**d * f_hat == mass exactly; dividing by mass avoids re-forming a
-    # product that can overflow for large d.
-    half = z * math.sqrt(sigma2 * config.kernel.l2_const / mass)
-    return NWFit(eta_hat=eta, f_hat=f_hat, sigma2_hat=sigma2, h_used=h, n=n,
-                 ci_lo=eta - half, ci_hi=eta + half, effective_mass=mass)
 
 
 def nw_batch(config: NWConfig, basis: ReductionBasis,
@@ -261,18 +316,36 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
     if not np.isfinite(W).all():
         raise ArgumentError("reduced predictors X @ basis.T are not finite; X must be finite")
     h = bandwidth(config.bandwidth, n=n, p=p, d=config.d, kernel=config.kernel, W=W, Y=Y)
+    W0 = _reduce(basis, X0)
+    bad = ~np.isfinite(W0).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ArgumentError(f"query point {i} has non-finite reduced coordinates {W0[i]}")
     z = gaussian_quantile(1.0 - (1.0 - config.ci_level) / 2.0)
+    volume = n * h ** config.d
+    mass, eta, sigma2 = _nw_core(config.kernel, W, Y, W0, h)
     out = []
-    for i in range(X0.shape[0]):
-        # rows are reduced one at a time: one matrix product over X0 rounds
-        # differently in the last bits
-        w0 = _reduce(basis, X0[i])
-        if not np.isfinite(w0).all():
-            raise ArgumentError(f"query point {i} has non-finite reduced coordinates {w0}")
-        try:
-            out.append(PointResult(index=i, fit=_fit_at(config, W, Y, w0, h, z), error=None))
-        except EmptyWindowError as exc:
-            out.append(PointResult(index=i, fit=None, error=str(exc)))
+    for i, (m, e, s2) in enumerate(zip(mass.tolist(), eta.tolist(), sigma2.tolist())):
+        fit = error = None
+        f_hat = m / volume
+        if m < _MIN_EFFECTIVE_MASS:
+            error = (f"no sample points inside the kernel window at "
+                     f"w0={np.array2string(W0[i], precision=6)} "
+                     f"with h={h:.6g} (effective mass {m:.3e})")
+        elif not math.isfinite(f_hat) or f_hat <= 0.0:
+            # The density value itself scales like h^{-d} and is legitimately
+            # tiny in high dimensions; emptiness is a statement about mass,
+            # which the branch above covers. Only a degenerate value
+            # (underflow to zero, or h**d overflowing) is an error here.
+            error = (f"degenerate density estimate {f_hat:.3e} at "
+                     f"w0={np.array2string(W0[i], precision=6)} with h={h:.6g}")
+        else:
+            # n * h**d * f_hat == mass exactly; dividing by mass avoids
+            # re-forming a product that can overflow for large d.
+            half = z * math.sqrt(s2 * config.kernel.l2_const / m)
+            fit = NWFit(eta_hat=e, f_hat=f_hat, sigma2_hat=s2, h_used=h, n=n,
+                        ci_lo=e - half, ci_hi=e + half, effective_mass=m)
+        out.append(PointResult(index=i, fit=fit, error=error))
     return out
 
 

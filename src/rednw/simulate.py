@@ -22,7 +22,7 @@ from numpy.typing import NDArray
 
 from .errors import ArgumentError, NumericError, RednwError
 from .kernels import RadialKernel, builtin_profile, make_kernel, second_moment
-from .npregress import BandwidthRule, NWConfig, bandwidth, nw_batch, nw_estimate
+from .npregress import BandwidthRule, NWConfig, _nw_core, bandwidth, nw_batch, nw_estimate
 from .reduction import FIT_METHODS, ReductionBasis, fit, oracle_basis
 
 METHOD_NAMES = ("np", "npr", "nprt")
@@ -585,5 +585,5 @@ def estimate_density_data(estimates: Sequence[float] | NDArray[np.floating],
     if scale <= 0:
         scale = 1e-2 * max(1.0, abs(float(v.mean())))
     h = factor * scale * v.size ** -0.2
-    dens = kernel.weights(np.abs(g[:, None] - v[None, :]) / h).sum(axis=1) / (v.size * h)
+    dens = _nw_core(kernel, v[:, None], v, g[:, None], h)[0] / (v.size * h)
     return [(float(gi), float(di)) for gi, di in zip(g, dens)]

@@ -1,15 +1,20 @@
 """Tests for the plug-in kernel regression estimator and its intervals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rednw.errors import ArgumentError, EmptyWindowError
-from rednw.kernels import builtin_profile, make_kernel
+from rednw.kernels import BUILTIN_PROFILES, builtin_profile, make_kernel
 from rednw.npregress import (
+    _SORT_MIN_QUERIES,
     BandwidthRule,
     NWConfig,
+    _nw_core,
     bandwidth,
     gaussian_quantile,
     nw_batch,
@@ -45,6 +50,30 @@ def brute_force_nw(kernel, basis_matrix, X, Y, x0, h):
         num += val * Y[i]
         den += val
     return num / den
+
+
+def dense_loocv(kernel, W, Y, grid):
+    """Leave-one-out bandwidth choice from the full n x n kernel matrix.
+
+    Returns the chosen h and, per grid value, the leave-one-out mass and
+    prediction of every point (prediction NaN where the mass is zero).
+    """
+    dists = np.linalg.norm(W[:, None, :] - W[None, :, :], axis=2)
+    best_h, best_err, per_h = None, math.inf, {}
+    for h in grid:
+        wts = kernel.weights(dists / h)
+        np.fill_diagonal(wts, 0.0)
+        mass = wts.sum(axis=1)
+        ok = mass > 0
+        pred = np.full(len(Y), np.nan)
+        pred[ok] = (wts[ok] @ Y) / mass[ok]
+        per_h[h] = (mass, pred)
+        if not np.any(ok):
+            continue
+        err = float(np.sum((Y[ok] - pred[ok]) ** 2)) + float(np.sum(~ok)) * float(np.var(Y))
+        if err < best_err:
+            best_h, best_err = h, err
+    return best_h, per_h
 
 
 def bisect_quantile(q, tol=1e-12):
@@ -494,3 +523,166 @@ class TestNonFiniteInputs:
     def test_nan_in_query_point(self, entry):
         with pytest.raises(ArgumentError, match="query point 0"):
             _call_entry(entry, self.cfg, self.basis, self.X, self.Y, [np.nan, 0.0])
+
+
+class TestLoocvReference:
+    """The windowed leave-one-out core against the dense n x n reference."""
+
+    @pytest.mark.parametrize("profile", BUILTIN_PROFILES)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_dense(self, profile, d):
+        kern = make_kernel(builtin_profile(profile), d)
+        grid = (0.25, 0.5, 0.75, 1.0)
+        rng = np.random.default_rng(100 + 10 * d + BUILTIN_PROFILES.index(profile))
+        # both sides of the sort threshold
+        for n in (12, 2 * _SORT_MIN_QUERIES + 7):
+            for trial in range(3):
+                W = rng.uniform(-1.0, 1.0, size=(n, d))
+                if trial >= 1:
+                    # ties: coordinates on a 1/8 grid, so many radii sit
+                    # exactly on the support edge of the dyadic bandwidths
+                    W = np.round(8.0 * W) / 8.0
+                if trial == 2:
+                    # isolated points: empty leave-one-out window at every h
+                    W[:3] = 10.0 + 5.0 * np.arange(3)[:, None]
+                    # a pair whose only neighbour sits just inside the edge
+                    # at h = 0.25: a weight far below K(0)'s last bit
+                    W[3:5] = 100.0
+                    W[4, 0] += 0.2499999
+                Y = rng.standard_normal(n)
+                expected, per_h = dense_loocv(kern, W, Y, grid)
+                rule = BandwidthRule(kind="loocv", cv_grid=grid)
+                assert bandwidth(rule, n=n, p=d, d=d, kernel=kern, W=W, Y=Y) == expected
+                for h in grid:
+                    mass, pred, _ = _nw_core(kern, W, Y, W, h, leave_one_out=True)
+                    ref_mass, ref_pred = per_h[h]
+                    np.testing.assert_allclose(mass, ref_mass, rtol=1e-12, atol=1e-15)
+                    assert np.array_equal(mass > 0, ref_mass > 0)
+                    ok = ref_mass > 0
+                    np.testing.assert_allclose(pred[ok], ref_pred[ok], rtol=1e-10, atol=1e-12)
+                    if trial == 2:
+                        assert np.all(mass[:3] == 0.0)
+
+    def test_memory_linear_in_n(self):
+        """n = 20000 would need 3.2 GB for one dense n x n matrix."""
+        rng = np.random.default_rng(5)
+        n = 20_000
+        W = rng.uniform(-1.0, 1.0, size=(n, 1))
+        Y = np.sin(3.0 * W[:, 0]) + 0.1 * rng.standard_normal(n)
+        rule = BandwidthRule(kind="loocv", cv_grid=(0.005, 0.01, 0.02))
+        tracemalloc.start()
+        try:
+            h = bandwidth(rule, n=n, p=1, d=1, kernel=TRIWEIGHT_1D, W=W, Y=Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h in rule.cv_grid
+        assert peak < 50e6
+
+
+class TestSupportEdge:
+    """A sample exactly R*h away keeps its weight, one ulp further gets 0."""
+
+    @pytest.mark.parametrize("rows", [1, _SORT_MIN_QUERIES])
+    def test_uniform_edge(self, rows):
+        uniform = make_kernel(builtin_profile("uniform"), 1)
+        cfg = NWConfig(kernel=uniform, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.25),
+                       d=1, allow_nonsmooth_kernel=True)
+        # w0 = 1, h = 0.25: the differences below are exact (Sterbenz), so
+        # the radii are exactly 1 and 1 + a few ulps
+        X = np.array([[0.75], [1.25], [np.nextafter(0.75, 0.0)],
+                      [np.nextafter(1.25, 2.0)], [1.0]])
+        Y = np.array([1.0, 2.0, 100.0, 200.0, 3.0])
+        out = nw_batch(cfg, oracle_basis([[1.0]]), X, Y, np.ones((rows, 1)))
+        for res in out:
+            assert res.fit.effective_mass == 3.0 * uniform.norm_const
+            assert res.fit.eta_hat == 2.0
+
+
+def _oracle(d, p):
+    return ReductionBasis(matrix=np.eye(p)[:d], method="oracle", d=d, p=p)
+
+
+@st.composite
+def nw_instances(draw, min_queries=1, y_range=(-1.0, 1.0)):
+    """Small random NW problems: (config, basis, X, Y, X0)."""
+    d = draw(st.integers(1, 3))
+    p = d + draw(st.integers(0, 2))
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(min_queries, min_queries + 20))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    X = draw(hnp.arrays(float, (n, p), elements=unit))
+    Y = draw(hnp.arrays(float, n, elements=st.floats(*y_range, allow_nan=False)))
+    X0 = 1.2 * draw(hnp.arrays(float, (m, p), elements=unit))
+    h = draw(st.floats(0.2, 2.0))
+    kern = make_kernel(builtin_profile("triweight_poly3"), d)
+    cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=d)
+    return cfg, _oracle(d, p), X, Y, X0
+
+
+FIELDS = ("eta_hat", "f_hat", "sigma2_hat", "ci_lo", "ci_hi", "effective_mass")
+
+
+def _fields(results):
+    """Per field, the values of the fitted rows; the ok pattern as 'ok'."""
+    out = {"ok": [r.ok for r in results]}
+    for name in FIELDS:
+        out[name] = np.array([getattr(r.fit, name) for r in results if r.ok])
+    return out
+
+
+class TestProperties:
+    """Invariances the estimator must keep on arbitrary small inputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=nw_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_row_permutation_invariance(self, inst, seed):
+        cfg, basis, X, Y, X0 = inst
+        perm = np.random.default_rng(seed).permutation(len(Y))
+        base = _fields(nw_batch(cfg, basis, X, Y, X0))
+        moved = _fields(nw_batch(cfg, basis, X[perm], Y[perm], X0))
+        assert moved["ok"] == base["ok"]
+        for name in FIELDS:
+            np.testing.assert_allclose(moved[name], base[name], rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=nw_instances(), shift=st.floats(-1e4, 1e4))
+    def test_y_shift_equivariance(self, inst, shift):
+        cfg, basis, X, Y, X0 = inst
+        base = nw_batch(cfg, basis, X, Y, X0)
+        moved = nw_batch(cfg, basis, X, Y + shift, X0)
+        assert [r.ok for r in moved] == [r.ok for r in base]
+        for a, b in zip(base, moved):
+            if not a.ok:
+                continue
+            np.testing.assert_allclose(b.fit.eta_hat, a.fit.eta_hat + shift, rtol=1e-12, atol=1e-9)
+            np.testing.assert_allclose(b.fit.sigma2_hat, a.fit.sigma2_hat, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(b.fit.ci_hi - b.fit.ci_lo, a.fit.ci_hi - a.fit.ci_lo,
+                                       rtol=1e-6, atol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=nw_instances(), scale=st.floats(0.01, 100.0))
+    def test_co_scaling_of_x_and_h(self, inst, scale):
+        cfg, basis, X, Y, X0 = inst
+        scaled_cfg = NWConfig(kernel=cfg.kernel, d=cfg.d, bandwidth=BandwidthRule(
+            kind="fixed", h_fixed=cfg.bandwidth.h_fixed * scale))
+        base = _fields(nw_batch(cfg, basis, X, Y, X0))
+        moved = _fields(nw_batch(scaled_cfg, basis, scale * X, Y, scale * X0))
+        assert moved["ok"] == base["ok"]
+        for name in ("eta_hat", "sigma2_hat", "ci_lo", "ci_hi", "effective_mass"):
+            np.testing.assert_allclose(moved[name], base[name], rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(moved["f_hat"] * scale ** cfg.d, base["f_hat"], rtol=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=nw_instances(min_queries=_SORT_MIN_QUERIES, y_range=(1.0, 2.0)))
+    def test_sorted_batch_matches_rows_one_at_a_time(self, inst):
+        cfg, basis, X, Y, X0 = inst
+        batch = nw_batch(cfg, basis, X, Y, X0)
+        single = [nw_batch(cfg, basis, X, Y, X0[i:i + 1])[0] for i in range(len(X0))]
+        a, b = _fields(batch), _fields(single)
+        assert a["ok"] == b["ok"]
+        for name in FIELDS:
+            # sigma2 of a window whose responses agree to the last bits is
+            # rounding noise near 1e-32 on both sides
+            np.testing.assert_allclose(a[name], b[name], rtol=1e-12,
+                                       atol=1e-24 if name == "sigma2_hat" else 0.0)
