@@ -1,8 +1,10 @@
 """Command line interface.
 
-Subcommands: kernel-check, reduce, fit, predict, simulate. Every run that
-writes an --out directory also writes a manifest.json there; re-running
-with --from-manifest reproduces the numeric outputs byte-identically.
+Subcommands: kernel-check, reduce, fit, predict, simulate. kernel-check,
+reduce, fit and predict print their result as JSON, and --out gets the same
+text. Every run but kernel-check that writes an --out directory also writes
+a manifest.json there; re-running with --from-manifest reproduces the
+numeric outputs byte-identically.
 Exit codes: 0 ok, 2 argument error, 3 data error, 4 numeric error.
 """
 
@@ -10,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -20,8 +22,8 @@ import numpy as np
 from . import __version__
 from .dataio import (
     RunManifest,
-    bandwidth_rule_to_dict,
     cubic_fy,
+    json_text,
     load_csv,
     load_test_rows,
     run_predict_workflow,
@@ -50,7 +52,6 @@ from .simulate import (
     equivalence_experiment,
     estimate_density_data,
     run_replications,
-    undersmoothed_rule,
 )
 
 __all__ = ["main"]
@@ -141,6 +142,19 @@ def _write_matrix(path, matrix) -> None:
             w.writerow([repr(float(v)) for v in row])
 
 
+def _emit(result, args, name: str) -> Path | None:
+    """Print the result as JSON; with --out, write the same text to
+    out/name. Returns the --out directory, or None without one."""
+    text = json_text(result)
+    sys.stdout.write(text)
+    if not args.out:
+        return None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
+    return out
+
+
 # ---------------------------------------------------------------- kernel-check
 
 def _cmd_kernel_check(args) -> int:
@@ -161,29 +175,27 @@ def _cmd_kernel_check(args) -> int:
     report = validate_conditions(kernel).to_json_dict()
     report["profile"] = profile.name
     report["dim"] = args.dim
-    print(json.dumps(report, indent=2))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "kernel_check.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _emit(report, args, "kernel_check.json")
     return 0
 
 
 # --------------------------------------------------------------------- reduce
 
-def _snapshot(args, keys) -> dict:
+def _write_manifest(args, out: Path, keys, outputs) -> None:
+    """manifest.json of reduce, fit and predict: the options in keys and the
+    digest of each input file given (--input, --basis, --test-csv)."""
     # fit and predict share one handler and key list but not every flag:
     # options a subcommand does not expose are recorded as None
-    return {k: getattr(args, k, None) for k in keys}
+    options = {k: getattr(args, k, None) for k in keys}
+    paths = (getattr(args, k, None) for k in ("input", "basis", "test_csv"))
+    RunManifest(tool_version=__version__, command=args.command,
+                config={"options": options}, seeds={},
+                input_digests={str(p): sha256_file(p) for p in paths if p},
+                outputs=tuple(outputs)).to_json_file(out / "manifest.json")
 
 
 def _restore_from_manifest(args) -> None:
-    manifest = RunManifest.from_json_file(args.from_manifest)
-    if manifest.command != args.command:
-        raise ArgumentError(
-            f"manifest records a {manifest.command!r} run, not {args.command!r}")
+    manifest = RunManifest.from_json_file(args.from_manifest, command=args.command)
     for key, value in manifest.config.get("options", {}).items():
         setattr(args, key, value)
     for path, digest in manifest.input_digests.items():
@@ -196,7 +208,7 @@ def _restore_from_manifest(args) -> None:
 
 
 _REDUCE_KEYS = ("input", "response", "method", "d", "transform", "skip_bad_rows",
-                "ridge", "slices", "seed")
+                "ridge", "slices")
 
 
 def _cmd_reduce(args) -> int:
@@ -221,20 +233,10 @@ def _cmd_reduce(args) -> int:
             "n_dropped": ds.n_dropped,
         },
     }
-    print(json.dumps(meta, indent=2))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    out = _emit(meta, args, "basis_meta.json")
+    if out:
         _write_matrix(out / "basis.csv", basis.matrix)
-        with open(out / "basis_meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        manifest = RunManifest(
-            tool_version=__version__, command="reduce",
-            config={"options": _snapshot(args, _REDUCE_KEYS)},
-            seeds={}, input_digests={str(args.input): sha256_file(args.input)},
-            outputs=("basis.csv", "basis_meta.json"))
-        manifest.to_json_file(out / "manifest.json")
+        _write_manifest(args, out, _REDUCE_KEYS, ("basis.csv", "basis_meta.json"))
     return 0
 
 
@@ -243,7 +245,7 @@ def _cmd_reduce(args) -> int:
 _PREDICT_KEYS = ("input", "response", "method", "d", "transform", "skip_bad_rows",
                  "basis", "kernel", "allow_nonsmooth_kernel", "bandwidth_kind",
                  "bandwidth_constant", "exponent_dim", "exponent", "h", "cv_grid",
-                 "ci_level", "test_csv", "plot_data", "seed")
+                 "ci_level", "test_csv", "plot_data")
 
 
 def _cmd_fit_predict(args) -> int:
@@ -264,28 +266,13 @@ def _cmd_fit_predict(args) -> int:
         bandwidth_rule=_rule_from_args(args), test_rows=test,
         ci_level=args.ci_level, allow_nonsmooth_kernel=args.allow_nonsmooth_kernel,
         precomputed_basis=basis)
-    print(json.dumps(list(wf.points), indent=2))
+    out = _emit(list(wf.points), args, "predictions.json")
     outputs = []
     if args.plot_data:
         write_table(args.plot_data, ["fitted", "observed", "ci_lo", "ci_hi"], wf.plot_rows)
         outputs.append(str(args.plot_data))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "predictions.json", "w") as fh:
-            json.dump(list(wf.points), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append("predictions.json")
-        digests = {str(args.input): sha256_file(args.input)}
-        if args.basis:
-            digests[str(args.basis)] = sha256_file(args.basis)
-        if getattr(args, "test_csv", None):
-            digests[str(args.test_csv)] = sha256_file(args.test_csv)
-        manifest = RunManifest(
-            tool_version=__version__, command=args.command,
-            config={"options": _snapshot(args, _PREDICT_KEYS)},
-            seeds={}, input_digests=digests, outputs=tuple(outputs))
-        manifest.to_json_file(out / "manifest.json")
+    if out:
+        _write_manifest(args, out, _PREDICT_KEYS, (*outputs, "predictions.json"))
     return 0
 
 
@@ -323,7 +310,7 @@ def _simulate_config_from_args(args) -> dict:
         "nprt_reduction": nprt_reduction,
         "d": int(args.d),
         "n_points": int(args.points),
-        "bandwidth": bandwidth_rule_to_dict(rule),
+        "bandwidth": asdict(rule),
         "test_points": [[float(v) for v in row] for row in points],
         "equivalence": bool(args.equivalence),
         "coverage": bool(args.coverage),
@@ -404,11 +391,7 @@ def _cmd_simulate(args) -> int:
     if not args.out:
         raise ArgumentError("simulate requires --out <directory>")
     if args.from_manifest:
-        manifest = RunManifest.from_json_file(args.from_manifest)
-        if manifest.command != "simulate":
-            raise ArgumentError(
-                f"manifest records a {manifest.command!r} run, not simulate")
-        config = manifest.config
+        config = RunManifest.from_json_file(args.from_manifest, command="simulate").config
     else:
         if args.model is None:
             raise ArgumentError("simulate requires --model 1 or --model 2 (or --from-manifest)")
@@ -422,7 +405,6 @@ def _add_common(sp, from_manifest=False):
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--config", default=None,
                     help="flat key=value option file; explicit flags win")
-    sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
     sp.add_argument("--threads", type=int, default=1, help="worker threads")
     if from_manifest:
         sp.add_argument("--from-manifest", default=None,
@@ -512,9 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--coverage", action="store_true",
                     help="also run the CI coverage experiment (model 1)")
     sm.add_argument("--coverage-level", type=float, default=0.95)
-    sm.add_argument("--from-manifest", default=None,
-                    help="reproduce a previous run from its manifest.json")
-    _add_common(sm)
+    sm.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    _add_common(sm, from_manifest=True)
     sm.set_defaults(handler=_cmd_simulate)
 
     return parser

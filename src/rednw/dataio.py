@@ -79,6 +79,11 @@ def write_table(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
+def json_text(obj) -> str:
+    """The JSON layout of every run file: indent 2, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -265,12 +270,12 @@ class RunManifest:
     outputs: tuple[str, ...] = ()
 
     def to_json_file(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        Path(path).write_text(json_text(asdict(self)))
 
     @classmethod
-    def from_json_file(cls, path) -> "RunManifest":
+    def from_json_file(cls, path, command: str | None = None) -> "RunManifest":
+        """Load a manifest; with ``command``, raise ArgumentError unless it
+        records a run of that subcommand."""
         path = Path(path)
         if not path.exists():
             raise DataError(f"manifest not found: {path}")
@@ -280,27 +285,15 @@ class RunManifest:
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: invalid manifest JSON ({exc})") from exc
         try:
-            return cls(tool_version=raw["tool_version"], command=raw["command"],
-                       config=raw["config"], seeds=raw["seeds"],
-                       input_digests=raw["input_digests"],
-                       outputs=tuple(raw.get("outputs", ())))
+            manifest = cls(tool_version=raw["tool_version"], command=raw["command"],
+                           config=raw["config"], seeds=raw["seeds"],
+                           input_digests=raw["input_digests"],
+                           outputs=tuple(raw.get("outputs", ())))
         except KeyError as exc:
             raise DataError(f"{path}: manifest missing field {exc}") from exc
-
-
-def bandwidth_rule_to_dict(rule: BandwidthRule) -> dict:
-    return {"kind": rule.kind, "constant": rule.constant,
-            "exponent_dim": rule.exponent_dim, "h_fixed": rule.h_fixed,
-            "cv_grid": list(rule.cv_grid) if rule.cv_grid else None,
-            "exponent": rule.exponent}
-
-
-def bandwidth_rule_from_dict(d: dict) -> BandwidthRule:
-    return BandwidthRule(kind=d["kind"], constant=d.get("constant", 1.0),
-                         exponent_dim=d.get("exponent_dim", "ambient_p"),
-                         h_fixed=d.get("h_fixed"),
-                         cv_grid=tuple(d["cv_grid"]) if d.get("cv_grid") else None,
-                         exponent=d.get("exponent"))
+        if command is not None and manifest.command != command:
+            raise ArgumentError(f"manifest records a {manifest.command!r} run, not {command!r}")
+        return manifest
 
 
 @dataclass(frozen=True)
@@ -325,7 +318,7 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
         ns = tuple(int(n) for n in config["ns"])
         n_rep = int(config["n_rep"])
         method_names = list(config["methods"])
-        rule = bandwidth_rule_from_dict(config["bandwidth"])
+        rule = BandwidthRule(**config["bandwidth"])
         test_points = np.asarray(config["test_points"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"manifest config is incomplete or malformed: {exc}") from exc
@@ -352,11 +345,10 @@ def recompute_cell_from_manifest(manifest: RunManifest | str | Path,
     """Recompute one replication-table cell from a simulate manifest.
 
     Bit-identical to the cell the original run wrote, at any thread count.
+    A manifest file must record a simulate run.
     """
     if not isinstance(manifest, RunManifest):
-        manifest = RunManifest.from_json_file(manifest)
-    if manifest.command != "simulate":
-        raise ArgumentError(f"manifest records a {manifest.command!r} run, not simulate")
+        manifest = RunManifest.from_json_file(manifest, command="simulate")
     plan = simulation_plan_from_config(manifest.config)
     method = method.lower()
     spec = next((m for m in plan.methods if m.method == method), None)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -41,40 +42,12 @@ _BLOCK_ELEMS = 1 << 14
 # a sample whose radius t is exactly R; kernel.weights makes the exact test
 _SLAB_RTOL = 16 * np.finfo(float).eps
 
-# rational approximation of the standard normal quantile (Acklam's
-# coefficients), refined below by one Halley step against erfc
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-
 
 def gaussian_quantile(q: float) -> float:
     """Standard normal quantile, accurate to ~1e-12 near common levels."""
     if not (0.0 < q < 1.0):
         raise ArgumentError(f"quantile level must lie in (0, 1), got {q}")
-    p_low = 0.02425
-    if q < p_low:
-        u = math.sqrt(-2.0 * math.log(q))
-        x = ((((((_QC[0] * u + _QC[1]) * u + _QC[2]) * u + _QC[3]) * u + _QC[4]) * u + _QC[5])
-             / ((((_QD[0] * u + _QD[1]) * u + _QD[2]) * u + _QD[3]) * u + 1.0))
-    elif q <= 1.0 - p_low:
-        u = q - 0.5
-        r = u * u
-        x = ((((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * u
-             / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0))
-    else:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -((((((_QC[0] * u + _QC[1]) * u + _QC[2]) * u + _QC[3]) * u + _QC[4]) * u + _QC[5])
-              / ((((_QD[0] * u + _QD[1]) * u + _QD[2]) * u + _QD[3]) * u + 1.0))
-    # one Halley refinement pins the residual well below 1e-9
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return NormalDist().inv_cdf(q)
 
 
 @dataclass(frozen=True)

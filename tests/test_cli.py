@@ -13,6 +13,7 @@ import pytest
 import rednw
 from rednw.cli import main
 from rednw.dataio import recompute_cell_from_manifest, synthetic_shellfish, write_table
+from rednw.errors import ArgumentError
 
 
 def run_cli(argv, capsys):
@@ -292,10 +293,15 @@ class TestFitPredict:
         assert "error:" in err
 
     def test_unknown_flag_exits_2(self, shellfish_csv, capsys):
-        code, _, _ = run_cli(
-            ["fit", "--input", str(shellfish_csv), "--wat"], capsys
-        )
-        assert code == 2
+        # --seed belongs to simulate, the only subcommand that draws numbers
+        for flag in (["--wat"], ["--seed", "3"]):
+            code, _, err = run_cli(
+                ["fit", "--input", str(shellfish_csv), "--response", "muscle_mass",
+                 *flag],
+                capsys,
+            )
+            assert code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_config_file_with_cli_override(self, shellfish_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -330,6 +336,62 @@ class TestFitPredict:
             capsys,
         )
         assert code == 2
+
+
+class TestRunFiles:
+    """stdout and the --out result file are one text; a manifest replays only
+    under the subcommand that wrote it."""
+
+    @pytest.mark.parametrize("command", ["kernel-check", "reduce", "fit", "predict"])
+    def test_stdout_equals_out_file(self, command, shellfish_csv, tmp_path, capsys):
+        test_csv = tmp_path / "new.csv"
+        test_csv.write_text("length,width,height,shell_mass\n205.0,70.0,40.0,30.0\n")
+        data = ["--input", str(shellfish_csv), "--response", "muscle_mass", *LOG_FLAGS]
+        argv, name = {
+            "kernel-check": (["--profile", "biweight", "--dim", "2"], "kernel_check.json"),
+            "reduce": ([*data, "--method", "pfc"], "basis_meta.json"),
+            "fit": ([*data, "--bandwidth-kind", "loocv", "--cv-grid", "0.2,0.4,0.8"],
+                    "predictions.json"),
+            "predict": ([*data, "--test-csv", str(test_csv)], "predictions.json"),
+        }[command]
+        out_dir = tmp_path / "run"
+        code, out, _ = run_cli([command, *argv, "--out", str(out_dir)], capsys)
+        assert code == 0
+        assert out == (out_dir / name).read_text()
+
+    def _write_run(self, command, shellfish_csv, out_dir, capsys):
+        code, _, _ = run_cli(
+            [command, "--input", str(shellfish_csv), "--response", "muscle_mass",
+             "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        return out_dir / "manifest.json"
+
+    def test_fit_manifest_under_reduce_exits_2(self, shellfish_csv, tmp_path, capsys):
+        manifest = self._write_run("fit", shellfish_csv, tmp_path / "fit", capsys)
+        code, _, err = run_cli(
+            ["reduce", "--input", str(shellfish_csv), "--response", "muscle_mass",
+             "--from-manifest", str(manifest)],
+            capsys,
+        )
+        assert code == 2
+        assert "manifest records a 'fit' run, not 'reduce'" in err
+
+    def test_reduce_manifest_under_simulate_exits_2(self, shellfish_csv, tmp_path, capsys):
+        manifest = self._write_run("reduce", shellfish_csv, tmp_path / "red", capsys)
+        code, _, err = run_cli(
+            ["simulate", "--from-manifest", str(manifest), "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert "manifest records a 'reduce' run, not 'simulate'" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_recompute_cell_rejects_fit_manifest(self, shellfish_csv, tmp_path, capsys):
+        manifest = self._write_run("fit", shellfish_csv, tmp_path / "fit", capsys)
+        with pytest.raises(ArgumentError, match="'fit' run, not 'simulate'"):
+            recompute_cell_from_manifest(manifest, point_id=0, n=60, method="np")
 
 
 class TestSimulate:
@@ -412,6 +474,12 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert all(r["true_mse"] == "" for r in rows)  # no closed-form truth here
+        # the default rule, recorded as asdict(BandwidthRule)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"]["bandwidth"] == {
+            "kind": "power_rule", "constant": 10.0, "exponent_dim": "ambient_p",
+            "h_fixed": None, "cv_grid": None, "exponent": None,
+        }
 
     def test_model2_rejects_model1_experiments(self, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from rednw.dataio import (
     Dataset,
     RunManifest,
+    json_text,
     load_csv,
     load_test_rows,
     run_predict_workflow,
@@ -249,6 +251,31 @@ class TestManifest:
         assert plan.test_points.shape == (2, 6)
         assert [m.label for m in plan.methods] == ["NP", "NPRT"]
         assert plan.bandwidth_rule.constant == 5.0
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            BandwidthRule(kind="power_rule", constant=5.0),
+            BandwidthRule(kind="power_rule", constant=2.0, exponent_dim="reduced_d",
+                          exponent=0.3),
+            BandwidthRule(kind="fixed", h_fixed=0.5),
+            BandwidthRule(kind="loocv", cv_grid=(0.25, 0.5, 1.0)),
+        ],
+        ids=["power_rule", "undersmoothed", "fixed", "loocv"],
+    )
+    def test_bandwidth_block_round_trip(self, rule):
+        """A manifest's bandwidth block is asdict(rule), read back as is."""
+        assert BandwidthRule(**asdict(rule)) == rule
+        assert BandwidthRule(**json.loads(json_text(asdict(rule)))) == rule
+
+    def test_unknown_bandwidth_key_rejected(self):
+        config = {
+            "model": 1, "seed": 3, "ns": [80], "n_rep": 4, "methods": ["np"],
+            "bandwidth": {"kind": "power_rule", "constant": 5.0, "bandwith": 1.0},
+            "test_points": [[0.0] * 6],
+        }
+        with pytest.raises(DataError, match="bandwith"):
+            simulation_plan_from_config(config)
 
 
 class TestPredictWorkflow:
