@@ -194,9 +194,14 @@ def _write_manifest(args, out: Path, keys, outputs) -> None:
                 outputs=tuple(outputs)).to_json_file(out / "manifest.json")
 
 
-def _restore_from_manifest(args) -> None:
+def _restore_from_manifest(args, keys) -> None:
     manifest = RunManifest.from_json_file(args.from_manifest, command=args.command)
     for key, value in manifest.config.get("options", {}).items():
+        if key == "seed":
+            continue  # recorded by older versions; these subcommands draw nothing
+        # keys never holds "out", so a manifest cannot redirect the outputs
+        if key not in keys:
+            raise DataError(f"manifest option {key!r} is not a {args.command} option")
         setattr(args, key, value)
     for path, digest in manifest.input_digests.items():
         if not Path(path).exists():
@@ -213,7 +218,7 @@ _REDUCE_KEYS = ("input", "response", "method", "d", "transform", "skip_bad_rows"
 
 def _cmd_reduce(args) -> int:
     if args.from_manifest:
-        _restore_from_manifest(args)
+        _restore_from_manifest(args, _REDUCE_KEYS)
     ds = load_csv(args.input, args.response,
                   transforms=_parse_transforms(args.transform),
                   skip_bad_rows=args.skip_bad_rows)
@@ -250,7 +255,7 @@ _PREDICT_KEYS = ("input", "response", "method", "d", "transform", "skip_bad_rows
 
 def _cmd_fit_predict(args) -> int:
     if args.from_manifest:
-        _restore_from_manifest(args)
+        _restore_from_manifest(args, _PREDICT_KEYS)
     ds = load_csv(args.input, args.response,
                   transforms=_parse_transforms(args.transform),
                   skip_bad_rows=args.skip_bad_rows)
@@ -360,8 +365,8 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
 
     x0 = plan.test_points[0]
     if config.get("equivalence"):
-        eq_rows = equivalence_experiment(cfg, plan.ns, plan.n_rep, x0,
-                                         reduction="pls", base_seed=plan.base_seed)
+        eq_rows = equivalence_experiment(cfg, plan.ns, plan.n_rep, x0, reduction="pls",
+                                         base_seed=plan.base_seed, n_threads=threads)
         write_table(out_dir / "equivalence.csv",
                     ["n", "h", "median_stat", "n_used", "n_missing"],
                     [(r.n, r.h, r.median_stat, r.n_used, r.n_missing) for r in eq_rows])
@@ -369,7 +374,7 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     if config.get("coverage"):
         cov = coverage_experiment(cfg, max(plan.ns), plan.n_rep, x0,
                                   level=float(config.get("coverage_level", 0.95)),
-                                  base_seed=plan.base_seed)
+                                  base_seed=plan.base_seed, n_threads=threads)
         write_table(out_dir / "coverage.csv",
                     ["n", "level", "coverage", "n_used", "n_excluded", "truth",
                      "median_ci_width"],

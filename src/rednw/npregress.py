@@ -44,7 +44,7 @@ _SLAB_RTOL = 16 * np.finfo(float).eps
 
 
 def gaussian_quantile(q: float) -> float:
-    """Standard normal quantile, accurate to ~1e-12 near common levels."""
+    """Standard normal quantile, from statistics.NormalDist."""
     if not (0.0 < q < 1.0):
         raise ArgumentError(f"quantile level must lie in (0, 1), got {q}")
     return NormalDist().inv_cdf(q)

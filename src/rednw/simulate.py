@@ -13,7 +13,7 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from typing import Sequence
 
@@ -21,12 +21,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ArgumentError, NumericError, RednwError
-from .kernels import RadialKernel, builtin_profile, make_kernel, second_moment
-from .npregress import BandwidthRule, NWConfig, _nw_core, bandwidth, nw_batch, nw_estimate
+from .kernels import builtin_profile, make_kernel, second_moment
+from .npregress import BandwidthRule, NWConfig, _nw_core, bandwidth, nw_batch
 from .reduction import FIT_METHODS, ReductionBasis, fit, oracle_basis
 
 METHOD_NAMES = ("np", "npr", "nprt")
-NPRT_REDUCTIONS = FIT_METHODS[1:] + ("root_n_oracle",)
+# one direction each, not fitted: root_n_oracle perturbs the true direction by
+# O(n^-1/2); wrong_direction is the first coordinate axis, a negative control
+_ONE_DIRECTION = ("root_n_oracle", "wrong_direction")
+NPRT_REDUCTIONS = FIT_METHODS[1:] + _ONE_DIRECTION
 
 _MASK = (1 << 63) - 1
 
@@ -232,6 +235,9 @@ class MethodSpec:
             raise ArgumentError(f"method {self.method!r} does not take a reduction")
         if self.d < 1:
             raise ArgumentError(f"d must be >= 1, got {self.d}")
+        if self.d != 1 and (self.method == "npr" or self.reduction in _ONE_DIRECTION):
+            raise ArgumentError(
+                f"{self.reduction or self.method} gives one direction; it needs d=1, got {self.d}")
 
     @property
     def label(self) -> str:
@@ -272,8 +278,10 @@ class ReplicationTable:
     n_rep: int
     base_seed: int
     # raw per-replication estimates keyed (point_id, n, method), NaN for
-    # missing; populated only when run_replications(keep_estimates=True)
+    # missing, and under the same keys n_rep x 2 arrays of (ci_lo, ci_hi);
+    # populated only when run_replications(keep_estimates=True)
     estimates: dict | None = None
+    intervals: dict | None = None
 
     @property
     def missing_rate(self) -> float:
@@ -287,53 +295,48 @@ class ReplicationTable:
         raise ArgumentError(f"no cell for point={point_id}, n={n}, method={method!r}")
 
 
-def _true_direction(cfg) -> NDArray[np.floating]:
-    return cfg.beta0 if isinstance(cfg, Model1Config) else cfg.beta_pop
-
-
-def _root_n_oracle(cfg, n: int, rep: int, base_seed: int) -> ReductionBasis:
-    # the true direction plus an n^(-1/2) perturbation whose Gaussian draw
-    # is shared across n (paired comparisons across sizes)
-    g = _rng(base_seed, _TAG_ORACLE, rep).standard_normal(cfg.p)
-    return oracle_basis((_true_direction(cfg) + g / math.sqrt(n))[None, :])
-
-
 def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int, base_seed: int) -> ReductionBasis:
+    true_direction = cfg.beta0 if isinstance(cfg, Model1Config) else cfg.beta_pop
     if spec.method == "npr":
-        return oracle_basis(_true_direction(cfg)[None, :])
+        return oracle_basis(true_direction[None, :])
     if spec.reduction == "root_n_oracle":
-        return _root_n_oracle(cfg, X.shape[0], rep, base_seed)
+        # an n^(-1/2) perturbation whose Gaussian draw is shared across n
+        # (paired comparisons across sizes)
+        g = _rng(base_seed, _TAG_ORACLE, rep).standard_normal(cfg.p)
+        return oracle_basis((true_direction + g / math.sqrt(X.shape[0]))[None, :])
+    if spec.reduction == "wrong_direction":
+        return oracle_basis(np.eye(cfg.p)[:1])
     # np takes the identity basis; pfc gets model 2's f_y = (y, |y|) uncentered
     return fit(spec.reduction or "np", X, Y, spec.d,
                fy=lambda y: np.column_stack([y, np.abs(y)]))
 
 
-def _one_rep(cfg, methods, n: int, rep: int, base_seed: int,
-             test_points, rule: BandwidthRule, kernels: dict) -> dict:
+def _one_rep(cfg, methods, base_seed: int, test_points, configs: dict, fixed: dict,
+             task: tuple[int, int]) -> tuple[tuple[int, int], dict]:
+    n, rep = task
     gen = gen_model1 if isinstance(cfg, Model1Config) else gen_model2
     X, Y, _ = gen(cfg, n, rng_stream=rep)
-    p = X.shape[1]
     out = {}
     for spec in methods:
-        dim = p if spec.method == "np" else spec.d
-        config = NWConfig(kernel=kernels[dim], bandwidth=rule, d=dim)
-        est = np.full(test_points.shape[0], np.nan)
+        # (eta_hat, ci_lo, ci_hi) per test point
+        est = np.full((test_points.shape[0], 3), np.nan)
         try:
-            basis = _fit_basis(spec, cfg, X, Y, rep, base_seed)
-            for res in nw_batch(config, basis, X, Y, test_points):
+            basis = fixed.get(spec.label) or _fit_basis(spec, cfg, X, Y, rep, base_seed)
+            for res in nw_batch(configs[spec.label], basis, X, Y, test_points):
                 if res.ok:
-                    est[res.index] = res.fit.eta_hat
+                    est[res.index] = (res.fit.eta_hat, res.fit.ci_lo, res.fit.ci_hi)
         except RednwError:
             pass  # fit-level failure leaves the whole row missing
         out[spec.label] = est
-    return out
+    return task, out
 
 
 def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
                      test_points: NDArray[np.floating], n_rep: int,
                      base_seed: int | None = None,
                      bandwidth_rule: BandwidthRule | None = None,
-                     n_threads: int = 1, keep_estimates: bool = False) -> ReplicationTable:
+                     n_threads: int = 1, keep_estimates: bool = False,
+                     ci_level: float = 0.95) -> ReplicationTable:
     """Replicated estimator comparison on fixed test points.
 
     For each (n, rep) draws a fresh dataset from its own RNG stream, fits
@@ -346,6 +349,8 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
         cfg: Model1Config or Model2Config.
         base_seed: defaults to cfg.seed.
         bandwidth_rule: defaults to the model's published power rule.
+        keep_estimates: also keep every replication's estimate and its
+            ci_level confidence interval (``estimates``, ``intervals``).
     """
     methods = list(methods)
     if not methods:
@@ -365,38 +370,36 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
         base_seed = cfg.seed
     cfg_run = replace(cfg, seed=base_seed)
     rule = bandwidth_rule if bandwidth_rule is not None else default_bandwidth_rule(cfg)
-    dims = sorted({cfg.p if m.method == "np" else m.d for m in methods})
+    dims = {m.label: cfg.p if m.method == "np" else m.d for m in methods}
     profile = builtin_profile("triweight_poly3")
-    kernels = {dim: make_kernel(profile, dim) for dim in dims}
+    kernels = {dim: make_kernel(profile, dim) for dim in sorted(set(dims.values()))}
+    configs = {lab: NWConfig(kernel=kernels[dim], bandwidth=rule, d=dim, ci_level=ci_level)
+               for lab, dim in dims.items()}
+    # npr's and wrong_direction's bases ignore the data: build each once
+    fixed = {m.label: _fit_basis(m, cfg_run, None, None, 0, base_seed) for m in methods
+             if m.method == "npr" or m.reduction == "wrong_direction"}
 
     tasks = [(n, rep) for n in ns for rep in range(n_rep)]
-
-    def work(task):
-        n, rep = task
-        return task, _one_rep(cfg_run, methods, n, rep, base_seed, test_points, rule, kernels)
-
-    results: dict[tuple[int, int], dict] = {}
+    work = partial(_one_rep, cfg_run, methods, base_seed, test_points, configs, fixed)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            for key, val in ex.map(work, tasks):
-                results[key] = val
+            results = dict(ex.map(work, tasks))
     else:
-        for task in tasks:
-            key, val = work(task)
-            results[key] = val
+        results = dict(map(work, tasks))
 
     truths = cfg.truth(test_points) if isinstance(cfg, Model1Config) else None
     cells = []
     kept = {} if keep_estimates else None
+    intervals = {} if keep_estimates else None
     for j in range(test_points.shape[0]):
         for n in ns:
-            # fixed (n, rep, point) aggregation order keeps cells bit-stable
-            stacked = {lab: np.array([results[(n, rep)][lab][j] for rep in range(n_rep)])
-                       for lab in labels}
             for lab in labels:
-                v = stacked[lab]
+                # fixed (n, rep, point) aggregation order keeps cells bit-stable
+                reps = np.array([results[(n, rep)][lab][j] for rep in range(n_rep)])
+                v = reps[:, 0]
                 if kept is not None:
                     kept[(j, n, lab)] = v.copy()
+                    intervals[(j, n, lab)] = reps[:, 1:]
                 good = v[~np.isnan(v)]
                 n_missing = int(np.isnan(v).sum())
                 if good.size:
@@ -412,7 +415,8 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
                                        true_mse=t_mse))
     return ReplicationTable(cells=tuple(cells), test_points=test_points,
                             ns=tuple(ns), methods=tuple(labels),
-                            n_rep=n_rep, base_seed=base_seed, estimates=kept)
+                            n_rep=n_rep, base_seed=base_seed, estimates=kept,
+                            intervals=intervals)
 
 
 def recompute_cell(cfg, spec: MethodSpec, test_points: NDArray[np.floating],
@@ -440,67 +444,35 @@ class EquivalenceRow:
 
 
 def equivalence_experiment(cfg: Model1Config, ns: Sequence[int], n_rep: int,
-                           x0: NDArray[np.floating],
-                           reduction: str | ReductionBasis = "pls",
+                           x0: NDArray[np.floating], reduction: str = "pls",
                            bandwidth_rule: BandwidthRule | None = None,
-                           base_seed: int | None = None) -> list[EquivalenceRow]:
+                           base_seed: int | None = None,
+                           n_threads: int = 1) -> list[EquivalenceRow]:
     """Median of sqrt(n h^d) |eta_hat(x0) - xi_hat(w0)| per sample size.
 
     eta_hat runs on the fitted reduction, xi_hat on the true one, same
-    kernel and bandwidth. With a root-n consistent reduction the statistic
-    drifts to zero as n grows; a fixed wrong direction is the negative
-    control and does not decay.
+    kernel and bandwidth, over the replications where both exist. With a
+    root-n consistent reduction the statistic drifts to zero as n grows;
+    "wrong_direction" is the negative control and does not decay.
 
     Args:
-        reduction: "pls", "root_n_oracle", "wrong_direction", "oracle"
-            (forces the true basis; statistic is exactly 0), or an explicit
-            ReductionBasis used verbatim at every replication.
+        reduction: an NPRT reduction, one of NPRT_REDUCTIONS.
+        bandwidth_rule: defaults to ``undersmoothed_rule()``.
     """
-    if isinstance(reduction, str) and reduction not in (
-            "pls", "root_n_oracle", "wrong_direction", "oracle"):
-        raise ArgumentError(f"unknown reduction choice {reduction!r}")
-    if base_seed is None:
-        base_seed = cfg.seed
-    cfg_run = replace(cfg, seed=base_seed)
     rule = bandwidth_rule if bandwidth_rule is not None else undersmoothed_rule()
-    kernel = make_kernel(builtin_profile("triweight_poly3"), 1)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape != (cfg.p,):
-        raise ArgumentError(f"x0 must have length p={cfg.p}, got {x0.shape}")
-    true_basis = oracle_basis(cfg.beta0[None, :])
-
+    hs = [bandwidth(rule, n=n, p=cfg.p, d=1) for n in ns]
+    methods = [MethodSpec("npr"), MethodSpec("nprt", reduction=reduction)]
+    table = run_replications(cfg, methods, ns, np.ravel(x0)[None, :], n_rep,
+                             base_seed=base_seed, bandwidth_rule=rule,
+                             n_threads=n_threads, keep_estimates=True)
     rows = []
-    for n in ns:
-        h = bandwidth(rule, n=n, p=cfg.p, d=1)
-        config = NWConfig(kernel=kernel, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=1)
-        stats = []
-        n_missing = 0
-        for rep in range(n_rep):
-            X, Y, _ = gen_model1(cfg_run, n, rng_stream=rep)
-            if isinstance(reduction, ReductionBasis):
-                basis = reduction
-            elif reduction == "oracle":
-                basis = true_basis
-            elif reduction == "pls":
-                basis = fit("pls", X, Y, 1)
-            elif reduction == "root_n_oracle":
-                basis = _root_n_oracle(cfg, n, rep, base_seed)
-            else:  # wrong_direction: fixed unit vector misaligned with beta0
-                wrong = np.zeros(cfg.p)
-                wrong[0] = 1.0
-                basis = oracle_basis(wrong[None, :])
-            try:
-                eta = nw_estimate(config, basis, X, Y, x0).eta_hat
-                xi = nw_estimate(config, true_basis, X, Y, x0).eta_hat
-            except RednwError:
-                n_missing += 1
-                continue
-            stats.append(math.sqrt(n * h) * abs(eta - xi))
-        if not stats:
+    for n, h in zip(table.ns, hs):
+        gap = np.abs(table.estimates[(0, n, "NPRT")] - table.estimates[(0, n, "NPR")])
+        stats = math.sqrt(n * h) * gap[~np.isnan(gap)]
+        if not stats.size:
             raise NumericError(f"every replication at n={n} hit an empty window")
-        rows.append(EquivalenceRow(n=int(n), h=float(h),
-                                   median_stat=float(np.median(stats)),
-                                   n_used=len(stats), n_missing=n_missing))
+        rows.append(EquivalenceRow(n=n, h=h, median_stat=float(np.median(stats)),
+                                   n_used=stats.size, n_missing=n_rep - stats.size))
     return rows
 
 
@@ -518,7 +490,8 @@ class CoverageResult:
 def coverage_experiment(cfg: Model1Config, n: int, n_rep: int,
                         x0: NDArray[np.floating], level: float = 0.95,
                         bandwidth_rule: BandwidthRule | None = None,
-                        base_seed: int | None = None) -> CoverageResult:
+                        base_seed: int | None = None,
+                        n_threads: int = 1) -> CoverageResult:
     """Fraction of replications whose CI covers the true eta(x0).
 
     Uses the true reduction and an undersmoothing bandwidth; the rule must
@@ -526,8 +499,7 @@ def coverage_experiment(cfg: Model1Config, n: int, n_rep: int,
     (1/(2q+d), 1/d) so the CLT's bias condition holds.
     """
     rule = bandwidth_rule if bandwidth_rule is not None else undersmoothed_rule()
-    kernel = make_kernel(builtin_profile("triweight_poly3"), 1)
-    q = kernel.moment_order
+    q = make_kernel(builtin_profile("triweight_poly3"), 1).moment_order
     d = 1
     if rule.kind == "power_rule":
         if rule.exponent_dim != "reduced_d":
@@ -537,32 +509,19 @@ def coverage_experiment(cfg: Model1Config, n: int, n_rep: int,
         if not (lo < e < hi):
             raise ArgumentError(
                 f"undersmoothing needs exponent strictly inside ({lo:.4g}, {hi:.4g}), got {e}")
-    if base_seed is None:
-        base_seed = cfg.seed
-    cfg_run = replace(cfg, seed=base_seed)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    truth = float(cfg.truth(x0))
-    basis = oracle_basis(cfg.beta0[None, :])
-    config = NWConfig(kernel=kernel, bandwidth=rule, d=1, ci_level=level)
-    covered = 0
-    used = 0
-    excluded = 0
-    widths = []
-    for rep in range(n_rep):
-        X, Y, _ = gen_model1(cfg_run, n, rng_stream=rep)
-        try:
-            fit = nw_estimate(config, basis, X, Y, x0)
-        except RednwError:
-            excluded += 1
-            continue
-        used += 1
-        covered += int(fit.ci_lo <= truth <= fit.ci_hi)
-        widths.append(fit.ci_hi - fit.ci_lo)
-    if used == 0:
+    x0 = np.ravel(x0)
+    table = run_replications(cfg, [MethodSpec("npr")], [n], x0[None, :], n_rep,
+                             base_seed=base_seed, bandwidth_rule=rule, n_threads=n_threads,
+                             keep_estimates=True, ci_level=level)
+    ci = table.intervals[(0, n, "NPR")]
+    ci_lo, ci_hi = ci[~np.isnan(ci[:, 0])].T
+    if not ci_lo.size:
         raise NumericError(f"every replication at n={n} hit an empty window")
-    return CoverageResult(coverage=covered / used, level=level, n=n, n_used=used,
-                          n_excluded=excluded, truth=truth,
-                          median_ci_width=float(np.median(widths)))
+    truth = float(cfg.truth(x0))
+    covered = int(np.sum((ci_lo <= truth) & (truth <= ci_hi)))
+    return CoverageResult(coverage=covered / ci_lo.size, level=level, n=n, n_used=ci_lo.size,
+                          n_excluded=n_rep - ci_lo.size, truth=truth,
+                          median_ci_width=float(np.median(ci_hi - ci_lo)))
 
 
 def estimate_density_data(estimates: Sequence[float] | NDArray[np.floating],

@@ -225,15 +225,20 @@ def test_c4_projection_extraction():
     assert -0.7 <= slope <= -0.3
 
 
-def test_c5_interval_coverage():
-    """Plug-in 95% intervals cover the truth at the nominal rate band."""
-    cfg = Model1Config(seed=BASE_SEED)
+def _interval_point(cfg):
+    """x0 = 1.5 b + 0.2 perp of the coverage and equivalence checks (C5, C6, C11)."""
     b = cfg.beta0
     perp = np.zeros(6)
     perp[0] = 1.0
     perp -= (perp @ b) * b
     perp /= np.linalg.norm(perp)
-    x0 = 1.5 * b + 0.2 * perp
+    return 1.5 * b + 0.2 * perp
+
+
+def test_c5_interval_coverage():
+    """Plug-in 95% intervals cover the truth at the nominal rate band."""
+    cfg = Model1Config(seed=BASE_SEED)
+    x0 = _interval_point(cfg)
     res = coverage_experiment(cfg, n=4000, n_rep=500, x0=x0, level=0.95,
                               base_seed=BASE_SEED)
     ok = 0.88 <= res.coverage <= 0.99
@@ -246,12 +251,7 @@ def test_c5_interval_coverage():
 def test_c6_plugin_oracle_equivalence():
     """Scaled plug-in/oracle gap shrinks with n; wrong direction does not."""
     cfg = Model1Config(seed=BASE_SEED)
-    b = cfg.beta0
-    perp = np.zeros(6)
-    perp[0] = 1.0
-    perp -= (perp @ b) * b
-    perp /= np.linalg.norm(perp)
-    x0 = 1.5 * b + 0.2 * perp
+    x0 = _interval_point(cfg)
     ns = [250, 1000, 4000]
     rows = equivalence_experiment(cfg, ns, 200, x0, reduction="root_n_oracle",
                                   base_seed=BASE_SEED)
@@ -404,3 +404,34 @@ def test_c10_cell_determinism(tmp_path, capsys):
     _line("C10", "cell_determinism", worst_ok,
           f"{checked} recomputes (1 and 8 threads) bit-identical: {worst_ok}")
     assert worst_ok
+
+
+def test_c11_estimated_reduction_coverage():
+    """Intervals on a root-n-consistent estimated reduction keep their coverage.
+
+    The paper's claim: NW intervals built on an estimated reduction behave
+    like those on the true one. PLS is the negative control: model 1's even
+    link makes its population target zero, so its intervals undercover.
+    Bounds were fixed from a 16-seed sweep before the check was written:
+    root-n 0.934-0.960, PLS 0.704-0.770 (500 reps, n=4000).
+    """
+    cfg = Model1Config(seed=BASE_SEED)
+    x0 = _interval_point(cfg)
+    truth = float(cfg.truth(x0))
+    coverage, excluded = {}, 0
+    for reduction in ("root_n_oracle", "pls"):
+        table = run_replications(cfg, [MethodSpec(method="nprt", reduction=reduction)],
+                                 ns=[4000], test_points=x0[None, :], n_rep=500,
+                                 base_seed=BASE_SEED, bandwidth_rule=undersmoothed_rule(),
+                                 n_threads=2, keep_estimates=True)
+        ci_lo, ci_hi = table.intervals[(0, 4000, "NPRT")].T
+        kept = ~np.isnan(ci_lo)
+        excluded += int(np.sum(~kept))
+        coverage[reduction] = float(np.mean((ci_lo[kept] <= truth) & (truth <= ci_hi[kept])))
+    root_n, pls = coverage["root_n_oracle"], coverage["pls"]
+    ok = 0.90 <= root_n <= 0.99 and pls <= 0.85
+    _line("C11", "estimated_reduction_coverage", ok,
+          f"coverage root-n {root_n:.3f} in [0.90, 0.99], PLS {pls:.3f} <= 0.85, "
+          f"at n=4000 from 500 reps, {excluded} excluded")
+    assert 0.90 <= root_n <= 0.99
+    assert pls <= 0.85

@@ -393,6 +393,33 @@ class TestRunFiles:
         with pytest.raises(ArgumentError, match="'fit' run, not 'simulate'"):
             recompute_cell_from_manifest(manifest, point_id=0, n=60, method="np")
 
+    def _replay_edited(self, shellfish_csv, tmp_path, capsys, **extra):
+        manifest = self._write_run("reduce", shellfish_csv, tmp_path / "red", capsys)
+        data = json.loads(manifest.read_text())
+        data["config"]["options"].update(extra)
+        manifest.write_text(json.dumps(data))
+        return run_cli(
+            ["reduce", "--input", str(shellfish_csv), "--response", "muscle_mass",
+             "--from-manifest", str(manifest), "--out", str(tmp_path / "wanted")],
+            capsys,
+        )
+
+    def test_manifest_cannot_redirect_out(self, shellfish_csv, tmp_path, capsys):
+        hijack = tmp_path / "hijack"
+        code, _, err = self._replay_edited(shellfish_csv, tmp_path, capsys, out=str(hijack))
+        assert code == 3
+        assert "manifest option 'out' is not a reduce option" in err
+        assert not hijack.exists()
+        assert not (tmp_path / "wanted").exists()
+
+    def test_legacy_seed_option_replays(self, shellfish_csv, tmp_path, capsys):
+        # manifests of older versions record "seed" for every subcommand
+        code, _, _ = self._replay_edited(shellfish_csv, tmp_path, capsys, seed=0)
+        assert code == 0
+        for name in ("basis.csv", "basis_meta.json"):
+            assert (tmp_path / "wanted" / name).read_bytes() == \
+                (tmp_path / "red" / name).read_bytes()
+
 
 class TestSimulate:
     def run_small(self, out_dir, capsys, extra=()):
@@ -491,6 +518,21 @@ class TestSimulate:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("methods", [["npr"], ["nprt", "--nprt-reduction", "root_n_oracle"],
+                                         ["nprt", "--nprt-reduction", "wrong_direction"]])
+    def test_one_direction_with_d_2_exits_2(self, methods, tmp_path, capsys):
+        code, _, err = run_cli(
+            [
+                "simulate", "--model", "1", "--ns", "60", "--nrep", "3",
+                "--points", "2", "--methods", *methods, "--d", "2",
+                "--out", str(tmp_path / "x"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "needs d=1" in err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_method_exits_2(self, tmp_path, capsys):
         code, _, _ = run_cli(

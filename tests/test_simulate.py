@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rednw.errors import ArgumentError
+from rednw.errors import ArgumentError, NumericError
 from rednw.npregress import BandwidthRule
 from rednw.simulate import (
     MethodSpec,
@@ -257,16 +257,38 @@ class TestReplicationHarness:
         with pytest.raises(ArgumentError):
             MethodSpec(method="np", reduction="pls")  # reduction is nprt-only
 
+    def test_one_direction_methods_reject_d_above_1(self):
+        # npr and the oracle-style reductions give one direction, so d=2
+        # would leave every estimate missing instead of failing
+        for spec in (dict(method="npr"),
+                     dict(method="nprt", reduction="root_n_oracle"),
+                     dict(method="nprt", reduction="wrong_direction")):
+            with pytest.raises(ArgumentError, match="needs d=1"):
+                MethodSpec(d=2, **spec)
+        assert MethodSpec(method="nprt", reduction="pls", d=2).d == 2
+        assert MethodSpec(method="np", d=2).d == 2
+
+    def test_kept_intervals_bracket_estimates(self):
+        cfg = Model1Config(seed=1)
+        pts = draw_test_points(cfg, m=2)
+        pts[1] += 50.0  # far outside the data cloud: every replication missing
+        table = run_replications(
+            cfg, [MethodSpec(method="npr"), MethodSpec(method="nprt", reduction="wrong_direction")],
+            ns=[100], test_points=pts, n_rep=8, base_seed=5, keep_estimates=True,
+            bandwidth_rule=undersmoothed_rule(),
+        )
+        assert table.intervals.keys() == table.estimates.keys()
+        for key, eta in table.estimates.items():
+            ci = table.intervals[key]
+            assert ci.shape == (8, 2)
+            assert np.array_equal(np.isnan(ci[:, 0]), np.isnan(eta))
+            ok = ~np.isnan(eta)
+            assert np.all(ci[ok, 0] < eta[ok]) and np.all(eta[ok] < ci[ok, 1])
+        assert np.isnan(table.estimates[(1, 100, "NPR")]).all()
+        assert not np.isnan(table.estimates[(0, 100, "NPRT")]).any()
+
 
 class TestEquivalence:
-    def test_forced_oracle_is_exact_zero(self):
-        cfg = Model1Config(seed=0)
-        b = np.ones(6) / np.sqrt(6.0)
-        rows = equivalence_experiment(
-            cfg, ns=[100], n_rep=5, x0=1.2 * b, reduction="oracle", base_seed=4
-        )
-        assert rows[0].median_stat == 0.0
-
     def test_consistent_estimate_decays(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
@@ -295,6 +317,19 @@ class TestEquivalence:
         np.testing.assert_allclose(rows[0].h, 2.0 * 100.0**-0.3, rtol=1e-13)
         np.testing.assert_allclose(rows[1].h, 2.0 * 400.0**-0.3, rtol=1e-13)
 
+    def test_threads_do_not_change_rows(self):
+        cfg = Model1Config(seed=0)
+        b = np.ones(6) / np.sqrt(6.0)
+        runs = [equivalence_experiment(cfg, ns=[100, 300], n_rep=6, x0=1.5 * b,
+                                       reduction="pls", base_seed=2, n_threads=k)
+                for k in (1, 2)]
+        assert runs[0] == runs[1]
+
+    def test_no_usable_replication_raises(self):
+        cfg = Model1Config(seed=0)
+        with pytest.raises(NumericError, match="n=100"):
+            equivalence_experiment(cfg, ns=[100], n_rep=3, x0=50.0 * np.ones(6), base_seed=1)
+
 
 class TestCoverage:
     def test_half_level_calibration(self):
@@ -319,6 +354,19 @@ class TestCoverage:
         assert res.coverage == 1.0
         assert res.truth == 0.0
         assert res.median_ci_width == 0.0
+
+    def test_threads_do_not_change_result(self):
+        cfg = Model1Config(seed=0)
+        b = np.ones(6) / np.sqrt(6.0)
+        runs = [coverage_experiment(cfg, n=300, n_rep=6, x0=1.5 * b, base_seed=2,
+                                    n_threads=k)
+                for k in (1, 2)]
+        assert runs[0] == runs[1]
+
+    def test_no_usable_replication_raises(self):
+        cfg = Model1Config(seed=0)
+        with pytest.raises(NumericError, match="n=100"):
+            coverage_experiment(cfg, n=100, n_rep=3, x0=50.0 * np.ones(6), base_seed=1)
 
     def test_bandwidth_regime_enforced(self):
         cfg = Model1Config(seed=0)
