@@ -1,0 +1,34 @@
+"""Keep OpenBLAS from starting a thread per core in every worker of a thread pool."""
+
+import contextlib
+import ctypes
+import functools
+import os
+
+# plain builds, and the symbol-prefixed builds numpy (64-bit) and scipy ship
+_STEMS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
+          "scipy_openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS in /proc/self/maps."""
+    paths = set()
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    return tuple((getattr(lib, stem.format("get")), getattr(lib, stem.format("set")))
+                 for lib in map(ctypes.CDLL, sorted(paths)) for stem in _STEMS
+                 if hasattr(lib, stem.format("set")))
+
+
+@contextlib.contextmanager
+def blas_threads_per_worker(n_workers: int):
+    """OpenBLAS at cores // n_workers threads (at least 1) inside the block."""
+    saved = [(put, get()) for get, put in _openblas_controls()]
+    for put, _ in saved:
+        put(max(1, len(os.sched_getaffinity(0)) // n_workers))
+    try:
+        yield
+    finally:
+        for put, old in saved:
+            put(old)

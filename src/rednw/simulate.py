@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from ._blas import blas_threads_per_worker
 from .errors import ArgumentError, NumericError, RednwError
 from .kernels import builtin_profile, make_kernel, second_moment
 from .npregress import BandwidthRule, NWConfig, _nw_core, bandwidth, nw_batch
@@ -382,7 +383,7 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     tasks = [(n, rep) for n in ns for rep in range(n_rep)]
     work = partial(_one_rep, cfg_run, methods, base_seed, test_points, configs, fixed)
     if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
+        with blas_threads_per_worker(n_threads), ThreadPoolExecutor(max_workers=n_threads) as ex:
             results = dict(ex.map(work, tasks))
     else:
         results = dict(map(work, tasks))

@@ -1,8 +1,11 @@
 """Tests for the simulation designs, replication harness, and experiments."""
 
+import os
+
 import numpy as np
 import pytest
 
+from rednw import _blas
 from rednw.errors import ArgumentError, NumericError
 from rednw.npregress import BandwidthRule
 from rednw.simulate import (
@@ -442,3 +445,44 @@ class TestDefaults:
         assert r.kind == "power_rule"
         assert r.exponent_dim == "reduced_d"
         assert r.exponent == 0.3
+
+
+class TestBlasThreads:
+    """The replication pool runs OpenBLAS at cores // n_threads threads."""
+
+    @staticmethod
+    def _fake_openblas(monkeypatch, cores=4, start=8):
+        # one fake library whose thread count history is `seen`
+        seen = [start]
+        monkeypatch.setattr(_blas, "_openblas_controls", lambda: ((lambda: seen[-1], seen.append),))
+        monkeypatch.setattr(_blas.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        return seen
+
+    @pytest.mark.parametrize("workers, cap", [(1, 4), (2, 2), (3, 1), (8, 1)])
+    def test_cap_then_restore(self, monkeypatch, workers, cap):
+        seen = self._fake_openblas(monkeypatch)
+        with _blas.blas_threads_per_worker(workers):
+            assert seen[-1] == cap
+        assert seen == [8, cap, 8]
+
+    def test_restored_after_an_error(self, monkeypatch):
+        seen = self._fake_openblas(monkeypatch)
+        with pytest.raises(RuntimeError), _blas.blas_threads_per_worker(2):
+            raise RuntimeError("inside the pool")
+        assert seen == [8, 2, 8]
+
+    def test_only_the_pool_caps(self, monkeypatch):
+        seen = self._fake_openblas(monkeypatch)
+        cfg = Model1Config(seed=1)
+        kw = dict(ns=[60], test_points=draw_test_points(cfg, m=2), n_rep=4)
+        run_replications(cfg, [MethodSpec("npr")], n_threads=1, **kw)
+        assert seen == [8]
+        run_replications(cfg, [MethodSpec("npr")], n_threads=2, **kw)
+        assert seen == [8, 2, 8]
+
+    def test_openblas_of_this_process(self):
+        controls = _blas._openblas_controls()
+        before = [get() for get, _ in controls]
+        with _blas.blas_threads_per_worker(2 * len(os.sched_getaffinity(0))):
+            assert all(get() == 1 for get, _ in controls)
+        assert [get() for get, _ in controls] == before
