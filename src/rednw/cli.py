@@ -5,6 +5,8 @@ reduce, fit and predict print their result as JSON, and --out gets the same
 text. Every run but kernel-check that writes an --out directory also writes
 a manifest.json there; re-running with --from-manifest reproduces the
 numeric outputs byte-identically.
+Options come from --config, then --from-manifest, then argv, all through the
+subcommand's own parser; a flag that contradicts the manifest is an error.
 Exit codes: 0 ok, 2 argument error, 3 data error, 4 numeric error.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -56,21 +59,18 @@ from .simulate import (
 
 __all__ = ["main"]
 
-# reduce fits a proper reduction; fit and predict also accept "np"
-_REDUCE_METHODS = FIT_METHODS[1:]
-
 
 def _csv_list(value, conv=str) -> list:
-    if value is None:
-        return []
-    if isinstance(value, (list, tuple)):
-        return [conv(v) for v in value]
-    return [conv(v.strip()) for v in str(value).split(",") if v.strip()]
+    try:
+        return [conv(v.strip()) for v in (value or "").split(",") if v.strip()]
+    except ValueError as exc:
+        raise ArgumentError(f"bad comma list {value!r}: {exc}") from None
 
 
-def _parse_transforms(value) -> list[tuple[str, str]]:
+def _parse_transforms(items) -> list[tuple[str, str]]:
+    # each --transform item may itself be a comma list
     out = []
-    for item in _csv_list(value):
+    for item in _csv_list(",".join(items or ())):
         if "=" not in item:
             raise ArgumentError(f"transform must look like column=op, got {item!r}")
         col, op = item.split("=", 1)
@@ -78,30 +78,20 @@ def _parse_transforms(value) -> list[tuple[str, str]]:
     return out
 
 
-def _coerce(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "yes"):
-        return True
-    if low.lower() in ("false", "no"):
-        return False
-    try:
-        return int(low)
-    except ValueError:
-        pass
-    try:
-        return float(low)
-    except ValueError:
-        return low
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    # flat key=value lines mirroring long flag names; explicit CLI flags win
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    path = Path(path)
+def _config_options(args) -> dict:
+    """--config's key=value lines (long flag names) as {dest: value}."""
+    if not args.config:
+        return {}
+    path = Path(args.config)
     if not path.exists():
         raise DataError(f"config file not found: {path}")
+    options = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -109,13 +99,21 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         if "=" not in line:
             raise DataError(f"{path}: line {lineno}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise ArgumentError(f"{path}: line {lineno}: unknown option {key!r}")
+        value = {"true": True, "false": False}.get(value.lower(), value)
+        options[key.replace("-", "_")] = value
+    return options
+
+
+def _option_tokens(options: dict) -> list[str]:
+    """argv tokens: True is a bare flag, None and False give none, a list repeats."""
+    tokens = []
+    for key, value in options.items():
         flag = "--" + key.replace("_", "-")
-        explicit = any(a == flag or a.startswith(flag + "=") for a in argv)
-        if not explicit:
-            setattr(args, dest, _coerce(value))
+        if value is True:
+            tokens.append(flag)
+        elif value is not None and value is not False:
+            tokens += [f"{flag}={v}" for v in (value if isinstance(value, list) else [value])]
+    return tokens
 
 
 def _rule_from_args(args, default_rule: BandwidthRule | None = None) -> BandwidthRule:
@@ -124,9 +122,8 @@ def _rule_from_args(args, default_rule: BandwidthRule | None = None) -> Bandwidt
                             "exponent", "h", "cv_grid"))
     if not touched and default_rule is not None:
         return default_rule
-    kind = args.bandwidth_kind or "power_rule"
     return BandwidthRule(
-        kind=kind,
+        kind=args.bandwidth_kind or "power_rule",
         constant=args.bandwidth_constant if args.bandwidth_constant is not None else 1.0,
         exponent_dim=args.exponent_dim or "ambient_p",
         h_fixed=args.h,
@@ -159,16 +156,16 @@ def _emit(result, args, name: str) -> Path | None:
 
 def _cmd_kernel_check(args) -> int:
     if args.custom_poly:
-        coeffs = _csv_list(args.custom_poly, float)
-        radius = float(args.support_radius)
+        coeffs = tuple(_csv_list(args.custom_poly, float))
 
-        def raw(t, _c=tuple(coeffs), _r=radius):
+        def raw(t, _c=coeffs, _r=args.support_radius):
             t = np.asarray(t, dtype=float)
             vals = np.polynomial.polynomial.polyval(t, _c)
             return np.where(t <= _r, vals, 0.0)
 
-        profile = KernelProfile(name="custom", raw_profile=raw, support_radius=radius,
-                                smoothness_order=int(args.smoothness_order))
+        profile = KernelProfile(name="custom", raw_profile=raw,
+                                support_radius=args.support_radius,
+                                smoothness_order=args.smoothness_order)
     else:
         profile = builtin_profile(args.profile)
     kernel = make_kernel(profile, args.dim)
@@ -179,14 +176,23 @@ def _cmd_kernel_check(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------- reduce
+# -------------------------------------------------------- reduce / fit / predict
 
-def _write_manifest(args, out: Path, keys, outputs) -> None:
-    """manifest.json of reduce, fit and predict: the options in keys and the
-    digest of each input file given (--input, --basis, --test-csv)."""
+# the options each manifest records; simulate records its plan instead
+_DATA_KEYS = ("input", "response", "method", "d", "transform", "skip_bad_rows")
+_PREDICT_KEYS = _DATA_KEYS + (
+    "basis", "kernel", "allow_nonsmooth_kernel", "bandwidth_kind", "bandwidth_constant",
+    "exponent_dim", "exponent", "h", "cv_grid", "ci_level", "test_csv", "plot_data")
+_MANIFEST_KEYS = {"reduce": _DATA_KEYS + ("ridge", "slices"),
+                  "fit": _PREDICT_KEYS, "predict": _PREDICT_KEYS}
+
+
+def _write_manifest(args, out: Path, outputs) -> None:
+    """manifest.json of reduce, fit and predict: the subcommand's options and
+    the digest of each input file given (--input, --basis, --test-csv)."""
     # fit and predict share one handler and key list but not every flag:
     # options a subcommand does not expose are recorded as None
-    options = {k: getattr(args, k, None) for k in keys}
+    options = {k: getattr(args, k, None) for k in _MANIFEST_KEYS[args.command]}
     paths = (getattr(args, k, None) for k in ("input", "basis", "test_csv"))
     RunManifest(tool_version=__version__, command=args.command,
                 config={"options": options}, seeds={},
@@ -194,15 +200,18 @@ def _write_manifest(args, out: Path, keys, outputs) -> None:
                 outputs=tuple(outputs)).to_json_file(out / "manifest.json")
 
 
-def _restore_from_manifest(args, keys) -> None:
+def _manifest_options(args) -> dict:
+    """The options a reduce, fit or predict manifest recorded, its inputs checked."""
+    keys = _MANIFEST_KEYS.get(args.command)
+    if not (keys and args.from_manifest):
+        return {}
     manifest = RunManifest.from_json_file(args.from_manifest, command=args.command)
-    for key, value in manifest.config.get("options", {}).items():
-        if key == "seed":
-            continue  # recorded by older versions; these subcommands draw nothing
+    options = dict(manifest.config.get("options", {}))
+    options.pop("seed", None)  # recorded by older versions; these subcommands draw nothing
+    for key in options:
         # keys never holds "out", so a manifest cannot redirect the outputs
         if key not in keys:
             raise DataError(f"manifest option {key!r} is not a {args.command} option")
-        setattr(args, key, value)
     for path, digest in manifest.input_digests.items():
         if not Path(path).exists():
             raise DataError(f"manifest input {path} no longer exists")
@@ -210,20 +219,13 @@ def _restore_from_manifest(args, keys) -> None:
             raise DataError(
                 f"manifest input {path} has changed since the recorded run "
                 f"(digest mismatch); outputs would not reproduce")
-
-
-_REDUCE_KEYS = ("input", "response", "method", "d", "transform", "skip_bad_rows",
-                "ridge", "slices")
+    return options
 
 
 def _cmd_reduce(args) -> int:
-    if args.from_manifest:
-        _restore_from_manifest(args, _REDUCE_KEYS)
     ds = load_csv(args.input, args.response,
                   transforms=_parse_transforms(args.transform),
                   skip_bad_rows=args.skip_bad_rows)
-    if args.method not in _REDUCE_METHODS:
-        raise ArgumentError(f"unknown reduction method {args.method!r}")
     basis = fit(args.method, ds.X, ds.Y, args.d, fy=cubic_fy, ridge=args.ridge,
                 slices=args.slices)
     meta = {
@@ -241,31 +243,16 @@ def _cmd_reduce(args) -> int:
     out = _emit(meta, args, "basis_meta.json")
     if out:
         _write_matrix(out / "basis.csv", basis.matrix)
-        _write_manifest(args, out, _REDUCE_KEYS, ("basis.csv", "basis_meta.json"))
+        _write_manifest(args, out, ("basis.csv", "basis_meta.json"))
     return 0
 
 
-# --------------------------------------------------------------- fit / predict
-
-_PREDICT_KEYS = ("input", "response", "method", "d", "transform", "skip_bad_rows",
-                 "basis", "kernel", "allow_nonsmooth_kernel", "bandwidth_kind",
-                 "bandwidth_constant", "exponent_dim", "exponent", "h", "cv_grid",
-                 "ci_level", "test_csv", "plot_data")
-
-
 def _cmd_fit_predict(args) -> int:
-    if args.from_manifest:
-        _restore_from_manifest(args, _PREDICT_KEYS)
     ds = load_csv(args.input, args.response,
                   transforms=_parse_transforms(args.transform),
                   skip_bad_rows=args.skip_bad_rows)
-    basis = None
-    if args.basis:
-        rows = np.loadtxt(args.basis, delimiter=",", ndmin=2)
-        basis = oracle_basis(rows)
-    test = None
-    if getattr(args, "test_csv", None):
-        test = load_test_rows(args.test_csv, ds)
+    basis = oracle_basis(np.loadtxt(args.basis, delimiter=",", ndmin=2)) if args.basis else None
+    test = load_test_rows(args.test_csv, ds) if getattr(args, "test_csv", None) else None
     wf = run_predict_workflow(
         ds, method=args.method, d=args.d, kernel_profile=args.kernel,
         bandwidth_rule=_rule_from_args(args), test_rows=test,
@@ -277,22 +264,13 @@ def _cmd_fit_predict(args) -> int:
         write_table(args.plot_data, ["fitted", "observed", "ci_lo", "ci_hi"], wf.plot_rows)
         outputs.append(str(args.plot_data))
     if out:
-        _write_manifest(args, out, _PREDICT_KEYS, (*outputs, "predictions.json"))
+        _write_manifest(args, out, (*outputs, "predictions.json"))
     return 0
 
 
 # ------------------------------------------------------------------- simulate
 
-def _s_matrix_digest() -> str:
-    import hashlib
-    data = resources.files("rednw").joinpath("_data/model2_s.csv").read_bytes()
-    return hashlib.sha256(data).hexdigest()
-
-
 def _simulate_config_from_args(args) -> dict:
-    model = int(args.model)
-    if model not in (1, 2):
-        raise ArgumentError(f"--model must be 1 or 2, got {args.model}")
     methods = [m.lower() for m in _csv_list(args.methods)]
     for m in methods:
         if m not in METHOD_NAMES:
@@ -300,26 +278,26 @@ def _simulate_config_from_args(args) -> dict:
     ns = _csv_list(args.ns, int)
     if not ns:
         raise ArgumentError("--ns must list at least one sample size")
-    cfg = Model1Config(seed=args.seed) if model == 1 else Model2Config(seed=args.seed)
+    cfg = Model1Config(seed=args.seed) if args.model == 1 else Model2Config(seed=args.seed)
     rule = _rule_from_args(args, default_rule=default_bandwidth_rule(cfg))
     points = draw_test_points(cfg, args.points)
-    nprt_reduction = args.nprt_reduction or ("pls" if model == 1 else "pfc")
-    if (args.equivalence or args.coverage) and model != 1:
+    nprt_reduction = args.nprt_reduction or ("pls" if args.model == 1 else "pfc")
+    if (args.equivalence or args.coverage) and args.model != 1:
         raise ArgumentError("--equivalence and --coverage need --model 1 (known truth)")
     return {
-        "model": model,
-        "seed": int(args.seed),
+        "model": args.model,
+        "seed": args.seed,
         "ns": ns,
-        "n_rep": int(args.nrep),
+        "n_rep": args.nrep,
         "methods": methods,
         "nprt_reduction": nprt_reduction,
-        "d": int(args.d),
-        "n_points": int(args.points),
+        "d": args.d,
+        "n_points": args.points,
         "bandwidth": asdict(rule),
         "test_points": [[float(v) for v in row] for row in points],
-        "equivalence": bool(args.equivalence),
-        "coverage": bool(args.coverage),
-        "coverage_level": float(args.coverage_level),
+        "equivalence": args.equivalence,
+        "coverage": args.coverage,
+        "coverage_level": args.coverage_level,
     }
 
 
@@ -343,22 +321,17 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     if plan.n_rep >= 10:
         n_max = max(plan.ns)
         for j in range(plan.test_points.shape[0]):
-            blocks = []
-            for lab in table.methods:
-                v = table.estimates[(j, n_max, lab)]
-                v = v[~np.isnan(v)]
-                if v.size >= 10:
-                    blocks.append((lab, v))
+            ests = {lab: table.estimates[(j, n_max, lab)] for lab in table.methods}
+            blocks = [(lab, v[~np.isnan(v)]) for lab, v in ests.items()]
+            blocks = [(lab, v) for lab, v in blocks if v.size >= 10]
             if not blocks:
                 continue
             lo = min(float(v.min()) for _, v in blocks)
             hi = max(float(v.max()) for _, v in blocks)
             pad = 0.1 * (hi - lo) if hi > lo else max(1e-3, 0.1 * abs(hi))
             grid = np.linspace(lo - pad, hi + pad, 101)
-            drows = []
-            for lab, v in blocks:
-                for g, dens in estimate_density_data(v, grid):
-                    drows.append((lab, n_max, g, dens))
+            drows = [(lab, n_max, g, dens) for lab, v in blocks
+                     for g, dens in estimate_density_data(v, grid)]
             name = f"density_{j}.csv"
             write_table(out_dir / name, ["method", "n", "grid", "density"], drows)
             outputs.append(name)
@@ -382,7 +355,10 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
                       cov.truth, cov.median_ci_width)])
         outputs.append("coverage.csv")
 
-    digests = {"model2_s.csv": _s_matrix_digest()} if config["model"] == 2 else {}
+    digests = {}
+    if config["model"] == 2:
+        data = resources.files("rednw").joinpath("_data/model2_s.csv").read_bytes()
+        digests["model2_s.csv"] = hashlib.sha256(data).hexdigest()
     manifest = RunManifest(tool_version=__version__, command="simulate",
                            config=config, seeds={"base_seed": config["seed"]},
                            input_digests=digests, outputs=tuple(outputs))
@@ -396,6 +372,12 @@ def _cmd_simulate(args) -> int:
     if not args.out:
         raise ArgumentError("simulate requires --out <directory>")
     if args.from_manifest:
+        # the manifest holds the whole plan; only --out and --threads may vary
+        defaults = vars(_build_parser().parse_args(["simulate"]))
+        for key in sorted(defaults.keys() - {"out", "threads", "config", "from_manifest"}):
+            if getattr(args, key) != defaults[key]:
+                raise ArgumentError(f"--{key.replace('_', '-')} cannot change the plan "
+                                    "a --from-manifest replays")
         config = RunManifest.from_json_file(args.from_manifest, command="simulate").config
     else:
         if args.model is None:
@@ -406,11 +388,12 @@ def _cmd_simulate(args) -> int:
 
 # ----------------------------------------------------------------------- main
 
-def _add_common(sp, from_manifest=False):
+def _add_common(sp, from_manifest=False, threads=False):
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--config", default=None,
                     help="flat key=value option file; explicit flags win")
-    sp.add_argument("--threads", type=int, default=1, help="worker threads")
+    if threads:
+        sp.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
     if from_manifest:
         sp.add_argument("--from-manifest", default=None,
                         help="reproduce a previous run from its manifest.json")
@@ -456,7 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rd = sub.add_parser("reduce", help="fit a reduction basis and write it as CSV")
     _add_data_args(rd)
-    rd.add_argument("--method", choices=list(_REDUCE_METHODS), default="pls")
+    # reduce fits a proper reduction; fit and predict also accept "np"
+    rd.add_argument("--method", choices=list(FIT_METHODS[1:]), default="pls")
     rd.add_argument("--d", type=int, default=1)
     rd.add_argument("--ridge", type=float, default=None, help="pfc residual ridge")
     rd.add_argument("--slices", type=int, default=None, help="sir slice count")
@@ -480,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "predict":
             fp.add_argument("--test-csv", default=None,
                             help="CSV of predictor rows; empty body allowed")
-        _add_common(fp, from_manifest=True)
+        _add_common(fp, from_manifest=True, threads=True)
         fp.set_defaults(handler=_cmd_fit_predict)
 
     sm = sub.add_parser("simulate", help="replication experiments and table data")
@@ -500,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also run the CI coverage experiment (model 1)")
     sm.add_argument("--coverage-level", type=float, default=0.95)
     sm.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    _add_common(sm, from_manifest=True)
+    _add_common(sm, from_manifest=True, threads=True)
     sm.set_defaults(handler=_cmd_simulate)
 
     return parser
@@ -511,7 +495,22 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        # config, then manifest, then argv: explicit flags come last and win
+        recorded = _manifest_options(args)
+        options = {**_config_options(args), **recorded}
+        if getattr(args, "transform", None):
+            options.pop("transform", None)  # --transform appends; argv's list wins
+        if options:
+            manifest = getattr(args, "from_manifest", None)
+            args = parser.parse_args(argv[:1] + _option_tokens(options) + argv[1:])
+            if getattr(args, "from_manifest", None) != manifest:
+                raise ArgumentError("--from-manifest must be given on the command line")
+        if recorded:
+            replay = parser.parse_args(argv[:1] + _option_tokens(recorded))
+            for key in recorded:
+                if getattr(args, key, None) != getattr(replay, key, None):
+                    raise ArgumentError(f"--{key.replace('_', '-')} conflicts with the "
+                                        f"manifest, which recorded {recorded[key]!r}")
         return args.handler(args)
     except RednwError as exc:
         print(f"error: {exc}", file=sys.stderr)

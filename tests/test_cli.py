@@ -107,7 +107,7 @@ class TestReduce:
         assert (out_dir / "manifest.json").exists()
 
     def test_np_from_config_file_exits_2(self, shellfish_csv, tmp_path, capsys):
-        # config files bypass argparse choices; reduce has no identity "reduction"
+        # config lines go through the parser's choices; reduce has no identity "reduction"
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method = np\n")
         code, _, err = run_cli(
@@ -118,7 +118,7 @@ class TestReduce:
             capsys,
         )
         assert code == 2
-        assert "unknown reduction method 'np'" in err
+        assert "invalid choice: 'np'" in err
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -419,6 +419,171 @@ class TestRunFiles:
         for name in ("basis.csv", "basis_meta.json"):
             assert (tmp_path / "wanted" / name).read_bytes() == \
                 (tmp_path / "red" / name).read_bytes()
+
+
+class TestOptionSources:
+    """argv, --config and --from-manifest go through the subcommand's own
+    parser, so types and choices hold for each; argv comes last and wins."""
+
+    def _data(self, shellfish_csv):
+        return ["--input", str(shellfish_csv), "--response", "muscle_mass"]
+
+    def test_abbreviated_flag_beats_config_file(self, shellfish_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = sir\n")
+        code, out, _ = run_cli(
+            ["reduce", *self._data(shellfish_csv), "--meth", "pfc", "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["method"] == "pfc"
+
+    @pytest.mark.parametrize("line", ["d = 1.5", "h = abc", "skip_bad_rows = maybe",
+                                      "threads = 0"])
+    def test_config_value_of_wrong_type_exits_2(self, line, shellfish_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(
+            ["fit", *self._data(shellfish_csv), "--config", str(cfg)], capsys)
+        assert code == 2
+        assert f"argument --{line.split()[0].replace('_', '-')}:" in err
+
+    def test_config_transform_yields_to_argv(self, shellfish_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("transform = length=log,width=log\n")
+        base = ["reduce", *self._data(shellfish_csv), "--config", str(cfg)]
+        code, out, _ = run_cli(base, capsys)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["transforms"] == [["length", "log"],
+                                                                ["width", "log"]]
+        code, out, _ = run_cli(base + ["--transform", "height=log"], capsys)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["transforms"] == [["height", "log"]]
+
+    def test_comma_transform_on_argv(self, shellfish_csv, capsys):
+        base = ["fit", *self._data(shellfish_csv)]
+        code, joined, _ = run_cli(base + ["--transform", "length=log,width=log"], capsys)
+        assert code == 0
+        code, repeated, _ = run_cli(
+            base + ["--transform", "length=log", "--transform", "width=log"], capsys)
+        assert code == 0
+        assert joined == repeated
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "1", "--ns", "60,x"],
+        ["fit", "--bandwidth-kind", "loocv", "--cv-grid", "0.2,zz"],
+        ["kernel-check", "--custom-poly", "1,q"],
+    ], ids=["ns", "cv-grid", "custom-poly"])
+    def test_bad_comma_list_exits_2(self, argv, shellfish_csv, tmp_path, capsys):
+        data = self._data(shellfish_csv) if argv[0] == "fit" else []
+        code, _, err = run_cli([*argv, *data, "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert "bad comma list" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_must_be_positive(self, value, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--model", "1", "--ns", "60", "--nrep", "2", "--points", "1",
+             "--threads", value, "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert "argument --threads: must be a positive integer" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["kernel-check", "reduce"])
+    def test_threads_only_where_accepted(self, command, shellfish_csv, capsys):
+        data = self._data(shellfish_csv) if command == "reduce" else []
+        code, _, err = run_cli([command, *data, "--threads", "2"], capsys)
+        assert code == 2
+        assert "unrecognized arguments: --threads 2" in err
+
+    def _reduce_run(self, shellfish_csv, out_dir, capsys, extra=()):
+        code, out, _ = run_cli(
+            ["reduce", *self._data(shellfish_csv), "--out", str(out_dir), *extra], capsys)
+        assert code == 0
+        return out, out_dir / "manifest.json"
+
+    @pytest.mark.parametrize("flag", [["--method", "sir"], ["--meth", "pfc"],
+                                      ["--ridge", "0.1"], ["--transform", "length=log"],
+                                      ["--skip-bad-rows"]], ids=" ".join)
+    def test_flag_conflicting_with_manifest_exits_2(self, flag, shellfish_csv, tmp_path,
+                                                    capsys):
+        _, manifest = self._reduce_run(shellfish_csv, tmp_path / "red", capsys)
+        code, _, err = run_cli(
+            ["reduce", *self._data(shellfish_csv), "--from-manifest", str(manifest),
+             *flag, "--out", str(tmp_path / "replay")],
+            capsys,
+        )
+        assert code == 2
+        name = {"--meth": "--method"}.get(flag[0], flag[0])
+        assert f"{name} conflicts with the manifest" in err
+        assert not (tmp_path / "replay").exists()
+
+    def test_flag_agreeing_with_manifest_replays(self, shellfish_csv, tmp_path, capsys):
+        extra = ["--method", "pfc", "--transform", "length=log"]
+        out, manifest = self._reduce_run(shellfish_csv, tmp_path / "red", capsys, extra)
+        code, replay, _ = run_cli(
+            ["reduce", *self._data(shellfish_csv), "--from-manifest", str(manifest), *extra],
+            capsys,
+        )
+        assert code == 0
+        assert replay == out
+
+    def test_config_file_cannot_name_a_manifest(self, shellfish_csv, tmp_path, capsys):
+        _, manifest = self._reduce_run(shellfish_csv, tmp_path / "red", capsys)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"from-manifest = {manifest}\n")
+        code, _, err = run_cli(
+            ["reduce", *self._data(shellfish_csv), "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "--from-manifest must be given on the command line" in err
+
+    def test_simulate_replay_rejects_plan_flags(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["simulate", "--model", "1", "--ns", "60", "--nrep", "2", "--points", "1",
+             "--out", str(tmp_path / "sim")],
+            capsys,
+        )
+        assert code == 0
+        code, _, err = run_cli(
+            ["simulate", "--from-manifest", str(tmp_path / "sim" / "manifest.json"),
+             "--ns", "500", "--nrep", "50", "--out", str(tmp_path / "replay")],
+            capsys,
+        )
+        assert code == 2
+        assert "--nrep cannot change the plan" in err
+        assert not (tmp_path / "replay").exists()
+
+    def test_replay_of_every_value_type(self, shellfish_csv, tmp_path, capsys):
+        plot = tmp_path / "plot.csv"
+        first, second = tmp_path / "first", tmp_path / "second"
+        code, out, _ = run_cli(
+            ["fit", *self._data(shellfish_csv),
+             "--transform", "length=log", "--transform", "muscle_mass=log",
+             "--kernel", "epanechnikov", "--allow-nonsmooth-kernel",
+             "--bandwidth-kind", "fixed", "--h", "0.45", "--ci-level", "0.9",
+             "--cv-grid", "0.2,0.4", "--plot-data", str(plot), "--out", str(first)],
+            capsys,
+        )
+        assert code == 0
+        options = json.loads((first / "manifest.json").read_text())["config"]["options"]
+        assert options["transform"] == ["length=log", "muscle_mass=log"]
+        assert options["allow_nonsmooth_kernel"] is True
+        assert (options["h"], options["ci_level"]) == (0.45, 0.9)
+        assert options["cv_grid"] == "0.2,0.4"
+        assert options["exponent"] is None and options["basis"] is None
+        plot_bytes = plot.read_bytes()
+        code, replay, _ = run_cli(
+            ["fit", *self._data(shellfish_csv), "--from-manifest",
+             str(first / "manifest.json"), "--out", str(second)],
+            capsys,
+        )
+        assert code == 0
+        assert replay == out
+        for name in ("predictions.json", "manifest.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+        assert plot.read_bytes() == plot_bytes
 
 
 class TestSimulate:
