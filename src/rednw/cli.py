@@ -116,14 +116,27 @@ def _option_tokens(options: dict) -> list[str]:
     return tokens
 
 
+# the bandwidth flags each kind reads; setting one the kind ignores is an error
+_KIND_FLAGS = {
+    "power_rule": ("bandwidth_constant", "exponent_dim", "exponent"),
+    "fixed": ("h",),
+    "loocv": ("cv_grid",),
+}
+
+
 def _rule_from_args(args, default_rule: BandwidthRule | None = None) -> BandwidthRule:
-    touched = any(getattr(args, k, None) is not None
-                  for k in ("bandwidth_kind", "bandwidth_constant", "exponent_dim",
-                            "exponent", "h", "cv_grid"))
-    if not touched and default_rule is not None:
+    given = [k for flags in _KIND_FLAGS.values() for k in flags
+             if getattr(args, k, None) is not None]
+    if not given and args.bandwidth_kind is None and default_rule is not None:
         return default_rule
+    kind = args.bandwidth_kind or "power_rule"
+    for key in given:
+        if key not in _KIND_FLAGS[kind]:
+            owner = next(k for k, flags in _KIND_FLAGS.items() if key in flags)
+            raise ArgumentError(f"--{key.replace('_', '-')} is not used by bandwidth kind "
+                                f"{kind!r}; it needs --bandwidth-kind {owner}")
     return BandwidthRule(
-        kind=args.bandwidth_kind or "power_rule",
+        kind=kind,
         constant=args.bandwidth_constant if args.bandwidth_constant is not None else 1.0,
         exponent_dim=args.exponent_dim or "ambient_p",
         h_fixed=args.h,

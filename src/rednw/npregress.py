@@ -11,6 +11,14 @@ sample by its first reduced coordinate, so each query only scans the
 contiguous slab of samples that can lie inside the kernel support (the
 window itself when d = 1; Fan & Marron 1994), in blocks of bounded size;
 memory stays linear in n. Small batches scan the whole sample.
+
+For d > 1 the radii come from the Gram form ||q - w||^2 = |q|^2 + |w|^2 -
+2 q.w on rows centred once per call at the sample mean, which needs no
+n x d temporary per query row. Where rounding in that form could move a
+radius across the support edge, the direct radius ||q - w|| / h on the
+original rows replaces it, so kernel support is decided exactly as by the
+direct expression. A block holding a query far from the centre takes the
+direct radii throughout.
 """
 
 from __future__ import annotations
@@ -41,6 +49,14 @@ _BLOCK_ELEMS = 1 << 14
 # relative widening of a slab's bounds: rounding in q +- R*h must never drop
 # a sample whose radius t is exactly R; kernel.weights makes the exact test
 _SLAB_RTOL = 16 * np.finfo(float).eps
+# Gram-form squared radii within this factor times eps * (|q|^2 + |w|^2) of
+# the squared support edge take the direct radius: rounding in the Gram form
+# (about d * eps times that, for a length-d dot product) could flip support
+_EDGE_RTOL = 64 * np.finfo(float).eps
+# a block holding a query farther than this many bandwidths from the centre
+# takes direct radii throughout: there the Gram form's rounding is large
+# against h^2
+_GRAM_MAX_OFFSET = 8.0
 
 
 def gaussian_quantile(q: float) -> float:
@@ -127,13 +143,39 @@ class PointResult:
         return self.fit is not None
 
 
+def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: float,
+                Wc: NDArray[np.floating], ww: NDArray[np.floating],
+                W0c: NDArray[np.floating], qq: NDArray[np.floating]) -> NDArray[np.floating]:
+    """||W0_i - W_j|| / h for d > 1, from the centred rows Wc, W0c and their
+    squared norms ww, qq. Entries near the support edge R get the direct
+    expression on the original rows W, W0, so support membership is that of
+    the direct form."""
+    norms = qq[:, None] + ww[None, :]
+    # einsum, not @: a BLAS product runs threaded and leaves its workers
+    # spinning against the replication harness's own threads
+    d2 = norms - 2.0 * np.einsum("ik,jk->ij", W0c, Wc)
+    redo = np.abs(d2 - (R * h) ** 2) <= _EDGE_RTOL * norms
+    t = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+    t /= h
+    i, j = np.nonzero(redo)
+    if i.size:
+        t[i, j] = np.linalg.norm((W0[i] - W[j]) / h, axis=1)
+    return t
+
+
 def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating],
-           W0: NDArray[np.floating], h: float, own: NDArray[np.intp] | None
+           W0: NDArray[np.floating], h: float, own: NDArray[np.intp] | None,
+           gram: tuple[NDArray[np.floating], ...] | None
            ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
     """_nw_core's sums for query rows W0 over the slab (W, Y); row i's own
-    sample, if any, sits at column own[i]. Its temporaries die on return."""
+    sample, if any, sits at column own[i]. ``gram``, if given, holds the
+    same rows centred and their squared norms, (Wc, ww, W0c, qq). Its
+    temporaries die on return."""
     # one expression each, so numpy reuses the temporaries in place
-    if W.shape[1] == 1:
+    if gram is not None:
+        # Gram form on the centred rows, direct radii at the support edge
+        t = _gram_radii(W, W0, h, kernel.profile.support_radius, *gram)
+    elif W.shape[1] == 1:
         # |x| / h equals the 1-d norm of x / h
         t = np.abs(W0[:, None, 0] - W[None, :, 0]) / h
     else:
@@ -187,6 +229,17 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         reach = r + _SLAB_RTOL * (np.abs(q) + r)
         lo = np.searchsorted(W[:, 0], q - reach, side="left").tolist()
         hi = np.searchsorted(W[:, 0], q + reach, side="right").tolist()
+    Wc = None
+    if W.shape[1] > 1:
+        # one centred copy of the sample; the leave-one-out queries are it
+        mu = W.mean(axis=0)
+        Wc = W - mu
+        ww = np.einsum("ij,ij->i", Wc, Wc)
+        if leave_one_out:
+            W0c, qq = Wc, ww
+        else:
+            W0c = W0 - mu
+            qq = np.einsum("ij,ij->i", W0c, W0c)
     mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
     a = 0
     while a < m:
@@ -196,7 +249,11 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
             b += 1
         s0, s1 = lo[a], hi[b - 1]
         own = np.arange(a, b) - s0 if leave_one_out else None
-        mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, own)
+        gram = None
+        if Wc is not None and qq[a:b].max() <= (_GRAM_MAX_OFFSET * h) ** 2:
+            gram = (Wc[s0:s1], ww[s0:s1], W0c[a:b], qq[a:b])
+        mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h,
+                                                  own, gram)
         a = b
     if qorder is None:
         return mass, eta, sigma2

@@ -298,6 +298,8 @@ class ReplicationTable:
 
 def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int, base_seed: int) -> ReductionBasis:
     true_direction = cfg.beta0 if isinstance(cfg, Model1Config) else cfg.beta_pop
+    if spec.method == "np":
+        return oracle_basis(np.eye(cfg.p))
     if spec.method == "npr":
         return oracle_basis(true_direction[None, :])
     if spec.reduction == "root_n_oracle":
@@ -307,8 +309,8 @@ def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int, base_seed: int) -> Reducti
         return oracle_basis((true_direction + g / math.sqrt(X.shape[0]))[None, :])
     if spec.reduction == "wrong_direction":
         return oracle_basis(np.eye(cfg.p)[:1])
-    # np takes the identity basis; pfc gets model 2's f_y = (y, |y|) uncentered
-    return fit(spec.reduction or "np", X, Y, spec.d,
+    # pfc gets model 2's f_y = (y, |y|) uncentered
+    return fit(spec.reduction, X, Y, spec.d,
                fy=lambda y: np.column_stack([y, np.abs(y)]))
 
 
@@ -376,9 +378,9 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     kernels = {dim: make_kernel(profile, dim) for dim in sorted(set(dims.values()))}
     configs = {lab: NWConfig(kernel=kernels[dim], bandwidth=rule, d=dim, ci_level=ci_level)
                for lab, dim in dims.items()}
-    # npr's and wrong_direction's bases ignore the data: build each once
+    # np's, npr's and wrong_direction's bases ignore the data: build each once
     fixed = {m.label: _fit_basis(m, cfg_run, None, None, 0, base_seed) for m in methods
-             if m.method == "npr" or m.reduction == "wrong_direction"}
+             if m.method in ("np", "npr") or m.reduction == "wrong_direction"}
 
     tasks = [(n, rep) for n in ns for rep in range(n_rep)]
     work = partial(_one_rep, cfg_run, methods, base_seed, test_points, configs, fixed)

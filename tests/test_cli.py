@@ -292,6 +292,25 @@ class TestFitPredict:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--h", "0.5"],
+        ["--bandwidth-kind", "loocv", "--cv-grid", "0.3,0.6", "--h", "0.5"],
+        ["--bandwidth-kind", "fixed", "--h", "0.5", "--cv-grid", "0.2,0.4"],
+        ["--bandwidth-kind", "fixed", "--h", "0.5", "--bandwidth-constant", "2"],
+        ["--bandwidth-kind", "loocv", "--cv-grid", "0.3", "--exponent", "0.3"],
+        ["--bandwidth-kind", "loocv", "--cv-grid", "0.3", "--exponent-dim", "reduced_d"],
+    ], ids=["h-power", "h-loocv", "grid-fixed", "constant-fixed", "exponent-loocv",
+            "exponent-dim-loocv"])
+    def test_flag_the_kind_ignores_exits_2(self, shellfish_csv, capsys, flags):
+        code, out, err = run_cli(
+            ["fit", "--input", str(shellfish_csv), "--response", "muscle_mass", *LOG_FLAGS,
+             *flags],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: {flags[-2]} is not used by bandwidth kind" in err
+
     def test_unknown_flag_exits_2(self, shellfish_csv, capsys):
         # --seed belongs to simulate, the only subcommand that draws numbers
         for flag in (["--wat"], ["--seed", "3"]):
@@ -562,15 +581,15 @@ class TestOptionSources:
             ["fit", *self._data(shellfish_csv),
              "--transform", "length=log", "--transform", "muscle_mass=log",
              "--kernel", "epanechnikov", "--allow-nonsmooth-kernel",
-             "--bandwidth-kind", "fixed", "--h", "0.45", "--ci-level", "0.9",
-             "--cv-grid", "0.2,0.4", "--plot-data", str(plot), "--out", str(first)],
+             "--bandwidth-kind", "loocv", "--cv-grid", "0.2,0.4", "--ci-level", "0.9",
+             "--plot-data", str(plot), "--out", str(first)],
             capsys,
         )
         assert code == 0
         options = json.loads((first / "manifest.json").read_text())["config"]["options"]
         assert options["transform"] == ["length=log", "muscle_mass=log"]
         assert options["allow_nonsmooth_kernel"] is True
-        assert (options["h"], options["ci_level"]) == (0.45, 0.9)
+        assert (options["h"], options["ci_level"]) == (None, 0.9)
         assert options["cv_grid"] == "0.2,0.4"
         assert options["exponent"] is None and options["basis"] is None
         plot_bytes = plot.read_bytes()
@@ -615,6 +634,18 @@ class TestSimulate:
         assert len(rows) == 12
         assert {r["method"] for r in rows} == {"NP", "NPR", "NPRT"}
         assert all(r["true_mse"] != "" for r in rows)  # known truth for this model
+
+    @pytest.mark.parametrize("flags", [
+        ["--h", "0.5"],
+        ["--bandwidth-kind", "fixed", "--h", "0.5", "--exponent-dim", "reduced_d"],
+        ["--bandwidth-kind", "power_rule", "--cv-grid", "0.2,0.4"],
+    ], ids=["h-power", "exponent-dim-fixed", "grid-power"])
+    def test_flag_the_kind_ignores_exits_2(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "sim"
+        code, _, err = self.run_small(out_dir, capsys, extra=flags)
+        assert code == 2
+        assert f"error: {flags[-2]} is not used by bandwidth kind" in err
+        assert not out_dir.exists()
 
     def test_from_manifest_reproduces_bytes(self, tmp_path, capsys):
         first = tmp_path / "sim1"

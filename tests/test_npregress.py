@@ -598,15 +598,32 @@ class TestSupportEdge:
             assert res.fit.effective_mass == 3.0 * uniform.norm_const
             assert res.fit.eta_hat == 2.0
 
+    @pytest.mark.parametrize("rows", [1, _SORT_MIN_QUERIES])
+    def test_uniform_edge_2d(self, rows):
+        """The d > 1 radii decide support exactly at the edge too."""
+        uniform = make_kernel(builtin_profile("uniform"), 2)
+        cfg = NWConfig(kernel=uniform, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.25),
+                       d=2, allow_nonsmooth_kernel=True)
+        # w0 = (1, 1): the first two samples lie exactly R*h away, the next
+        # two one ulp further
+        X = np.array([[1.25, 1.0], [1.0, 0.75], [np.nextafter(1.25, 2.0), 1.0],
+                      [1.0, np.nextafter(0.75, 0.0)], [1.0, 1.0]])
+        Y = np.array([1.0, 2.0, 100.0, 200.0, 3.0])
+        out = nw_batch(cfg, oracle_basis(np.eye(2)), X, Y, np.ones((rows, 2)))
+        for res in out:
+            assert res.fit.effective_mass == 3.0 * uniform.norm_const
+            # the sorted batch sums in another order: the last bits may move
+            assert abs(res.fit.eta_hat - 2.0) <= 4 * np.spacing(2.0)
+
 
 def _oracle(d, p):
     return ReductionBasis(matrix=np.eye(p)[:d], method="oracle", d=d, p=p)
 
 
 @st.composite
-def nw_instances(draw, min_queries=1, y_range=(-1.0, 1.0)):
+def nw_instances(draw, min_queries=1, y_range=(-1.0, 1.0), min_d=1):
     """Small random NW problems: (config, basis, X, Y, X0)."""
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(min_d, 3))
     p = d + draw(st.integers(0, 2))
     n = draw(st.integers(2, 60))
     m = draw(st.integers(min_queries, min_queries + 20))
@@ -659,6 +676,23 @@ class TestProperties:
             np.testing.assert_allclose(b.fit.sigma2_hat, a.fit.sigma2_hat, rtol=1e-6, atol=1e-9)
             np.testing.assert_allclose(b.fit.ci_hi - b.fit.ci_lo, a.fit.ci_hi - a.fit.ci_lo,
                                        rtol=1e-6, atol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=nw_instances(min_d=2),
+           offset=hnp.arrays(float, 5, elements=st.floats(-1e4, 1e4)))
+    def test_x_shift_invariance(self, inst, offset):
+        """Shifting X and X0 together moves no estimate, however far from
+        the origin the data sit."""
+        cfg, basis, X, Y, X0 = inst
+        shift = offset[:X.shape[1]]
+        base = nw_batch(cfg, basis, X, Y, X0)
+        moved = nw_batch(cfg, basis, X + shift, Y, X0 + shift)
+        for a, b in zip(base, moved):
+            if not (a.ok and a.fit.effective_mass > 1e-6):
+                continue
+            assert b.ok
+            np.testing.assert_allclose(b.fit.effective_mass, a.fit.effective_mass, rtol=1e-8)
+            np.testing.assert_allclose(b.fit.eta_hat, a.fit.eta_hat, rtol=0, atol=1e-8)
 
     @settings(max_examples=60, deadline=None)
     @given(inst=nw_instances(), scale=st.floats(0.01, 100.0))
