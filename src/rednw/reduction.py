@@ -205,7 +205,9 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
         raise NumericError(f"f_y features are collinear; choose an independent basis ({exc})") from exc
     fitted = Fc @ coef
     s_fit = fitted.T @ fitted / n
-    resid = Xc - fitted
+    # into Xc, which is not read again: two replication threads fitting at
+    # once would otherwise hold two more n x p arrays
+    resid = np.subtract(Xc, fitted, out=Xc)
     s_res = resid.T @ resid / n
     if ridge is None:
         ridge = 1e-8 * float(np.trace(s_res)) / p

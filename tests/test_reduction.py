@@ -1,5 +1,7 @@
 """Tests for linear reduction estimators and projection extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,21 @@ class TestPFC:
         X = rng.standard_normal((4, 3))
         with pytest.raises(ArgumentError):
             pfc_fit(X, rng.standard_normal(4), lambda y: np.array([y]), 1)
+
+    def test_two_n_by_p_temporaries(self):
+        """Centred X and the fitted values are the only n x p arrays live at
+        once; the residuals overwrite the centred copy. Two replication
+        threads fitting at once would otherwise hold six."""
+        X, Y, _ = gen_model2(Model2Config(seed=0), 20_000)
+        X_before = X.copy()
+        tracemalloc.start()
+        try:
+            pfc_fit(X, Y, lambda y: np.column_stack([y, np.abs(y)]), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(X, X_before)
+        assert peak < 2.5 * X.nbytes
 
 
 class TestSIR:
