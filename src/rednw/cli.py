@@ -135,13 +135,17 @@ def _rule_from_args(args, default_rule: BandwidthRule | None = None) -> Bandwidt
             owner = next(k for k, flags in _KIND_FLAGS.items() if key in flags)
             raise ArgumentError(f"--{key.replace('_', '-')} is not used by bandwidth kind "
                                 f"{kind!r}; it needs --bandwidth-kind {owner}")
+    # unset power-rule fields keep the default rule's values when its kind
+    # is the one chosen, so restating a default changes nothing
+    same_kind = default_rule is not None and default_rule.kind == kind
+    base = default_rule if same_kind else BandwidthRule(kind="power_rule")
     return BandwidthRule(
         kind=kind,
-        constant=args.bandwidth_constant if args.bandwidth_constant is not None else 1.0,
-        exponent_dim=args.exponent_dim or "ambient_p",
+        constant=args.bandwidth_constant if args.bandwidth_constant is not None else base.constant,
+        exponent_dim=args.exponent_dim or base.exponent_dim,
         h_fixed=args.h,
         cv_grid=tuple(_csv_list(args.cv_grid, float)) or None,
-        exponent=args.exponent,
+        exponent=args.exponent if args.exponent is not None else base.exponent,
     )
 
 

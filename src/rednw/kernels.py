@@ -52,7 +52,17 @@ def _power_profile(k: int):
     """The profile (1 - t^2)^k on |t| <= 1 and its derivative."""
     def f(t):
         t = np.asarray(t, dtype=float)
-        return np.where(np.abs(t) <= 1.0, (1.0 - np.minimum(t * t, 1.0)) ** k, 0.0)
+        if k == 0:
+            return np.where(np.abs(t) <= 1.0, 1.0, 0.0)
+        # u is exactly 0 for |t| >= 1; the power is taken by products, since
+        # libm pow is several times slower, most of all on those zeros
+        u = t * t
+        np.minimum(u, 1.0, out=u)
+        np.subtract(1.0, u, out=u)
+        out = u * u if k > 1 else u
+        for _ in range(k - 2):
+            out *= u
+        return out
 
     def fd(t):
         t = np.asarray(t, dtype=float)
@@ -164,12 +174,14 @@ class RadialKernel:
         return self.norm_const * float(self._values(np.array([s]))[0])
 
     def weights(self, t: NDArray[np.floating]) -> NDArray[np.floating]:
-        """Vectorized norm_const * k(t) for nonnegative radii t."""
+        """Vectorized norm_const * k(t) for nonnegative radii t.
+
+        The profile runs over every radius in one pass; radii beyond the
+        support radius are then set to exactly 0, whatever the profile
+        returns there (a custom one may give NaN or inf)."""
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        inside = t <= self.profile.support_radius
-        if np.any(inside):
-            out[inside] = self.norm_const * self._values(t[inside])
+        out = np.where(t <= self.profile.support_radius, self._values(t), 0.0)
+        out *= self.norm_const
         return out
 
 

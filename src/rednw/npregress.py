@@ -166,21 +166,24 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
 def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating],
            W0: NDArray[np.floating], h: float, own: NDArray[np.intp] | None,
            gram: tuple[NDArray[np.floating], ...] | None
-           ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
+           ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating] | None]:
     """_nw_core's sums for query rows W0 over the slab (W, Y); row i's own
-    sample, if any, sits at column own[i]. ``gram``, if given, holds the
-    same rows centred and their squared norms, (Wc, ww, W0c, qq). Its
-    temporaries die on return."""
-    # one expression each, so numpy reuses the temporaries in place
+    sample, if any, sits at column own[i], and then no variance is formed
+    (None). ``gram``, if given, holds the same rows centred and their
+    squared norms, (Wc, ww, W0c, qq). Its temporaries die on return."""
+    # each form reuses its temporaries in place
     if gram is not None:
         # Gram form on the centred rows, direct radii at the support edge
         t = _gram_radii(W, W0, h, kernel.profile.support_radius, *gram)
     elif W.shape[1] == 1:
         # |x| / h equals the 1-d norm of x / h
-        t = np.abs(W0[:, None, 0] - W[None, :, 0]) / h
+        t = W0[:, None, 0] - W[None, :, 0]
+        np.abs(t, out=t)
+        t /= h
     else:
         t = np.linalg.norm((W0[:, None, :] - W[None, :, :]) / h, axis=2)
     wts = kernel.weights(t)
+    del t
     if own is not None:
         wts[np.arange(own.size), own] = 0.0
     mass = wts.sum(axis=1)
@@ -189,6 +192,8 @@ def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating
         # a BLAS product here runs threaded and leaves its workers spinning
         # against the replication harness's own threads
         eta = (wts * Y).sum(axis=1) / mass
+        if own is not None:
+            return mass, eta, None
         # centered weighted variance (West 1979): E[Y^2] - E[Y]^2 cancels
         # when |Y| is large against its spread
         resid2 = Y[None, :] - eta[:, None]
@@ -208,7 +213,9 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         W, Y: n x d reduced sample and its n responses.
         W0: m x d query rows. With ``leave_one_out`` it must be W itself and
             each row's own sample gets weight zero, so an isolated point
-            keeps exactly zero mass.
+            keeps exactly zero mass; the variance is then skipped (its
+            caller, the bandwidth search, reads mass and eta only) and
+            sigma2 is all NaN.
         h: bandwidth.
 
     Returns:
@@ -240,7 +247,7 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         else:
             W0c = W0 - mu
             qq = np.einsum("ij,ij->i", W0c, W0c)
-    mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
+    mass, eta, sigma2 = np.empty(m), np.empty(m), np.full(m, np.nan)
     a = 0
     while a < m:
         # consecutive queries share the union of their slabs
@@ -252,8 +259,9 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         gram = None
         if Wc is not None and qq[a:b].max() <= (_GRAM_MAX_OFFSET * h) ** 2:
             gram = (Wc[s0:s1], ww[s0:s1], W0c[a:b], qq[a:b])
-        mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h,
-                                                  own, gram)
+        mass[a:b], eta[a:b], s2 = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, own, gram)
+        if s2 is not None:
+            sigma2[a:b] = s2
         a = b
     if qorder is None:
         return mass, eta, sigma2

@@ -171,7 +171,11 @@ def _draw_x(cfg, rng: np.random.Generator, n: int):
         return rng.standard_normal((n, cfg.p)) @ cfg._x_factor, None
     y = rng.normal(0.0, cfg.y_sd, n)
     f_sum = y + np.abs(y) - cfg.e_abs_y
-    return np.outer(f_sum, cfg.A) + rng.standard_normal((n, cfg.p)) @ cfg._x_factor, y
+    # the outer product goes into the matrix product in place: two n x p
+    # arrays live, not three; addition commutes, so the bits are unchanged
+    X = rng.standard_normal((n, cfg.p)) @ cfg._x_factor
+    X += f_sum[:, None] * cfg.A
+    return X, y
 
 
 def gen_model1(cfg: Model1Config, n: int, rng_stream: int = 0):

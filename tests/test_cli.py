@@ -704,6 +704,32 @@ class TestSimulate:
             "h_fixed": None, "cv_grid": None, "exponent": None,
         }
 
+    @pytest.mark.parametrize("flags,constant", [
+        ([], 10.0),
+        (["--exponent-dim", "ambient_p"], 10.0),
+        (["--bandwidth-kind", "power_rule"], 10.0),
+        (["--bandwidth-constant", "5"], 5.0),
+    ], ids=["default", "restated-exponent-dim", "restated-kind", "constant-5"])
+    def test_model2_power_rule_flags_keep_default_fields(self, tmp_path, capsys, flags,
+                                                         constant):
+        """Power-rule flags replace only their own fields of the model's
+        default rule; restating a default records the default block."""
+        out_dir = tmp_path / "sim2"
+        code, _, _ = run_cli(
+            [
+                "simulate", "--model", "2", "--ns", "120", "--nrep", "2",
+                "--points", "2", "--methods", "np", "--seed", "8",
+                "--out", str(out_dir), *flags,
+            ],
+            capsys,
+        )
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"]["bandwidth"] == {
+            "kind": "power_rule", "constant": constant, "exponent_dim": "ambient_p",
+            "h_fixed": None, "cv_grid": None, "exponent": None,
+        }
+
     def test_model2_rejects_model1_experiments(self, tmp_path, capsys):
         code, _, _ = run_cli(
             [

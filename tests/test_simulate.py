@@ -1,11 +1,12 @@
 """Tests for the simulation designs, replication harness, and experiments."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rednw import _blas
+from rednw import _blas, simulate
 from rednw.errors import ArgumentError, NumericError
 from rednw.npregress import BandwidthRule
 from rednw.simulate import (
@@ -60,6 +61,31 @@ class TestModel1Generator:
 
 
 class TestModel2Generator:
+    def test_draw_matches_outer_plus_product(self):
+        """X is the matrix product with the outer product added in place:
+        bit for bit the sum outer + product, from the same stream."""
+        cfg = Model2Config(seed=5)
+        n = 500
+        rng = simulate._rng(cfg.seed, simulate._TAG_MODEL2, n, 0)
+        y = rng.normal(0.0, cfg.y_sd, n)
+        f_sum = y + np.abs(y) - cfg.e_abs_y
+        expected = np.outer(f_sum, cfg.A) + rng.standard_normal((n, cfg.p)) @ cfg._x_factor
+        X, Y, _ = gen_model2(cfg, n)
+        assert np.array_equal(X, expected)
+        assert np.array_equal(Y, y)
+
+    def test_draw_peak_memory(self):
+        """One draw holds at most two n x p arrays at once."""
+        cfg = Model2Config(seed=0)
+        tracemalloc.start()
+        try:
+            X, _, _ = gen_model2(cfg, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (20_000, 20)
+        assert peak < 2.2 * X.nbytes
+
     def test_packaged_s_matrix_regenerates(self):
         """The stored scatter matrix is exactly the draw from its recorded seed."""
         cfg = Model2Config(seed=0)
