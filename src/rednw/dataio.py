@@ -59,14 +59,15 @@ class Dataset:
 
 
 def _fmt(x) -> str:
+    # floats first: nearly every cell is one
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
     return str(x)
 
 
@@ -434,8 +435,9 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
 
     points = []
     plot_rows = []
+    x0_lists = X0.astype(float, copy=False).tolist()
     for res in nw_batch(config, basis, X, Y, X0):
-        x0_list = [float(v) for v in X0[res.index]]
+        x0_list = x0_lists[res.index]
         observed = float(Y[res.index]) if in_sample else None
         if res.ok:
             f = res.fit

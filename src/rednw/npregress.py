@@ -10,7 +10,9 @@ run on one core, ``_nw_core``. A batch with many query rows sorts the
 sample by its first reduced coordinate, so each query only scans the
 contiguous slab of samples that can lie inside the kernel support (the
 window itself when d = 1; Fan & Marron 1994), in blocks of bounded size;
-memory stays linear in n. Small batches scan the whole sample.
+memory stays linear in n. Small batches scan the whole sample. The kernel
+is radial, so the leave-one-out pass forms each pair's weight once and
+adds it to both rows' sums.
 
 For d > 1 the radii come from the Gram form ||q - w||^2 = |q|^2 + |w|^2 -
 2 q.w on rows centred once per call at the sample mean, which needs no
@@ -57,6 +59,10 @@ _EDGE_RTOL = 64 * np.finfo(float).eps
 # takes direct radii throughout: there the Gram form's rounding is large
 # against h^2
 _GRAM_MAX_OFFSET = 8.0
+# entries with column <= row of a leave-one-out block's leading square; rows
+# [a, b) over columns [a, s1) have b - a = 1 or (b - a)(s1 - a) <=
+# _BLOCK_ELEMS with s1 >= b, so that square fits in this one
+_ON_OR_BELOW_DIAGONAL = np.tril(np.ones((math.isqrt(_BLOCK_ELEMS),) * 2, dtype=bool))
 
 
 def gaussian_quantile(q: float) -> float:
@@ -76,6 +82,9 @@ class BandwidthRule:
     undersmoothing need exponents the stock rule cannot express).
     kind "fixed": h = h_fixed. kind "loocv": h minimizes the leave-one-out
     squared prediction error over cv_grid.
+    A non-finite constant or h_fixed, or a cv_grid entry that is not
+    positive and finite, raises ArgumentError; an empty cv_grid raises when
+    the bandwidth is resolved.
     """
 
     kind: str
@@ -90,6 +99,10 @@ class BandwidthRule:
             raise ArgumentError(f"unknown bandwidth kind {self.kind!r}; expected one of {BANDWIDTH_KINDS}")
         if self.exponent_dim not in EXPONENT_DIMS:
             raise ArgumentError(f"exponent_dim must be one of {EXPONENT_DIMS}, got {self.exponent_dim!r}")
+        for name in ("constant", "h_fixed"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ArgumentError(f"bandwidth {name} must be finite, got {value}")
         if self.kind == "power_rule":
             if not (self.constant > 0):
                 raise ArgumentError(f"power_rule constant must be > 0, got {self.constant}")
@@ -98,7 +111,10 @@ class BandwidthRule:
         if self.kind == "fixed" and (self.h_fixed is None or not self.h_fixed > 0):
             raise ArgumentError(f"fixed bandwidth requires h_fixed > 0, got {self.h_fixed}")
         if self.cv_grid is not None:
-            object.__setattr__(self, "cv_grid", tuple(float(h) for h in self.cv_grid))
+            grid = tuple(float(h) for h in self.cv_grid)
+            if not all(0.0 < h < math.inf for h in grid):
+                raise ArgumentError(f"cv_grid values must be positive and finite, got {grid}")
+            object.__setattr__(self, "cv_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -163,14 +179,11 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
     return t
 
 
-def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating],
-           W0: NDArray[np.floating], h: float, own: NDArray[np.intp] | None,
-           gram: tuple[NDArray[np.floating], ...] | None
-           ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating] | None]:
-    """_nw_core's sums for query rows W0 over the slab (W, Y); row i's own
-    sample, if any, sits at column own[i], and then no variance is formed
-    (None). ``gram``, if given, holds the same rows centred and their
-    squared norms, (Wc, ww, W0c, qq). Its temporaries die on return."""
+def _weights(kernel: RadialKernel, W: NDArray[np.floating], W0: NDArray[np.floating],
+             h: float, gram: tuple[NDArray[np.floating], ...] | None) -> NDArray[np.floating]:
+    """Kernel weights of the query rows W0 (rows) against the slab W
+    (columns). ``gram``, if given, holds the same rows centred and their
+    squared norms, (Wc, ww, W0c, qq). The radii die on return."""
     # each form reuses its temporaries in place
     if gram is not None:
         # Gram form on the centred rows, direct radii at the support edge
@@ -182,18 +195,21 @@ def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating
         t /= h
     else:
         t = np.linalg.norm((W0[:, None, :] - W[None, :, :]) / h, axis=2)
-    wts = kernel.weights(t)
-    del t
-    if own is not None:
-        wts[np.arange(own.size), own] = 0.0
+    return kernel.weights(t)
+
+
+def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating],
+           W0: NDArray[np.floating], h: float,
+           gram: tuple[NDArray[np.floating], ...] | None
+           ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
+    """_nw_core's sums for query rows W0 over the slab (W, Y)."""
+    wts = _weights(kernel, W, W0, h, gram)
     mass = wts.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         # reduced in the same order as the mass, so Y = 1 gives exactly 1;
         # a BLAS product here runs threaded and leaves its workers spinning
         # against the replication harness's own threads
         eta = (wts * Y).sum(axis=1) / mass
-        if own is not None:
-            return mass, eta, None
         # centered weighted variance (West 1979): E[Y^2] - E[Y]^2 cancels
         # when |Y| is large against its spread
         resid2 = Y[None, :] - eta[:, None]
@@ -201,6 +217,24 @@ def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating
         resid2 *= wts
         sigma2 = resid2.sum(axis=1) / mass
     return mass, eta, np.maximum(sigma2, 0.0)
+
+
+def _pair_block(kernel: RadialKernel, W: NDArray[np.floating], OY: NDArray[np.floating],
+                k: int, h: float, gram: tuple[NDArray[np.floating], ...] | None,
+                sums: NDArray[np.floating]) -> None:
+    """Leave-one-out sums of the first k rows of the sorted slab W against
+    the whole slab, added at both ends of each pair into ``sums``, the
+    slab's 2 x len(W) kernel mass and weighted-Y sums. OY holds the slab's
+    ones and responses as its two rows.
+
+    Only pairs i < j count: the own sample and every pair an earlier row
+    holds are zeroed, so each unordered pair's weight is formed once."""
+    wts = _weights(kernel, W, W[:k], h, gram)
+    np.copyto(wts[:, :k], 0.0, where=_ON_OR_BELOW_DIAGONAL[:k, :k])
+    # mass and weighted-Y sums share each reduction, so Y = 1 gives exactly
+    # 1; einsum, not a BLAS product, for the reason _gram_radii gives
+    sums[:, :k] += np.einsum("ij,rj->ri", wts, OY)
+    sums += np.einsum("ri,ij->rj", OY[:, :k], wts)
 
 
 def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating],
@@ -213,9 +247,12 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         W, Y: n x d reduced sample and its n responses.
         W0: m x d query rows. With ``leave_one_out`` it must be W itself and
             each row's own sample gets weight zero, so an isolated point
-            keeps exactly zero mass; the variance is then skipped (its
-            caller, the bandwidth search, reads mass and eta only) and
-            sigma2 is all NaN.
+            keeps exactly zero mass. The kernel is radial, so each unordered
+            pair's weight is formed once, in the block of its earlier
+            (sorted) row, and added to both rows' sums; only the order in
+            which a row's sums accumulate differs from a per-row pass. The
+            variance is skipped (its caller, the bandwidth search, reads
+            mass and eta only) and sigma2 is all NaN.
         h: bandwidth.
 
     Returns:
@@ -247,7 +284,12 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         else:
             W0c = W0 - mu
             qq = np.einsum("ij,ij->i", W0c, W0c)
-    mass, eta, sigma2 = np.empty(m), np.empty(m), np.full(m, np.nan)
+    if leave_one_out:
+        # row a's pairs with earlier rows sit in those rows' blocks; sums
+        # holds the kernel mass and weighted-Y sums, weights against OY
+        lo, OY, sums = range(m), np.stack([np.ones(n), Y]), np.zeros((2, m))
+    else:
+        mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
     a = 0
     while a < m:
         # consecutive queries share the union of their slabs
@@ -255,14 +297,17 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         while b < m and (b + 1 - a) * (hi[b] - lo[a]) <= _BLOCK_ELEMS:
             b += 1
         s0, s1 = lo[a], hi[b - 1]
-        own = np.arange(a, b) - s0 if leave_one_out else None
         gram = None
         if Wc is not None and qq[a:b].max() <= (_GRAM_MAX_OFFSET * h) ** 2:
             gram = (Wc[s0:s1], ww[s0:s1], W0c[a:b], qq[a:b])
-        mass[a:b], eta[a:b], s2 = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, own, gram)
-        if s2 is not None:
-            sigma2[a:b] = s2
+        if leave_one_out:
+            _pair_block(kernel, W[s0:s1], OY[:, s0:s1], b - a, h, gram, sums[:, s0:s1])
+        else:
+            mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, gram)
         a = b
+    if leave_one_out:
+        with np.errstate(invalid="ignore"):
+            mass, eta, sigma2 = sums[0], sums[1] / sums[0], np.full(m, np.nan)
     if qorder is None:
         return mass, eta, sigma2
     out = np.empty((3, m))
@@ -274,8 +319,6 @@ def _loocv_bandwidth(rule: BandwidthRule, kernel: RadialKernel,
                      W: NDArray[np.floating], Y: NDArray[np.floating]) -> float:
     if not rule.cv_grid:
         raise ArgumentError("loocv bandwidth requires a non-empty cv_grid")
-    if any(h <= 0 for h in rule.cv_grid):
-        raise ArgumentError(f"cv_grid values must be positive, got {rule.cv_grid}")
     best_h, best_err = None, math.inf
     for h in rule.cv_grid:
         mass, pred, _ = _nw_core(kernel, W, Y, W, h, leave_one_out=True)

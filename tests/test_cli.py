@@ -311,6 +311,33 @@ class TestFitPredict:
         assert out == ""
         assert f"error: {flags[-2]} is not used by bandwidth kind" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--bandwidth-kind", "loocv", "--cv-grid", "nan"],
+        ["--bandwidth-kind", "loocv", "--cv-grid", "0.3,inf"],
+        ["--bandwidth-kind", "loocv", "--cv-grid", "0.3,-0.5"],
+        ["--bandwidth-kind", "fixed", "--h", "inf"],
+        ["--bandwidth-constant", "inf"],
+    ], ids=["grid-nan", "grid-inf", "grid-negative", "h-inf", "constant-inf"])
+    def test_non_finite_bandwidth_exits_2(self, shellfish_csv, capsys, flags):
+        code, out, err = run_cli(
+            ["fit", "--input", str(shellfish_csv), "--response", "muscle_mass", *LOG_FLAGS,
+             *flags],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err or "must be positive and finite" in err
+
+    def test_simulate_infinite_h_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--model", "1", "--bandwidth-kind", "fixed", "--h", "inf",
+             "--ns", "60", "--nrep", "2", "--points", "1", "--out", str(tmp_path / "sim")],
+            capsys,
+        )
+        assert code == 2
+        assert "bandwidth h_fixed must be finite" in err
+        assert not (tmp_path / "sim").exists()
+
     def test_unknown_flag_exits_2(self, shellfish_csv, capsys):
         # --seed belongs to simulate, the only subcommand that draws numbers
         for flag in (["--wat"], ["--seed", "3"]):

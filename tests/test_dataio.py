@@ -183,6 +183,12 @@ class TestTableWriter:
         write_table(path, ["a", "b"], [[1.5, None]])
         assert path.read_text().splitlines()[1] == "1.5,"
 
+    def test_cell_types(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, list("abcdefghi"), [[1.5, np.float64(0.1), np.float32(0.5), True,
+                                               np.bool_(False), 3, np.int64(4), None, "x"]])
+        assert path.read_text().splitlines()[1] == "1.5,0.1,0.5,True,False,3,4,,x"
+
     def test_sha256_matches_hashlib(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"digest me")

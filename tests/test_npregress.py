@@ -186,6 +186,21 @@ class TestBandwidth:
         with pytest.raises(ArgumentError):
             BandwidthRule(kind="power_rule", exponent_dim="both")
 
+    @pytest.mark.parametrize("kw", [
+        {"kind": "fixed", "h_fixed": math.inf},
+        {"kind": "fixed", "h_fixed": math.nan},
+        {"kind": "power_rule", "constant": math.inf},
+        {"kind": "loocv", "constant": math.nan, "cv_grid": (0.5,)},
+        {"kind": "loocv", "cv_grid": (math.nan,)},
+        {"kind": "loocv", "cv_grid": (0.3, math.inf)},
+        {"kind": "loocv", "cv_grid": (0.3, 0.0)},
+        {"kind": "loocv", "cv_grid": (-0.3, 0.5)},
+    ], ids=["h-inf", "h-nan", "constant-inf", "constant-nan", "grid-nan", "grid-inf",
+            "grid-zero", "grid-negative"])
+    def test_non_finite_or_non_positive_rejected(self, kw):
+        with pytest.raises(ArgumentError):
+            BandwidthRule(**kw)
+
     def test_empty_cv_grid_rejected_at_call(self):
         rule = BandwidthRule(kind="loocv", cv_grid=())
         with pytest.raises(ArgumentError):
@@ -562,6 +577,36 @@ class TestLoocvReference:
                     np.testing.assert_allclose(pred[ok], ref_pred[ok], rtol=1e-10, atol=1e-12)
                     if trial == 2:
                         assert np.all(mass[:3] == 0.0)
+
+    @pytest.mark.parametrize("profile", ["triweight_poly3", "uniform"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_dense_multi_block(self, profile, d):
+        """At n = 600 every h spans many blocks, so each row's sums gather
+        pairs from its own block and from earlier rows' blocks."""
+        kern = make_kernel(builtin_profile(profile), d)
+        grid = (0.05, 0.25, 1.0)
+        rng = np.random.default_rng(300 + 10 * d + BUILTIN_PROFILES.index(profile))
+        n = 600
+        for on_grid in (False, True):
+            W = rng.uniform(-1.0, 1.0, size=(n, d))
+            if on_grid:
+                # a 1/8 grid: radii exactly on the support edge at h = 0.25,
+                # and ties, radius 0, at every h
+                W = np.round(8.0 * W) / 8.0
+            Y = rng.standard_normal(n)
+            expected, per_h = dense_loocv(kern, W, Y, grid)
+            rule = BandwidthRule(kind="loocv", cv_grid=grid)
+            assert bandwidth(rule, n=n, p=d, d=d, kernel=kern, W=W, Y=Y) == expected
+            for h in grid:
+                mass, pred, _ = _nw_core(kern, W, Y, W, h, leave_one_out=True)
+                ref_mass, ref_pred = per_h[h]
+                np.testing.assert_allclose(mass, ref_mass, rtol=1e-12, atol=1e-15)
+                assert np.array_equal(mass > 0, ref_mass > 0)
+                ok = ref_mass > 0
+                np.testing.assert_allclose(pred[ok], ref_pred[ok], rtol=1e-10, atol=1e-12)
+                # mass and weighted-Y sums accumulate in one order
+                _, ones, _ = _nw_core(kern, W, np.ones(n), W, h, leave_one_out=True)
+                assert np.all(ones[ok] == 1.0)
 
     def test_memory_linear_in_n(self):
         """n = 20000 would need 3.2 GB for one dense n x n matrix."""
