@@ -9,7 +9,7 @@ smoothness/moment conditions the regression estimator relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,12 +33,14 @@ class KernelProfile:
 
     Args:
         name: one of ``BUILTIN_PROFILES`` or ``"custom"``.
-        raw_profile: the profile function; must accept numpy arrays.
+        raw_profile: the profile function, applied elementwise to numpy
+            arrays of radii; ``make_kernel`` rejects one that is not.
         support_radius: k(t) = 0 for t > support_radius.
         smoothness_order: number of continuous derivatives of k viewed as a
             function on the whole line (edge behaviour included); -1 means
             not even continuous (step edge).
-        raw_derivative: optional analytic k'; finite differences otherwise.
+        raw_derivative: optional analytic k', also applied to arrays;
+            finite differences otherwise.
     """
 
     name: str
@@ -101,18 +103,6 @@ def surface_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def _vectorized(f) -> Callable[[NDArray[np.floating]], NDArray[np.floating]]:
-    probe = np.array([0.0, 0.3, 0.9])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return lambda t: np.asarray(f(t), dtype=float)
-    except Exception:
-        pass
-    g = np.vectorize(lambda s: float(f(s)), otypes=[float])
-    return lambda t: g(np.asarray(t, dtype=float))
-
-
 def _radial_integral(g: Callable[[NDArray[np.floating]], NDArray[np.floating]],
                      radius: float) -> float:
     """Integrate g over [0, radius] with node-doubling Gauss-Legendre.
@@ -161,7 +151,6 @@ class RadialKernel:
     norm_const: float
     l2_const: float
     moment_order: int
-    _values: Callable[[NDArray[np.floating]], NDArray[np.floating]] = field(repr=False, compare=False)
 
     def eval(self, u: Sequence[float] | NDArray[np.floating]) -> float:
         """K(u) = norm_const * k(||u||), zero beyond the support radius."""
@@ -171,7 +160,7 @@ class RadialKernel:
         s = float(np.linalg.norm(u))
         if s > self.profile.support_radius:
             return 0.0
-        return self.norm_const * float(self._values(np.array([s]))[0])
+        return self.norm_const * float(self.profile.raw_profile(np.array([s]))[0])
 
     def weights(self, t: NDArray[np.floating]) -> NDArray[np.floating]:
         """Vectorized norm_const * k(t) for nonnegative radii t.
@@ -180,7 +169,7 @@ class RadialKernel:
         support radius are then set to exactly 0, whatever the profile
         returns there (a custom one may give NaN or inf)."""
         t = np.asarray(t, dtype=float)
-        out = np.where(t <= self.profile.support_radius, self._values(t), 0.0)
+        out = np.where(t <= self.profile.support_radius, self.profile.raw_profile(t), 0.0)
         out *= self.norm_const
         return out
 
@@ -201,8 +190,17 @@ def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:
     radius = float(profile.support_radius)
     if not (radius > 0 and math.isfinite(radius)):
         raise ArgumentError(f"support radius must be positive and finite, got {radius}")
-    values = _vectorized(profile.raw_profile)
-    probe = values(np.array([radius * 1.01, radius * 2.0, radius * 10.0]))
+    values = profile.raw_profile
+    beyond = np.array([radius * 1.01, radius * 2.0, radius * 10.0])
+    try:
+        probe = np.asarray(values(beyond), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"profile must map an array of radii elementwise ({exc})") from exc
+    if probe.shape != beyond.shape:
+        raise ArgumentError(
+            f"profile must map an array of radii elementwise; it returned shape "
+            f"{probe.shape} for shape {beyond.shape}"
+        )
     if np.any(np.abs(probe) > 1e-12):
         raise ArgumentError("profile does not vanish beyond its support radius")
 
@@ -220,12 +218,12 @@ def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:
     ) * surf / dim
     moment_order = 2 if abs(mu2) > 1e-12 else 4
     return RadialKernel(profile=profile, dim=dim, norm_const=norm_const,
-                        l2_const=l2_const, moment_order=moment_order, _values=values)
+                        l2_const=l2_const, moment_order=moment_order)
 
 
 def second_moment(kernel: RadialKernel) -> float:
     """Per-coordinate second moment mu_2 = int u_1^2 K(u) du."""
-    values = kernel._values
+    values = kernel.profile.raw_profile
     radius = kernel.profile.support_radius
     return kernel.norm_const * _radial_integral(
         lambda s: values(s) * s ** (kernel.dim + 1), radius
@@ -234,8 +232,8 @@ def second_moment(kernel: RadialKernel) -> float:
 
 def _profile_derivative(kernel: RadialKernel) -> Callable[[NDArray[np.floating]], NDArray[np.floating]]:
     if kernel.profile.raw_derivative is not None:
-        return _vectorized(kernel.profile.raw_derivative)
-    values = kernel._values
+        return kernel.profile.raw_derivative
+    values = kernel.profile.raw_profile
     h = 1e-6 * kernel.profile.support_radius
 
     def fd(t):
@@ -292,7 +290,7 @@ def validate_conditions(kernel: RadialKernel) -> ConditionReport:
     """
     prof = kernel.profile
     radius = prof.support_radius
-    values = kernel._values
+    values = kernel.profile.raw_profile
     grid = np.linspace(0.0, radius, 10001)
 
     sup = float(np.max(np.abs(values(grid))))

@@ -170,7 +170,10 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
     # einsum, not @: a BLAS product runs threaded and leaves its workers
     # spinning against the replication harness's own threads
     d2 = norms - 2.0 * np.einsum("ik,jk->ij", W0c, Wc)
-    redo = np.abs(d2 - (R * h) ** 2) <= _EDGE_RTOL * norms
+    with np.errstate(over="ignore"):
+        # float64, so a huge h squares to inf instead of raising
+        edge2 = np.float64(R * h) ** 2
+    redo = np.abs(d2 - edge2) <= _EDGE_RTOL * norms
     t = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
     t /= h
     i, j = np.nonzero(redo)
@@ -290,6 +293,8 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         lo, OY, sums = range(m), np.stack([np.ones(n), Y]), np.zeros((2, m))
     else:
         mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
+    with np.errstate(over="ignore"):
+        gram_reach2 = np.float64(_GRAM_MAX_OFFSET * h) ** 2
     a = 0
     while a < m:
         # consecutive queries share the union of their slabs
@@ -298,7 +303,7 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
             b += 1
         s0, s1 = lo[a], hi[b - 1]
         gram = None
-        if Wc is not None and qq[a:b].max() <= (_GRAM_MAX_OFFSET * h) ** 2:
+        if Wc is not None and qq[a:b].max() <= gram_reach2:
             gram = (Wc[s0:s1], ww[s0:s1], W0c[a:b], qq[a:b])
         if leave_one_out:
             _pair_block(kernel, W[s0:s1], OY[:, s0:s1], b - a, h, gram, sums[:, s0:s1])
@@ -403,12 +408,14 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
         i = int(np.argmax(bad))
         raise ArgumentError(f"query point {i} has non-finite reduced coordinates {W0[i]}")
     z = gaussian_quantile(1.0 - (1.0 - config.ci_level) / 2.0)
-    volume = n * h ** config.d
     mass, eta, sigma2 = _nw_core(config.kernel, W, Y, W0, h)
+    with np.errstate(all="ignore"):
+        # float64, so an h**d past the float range gives inf or 0, not an exception
+        f_hats = mass / (n * np.float64(h) ** config.d)
     out = []
-    for i, (m, e, s2) in enumerate(zip(mass.tolist(), eta.tolist(), sigma2.tolist())):
+    for i, (m, e, s2, f_hat) in enumerate(zip(mass.tolist(), eta.tolist(), sigma2.tolist(),
+                                              f_hats.tolist())):
         fit = error = None
-        f_hat = m / volume
         if m < _MIN_EFFECTIVE_MASS:
             error = (f"no sample points inside the kernel window at "
                      f"w0={np.array2string(W0[i], precision=6)} "
@@ -416,8 +423,8 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
         elif not math.isfinite(f_hat) or f_hat <= 0.0:
             # The density value itself scales like h^{-d} and is legitimately
             # tiny in high dimensions; emptiness is a statement about mass,
-            # which the branch above covers. Only a degenerate value
-            # (underflow to zero, or h**d overflowing) is an error here.
+            # which the branch above covers. Only a degenerate value (0 or
+            # inf, from h**d or f_hat leaving the float range) is an error.
             error = (f"degenerate density estimate {f_hat:.3e} at "
                      f"w0={np.array2string(W0[i], precision=6)} with h={h:.6g}")
         else:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import (
@@ -184,7 +183,8 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
             1e-8 * trace(residual covariance) / p.
 
     Raises:
-        ArgumentError: n <= p + r (includes r >= n).
+        ArgumentError: n <= p + r (includes r >= n), or d outside
+            [1, min(r, p)].
         NumericError: singular residual covariance with ridge=0.
     """
     X, Y = _check_xy(X, Y)
@@ -195,8 +195,9 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
         raise ArgumentError(f"feature dimension r={r} must be smaller than n={n}")
     if n <= p + r:
         raise ArgumentError(f"need n > p + r, got n={n}, p={p}, r={r}")
-    if d < 1 or d > p:
-        raise ArgumentError(f"need 1 <= d <= p, got d={d}")
+    # s_fit has rank at most r, so directions past the r-th are arbitrary
+    if d < 1 or d > min(r, p):
+        raise ArgumentError(f"need 1 <= d <= min(r, p), got d={d}, r={r}, p={p}")
     Xc = X - X.mean(axis=0)
     Fc = F - F.mean(axis=0)
     try:
@@ -215,13 +216,15 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
         raise ArgumentError(f"ridge must be >= 0, got {ridge}")
     m = s_res + ridge * np.eye(p)
     try:
-        np.linalg.cholesky(m)
-        evals, evecs = scipy.linalg.eigh(s_fit, m)
+        L_inv = np.linalg.inv(np.linalg.cholesky(m))
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"residual covariance is singular with ridge={ridge:g}; pass a positive ridge"
         ) from exc
-    rows = evecs[:, np.argsort(evals)[::-1][:d]].T
+    # with m = L L^T the pencil (s_fit, m) has the eigenvalues of the
+    # symmetric L^-1 s_fit L^-T, and its eigenvectors u map back as L^-T u
+    evals, evecs = np.linalg.eigh(L_inv @ s_fit @ L_inv.T)
+    rows = evecs[:, np.argsort(evals)[::-1][:d]].T @ L_inv
     return _make_basis(rows, "pfc")
 
 

@@ -338,6 +338,43 @@ class TestFitPredict:
         assert "bandwidth h_fixed must be finite" in err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("h, f_hat", [("1e200", "0.000e+00"), ("1e-200", "inf")])
+    def test_bandwidth_power_outside_float_range(self, shellfish_csv, capsys, h, f_hat):
+        # with --method np, h**4 leaves the float range; each row says so
+        code, out, _ = run_cli(
+            ["fit", "--input", str(shellfish_csv), "--response", "muscle_mass", *LOG_FLAGS,
+             "--method", "np", "--bandwidth-kind", "fixed", "--h", h],
+            capsys,
+        )
+        assert code == 0
+        points = json.loads(out)
+        assert len(points) == 79
+        assert all(pt["error"].startswith(f"degenerate density estimate {f_hat}")
+                   for pt in points)
+
+    @pytest.mark.parametrize("h", ["1e60", "1e-60"])
+    def test_simulate_bandwidth_power_outside_float_range(self, tmp_path, capsys, h):
+        # np's h**6 leaves the float range; its cells go missing, the run completes
+        code, out, _ = run_cli(
+            ["simulate", "--model", "1", "--methods", "np", "--bandwidth-kind", "fixed",
+             "--h", h, "--ns", "60", "--nrep", "2", "--points", "1",
+             "--out", str(tmp_path / "sim")],
+            capsys,
+        )
+        assert code == 0
+        assert "(missing rate 1.0000)" in out
+        assert (tmp_path / "sim" / "emse.csv").exists()
+
+    def test_pfc_d_above_feature_count_exits_2(self, shellfish_csv, capsys):
+        # the CLI's cubic feature map has r = 3
+        argv = ["reduce", "--input", str(shellfish_csv), "--response", "muscle_mass",
+                *LOG_FLAGS, "--method", "pfc"]
+        assert run_cli([*argv, "--d", "3"], capsys)[0] == 0
+        code, out, err = run_cli([*argv, "--d", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "min(r, p)" in err
+
     def test_unknown_flag_exits_2(self, shellfish_csv, capsys):
         # --seed belongs to simulate, the only subcommand that draws numbers
         for flag in (["--wat"], ["--seed", "3"]):
@@ -808,3 +845,16 @@ class TestConsoleScript:
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
         assert rep["norm_const"] == 0.5
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency (an independent quadrature oracle)
+        root = str(Path(rednw.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rednw, rednw.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

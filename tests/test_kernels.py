@@ -242,3 +242,14 @@ class TestRejection:
     def test_bad_dim_rejected(self):
         with pytest.raises(ArgumentError):
             make_kernel(builtin_profile("uniform"), 0)
+
+    @pytest.mark.parametrize("raw", [
+        lambda t: max(0.0, 1.0 - t * t),  # scalar-only: truth value of an array
+        lambda t: math.exp(-t) if t <= 1.0 else 0.0,
+        lambda t: 0.0,  # one value whatever the input shape
+    ], ids=["max", "conditional", "constant"])
+    def test_profile_not_applied_elementwise_rejected(self, raw):
+        prof = KernelProfile(name="custom", raw_profile=raw, support_radius=1.0,
+                             smoothness_order=0)
+        with pytest.raises(ArgumentError, match="elementwise"):
+            make_kernel(prof, 1)

@@ -396,6 +396,19 @@ class TestBatch:
         assert out[1].fit is None
         assert out[1].index == 1
 
+    @pytest.mark.parametrize("h, f_hat", [(1e200, "0.000e+00"), (1e-200, "inf")])
+    def test_bandwidth_power_outside_float_range(self, h, f_hat):
+        """h**d past the float range leaves degenerate-density rows, not a crash."""
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((30, 2))
+        Y = rng.standard_normal(30)
+        cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 2), d=2,
+                             bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
+        # queries at sample rows keep their own point's mass at any h
+        out = nw_batch(cfg, oracle_basis(np.eye(2)), X, Y, X[:3])
+        assert [r.ok for r in out] == [False] * 3
+        assert all(r.error.startswith(f"degenerate density estimate {f_hat} at") for r in out)
+
     def test_model1_points_have_finite_intervals(self):
         cfg_m = Model1Config(seed=0)
         X, Y, _ = gen_model1(cfg_m, 500, rng_stream=0)

@@ -125,6 +125,46 @@ class TestPFC:
         b = pfc_fit(X, y, lambda v: np.array([v, v * v]), 1)
         np.testing.assert_allclose(abs(b.matrix[0, 0]), 1.0, atol=1e-12)
 
+    @staticmethod
+    def fy2(y):
+        return np.column_stack([y, np.abs(y)])
+
+    @pytest.mark.parametrize("n", [100, 2000])
+    def test_matches_scipy_generalized_eigh(self, n):
+        """The Cholesky-reduced pencil gives the generalized eigenvectors of
+        scipy.linalg.eigh(s_fit, m): the same basis at d = 1, the same span
+        at d = 2 (the second eigenvalue is small, so only to 1e-10)."""
+        from scipy.linalg import eigh
+
+        X, Y, _ = gen_model2(Model2Config(seed=0), n)
+        p = X.shape[1]
+        Xc, Fc = X - X.mean(axis=0), self.fy2(Y) - self.fy2(Y).mean(axis=0)
+        fitted = Fc @ np.linalg.solve(Fc.T @ Fc, Fc.T @ Xc)
+        s_fit = fitted.T @ fitted / n
+        s_res = (Xc - fitted).T @ (Xc - fitted) / n
+        m = s_res + 1e-8 * np.trace(s_res) / p * np.eye(p)
+        evals, evecs = eigh(s_fit, m)
+        top = evecs[:, np.argsort(evals)[::-1]].T
+        ref1 = oracle_basis(top[:1]).matrix
+        np.testing.assert_allclose(pfc_fit(X, Y, self.fy2, 1).matrix, ref1, rtol=0, atol=1e-13)
+        ref2 = oracle_basis(top[:2]).matrix
+        got2 = pfc_fit(X, Y, self.fy2, 2).matrix
+        np.testing.assert_allclose(got2.T @ got2, ref2.T @ ref2, rtol=0, atol=1e-10)
+
+    def test_d_above_feature_count_rejected(self):
+        # s_fit has rank <= r = 2, so a third direction would be arbitrary
+        X, Y, _ = gen_model2(Model2Config(seed=0), 200)
+        assert pfc_fit(X, Y, self.fy2, 2).d == 2
+        with pytest.raises(ArgumentError, match=r"min\(r, p\)"):
+            pfc_fit(X, Y, self.fy2, 3)
+
+    def test_singular_residual_covariance_needs_ridge(self):
+        X, Y, _ = gen_model2(Model2Config(seed=0), 200)
+        X[:, 0] = 1.0  # a constant column: zero residual variance
+        with pytest.raises(NumericError, match="pass a positive ridge"):
+            pfc_fit(X, Y, self.fy2, 1, ridge=0.0)
+        assert pfc_fit(X, Y, self.fy2, 1).d == 1  # the default ridge is positive
+
     def test_too_many_features_rejected(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((10, 3))

@@ -1,5 +1,6 @@
 """Tests for the simulation designs, replication harness, and experiments."""
 
+import math
 import os
 import tracemalloc
 
@@ -267,6 +268,26 @@ class TestReplicationHarness:
         assert table.missing_rate == 1.0
         for cell in table.cells:
             assert cell.n_missing == 6
+
+    @pytest.mark.parametrize("cfg, spec, failing_ns", [
+        # the default min(10, n // 20) slices is 1 at n = 30, which sir_fit refuses
+        (Model1Config(seed=1), MethodSpec(method="nprt", reduction="sir"), {30}),
+        # model 2's pfc feature map (y, |y|) has r = 2 < d = 3
+        (Model2Config(seed=3), MethodSpec(method="nprt", reduction="pfc", d=3), {30, 60}),
+    ], ids=["sir-one-slice", "pfc-d-above-r"])
+    def test_fit_failure_leaves_only_its_cells_missing(self, cfg, spec, failing_ns):
+        pts = draw_test_points(cfg, m=2)
+        npr = MethodSpec(method="npr")
+        kw = dict(ns=[30, 60], test_points=pts, n_rep=4, base_seed=5)
+        table = run_replications(cfg, [npr, spec], **kw)
+        for cell in table.cells:
+            if cell.method == spec.label and cell.n in failing_ns:
+                assert cell.n_rep == 0 and cell.n_missing == 4
+                assert math.isnan(cell.emse)
+            else:
+                assert cell.n_rep > 0
+        alone = run_replications(cfg, [npr], **kw)
+        assert [c for c in table.cells if c.method == npr.label] == list(alone.cells)
 
     def test_input_validation(self):
         cfg = Model1Config(seed=1)
