@@ -24,6 +24,7 @@ from .kernels import builtin_profile, make_kernel
 from .npregress import BandwidthRule, NWConfig, nw_batch
 from .reduction import FIT_METHODS, fit
 from .simulate import (
+    PFC_MAX_D,
     CellStats,
     MethodSpec,
     Model1Config,
@@ -335,6 +336,10 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
         MethodSpec(method=m, reduction=nprt_reduction if m == "nprt" else None, d=d)
         for m in method_names
     )
+    if d > PFC_MAX_D and any(spec.reduction == "pfc" for spec in methods):
+        # every replication's fit would fail and leave its cells missing
+        raise ArgumentError(f"pfc on the harness's features (y, |y|) gives at most "
+                            f"{PFC_MAX_D} directions, got d={d}")
     return SimulationPlan(model_cfg=cfg, methods=methods, ns=ns, n_rep=n_rep,
                           base_seed=seed, bandwidth_rule=rule,
                           test_points=test_points, config=dict(config))

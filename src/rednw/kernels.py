@@ -41,6 +41,9 @@ class KernelProfile:
             not even continuous (step edge).
         raw_derivative: optional analytic k', also applied to arrays;
             finite differences otherwise.
+        power: k when the profile is (1 - t^2)^k on [0, 1] with support
+            radius 1; set by ``builtin_profile`` only. It lets d = 1
+            leave-one-out sums run on prefix sums (see ``npregress``).
     """
 
     name: str
@@ -48,6 +51,7 @@ class KernelProfile:
     support_radius: float = 1.0
     smoothness_order: int = 0
     raw_derivative: Callable[[NDArray[np.floating]], NDArray[np.floating]] | None = None
+    power: int | None = None
 
 
 def _power_profile(k: int):
@@ -95,7 +99,7 @@ def builtin_profile(name: str) -> KernelProfile:
     k, smooth = table[name]
     f, fd = _power_profile(k)
     return KernelProfile(name=name, raw_profile=f, support_radius=1.0,
-                         smoothness_order=smooth, raw_derivative=fd)
+                         smoothness_order=smooth, raw_derivative=fd, power=k)
 
 
 def surface_area(d: int) -> float:

@@ -5,14 +5,14 @@ weights w_i = K((basis x0 - basis X_i)/h), plug-in density and conditional
 variance estimates, and asymptotic confidence intervals with half-width
 z * sqrt(sigma2 * R(K) / (n h^d f_hat)).
 
-Batches, leave-one-out bandwidth selection and the replication density all
-run on one core, ``_nw_core``. A batch with many query rows sorts the
-sample by its first reduced coordinate, so each query only scans the
-contiguous slab of samples that can lie inside the kernel support (the
-window itself when d = 1; Fan & Marron 1994), in blocks of bounded size;
-memory stays linear in n. Small batches scan the whole sample. The kernel
-is radial, so the leave-one-out pass forms each pair's weight once and
-adds it to both rows' sums.
+Batches, the replication density and leave-one-out bandwidth selection
+for d > 1 or a custom profile run on one core, ``_nw_core``. A batch with
+many query rows sorts the sample by its first reduced coordinate, so each
+query only scans the contiguous slab of samples that can lie inside the
+kernel support (the window itself when d = 1; Fan & Marron 1994), in
+blocks of bounded size; memory stays linear in n. Small batches scan the
+whole sample. The kernel is radial, so the leave-one-out pass forms each
+pair's weight once and adds it to both rows' sums.
 
 For d > 1 the radii come from the Gram form ||q - w||^2 = |q|^2 + |w|^2 -
 2 q.w on rows centred once per call at the sample mean, which needs no
@@ -21,6 +21,17 @@ radius across the support edge, the direct radius ||q - w|| / h on the
 original rows replaces it, so kernel support is decided exactly as by the
 direct expression. A block holding a query far from the centre takes the
 direct radii throughout.
+
+Leave-one-out bandwidth selection at d = 1 with a built-in profile, all
+(1 - t^2)^k, runs on prefix sums instead (``_loo_prefix``): Fan & Marron
+(1994) call this updating, and the chunk-centred form that keeps it stable
+is from Langrene & Warin (2019, "Fast and stable multivariate kernel
+density estimation by fast sum updating", arXiv:1712.00993). The sample is
+sorted once for the grid; each window's sums come from prefix sums over at
+most three chunks of width h. Window edges, and so empty windows, follow
+the direct test |q - w| / h < 1 (<= 1 for the uniform profile). A row's
+mass carries a rounding error below n eps 5^k per window sample; a row
+whose mass is below 1000 times that bound is summed directly.
 """
 
 from __future__ import annotations
@@ -59,6 +70,12 @@ _EDGE_RTOL = 64 * np.finfo(float).eps
 # takes direct radii throughout: there the Gram form's rounding is large
 # against h^2
 _GRAM_MAX_OFFSET = 8.0
+# a d = 1 leave-one-out row whose prefix-sum mass is below this many times
+# its rounding bound (see _loo_prefix) is summed directly over its window
+_PREFIX_SAFETY = 1e3
+# the prefix path needs chunk indices (w - w_0) / h below this, so they and
+# the chunk centres w_0 + (c + 1/2) h stay exact to far below h
+_PREFIX_MAX_CHUNKS = 2.0 ** 26
 # entries with column <= row of a leave-one-out block's leading square; rows
 # [a, b) over columns [a, s1) have b - a = 1 or (b - a)(s1 - a) <=
 # _BLOCK_ELEMS with s1 >= b, so that square fits in this one
@@ -197,7 +214,9 @@ def _weights(kernel: RadialKernel, W: NDArray[np.floating], W0: NDArray[np.float
         np.abs(t, out=t)
         t /= h
     else:
-        t = np.linalg.norm((W0[:, None, :] - W[None, :, :]) / h, axis=2)
+        with np.errstate(over="ignore"):
+            # a radius past the float range is inf, and its weight 0
+            t = np.linalg.norm((W0[:, None, :] - W[None, :, :]) / h, axis=2)
     return kernel.weights(t)
 
 
@@ -320,13 +339,121 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
     return out[0], out[1], out[2]
 
 
+def _window_starts(w: NDArray[np.floating], h: float, closed: bool) -> NDArray[np.intp]:
+    """Per sample i of the sorted 1-d sample w, the first j <= i with
+    |w_i - w_j| / h < 1 (<= 1 if ``closed``), the direct core's radius and
+    support test. Samples below w_i - h by more than the slabs' rounding
+    slack fail it; the first sample past that bound is tested once, and
+    the edge is bisected only where that test fails."""
+    a = np.searchsorted(w, w - (h + _SLAB_RTOL * (np.abs(w) + h)), side="left")
+    b = np.arange(w.size)
+    rows = np.flatnonzero(a < b)
+    mid = a[rows]
+    while rows.size:
+        t = np.abs(w[rows] - w[mid]) / h
+        hit = t <= 1.0 if closed else t < 1.0
+        b[rows[hit]] = mid[hit]
+        a[rows[~hit]] = mid[~hit] + 1
+        rows = rows[a[rows] < b[rows]]
+        mid = (a[rows] + b[rows]) // 2
+    return a
+
+
+def _powers(v: NDArray[np.floating], m: int) -> NDArray[np.floating]:
+    """Rows v^0, ..., v^(m-1)."""
+    out = np.empty((m, v.size))
+    out[0] = 1.0
+    for j in range(1, m):
+        np.multiply(out[j - 1], v, out=out[j])
+    return out
+
+
+def _loo_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.floating],
+                h: float) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
+    """Leave-one-out kernel mass and NW estimate at every sample of the sorted
+    1-d sample w, for a profile (1 - t^2)^k: the first two outputs of
+    ``_nw_core(kernel, w[:, None], Y, w[:, None], h, leave_one_out=True)``,
+    from prefix sums (Fan & Marron 1994; Langrene & Warin 2019).
+
+    The sample is cut into chunks of width h, each centred at its midpoint
+    z, so u = (w - z) / h lies in [-1/2, 1/2). Prefix sums of u^j and u^j Y,
+    j <= 2k, give a window's sums within a chunk; the window of q spans at
+    most q's chunk and its two neighbours, and (1 - (v - u)^2)^k with
+    v = (q - z) / h expands by binomial coefficients into those sums. The
+    row's own chunk is summed on both sides of the row, not as a full sum
+    less K(0).
+
+    Window bounds, and so empty windows, come from counts and the direct
+    core's test at the window edges (``_window_starts``). Every term
+    a_j(v) u^j is at most 5^k in magnitude (|v| <= 3/2, |u| <= 1/2) and
+    each prefix sum adds at most n terms, so a row's mass carries a
+    rounding error below n eps 5^k per window sample. A row whose mass is
+    below _PREFIX_SAFETY times that bound, or whose window reaches past the
+    neighbouring chunks, is summed directly over its window.
+    """
+    k, n = kernel.profile.power, w.size
+    w0, span = float(w[0]), (float(w[-1]) - float(w[0])) / h
+    # chunk indices and centres exact, and every centred difference finite
+    if not (span < _PREFIX_MAX_CHUNKS and math.isfinite(4.0 * (abs(w0) + abs(float(w[-1])) + h))):
+        mass, eta, _ = _nw_core(kernel, w[:, None], Y, w[:, None], h, leave_one_out=True)
+        return mass, eta
+    # the window of sample i is [lo, hi); the right edge is the left one of
+    # the mirrored sample
+    lo = _window_starts(w, h, k == 0)
+    hi = n - _window_starts(-w[::-1], h, k == 0)[::-1]
+    # each sample's chunk c, and where its chunk starts and ends
+    c = np.floor((w - w0) / h)
+    start, end = np.searchsorted(c, c, side="left"), np.searchsorted(c, c, side="right")
+    # prefix sums of u^j and u^j (Y - ybar), u in each sample's chunk frame
+    J, ybar = 2 * k + 1, Y.mean()
+    P = np.zeros((2 * J, n + 1))
+    P[:J, 1:] = _powers((w - (w0 + (c + 0.5) * h)) / h, J)
+    np.multiply(P[:J, 1:], Y - ybar, out=P[J:, 1:])
+    np.cumsum(P[:, 1:], axis=1, out=P[:, 1:])
+    # a_j(v), the coefficient of u^j in (1 - (v - u)^2)^k, is sum_p M[j, p] v^p
+    M = np.zeros((J, J))
+    for m in range(k + 1):
+        for j in range(2 * m + 1):
+            M[j, 2 * m - j] += (-1) ** (m + j) * math.comb(k, m) * math.comb(2 * m, j)
+    # the window's sums in chunks c - 1, c (either side of the row) and
+    # c + 1, each with the offset of that chunk's centre from c
+    a, b = np.maximum(lo, start), np.minimum(hi, end)
+    parts = ((-0.5, P[:, start] - P[:, np.minimum(lo, start)]),
+             (0.5, (P[:, :-1] - P[:, a]) + (P[:, b] - P[:, 1:])),
+             (1.5, P[:, np.maximum(hi, end)] - P[:, end]))
+    sums = np.zeros((2, n))
+    for off, S in parts:
+        A = np.einsum("jp,pi->ji", M, _powers((w - (w0 + (c + off) * h)) / h, J))
+        sums += np.einsum("ji,rji->ri", A, S.reshape(2, J, n))
+    # an empty window's sums are exactly 0, and so never redone
+    mass, ysum = sums
+    bound = _PREFIX_SAFETY * n * np.finfo(float).eps * 5.0 ** k
+    redo = (mass < bound * (hi - lo - 1)) | (c[lo] < c - 1) | (c[hi - 1] > c + 1)
+    for i in np.flatnonzero(redo).tolist():
+        wts = kernel.profile.raw_profile(np.abs(w[lo[i]:hi[i]] - w[i]) / h)
+        wts[i - lo[i]] = 0.0
+        mass[i], ysum[i] = wts.sum(), wts @ (Y[lo[i]:hi[i]] - ybar)
+    with np.errstate(invalid="ignore"):
+        eta = ybar + ysum / mass
+    return kernel.norm_const * mass, eta
+
+
 def _loocv_bandwidth(rule: BandwidthRule, kernel: RadialKernel,
                      W: NDArray[np.floating], Y: NDArray[np.floating]) -> float:
     if not rule.cv_grid:
         raise ArgumentError("loocv bandwidth requires a non-empty cv_grid")
+    # d = 1 with a (1 - t^2)^k profile runs on prefix sums over the sample
+    # sorted once; the criterion below sums over rows in any order
+    prefix = W.shape[1] == 1 and kernel.profile.power is not None
+    if prefix:
+        order = np.argsort(W[:, 0], kind="stable")
+        W, Y = W[order], Y[order]
     best_h, best_err = None, math.inf
     for h in rule.cv_grid:
-        mass, pred, _ = _nw_core(kernel, W, Y, W, h, leave_one_out=True)
+        if prefix:
+            mass, pred = _loo_prefix(kernel, W[:, 0], Y, h)
+        else:
+            mass, pred, _ = _nw_core(kernel, W, Y, W, h, leave_one_out=True)
         ok = mass > 0
         if not np.any(ok):
             continue

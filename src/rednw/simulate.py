@@ -220,6 +220,15 @@ def draw_test_points(cfg, m: int = 10) -> NDArray[np.floating]:
     return _draw_x(cfg, _rng(cfg.seed, _TAG_POINTS), m)[0]
 
 
+def _pfc_features(y: NDArray[np.floating]) -> NDArray[np.floating]:
+    """The feature map f(y) = (y, |y|), uncentred, that pfc gets here."""
+    return np.column_stack([y, np.abs(y)])
+
+
+# pfc gives at most r directions, r the number of columns of _pfc_features
+PFC_MAX_D = 2
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """One estimator column: np (full space), npr (true reduction), nprt
@@ -313,9 +322,7 @@ def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int, base_seed: int) -> Reducti
         return oracle_basis((true_direction + g / math.sqrt(X.shape[0]))[None, :])
     if spec.reduction == "wrong_direction":
         return oracle_basis(np.eye(cfg.p)[:1])
-    # pfc gets model 2's f_y = (y, |y|) uncentered
-    return fit(spec.reduction, X, Y, spec.d,
-               fy=lambda y: np.column_stack([y, np.abs(y)]))
+    return fit(spec.reduction, X, Y, spec.d, fy=_pfc_features)
 
 
 def _one_rep(cfg, methods, base_seed: int, test_points, configs: dict, fixed: dict,

@@ -365,6 +365,32 @@ class TestFitPredict:
         assert "(missing rate 1.0000)" in out
         assert (tmp_path / "sim" / "emse.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_bandwidth_warns_nothing(self, shellfish_csv, capsys):
+        # with --method np (d = 4) at h = 1e-200 the radii pass the float range
+        code, out, err = run_cli(
+            ["fit", "--input", str(shellfish_csv), "--response", "muscle_mass",
+             "--method", "np", "--bandwidth-kind", "fixed", "--h", "1e-200"],
+            capsys,
+        )
+        assert code == 0
+        assert err == ""
+        assert all(pt["error"].startswith("degenerate density estimate inf")
+                   for pt in json.loads(out))
+
+    def test_simulate_pfc_d_above_feature_count_exits_2(self, tmp_path, capsys):
+        # the harness gives pfc the features (y, |y|), so r = 2
+        argv = ["simulate", "--model", "2", "--methods", "np,nprt", "--nprt-reduction", "pfc",
+                "--ns", "60", "--nrep", "2", "--points", "1"]
+        code, out, err = run_cli([*argv, "--d", "3", "--out", str(tmp_path / "d3")], capsys)
+        assert code == 2
+        assert out == ""
+        assert "at most 2 directions, got d=3" in err
+        assert not (tmp_path / "d3").exists()
+        code, out, _ = run_cli([*argv, "--d", "2", "--out", str(tmp_path / "d2")], capsys)
+        assert code == 0
+        assert "(missing rate 0.0000)" in out
+
     def test_pfc_d_above_feature_count_exits_2(self, shellfish_csv, capsys):
         # the CLI's cubic feature map has r = 3
         argv = ["reduce", "--input", str(shellfish_csv), "--response", "muscle_mass",

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rednw import npregress
 from rednw.errors import ArgumentError, EmptyWindowError
-from rednw.kernels import BUILTIN_PROFILES, builtin_profile, make_kernel
+from rednw.kernels import BUILTIN_PROFILES, KernelProfile, builtin_profile, make_kernel
 from rednw.npregress import (
     _SORT_MIN_QUERIES,
     BandwidthRule,
     NWConfig,
+    _loo_prefix,
     _nw_core,
     bandwidth,
     gaussian_quantile,
@@ -636,6 +638,124 @@ class TestLoocvReference:
             tracemalloc.stop()
         assert h in rule.cv_grid
         assert peak < 50e6
+
+
+def prefix_loo(kernel, W, Y, h):
+    """_loo_prefix on the sorted sample, returned in the original row order."""
+    order = np.argsort(W[:, 0], kind="stable")
+    mass, eta = np.empty(len(Y)), np.empty(len(Y))
+    mass[order], eta[order] = _loo_prefix(kernel, W[order, 0], Y[order], h)
+    return mass, eta
+
+
+def assert_prefix_close(kernel, W, Y, h, mass, eta, ref_mass, ref_eta):
+    """The prefix sums against a direct evaluation: the same empty windows,
+    and mass and estimate within _loo_prefix's stated rounding bound, n eps
+    5^k per window sample (the direct sums add 1e-13 relative)."""
+    n, k = len(Y), kernel.profile.power
+    assert np.array_equal(mass > 0, ref_mass > 0)
+    assert np.all(mass[ref_mass == 0] == 0) and np.all(np.isnan(eta[ref_mass == 0]))
+    t = np.abs(W[:, 0, None] - W[None, :, 0]) / h
+    count = np.sum(t <= 1.0 if k == 0 else t < 1.0, axis=1) - 1
+    bound = kernel.norm_const * n * np.finfo(float).eps * 5.0 ** k * count
+    ok = ref_mass > 0
+    assert np.all(np.abs(mass - ref_mass) <= bound + 1e-13 * ref_mass)
+    spread = np.max(np.abs(Y - Y.mean()))
+    tol = 2.0 * bound[ok] * spread / ref_mass[ok] + 1e-12 * np.max(np.abs(Y))
+    assert np.all(np.abs(eta[ok] - ref_eta[ok]) <= tol)
+
+
+class TestLoocvPrefix:
+    """d = 1 leave-one-out sums by prefix sums, against the direct core and
+    the dense n x n reference."""
+
+    @pytest.mark.parametrize("profile", BUILTIN_PROFILES)
+    @pytest.mark.parametrize("n", [12, 2 * _SORT_MIN_QUERIES + 7, 600])
+    def test_matches_direct_and_dense(self, profile, n):
+        kern = make_kernel(builtin_profile(profile), 1)
+        # dyadic: 1/8-grid samples sit exactly at q +- h and on chunk edges
+        grid = (0.125, 0.25, 0.5, 1.0)
+        rng = np.random.default_rng(500 + n + BUILTIN_PROFILES.index(profile))
+        for trial in range(3):
+            W = rng.uniform(-1.0, 1.0, size=(n, 1))
+            if trial >= 1:
+                # ties: many samples exactly one bandwidth apart, and every
+                # sample on a chunk boundary (chunks start at the minimum)
+                W = np.round(8.0 * W) / 8.0
+            if trial == 2:
+                # isolated points, and a pair 0.2499999 apart: at h = 0.25
+                # its weight is far below the prefix sums' rounding
+                W[:3] = 10.0 + 5.0 * np.arange(3)[:, None]
+                W[3:5] = 100.0
+                W[4, 0] += 0.2499999
+            Y = rng.standard_normal(n)
+            expected, per_h = dense_loocv(kern, W, Y, grid)
+            rule = BandwidthRule(kind="loocv", cv_grid=grid)
+            assert bandwidth(rule, n=n, p=1, d=1, kernel=kern, W=W, Y=Y) == expected
+            for h in grid:
+                mass, eta = prefix_loo(kern, W, Y, h)
+                ref_mass, ref_eta, _ = _nw_core(kern, W, Y, W, h, leave_one_out=True)
+                assert_prefix_close(kern, W, Y, h, mass, eta, ref_mass, ref_eta)
+                dense_mass, dense_eta = per_h[h]
+                assert_prefix_close(kern, W, Y, h, mass, eta, dense_mass, dense_eta)
+                if trial == 2:
+                    assert np.all(mass[:3] == 0.0)
+                    assert np.all((mass[3:5] > 0.0) == (h >= 0.25))
+
+    @settings(max_examples=80, deadline=None)
+    @given(profile=st.sampled_from(BUILTIN_PROFILES),
+           w=hnp.arrays(float, st.integers(2, 60),
+                        elements=st.one_of(st.floats(-1.0, 1.0),
+                                           st.sampled_from(np.arange(-8, 9) / 8.0))),
+           h=st.one_of(st.sampled_from([0.125, 0.25, 0.5]), st.floats(0.05, 2.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_permutation_invariance(self, profile, w, h, seed):
+        kern = make_kernel(builtin_profile(profile), 1)
+        rng = np.random.default_rng(seed)
+        W, Y = w[:, None], rng.uniform(-1.0, 1.0, w.size)
+        perm = rng.permutation(w.size)
+        mass, eta = prefix_loo(kern, W, Y, h)
+        moved_mass, moved_eta = prefix_loo(kern, W[perm], Y[perm], h)
+        back_mass, back_eta = np.empty_like(mass), np.empty_like(eta)
+        back_mass[perm], back_eta[perm] = moved_mass, moved_eta
+        assert_prefix_close(kern, W, Y, h, back_mass, back_eta, mass, eta)
+        ref_mass, ref_eta, _ = _nw_core(kern, W, Y, W, h, leave_one_out=True)
+        assert_prefix_close(kern, W, Y, h, mass, eta, ref_mass, ref_eta)
+
+    def test_custom_profile_takes_slab_path(self, monkeypatch):
+        """The path follows the profile's power, never its name."""
+        builtin = builtin_profile("triweight_poly3")
+        custom = make_kernel(KernelProfile(name="triweight_poly3", raw_profile=builtin.raw_profile,
+                                           smoothness_order=2), 1)
+        assert custom.profile.power is None
+        calls = []
+        core = npregress._nw_core
+
+        def counting_core(*args, **kwargs):
+            calls.append(kwargs.get("leave_one_out"))
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(npregress, "_nw_core", counting_core)
+        rng = np.random.default_rng(9)
+        W = rng.uniform(-1.0, 1.0, size=(200, 1))
+        Y = np.sin(3.0 * W[:, 0]) + 0.1 * rng.standard_normal(200)
+        rule = BandwidthRule(kind="loocv", cv_grid=(0.1, 0.2, 0.4))
+        h_custom = bandwidth(rule, n=200, p=1, d=1, kernel=custom, W=W, Y=Y)
+        assert calls == [True] * 3
+        assert bandwidth(rule, n=200, p=1, d=1, kernel=TRIWEIGHT_1D, W=W, Y=Y) == h_custom
+        assert calls == [True] * 3
+
+    @pytest.mark.parametrize("h", [1e-9, 1e308])
+    def test_chunks_outside_float_range_take_slab_path(self, h):
+        """Chunk indices past 2^26, or centres that could overflow, leave
+        the bandwidth to the direct core: the same sums bit for bit."""
+        w = np.array([0.0, 0.5, 1.0, 1.0 + 1e-10, 3.0])
+        Y = np.array([1.0, -2.0, 0.5, 4.0, 3.0])
+        mass, eta = _loo_prefix(TRIWEIGHT_1D, w, Y, h)
+        ref_mass, ref_eta, _ = _nw_core(TRIWEIGHT_1D, w[:, None], Y, w[:, None], h,
+                                        leave_one_out=True)
+        assert np.array_equal(mass, ref_mass)
+        assert np.array_equal(eta, ref_eta, equal_nan=True)
 
 
 class TestSupportEdge:
