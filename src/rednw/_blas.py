@@ -23,10 +23,10 @@ def _openblas_controls() -> tuple:
 
 @contextlib.contextmanager
 def blas_threads_per_worker(n_workers: int):
-    """OpenBLAS at cores // n_workers threads (at least 1) inside the block."""
+    """OpenBLAS at min(found, cores // n_workers) threads, at least 1, inside the block."""
     saved = [(put, get()) for get, put in _openblas_controls()]
-    for put, _ in saved:
-        put(max(1, len(os.sched_getaffinity(0)) // n_workers))
+    for put, found in saved:
+        put(min(found, max(1, len(os.sched_getaffinity(0)) // n_workers)))
     try:
         yield
     finally:

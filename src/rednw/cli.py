@@ -324,7 +324,7 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     table = run_replications(cfg, plan.methods, plan.ns, plan.test_points,
                              plan.n_rep, base_seed=plan.base_seed,
                              bandwidth_rule=plan.bandwidth_rule,
-                             n_threads=threads, keep_estimates=True)
+                             n_threads=threads)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
@@ -405,12 +405,12 @@ def _cmd_simulate(args) -> int:
 
 # ----------------------------------------------------------------------- main
 
-def _add_common(sp, from_manifest=False, threads=False):
+def _add_common(sp, from_manifest=False, threads_help=None):
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--config", default=None,
                     help="flat key=value option file; explicit flags win")
-    if threads:
-        sp.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
+    if threads_help:
+        sp.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     if from_manifest:
         sp.add_argument("--from-manifest", default=None,
                         help="reproduce a previous run from its manifest.json")
@@ -481,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "predict":
             fp.add_argument("--test-csv", default=None,
                             help="CSV of predictor rows; empty body allowed")
-        _add_common(fp, from_manifest=True, threads=True)
+        _add_common(fp, from_manifest=True, threads_help="accepted and unused")
         fp.set_defaults(handler=_cmd_fit_predict)
 
     sm = sub.add_parser("simulate", help="replication experiments and table data")
@@ -501,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also run the CI coverage experiment (model 1)")
     sm.add_argument("--coverage-level", type=float, default=0.95)
     sm.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    _add_common(sm, from_manifest=True, threads=True)
+    _add_common(sm, from_manifest=True, threads_help="worker threads")
     sm.set_defaults(handler=_cmd_simulate)
 
     return parser

@@ -46,8 +46,8 @@ class Dataset:
     transforms: tuple[tuple[str, str], ...] = ()
     n_dropped: int = 0
     dropped_rows: tuple[int, ...] = ()
-    # means subtracted by center transforms, so test rows can be shifted
-    # identically
+    # (column, mean) subtracted by each center transform, in order; test
+    # rows replay them
     center_shifts: tuple[tuple[str, float], ...] = ()
 
     @property
@@ -127,6 +127,61 @@ def _parse_row(path, i: int, header: list[str], raw: list[str]) -> list[float]:
     return vals
 
 
+def _read_rows(path, header: list[str], data_rows, transforms,
+               skip_bad_rows: bool = False) -> tuple[NDArray[np.floating], list[int]]:
+    """The rows x columns matrix of the data rows that parse and that every
+    log transform can take, and the numbers of the rows dropped. Logs are
+    checked on the values as read, since a log is its column's first
+    transform. A bad row is dropped with skip_bad_rows, else its DataError
+    is raised."""
+    ids, rows, dropped = [], [], []
+    for i, raw in data_rows:
+        try:
+            rows.append(_parse_row(path, i, header, raw))
+            ids.append(i)
+        except DataError:
+            if not skip_bad_rows:
+                raise
+            dropped.append(i)
+    mat = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    col_of = {name: j for j, name in enumerate(header)}
+    keep = np.ones(len(rows), dtype=bool)
+    for col, op in transforms:
+        if op != "log" or col not in col_of:
+            continue  # the response's log does not apply to test rows
+        bad = keep & (mat[:, col_of[col]] <= 0)
+        if bad.any() and not skip_bad_rows:
+            k = np.flatnonzero(bad)[0]
+            raise DataError(f"{path}: row {ids[k]}, column {col!r}: "
+                            f"log of non-positive value {float(mat[k, col_of[col]])!r}")
+        keep &= ~bad
+    dropped += [i for i, ok in zip(ids, keep) if not ok]
+    return mat[keep], dropped
+
+
+def _apply_transforms(mat, columns: Sequence[str], transforms,
+                      shifts: Sequence[tuple[str, float]] | None = None) -> tuple:
+    """Apply (column, op) pairs in order to mat's named columns, in place.
+
+    Each center subtracts its column's mean, or with ``shifts`` the next
+    recorded (column, shift) in order, so test rows get exactly the training
+    rows' shifts. An op on a column mat lacks (the response, on test rows)
+    only consumes its shift. Returns the (column, shift) of each center.
+    """
+    col_of = {name: j for j, name in enumerate(columns)}
+    used = []
+    for col, op in transforms:
+        j = col_of.get(col)
+        if op == "log" and j is not None:
+            mat[:, j] = np.log(mat[:, j])
+        elif op == "center":
+            shift = shifts[len(used)][1] if shifts is not None else float(mat[:, j].mean())
+            used.append((col, shift))
+            if j is not None:
+                mat[:, j] = mat[:, j] - shift
+    return tuple(used)
+
+
 def load_csv(path, response_col: str,
              transforms: Sequence[tuple[str, str]] | None = None,
              skip_bad_rows: bool = False) -> Dataset:
@@ -134,10 +189,13 @@ def load_csv(path, response_col: str,
 
     Args:
         transforms: (column, op) pairs applied in order; op in TRANSFORMS.
+            A log must be its column's first transform (none aside).
         skip_bad_rows: drop rows with unparseable or non-finite cells (and
             rows a log transform cannot accept) instead of failing.
 
     Raises:
+        ArgumentError: unknown op, or a log after another transform of its
+            column.
         DataError: missing file/column, bad cell, log of a non-positive
             value; messages carry 1-based data row numbers and column names.
     """
@@ -146,97 +204,46 @@ def load_csv(path, response_col: str,
     with _csv_rows(path, "input") as (header, data_rows):
         if response_col not in header:
             raise DataError(f"{path}: response column {response_col!r} not in header {header}")
-        for col, op in transforms:
+        for k, (col, op) in enumerate(transforms):
             if col not in header:
                 raise DataError(f"{path}: transform column {col!r} not in header")
             if op not in TRANSFORMS:
                 raise ArgumentError(f"unknown transform {op!r}; expected one of {TRANSFORMS}")
-        rows = []
-        dropped = []
-        for i, raw in data_rows:
-            try:
-                rows.append((i, _parse_row(path, i, header, raw)))
-            except DataError:
-                if not skip_bad_rows:
-                    raise
-                dropped.append(i)
+            if op == "log" and any(c == col and o != "none" for c, o in transforms[:k]):
+                raise ArgumentError(f"log of column {col!r} must come before its other transforms")
+        data, dropped = _read_rows(path, header, data_rows, transforms, skip_bad_rows)
+    if data.shape[0] < 2:
+        raise DataError(f"{path}: need at least 2 usable rows, got {data.shape[0]}")
+    shifts = _apply_transforms(data, header, transforms)
 
-    # log must be checked per surviving row before any arithmetic
     col_idx = {name: j for j, name in enumerate(header)}
-    for col, op in transforms:
-        if op != "log":
-            continue
-        j = col_idx[col]
-        kept = []
-        for i, vals in rows:
-            if vals[j] <= 0:
-                if skip_bad_rows:
-                    dropped.append(i)
-                    continue
-                raise DataError(
-                    f"{path}: row {i}, column {col!r}: log of non-positive value {vals[j]!r}")
-            kept.append((i, vals))
-        rows = kept
-
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 usable rows, got {len(rows)}")
-    data = np.array([vals for _, vals in rows], dtype=float)
-    raw_means = {}
-    for col, op in transforms:
-        j = col_idx[col]
-        if op == "log":
-            data[:, j] = np.log(data[:, j])
-        elif op == "center":
-            raw_means[col] = data[:, j].mean()
-            data[:, j] = data[:, j] - raw_means[col]
-
     y_j = col_idx[response_col]
     pred_names = tuple(name for name in header if name != response_col)
     pred_js = [col_idx[name] for name in pred_names]
     if not pred_js:
         raise DataError(f"{path}: no predictor columns besides the response")
-    shifts = []
-    for col, op in transforms:
-        if op == "center":
-            shifts.append((col, float(raw_means[col])))
     return Dataset(column_names=pred_names, response_name=response_col,
                    X=data[:, pred_js], Y=data[:, y_j], transforms=transforms,
                    n_dropped=len(dropped), dropped_rows=tuple(sorted(dropped)),
-                   center_shifts=tuple(shifts))
+                   center_shifts=shifts)
 
 
 def load_test_rows(path, dataset: Dataset) -> NDArray[np.floating]:
     """Predictor rows for out-of-sample prediction.
 
     The file must carry exactly the dataset's predictor columns (any
-    order); the dataset's predictor transforms are re-applied, with center
-    shifts taken from the training data. An empty body yields a 0-row
-    matrix.
+    order); the dataset's predictor transforms are re-applied in order,
+    each center with its recorded training shift. An empty body yields a
+    0-row matrix.
     """
     path = Path(path)
     with _csv_rows(path, "test") as (header, data_rows):
         if set(header) != set(dataset.column_names):
             raise DataError(
                 f"{path}: test columns {header} do not match predictors {list(dataset.column_names)}")
-        rows = [_parse_row(path, i, header, raw) for i, raw in data_rows]
-    order = [header.index(name) for name in dataset.column_names]
-    mat = np.array(rows, dtype=float).reshape(len(rows), len(header))[:, order] \
-        if rows else np.empty((0, dataset.p))
-    shifts = dict(dataset.center_shifts)
-    col_of = {name: j for j, name in enumerate(dataset.column_names)}
-    for col, op in dataset.transforms:
-        if col not in col_of:
-            continue  # response transform does not apply to predictor rows
-        j = col_of[col]
-        if op == "log":
-            bad = np.nonzero(mat[:, j] <= 0)[0]
-            if bad.size:
-                raise DataError(
-                    f"{path}: row {bad[0] + 1}, column {col!r}: log of non-positive value")
-            mat[:, j] = np.log(mat[:, j])
-        elif op == "center":
-            mat[:, j] = mat[:, j] - shifts[col]
-    return mat
+        mat, _ = _read_rows(path, header, data_rows, dataset.transforms)
+    _apply_transforms(mat, header, dataset.transforms, dataset.center_shifts)
+    return mat[:, [header.index(name) for name in dataset.column_names]]
 
 
 def synthetic_shellfish(n: int = 79, seed: int = 8671):
@@ -309,7 +316,6 @@ class SimulationPlan:
     base_seed: int
     bandwidth_rule: BandwidthRule
     test_points: NDArray[np.floating]
-    config: dict
 
 
 def simulation_plan_from_config(config: dict) -> SimulationPlan:
@@ -342,7 +348,7 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
                             f"{PFC_MAX_D} directions, got d={d}")
     return SimulationPlan(model_cfg=cfg, methods=methods, ns=ns, n_rep=n_rep,
                           base_seed=seed, bandwidth_rule=rule,
-                          test_points=test_points, config=dict(config))
+                          test_points=test_points)
 
 
 def recompute_cell_from_manifest(manifest: RunManifest | str | Path,
@@ -374,9 +380,6 @@ def cubic_fy(y):
 class WorkflowResult:
     points: tuple[dict, ...]
     plot_rows: tuple[tuple, ...]
-    method: str
-    d: int
-    h_rule: BandwidthRule
     basis_matrix: NDArray[np.floating]
 
     @property
@@ -415,7 +418,6 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
             raise ArgumentError(
                 f"basis expects p={precomputed_basis.p} columns, data has {p}")
         basis = precomputed_basis
-        method = "file"
     else:
         if method not in FIT_METHODS:
             raise ArgumentError(f"unknown workflow method {method!r}; expected np, pls, pfc, or sir")
@@ -433,8 +435,7 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
     in_sample = test_rows is None
     X0 = X if in_sample else np.atleast_2d(np.asarray(test_rows, dtype=float))
     if X0.shape[0] == 0:
-        return WorkflowResult(points=(), plot_rows=(), method=method, d=dim,
-                              h_rule=rule, basis_matrix=basis.matrix)
+        return WorkflowResult(points=(), plot_rows=(), basis_matrix=basis.matrix)
     if X0.shape[1] != p:
         raise ArgumentError(f"test rows have {X0.shape[1]} columns, data has p={p}")
 
@@ -454,4 +455,4 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
             points.append({"x0": x0_list, "error": res.error})
             plot_rows.append((None, observed, None, None))
     return WorkflowResult(points=tuple(points), plot_rows=tuple(plot_rows),
-                          method=method, d=dim, h_rule=rule, basis_matrix=basis.matrix)
+                          basis_matrix=basis.matrix)

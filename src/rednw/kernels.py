@@ -9,7 +9,7 @@ smoothness/moment conditions the regression estimator relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,8 +42,8 @@ class KernelProfile:
         raw_derivative: optional analytic k', also applied to arrays;
             finite differences otherwise.
         power: k when the profile is (1 - t^2)^k on [0, 1] with support
-            radius 1; set by ``builtin_profile`` only. It lets d = 1
-            leave-one-out sums run on prefix sums (see ``npregress``).
+            radius 1; not an argument, only ``builtin_profile`` sets it.
+            It lets d = 1 leave-one-out sums in ``npregress`` run on prefix sums.
     """
 
     name: str
@@ -51,7 +51,7 @@ class KernelProfile:
     support_radius: float = 1.0
     smoothness_order: int = 0
     raw_derivative: Callable[[NDArray[np.floating]], NDArray[np.floating]] | None = None
-    power: int | None = None
+    power: int | None = field(default=None, init=False)
 
 
 def _power_profile(k: int):
@@ -98,8 +98,10 @@ def builtin_profile(name: str) -> KernelProfile:
         )
     k, smooth = table[name]
     f, fd = _power_profile(k)
-    return KernelProfile(name=name, raw_profile=f, support_radius=1.0,
-                         smoothness_order=smooth, raw_derivative=fd, power=k)
+    profile = KernelProfile(name=name, raw_profile=f, support_radius=1.0,
+                            smoothness_order=smooth, raw_derivative=fd)
+    object.__setattr__(profile, "power", k)  # frozen, and no caller may set it
+    return profile
 
 
 def surface_area(d: int) -> float:

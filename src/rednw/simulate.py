@@ -292,10 +292,9 @@ class ReplicationTable:
     n_rep: int
     base_seed: int
     # raw per-replication estimates keyed (point_id, n, method), NaN for
-    # missing, and under the same keys n_rep x 2 arrays of (ci_lo, ci_hi);
-    # populated only when run_replications(keep_estimates=True)
-    estimates: dict | None = None
-    intervals: dict | None = None
+    # missing, and under the same keys n_rep x 2 arrays of (ci_lo, ci_hi)
+    estimates: dict
+    intervals: dict
 
     @property
     def missing_rate(self) -> float:
@@ -349,22 +348,20 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
                      test_points: NDArray[np.floating], n_rep: int,
                      base_seed: int | None = None,
                      bandwidth_rule: BandwidthRule | None = None,
-                     n_threads: int = 1, keep_estimates: bool = False,
-                     ci_level: float = 0.95) -> ReplicationTable:
+                     n_threads: int = 1, ci_level: float = 0.95) -> ReplicationTable:
     """Replicated estimator comparison on fixed test points.
 
     For each (n, rep) draws a fresh dataset from its own RNG stream, fits
     every method, and evaluates all test points; cells aggregate emse,
     sample variance, and mean per (point, n, method). Empty windows and
-    failed fits become missing entries with counts. Results are identical
-    for any n_threads.
+    failed fits become missing entries with counts. The table also keeps
+    every replication's estimate and its ci_level confidence interval
+    (``estimates``, ``intervals``). Results are identical for any n_threads.
 
     Args:
         cfg: Model1Config or Model2Config.
         base_seed: defaults to cfg.seed.
         bandwidth_rule: defaults to the model's published power rule.
-        keep_estimates: also keep every replication's estimate and its
-            ci_level confidence interval (``estimates``, ``intervals``).
     """
     methods = list(methods)
     if not methods:
@@ -403,17 +400,15 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
 
     truths = cfg.truth(test_points) if isinstance(cfg, Model1Config) else None
     cells = []
-    kept = {} if keep_estimates else None
-    intervals = {} if keep_estimates else None
+    kept, intervals = {}, {}
     for j in range(test_points.shape[0]):
         for n in ns:
             for lab in labels:
                 # fixed (n, rep, point) aggregation order keeps cells bit-stable
                 reps = np.array([results[(n, rep)][lab][j] for rep in range(n_rep)])
                 v = reps[:, 0]
-                if kept is not None:
-                    kept[(j, n, lab)] = v.copy()
-                    intervals[(j, n, lab)] = reps[:, 1:]
+                kept[(j, n, lab)] = v.copy()
+                intervals[(j, n, lab)] = reps[:, 1:]
                 good = v[~np.isnan(v)]
                 n_missing = int(np.isnan(v).sum())
                 if good.size:
@@ -478,7 +473,7 @@ def equivalence_experiment(cfg: Model1Config, ns: Sequence[int], n_rep: int,
     methods = [MethodSpec("npr"), MethodSpec("nprt", reduction=reduction)]
     table = run_replications(cfg, methods, ns, np.ravel(x0)[None, :], n_rep,
                              base_seed=base_seed, bandwidth_rule=rule,
-                             n_threads=n_threads, keep_estimates=True)
+                             n_threads=n_threads)
     rows = []
     for n, h in zip(table.ns, hs):
         gap = np.abs(table.estimates[(0, n, "NPRT")] - table.estimates[(0, n, "NPR")])
@@ -526,7 +521,7 @@ def coverage_experiment(cfg: Model1Config, n: int, n_rep: int,
     x0 = np.ravel(x0)
     table = run_replications(cfg, [MethodSpec("npr")], [n], x0[None, :], n_rep,
                              base_seed=base_seed, bandwidth_rule=rule, n_threads=n_threads,
-                             keep_estimates=True, ci_level=level)
+                             ci_level=level)
     ci = table.intervals[(0, n, "NPR")]
     ci_lo, ci_hi = ci[~np.isnan(ci[:, 0])].T
     if not ci_lo.size:

@@ -423,7 +423,7 @@ def test_c11_estimated_reduction_coverage():
         table = run_replications(cfg, [MethodSpec(method="nprt", reduction=reduction)],
                                  ns=[4000], test_points=x0[None, :], n_rep=500,
                                  base_seed=BASE_SEED, bandwidth_rule=undersmoothed_rule(),
-                                 n_threads=2, keep_estimates=True)
+                                 n_threads=2)
         ci_lo, ci_hi = table.intervals[(0, 4000, "NPRT")].T
         kept = ~np.isnan(ci_lo)
         excluded += int(np.sum(~kept))

@@ -147,6 +147,24 @@ class TestReduce:
 
 
 class TestFitPredict:
+    @pytest.mark.parametrize("chain", ["a=log,a=log", "a=center,a=log"])
+    def test_log_after_another_transform_exits_2(self, tmp_path, chain):
+        """Rejected before any value is logged: one error line, no numpy
+        warning on stderr (a child process, since pytest records warnings)."""
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n1.0,2.0,1.0\n2.0,3.0,2.0\n0.5,1.0,3.0\n")
+        root = str(Path(rednw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rednw.cli", "fit", "--input", str(path), "--response", "y",
+             "--transform", chain, "--bandwidth-kind", "fixed", "--h", "1.0"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "column 'a'" in proc.stderr
+
     def test_fit_in_sample_json(self, shellfish_csv, capsys):
         code, out, _ = run_cli(
             [

@@ -115,6 +115,29 @@ class TestLoadCsv:
         with pytest.raises(ArgumentError):
             load_csv(small_csv, response_col="y", transforms=[("a", "sqrt")])
 
+    @pytest.mark.parametrize("chain", [[("a", "log"), ("a", "log")],
+                                       [("a", "center"), ("a", "log")]])
+    def test_log_after_another_transform_rejected(self, tmp_path, chain):
+        """Checked before any row is read: the bad cell below is never reached."""
+        path = write_csv(tmp_path / "c.csv", "a,y\n2.0,1.0\noops,2.0\n0.5,3.0\n")
+        with pytest.raises(ArgumentError, match="column 'a'"):
+            load_csv(path, response_col="y", transforms=chain)
+
+    def test_none_before_log_allowed(self, small_csv):
+        ds = load_csv(small_csv, response_col="y", transforms=[("a", "none"), ("a", "log")])
+        np.testing.assert_allclose(ds.X[:, 0], np.log([1.0, 4.0, 7.0]), rtol=1e-15)
+
+    def test_skip_bad_rows_before_center(self, tmp_path):
+        """Rows a log cannot take and rows that do not parse are dropped
+        before any center, so the means come from the kept rows."""
+        path = write_csv(tmp_path / "m.csv", "a,b,y\n1.0,2.0,1.0\n-1.0,100.0,2.0\n"
+                                             "4.0,6.0,3.0\nx,7.0,4.0\n9.0,10.0,5.0\n")
+        ds = load_csv(path, response_col="y", transforms=[("b", "center"), ("a", "log")],
+                      skip_bad_rows=True)
+        assert ds.dropped_rows == (2, 4) and ds.n_dropped == 2
+        assert ds.center_shifts == (("b", 6.0),)
+        np.testing.assert_array_equal(ds.X, [[0.0, -4.0], [np.log(4.0), 0.0], [np.log(9.0), 4.0]])
+
     def test_transform_on_unknown_column(self, small_csv):
         with pytest.raises(DataError):
             load_csv(small_csv, response_col="y", transforms=[("q", "log")])
@@ -141,6 +164,21 @@ class TestTestRows:
         rows = load_test_rows(path, ds)
         # center uses the training mean (5.0), not the test mean
         np.testing.assert_allclose(rows, [[np.log(2.0), 2.0]])
+
+    @pytest.mark.parametrize("chain", [
+        [("b", "center"), ("b", "center")],
+        [("a", "log"), ("a", "center"), ("b", "center"), ("a", "center")],
+        [("y", "log"), ("y", "center"), ("b", "center")],
+    ], ids=["double-center", "log-then-centers", "response-centered"])
+    def test_training_rows_reload_as_training_x(self, tmp_path, chain):
+        """Test rows replay every recorded shift in order, so the training
+        predictors read back as test rows give the training X bit for bit."""
+        path = write_csv(tmp_path / "tr.csv", "a,b,y\n1.5,-20.0,3.0\n4.0,10.0,6.0\n"
+                                              "7.25,40.0,9.0\n0.5,0.1,2.0\n")
+        ds = load_csv(path, response_col="y", transforms=chain)
+        assert len(ds.center_shifts) == sum(op == "center" for _, op in chain)
+        test = write_csv(tmp_path / "t.csv", "b,a\n-20.0,1.5\n10.0,4.0\n40.0,7.25\n0.1,0.5\n")
+        np.testing.assert_array_equal(load_test_rows(test, ds), ds.X)
 
     def test_empty_body_gives_zero_rows(self, small_csv, tmp_path):
         ds = load_csv(small_csv, response_col="y")
@@ -342,9 +380,8 @@ class TestPredictWorkflow:
         assert res.n_failed == 1
         assert "error" in res.points[0]
 
-    def test_precomputed_basis_labeled_file(self, shellfish_csv):
+    def test_precomputed_basis_used(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         basis = oracle_basis([[1.0, 0.0, 0.0, 0.0]])
         res = run_predict_workflow(ds, precomputed_basis=basis)
-        assert res.method == "file"
         np.testing.assert_allclose(res.basis_matrix, basis.matrix)

@@ -1,5 +1,6 @@
 """Tests for the plug-in kernel regression estimator and its intervals."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -744,6 +745,31 @@ class TestLoocvPrefix:
         assert calls == [True] * 3
         assert bandwidth(rule, n=200, p=1, d=1, kernel=TRIWEIGHT_1D, W=W, Y=Y) == h_custom
         assert calls == [True] * 3
+
+    def test_replaced_profile_takes_slab_path(self, monkeypatch):
+        """power is not an argument, and a profile replaced from a built-in
+        drops it: triweight with biweight's raw profile must not run the
+        prefix sums with triweight's coefficients."""
+        biweight = builtin_profile("biweight")
+        with pytest.raises(TypeError):
+            KernelProfile(name="custom", raw_profile=biweight.raw_profile, power=3)
+        swapped = dataclasses.replace(builtin_profile("triweight_poly3"),
+                                      raw_profile=biweight.raw_profile)
+        assert swapped.power is None
+        calls = []
+        core = npregress._nw_core
+
+        def counting_core(*args, **kwargs):
+            calls.append(kwargs.get("leave_one_out"))
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(npregress, "_nw_core", counting_core)
+        rng = np.random.default_rng(11)
+        W, Y = rng.standard_normal((400, 1)), rng.standard_normal(400)
+        rule = BandwidthRule(kind="loocv", cv_grid=(0.1, 0.3, 0.9))
+        h = bandwidth(rule, n=400, p=1, d=1, kernel=make_kernel(swapped, 1), W=W, Y=Y)
+        assert calls == [True] * 3
+        assert bandwidth(rule, n=400, p=1, d=1, kernel=make_kernel(biweight, 1), W=W, Y=Y) == h
 
     @pytest.mark.parametrize("h", [1e-9, 1e308])
     def test_chunks_outside_float_range_take_slab_path(self, h):

@@ -230,11 +230,12 @@ class TestReplicationHarness:
         assert redo.mean_estimate == cell.mean_estimate
 
     def test_kept_estimates_reproduce_emse(self):
+        """A default table keeps every replication's estimate."""
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=2)
         table = run_replications(
             cfg, [MethodSpec(method="npr")], ns=[100], test_points=pts,
-            n_rep=15, base_seed=5, keep_estimates=True,
+            n_rep=15, base_seed=5,
         )
         for cell in table.cells:
             vec = table.estimates[(cell.point_id, cell.n, cell.method)]
@@ -324,7 +325,7 @@ class TestReplicationHarness:
         pts[1] += 50.0  # far outside the data cloud: every replication missing
         table = run_replications(
             cfg, [MethodSpec(method="npr"), MethodSpec(method="nprt", reduction="wrong_direction")],
-            ns=[100], test_points=pts, n_rep=8, base_seed=5, keep_estimates=True,
+            ns=[100], test_points=pts, n_rep=8, base_seed=5,
             bandwidth_rule=undersmoothed_rule(),
         )
         assert table.intervals.keys() == table.estimates.keys()
@@ -495,7 +496,8 @@ class TestDefaults:
 
 
 class TestBlasThreads:
-    """The replication pool runs OpenBLAS at cores // n_threads threads."""
+    """The replication pool runs OpenBLAS at cores // n_threads threads, at
+    most the count it found."""
 
     @staticmethod
     def _fake_openblas(monkeypatch, cores=4, start=8):
@@ -511,6 +513,13 @@ class TestBlasThreads:
         with _blas.blas_threads_per_worker(workers):
             assert seen[-1] == cap
         assert seen == [8, cap, 8]
+
+    def test_never_raised_above_the_count_found(self, monkeypatch):
+        """A library found at 1 thread (say OPENBLAS_NUM_THREADS=1) stays at 1."""
+        seen = self._fake_openblas(monkeypatch, cores=8, start=1)
+        with _blas.blas_threads_per_worker(2):
+            assert seen[-1] == 1
+        assert seen == [1, 1, 1]
 
     def test_restored_after_an_error(self, monkeypatch):
         seen = self._fake_openblas(monkeypatch)
