@@ -44,6 +44,7 @@ from .reduction import (
 )
 from .npregress import (
     BandwidthRule,
+    NWBatch,
     NWConfig,
     NWFit,
     PointResult,

@@ -156,10 +156,9 @@ def _write_matrix(path, matrix) -> None:
             w.writerow([repr(float(v)) for v in row])
 
 
-def _emit(result, args, name: str) -> Path | None:
-    """Print the result as JSON; with --out, write the same text to
+def _emit(text: str, args, name: str) -> Path | None:
+    """Print a result's JSON text; with --out, write the same text to
     out/name. Returns the --out directory, or None without one."""
-    text = json_text(result)
     sys.stdout.write(text)
     if not args.out:
         return None
@@ -189,7 +188,7 @@ def _cmd_kernel_check(args) -> int:
     report = validate_conditions(kernel).to_json_dict()
     report["profile"] = profile.name
     report["dim"] = args.dim
-    _emit(report, args, "kernel_check.json")
+    _emit(json_text(report), args, "kernel_check.json")
     return 0
 
 
@@ -257,7 +256,7 @@ def _cmd_reduce(args) -> int:
             "n_dropped": ds.n_dropped,
         },
     }
-    out = _emit(meta, args, "basis_meta.json")
+    out = _emit(json_text(meta), args, "basis_meta.json")
     if out:
         _write_matrix(out / "basis.csv", basis.matrix)
         _write_manifest(args, out, ("basis.csv", "basis_meta.json"))
@@ -275,10 +274,10 @@ def _cmd_fit_predict(args) -> int:
         bandwidth_rule=_rule_from_args(args), test_rows=test,
         ci_level=args.ci_level, allow_nonsmooth_kernel=args.allow_nonsmooth_kernel,
         precomputed_basis=basis)
-    out = _emit(list(wf.points), args, "predictions.json")
+    out = _emit(wf.points_json(), args, "predictions.json")
     outputs = []
     if args.plot_data:
-        write_table(args.plot_data, ["fitted", "observed", "ci_lo", "ci_hi"], wf.plot_rows)
+        Path(args.plot_data).write_text(wf.plot_csv(), newline="")
         outputs.append(str(args.plot_data))
     if out:
         _write_manifest(args, out, (*outputs, "predictions.json"))

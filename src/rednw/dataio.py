@@ -2,7 +2,9 @@
 
 Everything numeric is serialized as shortest round-trip decimals (Python
 repr), so files written here reload bit-exactly and golden outputs are
-stable across platforms.
+stable across platforms. The prediction workflow's run files, the points
+JSON and the plot CSV, are formatted straight from the NW batch's columns,
+byte for byte in the layouts of ``json_text`` and ``write_table``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +24,7 @@ from numpy.typing import NDArray
 
 from .errors import ArgumentError, DataError
 from .kernels import builtin_profile, make_kernel
-from .npregress import BandwidthRule, NWConfig, nw_batch
+from .npregress import BandwidthRule, NWBatch, NWConfig, nw_batch
 from .reduction import FIT_METHODS, fit
 from .simulate import (
     PFC_MAX_D,
@@ -97,7 +100,8 @@ def sha256_file(path) -> str:
 @contextlib.contextmanager
 def _csv_rows(path: Path, kind: str):
     """The stripped header of a CSV file, and (1-based data row number,
-    cells) for each row that is not blank."""
+    cells) for each row that is not blank. A repeated column name raises
+    DataError."""
     if not path.exists():
         raise DataError(f"{kind} file not found: {path}")
     with open(path, newline="") as fh:
@@ -106,6 +110,9 @@ def _csv_rows(path: Path, kind: str):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
+        repeated = next((name for k, name in enumerate(header) if name in header[:k]), None)
+        if repeated is not None:
+            raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
         yield header, ((i, raw) for i, raw in enumerate(reader, start=1)
                        if raw and any(c.strip() for c in raw))
 
@@ -196,8 +203,9 @@ def load_csv(path, response_col: str,
     Raises:
         ArgumentError: unknown op, or a log after another transform of its
             column.
-        DataError: missing file/column, bad cell, log of a non-positive
-            value; messages carry 1-based data row numbers and column names.
+        DataError: missing file/column, repeated column name, bad cell, log
+            of a non-positive value; messages carry 1-based data row numbers
+            and column names.
     """
     path = Path(path)
     transforms = tuple(transforms or ())
@@ -232,9 +240,9 @@ def load_test_rows(path, dataset: Dataset) -> NDArray[np.floating]:
     """Predictor rows for out-of-sample prediction.
 
     The file must carry exactly the dataset's predictor columns (any
-    order); the dataset's predictor transforms are re-applied in order,
-    each center with its recorded training shift. An empty body yields a
-    0-row matrix.
+    order, each once); the dataset's predictor transforms are re-applied in
+    order, each center with its recorded training shift. An empty body
+    yields a 0-row matrix.
     """
     path = Path(path)
     with _csv_rows(path, "test") as (header, data_rows):
@@ -376,15 +384,74 @@ def cubic_fy(y):
     return np.column_stack([y, y ** 2, y ** 3])
 
 
-@dataclass(frozen=True)
+# json_text's layout of one ok point inside the points list; the x0 entries
+# follow, then _POINT_TAIL
+_POINT_HEAD = ('{\n    "ci_hi": %r,\n    "ci_lo": %r,\n    "eta_hat": %r,\n    "f_hat": %r,\n'
+               '    "h": %r,\n    "sigma2_hat": %r,\n    "x0": [\n      ')
+_POINT_TAIL = "\n    ]\n  }"
+
+
+@dataclass(frozen=True, eq=False)
 class WorkflowResult:
-    points: tuple[dict, ...]
-    plot_rows: tuple[tuple, ...]
+    """The NW batch at the query rows X0, with the observed response at each
+    row for in-sample fits (None out of sample).
+
+    ``points`` and ``plot_rows`` are built from the batch when first read;
+    ``points_json`` and ``plot_csv`` format the run files straight from its
+    columns.
+    """
+
+    batch: NWBatch
+    X0: NDArray[np.floating]
+    observed: NDArray[np.floating] | None
     basis_matrix: NDArray[np.floating]
+
+    def _point(self, i: int) -> dict:
+        x0, res = self.X0[i].tolist(), self.batch[i]
+        if not res.ok:
+            return {"x0": x0, "error": res.error}
+        f = res.fit
+        return {"x0": x0, "eta_hat": f.eta_hat, "ci_lo": f.ci_lo, "ci_hi": f.ci_hi,
+                "f_hat": f.f_hat, "sigma2_hat": f.sigma2_hat, "h": f.h_used}
+
+    def _observed(self) -> list:
+        return [None] * len(self.batch) if self.observed is None else self.observed.tolist()
+
+    @cached_property
+    def points(self) -> tuple[dict, ...]:
+        return tuple(map(self._point, range(len(self.batch))))
+
+    @cached_property
+    def plot_rows(self) -> tuple[tuple, ...]:
+        return tuple((r.fit.eta_hat, o, r.fit.ci_lo, r.fit.ci_hi) if r.ok else (None, o, None, None)
+                     for r, o in zip(self.batch, self._observed()))
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for pt in self.points if pt.get("error"))
+        return int(np.count_nonzero(~self.batch.ok))
+
+    def points_json(self) -> str:
+        """``json_text(list(self.points))``, byte for byte. Each ok row with
+        finite numbers fills one %r template; any other row is its point's
+        json_text indented one level, which is exact because JSON strings
+        hold no raw newline."""
+        b = self.batch
+        cols = np.vstack([b.ci_hi, b.ci_lo, b.eta_hat, b.f_hat, np.full(len(b), b.h),
+                          b.sigma2_hat, self.X0.T])
+        fast = b.ok & np.isfinite(cols).all(axis=0)
+        template = _POINT_HEAD + ",\n      ".join(["%r"] * self.X0.shape[1]) + _POINT_TAIL
+        items = [template % row if ok else json_text(self._point(i))[:-1].replace("\n", "\n  ")
+                 for i, (ok, row) in enumerate(zip(fast.tolist(), zip(*cols.tolist())))]
+        return "[\n  " + ",\n  ".join(items) + "\n]\n" if items else "[]\n"
+
+    def plot_csv(self) -> str:
+        """write_table's file of ``plot_rows`` under the header fitted,
+        observed, ci_lo, ci_hi, byte for byte (no cell needs quoting)."""
+        b = self.batch
+        rows = zip(b.ok.tolist(), b.eta_hat.tolist(), map(_fmt, self._observed()),
+                   b.ci_lo.tolist(), b.ci_hi.tolist())
+        return "fitted,observed,ci_lo,ci_hi\r\n" + "".join(
+            "%r,%s,%r,%r\r\n" % row[1:] if row[0] else ",%s,,\r\n" % row[2] for row in rows)
 
 
 def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
@@ -435,24 +502,10 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
     in_sample = test_rows is None
     X0 = X if in_sample else np.atleast_2d(np.asarray(test_rows, dtype=float))
     if X0.shape[0] == 0:
-        return WorkflowResult(points=(), plot_rows=(), basis_matrix=basis.matrix)
-    if X0.shape[1] != p:
+        batch = NWBatch(dataset.n, math.nan, np.zeros(0, dtype=bool), *np.empty((6, 0)), {})
+    elif X0.shape[1] != p:
         raise ArgumentError(f"test rows have {X0.shape[1]} columns, data has p={p}")
-
-    points = []
-    plot_rows = []
-    x0_lists = X0.astype(float, copy=False).tolist()
-    for res in nw_batch(config, basis, X, Y, X0):
-        x0_list = x0_lists[res.index]
-        observed = float(Y[res.index]) if in_sample else None
-        if res.ok:
-            f = res.fit
-            points.append({"x0": x0_list, "eta_hat": f.eta_hat, "ci_lo": f.ci_lo,
-                           "ci_hi": f.ci_hi, "f_hat": f.f_hat,
-                           "sigma2_hat": f.sigma2_hat, "h": f.h_used})
-            plot_rows.append((f.eta_hat, observed, f.ci_lo, f.ci_hi))
-        else:
-            points.append({"x0": x0_list, "error": res.error})
-            plot_rows.append((None, observed, None, None))
-    return WorkflowResult(points=tuple(points), plot_rows=tuple(plot_rows),
+    else:
+        batch = nw_batch(config, basis, X, Y, X0)
+    return WorkflowResult(batch=batch, X0=X0, observed=Y if in_sample else None,
                           basis_matrix=basis.matrix)

@@ -3,7 +3,8 @@
 Point estimates eta_hat(x0) = sum_i w_i Y_i / sum_i w_i with radial kernel
 weights w_i = K((basis x0 - basis X_i)/h), plug-in density and conditional
 variance estimates, and asymptotic confidence intervals with half-width
-z * sqrt(sigma2 * R(K) / (n h^d f_hat)).
+z * sqrt(sigma2 * R(K) / (n h^d f_hat)). ``nw_batch`` returns these as
+columns (``NWBatch``), which also reads as a sequence of per-row results.
 
 Batches, the replication density and leave-one-out bandwidth selection
 for d > 1 or a custom profile run on one core, ``_nw_core``. A batch with
@@ -37,6 +38,7 @@ whose mass is below 1000 times that bound is summed directly.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -174,6 +176,42 @@ class PointResult:
     @property
     def ok(self) -> bool:
         return self.fit is not None
+
+
+@dataclass(frozen=True, eq=False)
+class NWBatch(abc.Sequence):
+    """``nw_batch``'s result as columns, one entry per query row.
+
+    ``mass`` holds every row's kernel mass; the other columns are NaN where
+    ``ok`` is False, and ``errors`` maps each such row to its message.
+    Indexing and iteration give each row as a PointResult, built on demand.
+    """
+
+    n: int
+    h: float
+    ok: NDArray[np.bool_]
+    mass: NDArray[np.floating]
+    eta_hat: NDArray[np.floating]
+    sigma2_hat: NDArray[np.floating]
+    f_hat: NDArray[np.floating]
+    ci_lo: NDArray[np.floating]
+    ci_hi: NDArray[np.floating]
+    errors: dict[int, str]
+
+    def __len__(self) -> int:
+        return self.ok.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]  # negative from the end; IndexError past either end
+        if not self.ok[i]:
+            return PointResult(index=i, fit=None, error=self.errors[i])
+        fit = NWFit(eta_hat=float(self.eta_hat[i]), f_hat=float(self.f_hat[i]),
+                    sigma2_hat=float(self.sigma2_hat[i]), h_used=self.h, n=self.n,
+                    ci_lo=float(self.ci_lo[i]), ci_hi=float(self.ci_hi[i]),
+                    effective_mass=float(self.mass[i]))
+        return PointResult(index=i, fit=fit, error=None)
 
 
 def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: float,
@@ -492,8 +530,9 @@ def bandwidth(rule: BandwidthRule, n: int, p: int, d: int,
 
 def nw_batch(config: NWConfig, basis: ReductionBasis,
              X: NDArray[np.floating], Y: NDArray[np.floating],
-             X0: NDArray[np.floating]) -> list[PointResult]:
-    """NW estimate at every row of X0; failed rows carry the error message.
+             X0: NDArray[np.floating]) -> NWBatch:
+    """NW estimate at every row of X0, as columns; failed rows carry the
+    error message.
 
     Raises:
         ArgumentError: Y, X @ basis.T or a reduced row of X0 is not finite.
@@ -539,29 +578,23 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
     with np.errstate(all="ignore"):
         # float64, so an h**d past the float range gives inf or 0, not an exception
         f_hats = mass / (n * np.float64(h) ** config.d)
-    out = []
-    for i, (m, e, s2, f_hat) in enumerate(zip(mass.tolist(), eta.tolist(), sigma2.tolist(),
-                                              f_hats.tolist())):
-        fit = error = None
-        if m < _MIN_EFFECTIVE_MASS:
-            error = (f"no sample points inside the kernel window at "
-                     f"w0={np.array2string(W0[i], precision=6)} "
-                     f"with h={h:.6g} (effective mass {m:.3e})")
-        elif not math.isfinite(f_hat) or f_hat <= 0.0:
-            # The density value itself scales like h^{-d} and is legitimately
-            # tiny in high dimensions; emptiness is a statement about mass,
-            # which the branch above covers. Only a degenerate value (0 or
-            # inf, from h**d or f_hat leaving the float range) is an error.
-            error = (f"degenerate density estimate {f_hat:.3e} at "
-                     f"w0={np.array2string(W0[i], precision=6)} with h={h:.6g}")
-        else:
-            # n * h**d * f_hat == mass exactly; dividing by mass avoids
-            # re-forming a product that can overflow for large d.
-            half = z * math.sqrt(s2 * config.kernel.l2_const / m)
-            fit = NWFit(eta_hat=e, f_hat=f_hat, sigma2_hat=s2, h_used=h, n=n,
-                        ci_lo=e - half, ci_hi=e + half, effective_mass=m)
-        out.append(PointResult(index=i, fit=fit, error=error))
-    return out
+    ok = (mass >= _MIN_EFFECTIVE_MASS) & np.isfinite(f_hats) & (f_hats > 0.0)
+    errors = {}
+    for i in np.flatnonzero(~ok).tolist():
+        w0 = np.array2string(W0[i], precision=6)
+        # The density value itself scales like h^{-d} and is legitimately
+        # tiny in high dimensions; emptiness is a statement about mass. Only
+        # a degenerate value (0 or inf, from h**d or f_hat leaving the float
+        # range) is an error.
+        errors[i] = (f"no sample points inside the kernel window at w0={w0} with h={h:.6g} "
+                     f"(effective mass {mass[i]:.3e})" if mass[i] < _MIN_EFFECTIVE_MASS else
+                     f"degenerate density estimate {f_hats[i]:.3e} at w0={w0} with h={h:.6g}")
+    with np.errstate(all="ignore"):
+        # n * h**d * f_hat == mass exactly; dividing by mass avoids
+        # re-forming a product that can overflow for large d
+        half = z * np.sqrt(sigma2 * config.kernel.l2_const / mass)
+    cols = np.where(ok, [eta, sigma2, f_hats, eta - half, eta + half], np.nan)
+    return NWBatch(n, h, ok, mass, *cols, errors)
 
 
 def nw_estimate(config: NWConfig, basis: ReductionBasis,

@@ -331,16 +331,14 @@ def _one_rep(cfg, methods, base_seed: int, test_points, configs: dict, fixed: di
     X, Y, _ = gen(cfg, n, rng_stream=rep)
     out = {}
     for spec in methods:
-        # (eta_hat, ci_lo, ci_hi) per test point
-        est = np.full((test_points.shape[0], 3), np.nan)
         try:
             basis = fixed.get(spec.label) or _fit_basis(spec, cfg, X, Y, rep, base_seed)
-            for res in nw_batch(configs[spec.label], basis, X, Y, test_points):
-                if res.ok:
-                    est[res.index] = (res.fit.eta_hat, res.fit.ci_lo, res.fit.ci_hi)
+            batch = nw_batch(configs[spec.label], basis, X, Y, test_points)
+            # (eta_hat, ci_lo, ci_hi) per test point, NaN where it failed
+            out[spec.label] = np.column_stack((batch.eta_hat, batch.ci_lo, batch.ci_hi))
         except RednwError:
-            pass  # fit-level failure leaves the whole row missing
-        out[spec.label] = est
+            # fit-level failure leaves the whole row missing
+            out[spec.label] = np.full((test_points.shape[0], 3), np.nan)
     return task, out
 
 

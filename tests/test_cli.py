@@ -262,6 +262,23 @@ class TestFitPredict:
         assert out == ""
         assert "row 1, column 'height': non-finite value 'nan'" in err
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_repeated_column_exits_3(self, shellfish_csv, tmp_path, capsys, command):
+        """Like a missing column, a repeated one is a data error."""
+        dup = tmp_path / "dup.csv"
+        dup.write_text("a,a,y\n1,10,1\n2,20,2\n3,35,3.5\n4,41,4\n")
+        argv = [command, "--input", str(dup), "--response", "y", "--method", "np"]
+        if command == "predict":
+            test_csv = tmp_path / "new.csv"
+            test_csv.write_text("length,length,height,shell_mass\n205.0,70.0,20.0,30.0\n")
+            argv = ["predict", "--input", str(shellfish_csv), "--response", "muscle_mass",
+                    "--test-csv", str(test_csv)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        name = "a" if command == "fit" else "length"
+        assert f"column '{name}' appears more than once in the header" in err
+
     def test_predict_empty_test_set(self, shellfish_csv, tmp_path, capsys):
         test_csv = tmp_path / "empty.csv"
         test_csv.write_text("length,width,height,shell_mass\n")

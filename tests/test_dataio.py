@@ -1,15 +1,20 @@
 """Tests for CSV ingestion, manifests, fixtures, and the prediction workflow."""
 
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rednw.dataio import (
     Dataset,
     RunManifest,
+    WorkflowResult,
     json_text,
     load_csv,
     load_test_rows,
@@ -20,7 +25,7 @@ from rednw.dataio import (
     write_table,
 )
 from rednw.errors import ArgumentError, DataError
-from rednw.npregress import BandwidthRule
+from rednw.npregress import BandwidthRule, NWBatch
 from rednw.reduction import oracle_basis
 
 
@@ -146,6 +151,14 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv", response_col="y")
 
+    @pytest.mark.parametrize("header", ["a,a,y", "a,y,a", " a,a ,y", "a,y,y"])
+    def test_repeated_column_rejected(self, tmp_path, header):
+        """A repeated name would map every copy to the last column."""
+        path = write_csv(tmp_path / "dup.csv", header + "\n1,10,1\n2,20,2\n3,35,3.5\n")
+        name = "y" if header.endswith("y,y") else "a"
+        with pytest.raises(DataError, match=f"column '{name}' appears more than once"):
+            load_csv(path, response_col="y")
+
 
 class TestTestRows:
     def test_reordered_columns_accepted(self, small_csv, tmp_path):
@@ -185,6 +198,13 @@ class TestTestRows:
         path = write_csv(tmp_path / "t.csv", "a,b\n")
         rows = load_test_rows(path, ds)
         assert rows.shape == (0, 2)
+
+    def test_repeated_column_rejected(self, small_csv, tmp_path):
+        """The set of names matches the predictors', yet 'a' comes twice."""
+        ds = load_csv(small_csv, response_col="y")
+        path = write_csv(tmp_path / "t.csv", "a,b,a\n1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match="column 'a' appears more than once"):
+            load_test_rows(path, ds)
 
     def test_missing_predictor_rejected(self, small_csv, tmp_path):
         ds = load_csv(small_csv, response_col="y")
@@ -385,3 +405,86 @@ class TestPredictWorkflow:
         basis = oracle_basis([[1.0, 0.0, 0.0, 0.0]])
         res = run_predict_workflow(ds, precomputed_basis=basis)
         np.testing.assert_allclose(res.basis_matrix, basis.matrix)
+
+
+PLOT_HEADER = ["fitted", "observed", "ci_lo", "ci_hi"]
+
+
+def assert_run_files_exact(wf, path):
+    """The run-file writers against json_text and write_table, byte for byte."""
+    assert wf.points_json() == json_text(list(wf.points))
+    write_table(path, PLOT_HEADER, wf.plot_rows)
+    assert wf.plot_csv().encode() == path.read_bytes()
+
+
+# every kind of float, the non-finite ones and the float range's edges
+# included, in the columns a batch writes
+ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308])
+
+
+@st.composite
+def workflow_results(draw):
+    """WorkflowResults over hand-made batches: zero to eight rows, x0 of
+    length 1 to 3, any floats, failed rows with any message, in-sample
+    (observed responses) or not."""
+    m, p = draw(st.integers(0, 8)), draw(st.integers(1, 3))
+    ok = draw(hnp.arrays(bool, m))
+    mass, *cols = draw(hnp.arrays(float, (6, m), elements=ANY_FLOAT))
+    # the contract: estimate columns are NaN at failed rows
+    cols = [np.where(ok, c, math.nan) for c in cols]
+    batch = NWBatch(n=draw(st.integers(2, 10**6)),
+                    h=draw(st.sampled_from([1e-200, 0.37, 1e200]) | st.floats(1e-300, 1e300)),
+                    ok=ok, mass=mass, eta_hat=cols[0], sigma2_hat=cols[1], f_hat=cols[2],
+                    ci_lo=cols[3], ci_hi=cols[4],
+                    errors={i: draw(st.text()) for i in np.flatnonzero(~ok).tolist()})
+    X0 = draw(hnp.arrays(float, (m, p), elements=ANY_FLOAT))
+    observed = draw(st.none() | hnp.arrays(float, m, elements=ANY_FLOAT))
+    return WorkflowResult(batch=batch, X0=X0, observed=observed, basis_matrix=np.eye(p))
+
+
+class TestRunFileWriters:
+    """``points_json`` and ``plot_csv`` format from columns; they must equal
+    json_text of the points and write_table of the plot rows exactly."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(wf=workflow_results())
+    def test_hand_made_batches(self, wf, tmp_path):
+        assert_run_files_exact(wf, tmp_path / "plot.csv")
+
+    # radii and squared residuals past the float range are expected here
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("in_sample", [True, False], ids=["in-sample", "test-rows"])
+    @pytest.mark.parametrize("h", [None, 1e200, 1e-200], ids=["power-rule", "h-1e200", "h-1e-200"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_workflow_batches(self, shellfish_csv, tmp_path, d, h, in_sample):
+        """Real batches: empty windows at the far test rows, degenerate
+        density rows at the extreme bandwidths."""
+        ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
+        rule = None if h is None else BandwidthRule(kind="fixed", h_fixed=h)
+        test = None if in_sample else np.vstack([ds.X[:6], ds.X[:3] + 50.0])
+        wf = run_predict_workflow(ds, method="pls", d=d, bandwidth_rule=rule, test_rows=test)
+        if h and d > 1:
+            # h**d leaves the float range: every density is degenerate
+            assert wf.n_failed == len(wf.points)
+        elif not in_sample and h != 1e200:
+            assert wf.n_failed >= 3  # the far rows' windows are empty
+        assert_run_files_exact(wf, tmp_path / "plot.csv")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overflowing_estimates(self, shellfish_csv, tmp_path, d):
+        """Responses near the float range's edge give ok rows whose variance
+        and interval bounds are infinite."""
+        ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
+        huge = dataclasses.replace(ds, Y=1e300 * np.where(np.arange(ds.n) % 2, 1.0, -1.0))
+        wf = run_predict_workflow(huge, bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=1.0),
+                                  precomputed_basis=oracle_basis(np.eye(ds.p)[:d]))
+        assert not np.isfinite(wf.batch.ci_hi[wf.batch.ok]).all()
+        assert_run_files_exact(wf, tmp_path / "plot.csv")
+
+    def test_zero_test_rows(self, shellfish_csv, tmp_path):
+        ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
+        wf = run_predict_workflow(ds, method="pls", d=1, test_rows=np.zeros((0, 4)))
+        assert wf.points_json() == "[]\n"
+        assert_run_files_exact(wf, tmp_path / "plot.csv")

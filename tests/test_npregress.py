@@ -3,19 +3,23 @@
 import dataclasses
 import math
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rednw import npregress
-from rednw.errors import ArgumentError, EmptyWindowError
+from rednw import npregress, simulate
+from rednw.errors import ArgumentError, EmptyWindowError, RednwError
 from rednw.kernels import BUILTIN_PROFILES, KernelProfile, builtin_profile, make_kernel
 from rednw.npregress import (
     _SORT_MIN_QUERIES,
     BandwidthRule,
+    NWBatch,
     NWConfig,
+    NWFit,
+    PointResult,
     _loo_prefix,
     _nw_core,
     bandwidth,
@@ -24,8 +28,16 @@ from rednw.npregress import (
     nw_estimate,
     uniform_sup_error,
 )
-from rednw.reduction import ReductionBasis, oracle_basis
-from rednw.simulate import Model1Config, gen_model1, undersmoothed_rule
+from rednw.reduction import ReductionBasis, oracle_basis, reduce
+from rednw.simulate import (
+    MethodSpec,
+    Model1Config,
+    Model2Config,
+    draw_test_points,
+    gen_model1,
+    run_replications,
+    undersmoothed_rule,
+)
 
 TRIWEIGHT_1D = make_kernel(builtin_profile("triweight_poly3"), 1)
 
@@ -850,6 +862,145 @@ def _fields(results):
     for name in FIELDS:
         out[name] = np.array([getattr(r.fit, name) for r in results if r.ok])
     return out
+
+
+def _rows_reference(cfg, basis, X, Y, X0):
+    """The per-row PointResult list nw_batch built before it returned
+    columns, from the same core sums."""
+    W, W0 = reduce(basis, X), reduce(basis, X0)
+    n = X.shape[0]
+    h = bandwidth(cfg.bandwidth, n=n, p=X.shape[1], d=cfg.d, kernel=cfg.kernel, W=W, Y=Y)
+    z = gaussian_quantile(1.0 - (1.0 - cfg.ci_level) / 2.0)
+    mass, eta, sigma2 = _nw_core(cfg.kernel, W, Y, W0, h)
+    with np.errstate(all="ignore"):
+        f_hats = mass / (n * np.float64(h) ** cfg.d)
+    out = []
+    for i, (m, e, s2, f_hat) in enumerate(zip(mass.tolist(), eta.tolist(), sigma2.tolist(),
+                                              f_hats.tolist())):
+        fit = error = None
+        if m < 1e-12:
+            error = (f"no sample points inside the kernel window at "
+                     f"w0={np.array2string(W0[i], precision=6)} "
+                     f"with h={h:.6g} (effective mass {m:.3e})")
+        elif not math.isfinite(f_hat) or f_hat <= 0.0:
+            error = (f"degenerate density estimate {f_hat:.3e} at "
+                     f"w0={np.array2string(W0[i], precision=6)} with h={h:.6g}")
+        else:
+            half = z * math.sqrt(s2 * cfg.kernel.l2_const / m)
+            fit = NWFit(eta_hat=e, f_hat=f_hat, sigma2_hat=s2, h_used=h, n=n,
+                        ci_lo=e - half, ci_hi=e + half, effective_mass=m)
+        out.append(PointResult(index=i, fit=fit, error=error))
+    return out
+
+
+def _batch_case(name):
+    """(config, basis, X, Y, X0) of a batch with failed rows."""
+    rng = np.random.default_rng(31)
+    if name == "empty-windows-sorted":
+        # more rows than _SORT_MIN_QUERIES; every fifth query far outside
+        X = rng.uniform(-1.0, 1.0, size=(200, 2))
+        X0 = rng.uniform(-1.2, 1.2, size=(_SORT_MIN_QUERIES + 8, 2))
+        X0[::5] += 50.0
+        return (default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.3)),
+                oracle_basis([[0.6, 0.8]]), X, rng.standard_normal(200), X0)
+    if name == "empty-windows-3d":
+        X = rng.uniform(-1.0, 1.0, size=(80, 4))
+        X0 = np.vstack([X[:5], X[:3] + 9.0])
+        cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 3), d=3,
+                             bandwidth=BandwidthRule(kind="fixed", h_fixed=0.8))
+        return cfg, oracle_basis(np.eye(4)[:3]), X, 10.0 + rng.standard_normal(80), X0
+    # degenerate density rows: h**d leaves the float range
+    h = 1e200 if name == "degenerate-wide" else 1e-200
+    X = rng.standard_normal((30, 2))
+    cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 2), d=2,
+                         bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
+    return cfg, oracle_basis(np.eye(2)), X, rng.standard_normal(30), np.vstack([X[:3], X[:2] + 5.0])
+
+
+def _one_rep_by_rows(cfg, methods, base_seed, test_points, configs, fixed, task):
+    """The harness's replication as it was when it read nw_batch row by row."""
+    n, rep = task
+    gen = simulate.gen_model1 if isinstance(cfg, Model1Config) else simulate.gen_model2
+    X, Y, _ = gen(cfg, n, rng_stream=rep)
+    out = {}
+    for spec in methods:
+        est = np.full((test_points.shape[0], 3), np.nan)
+        try:
+            basis = fixed.get(spec.label) or simulate._fit_basis(spec, cfg, X, Y, rep, base_seed)
+            for res in nw_batch(configs[spec.label], basis, X, Y, test_points):
+                if res.ok:
+                    est[res.index] = (res.fit.eta_hat, res.fit.ci_lo, res.fit.ci_hi)
+        except RednwError:
+            pass
+        out[spec.label] = est
+    return task, out
+
+
+class TestNWBatch:
+    CASES = ("empty-windows-sorted", "empty-windows-3d", "degenerate-wide", "degenerate-narrow")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fields_match_row_reference(self, case):
+        cfg, basis, X, Y, X0 = _batch_case(case)
+        batch = nw_batch(cfg, basis, X, Y, X0)
+        ref = _rows_reference(cfg, basis, X, Y, X0)
+        assert isinstance(batch, NWBatch) and len(batch) == len(ref) == len(X0)
+        assert 0 < sum(not r.ok for r in ref)
+        assert list(batch) == ref
+        assert batch.ok.tolist() == [r.ok for r in ref]
+        assert batch.errors == {r.index: r.error for r in ref if not r.ok}
+        assert batch.n == X.shape[0] and all(r.fit.h_used == batch.h for r in ref if r.ok)
+        mass, _, _ = _nw_core(cfg.kernel, reduce(basis, X), Y, reduce(basis, X0), batch.h)
+        assert batch.mass.tolist() == mass.tolist()
+        for name, col in (("eta_hat", batch.eta_hat), ("sigma2_hat", batch.sigma2_hat),
+                          ("f_hat", batch.f_hat), ("ci_lo", batch.ci_lo), ("ci_hi", batch.ci_hi)):
+            want = [getattr(r.fit, name) if r.ok else math.nan for r in ref]
+            np.testing.assert_array_equal(col, want, err_msg=name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=nw_instances(), far=st.integers(0, 3))
+    def test_random_batches_match_row_reference(self, inst, far):
+        cfg, basis, X, Y, X0 = inst
+        X0 = X0.copy()
+        X0[:far] += 10.0  # empty windows
+        assert list(nw_batch(cfg, basis, X, Y, X0)) == _rows_reference(cfg, basis, X, Y, X0)
+
+    def test_sequence_protocol(self):
+        cfg, basis, X, Y, X0 = _batch_case("empty-windows-sorted")
+        batch = nw_batch(cfg, basis, X, Y, X0)
+        m = len(X0)
+        assert isinstance(batch, Sequence) and len(batch) == m
+        assert batch[-1] == batch[m - 1] and batch[-1].index == m - 1
+        assert batch[-m] == batch[0] and batch[0].index == 0
+        for i in (m, -m - 1):
+            with pytest.raises(IndexError):
+                batch[i]
+        rows = list(batch)
+        assert [r.index for r in rows] == list(range(m))
+        assert rows == [batch[i] for i in range(m)]
+        assert [r.ok for r in reversed(batch)] == batch.ok.tolist()[::-1]
+        assert batch[1:4] == rows[1:4] and batch[::-7] == rows[::-7]
+
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_harness_cells_unchanged(self, model, monkeypatch):
+        """The harness reads the columns; its table equals the row-by-row one."""
+        if model == 1:
+            cfg, reduction, ns = Model1Config(seed=4), "pls", [40, 70]
+        else:
+            cfg, reduction, ns = Model2Config(seed=4), "pfc", [150]
+        methods = [MethodSpec(method=m, reduction=reduction if m == "nprt" else None)
+                   for m in ("np", "npr", "nprt")]
+        # h = 1 leaves NP's 6-d and 20-d windows empty in some replications
+        kw = dict(ns=ns, test_points=draw_test_points(cfg, 4), n_rep=5, base_seed=9,
+                  bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=1.0))
+        table = run_replications(cfg, methods, **kw)
+        monkeypatch.setattr(simulate, "_one_rep", _one_rep_by_rows)
+        ref = run_replications(cfg, methods, **kw)
+        assert repr(table.cells) == repr(ref.cells)
+        assert any(c.n_missing for c in ref.cells)
+        for key, v in ref.estimates.items():
+            np.testing.assert_array_equal(table.estimates[key], v)
+            np.testing.assert_array_equal(table.intervals[key], ref.intervals[key])
 
 
 class TestProperties:
