@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
+    MODELS,
     RunManifest,
     cubic_fy,
     json_text,
@@ -45,10 +46,7 @@ from .kernels import (
 from .npregress import BANDWIDTH_KINDS, EXPONENT_DIMS, BandwidthRule
 from .reduction import FIT_METHODS, fit, oracle_basis
 from .simulate import (
-    METHOD_NAMES,
     NPRT_REDUCTIONS,
-    Model1Config,
-    Model2Config,
     coverage_experiment,
     default_bandwidth_rule,
     draw_test_points,
@@ -287,26 +285,17 @@ def _cmd_fit_predict(args) -> int:
 # ------------------------------------------------------------------- simulate
 
 def _simulate_config_from_args(args) -> dict:
-    methods = [m.lower() for m in _csv_list(args.methods)]
-    for m in methods:
-        if m not in METHOD_NAMES:
-            raise ArgumentError(f"unknown method {m!r}; expected from {METHOD_NAMES}")
-    ns = _csv_list(args.ns, int)
-    if not ns:
-        raise ArgumentError("--ns must list at least one sample size")
-    cfg = Model1Config(seed=args.seed) if args.model == 1 else Model2Config(seed=args.seed)
+    model_cls, default_reduction = MODELS[args.model]
+    cfg = model_cls(seed=args.seed)
     rule = _rule_from_args(args, default_rule=default_bandwidth_rule(cfg))
     points = draw_test_points(cfg, args.points)
-    nprt_reduction = args.nprt_reduction or ("pls" if args.model == 1 else "pfc")
-    if (args.equivalence or args.coverage) and args.model != 1:
-        raise ArgumentError("--equivalence and --coverage need --model 1 (known truth)")
     return {
         "model": args.model,
         "seed": args.seed,
-        "ns": ns,
+        "ns": _csv_list(args.ns, int),
         "n_rep": args.nrep,
-        "methods": methods,
-        "nprt_reduction": nprt_reduction,
+        "methods": [m.lower() for m in _csv_list(args.methods)],
+        "nprt_reduction": args.nprt_reduction or default_reduction,
         "d": args.d,
         "n_points": args.points,
         "bandwidth": asdict(rule),
@@ -353,16 +342,15 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
             outputs.append(name)
 
     x0 = plan.test_points[0]
-    if config.get("equivalence"):
+    if plan.equivalence:
         eq_rows = equivalence_experiment(cfg, plan.ns, plan.n_rep, x0, reduction="pls",
                                          base_seed=plan.base_seed, n_threads=threads)
         write_table(out_dir / "equivalence.csv",
                     ["n", "h", "median_stat", "n_used", "n_missing"],
                     [(r.n, r.h, r.median_stat, r.n_used, r.n_missing) for r in eq_rows])
         outputs.append("equivalence.csv")
-    if config.get("coverage"):
-        cov = coverage_experiment(cfg, max(plan.ns), plan.n_rep, x0,
-                                  level=float(config.get("coverage_level", 0.95)),
+    if plan.coverage:
+        cov = coverage_experiment(cfg, max(plan.ns), plan.n_rep, x0, level=plan.coverage_level,
                                   base_seed=plan.base_seed, n_threads=threads)
         write_table(out_dir / "coverage.csv",
                     ["n", "level", "coverage", "n_used", "n_excluded", "truth",

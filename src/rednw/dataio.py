@@ -36,6 +36,8 @@ from .simulate import (
 )
 
 TRANSFORMS = ("none", "log", "center")
+# simulate's model numbers: each one's configuration and default NPRT reduction
+MODELS = {1: (Model1Config, "pls"), 2: (Model2Config, "pfc")}
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,7 @@ class RunManifest:
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Deserialized simulate configuration, ready to hand to the harness."""
+    """Deserialized simulate configuration, checked and ready to hand to the harness."""
 
     model_cfg: Model1Config | Model2Config
     methods: tuple[MethodSpec, ...]
@@ -324,10 +326,14 @@ class SimulationPlan:
     base_seed: int
     bandwidth_rule: BandwidthRule
     test_points: NDArray[np.floating]
+    equivalence: bool
+    coverage: bool
+    coverage_level: float
 
 
 def simulation_plan_from_config(config: dict) -> SimulationPlan:
-    """Rebuild the exact simulation inputs from a manifest config block."""
+    """Rebuild the exact simulation inputs from a simulate config block; fresh
+    runs and replays both come here, so a bad plan fails before any file."""
     try:
         model = int(config["model"])
         seed = int(config["seed"])
@@ -336,16 +342,20 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
         method_names = list(config["methods"])
         rule = BandwidthRule(**config["bandwidth"])
         test_points = np.asarray(config["test_points"], dtype=float)
+        coverage_level = float(config.get("coverage_level", 0.95))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"manifest config is incomplete or malformed: {exc}") from exc
-    if model == 1:
-        cfg = Model1Config(seed=seed)
-    elif model == 2:
-        cfg = Model2Config(seed=seed)
-    else:
+    if model not in MODELS:
         raise DataError(f"manifest config names unknown model {model!r}")
+    model_cls, default_reduction = MODELS[model]
+    equivalence, coverage = bool(config.get("equivalence")), bool(config.get("coverage"))
+    if (equivalence or coverage) and model != 1:
+        raise ArgumentError("the equivalence and coverage experiments need model 1 "
+                            f"(known truth), got model {model}")
+    if coverage and not (0.0 < coverage_level < 1.0):
+        raise ArgumentError(f"coverage level must lie in (0, 1), got {coverage_level}")
     d = int(config.get("d", 1))
-    nprt_reduction = config.get("nprt_reduction") or ("pls" if model == 1 else "pfc")
+    nprt_reduction = config.get("nprt_reduction") or default_reduction
     methods = tuple(
         MethodSpec(method=m, reduction=nprt_reduction if m == "nprt" else None, d=d)
         for m in method_names
@@ -354,9 +364,10 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
         # every replication's fit would fail and leave its cells missing
         raise ArgumentError(f"pfc on the harness's features (y, |y|) gives at most "
                             f"{PFC_MAX_D} directions, got d={d}")
-    return SimulationPlan(model_cfg=cfg, methods=methods, ns=ns, n_rep=n_rep,
-                          base_seed=seed, bandwidth_rule=rule,
-                          test_points=test_points)
+    return SimulationPlan(model_cfg=model_cls(seed=seed), methods=methods, ns=ns,
+                          n_rep=n_rep, base_seed=seed, bandwidth_rule=rule,
+                          test_points=test_points, equivalence=equivalence,
+                          coverage=coverage, coverage_level=coverage_level)
 
 
 def recompute_cell_from_manifest(manifest: RunManifest | str | Path,

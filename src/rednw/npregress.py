@@ -33,6 +33,13 @@ most three chunks of width h. Window edges, and so empty windows, follow
 the direct test |q - w| / h < 1 (<= 1 for the uniform profile). A row's
 mass carries a rounding error below n eps 5^k per window sample; a row
 whose mass is below 1000 times that bound is summed directly.
+
+Floating-point policy: ``_nw_core``, ``_loo_prefix`` and ``nw_batch``'s
+density and interval step each silence numpy's overflow, divide-by-zero and
+invalid-value warnings in one ``with np.errstate`` block that the helpers
+inherit (a ``with``, not the decorator, so each call from the replication
+pool's threads has its own context). Every inf or NaN formed there lands in
+a radius, mass or estimate that the window test and the ``ok`` mask judge.
 """
 
 from __future__ import annotations
@@ -225,9 +232,8 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
     # einsum, not @: a BLAS product runs threaded and leaves its workers
     # spinning against the replication harness's own threads
     d2 = norms - 2.0 * np.einsum("ik,jk->ij", W0c, Wc)
-    with np.errstate(over="ignore"):
-        # float64, so a huge h squares to inf instead of raising
-        edge2 = np.float64(R * h) ** 2
+    # float64, so a huge h squares to inf instead of raising
+    edge2 = np.float64(R * h) ** 2
     redo = np.abs(d2 - edge2) <= _EDGE_RTOL * norms
     t = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
     t /= h
@@ -252,9 +258,8 @@ def _weights(kernel: RadialKernel, W: NDArray[np.floating], W0: NDArray[np.float
         np.abs(t, out=t)
         t /= h
     else:
-        with np.errstate(over="ignore"):
-            # a radius past the float range is inf, and its weight 0
-            t = np.linalg.norm((W0[:, None, :] - W[None, :, :]) / h, axis=2)
+        # a radius past the float range is inf, and its weight 0
+        t = np.linalg.norm((W0[:, None, :] - W[None, :, :]) / h, axis=2)
     return kernel.weights(t)
 
 
@@ -265,17 +270,16 @@ def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating
     """_nw_core's sums for query rows W0 over the slab (W, Y)."""
     wts = _weights(kernel, W, W0, h, gram)
     mass = wts.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # reduced in the same order as the mass, so Y = 1 gives exactly 1;
-        # a BLAS product here runs threaded and leaves its workers spinning
-        # against the replication harness's own threads
-        eta = (wts * Y).sum(axis=1) / mass
-        # centered weighted variance (West 1979): E[Y^2] - E[Y]^2 cancels
-        # when |Y| is large against its spread
-        resid2 = Y[None, :] - eta[:, None]
-        resid2 *= resid2
-        resid2 *= wts
-        sigma2 = resid2.sum(axis=1) / mass
+    # reduced in the same order as the mass, so Y = 1 gives exactly 1;
+    # a BLAS product here runs threaded and leaves its workers spinning
+    # against the replication harness's own threads
+    eta = (wts * Y).sum(axis=1) / mass
+    # centered weighted variance (West 1979): E[Y^2] - E[Y]^2 cancels
+    # when |Y| is large against its spread
+    resid2 = Y[None, :] - eta[:, None]
+    resid2 *= resid2
+    resid2 *= wts
+    sigma2 = resid2.sum(axis=1) / mass
     return mass, eta, np.maximum(sigma2, 0.0)
 
 
@@ -319,62 +323,62 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         (mass, eta, sigma2), each of length m; eta and sigma2 are NaN where
         the mass is zero.
     """
-    n, m = W.shape[0], W0.shape[0]
-    qorder = None
-    lo, hi = [0] * m, [n] * m
-    if m >= _SORT_MIN_QUERIES:
-        order = np.argsort(W[:, 0], kind="stable")
-        W, Y = W[order], Y[order]
-        qorder = order if leave_one_out else np.argsort(W0[:, 0], kind="stable")
-        W0 = W if leave_one_out else W0[qorder]
-        # sorted queries' slabs |w_1 - q_1| <= R*h start and end in order
-        q = W0[:, 0]
-        r = kernel.profile.support_radius * h
-        reach = r + _SLAB_RTOL * (np.abs(q) + r)
-        lo = np.searchsorted(W[:, 0], q - reach, side="left").tolist()
-        hi = np.searchsorted(W[:, 0], q + reach, side="right").tolist()
-    Wc = None
-    if W.shape[1] > 1:
-        # one centred copy of the sample; the leave-one-out queries are it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n, m = W.shape[0], W0.shape[0]
+        # the Gram form's centre, taken before the sort so no radius depends on it
         mu = W.mean(axis=0)
-        Wc = W - mu
-        ww = np.einsum("ij,ij->i", Wc, Wc)
+        qorder = None
+        lo, hi = [0] * m, [n] * m
+        if m >= _SORT_MIN_QUERIES:
+            order = np.argsort(W[:, 0], kind="stable")
+            W, Y = W[order], Y[order]
+            qorder = order if leave_one_out else np.argsort(W0[:, 0], kind="stable")
+            W0 = W if leave_one_out else W0[qorder]
+            # sorted queries' slabs |w_1 - q_1| <= R*h start and end in order
+            q = W0[:, 0]
+            r = kernel.profile.support_radius * h
+            reach = r + _SLAB_RTOL * (np.abs(q) + r)
+            lo = np.searchsorted(W[:, 0], q - reach, side="left").tolist()
+            hi = np.searchsorted(W[:, 0], q + reach, side="right").tolist()
+        Wc = None
+        if W.shape[1] > 1:
+            # one centred copy of the sample; the leave-one-out queries are it
+            Wc = W - mu
+            ww = np.einsum("ij,ij->i", Wc, Wc)
+            if leave_one_out:
+                W0c, qq = Wc, ww
+            else:
+                W0c = W0 - mu
+                qq = np.einsum("ij,ij->i", W0c, W0c)
         if leave_one_out:
-            W0c, qq = Wc, ww
+            # row a's pairs with earlier rows sit in those rows' blocks; sums
+            # holds the kernel mass and weighted-Y sums, weights against OY
+            lo, OY, sums = range(m), np.stack([np.ones(n), Y]), np.zeros((2, m))
         else:
-            W0c = W0 - mu
-            qq = np.einsum("ij,ij->i", W0c, W0c)
-    if leave_one_out:
-        # row a's pairs with earlier rows sit in those rows' blocks; sums
-        # holds the kernel mass and weighted-Y sums, weights against OY
-        lo, OY, sums = range(m), np.stack([np.ones(n), Y]), np.zeros((2, m))
-    else:
-        mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
-    with np.errstate(over="ignore"):
+            mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
         gram_reach2 = np.float64(_GRAM_MAX_OFFSET * h) ** 2
-    a = 0
-    while a < m:
-        # consecutive queries share the union of their slabs
-        b = a + 1
-        while b < m and (b + 1 - a) * (hi[b] - lo[a]) <= _BLOCK_ELEMS:
-            b += 1
-        s0, s1 = lo[a], hi[b - 1]
-        gram = None
-        if Wc is not None and qq[a:b].max() <= gram_reach2:
-            gram = (Wc[s0:s1], ww[s0:s1], W0c[a:b], qq[a:b])
+        a = 0
+        while a < m:
+            # consecutive queries share the union of their slabs
+            b = a + 1
+            while b < m and (b + 1 - a) * (hi[b] - lo[a]) <= _BLOCK_ELEMS:
+                b += 1
+            s0, s1 = lo[a], hi[b - 1]
+            gram = None
+            if Wc is not None and qq[a:b].max() <= gram_reach2:
+                gram = (Wc[s0:s1], ww[s0:s1], W0c[a:b], qq[a:b])
+            if leave_one_out:
+                _pair_block(kernel, W[s0:s1], OY[:, s0:s1], b - a, h, gram, sums[:, s0:s1])
+            else:
+                mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, gram)
+            a = b
         if leave_one_out:
-            _pair_block(kernel, W[s0:s1], OY[:, s0:s1], b - a, h, gram, sums[:, s0:s1])
-        else:
-            mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, gram)
-        a = b
-    if leave_one_out:
-        with np.errstate(invalid="ignore"):
             mass, eta, sigma2 = sums[0], sums[1] / sums[0], np.full(m, np.nan)
-    if qorder is None:
-        return mass, eta, sigma2
-    out = np.empty((3, m))
-    out[:, qorder] = (mass, eta, sigma2)
-    return out[0], out[1], out[2]
+        if qorder is None:
+            return mass, eta, sigma2
+        out = np.empty((3, m))
+        out[:, qorder] = (mass, eta, sigma2)
+        return out[0], out[1], out[2]
 
 
 def _window_starts(w: NDArray[np.floating], h: float, closed: bool) -> NDArray[np.intp]:
@@ -435,45 +439,44 @@ def _loo_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.flo
     if not (span < _PREFIX_MAX_CHUNKS and math.isfinite(4.0 * (abs(w0) + abs(float(w[-1])) + h))):
         mass, eta, _ = _nw_core(kernel, w[:, None], Y, w[:, None], h, leave_one_out=True)
         return mass, eta
-    # the window of sample i is [lo, hi); the right edge is the left one of
-    # the mirrored sample
-    lo = _window_starts(w, h, k == 0)
-    hi = n - _window_starts(-w[::-1], h, k == 0)[::-1]
-    # each sample's chunk c, and where its chunk starts and ends
-    c = np.floor((w - w0) / h)
-    start, end = np.searchsorted(c, c, side="left"), np.searchsorted(c, c, side="right")
-    # prefix sums of u^j and u^j (Y - ybar), u in each sample's chunk frame
-    J, ybar = 2 * k + 1, Y.mean()
-    P = np.zeros((2 * J, n + 1))
-    P[:J, 1:] = _powers((w - (w0 + (c + 0.5) * h)) / h, J)
-    np.multiply(P[:J, 1:], Y - ybar, out=P[J:, 1:])
-    np.cumsum(P[:, 1:], axis=1, out=P[:, 1:])
-    # a_j(v), the coefficient of u^j in (1 - (v - u)^2)^k, is sum_p M[j, p] v^p
-    M = np.zeros((J, J))
-    for m in range(k + 1):
-        for j in range(2 * m + 1):
-            M[j, 2 * m - j] += (-1) ** (m + j) * math.comb(k, m) * math.comb(2 * m, j)
-    # the window's sums in chunks c - 1, c (either side of the row) and
-    # c + 1, each with the offset of that chunk's centre from c
-    a, b = np.maximum(lo, start), np.minimum(hi, end)
-    parts = ((-0.5, P[:, start] - P[:, np.minimum(lo, start)]),
-             (0.5, (P[:, :-1] - P[:, a]) + (P[:, b] - P[:, 1:])),
-             (1.5, P[:, np.maximum(hi, end)] - P[:, end]))
-    sums = np.zeros((2, n))
-    for off, S in parts:
-        A = np.einsum("jp,pi->ji", M, _powers((w - (w0 + (c + off) * h)) / h, J))
-        sums += np.einsum("ji,rji->ri", A, S.reshape(2, J, n))
-    # an empty window's sums are exactly 0, and so never redone
-    mass, ysum = sums
-    bound = _PREFIX_SAFETY * n * np.finfo(float).eps * 5.0 ** k
-    redo = (mass < bound * (hi - lo - 1)) | (c[lo] < c - 1) | (c[hi - 1] > c + 1)
-    for i in np.flatnonzero(redo).tolist():
-        wts = kernel.profile.raw_profile(np.abs(w[lo[i]:hi[i]] - w[i]) / h)
-        wts[i - lo[i]] = 0.0
-        mass[i], ysum[i] = wts.sum(), wts @ (Y[lo[i]:hi[i]] - ybar)
-    with np.errstate(invalid="ignore"):
-        eta = ybar + ysum / mass
-    return kernel.norm_const * mass, eta
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # the window of sample i is [lo, hi); the right edge is the left one of
+        # the mirrored sample
+        lo = _window_starts(w, h, k == 0)
+        hi = n - _window_starts(-w[::-1], h, k == 0)[::-1]
+        # each sample's chunk c, and where its chunk starts and ends
+        c = np.floor((w - w0) / h)
+        start, end = np.searchsorted(c, c, side="left"), np.searchsorted(c, c, side="right")
+        # prefix sums of u^j and u^j (Y - ybar), u in each sample's chunk frame
+        J, ybar = 2 * k + 1, Y.mean()
+        P = np.zeros((2 * J, n + 1))
+        P[:J, 1:] = _powers((w - (w0 + (c + 0.5) * h)) / h, J)
+        np.multiply(P[:J, 1:], Y - ybar, out=P[J:, 1:])
+        np.cumsum(P[:, 1:], axis=1, out=P[:, 1:])
+        # a_j(v), the coefficient of u^j in (1 - (v - u)^2)^k, is sum_p M[j, p] v^p
+        M = np.zeros((J, J))
+        for m in range(k + 1):
+            for j in range(2 * m + 1):
+                M[j, 2 * m - j] += (-1) ** (m + j) * math.comb(k, m) * math.comb(2 * m, j)
+        # the window's sums in chunks c - 1, c (either side of the row) and
+        # c + 1, each with the offset of that chunk's centre from c
+        a, b = np.maximum(lo, start), np.minimum(hi, end)
+        parts = ((-0.5, P[:, start] - P[:, np.minimum(lo, start)]),
+                 (0.5, (P[:, :-1] - P[:, a]) + (P[:, b] - P[:, 1:])),
+                 (1.5, P[:, np.maximum(hi, end)] - P[:, end]))
+        sums = np.zeros((2, n))
+        for off, S in parts:
+            A = np.einsum("jp,pi->ji", M, _powers((w - (w0 + (c + off) * h)) / h, J))
+            sums += np.einsum("ji,rji->ri", A, S.reshape(2, J, n))
+        # an empty window's sums are exactly 0, and so never redone
+        mass, ysum = sums
+        bound = _PREFIX_SAFETY * n * np.finfo(float).eps * 5.0 ** k
+        redo = (mass < bound * (hi - lo - 1)) | (c[lo] < c - 1) | (c[hi - 1] > c + 1)
+        for i in np.flatnonzero(redo).tolist():
+            wts = kernel.profile.raw_profile(np.abs(w[lo[i]:hi[i]] - w[i]) / h)
+            wts[i - lo[i]] = 0.0
+            mass[i], ysum[i] = wts.sum(), wts @ (Y[lo[i]:hi[i]] - ybar)
+        return kernel.norm_const * mass, ybar + ysum / mass
 
 
 def _loocv_bandwidth(rule: BandwidthRule, kernel: RadialKernel,
@@ -575,10 +578,14 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
         raise ArgumentError(f"query point {i} has non-finite reduced coordinates {W0[i]}")
     z = gaussian_quantile(1.0 - (1.0 - config.ci_level) / 2.0)
     mass, eta, sigma2 = _nw_core(config.kernel, W, Y, W0, h)
-    with np.errstate(all="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # float64, so an h**d past the float range gives inf or 0, not an exception
         f_hats = mass / (n * np.float64(h) ** config.d)
-    ok = (mass >= _MIN_EFFECTIVE_MASS) & np.isfinite(f_hats) & (f_hats > 0.0)
+        ok = (mass >= _MIN_EFFECTIVE_MASS) & np.isfinite(f_hats) & (f_hats > 0.0)
+        # n * h**d * f_hat == mass exactly; dividing by mass avoids
+        # re-forming a product that can overflow for large d
+        half = z * np.sqrt(sigma2 * config.kernel.l2_const / mass)
+        cols = np.where(ok, [eta, sigma2, f_hats, eta - half, eta + half], np.nan)
     errors = {}
     for i in np.flatnonzero(~ok).tolist():
         w0 = np.array2string(W0[i], precision=6)
@@ -589,11 +596,6 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
         errors[i] = (f"no sample points inside the kernel window at w0={w0} with h={h:.6g} "
                      f"(effective mass {mass[i]:.3e})" if mass[i] < _MIN_EFFECTIVE_MASS else
                      f"degenerate density estimate {f_hats[i]:.3e} at w0={w0} with h={h:.6g}")
-    with np.errstate(all="ignore"):
-        # n * h**d * f_hat == mass exactly; dividing by mass avoids
-        # re-forming a product that can overflow for large d
-        half = z * np.sqrt(sigma2 * config.kernel.l2_const / mass)
-    cols = np.where(ok, [eta, sigma2, f_hats, eta - half, eta + half], np.nan)
     return NWBatch(n, h, ok, mass, *cols, errors)
 
 
@@ -626,9 +628,7 @@ def uniform_sup_error(config: NWConfig, basis: ReductionBasis,
         raise ArgumentError(
             f"grid shape {grid.shape} does not match {truth.shape[0]} truth values"
         )
-    worst = 0.0
-    for res in nw_batch(config, basis, X, Y, grid):
-        if not res.ok:
-            raise EmptyWindowError(res.error)
-        worst = max(worst, abs(res.fit.eta_hat - truth[res.index]))
-    return worst
+    batch = nw_batch(config, basis, X, Y, grid)
+    if not batch.ok.all():
+        raise EmptyWindowError(batch.errors[int(np.argmin(batch.ok))])
+    return float(np.max(np.abs(batch.eta_hat - truth)))

@@ -400,18 +400,25 @@ class TestFitPredict:
         assert "(missing rate 1.0000)" in out
         assert (tmp_path / "sim" / "emse.csv").exists()
 
-    @pytest.mark.filterwarnings("error")
-    def test_tiny_bandwidth_warns_nothing(self, shellfish_csv, capsys):
-        # with --method np (d = 4) at h = 1e-200 the radii pass the float range
+    @pytest.mark.parametrize("method", ["np", "pls"])
+    def test_tiny_bandwidth_warns_nothing(self, shellfish_csv, capsys, method):
+        # at h = 1e-200 the radii pass the float range: np's d = 4 direct
+        # norms, and pls's d = 1 radii once the kernel profile squares them
         code, out, err = run_cli(
             ["fit", "--input", str(shellfish_csv), "--response", "muscle_mass",
-             "--method", "np", "--bandwidth-kind", "fixed", "--h", "1e-200"],
+             "--method", method, "--bandwidth-kind", "fixed", "--h", "1e-200"],
             capsys,
         )
         assert code == 0
         assert err == ""
-        assert all(pt["error"].startswith("degenerate density estimate inf")
-                   for pt in json.loads(out))
+        points = json.loads(out)
+        if method == "np":
+            # h**4 underflows, so every density is degenerate
+            assert all(pt["error"].startswith("degenerate density estimate inf")
+                       for pt in points)
+        else:
+            # each window holds its own sample alone, and h**1 stays in range
+            assert not any("error" in pt for pt in points)
 
     def test_simulate_pfc_d_above_feature_count_exits_2(self, tmp_path, capsys):
         # the harness gives pfc the features (y, |y|), so r = 2
@@ -866,7 +873,36 @@ class TestSimulate:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("methods", [["npr"], ["nprt", "--nprt-reduction", "root_n_oracle"],
+    def test_model2_manifest_with_coverage_exits_2(self, tmp_path, capsys):
+        """A replayed plan is checked as a fresh one is, before any file."""
+        first = tmp_path / "sim2"
+        code, _, _ = run_cli(
+            ["simulate", "--model", "2", "--ns", "60", "--nrep", "2", "--points", "1",
+             "--methods", "np", "--out", str(first)],
+            capsys,
+        )
+        assert code == 0
+        manifest = first / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["config"]["coverage"] = True
+        manifest.write_text(json.dumps(data))
+        code, _, err = run_cli(
+            ["simulate", "--from-manifest", str(manifest), "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert "need model 1 (known truth), got model 2" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_coverage_level_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        code, _, err = self.run_small(out_dir, capsys,
+                                      extra=["--coverage", "--coverage-level", "1.5"])
+        assert code == 2
+        assert "coverage level must lie in (0, 1), got 1.5" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("methods", [["npr"],["nprt", "--nprt-reduction", "root_n_oracle"],
                                          ["nprt", "--nprt-reduction", "wrong_direction"]])
     def test_one_direction_with_d_2_exits_2(self, methods, tmp_path, capsys):
         code, _, err = run_cli(

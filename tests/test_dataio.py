@@ -315,6 +315,8 @@ class TestManifest:
         assert plan.test_points.shape == (2, 6)
         assert [m.label for m in plan.methods] == ["NP", "NPRT"]
         assert plan.bandwidth_rule.constant == 5.0
+        # a config without the experiment keys asks for neither experiment
+        assert (plan.equivalence, plan.coverage, plan.coverage_level) == (False, False, 0.95)
 
     @pytest.mark.parametrize(
         "rule",
@@ -452,8 +454,6 @@ class TestRunFileWriters:
     def test_hand_made_batches(self, wf, tmp_path):
         assert_run_files_exact(wf, tmp_path / "plot.csv")
 
-    # radii and squared residuals past the float range are expected here
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("in_sample", [True, False], ids=["in-sample", "test-rows"])
     @pytest.mark.parametrize("h", [None, 1e200, 1e-200], ids=["power-rule", "h-1e200", "h-1e-200"])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -471,7 +471,6 @@ class TestRunFileWriters:
             assert wf.n_failed >= 3  # the far rows' windows are empty
         assert_run_files_exact(wf, tmp_path / "plot.csv")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_overflowing_estimates(self, shellfish_csv, tmp_path, d):
         """Responses near the float range's edge give ok rows whose variance
