@@ -3,8 +3,10 @@
 Everything numeric is serialized as shortest round-trip decimals (Python
 repr), so files written here reload bit-exactly and golden outputs are
 stable across platforms. The prediction workflow's run files, the points
-JSON and the plot CSV, are formatted straight from the NW batch's columns,
-byte for byte in the layouts of ``json_text`` and ``write_table``.
+JSON and the plot CSV, are formatted straight from the NW batch's columns
+in row chunks, byte for byte in the layouts of ``json_text`` and
+``write_table``. A CSV body is parsed once by numpy's C tokenizer, and row by
+row only when that parse cannot be taken as it is.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -100,23 +103,20 @@ def sha256_file(path) -> str:
 
 
 @contextlib.contextmanager
-def _csv_rows(path: Path, kind: str):
-    """The stripped header of a CSV file, and (1-based data row number,
-    cells) for each row that is not blank. A repeated column name raises
-    DataError."""
+def _open_csv(path: Path, kind: str):
+    """The stripped header of a CSV file, read by csv.reader, and the open
+    file positioned after it. A repeated column name raises DataError."""
     if not path.exists():
         raise DataError(f"{kind} file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
         repeated = next((name for k, name in enumerate(header) if name in header[:k]), None)
         if repeated is not None:
             raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
-        yield header, ((i, raw) for i, raw in enumerate(reader, start=1)
-                       if raw and any(c.strip() for c in raw))
+        yield header, fh
 
 
 def _parse_row(path, i: int, header: list[str], raw: list[str]) -> list[float]:
@@ -136,15 +136,18 @@ def _parse_row(path, i: int, header: list[str], raw: list[str]) -> list[float]:
     return vals
 
 
-def _read_rows(path, header: list[str], data_rows, transforms,
+def _read_rows(path, fh, header: list[str], transforms,
                skip_bad_rows: bool = False) -> tuple[NDArray[np.floating], list[int]]:
-    """The rows x columns matrix of the data rows that parse and that every
-    log transform can take, and the numbers of the rows dropped. Logs are
-    checked on the values as read, since a log is its column's first
+    """The rows x columns matrix of the data rows after the header in fh
+    that parse and that every log transform can take, and the 1-based
+    numbers of the rows dropped; blank rows are skipped but counted. Logs
+    are checked on the values as read, since a log is its column's first
     transform. A bad row is dropped with skip_bad_rows, else its DataError
     is raised."""
     ids, rows, dropped = [], [], []
-    for i, raw in data_rows:
+    for i, raw in enumerate(csv.reader(fh), start=1):
+        if not (raw and any(c.strip() for c in raw)):
+            continue
         try:
             rows.append(_parse_row(path, i, header, raw))
             ids.append(i)
@@ -166,6 +169,36 @@ def _read_rows(path, header: list[str], data_rows, transforms,
         keep &= ~bad
     dropped += [i for i, ok in zip(ids, keep) if not ok]
     return mat[keep], dropped
+
+
+def _read_body(path, fh, header: list[str], transforms,
+               skip_bad_rows: bool = False) -> tuple[NDArray[np.floating], list[int]]:
+    """``_read_rows`` of the body after the header in fh, from one
+    C-tokenized parse where the body allows it.
+
+    np.loadtxt's matrix is taken only if the body has a row that is not
+    blank (loadtxt warns on an empty one), every row has the header's
+    width, every value is finite and every log column positive. loadtxt
+    reads a cell only as float() does, and rejects the cells that float()
+    reads by rules of its own or that csv.reader unquotes (``1_0``, ``"1"``,
+    non-ASCII digits), so a matrix taken is the one the csv reader and
+    float() give, bit for bit. Any other body is read again from the top by
+    ``_read_rows``, which alone names bad rows and columns and drops rows
+    for skip_bad_rows.
+    """
+    first = next((line for line in fh if line.strip()), None)
+    if first is not None:
+        try:
+            mat = np.loadtxt(itertools.chain((first,), fh), delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            mat = None
+        logs = [header.index(col) for col, op in transforms if op == "log" and col in header]
+        if (mat is not None and mat.shape[1] == len(header) and np.isfinite(mat).all()
+                and (mat[:, logs] > 0).all()):
+            return mat, []
+    fh.seek(0)
+    next(csv.reader(fh))
+    return _read_rows(path, fh, header, transforms, skip_bad_rows)
 
 
 def _apply_transforms(mat, columns: Sequence[str], transforms,
@@ -211,7 +244,7 @@ def load_csv(path, response_col: str,
     """
     path = Path(path)
     transforms = tuple(transforms or ())
-    with _csv_rows(path, "input") as (header, data_rows):
+    with _open_csv(path, "input") as (header, fh):
         if response_col not in header:
             raise DataError(f"{path}: response column {response_col!r} not in header {header}")
         for k, (col, op) in enumerate(transforms):
@@ -221,7 +254,7 @@ def load_csv(path, response_col: str,
                 raise ArgumentError(f"unknown transform {op!r}; expected one of {TRANSFORMS}")
             if op == "log" and any(c == col and o != "none" for c, o in transforms[:k]):
                 raise ArgumentError(f"log of column {col!r} must come before its other transforms")
-        data, dropped = _read_rows(path, header, data_rows, transforms, skip_bad_rows)
+        data, dropped = _read_body(path, fh, header, transforms, skip_bad_rows)
     if data.shape[0] < 2:
         raise DataError(f"{path}: need at least 2 usable rows, got {data.shape[0]}")
     shifts = _apply_transforms(data, header, transforms)
@@ -247,11 +280,11 @@ def load_test_rows(path, dataset: Dataset) -> NDArray[np.floating]:
     yields a 0-row matrix.
     """
     path = Path(path)
-    with _csv_rows(path, "test") as (header, data_rows):
+    with _open_csv(path, "test") as (header, fh):
         if set(header) != set(dataset.column_names):
             raise DataError(
                 f"{path}: test columns {header} do not match predictors {list(dataset.column_names)}")
-        mat, _ = _read_rows(path, header, data_rows, dataset.transforms)
+        mat, _ = _read_body(path, fh, header, dataset.transforms)
     _apply_transforms(mat, header, dataset.transforms, dataset.center_shifts)
     return mat[:, [header.index(name) for name in dataset.column_names]]
 
@@ -395,11 +428,10 @@ def cubic_fy(y):
     return np.column_stack([y, y ** 2, y ** 3])
 
 
-# json_text's layout of one ok point inside the points list; the x0 entries
-# follow, then _POINT_TAIL
-_POINT_HEAD = ('{\n    "ci_hi": %r,\n    "ci_lo": %r,\n    "eta_hat": %r,\n    "f_hat": %r,\n'
-               '    "h": %r,\n    "sigma2_hat": %r,\n    "x0": [\n      ')
-_POINT_TAIL = "\n    ]\n  }"
+# write_table's header of the --plot-data file
+_PLOT_HEADER = "fitted,observed,ci_lo,ci_hi\r\n"
+# query rows formatted at a time by WorkflowResult.run_file_chunks
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,8 +440,8 @@ class WorkflowResult:
     row for in-sample fits (None out of sample).
 
     ``points`` and ``plot_rows`` are built from the batch when first read;
-    ``points_json`` and ``plot_csv`` format the run files straight from its
-    columns.
+    ``run_file_chunks`` formats the run files straight from its columns,
+    and ``points_json`` and ``plot_csv`` are those files whole.
     """
 
     batch: NWBatch
@@ -441,28 +473,55 @@ class WorkflowResult:
     def n_failed(self) -> int:
         return int(np.count_nonzero(~self.batch.ok))
 
+    def run_file_chunks(self, rows: int = _CHUNK_ROWS,
+                        plot: bool = True) -> Iterator[tuple[str, str]]:
+        """The two run files in pieces of ``rows`` query rows: for each
+        piece, its text of ``json_text(list(self.points))`` and its text of
+        write_table's file of ``plot_rows`` under the header fitted,
+        observed, ci_lo, ci_hi. Joined, the pieces are those files byte for
+        byte. With ``plot`` False the plot pieces are left empty, unformatted.
+
+        Each float is repr'd once for both files, and h once for all rows.
+        An ok row with finite numbers fills one JSON template; any other
+        row is its point's json_text indented one level, which is exact
+        because JSON strings hold no raw newline. No plot cell needs
+        quoting.
+        """
+        b, m = self.batch, len(self.batch)
+        if m == 0:
+            yield "[]\n", _PLOT_HEADER if plot else ""
+            return
+        h = float(b.h)
+        template = ('{\n    "ci_hi": %s,\n    "ci_lo": %s,\n    "eta_hat": %s,\n    "f_hat": %s,\n'
+                    f'    "h": {h!r},\n    "sigma2_hat": %s,\n    "x0": [\n      '
+                    + ",\n      ".join(["%s"] * self.X0.shape[1]) + "\n    ]\n  }")
+        for s in range(0, m, rows):
+            e = min(s + rows, m)
+            ok = b.ok[s:e]
+            cols = np.vstack([b.ci_hi[s:e], b.ci_lo[s:e], b.eta_hat[s:e], b.f_hat[s:e],
+                              b.sigma2_hat[s:e], self.X0[s:e].T])
+            fast = ok & np.isfinite(cols).all(axis=0) & math.isfinite(h)
+            text = [list(map(repr, c)) for c in cols.tolist()]
+            items = [template % row if f else json_text(self._point(i))[:-1].replace("\n", "\n  ")
+                     for i, (f, row) in enumerate(zip(fast.tolist(), zip(*text)), start=s)]
+            points = ("[\n  " if s == 0 else ",\n  ") + ",\n  ".join(items) + ("\n]\n" if e == m else "")
+            if not plot:
+                yield points, ""
+                continue
+            hi, lo, eta = text[:3]
+            obs = [""] * (e - s) if self.observed is None else list(map(repr, self.observed[s:e].tolist()))
+            yield points, (_PLOT_HEADER if s == 0 else "") + "".join(
+                f"{y},{o},{a},{z}\r\n" if k else f",{o},,\r\n"
+                for k, y, o, a, z in zip(ok.tolist(), eta, obs, lo, hi))
+
     def points_json(self) -> str:
-        """``json_text(list(self.points))``, byte for byte. Each ok row with
-        finite numbers fills one %r template; any other row is its point's
-        json_text indented one level, which is exact because JSON strings
-        hold no raw newline."""
-        b = self.batch
-        cols = np.vstack([b.ci_hi, b.ci_lo, b.eta_hat, b.f_hat, np.full(len(b), b.h),
-                          b.sigma2_hat, self.X0.T])
-        fast = b.ok & np.isfinite(cols).all(axis=0)
-        template = _POINT_HEAD + ",\n      ".join(["%r"] * self.X0.shape[1]) + _POINT_TAIL
-        items = [template % row if ok else json_text(self._point(i))[:-1].replace("\n", "\n  ")
-                 for i, (ok, row) in enumerate(zip(fast.tolist(), zip(*cols.tolist())))]
-        return "[\n  " + ",\n  ".join(items) + "\n]\n" if items else "[]\n"
+        """``json_text(list(self.points))``, byte for byte."""
+        return "".join(text for text, _ in self.run_file_chunks(plot=False))
 
     def plot_csv(self) -> str:
         """write_table's file of ``plot_rows`` under the header fitted,
-        observed, ci_lo, ci_hi, byte for byte (no cell needs quoting)."""
-        b = self.batch
-        rows = zip(b.ok.tolist(), b.eta_hat.tolist(), map(_fmt, self._observed()),
-                   b.ci_lo.tolist(), b.ci_hi.tolist())
-        return "fitted,observed,ci_lo,ci_hi\r\n" + "".join(
-            "%r,%s,%r,%r\r\n" % row[1:] if row[0] else ",%s,,\r\n" % row[2] for row in rows)
+        observed, ci_lo, ci_hi, byte for byte."""
+        return "".join(rows for _, rows in self.run_file_chunks())
 
 
 def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,

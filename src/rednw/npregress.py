@@ -34,12 +34,14 @@ the direct test |q - w| / h < 1 (<= 1 for the uniform profile). A row's
 mass carries a rounding error below n eps 5^k per window sample; a row
 whose mass is below 1000 times that bound is summed directly.
 
-Floating-point policy: ``_nw_core``, ``_loo_prefix`` and ``nw_batch``'s
-density and interval step each silence numpy's overflow, divide-by-zero and
-invalid-value warnings in one ``with np.errstate`` block that the helpers
-inherit (a ``with``, not the decorator, so each call from the replication
-pool's threads has its own context). Every inf or NaN formed there lands in
-a radius, mass or estimate that the window test and the ``ok`` mask judge.
+Floating-point policy: ``_nw_core``, ``_loo_prefix``, the leave-one-out
+criterion, and ``nw_batch``'s two reductions and its density and interval
+step each silence numpy's overflow, divide-by-zero and invalid-value
+warnings in one ``with np.errstate`` block that the helpers inherit (a
+``with``, not the decorator, so each call from the replication pool's
+threads has its own context). Every inf or NaN formed there lands in a
+radius, mass, criterion, reduced row or estimate that the window test, the
+criterion's comparison, the finiteness checks and the ``ok`` mask judge.
 """
 
 from __future__ import annotations
@@ -489,6 +491,13 @@ def _loocv_bandwidth(rule: BandwidthRule, kernel: RadialKernel,
     if prefix:
         order = np.argsort(W[:, 0], kind="stable")
         W, Y = W[order], Y[order]
+    # the criterion is formed on Y / 2^e, with max |Y| / 2^e in [1/2, 1), so
+    # it cannot overflow; a power-of-two scale is exact short of the
+    # subnormal range, so wherever the unscaled criteria are finite and
+    # normal they keep their order and the same h wins
+    e = np.frexp(np.max(np.abs(Y)))[1]
+    Ys = np.ldexp(Y, -e)
+    var = float(np.var(Ys))
     best_h, best_err = None, math.inf
     for h in rule.cv_grid:
         if prefix:
@@ -498,9 +507,10 @@ def _loocv_bandwidth(rule: BandwidthRule, kernel: RadialKernel,
         ok = mass > 0
         if not np.any(ok):
             continue
-        # points with an empty leave-one-out window are charged the
-        # response variance so narrow bandwidths cannot win by dropping them
-        err = float(np.sum((Y[ok] - pred[ok]) ** 2)) + float(np.sum(~ok)) * float(np.var(Y))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # points with an empty leave-one-out window are charged the
+            # response variance so narrow bandwidths cannot win by dropping them
+            err = float(np.sum((Ys[ok] - np.ldexp(pred[ok], -e)) ** 2)) + float(np.sum(~ok)) * var
         if err < best_err:
             best_h, best_err = h, err
     if best_h is None:
@@ -566,12 +576,15 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
             f"{config.kernel.profile.smoothness_order} (< 2); the confidence theory assumes a "
             f"twice-differentiable profile. Set allow_nonsmooth_kernel=True to proceed anyway."
         )
-    # an inf or NaN anywhere in a row of X makes its reduced row non-finite
-    W = _reduce(basis, X)
+    # an inf or NaN anywhere in a row of X makes its reduced row non-finite,
+    # even in a column the basis weights 0 (inf * 0 is NaN)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        W = _reduce(basis, X)
     if not np.isfinite(W).all():
         raise ArgumentError("reduced predictors X @ basis.T are not finite; X must be finite")
     h = bandwidth(config.bandwidth, n=n, p=p, d=config.d, kernel=config.kernel, W=W, Y=Y)
-    W0 = _reduce(basis, X0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        W0 = _reduce(basis, X0)
     bad = ~np.isfinite(W0).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))

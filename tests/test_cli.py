@@ -12,7 +12,13 @@ import pytest
 
 import rednw
 from rednw.cli import main
-from rednw.dataio import recompute_cell_from_manifest, synthetic_shellfish, write_table
+from rednw.dataio import (
+    load_csv,
+    recompute_cell_from_manifest,
+    run_predict_workflow,
+    synthetic_shellfish,
+    write_table,
+)
 from rednw.errors import ArgumentError
 
 
@@ -509,6 +515,24 @@ class TestRunFiles:
         code, out, _ = run_cli([command, *argv, "--out", str(out_dir)], capsys)
         assert code == 0
         assert out == (out_dir / name).read_text()
+
+    def test_streamed_run_files_span_chunks(self, tmp_path, capsys):
+        """2,500 rows, three chunks: stdout, predictions.json and --plot-data
+        are the workflow's whole files, byte for byte."""
+        header, rows = synthetic_shellfish(n=2500, seed=3)
+        data = tmp_path / "big.csv"
+        write_table(data, header, rows)
+        out_dir, plot = tmp_path / "run", tmp_path / "plot.csv"
+        code, out, _ = run_cli(["fit", "--input", str(data), "--response", "muscle_mass",
+                                *LOG_FLAGS, "--plot-data", str(plot), "--out", str(out_dir)],
+                               capsys)
+        assert code == 0
+        ds = load_csv(data, "muscle_mass", transforms=[(c, "log") for c in header])
+        wf = run_predict_workflow(ds)
+        assert out == (out_dir / "predictions.json").read_text() == wf.points_json()
+        assert plot.read_bytes() == wf.plot_csv().encode()
+        assert json.loads((out_dir / "manifest.json").read_text())["outputs"] == [
+            str(plot), "predictions.json"]
 
     def _write_run(self, command, shellfish_csv, out_dir, capsys):
         code, _, _ = run_cli(

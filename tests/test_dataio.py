@@ -5,12 +5,14 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rednw import dataio
 from rednw.dataio import (
     Dataset,
     RunManifest,
@@ -225,6 +227,123 @@ class TestTestRows:
         with pytest.raises(DataError) as exc:
             load_test_rows(path, ds)
         assert "row 2" in str(exc.value)
+
+
+def read_both_paths(path, transforms=()):
+    """The body's matrix from the C-tokenized read, with the per-row parser
+    made to fail so that a fallback cannot hide, and from the per-row read."""
+    with dataio._open_csv(path, "input") as (header, fh), \
+            mock.patch.object(dataio, "_parse_row", side_effect=AssertionError("per-row path")):
+        fast, dropped = dataio._read_body(path, fh, header, transforms)
+    assert dropped == []
+    with dataio._open_csv(path, "input") as (header, fh):
+        slow, _ = dataio._read_rows(path, fh, header, transforms)
+    return fast, slow
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def cell_texts(draw):
+    """A positive float as a CSV cell: repr, %.17g, a leading +, an integral
+    value as "1.", each padded with blanks and tabs or not."""
+    v = draw(POSITIVE)
+    forms = [repr(v), "%.17g" % v, "+" + repr(v)]
+    if v.is_integer() and v < 2.0 ** 53:
+        forms.append("%d." % v)
+    pad = st.text(" \t", max_size=2)
+    return v, draw(pad) + draw(st.sampled_from(forms)) + draw(pad)
+
+
+@st.composite
+def clean_tables(draw):
+    """(values, CSV text) of one to twelve rows of one to four positive
+    columns, lines ending in \n or \r\n, with empty lines anywhere in the body."""
+    m, p = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    cells = [[draw(cell_texts()) for _ in range(p)] for _ in range(m)]
+    lines = [",".join(f"c{j}" for j in range(p))]
+    for row in cells:
+        lines += [""] * draw(st.integers(0, 2)) + [",".join(text for _, text in row)]
+    last = end if draw(st.booleans()) else ""
+    return np.array([[v for v, _ in row] for row in cells]), end.join(lines) + last
+
+
+class TestReadPaths:
+    """A body is parsed once by np.loadtxt, and row by row only where that
+    parse cannot be taken as it is; both give the same matrix or the same
+    DataError."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=clean_tables(), log=st.booleans())
+    def test_clean_tables_bit_identical(self, tmp_path, table, log):
+        values, text = table
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        transforms = [(f"c{j}", "log") for j in range(values.shape[1])] if log else []
+        fast, slow = read_both_paths(path, transforms)
+        assert fast.tobytes() == slow.tobytes() == values.tobytes()
+
+    def test_large_clean_table_skips_the_row_parser(self, tmp_path, monkeypatch):
+        """2,000 rows, training and test, without one call of _parse_row."""
+        rng = np.random.default_rng(4)
+        values = np.exp(rng.standard_normal((2000, 3)))
+        path, test = tmp_path / "big.csv", tmp_path / "big_test.csv"
+        write_table(path, ["a", "b", "y"], values)
+        write_table(test, ["b", "a"], values[:, [1, 0]])
+        monkeypatch.setattr(dataio, "_parse_row", mock.Mock(side_effect=AssertionError))
+        ds = load_csv(path, response_col="y", transforms=[("a", "log")])
+        np.testing.assert_array_equal(ds.X, np.column_stack([np.log(values[:, 0]), values[:, 1]]))
+        np.testing.assert_array_equal(ds.Y, values[:, 2])
+        np.testing.assert_array_equal(load_test_rows(test, ds), ds.X)
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ('"1.5"', 1.5), ("١", 1.0),
+                                             (" 2 ", 2.0)],
+                             ids=["underscore", "quoted", "arabic-indic", "padded"])
+    def test_cells_only_float_reads(self, tmp_path, cell, value):
+        """Cells loadtxt rejects and float() or the csv reader accept; the
+        per-row read gives what it always gave. The last one is read by both."""
+        path = write_csv(tmp_path / "c.csv", f"a,y\n{cell},2.0\n3.0,4.0\n")
+        ds = load_csv(path, response_col="y")
+        np.testing.assert_array_equal(ds.X, [[value], [3.0]])
+        np.testing.assert_array_equal(ds.Y, [2.0, 4.0])
+
+    @pytest.mark.parametrize("body, message", [
+        ("1.0,2.0,\n3.0,4.0\n", "row 1 has 3 cells, header has 2"),
+        ("1.0,2.0\n3.0\n", "row 2 has 1 cells, header has 2"),
+        ("1.0,2.0\n\nnan,4.0\n", "row 3, column 'a': non-finite value 'nan'"),
+        ("1.0,inf\n3.0,4.0\n", "row 1, column 'y': non-finite value 'inf'"),
+        ("1.0,2.0\n 1e400,4.0\n", "row 2, column 'a': non-finite value '1e400'"),
+        ("1.0,2.0\n0.0,4.0\n", "row 2, column 'a': log of non-positive value 0.0"),
+        ("1.0,2.0\n3.0,oops\n", "row 2, column 'y': cannot parse 'oops' as a number"),
+        ("", "need at least 2 usable rows, got 0"),
+        ("\n\r\n  \n", "need at least 2 usable rows, got 0"),
+    ], ids=["trailing-comma", "ragged", "nan", "inf", "overflow", "log-of-zero", "word",
+            "empty-body", "blank-body"])
+    def test_bad_bodies_keep_their_messages(self, tmp_path, body, message):
+        path = write_csv(tmp_path / "b.csv", "a,y\n" + body)
+        with pytest.raises(DataError) as exc:
+            load_csv(path, response_col="y", transforms=[("a", "log")])
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_skip_bad_rows_drops_on_the_row_path(self, tmp_path):
+        path = write_csv(tmp_path / "s.csv", "a,y\n1.0,2.0\n\n1_0,3.0\n-1.0,4.0\n"
+                                             "x,5.0\n6.0,nan\n7.0,8.0\n")
+        ds = load_csv(path, response_col="y", transforms=[("a", "log")], skip_bad_rows=True)
+        assert ds.dropped_rows == (4, 5, 6) and ds.n_dropped == 3
+        np.testing.assert_array_equal(ds.X, np.log([[1.0], [10.0], [7.0]]))
+        np.testing.assert_array_equal(ds.Y, [2.0, 3.0, 8.0])
+
+    def test_test_rows_fall_back(self, small_csv, tmp_path):
+        """A test file with a quoted cell reads row by row; an empty body,
+        blank lines only, is a 0-row matrix without a loadtxt warning."""
+        ds = load_csv(small_csv, response_col="y", transforms=[("a", "log")])
+        quoted = write_csv(tmp_path / "q.csv", 'b,a\n"5.0",4.0\n')
+        np.testing.assert_array_equal(load_test_rows(quoted, ds), [[np.log(4.0), 5.0]])
+        blank = write_csv(tmp_path / "e.csv", "a,b\n\n\n")
+        assert load_test_rows(blank, ds).shape == (0, 2)
 
 
 class TestTableWriter:
@@ -453,6 +572,19 @@ class TestRunFileWriters:
     @given(wf=workflow_results())
     def test_hand_made_batches(self, wf, tmp_path):
         assert_run_files_exact(wf, tmp_path / "plot.csv")
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(wf=workflow_results(), rows=st.integers(1, 3))
+    def test_chunks_join_to_the_files(self, wf, rows, tmp_path):
+        """Pieces of one to three rows, so the lists' joins fall between
+        chunks, concatenate to the same two files."""
+        chunks = list(wf.run_file_chunks(rows))
+        assert len(chunks) == max(1, -(-len(wf.batch) // rows))
+        assert "".join(text for text, _ in chunks) == json_text(list(wf.points))
+        assert [(text, "") for text, _ in chunks] == list(wf.run_file_chunks(rows, plot=False))
+        write_table(tmp_path / "plot.csv", PLOT_HEADER, wf.plot_rows)
+        assert "".join(plot for _, plot in chunks).encode() == (tmp_path / "plot.csv").read_bytes()
 
     @pytest.mark.parametrize("in_sample", [True, False], ids=["in-sample", "test-rows"])
     @pytest.mark.parametrize("h", [None, 1e200, 1e-200], ids=["power-rule", "h-1e200", "h-1e-200"])

@@ -555,7 +555,6 @@ class TestNonFiniteInputs:
         with pytest.raises(ArgumentError, match="Y must be finite"):
             _call_entry(entry, self.cfg, self.basis, self.X, self.Y, [0.0, 0.0])
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_inf_in_zero_weight_column(self, entry):
         self.X[3, 1] = np.inf
@@ -651,6 +650,30 @@ class TestLoocvReference:
             tracemalloc.stop()
         assert h in rule.cv_grid
         assert peak < 50e6
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_responses_near_the_float_range(self, d):
+        """Y = +-1e300 squares past the float range unscaled; the criterion
+        is formed on Y scaled by a power of two, so an h is chosen, without
+        a warning, and it is the h chosen for Y = +-1."""
+        rng = np.random.default_rng(11)
+        W = rng.uniform(-1.0, 1.0, size=(200, d))
+        sign = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+        rule = BandwidthRule(kind="loocv", cv_grid=(0.1, 0.5))
+        kern = make_kernel(builtin_profile("triweight_poly3"), d)
+        h = bandwidth(rule, n=200, p=d, d=d, kernel=kern, W=W, Y=1e300 * sign)
+        assert h == bandwidth(rule, n=200, p=d, d=d, kernel=kern, W=W, Y=sign)
+
+    def test_every_window_empty_keeps_its_error(self):
+        """A grid whose every bandwidth leaves every leave-one-out window
+        empty still fails, with its class and message, at any response scale."""
+        W = np.arange(10.0)[:, None]
+        rule = BandwidthRule(kind="loocv", cv_grid=(0.1, 0.5))
+        for scale in (1.0, 1e300):
+            with pytest.raises(ArgumentError, match="^every cv_grid bandwidth produced "
+                               "empty leave-one-out windows$"):
+                bandwidth(rule, n=10, p=1, d=1, kernel=TRIWEIGHT_1D, W=W,
+                          Y=scale * np.cos(np.arange(10.0)))
 
 
 def prefix_loo(kernel, W, Y, h):
