@@ -389,7 +389,7 @@ def _cmd_simulate(args) -> int:
         raise ArgumentError("simulate requires --out <directory>")
     if args.from_manifest:
         # the manifest holds the whole plan; only --out and --threads may vary
-        defaults = vars(_PARSER.parse_args(["simulate"]))
+        defaults = vars(_build_parser().parse_args(["simulate"]))
         for key in sorted(defaults.keys() - {"out", "threads", "config", "from_manifest"}):
             if getattr(args, key) != defaults[key]:
                 raise ArgumentError(f"--{key.replace('_', '-')} cannot change the plan "
@@ -506,13 +506,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built once: about 3 ms a build, and main may run many times in one process
-_PARSER = _build_parser()
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _PARSER
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         # config, then manifest, then argv: explicit flags come last and win

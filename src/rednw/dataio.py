@@ -473,9 +473,8 @@ class WorkflowResult:
     def n_failed(self) -> int:
         return int(np.count_nonzero(~self.batch.ok))
 
-    def run_file_chunks(self, rows: int = _CHUNK_ROWS,
-                        plot: bool = True) -> Iterator[tuple[str, str]]:
-        """The two run files in pieces of ``rows`` query rows: for each
+    def run_file_chunks(self, plot: bool = True) -> Iterator[tuple[str, str]]:
+        """The two run files in pieces of ``_CHUNK_ROWS`` query rows: for each
         piece, its text of ``json_text(list(self.points))`` and its text of
         write_table's file of ``plot_rows`` under the header fitted,
         observed, ci_lo, ci_hi. Joined, the pieces are those files byte for
@@ -495,8 +494,8 @@ class WorkflowResult:
         template = ('{\n    "ci_hi": %s,\n    "ci_lo": %s,\n    "eta_hat": %s,\n    "f_hat": %s,\n'
                     f'    "h": {h!r},\n    "sigma2_hat": %s,\n    "x0": [\n      '
                     + ",\n      ".join(["%s"] * self.X0.shape[1]) + "\n    ]\n  }")
-        for s in range(0, m, rows):
-            e = min(s + rows, m)
+        for s in range(0, m, _CHUNK_ROWS):
+            e = min(s + _CHUNK_ROWS, m)
             ok = b.ok[s:e]
             cols = np.vstack([b.ci_hi[s:e], b.ci_lo[s:e], b.eta_hat[s:e], b.f_hat[s:e],
                               b.sigma2_hat[s:e], self.X0[s:e].T])

@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import errno
+import io
 import json
 import os
 import subprocess
@@ -533,6 +535,33 @@ class TestRunFiles:
         assert plot.read_bytes() == wf.plot_csv().encode()
         assert json.loads((out_dir / "manifest.json").read_text())["outputs"] == [
             str(plot), "predictions.json"]
+
+    def test_write_error_mid_run_leaves_no_manifest(self, tmp_path, monkeypatch):
+        """A write that fails after the first chunk (a full disk, a closed
+        pipe) ends the run with that error: the run files are cut short and
+        no manifest.json is written."""
+        header, rows = synthetic_shellfish(n=2500, seed=3)
+        data = tmp_path / "big.csv"
+        write_table(data, header, rows)
+        out_dir, plot = tmp_path / "run", tmp_path / "plot.csv"
+
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        with pytest.raises(OSError):
+            main(["fit", "--input", str(data), "--response", "muscle_mass", *LOG_FLAGS,
+                  "--plot-data", str(plot), "--out", str(out_dir)])
+        assert not (out_dir / "manifest.json").exists()
+        wf = run_predict_workflow(load_csv(data, "muscle_mass",
+                                           transforms=[(c, "log") for c in header]))
+        for part, whole in [(sys.stdout.getvalue(), wf.points_json()),
+                            ((out_dir / "predictions.json").read_text(), wf.points_json()),
+                            (plot.read_bytes().decode(), wf.plot_csv())]:
+            assert part and whole.startswith(part) and len(part) < len(whole)
 
     def _write_run(self, command, shellfish_csv, out_dir, capsys):
         code, _, _ = run_cli(

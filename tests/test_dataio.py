@@ -579,10 +579,11 @@ class TestRunFileWriters:
     def test_chunks_join_to_the_files(self, wf, rows, tmp_path):
         """Pieces of one to three rows, so the lists' joins fall between
         chunks, concatenate to the same two files."""
-        chunks = list(wf.run_file_chunks(rows))
+        with mock.patch.object(dataio, "_CHUNK_ROWS", rows):
+            chunks = list(wf.run_file_chunks())
+            assert [(text, "") for text, _ in chunks] == list(wf.run_file_chunks(plot=False))
         assert len(chunks) == max(1, -(-len(wf.batch) // rows))
         assert "".join(text for text, _ in chunks) == json_text(list(wf.points))
-        assert [(text, "") for text, _ in chunks] == list(wf.run_file_chunks(rows, plot=False))
         write_table(tmp_path / "plot.csv", PLOT_HEADER, wf.plot_rows)
         assert "".join(plot for _, plot in chunks).encode() == (tmp_path / "plot.csv").read_bytes()
 
