@@ -43,7 +43,8 @@ class KernelProfile:
             finite differences otherwise.
         power: k when the profile is (1 - t^2)^k on [0, 1] with support
             radius 1; not an argument, only ``builtin_profile`` sets it.
-            It lets d = 1 leave-one-out sums in ``npregress`` run on prefix sums.
+            It lets d = 1 batches and leave-one-out sums in ``npregress``
+            run on prefix sums.
     """
 
     name: str

@@ -7,13 +7,13 @@ z * sqrt(sigma2 * R(K) / (n h^d f_hat)). ``nw_batch`` returns these as
 columns (``NWBatch``), which also reads as a sequence of per-row results.
 
 Batches, the replication density and leave-one-out bandwidth selection
-for d > 1 or a custom profile run on one core, ``_nw_core``. A batch with
-many query rows sorts the sample by its first reduced coordinate, so each
-query only scans the contiguous slab of samples that can lie inside the
-kernel support (the window itself when d = 1; Fan & Marron 1994), in
-blocks of bounded size; memory stays linear in n. Small batches scan the
-whole sample. The kernel is radial, so the leave-one-out pass forms each
-pair's weight once and adds it to both rows' sums.
+run on one core, ``_nw_core``, except where d = 1 sums run on prefix sums
+(below). A batch with many query rows sorts the sample by its first reduced
+coordinate, so each query only scans the contiguous slab of samples that
+can lie inside the kernel support (the window itself when d = 1; Fan &
+Marron 1994), in blocks of bounded size; memory stays linear in n. Small
+batches scan the whole sample. The kernel is radial, so the leave-one-out
+pass forms each pair's weight once and adds it to both rows' sums.
 
 For d > 1 the radii come from the Gram form ||q - w||^2 = |q|^2 + |w|^2 -
 2 q.w on rows centred once per call at the sample mean, which needs no
@@ -23,18 +23,24 @@ original rows replaces it, so kernel support is decided exactly as by the
 direct expression. A block holding a query far from the centre takes the
 direct radii throughout.
 
-Leave-one-out bandwidth selection at d = 1 with a built-in profile, all
-(1 - t^2)^k, runs on prefix sums instead (``_loo_prefix``): Fan & Marron
-(1994) call this updating, and the chunk-centred form that keeps it stable
-is from Langrene & Warin (2019, "Fast and stable multivariate kernel
-density estimation by fast sum updating", arXiv:1712.00993). The sample is
-sorted once for the grid; each window's sums come from prefix sums over at
-most three chunks of width h. Window edges, and so empty windows, follow
-the direct test |q - w| / h < 1 (<= 1 for the uniform profile). A row's
-mass carries a rounding error below n eps 5^k per window sample; a row
-whose mass is below 1000 times that bound is summed directly.
+At d = 1 with a built-in profile, all (1 - t^2)^k, one routine computes
+window sums from prefix sums instead (``_nw_prefix``): Fan & Marron (1994)
+call this updating, and the chunk-centred form that keeps it stable is from
+Langrene & Warin (2019, "Fast and stable multivariate kernel density
+estimation by fast sum updating", arXiv:1712.00993). It serves every
+leave-one-out bandwidth search, on the sample sorted once for the grid, and
+every sorted batch whose slabs hold more than _PREFIX_WORK (n + m)(2k + 1)
+samples in all, that multiple of the prefix path's work for n samples and
+m queries. Each window's sums come from prefix sums over at most three
+chunks of width h. Window edges, and so empty windows, follow the direct
+test |q - w| / h < 1 (<= 1 for the uniform profile). A row's sums of
+(Y - ybar)^r carry a rounding error below eps 5^k sum_i |Y_i - ybar|^r per
+window sample, and the centred variance's numerator S_2 - mu S_1 (mu =
+S_1 / S_0, the window's mean of Y - ybar) one that follows from those; a
+row whose mass or numerator is below 1e5 times its bound is summed
+directly.
 
-Floating-point policy: ``_nw_core``, ``_loo_prefix``, the leave-one-out
+Floating-point policy: ``_nw_core``, ``_nw_prefix``, the leave-one-out
 criterion, and ``nw_batch``'s two reductions and its density and interval
 step each silence numpy's overflow, divide-by-zero and invalid-value
 warnings in one ``with np.errstate`` block that the helpers inherit (a
@@ -63,9 +69,10 @@ BANDWIDTH_KINDS = ("power_rule", "fixed", "loocv")
 EXPONENT_DIMS = ("ambient_p", "reduced_d")
 # total kernel weight below which a window counts as empty
 _MIN_EFFECTIVE_MASS = 1e-12
-# a batch with at least this many query rows sorts the sample first; fewer
-# queries scan the whole sample, since they cannot repay an O(n log n) sort
-# when their windows hold most of it
+# a batch with at least this many query rows sorts the sample first, and only
+# such a batch may take the d = 1 prefix path; fewer queries scan the whole
+# sample, since they cannot repay an O(n log n) sort when their windows hold
+# most of it
 _SORT_MIN_QUERIES = 32
 # radii evaluated per block (rows x slab), so temporaries stay bounded;
 # a block always holds at least one row
@@ -81,9 +88,17 @@ _EDGE_RTOL = 64 * np.finfo(float).eps
 # takes direct radii throughout: there the Gram form's rounding is large
 # against h^2
 _GRAM_MAX_OFFSET = 8.0
-# a d = 1 leave-one-out row whose prefix-sum mass is below this many times
-# its rounding bound (see _loo_prefix) is summed directly over its window
-_PREFIX_SAFETY = 1e3
+# a d = 1 prefix-sum row whose mass or variance numerator is below this many
+# times its rounding bound (see _nw_prefix) is summed directly over its window
+_PREFIX_SAFETY = 1e5
+# queries per block of the prefix path: its prefix sums P are built once,
+# and a block's temporaries hold 3(2k + 1) x _PREFIX_BLOCK entries, no more
+# than P's 3(2k + 1) x (n + 1) once n reaches the block
+_PREFIX_BLOCK = 512
+# a sorted d = 1 batch with a built-in profile takes the prefix path when its
+# slabs hold more than this many times (n + m)(2k + 1) samples in all; below
+# that, per-call overhead makes the prefix path the slower one for n ~ 100
+_PREFIX_WORK = 8
 # the prefix path needs chunk indices (w - w_0) / h below this, so they and
 # the chunk centres w_0 + (c + 1/2) h stay exact to far below h
 _PREFIX_MAX_CHUNKS = 2.0 ** 26
@@ -321,6 +336,10 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
             mass and eta only) and sigma2 is all NaN.
         h: bandwidth.
 
+    A sorted batch (m >= _SORT_MIN_QUERIES, not leave-one-out) at d = 1
+    with a built-in profile takes its sums from ``_nw_prefix`` when its
+    slabs hold more than _PREFIX_WORK (n + m)(2k + 1) samples.
+
     Returns:
         (mass, eta, sigma2), each of length m; eta and sigma2 are NaN where
         the mass is zero.
@@ -329,7 +348,7 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
         n, m = W.shape[0], W0.shape[0]
         # the Gram form's centre, taken before the sort so no radius depends on it
         mu = W.mean(axis=0)
-        qorder = None
+        qorder = sums = None
         lo, hi = [0] * m, [n] * m
         if m >= _SORT_MIN_QUERIES:
             order = np.argsort(W[:, 0], kind="stable")
@@ -340,61 +359,73 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
             q = W0[:, 0]
             r = kernel.profile.support_radius * h
             reach = r + _SLAB_RTOL * (np.abs(q) + r)
-            lo = np.searchsorted(W[:, 0], q - reach, side="left").tolist()
-            hi = np.searchsorted(W[:, 0], q + reach, side="right").tolist()
-        Wc = None
-        if W.shape[1] > 1:
-            # one centred copy of the sample; the leave-one-out queries are it
-            Wc = W - mu
-            ww = np.einsum("ij,ij->i", Wc, Wc)
+            lo = np.searchsorted(W[:, 0], q - reach, side="left")
+            hi = np.searchsorted(W[:, 0], q + reach, side="right")
+            # d = 1 with a (1 - t^2)^k profile: prefix sums, where the slabs
+            # hold more samples than the prefix path's work
+            k = kernel.profile.power
+            if (not leave_one_out and W.shape[1] == 1 and k is not None
+                    and int(np.sum(hi - lo)) > _PREFIX_WORK * (n + m) * (2 * k + 1)):
+                sums = _nw_prefix(kernel, W[:, 0], Y, h, q)
+            lo, hi = lo.tolist(), hi.tolist()
+        if sums is None:
+            Wc = None
+            if W.shape[1] > 1:
+                # one centred copy of the sample; the leave-one-out queries are it
+                Wc = W - mu
+                ww = np.einsum("ij,ij->i", Wc, Wc)
+                if leave_one_out:
+                    W0c, qq = Wc, ww
+                else:
+                    W0c = W0 - mu
+                    qq = np.einsum("ij,ij->i", W0c, W0c)
             if leave_one_out:
-                W0c, qq = Wc, ww
+                # row a's pairs with earlier rows sit in those rows' blocks;
+                # pairs holds the kernel mass and weighted-Y sums, weights
+                # against OY
+                lo, OY, pairs = range(m), np.stack([np.ones(n), Y]), np.zeros((2, m))
             else:
-                W0c = W0 - mu
-                qq = np.einsum("ij,ij->i", W0c, W0c)
-        if leave_one_out:
-            # row a's pairs with earlier rows sit in those rows' blocks; sums
-            # holds the kernel mass and weighted-Y sums, weights against OY
-            lo, OY, sums = range(m), np.stack([np.ones(n), Y]), np.zeros((2, m))
-        else:
-            mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
-        gram_reach2 = np.float64(_GRAM_MAX_OFFSET * h) ** 2
-        a = 0
-        while a < m:
-            # consecutive queries share the union of their slabs
-            b = a + 1
-            while b < m and (b + 1 - a) * (hi[b] - lo[a]) <= _BLOCK_ELEMS:
-                b += 1
-            s0, s1 = lo[a], hi[b - 1]
-            gram = None
-            if Wc is not None and qq[a:b].max() <= gram_reach2:
-                gram = (Wc[s0:s1], ww[s0:s1], W0c[a:b], qq[a:b])
+                mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
+            gram_reach2 = np.float64(_GRAM_MAX_OFFSET * h) ** 2
+            a = 0
+            while a < m:
+                # consecutive queries share the union of their slabs
+                b = a + 1
+                while b < m and (b + 1 - a) * (hi[b] - lo[a]) <= _BLOCK_ELEMS:
+                    b += 1
+                s0, s1 = lo[a], hi[b - 1]
+                gram = None
+                if Wc is not None and qq[a:b].max() <= gram_reach2:
+                    gram = (Wc[s0:s1], ww[s0:s1], W0c[a:b], qq[a:b])
+                if leave_one_out:
+                    _pair_block(kernel, W[s0:s1], OY[:, s0:s1], b - a, h, gram, pairs[:, s0:s1])
+                else:
+                    mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, gram)
+                a = b
             if leave_one_out:
-                _pair_block(kernel, W[s0:s1], OY[:, s0:s1], b - a, h, gram, sums[:, s0:s1])
-            else:
-                mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, gram)
-            a = b
-        if leave_one_out:
-            mass, eta, sigma2 = sums[0], sums[1] / sums[0], np.full(m, np.nan)
+                mass, eta, sigma2 = pairs[0], pairs[1] / pairs[0], np.full(m, np.nan)
+            sums = mass, eta, sigma2
         if qorder is None:
-            return mass, eta, sigma2
+            return sums
         out = np.empty((3, m))
-        out[:, qorder] = (mass, eta, sigma2)
+        out[:, qorder] = sums
         return out[0], out[1], out[2]
 
 
-def _window_starts(w: NDArray[np.floating], h: float, closed: bool) -> NDArray[np.intp]:
-    """Per sample i of the sorted 1-d sample w, the first j <= i with
-    |w_i - w_j| / h < 1 (<= 1 if ``closed``), the direct core's radius and
-    support test. Samples below w_i - h by more than the slabs' rounding
-    slack fail it; the first sample past that bound is tested once, and
-    the edge is bisected only where that test fails."""
-    a = np.searchsorted(w, w - (h + _SLAB_RTOL * (np.abs(w) + h)), side="left")
-    b = np.arange(w.size)
+def _window_starts(w: NDArray[np.floating], q: NDArray[np.floating], h: float,
+                   closed: bool) -> NDArray[np.intp]:
+    """Per query q_i, the first index j of the sorted 1-d sample w from which
+    every sample below q_i passes the direct core's radius and support test
+    |q_i - w_j| / h < 1 (<= 1 if ``closed``); the count of samples below q_i
+    if none does. Samples below q_i - h by more than the slabs' rounding
+    slack fail the test; the first sample past that bound is tested once,
+    and the edge is bisected only where that test fails."""
+    a = np.searchsorted(w, q - (h + _SLAB_RTOL * (np.abs(q) + h)), side="left")
+    b = np.searchsorted(w, q, side="left")
     rows = np.flatnonzero(a < b)
     mid = a[rows]
     while rows.size:
-        t = np.abs(w[rows] - w[mid]) / h
+        t = np.abs(q[rows] - w[mid]) / h
         hit = t <= 1.0 if closed else t < 1.0
         b[rows[hit]] = mid[hit]
         a[rows[~hit]] = mid[~hit] + 1
@@ -412,73 +443,114 @@ def _powers(v: NDArray[np.floating], m: int) -> NDArray[np.floating]:
     return out
 
 
-def _loo_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.floating],
-                h: float) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
-    """Leave-one-out kernel mass and NW estimate at every sample of the sorted
-    1-d sample w, for a profile (1 - t^2)^k: the first two outputs of
-    ``_nw_core(kernel, w[:, None], Y, w[:, None], h, leave_one_out=True)``,
-    from prefix sums (Fan & Marron 1994; Langrene & Warin 2019).
+def _nw_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.floating],
+               h: float, q: NDArray[np.floating] | None = None
+               ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]] | None:
+    """``_nw_core(kernel, w[:, None], Y, q[:, None], h)`` for the sorted 1-d
+    sample (w, Y), sorted query points q and a profile (1 - t^2)^k, from
+    prefix sums (Fan & Marron 1994; Langrene & Warin 2019). With q None the
+    queries are the samples, each left out of its own sums as with
+    ``leave_one_out``, and sigma2 is all NaN. Returns None when the sample
+    spans too many chunks of width h, or a centred difference could
+    overflow; the direct core then serves.
 
     The sample is cut into chunks of width h, each centred at its midpoint
-    z, so u = (w - z) / h lies in [-1/2, 1/2). Prefix sums of u^j and u^j Y,
-    j <= 2k, give a window's sums within a chunk; the window of q spans at
-    most q's chunk and its two neighbours, and (1 - (v - u)^2)^k with
-    v = (q - z) / h expands by binomial coefficients into those sums. The
-    row's own chunk is summed on both sides of the row, not as a full sum
-    less K(0).
+    z, so u = (w - z) / h lies in [-1/2, 1/2). Prefix sums of u^j (Y -
+    ybar)^r, j <= 2k and r <= 2 (r <= 1 when left out), give a window's
+    sums within a chunk; the window of q spans at most q's chunk and its two
+    neighbours, and (1 - (v - u)^2)^k with v = (q - z) / h expands by
+    binomial coefficients into those sums. A left-out row's own chunk is
+    summed on both sides of the row, not as a full sum less K(0). Queries
+    run in blocks of _PREFIX_BLOCK, so no temporary grows with m.
 
     Window bounds, and so empty windows, come from counts and the direct
-    core's test at the window edges (``_window_starts``). Every term
-    a_j(v) u^j is at most 5^k in magnitude (|v| <= 3/2, |u| <= 1/2) and
-    each prefix sum adds at most n terms, so a row's mass carries a
-    rounding error below n eps 5^k per window sample. A row whose mass is
-    below _PREFIX_SAFETY times that bound, or whose window reaches past the
-    neighbouring chunks, is summed directly over its window.
+    core's test at the window edges (``_window_starts``); an empty
+    window's sums are set to exactly 0, however far its query lies. Every
+    term a_j(v) u^j is at most 5^k in magnitude (|v| <= 3/2, |u| <= 1/2)
+    and each prefix sum adds at most n terms, so a row's sums S_r of
+    (Y - ybar)^r carry a rounding error below eps 5^k T_r per window
+    sample, T_r = sum_i |Y_i - ybar|^r (T_0 = n); the centred variance's
+    numerator S_2 - mu S_1, mu = S_1 / S_0, then carries one below
+    eps 5^k (T_2 + 2 |mu| T_1 + mu^2 n) per window sample. A row whose
+    mass or numerator is below _PREFIX_SAFETY times its bound, or whose
+    window reaches past the neighbouring chunks, is summed directly over
+    its window.
     """
-    k, n = kernel.profile.power, w.size
+    k, n, loo = kernel.profile.power, w.size, q is None
+    q = w if loo else q
     w0, span = float(w[0]), (float(w[-1]) - float(w[0])) / h
     # chunk indices and centres exact, and every centred difference finite
     if not (span < _PREFIX_MAX_CHUNKS and math.isfinite(4.0 * (abs(w0) + abs(float(w[-1])) + h))):
-        mass, eta, _ = _nw_core(kernel, w[:, None], Y, w[:, None], h, leave_one_out=True)
-        return mass, eta
+        return None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # the window of sample i is [lo, hi); the right edge is the left one of
-        # the mirrored sample
-        lo = _window_starts(w, h, k == 0)
-        hi = n - _window_starts(-w[::-1], h, k == 0)[::-1]
-        # each sample's chunk c, and where its chunk starts and ends
+        # the window of query i is [lo, hi); the right edge is the left one
+        # of the mirrored query; a left-out row's window holds the row
+        lo = _window_starts(w, q, h, k == 0)
+        hi = n - _window_starts(-w[::-1], -q, h, k == 0)
+        count = hi - lo - loo
+        live = count > 0
+        # each sample's and query's chunk, and where the query's chunk starts
+        # and ends
         c = np.floor((w - w0) / h)
-        start, end = np.searchsorted(c, c, side="left"), np.searchsorted(c, c, side="right")
-        # prefix sums of u^j and u^j (Y - ybar), u in each sample's chunk frame
-        J, ybar = 2 * k + 1, Y.mean()
-        P = np.zeros((2 * J, n + 1))
+        cq = c if loo else np.floor((q - w0) / h)
+        start, end = np.searchsorted(c, cq, side="left"), np.searchsorted(c, cq, side="right")
+        # prefix sums of u^j (Y - ybar)^r, u in each sample's chunk frame
+        J, R, ybar = 2 * k + 1, 2 if loo else 3, Y.mean()
+        dy = Y - ybar
+        P = np.zeros((R * J, n + 1))
         P[:J, 1:] = _powers((w - (w0 + (c + 0.5) * h)) / h, J)
-        np.multiply(P[:J, 1:], Y - ybar, out=P[J:, 1:])
+        for r in range(1, R):
+            np.multiply(P[(r - 1) * J:r * J, 1:], dy, out=P[r * J:(r + 1) * J, 1:])
         np.cumsum(P[:, 1:], axis=1, out=P[:, 1:])
         # a_j(v), the coefficient of u^j in (1 - (v - u)^2)^k, is sum_p M[j, p] v^p
         M = np.zeros((J, J))
         for m in range(k + 1):
             for j in range(2 * m + 1):
                 M[j, 2 * m - j] += (-1) ** (m + j) * math.comb(k, m) * math.comb(2 * m, j)
-        # the window's sums in chunks c - 1, c (either side of the row) and
-        # c + 1, each with the offset of that chunk's centre from c
-        a, b = np.maximum(lo, start), np.minimum(hi, end)
-        parts = ((-0.5, P[:, start] - P[:, np.minimum(lo, start)]),
-                 (0.5, (P[:, :-1] - P[:, a]) + (P[:, b] - P[:, 1:])),
-                 (1.5, P[:, np.maximum(hi, end)] - P[:, end]))
-        sums = np.zeros((2, n))
-        for off, S in parts:
-            A = np.einsum("jp,pi->ji", M, _powers((w - (w0 + (c + off) * h)) / h, J))
-            sums += np.einsum("ji,rji->ri", A, S.reshape(2, J, n))
-        # an empty window's sums are exactly 0, and so never redone
-        mass, ysum = sums
-        bound = _PREFIX_SAFETY * n * np.finfo(float).eps * 5.0 ** k
-        redo = (mass < bound * (hi - lo - 1)) | (c[lo] < c - 1) | (c[hi - 1] > c + 1)
+        sums = np.zeros((R, q.size))
+        for b0 in range(0, q.size, _PREFIX_BLOCK):
+            b1 = min(b0 + _PREFIX_BLOCK, q.size)
+            i = slice(b0, b1)
+            li, hi_, si, ei = lo[i], hi[i], start[i], end[i]
+            a, b = np.maximum(li, si), np.minimum(hi_, ei)
+            # the window's sums in chunks c - 1, c (either side of a left-out
+            # row) and c + 1, each with the offset of that chunk's centre from c
+            own = ((a, i), (slice(b0 + 1, b1 + 1), b)) if loo else ((a, b),)
+            for off, segs in ((-0.5, ((np.minimum(li, si), si),)), (0.5, own),
+                              (1.5, ((ei, np.maximum(hi_, ei)),))):
+                S = sum(P[:, y] - P[:, x] for x, y in segs)
+                A = np.einsum("jp,pi->ji", M, _powers((q[i] - (w0 + (cq[i] + off) * h)) / h, J))
+                sums[:, i] += np.einsum("ji,rji->ri", A, S.reshape(R, J, -1))
+        # an empty window's sums are 0 times its expansion, which a far query
+        # can make inf or NaN; they are exactly 0
+        sums[:, ~live] = 0.0
+        mass, ysum = sums[0], sums[1]
+        # a prefix difference over c samples errs by at most eps c times the
+        # total of its row's terms, and those of u^j (Y - ybar)^r total at
+        # most 2^-j sum_i |Y_i - ybar|^r
+        bound = np.finfo(float).eps * 5.0 ** k * count
+        redo = live & ((mass < _PREFIX_SAFETY * n * bound) | (c.take(lo, mode="clip") < cq - 1)
+                       | (c.take(hi - 1, mode="clip") > cq + 1))
+        if not loo:
+            # the centred variance's numerator S_2 - mu S_1, mu = S_1 / S_0
+            mu = ysum / mass
+            var = sums[2] - mu * ysum
+            t1, t2 = float(np.sum(np.abs(dy))), float(np.sum(dy * dy))
+            redo |= live & (var < _PREFIX_SAFETY * bound * (t2 + 2.0 * np.abs(mu) * t1 + mu * mu * n))
+        # the direct sums centre on the window's first response, so the
+        # variance needs no cancelling subtraction; einsum, not a BLAS
+        # product, for the reason _gram_radii gives
         for i in np.flatnonzero(redo).tolist():
-            wts = kernel.profile.raw_profile(np.abs(w[lo[i]:hi[i]] - w[i]) / h)
-            wts[i - lo[i]] = 0.0
-            mass[i], ysum[i] = wts.sum(), wts @ (Y[lo[i]:hi[i]] - ybar)
-        return kernel.norm_const * mass, ybar + ysum / mass
+            wts = kernel.profile.raw_profile(np.abs(q[i] - w[lo[i]:hi[i]]) / h)
+            if loo:
+                wts[i - lo[i]] = 0.0
+            d = Y[lo[i]:hi[i]] - Y[lo[i]]
+            mass[i], dsum = wts.sum(), np.einsum("j,j->", wts, d)
+            ysum[i] = dsum + (Y[lo[i]] - ybar) * mass[i]
+            if not loo:
+                var[i] = np.einsum("j,j->", wts, (d - dsum / mass[i]) ** 2)
+        sigma2 = np.full(q.size, np.nan) if loo else np.maximum(var / mass, 0.0)
+        return kernel.norm_const * mass, ybar + ysum / mass, sigma2
 
 
 def _loocv_bandwidth(rule: BandwidthRule, kernel: RadialKernel,
@@ -500,10 +572,8 @@ def _loocv_bandwidth(rule: BandwidthRule, kernel: RadialKernel,
     var = float(np.var(Ys))
     best_h, best_err = None, math.inf
     for h in rule.cv_grid:
-        if prefix:
-            mass, pred = _loo_prefix(kernel, W[:, 0], Y, h)
-        else:
-            mass, pred, _ = _nw_core(kernel, W, Y, W, h, leave_one_out=True)
+        sums = _nw_prefix(kernel, W[:, 0], Y, h) if prefix else None
+        mass, pred, _ = sums if sums is not None else _nw_core(kernel, W, Y, W, h, leave_one_out=True)
         ok = mass > 0
         if not np.any(ok):
             continue

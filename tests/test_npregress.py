@@ -20,8 +20,8 @@ from rednw.npregress import (
     NWConfig,
     NWFit,
     PointResult,
-    _loo_prefix,
     _nw_core,
+    _nw_prefix,
     bandwidth,
     gaussian_quantile,
     nw_batch,
@@ -677,16 +677,17 @@ class TestLoocvReference:
 
 
 def prefix_loo(kernel, W, Y, h):
-    """_loo_prefix on the sorted sample, returned in the original row order."""
+    """_nw_prefix's leave-one-out sums on the sorted sample, returned in the
+    original row order."""
     order = np.argsort(W[:, 0], kind="stable")
     mass, eta = np.empty(len(Y)), np.empty(len(Y))
-    mass[order], eta[order] = _loo_prefix(kernel, W[order, 0], Y[order], h)
+    mass[order], eta[order], _ = _nw_prefix(kernel, W[order, 0], Y[order], h)
     return mass, eta
 
 
 def assert_prefix_close(kernel, W, Y, h, mass, eta, ref_mass, ref_eta):
     """The prefix sums against a direct evaluation: the same empty windows,
-    and mass and estimate within _loo_prefix's stated rounding bound, n eps
+    and mass and estimate within _nw_prefix's stated rounding bound, n eps
     5^k per window sample (the direct sums add 1e-13 relative)."""
     n, k = len(Y), kernel.profile.power
     assert np.array_equal(mass > 0, ref_mass > 0)
@@ -807,16 +808,166 @@ class TestLoocvPrefix:
         assert bandwidth(rule, n=400, p=1, d=1, kernel=make_kernel(biweight, 1), W=W, Y=Y) == h
 
     @pytest.mark.parametrize("h", [1e-9, 1e308])
-    def test_chunks_outside_float_range_take_slab_path(self, h):
+    def test_chunks_outside_float_range_take_slab_path(self, h, monkeypatch):
         """Chunk indices past 2^26, or centres that could overflow, leave
         the bandwidth to the direct core: the same sums bit for bit."""
         w = np.array([0.0, 0.5, 1.0, 1.0 + 1e-10, 3.0])
         Y = np.array([1.0, -2.0, 0.5, 4.0, 3.0])
-        mass, eta = _loo_prefix(TRIWEIGHT_1D, w, Y, h)
-        ref_mass, ref_eta, _ = _nw_core(TRIWEIGHT_1D, w[:, None], Y, w[:, None], h,
-                                        leave_one_out=True)
-        assert np.array_equal(mass, ref_mass)
-        assert np.array_equal(eta, ref_eta, equal_nan=True)
+        assert _nw_prefix(TRIWEIGHT_1D, w, Y, h) is None
+        sums = []
+        core = npregress._nw_core
+
+        def recording_core(*args, **kwargs):
+            sums.append(core(*args, **kwargs))
+            return sums[-1]
+
+        monkeypatch.setattr(npregress, "_nw_core", recording_core)
+        rule = BandwidthRule(kind="loocv", cv_grid=(h,))
+        assert bandwidth(rule, n=5, p=1, d=1, kernel=TRIWEIGHT_1D, W=w[:, None], Y=Y) == h
+        ref_mass, ref_eta, _ = core(TRIWEIGHT_1D, w[:, None], Y, w[:, None], h, leave_one_out=True)
+        assert len(sums) == 1
+        assert np.array_equal(sums[0][0], ref_mass)
+        assert np.array_equal(sums[0][1], ref_eta, equal_nan=True)
+
+
+def slab_batch(cfg, basis, X, Y, X0):
+    """nw_batch with the d = 1 prefix path switched off: the slab sums."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npregress, "_PREFIX_WORK", math.inf)
+        return nw_batch(cfg, basis, X, Y, X0)
+
+
+def prefix_batch(cfg, basis, X, Y, X0):
+    """nw_batch, checking that its sums came from the prefix path."""
+    queries = []
+
+    def spy(kernel, w, Y, h, q=None):
+        queries.append(q)
+        return _nw_prefix(kernel, w, Y, h, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npregress, "_nw_prefix", spy)
+        batch = nw_batch(cfg, basis, X, Y, X0)
+    assert len(queries) == 1 and queries[0] is not None
+    return batch
+
+
+def prefix_bounds(kernel, w, Y, q, h, eta):
+    """_nw_prefix's stated rounding bounds, per window sample eps 5^k T_r
+    on a row's sums of (Y - ybar)^r, T_r = sum_i |Y_i - ybar|^r: those of
+    the raw mass S_0, the estimate and the variance's numerator."""
+    n, k = len(Y), kernel.profile.power
+    with np.errstate(over="ignore"):
+        t = np.abs(q[:, None] - w[None, :]) / h
+    b = np.finfo(float).eps * 5.0 ** k * np.sum(t <= 1.0 if k == 0 else t < 1.0, axis=1)
+    dy = Y - Y.mean()
+    t1, t2, mu = np.sum(np.abs(dy)), np.sum(dy * dy), np.abs(eta - Y.mean())
+    return n * b, b * (t1 + mu * n), b * (t2 + 2.0 * mu * t1 + mu * mu * n)
+
+
+def assert_batch_close(kernel, w, Y, q, batch, ref):
+    """A prefix-path batch against the slab path's: the same ok pattern and
+    errors, and every column within _nw_prefix's stated rounding bounds; the
+    slab's own sums add about 1e-13 relative."""
+    assert batch.ok.tolist() == ref.ok.tolist()
+    assert batch.errors == ref.errors
+    assert np.all(batch.mass[ref.mass == 0] == 0) and not np.signbit(batch.mass).any()
+    b0, b1, b2 = prefix_bounds(kernel, w, Y, q, batch.h, ref.eta_hat)
+    assert np.all(np.abs(batch.mass - ref.mass) <= kernel.norm_const * b0 + 1e-13 * ref.mass)
+    ok, big = ref.ok, np.max(np.abs(Y))
+    mass, b0, b1, b2 = ref.mass[ok] / kernel.norm_const, b0[ok], b1[ok], b2[ok]
+    s2 = ref.sigma2_hat[ok]
+    tol = {"eta_hat": b1 / mass + 1e-12 * big,
+           "sigma2_hat": (b2 + s2 * b0) / mass + 1e-12 * s2 + (4 * np.spacing(big)) ** 2,
+           "f_hat": (b0 / mass + 1e-13) * ref.f_hat[ok]}
+    half = ref.ci_hi[ok] - ref.eta_hat[ok]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = 0.51 * half * (tol["sigma2_hat"] / s2 + b0 / mass)
+    tol["ci_lo"] = tol["ci_hi"] = tol["eta_hat"] + np.where(s2 > 0, spread, 0.0) + 1e-12 * big
+    for name, tolerance in tol.items():
+        got, want = getattr(batch, name)[ok], getattr(ref, name)[ok]
+        assert np.all(np.abs(got - want) <= tolerance), name
+
+
+@st.composite
+def prefix_instances(draw):
+    """d = 1 batches whose windows are wide enough for the prefix path:
+    samples with ties on a 1/8 grid, dyadic bandwidths, so samples sit
+    exactly at q +- h, and queries left and right of every sample, at the
+    sample's edges and far outside (past 2^26 chunks and past the float
+    range of (q - w_0) / h)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(300, 500)), draw(st.integers(200, 400))
+    w = rng.uniform(-1.0, 1.0, n)
+    tied = rng.random(n) < draw(st.floats(0.0, 1.0))
+    w[tied] = np.round(8.0 * w[tied]) / 8.0
+    h = draw(st.one_of(st.sampled_from([0.75, 1.0, 1.25, 2.0]), st.floats(0.75, 2.0)))
+    q = rng.uniform(-1.2, 1.2, m)
+    on_grid = rng.random(m) < 0.3
+    q[on_grid] = np.round(8.0 * q[on_grid]) / 8.0
+    lo, hi, big = w.min(), w.max(), np.finfo(float).max
+    edges = [lo - h, hi + h, lo - np.spacing(lo), hi + 1e-3, lo - 2.0, hi + 5.0,
+             -1e300, 1e300, -big, big]
+    q[:len(edges)] = edges
+    Y = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([1.0, 1e-3, 1e6]))
+    return w, Y, rng.permutation(q), h
+
+
+class TestBatchPrefix:
+    """d = 1 batches on prefix sums against the slab path."""
+
+    @pytest.mark.parametrize("profile", BUILTIN_PROFILES)
+    @settings(max_examples=25, deadline=None)
+    @given(inst=prefix_instances())
+    def test_matches_slab_path(self, profile, inst):
+        w, Y, q, h = inst
+        kern = make_kernel(builtin_profile(profile), 1)
+        cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=1,
+                       allow_nonsmooth_kernel=True)
+        args = (cfg, oracle_basis([[1.0]]), w[:, None], Y, q[:, None])
+        batch, ref = prefix_batch(*args), slab_batch(*args)
+        assert not ref.ok.all()
+        assert_batch_close(kern, w, Y, q, batch, ref)
+
+    def test_variance_cancellation_falls_back(self):
+        """Y = 1e8 + 1e-4 noise on one half of the sample and 1e-4 noise on
+        the other, with Y constant over a stretch: inside either half the
+        prefix variance S_2 - S_1^2 / S_0 cancels to rounding, so those rows
+        are summed directly. sigma2 stays >= 0, matches the direct centred
+        variance, and is exactly 0 where the window's responses agree; with
+        the fallback switched off the same rows are far off."""
+        rng = np.random.default_rng(12)
+        n, h = 600, 0.4
+        w = np.sort(rng.uniform(-1.0, 1.0, n))
+        Y = np.where(w > 0, 1e8, 0.0) + 1e-4 * rng.standard_normal(n)
+        Y[w > 0.5] = 1e8 + 2.0 ** -20
+        q = np.linspace(-0.95, 0.95, 400)
+        cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=1)
+        args = (cfg, oracle_basis([[1.0]]), w[:, None], Y, q[:, None])
+        batch = prefix_batch(*args)
+        assert batch.ok.all() and np.all(batch.sigma2_hat >= 0.0)
+        # the direct centred variance, on responses shifted by one of the
+        # window's own (exact for the 1e8 half, by Sterbenz)
+        wts = TRIWEIGHT_1D.weights(np.abs(q[:, None] - w[None, :]) / h)
+        shift = Y[np.argmin(np.abs(q[:, None] - w[None, :]), axis=1)]
+        Yc = Y[None, :] - shift[:, None]
+        mean = np.sum(wts * Yc, axis=1) / wts.sum(axis=1)
+        direct = np.sum(wts * (Yc - mean[:, None]) ** 2, axis=1) / wts.sum(axis=1)
+        # rows whose window holds one half only are summed directly; the
+        # rest are within the stated bound
+        one_sided = (q + h < 0) | (q - h > 0)
+        assert one_sided.sum() > 100
+        np.testing.assert_allclose(batch.sigma2_hat[one_sided], direct[one_sided], rtol=1e-9, atol=0.0)
+        b0, _, b2 = prefix_bounds(TRIWEIGHT_1D, w, Y, q, h, batch.eta_hat)
+        tol = (b2 + direct * b0) / wts.sum(axis=1) + 1e-9 * direct
+        assert np.all(np.abs(batch.sigma2_hat - direct) <= tol)
+        constant = q - h > 0.5
+        assert constant.sum() > 10 and np.all(batch.sigma2_hat[constant] == 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(npregress, "_PREFIX_SAFETY", 0.0)
+            unsafe = prefix_batch(*args)
+        off = np.abs(unsafe.sigma2_hat - direct)[one_sided] / direct[one_sided].clip(1e-8)
+        assert np.median(off) > 1.0
 
 
 class TestSupportEdge:
@@ -836,6 +987,25 @@ class TestSupportEdge:
         for res in out:
             assert res.fit.effective_mass == 3.0 * uniform.norm_const
             assert res.fit.eta_hat == 2.0
+
+    def test_uniform_edge_prefix(self):
+        """test_uniform_edge at a size that takes the d = 1 prefix path: the
+        samples exactly h away count, those one ulp further do not. Counts
+        are exact, so the mass is; the estimate is within the prefix sums'
+        rounding bound of 2."""
+        uniform = make_kernel(builtin_profile("uniform"), 1)
+        cfg = NWConfig(kernel=uniform, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.25),
+                       d=1, allow_nonsmooth_kernel=True)
+        X = np.array([[0.75], [1.25], [np.nextafter(0.75, 0.0)],
+                      [np.nextafter(1.25, 2.0)], [1.0]] + [[1.0]] * 40)
+        Y = np.array([1.0, 2.0, 100.0, 200.0, 3.0] + [2.0] * 40)
+        out = prefix_batch(cfg, oracle_basis([[1.0]]), X, Y, np.ones((64, 1)))
+        assert out.ok.all()
+        assert np.all(out.mass == 43.0 * uniform.norm_const)
+        # |delta eta| <= eps (T_1 + |mu| n) count / S_0, with S_0 = count
+        dy = Y - Y.mean()
+        tol = np.finfo(float).eps * (np.sum(np.abs(dy)) + abs(2.0 - Y.mean()) * len(Y))
+        assert np.all(np.abs(out.eta_hat - 2.0) <= tol)
 
     @pytest.mark.parametrize("rows", [1, _SORT_MIN_QUERIES])
     def test_uniform_edge_2d(self, rows):
