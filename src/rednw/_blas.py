@@ -1,4 +1,4 @@
-"""Keep OpenBLAS from starting a thread per core in every worker of a thread pool."""
+"""C-library settings for the replication pool: OpenBLAS threads per worker, glibc's heap."""
 
 import contextlib
 import ctypes
@@ -32,3 +32,12 @@ def blas_threads_per_worker(n_workers: int):
     finally:
         for put, old in saved:
             put(old)
+
+
+def keep_freed_memory() -> bool:
+    """Make glibc serve blocks up to 32 MB from its heap and trim it only past
+    64 MB free, so freed arrays are reused, not faulted in again as new pages."""
+    with contextlib.suppress(OSError, TypeError, AttributeError):
+        mallopt = ctypes.CDLL(None).mallopt  # M_MMAP_THRESHOLD -3, M_TRIM_THRESHOLD -1
+        return bool(mallopt(-3, 32 << 20)) & bool(mallopt(-1, 64 << 20))
+    return False

@@ -48,10 +48,10 @@ from .npregress import BANDWIDTH_KINDS, EXPONENT_DIMS, BandwidthRule
 from .reduction import FIT_METHODS, fit, oracle_basis
 from .simulate import (
     NPRT_REDUCTIONS,
-    coverage_experiment,
+    coverage_view,
     default_bandwidth_rule,
     draw_test_points,
-    equivalence_experiment,
+    equivalence_view,
     estimate_density_data,
     run_replications,
 )
@@ -321,10 +321,11 @@ def _simulate_config_from_args(args) -> dict:
 def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     plan = simulation_plan_from_config(config)
     cfg = plan.model_cfg
+    # the one replication run; only coverage reads intervals, at the run's level
     table = run_replications(cfg, plan.methods, plan.ns, plan.test_points,
                              plan.n_rep, base_seed=plan.base_seed,
-                             bandwidth_rule=plan.bandwidth_rule,
-                             n_threads=threads)
+                             bandwidth_rule=plan.bandwidth_rule, n_threads=threads,
+                             ci_level=plan.coverage_level if plan.coverage else 0.95)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
@@ -353,17 +354,13 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
             write_table(out_dir / name, ["method", "n", "grid", "density"], drows)
             outputs.append(name)
 
-    x0 = plan.test_points[0]
     if plan.equivalence:
-        eq_rows = equivalence_experiment(cfg, plan.ns, plan.n_rep, x0, reduction="pls",
-                                         base_seed=plan.base_seed, n_threads=threads)
-        write_table(out_dir / "equivalence.csv",
-                    ["n", "h", "median_stat", "n_used", "n_missing"],
+        eq_rows = equivalence_view(table)
+        write_table(out_dir / "equivalence.csv", ["n", "h", "median_stat", "n_used", "n_missing"],
                     [(r.n, r.h, r.median_stat, r.n_used, r.n_missing) for r in eq_rows])
         outputs.append("equivalence.csv")
     if plan.coverage:
-        cov = coverage_experiment(cfg, max(plan.ns), plan.n_rep, x0, level=plan.coverage_level,
-                                  base_seed=plan.base_seed, n_threads=threads)
+        cov = coverage_view(table, cfg, max(plan.ns), plan.coverage_level)
         write_table(out_dir / "coverage.csv",
                     ["n", "level", "coverage", "n_used", "n_excluded", "truth",
                      "median_ci_width"],

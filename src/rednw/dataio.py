@@ -35,6 +35,7 @@ from .simulate import (
     MethodSpec,
     Model1Config,
     Model2Config,
+    oracle_specs,
     recompute_cell,
 )
 
@@ -397,6 +398,8 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
         # every replication's fit would fail and leave its cells missing
         raise ArgumentError(f"pfc on the harness's features (y, |y|) gives at most "
                             f"{PFC_MAX_D} directions, got d={d}")
+    # the x0-only columns the views read: NPR for either, NPRT for equivalence
+    methods += oracle_specs()[:2 if equivalence else int(coverage)]
     return SimulationPlan(model_cfg=model_cls(seed=seed), methods=methods, ns=ns,
                           n_rep=n_rep, base_seed=seed, bandwidth_rule=rule,
                           test_points=test_points, equivalence=equivalence,
@@ -414,10 +417,11 @@ def recompute_cell_from_manifest(manifest: RunManifest | str | Path,
     if not isinstance(manifest, RunManifest):
         manifest = RunManifest.from_json_file(manifest, command="simulate")
     plan = simulation_plan_from_config(manifest.config)
+    methods = [m for m in plan.methods if not m.x0_only]
     method = method.lower()
-    spec = next((m for m in plan.methods if m.method == method), None)
+    spec = next((m for m in methods if m.method == method), None)
     if spec is None:
-        raise ArgumentError(f"method {method!r} not in manifest methods {[m.method for m in plan.methods]}")
+        raise ArgumentError(f"method {method!r} not in manifest methods {[m.method for m in methods]}")
     return recompute_cell(plan.model_cfg, spec, plan.test_points, point_id=point_id,
                           n=n, n_rep=plan.n_rep, base_seed=plan.base_seed,
                           bandwidth_rule=plan.bandwidth_rule, n_threads=n_threads)

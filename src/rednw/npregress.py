@@ -434,9 +434,10 @@ def _window_starts(w: NDArray[np.floating], q: NDArray[np.floating], h: float,
     return a
 
 
-def _powers(v: NDArray[np.floating], m: int) -> NDArray[np.floating]:
-    """Rows v^0, ..., v^(m-1)."""
-    out = np.empty((m, v.size))
+def _powers(v: NDArray[np.floating], m: int,
+            out: NDArray[np.floating] | None = None) -> NDArray[np.floating]:
+    """Rows v^0, ..., v^(m-1), written into ``out`` if given."""
+    out = np.empty((m, v.size)) if out is None else out
     out[0] = 1.0
     for j in range(1, m):
         np.multiply(out[j - 1], v, out=out[j])
@@ -498,7 +499,7 @@ def _nw_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.floa
         J, R, ybar = 2 * k + 1, 2 if loo else 3, Y.mean()
         dy = Y - ybar
         P = np.zeros((R * J, n + 1))
-        P[:J, 1:] = _powers((w - (w0 + (c + 0.5) * h)) / h, J)
+        _powers((w - (w0 + (c + 0.5) * h)) / h, J, out=P[:J, 1:])
         for r in range(1, R):
             np.multiply(P[(r - 1) * J:r * J, 1:], dy, out=P[r * J:(r + 1) * J, 1:])
         np.cumsum(P[:, 1:], axis=1, out=P[:, 1:])

@@ -9,6 +9,7 @@ experiments, and kernel density data for plotting estimate distributions.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ._blas import blas_threads_per_worker
+from ._blas import blas_threads_per_worker, keep_freed_memory
 from .errors import ArgumentError, NumericError, RednwError
 from .kernels import builtin_profile, make_kernel, second_moment
 from .npregress import BandwidthRule, NWConfig, _nw_core, bandwidth, nw_batch
@@ -232,11 +233,15 @@ PFC_MAX_D = 2
 @dataclass(frozen=True)
 class MethodSpec:
     """One estimator column: np (full space), npr (true reduction), nprt
-    (fitted reduction via ``reduction`` in NPRT_REDUCTIONS)."""
+    (fitted reduction via ``reduction`` in NPRT_REDUCTIONS), with the run's
+    bandwidth rule unless ``bandwidth_rule`` is set; an ``x0_only`` column
+    is evaluated at test point 0 alone and has no cells."""
 
     method: str
     reduction: str | None = None
     d: int = 1
+    bandwidth_rule: BandwidthRule | None = None
+    x0_only: bool = False
 
     def __post_init__(self):
         if self.method not in METHOD_NAMES:
@@ -255,7 +260,7 @@ class MethodSpec:
 
     @property
     def label(self) -> str:
-        return self.method.upper()
+        return self.method.upper() + ("@X0" if self.x0_only else "")
 
 
 def emse(estimates: Sequence[float] | NDArray[np.floating]) -> float:
@@ -292,7 +297,8 @@ class ReplicationTable:
     n_rep: int
     base_seed: int
     # raw per-replication estimates keyed (point_id, n, method), NaN for
-    # missing, and under the same keys n_rep x 2 arrays of (ci_lo, ci_hi)
+    # missing, and under the same keys n_rep x 2 arrays of (ci_lo, ci_hi);
+    # an x0_only column has point 0 alone, and no cells
     estimates: dict
     intervals: dict
 
@@ -329,16 +335,21 @@ def _one_rep(cfg, methods, base_seed: int, test_points, configs: dict, fixed: di
     n, rep = task
     gen = gen_model1 if isinstance(cfg, Model1Config) else gen_model2
     X, Y, _ = gen(cfg, n, rng_stream=rep)
-    out = {}
+    bases, out = {}, {}
     for spec in methods:
-        try:
-            basis = fixed.get(spec.label) or _fit_basis(spec, cfg, X, Y, rep, base_seed)
-            batch = nw_batch(configs[spec.label], basis, X, Y, test_points)
-            # (eta_hat, ci_lo, ci_hi) per test point, NaN where it failed
-            out[spec.label] = np.column_stack((batch.eta_hat, batch.ci_lo, batch.ci_hi))
-        except RednwError:
-            # fit-level failure leaves the whole row missing
-            out[spec.label] = np.full((test_points.shape[0], 3), np.nan)
+        # x0 alone in a one-row batch: X0 is projected by one BLAS product,
+        # and row 0 of a larger product can differ in the last bit
+        points = test_points[:1] if spec.x0_only else test_points
+        # (eta_hat, ci_lo, ci_hi) per test point, NaN where it failed
+        out[spec.label] = np.full((points.shape[0], 3), np.nan)
+        key = (spec.method, spec.reduction, spec.d)
+        with contextlib.suppress(RednwError):
+            if key not in bases:
+                bases[key] = None  # one fit per key; a failed one stays None
+                bases[key] = fixed.get(spec.label) or _fit_basis(spec, cfg, X, Y, rep, base_seed)
+            if bases[key] is not None:
+                batch = nw_batch(configs[spec.label], bases[key], X, Y, points)
+                out[spec.label] = np.column_stack((batch.eta_hat, batch.ci_lo, batch.ci_hi))
     return task, out
 
 
@@ -355,6 +366,7 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     failed fits become missing entries with counts. The table also keeps
     every replication's estimate and its ci_level confidence interval
     (``estimates``, ``intervals``). Results are identical for any n_threads.
+    A method's own ``bandwidth_rule`` overrides the run's.
 
     Args:
         cfg: Model1Config or Model2Config.
@@ -382,13 +394,15 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     dims = {m.label: cfg.p if m.method == "np" else m.d for m in methods}
     profile = builtin_profile("triweight_poly3")
     kernels = {dim: make_kernel(profile, dim) for dim in sorted(set(dims.values()))}
-    configs = {lab: NWConfig(kernel=kernels[dim], bandwidth=rule, d=dim, ci_level=ci_level)
-               for lab, dim in dims.items()}
+    configs = {m.label: NWConfig(kernel=kernels[dims[m.label]], d=dims[m.label],
+                                 bandwidth=m.bandwidth_rule or rule, ci_level=ci_level)
+               for m in methods}
     # np's, npr's and wrong_direction's bases ignore the data: build each once
     fixed = {m.label: _fit_basis(m, cfg_run, None, None, 0, base_seed) for m in methods
              if m.method in ("np", "npr") or m.reduction == "wrong_direction"}
 
     tasks = [(n, rep) for n in ns for rep in range(n_rep)]
+    keep_freed_memory()  # every replication frees and redraws arrays of a few MB
     work = partial(_one_rep, cfg_run, methods, base_seed, test_points, configs, fixed)
     if n_threads > 1:
         with blas_threads_per_worker(n_threads), ThreadPoolExecutor(max_workers=n_threads) as ex:
@@ -399,14 +413,17 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     truths = cfg.truth(test_points) if isinstance(cfg, Model1Config) else None
     cells = []
     kept, intervals = {}, {}
+    full = [m.label for m in methods if not m.x0_only]
     for j in range(test_points.shape[0]):
         for n in ns:
-            for lab in labels:
+            for lab in labels if j == 0 else full:
                 # fixed (n, rep, point) aggregation order keeps cells bit-stable
                 reps = np.array([results[(n, rep)][lab][j] for rep in range(n_rep)])
                 v = reps[:, 0]
                 kept[(j, n, lab)] = v.copy()
                 intervals[(j, n, lab)] = reps[:, 1:]
+                if lab not in full:
+                    continue
                 good = v[~np.isnan(v)]
                 n_missing = int(np.isnan(v).sum())
                 if good.size:
@@ -421,7 +438,7 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
                                        n_rep=int(good.size), n_missing=n_missing,
                                        true_mse=t_mse))
     return ReplicationTable(cells=tuple(cells), test_points=test_points,
-                            ns=tuple(ns), methods=tuple(labels),
+                            ns=tuple(ns), methods=tuple(full),
                             n_rep=n_rep, base_seed=base_seed, estimates=kept,
                             intervals=intervals)
 
@@ -441,6 +458,13 @@ def recompute_cell(cfg, spec: MethodSpec, test_points: NDArray[np.floating],
     return table.cell(point_id, n, spec.label)
 
 
+def oracle_specs(reduction: str = "pls", bandwidth_rule: BandwidthRule | None = None) -> tuple:
+    """The x0-only NPR and NPRT columns that equivalence and coverage read."""
+    rule = bandwidth_rule if bandwidth_rule is not None else undersmoothed_rule()
+    return (MethodSpec("npr", bandwidth_rule=rule, x0_only=True),
+            MethodSpec("nprt", reduction=reduction, bandwidth_rule=rule, x0_only=True))
+
+
 @dataclass(frozen=True)
 class EquivalenceRow:
     n: int
@@ -450,37 +474,38 @@ class EquivalenceRow:
     n_missing: int
 
 
+def equivalence_view(table: ReplicationTable,
+                     bandwidth_rule: BandwidthRule | None = None) -> list[EquivalenceRow]:
+    """Median of sqrt(n h^d) |eta_hat(x0) - xi_hat(w0)| per sample size, from
+    the ``oracle_specs(bandwidth_rule=...)`` columns (NPRT gives eta_hat, NPR
+    xi_hat) over the replications where both exist."""
+    npr, nprt = oracle_specs(bandwidth_rule=bandwidth_rule)
+    rows = []
+    for n in table.ns:
+        h = bandwidth(npr.bandwidth_rule, n=n, p=table.test_points.shape[1], d=1)
+        gap = np.abs(table.estimates[(0, n, nprt.label)] - table.estimates[(0, n, npr.label)])
+        stats = math.sqrt(n * h) * gap[~np.isnan(gap)]
+        if not stats.size:
+            raise NumericError(f"every replication at n={n} hit an empty window")
+        rows.append(EquivalenceRow(n=n, h=h, median_stat=float(np.median(stats)),
+                                   n_used=stats.size, n_missing=table.n_rep - stats.size))
+    return rows
+
+
 def equivalence_experiment(cfg: Model1Config, ns: Sequence[int], n_rep: int,
                            x0: NDArray[np.floating], reduction: str = "pls",
                            bandwidth_rule: BandwidthRule | None = None,
                            base_seed: int | None = None,
                            n_threads: int = 1) -> list[EquivalenceRow]:
-    """Median of sqrt(n h^d) |eta_hat(x0) - xi_hat(w0)| per sample size.
-
-    eta_hat runs on the fitted reduction, xi_hat on the true one, same
-    kernel and bandwidth, over the replications where both exist. With a
-    root-n consistent reduction the statistic drifts to zero as n grows;
-    "wrong_direction" is the negative control and does not decay.
-
-    Args:
-        reduction: an NPRT reduction, one of NPRT_REDUCTIONS.
-        bandwidth_rule: defaults to ``undersmoothed_rule()``.
+    """``equivalence_view`` of a run at x0 alone, NPRT on ``reduction`` (in
+    NPRT_REDUCTIONS). With a root-n consistent reduction the statistic
+    drifts to zero as n grows; "wrong_direction" is the negative control
+    and does not decay. ``bandwidth_rule`` defaults to ``undersmoothed_rule()``.
     """
-    rule = bandwidth_rule if bandwidth_rule is not None else undersmoothed_rule()
-    hs = [bandwidth(rule, n=n, p=cfg.p, d=1) for n in ns]
-    methods = [MethodSpec("npr"), MethodSpec("nprt", reduction=reduction)]
-    table = run_replications(cfg, methods, ns, np.ravel(x0)[None, :], n_rep,
-                             base_seed=base_seed, bandwidth_rule=rule,
+    table = run_replications(cfg, oracle_specs(reduction, bandwidth_rule), ns,
+                             np.ravel(x0)[None, :], n_rep, base_seed=base_seed,
                              n_threads=n_threads)
-    rows = []
-    for n, h in zip(table.ns, hs):
-        gap = np.abs(table.estimates[(0, n, "NPRT")] - table.estimates[(0, n, "NPR")])
-        stats = math.sqrt(n * h) * gap[~np.isnan(gap)]
-        if not stats.size:
-            raise NumericError(f"every replication at n={n} hit an empty window")
-        rows.append(EquivalenceRow(n=n, h=h, median_stat=float(np.median(stats)),
-                                   n_used=stats.size, n_missing=n_rep - stats.size))
-    return rows
+    return equivalence_view(table, bandwidth_rule)
 
 
 @dataclass(frozen=True)
@@ -494,41 +519,42 @@ class CoverageResult:
     median_ci_width: float
 
 
+def coverage_view(table: ReplicationTable, cfg: Model1Config, n: int, level: float) -> CoverageResult:
+    """Fraction of replications at n whose CI, from the table's NPR column of
+    ``oracle_specs`` run at ci_level ``level``, covers the true eta(x0)."""
+    ci = table.intervals[(0, n, oracle_specs()[0].label)]
+    ci_lo, ci_hi = ci[~np.isnan(ci[:, 0])].T
+    if not ci_lo.size:
+        raise NumericError(f"every replication at n={n} hit an empty window")
+    truth = float(cfg.truth(table.test_points[0]))
+    covered = int(np.sum((ci_lo <= truth) & (truth <= ci_hi)))
+    return CoverageResult(coverage=covered / ci_lo.size, level=level, n=n, n_used=ci_lo.size,
+                          n_excluded=table.n_rep - ci_lo.size, truth=truth,
+                          median_ci_width=float(np.median(ci_hi - ci_lo)))
+
+
 def coverage_experiment(cfg: Model1Config, n: int, n_rep: int,
                         x0: NDArray[np.floating], level: float = 0.95,
                         bandwidth_rule: BandwidthRule | None = None,
                         base_seed: int | None = None,
                         n_threads: int = 1) -> CoverageResult:
-    """Fraction of replications whose CI covers the true eta(x0).
-
-    Uses the true reduction and an undersmoothing bandwidth; the rule must
-    scale in the reduced dimension with exponent strictly inside
-    (1/(2q+d), 1/d) so the CLT's bias condition holds.
-    """
+    """``coverage_view`` of a run at x0 alone, on the true reduction with an
+    undersmoothing bandwidth: the rule must scale in the reduced dimension
+    with exponent strictly inside (1/(2q+d), 1/d) so the CLT's bias
+    condition holds."""
     rule = bandwidth_rule if bandwidth_rule is not None else undersmoothed_rule()
     q = make_kernel(builtin_profile("triweight_poly3"), 1).moment_order
-    d = 1
     if rule.kind == "power_rule":
         if rule.exponent_dim != "reduced_d":
             raise ArgumentError("coverage experiment needs exponent_dim='reduced_d'")
-        e = rule.exponent if rule.exponent is not None else 1.0 / (4.0 + d)
-        lo, hi = 1.0 / (2 * q + d), 1.0 / d
-        if not (lo < e < hi):
-            raise ArgumentError(
-                f"undersmoothing needs exponent strictly inside ({lo:.4g}, {hi:.4g}), got {e}")
-    x0 = np.ravel(x0)
-    table = run_replications(cfg, [MethodSpec("npr")], [n], x0[None, :], n_rep,
-                             base_seed=base_seed, bandwidth_rule=rule, n_threads=n_threads,
-                             ci_level=level)
-    ci = table.intervals[(0, n, "NPR")]
-    ci_lo, ci_hi = ci[~np.isnan(ci[:, 0])].T
-    if not ci_lo.size:
-        raise NumericError(f"every replication at n={n} hit an empty window")
-    truth = float(cfg.truth(x0))
-    covered = int(np.sum((ci_lo <= truth) & (truth <= ci_hi)))
-    return CoverageResult(coverage=covered / ci_lo.size, level=level, n=n, n_used=ci_lo.size,
-                          n_excluded=n_rep - ci_lo.size, truth=truth,
-                          median_ci_width=float(np.median(ci_hi - ci_lo)))
+        e = rule.exponent if rule.exponent is not None else 1.0 / 5.0
+        if not (1.0 / (2 * q + 1) < e < 1.0):
+            raise ArgumentError(f"undersmoothing needs exponent strictly inside "
+                                f"({1.0 / (2 * q + 1):.4g}, 1), got {e}")
+    table = run_replications(cfg, oracle_specs(bandwidth_rule=rule)[:1], [n],
+                             np.ravel(x0)[None, :], n_rep, base_seed=base_seed,
+                             n_threads=n_threads, ci_level=level)
+    return coverage_view(table, cfg, n, level)
 
 
 def estimate_density_data(estimates: Sequence[float] | NDArray[np.floating],

@@ -1,5 +1,7 @@
 """The benchmark's correctness gate on every workload, at smoke size."""
 
+import importlib
+import importlib.util
 import json
 import re
 import subprocess
@@ -51,3 +53,21 @@ def test_traced_fit_loocv_sees_the_batch_and_the_bandwidth_search():
     assert metrics["npregress.loocv_s"]["value"] > 0
     missing = re.findall(r"trace: rednw\.(\S+) not found", proc.stdout + proc.stderr)
     assert sorted(missing) == UNTRACED
+
+
+def test_tracer_targets_still_resolve(monkeypatch):
+    """Every target of the rebinding tracer but the known-missing ones is a
+    module-level name it can rebind (simulate.gen_model1, nw_batch,
+    make_kernel, oracle_basis, ...), so a refactor that renames or hides
+    one fails here instead of leaving its layer's metrics at 0."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", RUN.parent / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    for _, path, _, _ in tracing.TARGETS:
+        importlib.import_module(f"rednw.{path.split('.')[0]}")  # as the runs do
+    unresolved = [f"{path}.{attr}" for _, path, attr, _ in tracing.TARGETS
+                  if attr not in vars(tracing._owner(path) or object)]
+    assert sorted(unresolved) == UNTRACED
+    assert sorted(t[len("rednw."):] for t in tracing.missing_targets()) == UNTRACED

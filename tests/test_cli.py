@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 import rednw
+from rednw import simulate
 from rednw.cli import main
 from rednw.dataio import (
     load_csv,
     recompute_cell_from_manifest,
     run_predict_workflow,
+    simulation_plan_from_config,
     synthetic_shellfish,
     write_table,
 )
@@ -850,6 +852,55 @@ class TestSimulate:
         for name in ("emse.csv", "density_0.csv", "density_1.csv",
                      "equivalence.csv", "coverage.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_one_replication_pass(self, tmp_path, capsys, monkeypatch):
+        """The tables draw each (n, rep) dataset once and fit PLS once on it:
+        12 reps at 2 sizes give 24 draws and 24 fits with both experiments."""
+        counts = {"gen_model1": 0, "fit": 0}
+
+        def counted(name):
+            original = getattr(simulate, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(simulate, name, counted(name))
+        code, _, _ = self.run_small(tmp_path / "sim", capsys,
+                                    extra=["--equivalence", "--coverage"])
+        assert code == 0
+        assert counts == {"gen_model1": 24, "fit": 24}
+
+    def test_experiments_leave_emse_outputs_alone(self, tmp_path, capsys):
+        """emse.csv, the densities and the missing rate are the same with and
+        without the experiments' columns, and every plan method's cell still
+        recomputes from a manifest that has them."""
+        runs = {}
+        for name, extra in (("plain", []), ("both", ["--equivalence", "--coverage"])):
+            code, out, _ = self.run_small(tmp_path / name, capsys, extra=extra)
+            assert code == 0
+            runs[name] = out[out.index("(missing rate"):]
+        assert runs["plain"] == runs["both"]
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir()
+                       if p.name == "emse.csv" or p.name.startswith("density_"))
+        assert names == ["density_0.csv", "density_1.csv", "emse.csv"]
+        for name in names:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+        manifest = tmp_path / "both" / "manifest.json"
+        plan = simulation_plan_from_config(json.loads(manifest.read_text())["config"])
+        assert [m.label for m in plan.methods] == ["NP", "NPR", "NPRT", "NPR@X0", "NPRT@X0"]
+        assert all(m.label == m.label.upper() for m in plan.methods)
+        with open(tmp_path / "both" / "emse.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            if row["point_id"] != "1" or row["n"] != "90":
+                continue
+            cell = recompute_cell_from_manifest(manifest, point_id=1, n=90,
+                                                method=row["method"].lower())
+            assert cell.method == row["method"]
+            assert (repr(cell.emse), repr(cell.mean_estimate)) == (row["emse"], row["mean_estimate"])
 
     def test_recompute_cell_matches_table(self, tmp_path, capsys):
         out_dir = tmp_path / "sim"

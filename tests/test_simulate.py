@@ -1,7 +1,9 @@
 """Tests for the simulation designs, replication harness, and experiments."""
 
+import ctypes
 import math
 import os
+import resource
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from rednw import _blas, simulate
 from rednw.errors import ArgumentError, NumericError
 from rednw.npregress import BandwidthRule
+from rednw.reduction import fit
 from rednw.simulate import (
     MethodSpec,
     Model1Config,
@@ -290,6 +293,39 @@ class TestReplicationHarness:
         alone = run_replications(cfg, [npr], **kw)
         assert [c for c in table.cells if c.method == npr.label] == list(alone.cells)
 
+    def test_x0_only_column_is_a_one_row_run(self, monkeypatch):
+        """An x0-only column equals, bit for bit, a run on test point 0 alone,
+        and shares its replication's fit with the full column on the same
+        basis; row 0 of the full column's batch differs from both here, since
+        X0 is projected by one BLAS product over all its rows."""
+        cfg = Model1Config(seed=3)
+        pts = draw_test_points(cfg, m=10)
+        full = MethodSpec(method="nprt", reduction="pls")
+        x0 = MethodSpec(method="nprt", reduction="pls", x0_only=True)
+        fits = []
+        monkeypatch.setattr(simulate, "fit", lambda *a, **k: fits.append(1) or fit(*a, **k))
+        kw = dict(ns=[400], n_rep=20, base_seed=3)
+        table = run_replications(cfg, [full, x0], test_points=pts, **kw)
+        assert len(fits) == 20
+        alone = run_replications(cfg, [full], test_points=pts[:1], **kw)
+        key, ref = (0, 400, x0.label), (0, 400, full.label)
+        np.testing.assert_array_equal(table.estimates[key], alone.estimates[ref])
+        np.testing.assert_array_equal(table.intervals[key], alone.intervals[ref])
+        assert np.any(table.estimates[ref] != alone.estimates[ref])
+        # the x0-only column has point 0 alone and no cells
+        assert table.methods == (full.label,) and x0.label == "NPRT@X0"
+        assert {c.method for c in table.cells} == {full.label}
+        assert {k for k in table.estimates if k[2] == x0.label} == {key}
+
+    def test_method_bandwidth_rule_overrides_the_run_rule(self):
+        cfg = Model1Config(seed=1)
+        pts = draw_test_points(cfg, m=2)
+        rule = undersmoothed_rule()
+        kw = dict(ns=[90], test_points=pts, n_rep=4, base_seed=2)
+        own = run_replications(cfg, [MethodSpec(method="npr", bandwidth_rule=rule)], **kw)
+        run = run_replications(cfg, [MethodSpec(method="npr")], bandwidth_rule=rule, **kw)
+        assert own.cells == run.cells
+
     def test_input_validation(self):
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=2)
@@ -542,3 +578,27 @@ class TestBlasThreads:
         with _blas.blas_threads_per_worker(2 * len(os.sched_getaffinity(0))):
             assert all(get() == 1 for get, _ in controls)
         assert [get() for get, _ in controls] == before
+
+
+class TestKeepFreedMemory:
+    """Replications reuse freed heap pages instead of faulting in new ones."""
+
+    def test_called_by_the_harness(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate, "keep_freed_memory", lambda: calls.append(1))
+        cfg = Model1Config(seed=1)
+        run_replications(cfg, [MethodSpec("npr")], [60], draw_test_points(cfg, m=2), 3)
+        assert calls == [1]
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
+    def test_freed_blocks_are_reused(self):
+        assert _blas.keep_freed_memory()
+        np.ones(500_000)  # a 4 MB block, which glibc would otherwise mmap afresh each time
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            np.ones(500_000)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+    def test_without_mallopt_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(_blas.ctypes, "CDLL", lambda name: object())
+        assert _blas.keep_freed_memory() is False
