@@ -8,6 +8,7 @@ smoothness/moment conditions the regression estimator relies on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -110,6 +111,14 @@ def surface_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+@functools.cache
+def _gauss_legendre(m: int) -> tuple[NDArray[np.floating], NDArray[np.floating]]:
+    """The m Gauss-Legendre nodes and weights on [-1, 1], shared, so read-only."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _radial_integral(g: Callable[[NDArray[np.floating]], NDArray[np.floating]],
                      radius: float) -> float:
     """Integrate g over [0, radius] with node-doubling Gauss-Legendre.
@@ -121,7 +130,7 @@ def _radial_integral(g: Callable[[NDArray[np.floating]], NDArray[np.floating]],
     diffs: list[float] = []
     m = 16
     while m <= _QUAD_MAX_NODES:
-        x, w = np.polynomial.legendre.leggauss(m)
+        x, w = _gauss_legendre(m)
         s = 0.5 * radius * (x + 1.0)
         val = float(np.sum(w * g(s)) * 0.5 * radius)
         if not math.isfinite(val):

@@ -15,13 +15,18 @@ Marron 1994), in blocks of bounded size; memory stays linear in n. Small
 batches scan the whole sample. The kernel is radial, so the leave-one-out
 pass forms each pair's weight once and adds it to both rows' sums.
 
-For d > 1 the radii come from the Gram form ||q - w||^2 = |q|^2 + |w|^2 -
-2 q.w on rows centred once per call at the sample mean, which needs no
-n x d temporary per query row. Where rounding in that form could move a
+For d > 1 a block takes its slab in chunks of at most _BLOCK_ELEMS radii (a
+small batch: all its query rows against one chunk at a time), centres only
+those rows at the sample mean and forms the radii from the Gram form
+||q - w||^2 = |q|^2 + |w|^2 - 2 q.w with one BLAS product, so no n x d copy
+is made. Each row's mass, mean and centred sum of squares are merged over
+the chunks by the pairwise update of Chan, Golub & LeVeque (1979), which
+never cancels; the chunks' means are of Y less the slab's mean, so they are
+not rounded at the scale of Y. Where rounding in the Gram form could move a
 radius across the support edge, the direct radius ||q - w|| / h on the
-original rows replaces it, so kernel support is decided exactly as by the
-direct expression. A block holding a query far from the centre takes the
-direct radii throughout.
+original rows replaces it, so support is decided exactly as by the direct
+expression. A block holding a query far from the centre takes the direct
+radii throughout.
 
 At d = 1 with a built-in profile, all (1 - t^2)^k, one routine computes
 window sums from prefix sums instead (``_nw_prefix``): Fan & Marron (1994)
@@ -74,8 +79,8 @@ _MIN_EFFECTIVE_MASS = 1e-12
 # sample, since they cannot repay an O(n log n) sort when their windows hold
 # most of it
 _SORT_MIN_QUERIES = 32
-# radii evaluated per block (rows x slab), so temporaries stay bounded;
-# a block always holds at least one row
+# radii per block (query rows x samples), so temporaries stay bounded: a
+# d > 1 block takes its slab in chunks of at most this many, d = 1 it whole
 _BLOCK_ELEMS = 1 << 14
 # relative widening of a slab's bounds: rounding in q +- R*h must never drop
 # a sample whose radius t is exactly R; kernel.weights makes the exact test
@@ -239,16 +244,17 @@ class NWBatch(abc.Sequence):
 
 
 def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: float,
-                Wc: NDArray[np.floating], ww: NDArray[np.floating],
-                W0c: NDArray[np.floating], qq: NDArray[np.floating]) -> NDArray[np.floating]:
-    """||W0_i - W_j|| / h for d > 1, from the centred rows Wc, W0c and their
-    squared norms ww, qq. Entries near the support edge R get the direct
-    expression on the original rows W, W0, so support membership is that of
-    the direct form."""
-    norms = qq[:, None] + ww[None, :]
-    # einsum, not @: a BLAS product runs threaded and leaves its workers
-    # spinning against the replication harness's own threads
-    d2 = norms - 2.0 * np.einsum("ik,jk->ij", W0c, Wc)
+                mu: NDArray[np.floating], W0c: NDArray[np.floating],
+                qq: NDArray[np.floating]) -> NDArray[np.floating]:
+    """||W0_i - W_j|| / h for d > 1, from the rows W - mu, the query rows
+    W0c = W0 - mu and their squared norms qq. Entries near the support edge
+    R get the direct expression on the original rows W, W0, so support
+    membership is that of the direct form."""
+    Wc = W - mu
+    norms = qq[:, None] + np.einsum("ij,ij->i", Wc, Wc)[None, :]
+    # a BLAS product: the replication pool caps OpenBLAS at one thread per
+    # worker, and its threads split rows and columns, never a dot product
+    d2 = norms - 2.0 * (W0c @ Wc.T)
     # float64, so a huge h squares to inf instead of raising
     edge2 = np.float64(R * h) ** 2
     redo = np.abs(d2 - edge2) <= _EDGE_RTOL * norms
@@ -263,8 +269,8 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
 def _weights(kernel: RadialKernel, W: NDArray[np.floating], W0: NDArray[np.floating],
              h: float, gram: tuple[NDArray[np.floating], ...] | None) -> NDArray[np.floating]:
     """Kernel weights of the query rows W0 (rows) against the slab W
-    (columns). ``gram``, if given, holds the same rows centred and their
-    squared norms, (Wc, ww, W0c, qq). The radii die on return."""
+    (columns). ``gram``, if given, holds the centre and the query rows
+    centred and their squared norms, (mu, W0c, qq). The radii die on return."""
     # each form reuses its temporaries in place
     if gram is not None:
         # Gram form on the centred rows, direct radii at the support edge
@@ -284,38 +290,50 @@ def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating
            W0: NDArray[np.floating], h: float,
            gram: tuple[NDArray[np.floating], ...] | None
            ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
-    """_nw_core's sums for query rows W0 over the slab (W, Y)."""
+    """Kernel mass, weighted mean of Y and centred weighted sum of squares
+    (not divided by the mass) of the query rows W0 over the chunk (W, Y)."""
     wts = _weights(kernel, W, W0, h, gram)
     mass = wts.sum(axis=1)
-    # reduced in the same order as the mass, so Y = 1 gives exactly 1;
-    # a BLAS product here runs threaded and leaves its workers spinning
-    # against the replication harness's own threads
+    # reduced in the same order as the mass, so Y = 1 gives exactly 1
     eta = (wts * Y).sum(axis=1) / mass
     # centered weighted variance (West 1979): E[Y^2] - E[Y]^2 cancels
     # when |Y| is large against its spread
     resid2 = Y[None, :] - eta[:, None]
     resid2 *= resid2
     resid2 *= wts
-    sigma2 = resid2.sum(axis=1) / mass
-    return mass, eta, np.maximum(sigma2, 0.0)
+    return mass, eta, resid2.sum(axis=1)
+
+
+def _merge(acc: NDArray[np.floating], part: tuple[NDArray[np.floating], ...]) -> None:
+    """Adds a chunk's ``_block`` sums into the rows' running (mass, mean,
+    centred sum) ``acc`` (Chan, Golub & LeVeque 1979), skipping rows without
+    mass there; from zeros a row keeps its first sums exactly (x / x = 1)."""
+    M, E, S = acc
+    mass, eta, css = part
+    live, delta, frac = mass != 0, eta - E, mass / (M + mass)
+    E += np.where(live, delta * frac, 0.0)
+    S += np.where(live, css + (delta * M) * (delta * frac), 0.0)
+    M += mass
 
 
 def _pair_block(kernel: RadialKernel, W: NDArray[np.floating], OY: NDArray[np.floating],
-                k: int, h: float, gram: tuple[NDArray[np.floating], ...] | None,
-                sums: NDArray[np.floating]) -> None:
-    """Leave-one-out sums of the first k rows of the sorted slab W against
-    the whole slab, added at both ends of each pair into ``sums``, the
-    slab's 2 x len(W) kernel mass and weighted-Y sums. OY holds the slab's
-    ones and responses as its two rows.
+                a: int, b: int, c0: int, c1: int, h: float,
+                gram: tuple[NDArray[np.floating], ...] | None, sums: NDArray[np.floating]) -> None:
+    """Leave-one-out sums of the sorted rows W[a:b] against the chunk
+    W[c0:c1], added at both ends of each pair into ``sums``, the 2 x n
+    kernel mass and weighted-Y sums; OY holds ones and responses as rows.
 
-    Only pairs i < j count: the own sample and every pair an earlier row
-    holds are zeroed, so each unordered pair's weight is formed once."""
-    wts = _weights(kernel, W, W[:k], h, gram)
-    np.copyto(wts[:, :k], 0.0, where=_ON_OR_BELOW_DIAGONAL[:k, :k])
+    Only pairs i < j count: in the chunk that starts at row a, the own
+    sample and every pair an earlier row holds are zeroed, so each
+    unordered pair's weight is formed once."""
+    k = b - a
+    wts = _weights(kernel, W[c0:c1], W[a:b], h, gram)
+    if c0 == a:
+        np.copyto(wts[:, :k], 0.0, where=_ON_OR_BELOW_DIAGONAL[:k, :k])
     # mass and weighted-Y sums share each reduction, so Y = 1 gives exactly
-    # 1; einsum, not a BLAS product, for the reason _gram_radii gives
-    sums[:, :k] += np.einsum("ij,rj->ri", wts, OY)
-    sums += np.einsum("ri,ij->rj", OY[:, :k], wts)
+    # 1; einsum reduces both rows of OY in one order
+    sums[:, a:b] += np.einsum("ij,rj->ri", wts, OY[:, c0:c1])
+    sums[:, c0:c1] += np.einsum("ri,ij->rj", OY[:, a:b], wts)
 
 
 def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating],
@@ -369,41 +387,50 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
                 sums = _nw_prefix(kernel, W[:, 0], Y, h, q)
             lo, hi = lo.tolist(), hi.tolist()
         if sums is None:
-            Wc = None
-            if W.shape[1] > 1:
-                # one centred copy of the sample; the leave-one-out queries are it
-                Wc = W - mu
-                ww = np.einsum("ij,ij->i", Wc, Wc)
-                if leave_one_out:
-                    W0c, qq = Wc, ww
-                else:
-                    W0c = W0 - mu
-                    qq = np.einsum("ij,ij->i", W0c, W0c)
+            chunked = W.shape[1] > 1
             if leave_one_out:
                 # row a's pairs with earlier rows sit in those rows' blocks;
                 # pairs holds the kernel mass and weighted-Y sums, weights
                 # against OY
                 lo, OY, pairs = range(m), np.stack([np.ones(n), Y]), np.zeros((2, m))
             else:
-                mass, eta, sigma2 = np.empty(m), np.empty(m), np.empty(m)
+                # each row's mass, mean and centred sum, merged over chunks
+                acc = np.zeros((3, m))
             gram_reach2 = np.float64(_GRAM_MAX_OFFSET * h) ** 2
             a = 0
             while a < m:
-                # consecutive queries share the union of their slabs
-                b = a + 1
+                # consecutive queries share the union of their slabs; at
+                # d > 1 a small unsorted batch is one block
+                b = m if chunked and qorder is None else a + 1
                 while b < m and (b + 1 - a) * (hi[b] - lo[a]) <= _BLOCK_ELEMS:
                     b += 1
                 s0, s1 = lo[a], hi[b - 1]
-                gram = None
-                if Wc is not None and qq[a:b].max() <= gram_reach2:
-                    gram = (Wc[s0:s1], ww[s0:s1], W0c[a:b], qq[a:b])
-                if leave_one_out:
-                    _pair_block(kernel, W[s0:s1], OY[:, s0:s1], b - a, h, gram, pairs[:, s0:s1])
-                else:
-                    mass[a:b], eta[a:b], sigma2[a:b] = _block(kernel, W[s0:s1], Y[s0:s1], W0[a:b], h, gram)
+                # d > 1: chunks of at most _BLOCK_ELEMS radii; d = 1: the slab
+                step, gram = max(s1 - s0, 1), None
+                if chunked:
+                    step = _BLOCK_ELEMS // (b - a)
+                    W0c = W0[a:b] - mu
+                    qq = np.einsum("ij,ij->i", W0c, W0c)
+                    if qq.max() <= gram_reach2:
+                        gram = (mu, W0c, qq)
+                # over several chunks, sums of Y less the slab's mean
+                ref = Y[s0:s1].mean() if s1 - s0 > step and not leave_one_out else 0.0
+                for c0 in range(s0, s1, step):
+                    c1 = min(c0 + step, s1)
+                    if leave_one_out:
+                        _pair_block(kernel, W, OY, a, b, c0, c1, h, gram, pairs)
+                    else:
+                        yc = Y[c0:c1] - ref if ref else Y[c0:c1]
+                        _merge(acc[:, a:b], _block(kernel, W[c0:c1], yc, W0[a:b], h, gram))
+                if ref:
+                    acc[1, a:b] += ref
                 a = b
             if leave_one_out:
                 mass, eta, sigma2 = pairs[0], pairs[1] / pairs[0], np.full(m, np.nan)
+            else:
+                mass, eta, css = acc
+                eta[mass == 0] = np.nan
+                sigma2 = np.maximum(css / mass, 0.0)
             sums = mass, eta, sigma2
         if qorder is None:
             return sums
@@ -540,7 +567,7 @@ def _nw_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.floa
             redo |= live & (var < _PREFIX_SAFETY * bound * (t2 + 2.0 * np.abs(mu) * t1 + mu * mu * n))
         # the direct sums centre on the window's first response, so the
         # variance needs no cancelling subtraction; einsum, not a BLAS
-        # product, for the reason _gram_radii gives
+        # dot, which may split a long sum over threads
         for i in np.flatnonzero(redo).tolist():
             wts = kernel.profile.raw_profile(np.abs(q[i] - w[lo[i]:hi[i]]) / h)
             if loo:

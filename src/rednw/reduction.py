@@ -198,18 +198,22 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
     # s_fit has rank at most r, so directions past the r-th are arbitrary
     if d < 1 or d > min(r, p):
         raise ArgumentError(f"need 1 <= d <= min(r, p), got d={d}, r={r}, p={p}")
-    Xc = X - X.mean(axis=0)
-    Fc = F - F.mean(axis=0)
+    mean, Fc = X.mean(axis=0), F - F.mean(axis=0)
+    # X - mean by blocks of 2^16 entries: no n x p array beside X, which
+    # each replication thread fitting at once would hold
+    rows = max(1, (1 << 16) // p)
+    blocks = [slice(i, i + rows) for i in range(0, n, rows)]
     try:
-        coef = np.linalg.solve(Fc.T @ Fc, Fc.T @ Xc)
+        coef = np.linalg.solve(Fc.T @ Fc, sum(Fc[b].T @ (X[b] - mean) for b in blocks))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"f_y features are collinear; choose an independent basis ({exc})") from exc
-    fitted = Fc @ coef
-    s_fit = fitted.T @ fitted / n
-    # into Xc, which is not read again: two replication threads fitting at
-    # once would otherwise hold two more n x p arrays
-    resid = np.subtract(Xc, fitted, out=Xc)
-    s_res = resid.T @ resid / n
+    s_fit, s_res = np.zeros((p, p)), np.zeros((p, p))
+    for b in blocks:
+        fitted = Fc[b] @ coef
+        resid = X[b] - mean - fitted
+        s_fit += fitted.T @ fitted
+        s_res += resid.T @ resid
+    s_fit, s_res = s_fit / n, s_res / n
     if ridge is None:
         ridge = 1e-8 * float(np.trace(s_res)) / p
     if ridge < 0:

@@ -9,6 +9,7 @@ from scipy import integrate
 from rednw.errors import ArgumentError
 from rednw.kernels import (
     KernelProfile,
+    _gauss_legendre,
     RadialKernel,
     builtin_profile,
     make_kernel,
@@ -98,6 +99,31 @@ class TestConstants:
             k, lambda u: k.eval(u) ** 2, n_draws=200_000, seed=99
         )
         assert abs(est - k.l2_const) <= 3.0 * se + 1e-6
+
+
+class TestQuadratureNodes:
+    """Gauss-Legendre nodes are computed once per node count and shared."""
+
+    def test_cached_nodes_read_only(self):
+        for m in (16, 32):
+            x, w = _gauss_legendre(m)
+            assert x.shape == w.shape == (m,)
+            assert not x.flags.writeable and not w.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    @pytest.mark.parametrize("dim", [1, 20])
+    def test_constants_identical_cold_and_warm(self, name, dim):
+        _gauss_legendre.cache_clear()
+        cold = make_kernel(builtin_profile(name), dim)
+        warm = make_kernel(builtin_profile(name), dim)
+        assert _gauss_legendre.cache_info().hits > 0
+        assert (cold.norm_const, cold.l2_const, cold.moment_order) == (
+            warm.norm_const, warm.l2_const, warm.moment_order)
+        assert second_moment(cold) == second_moment(warm)
 
 
 class TestEval:

@@ -14,6 +14,7 @@ from rednw import npregress, simulate
 from rednw.errors import ArgumentError, EmptyWindowError, RednwError
 from rednw.kernels import BUILTIN_PROFILES, KernelProfile, builtin_profile, make_kernel
 from rednw.npregress import (
+    _BLOCK_ELEMS,
     _SORT_MIN_QUERIES,
     BandwidthRule,
     NWBatch,
@@ -33,8 +34,10 @@ from rednw.simulate import (
     MethodSpec,
     Model1Config,
     Model2Config,
+    default_bandwidth_rule,
     draw_test_points,
     gen_model1,
+    gen_model2,
     run_replications,
     undersmoothed_rule,
 )
@@ -1023,6 +1026,124 @@ class TestSupportEdge:
             assert res.fit.effective_mass == 3.0 * uniform.norm_const
             # the sorted batch sums in another order: the last bits may move
             assert abs(res.fit.eta_hat - 2.0) <= 4 * np.spacing(2.0)
+
+
+def direct_sums(kernel, W, Y, w0, h):
+    """One row's kernel mass, estimate and centred variance from the direct
+    radii ||w0 - W_i|| / h, each sum taken exactly rounded (math.fsum)."""
+    wts = kernel.weights(np.linalg.norm((W - w0) / h, axis=1))
+    mass = math.fsum(wts)
+    eta = math.fsum(wts * Y) / mass
+    return mass, eta, math.fsum(wts * (Y - eta) ** 2) / mass
+
+
+def chunks_with_mass(kernel, W, w0, h, m):
+    """Indices of the sample chunks an m-row unsorted batch at d > 1 takes
+    that hold kernel mass for the row at w0."""
+    step = _BLOCK_ELEMS // m
+    live = kernel.weights(np.linalg.norm((W - w0) / h, axis=1)) > 0
+    return sorted({int(i) // step for i in np.flatnonzero(live)})
+
+
+class TestChunkMerge:
+    """A small unsorted batch at d > 1 over more than _BLOCK_ELEMS samples
+    sums each row over several sample chunks and merges them."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e8])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_rows_across_chunks_match_direct_sums(self, d, shift):
+        rng = np.random.default_rng(40 + d)
+        n, m, h = _BLOCK_ELEMS + 3000, _SORT_MIN_QUERIES - 1, 0.6 if d == 2 else 1.4
+        W = rng.uniform(-1.0, 1.0, size=(n, d))
+        # Y shifted far from zero: the chunk means must not cancel
+        Y = shift + np.sin(2.0 * W[:, 0]) + 0.1 * rng.standard_normal(n)
+        W0 = rng.uniform(-0.8, 0.8, size=(m, d))
+        kern = make_kernel(builtin_profile("triweight_poly3"), d)
+        mass, eta, sigma2 = _nw_core(kern, W, Y, W0, h)
+        for i in range(m):
+            assert len(chunks_with_mass(kern, W, W0[i], h, m)) > 2
+            ref = direct_sums(kern, W, Y, W0[i], h)
+            np.testing.assert_allclose([mass[i], eta[i], sigma2[i]], ref, rtol=1e-12, atol=0)
+
+    def test_uniform_edge_across_chunks(self):
+        """Samples exactly R*h from the query, in the first and last chunks,
+        keep their weight; those one ulp further, in middle chunks, get 0."""
+        rng = np.random.default_rng(47)
+        n = _BLOCK_ELEMS + 1000
+        W = rng.uniform(0.5, 1.5, size=(n, 2))
+        W[0], W[-1] = (1.25, 1.0), (1.0, 0.75)
+        W[6000], W[12000] = (np.nextafter(1.25, 2.0), 1.0), (1.0, np.nextafter(0.75, 0.0))
+        Y = rng.standard_normal(n)
+        W0 = np.ones((3, 2))
+        uniform = make_kernel(builtin_profile("uniform"), 2)
+        mass, eta, sigma2 = _nw_core(uniform, W, Y, W0, 0.25)
+        t = np.linalg.norm((W - W0[0]) / 0.25, axis=1)
+        assert t[0] == t[-1] == 1.0 and t[6000] > 1.0 and t[12000] > 1.0
+        ref = direct_sums(uniform, W, Y, W0[0], 0.25)
+        np.testing.assert_allclose(mass / uniform.norm_const, np.sum(t <= 1.0), rtol=1e-12)
+        for i in range(3):
+            np.testing.assert_allclose([mass[i], eta[i], sigma2[i]], ref, rtol=1e-12, atol=0)
+
+    def test_windows_missing_chunks_and_empty_rows(self):
+        """A row whose window misses the first chunk matches the direct
+        sums; a row with no mass keeps NaN estimate and variance and the
+        empty-window error."""
+        rng = np.random.default_rng(53)
+        n = _BLOCK_ELEMS + 3000
+        X = rng.uniform(-1.0, 1.0, size=(n, 2))
+        X = X[np.argsort(X[:, 0])]
+        Y = np.cos(3.0 * X[:, 1]) + 0.1 * rng.standard_normal(n)
+        X0 = np.array([[0.9, 0.0], [0.0, 1.5]])
+        kern = make_kernel(builtin_profile("triweight_poly3"), 2)
+        live = chunks_with_mass(kern, X, X0[0], 0.3, 2)
+        assert live[0] > 0 and len(live) > 1
+        assert chunks_with_mass(kern, X, X0[1], 0.3, 2) == []
+        mass, eta, sigma2 = _nw_core(kern, X, Y, X0, 0.3)
+        np.testing.assert_allclose([mass[0], eta[0], sigma2[0]],
+                                   direct_sums(kern, X, Y, X0[0], 0.3), rtol=1e-12, atol=0)
+        assert mass[1] == 0.0 and np.isnan(eta[1]) and np.isnan(sigma2[1])
+        cfg = default_config(kernel=kern, d=2, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.3))
+        batch = nw_batch(cfg, oracle_basis(np.eye(2)), X, Y, X0)
+        assert batch.ok.tolist() == [True, False]
+        assert batch.errors == {1: "no sample points inside the kernel window at w0=[0.  1.5] "
+                                   "with h=0.3 (effective mass 0.000e+00)"}
+
+
+class TestReplicationMemory:
+    """One NP call on model-2 data (n = 20,000, p = 20) holds the reduced
+    sample W beside X, and no centred copy of it."""
+
+    @staticmethod
+    def _np_call():
+        cfg = Model2Config(seed=3)
+        X, Y, _ = gen_model2(cfg, 20_000)
+        conf = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 20), d=20,
+                        bandwidth=default_bandwidth_rule(cfg))
+        return X, lambda: nw_batch(conf, oracle_basis(np.eye(20)), X, Y, draw_test_points(cfg, 10))
+
+    def test_np_batch_peak(self):
+        X, call = self._np_call()
+        tracemalloc.start()
+        try:
+            batch = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.ok.all()
+        assert peak < 1.5 * X.nbytes
+
+    def test_gram_blocks_bounded(self, monkeypatch):
+        sizes = []
+        gram_radii = npregress._gram_radii
+
+        def spy(W, W0, h, R, *centred):
+            sizes.append(W0.shape[0] * W.shape[0])
+            return gram_radii(W, W0, h, R, *centred)
+
+        monkeypatch.setattr(npregress, "_gram_radii", spy)
+        _, call = self._np_call()
+        call()
+        assert len(sizes) > 1 and max(sizes) <= _BLOCK_ELEMS
 
 
 def _oracle(d, p):

@@ -178,20 +178,30 @@ class TestPFC:
         with pytest.raises(ArgumentError):
             pfc_fit(X, rng.standard_normal(4), lambda y: np.array([y]), 1)
 
-    def test_two_n_by_p_temporaries(self):
-        """Centred X and the fitted values are the only n x p arrays live at
-        once; the residuals overwrite the centred copy. Two replication
-        threads fitting at once would otherwise hold six."""
+    def test_no_n_by_p_temporary(self):
+        """X - mean is taken by row blocks and the residuals in place, so no
+        n x p array is formed beside X (two replication threads fitting at
+        once would each hold one), and the fit over several blocks is the
+        dense generalized eigenproblem's."""
+        from scipy.linalg import eigh
+
         X, Y, _ = gen_model2(Model2Config(seed=0), 20_000)
         X_before = X.copy()
         tracemalloc.start()
         try:
-            pfc_fit(X, Y, lambda y: np.column_stack([y, np.abs(y)]), 1)
+            got = pfc_fit(X, Y, self.fy2, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(X, X_before)
-        assert peak < 2.5 * X.nbytes
+        assert peak < X.nbytes
+        Xc, Fc = X - X.mean(axis=0), self.fy2(Y) - self.fy2(Y).mean(axis=0)
+        fitted = Fc @ np.linalg.solve(Fc.T @ Fc, Fc.T @ Xc)
+        s_res = (Xc - fitted).T @ (Xc - fitted) / X.shape[0]
+        evals, evecs = eigh(fitted.T @ fitted / X.shape[0],
+                            s_res + 1e-8 * np.trace(s_res) / X.shape[1] * np.eye(X.shape[1]))
+        ref = oracle_basis(evecs[:, [np.argmax(evals)]].T).matrix
+        np.testing.assert_allclose(got.matrix, ref, rtol=0, atol=1e-12)
 
 
 class TestSIR:
