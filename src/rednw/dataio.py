@@ -451,7 +451,6 @@ class WorkflowResult:
     batch: NWBatch
     X0: NDArray[np.floating]
     observed: NDArray[np.floating] | None
-    basis_matrix: NDArray[np.floating]
 
     def _point(self, i: int) -> dict:
         x0, res = self.X0[i].tolist(), self.batch[i]
@@ -580,5 +579,4 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
         raise ArgumentError(f"test rows have {X0.shape[1]} columns, data has p={p}")
     else:
         batch = nw_batch(config, basis, X, Y, X0)
-    return WorkflowResult(batch=batch, X0=X0, observed=Y if in_sample else None,
-                          basis_matrix=basis.matrix)
+    return WorkflowResult(batch=batch, X0=X0, observed=Y if in_sample else None)

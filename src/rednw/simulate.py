@@ -500,8 +500,13 @@ def equivalence_experiment(cfg: Model1Config, ns: Sequence[int], n_rep: int,
     """``equivalence_view`` of a run at x0 alone, NPRT on ``reduction`` (in
     NPRT_REDUCTIONS). With a root-n consistent reduction the statistic
     drifts to zero as n grows; "wrong_direction" is the negative control
-    and does not decay. ``bandwidth_rule`` defaults to ``undersmoothed_rule()``.
+    and does not decay. ``bandwidth_rule`` defaults to ``undersmoothed_rule()``;
+    the statistic's scale sqrt(n h) needs h from n alone, so a "loocv" rule
+    raises ArgumentError before any replication runs.
     """
+    if bandwidth_rule is not None and bandwidth_rule.kind == "loocv":
+        raise ArgumentError(f"equivalence experiment needs a bandwidth set by n alone; "
+                            f"bandwidth kind {bandwidth_rule.kind!r} is chosen from the data")
     table = run_replications(cfg, oracle_specs(reduction, bandwidth_rule), ns,
                              np.ravel(x0)[None, :], n_rep, base_seed=base_seed,
                              n_threads=n_threads)

@@ -638,6 +638,40 @@ class TestLoocvReference:
                 _, ones, _ = _nw_core(kern, W, np.ones(n), W, h, leave_one_out=True)
                 assert np.all(ones[ok] == 1.0)
 
+    @pytest.mark.parametrize("n", [20, 2 * _SORT_MIN_QUERIES + 7, 600])
+    def test_matches_dense_multi_chunk(self, n, monkeypatch):
+        """With blocks of 64 radii a d = 2 row's slab spans several chunks,
+        and its own sample often lies in a later chunk than the first: the
+        block zeroes it there, by index."""
+        monkeypatch.setattr(npregress, "_BLOCK_ELEMS", 64)
+        kern = make_kernel(builtin_profile("triweight_poly3"), 2)
+        grid = (0.25, 0.5, 1.0)
+        rng = np.random.default_rng(700 + n)
+        W = np.round(8.0 * rng.uniform(-1.0, 1.0, size=(n, 2))) / 8.0
+        # isolated rows, and an isolated tie at radius 0 split over chunks
+        W[:2] = 10.0 + 5.0 * np.arange(2)[:, None]
+        W[2:4] = 100.0
+        Y = rng.standard_normal(n)
+        expected, per_h = dense_loocv(kern, W, Y, grid)
+        rule = BandwidthRule(kind="loocv", cv_grid=grid)
+        assert bandwidth(rule, n=n, p=2, d=2, kernel=kern, W=W, Y=Y) == expected
+        k0 = kern.weights(np.zeros(1))[0]
+        for h in grid:
+            mass, pred, sigma2 = _nw_core(kern, W, Y, W, h, leave_one_out=True)
+            ref_mass, ref_pred = per_h[h]
+            np.testing.assert_allclose(mass, ref_mass, rtol=1e-12, atol=1e-15)
+            assert np.array_equal(mass > 0, ref_mass > 0)
+            ok = ref_mass > 0
+            np.testing.assert_allclose(pred[ok], ref_pred[ok], rtol=1e-10, atol=1e-12)
+            assert np.all(mass[:2] == 0.0) and np.all(np.isnan(pred[:2]))
+            assert np.all(np.isnan(sigma2[:2]))
+            # each tied row keeps the other's weight, and only that; its
+            # estimate may round once, where the slab mean is added back
+            assert np.all(mass[2:4] == k0)
+            np.testing.assert_allclose(pred[2:4], Y[[3, 2]], rtol=1e-14, atol=1e-15)
+            _, ones, _ = _nw_core(kern, W, np.ones(n), W, h, leave_one_out=True)
+            assert np.all(ones[ok] == 1.0)
+
     def test_memory_linear_in_n(self):
         """n = 20000 would need 3.2 GB for one dense n x n matrix."""
         rng = np.random.default_rng(5)
@@ -1144,6 +1178,32 @@ class TestReplicationMemory:
         _, call = self._np_call()
         call()
         assert len(sizes) > 1 and max(sizes) <= _BLOCK_ELEMS
+
+    def test_identity_basis_reads_x_itself(self):
+        """NP's identity basis reduces X to X itself: no n x p copy, X and
+        X0 unchanged, and the sums of the explicit products X @ I, X0 @ I,
+        which equal X and X0 bit for bit on this data."""
+        cfg = Model2Config(seed=3)
+        X, Y, _ = gen_model2(cfg, 20_000)
+        X0 = draw_test_points(cfg, 10)
+        conf = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 20), d=20,
+                        bandwidth=default_bandwidth_rule(cfg))
+        basis = oracle_basis(np.eye(20))
+        X_in, X0_in = X.copy(), X0.copy()
+        tracemalloc.start()
+        try:
+            batch = nw_batch(conf, basis, X, Y, X0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.ok.all()
+        assert peak < 0.5 * X.nbytes
+        assert np.array_equal(X, X_in) and np.array_equal(X0, X0_in)
+        W, W0 = reduce(basis, X), reduce(basis, X0)
+        assert np.array_equal(W, X) and np.array_equal(W0, X0)
+        mass, eta, sigma2 = _nw_core(conf.kernel, W, Y, W0, batch.h)
+        assert np.array_equal(batch.mass, mass)
+        assert np.array_equal(batch.eta_hat, eta) and np.array_equal(batch.sigma2_hat, sigma2)
 
 
 def _oracle(d, p):

@@ -417,6 +417,19 @@ class TestEquivalence:
         with pytest.raises(NumericError, match="n=100"):
             equivalence_experiment(cfg, ns=[100], n_rep=3, x0=50.0 * np.ones(6), base_seed=1)
 
+    def test_loocv_rule_rejected_before_any_replication(self, monkeypatch):
+        """sqrt(n h) needs h from n alone; a data-chosen bandwidth fails
+        with its kind named before one sample is drawn."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("gen_model1 called")
+
+        monkeypatch.setattr(simulate, "gen_model1", no_draw)
+        rule = BandwidthRule(kind="loocv", cv_grid=(0.2, 0.4))
+        with pytest.raises(ArgumentError, match="^equivalence experiment needs a bandwidth "
+                           "set by n alone; bandwidth kind 'loocv' is chosen from the data$"):
+            equivalence_experiment(Model1Config(seed=0), ns=[100], n_rep=3,
+                                   x0=np.ones(6), bandwidth_rule=rule, base_seed=1)
+
 
 class TestCoverage:
     def test_half_level_calibration(self):
