@@ -52,7 +52,6 @@ from .npregress import (
     gaussian_quantile,
     nw_batch,
     nw_estimate,
-    uniform_sup_error,
 )
 from .simulate import (
     CellStats,
@@ -62,11 +61,9 @@ from .simulate import (
     Model1Config,
     Model2Config,
     ReplicationTable,
-    coverage_experiment,
     default_bandwidth_rule,
     draw_test_points,
     emse,
-    equivalence_experiment,
     estimate_density_data,
     gen_model1,
     gen_model2,

@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -441,11 +440,8 @@ _CHUNK_ROWS = 1024
 @dataclass(frozen=True, eq=False)
 class WorkflowResult:
     """The NW batch at the query rows X0, with the observed response at each
-    row for in-sample fits (None out of sample).
-
-    ``points`` and ``plot_rows`` are built from the batch when first read;
-    ``run_file_chunks`` formats the run files straight from its columns,
-    and ``points_json`` and ``plot_csv`` are those files whole.
+    row for in-sample fits (None out of sample). ``run_file_chunks``
+    formats the run files straight from the batch's columns.
     """
 
     batch: NWBatch
@@ -453,24 +449,14 @@ class WorkflowResult:
     observed: NDArray[np.floating] | None
 
     def _point(self, i: int) -> dict:
-        x0, res = self.X0[i].tolist(), self.batch[i]
-        if not res.ok:
-            return {"x0": x0, "error": res.error}
-        f = res.fit
-        return {"x0": x0, "eta_hat": f.eta_hat, "ci_lo": f.ci_lo, "ci_hi": f.ci_hi,
-                "f_hat": f.f_hat, "sigma2_hat": f.sigma2_hat, "h": f.h_used}
-
-    def _observed(self) -> list:
-        return [None] * len(self.batch) if self.observed is None else self.observed.tolist()
-
-    @cached_property
-    def points(self) -> tuple[dict, ...]:
-        return tuple(map(self._point, range(len(self.batch))))
-
-    @cached_property
-    def plot_rows(self) -> tuple[tuple, ...]:
-        return tuple((r.fit.eta_hat, o, r.fit.ci_lo, r.fit.ci_hi) if r.ok else (None, o, None, None)
-                     for r, o in zip(self.batch, self._observed()))
+        """Row i's object in the points file: x0 with {eta_hat, ci_lo, ci_hi,
+        f_hat, sigma2_hat, h}, or with the row's "error"."""
+        b, x0 = self.batch, self.X0[i].tolist()
+        if not b.ok[i]:
+            return {"x0": x0, "error": b.errors[i]}
+        return {"x0": x0, "eta_hat": float(b.eta_hat[i]), "ci_lo": float(b.ci_lo[i]),
+                "ci_hi": float(b.ci_hi[i]), "f_hat": float(b.f_hat[i]),
+                "sigma2_hat": float(b.sigma2_hat[i]), "h": float(b.h)}
 
     @property
     def n_failed(self) -> int:
@@ -478,9 +464,10 @@ class WorkflowResult:
 
     def run_file_chunks(self, plot: bool = True) -> Iterator[tuple[str, str]]:
         """The two run files in pieces of ``_CHUNK_ROWS`` query rows: for each
-        piece, its text of ``json_text(list(self.points))`` and its text of
-        write_table's file of ``plot_rows`` under the header fitted,
-        observed, ci_lo, ci_hi. Joined, the pieces are those files byte for
+        piece, its text of json_text of the list of the rows' ``_point``
+        objects, and its text of write_table's file of the rows (fitted,
+        observed, ci_lo, ci_hi), None for a failed row's numbers and for
+        observed out of sample. Joined, the pieces are those files byte for
         byte. With ``plot`` False the plot pieces are left empty, unformatted.
 
         Each float is repr'd once for both files, and h once for all rows.
@@ -516,15 +503,6 @@ class WorkflowResult:
                 f"{y},{o},{a},{z}\r\n" if k else f",{o},,\r\n"
                 for k, y, o, a, z in zip(ok.tolist(), eta, obs, lo, hi))
 
-    def points_json(self) -> str:
-        """``json_text(list(self.points))``, byte for byte."""
-        return "".join(text for text, _ in self.run_file_chunks(plot=False))
-
-    def plot_csv(self) -> str:
-        """write_table's file of ``plot_rows`` under the header fitted,
-        observed, ci_lo, ci_hi, byte for byte."""
-        return "".join(rows for _, rows in self.run_file_chunks())
-
 
 def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
                          kernel_profile: str = "triweight_poly3",
@@ -544,11 +522,10 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
             (e.g. loaded from a file); overrides ``method``.
 
     Returns:
-        WorkflowResult whose ``points`` are JSON-ready dicts {x0, eta_hat,
-        ci_lo, ci_hi, f_hat, sigma2_hat, h} (an "error" key replaces the
-        numbers for empty windows) and whose ``plot_rows`` are
-        (fitted, observed, ci_lo, ci_hi) tuples; observed is None for
-        out-of-sample points.
+        WorkflowResult holding the NWBatch at the query rows (failed rows
+        carry their error), the rows, and the observed responses in
+        sample; its ``run_file_chunks`` formats the points JSON and the
+        plot CSV.
     """
     X, Y = dataset.X, dataset.Y
     p = dataset.p

@@ -28,8 +28,8 @@ never cancels; the chunks' means are of Y less the slab's mean, so they are
 not rounded at the scale of Y. Where rounding in the Gram form could move a
 radius across the support edge, the direct radius ||q - w|| / h on the
 original rows replaces it, so support is decided exactly as by the direct
-expression. A block holding a query far from the centre takes the direct
-radii throughout.
+expression. A query row far from the centre takes the direct radii for its
+whole row, whatever rows share its block.
 
 At d = 1 with a built-in profile, all (1 - t^2)^k, one routine computes
 window sums from prefix sums instead (``_nw_prefix``): Fan & Marron (1994)
@@ -92,9 +92,8 @@ _SLAB_RTOL = 16 * np.finfo(float).eps
 # the squared support edge take the direct radius: rounding in the Gram form
 # (about d * eps times that, for a length-d dot product) could flip support
 _EDGE_RTOL = 64 * np.finfo(float).eps
-# a block holding a query farther than this many bandwidths from the centre
-# takes direct radii throughout: there the Gram form's rounding is large
-# against h^2
+# a query row farther than this many bandwidths from the centre takes direct
+# radii for its whole row: there the Gram form's rounding is large against h^2
 _GRAM_MAX_OFFSET = 8.0
 # a d = 1 prefix-sum row whose mass or variance numerator is below this many
 # times its rounding bound (see _nw_prefix) is summed directly over its window
@@ -247,8 +246,9 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
                 qq: NDArray[np.floating]) -> NDArray[np.floating]:
     """||W0_i - W_j|| / h for d > 1, from the rows W - mu, the query rows
     W0c = W0 - mu and their squared norms qq. Entries near the support edge
-    R get the direct expression on the original rows W, W0, so support
-    membership is that of the direct form."""
+    R, and every entry of a row more than _GRAM_MAX_OFFSET h from mu, get
+    the direct expression on the original rows W, W0, so support membership
+    is that of the direct form and no row's form depends on the other rows."""
     Wc = W - mu
     norms = qq[:, None] + np.einsum("ij,ij->i", Wc, Wc)[None, :]
     # a BLAS product: the replication pool caps OpenBLAS at one thread per
@@ -257,31 +257,35 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
     # float64, so a huge h squares to inf instead of raising
     edge2 = np.float64(R * h) ** 2
     redo = np.abs(d2 - edge2) <= _EDGE_RTOL * norms
+    # far rows, and rows whose norm is NaN, are redone whole below
+    far = ~(qq <= np.float64(_GRAM_MAX_OFFSET * h) ** 2)
+    redo[far] = False
     t = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
     t /= h
     i, j = np.nonzero(redo)
     if i.size:
         t[i, j] = np.linalg.norm((W0[i] - W[j]) / h, axis=1)
+    if far.any():
+        # a radius past the float range is inf, and its weight 0
+        t[far] = np.linalg.norm((W0[far][:, None, :] - W[None, :, :]) / h, axis=2)
     return t
 
 
 def _weights(kernel: RadialKernel, W: NDArray[np.floating], W0: NDArray[np.floating],
              h: float, gram: tuple[NDArray[np.floating], ...] | None) -> NDArray[np.floating]:
     """Kernel weights of the query rows W0 (rows) against the slab W
-    (columns). ``gram``, if given, holds the centre and the query rows
-    centred and their squared norms, (mu, W0c, qq). The radii die on return."""
+    (columns). ``gram`` holds the centre and the query rows centred and
+    their squared norms, (mu, W0c, qq), for d > 1, and is None for d = 1.
+    The radii die on return."""
     # each form reuses its temporaries in place
     if gram is not None:
         # Gram form on the centred rows, direct radii at the support edge
         t = _gram_radii(W, W0, h, kernel.profile.support_radius, *gram)
-    elif W.shape[1] == 1:
+    else:
         # |x| / h equals the 1-d norm of x / h
         t = W0[:, None, 0] - W[None, :, 0]
         np.abs(t, out=t)
         t /= h
-    else:
-        # a radius past the float range is inf, and its weight 0
-        t = np.linalg.norm((W0[:, None, :] - W[None, :, :]) / h, axis=2)
     return kernel.weights(t)
 
 
@@ -374,7 +378,6 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
             chunked = W.shape[1] > 1
             # each row's mass, mean and centred sum, merged over chunks
             acc = np.zeros((3, m))
-            gram_reach2 = np.float64(_GRAM_MAX_OFFSET * h) ** 2
             a = 0
             while a < m:
                 # consecutive queries share the union of their slabs; at
@@ -388,9 +391,7 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
                 if chunked:
                     step = _BLOCK_ELEMS // (b - a)
                     W0c = W0[a:b] - mu
-                    qq = np.einsum("ij,ij->i", W0c, W0c)
-                    if qq.max() <= gram_reach2:
-                        gram = (mu, W0c, qq)
+                    gram = (mu, W0c, np.einsum("ij,ij->i", W0c, W0c))
                 # over several chunks, sums of Y less the slab's mean
                 ref = Y[s0:s1].mean() if s1 - s0 > step else 0.0
                 for c0 in range(s0, s1, step):
@@ -701,23 +702,3 @@ def nw_estimate(config: NWConfig, basis: ReductionBasis,
     if not res.ok:
         raise EmptyWindowError(res.error)
     return res.fit
-
-
-def uniform_sup_error(config: NWConfig, basis: ReductionBasis,
-                      X: NDArray[np.floating], Y: NDArray[np.floating],
-                      grid: NDArray[np.floating], truth: NDArray[np.floating]) -> float:
-    """max_j |eta_hat(grid_j) - truth_j| over a grid in predictor space.
-
-    Empty windows raise; a sup-norm over a partial grid would understate
-    the error.
-    """
-    grid = np.asarray(grid, dtype=float)
-    truth = np.asarray(truth, dtype=float).ravel()
-    if grid.ndim != 2 or grid.shape[0] != truth.shape[0]:
-        raise ArgumentError(
-            f"grid shape {grid.shape} does not match {truth.shape[0]} truth values"
-        )
-    batch = nw_batch(config, basis, X, Y, grid)
-    if not batch.ok.all():
-        raise EmptyWindowError(batch.errors[int(np.argmin(batch.ok))])
-    return float(np.max(np.abs(batch.eta_hat - truth)))

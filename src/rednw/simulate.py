@@ -3,8 +3,8 @@
 Two generators (a quadratic single-index model in p=6 and an inverse
 regression model in p=20), the three-way estimator comparison (full-space
 NW, NW on the true reduction, NW on a fitted reduction), replication tables
-with the printed-formula EMSE, the oracle-equivalence and CI-coverage
-experiments, and kernel density data for plotting estimate distributions.
+with the printed-formula EMSE, the oracle-equivalence and CI-coverage views
+of a table, and kernel density data for plotting estimate distributions.
 """
 
 from __future__ import annotations
@@ -208,8 +208,11 @@ def undersmoothed_rule(constant: float = 2.0, exponent: float = 0.3) -> Bandwidt
     """Bandwidth in the reduced dimension with an undersmoothing exponent.
 
     For d=1 and a second-order kernel the CI theory needs the exponent
-    strictly inside (1/5, 1); the default 0.3 sits comfortably there.
+    strictly inside (1/5, 1); the default 0.3 sits comfortably there, and
+    an exponent outside raises ArgumentError.
     """
+    if not 0.2 < exponent < 1.0:
+        raise ArgumentError(f"undersmoothing needs exponent strictly inside (0.2, 1), got {exponent}")
     return BandwidthRule(kind="power_rule", constant=constant,
                          exponent_dim="reduced_d", exponent=exponent)
 
@@ -477,9 +480,15 @@ class EquivalenceRow:
 def equivalence_view(table: ReplicationTable,
                      bandwidth_rule: BandwidthRule | None = None) -> list[EquivalenceRow]:
     """Median of sqrt(n h^d) |eta_hat(x0) - xi_hat(w0)| per sample size, from
-    the ``oracle_specs(bandwidth_rule=...)`` columns (NPRT gives eta_hat, NPR
-    xi_hat) over the replications where both exist."""
+    the ``oracle_specs(reduction, bandwidth_rule)`` columns (NPRT gives
+    eta_hat, NPR xi_hat) over the replications where both exist. With a
+    root-n consistent reduction the statistic drifts to zero as n grows;
+    "wrong_direction" is the negative control and does not decay. The scale
+    sqrt(n h) needs h from n alone, so a "loocv" rule raises ArgumentError."""
     npr, nprt = oracle_specs(bandwidth_rule=bandwidth_rule)
+    if npr.bandwidth_rule.kind == "loocv":
+        raise ArgumentError("equivalence statistic needs a bandwidth set by n alone; "
+                            "bandwidth kind 'loocv' is chosen from the data")
     rows = []
     for n in table.ns:
         h = bandwidth(npr.bandwidth_rule, n=n, p=table.test_points.shape[1], d=1)
@@ -490,27 +499,6 @@ def equivalence_view(table: ReplicationTable,
         rows.append(EquivalenceRow(n=n, h=h, median_stat=float(np.median(stats)),
                                    n_used=stats.size, n_missing=table.n_rep - stats.size))
     return rows
-
-
-def equivalence_experiment(cfg: Model1Config, ns: Sequence[int], n_rep: int,
-                           x0: NDArray[np.floating], reduction: str = "pls",
-                           bandwidth_rule: BandwidthRule | None = None,
-                           base_seed: int | None = None,
-                           n_threads: int = 1) -> list[EquivalenceRow]:
-    """``equivalence_view`` of a run at x0 alone, NPRT on ``reduction`` (in
-    NPRT_REDUCTIONS). With a root-n consistent reduction the statistic
-    drifts to zero as n grows; "wrong_direction" is the negative control
-    and does not decay. ``bandwidth_rule`` defaults to ``undersmoothed_rule()``;
-    the statistic's scale sqrt(n h) needs h from n alone, so a "loocv" rule
-    raises ArgumentError before any replication runs.
-    """
-    if bandwidth_rule is not None and bandwidth_rule.kind == "loocv":
-        raise ArgumentError(f"equivalence experiment needs a bandwidth set by n alone; "
-                            f"bandwidth kind {bandwidth_rule.kind!r} is chosen from the data")
-    table = run_replications(cfg, oracle_specs(reduction, bandwidth_rule), ns,
-                             np.ravel(x0)[None, :], n_rep, base_seed=base_seed,
-                             n_threads=n_threads)
-    return equivalence_view(table, bandwidth_rule)
 
 
 @dataclass(frozen=True)
@@ -526,7 +514,8 @@ class CoverageResult:
 
 def coverage_view(table: ReplicationTable, cfg: Model1Config, n: int, level: float) -> CoverageResult:
     """Fraction of replications at n whose CI, from the table's NPR column of
-    ``oracle_specs`` run at ci_level ``level``, covers the true eta(x0)."""
+    ``oracle_specs`` run at ci_level ``level``, covers the true eta(x0). The
+    CLT's bias condition needs an undersmoothing rule, ``undersmoothed_rule``."""
     ci = table.intervals[(0, n, oracle_specs()[0].label)]
     ci_lo, ci_hi = ci[~np.isnan(ci[:, 0])].T
     if not ci_lo.size:
@@ -536,30 +525,6 @@ def coverage_view(table: ReplicationTable, cfg: Model1Config, n: int, level: flo
     return CoverageResult(coverage=covered / ci_lo.size, level=level, n=n, n_used=ci_lo.size,
                           n_excluded=table.n_rep - ci_lo.size, truth=truth,
                           median_ci_width=float(np.median(ci_hi - ci_lo)))
-
-
-def coverage_experiment(cfg: Model1Config, n: int, n_rep: int,
-                        x0: NDArray[np.floating], level: float = 0.95,
-                        bandwidth_rule: BandwidthRule | None = None,
-                        base_seed: int | None = None,
-                        n_threads: int = 1) -> CoverageResult:
-    """``coverage_view`` of a run at x0 alone, on the true reduction with an
-    undersmoothing bandwidth: the rule must scale in the reduced dimension
-    with exponent strictly inside (1/(2q+d), 1/d) so the CLT's bias
-    condition holds."""
-    rule = bandwidth_rule if bandwidth_rule is not None else undersmoothed_rule()
-    q = make_kernel(builtin_profile("triweight_poly3"), 1).moment_order
-    if rule.kind == "power_rule":
-        if rule.exponent_dim != "reduced_d":
-            raise ArgumentError("coverage experiment needs exponent_dim='reduced_d'")
-        e = rule.exponent if rule.exponent is not None else 1.0 / 5.0
-        if not (1.0 / (2 * q + 1) < e < 1.0):
-            raise ArgumentError(f"undersmoothing needs exponent strictly inside "
-                                f"({1.0 / (2 * q + 1):.4g}, 1), got {e}")
-    table = run_replications(cfg, oracle_specs(bandwidth_rule=rule)[:1], [n],
-                             np.ravel(x0)[None, :], n_rep, base_seed=base_seed,
-                             n_threads=n_threads, ci_level=level)
-    return coverage_view(table, cfg, n, level)
 
 
 def estimate_density_data(estimates: Sequence[float] | NDArray[np.floating],

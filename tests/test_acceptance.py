@@ -28,8 +28,8 @@ from rednw.kernels import (
 from rednw.npregress import (
     BandwidthRule,
     NWConfig,
+    nw_batch,
     nw_estimate,
-    uniform_sup_error,
 )
 from rednw.reduction import (
     ProjectionMatrix,
@@ -41,10 +41,11 @@ from rednw.simulate import (
     MethodSpec,
     Model1Config,
     Model2Config,
-    coverage_experiment,
+    coverage_view,
     draw_test_points,
-    equivalence_experiment,
+    equivalence_view,
     gen_model1,
+    oracle_specs,
     run_replications,
     undersmoothed_rule,
 )
@@ -239,8 +240,9 @@ def test_c5_interval_coverage():
     """Plug-in 95% intervals cover the truth at the nominal rate band."""
     cfg = Model1Config(seed=BASE_SEED)
     x0 = _interval_point(cfg)
-    res = coverage_experiment(cfg, n=4000, n_rep=500, x0=x0, level=0.95,
-                              base_seed=BASE_SEED)
+    table = run_replications(cfg, oracle_specs()[:1], [4000], x0[None, :], 500,
+                             base_seed=BASE_SEED, ci_level=0.95)
+    res = coverage_view(table, cfg, 4000, 0.95)
     ok = 0.88 <= res.coverage <= 0.99
     _line("C5", "interval_coverage", ok,
           f"coverage {res.coverage:.3f} from {res.n_used} reps, "
@@ -253,11 +255,10 @@ def test_c6_plugin_oracle_equivalence():
     cfg = Model1Config(seed=BASE_SEED)
     x0 = _interval_point(cfg)
     ns = [250, 1000, 4000]
-    rows = equivalence_experiment(cfg, ns, 200, x0, reduction="root_n_oracle",
-                                  base_seed=BASE_SEED)
+    rows, rows_w = (equivalence_view(run_replications(cfg, oracle_specs(reduction), ns,
+                                                      x0[None, :], 200, base_seed=BASE_SEED))
+                    for reduction in ("root_n_oracle", "wrong_direction"))
     meds = [r.median_stat for r in rows]
-    rows_w = equivalence_experiment(cfg, ns, 200, x0, reduction="wrong_direction",
-                                    base_seed=BASE_SEED)
     meds_w = [r.median_stat for r in rows_w]
     decreasing = meds[0] > meds[1] > meds[2]
     control = meds_w[0] <= meds_w[1] <= meds_w[2]
@@ -363,9 +364,11 @@ def test_c9_sup_error_monotonicity():
         errs = {}
         for n in (250, 4000):
             X, Y, _ = gen_model1(cfg, n, rng_stream=BASE_SEED * 1000 + rep * 2 + (n == 4000))
-            errs[("raw", n)] = uniform_sup_error(nwc, basis, X, Y, grid, truth_raw)
-            errs[("clip", n)] = uniform_sup_error(
-                nwc, basis, X, np.clip(Y, -clip_at, clip_at), grid, truth_clip)
+            for kind, y, truth in (("raw", Y, truth_raw),
+                                   ("clip", np.clip(Y, -clip_at, clip_at), truth_clip)):
+                batch = nw_batch(nwc, basis, X, y, grid)
+                assert batch.ok.all()
+                errs[(kind, n)] = np.max(np.abs(batch.eta_hat - truth))
         wins_raw += errs[("raw", 4000)] < errs[("raw", 250)]
         wins_clip += errs[("clip", 4000)] < errs[("clip", 250)]
     ok = wins_raw >= 90 and wins_clip >= 90

@@ -499,6 +499,12 @@ class TestFitPredict:
         assert code == 2
 
 
+def run_files(wf):
+    """The workflow's points JSON and plot CSV, each its chunks joined."""
+    chunks = list(wf.run_file_chunks())
+    return "".join(text for text, _ in chunks), "".join(rows for _, rows in chunks)
+
+
 class TestRunFiles:
     """stdout and the --out result file are one text; a manifest replays only
     under the subcommand that wrote it."""
@@ -532,9 +538,9 @@ class TestRunFiles:
                                capsys)
         assert code == 0
         ds = load_csv(data, "muscle_mass", transforms=[(c, "log") for c in header])
-        wf = run_predict_workflow(ds)
-        assert out == (out_dir / "predictions.json").read_text() == wf.points_json()
-        assert plot.read_bytes() == wf.plot_csv().encode()
+        points, rows = run_files(run_predict_workflow(ds))
+        assert out == (out_dir / "predictions.json").read_text() == points
+        assert plot.read_bytes() == rows.encode()
         assert json.loads((out_dir / "manifest.json").read_text())["outputs"] == [
             str(plot), "predictions.json"]
 
@@ -558,11 +564,11 @@ class TestRunFiles:
             main(["fit", "--input", str(data), "--response", "muscle_mass", *LOG_FLAGS,
                   "--plot-data", str(plot), "--out", str(out_dir)])
         assert not (out_dir / "manifest.json").exists()
-        wf = run_predict_workflow(load_csv(data, "muscle_mass",
-                                           transforms=[(c, "log") for c in header]))
-        for part, whole in [(sys.stdout.getvalue(), wf.points_json()),
-                            ((out_dir / "predictions.json").read_text(), wf.points_json()),
-                            (plot.read_bytes().decode(), wf.plot_csv())]:
+        points, rows = run_files(run_predict_workflow(
+            load_csv(data, "muscle_mass", transforms=[(c, "log") for c in header])))
+        for part, whole in [(sys.stdout.getvalue(), points),
+                            ((out_dir / "predictions.json").read_text(), points),
+                            (plot.read_bytes().decode(), rows)]:
             assert part and whole.startswith(part) and len(part) < len(whole)
 
     def _write_run(self, command, shellfish_csv, out_dir, capsys):

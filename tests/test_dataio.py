@@ -463,13 +463,37 @@ class TestManifest:
             simulation_plan_from_config(config)
 
 
+def points_of(wf):
+    """Each query row's object in the points file, read from the batch's
+    columns: x0 with the row's numbers and h, or with its error."""
+    b, out = wf.batch, []
+    for i, x0 in enumerate(wf.X0.tolist()):
+        if not b.ok[i]:
+            out.append({"x0": x0, "error": b.errors[i]})
+            continue
+        out.append({"x0": x0, "eta_hat": float(b.eta_hat[i]), "ci_lo": float(b.ci_lo[i]),
+                    "ci_hi": float(b.ci_hi[i]), "f_hat": float(b.f_hat[i]),
+                    "sigma2_hat": float(b.sigma2_hat[i]), "h": float(b.h)})
+    return out
+
+
+def plot_rows_of(wf):
+    """Each query row's (fitted, observed, ci_lo, ci_hi) in the plot file;
+    None for a failed row's numbers and for observed out of sample."""
+    b = wf.batch
+    observed = [None] * len(b) if wf.observed is None else wf.observed.tolist()
+    return [(float(b.eta_hat[i]), o, float(b.ci_lo[i]), float(b.ci_hi[i])) if b.ok[i]
+            else (None, o, None, None) for i, o in enumerate(observed)]
+
+
 class TestPredictWorkflow:
     def test_in_sample_plot_rows(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         res = run_predict_workflow(ds, method="pls", d=1)
-        assert len(res.points) == ds.n
-        assert len(res.plot_rows) == ds.n
-        fitted, observed, lo, hi = res.plot_rows[0]
+        assert len(points_of(res)) == ds.n
+        rows = plot_rows_of(res)
+        assert len(rows) == ds.n
+        fitted, observed, lo, hi = rows[0]
         assert observed == ds.Y[0]
         assert lo <= fitted <= hi
         assert res.n_failed == 0
@@ -477,8 +501,9 @@ class TestPredictWorkflow:
     def test_out_of_sample_has_no_observed(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         res = run_predict_workflow(ds, method="pls", d=1, test_rows=ds.X[:3])
-        assert len(res.plot_rows) == 3
-        assert all(row[1] is None for row in res.plot_rows)
+        rows = plot_rows_of(res)
+        assert len(rows) == 3
+        assert all(row[1] is None for row in rows)
 
     def test_reduced_intervals_narrower_than_full(self, shellfish_csv):
         """One fitted index gives tighter intervals than smoothing in all four
@@ -490,8 +515,8 @@ class TestPredictWorkflow:
         res_pls = run_predict_workflow(ds, method="pls", d=1, bandwidth_rule=rule)
         res_np = run_predict_workflow(ds, method="np", bandwidth_rule=rule)
         assert res_pls.n_failed == 0 and res_np.n_failed == 0
-        w_pls = np.median([p["ci_hi"] - p["ci_lo"] for p in res_pls.points])
-        w_np = np.median([p["ci_hi"] - p["ci_lo"] for p in res_np.points])
+        w_pls = np.median(res_pls.batch.ci_hi - res_pls.batch.ci_lo)
+        w_np = np.median(res_np.batch.ci_hi - res_np.batch.ci_lo)
         assert w_pls < w_np
 
     def test_identity_basis_matches_full_dimension_fit(self, shellfish_csv):
@@ -502,14 +527,14 @@ class TestPredictWorkflow:
         res_file = run_predict_workflow(
             ds, bandwidth_rule=rule, precomputed_basis=identity, d=ds.p
         )
-        for a, b in zip(res_np.points, res_file.points):
-            assert a["eta_hat"] == b["eta_hat"]
-            assert a["ci_lo"] == b["ci_lo"]
+        assert res_np.batch.ok.all()
+        np.testing.assert_array_equal(res_np.batch.eta_hat, res_file.batch.eta_hat)
+        np.testing.assert_array_equal(res_np.batch.ci_lo, res_file.batch.ci_lo)
 
     def test_empty_test_set(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         res = run_predict_workflow(ds, method="pls", d=1, test_rows=np.zeros((0, 4)))
-        assert len(res.points) == 0 and len(res.plot_rows) == 0
+        assert len(res.batch) == 0 and points_of(res) == [] and plot_rows_of(res) == []
 
     def test_far_test_row_carries_error_marker(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
@@ -519,7 +544,7 @@ class TestPredictWorkflow:
             ds, method="pls", d=1, bandwidth_rule=rule, test_rows=far
         )
         assert res.n_failed == 1
-        assert "error" in res.points[0]
+        assert "error" in points_of(res)[0]
 
     def test_precomputed_basis_used(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
@@ -533,9 +558,10 @@ PLOT_HEADER = ["fitted", "observed", "ci_lo", "ci_hi"]
 
 def assert_run_files_exact(wf, path):
     """The run-file writers against json_text and write_table, byte for byte."""
-    assert wf.points_json() == json_text(list(wf.points))
-    write_table(path, PLOT_HEADER, wf.plot_rows)
-    assert wf.plot_csv().encode() == path.read_bytes()
+    chunks = list(wf.run_file_chunks())
+    assert "".join(text for text, _ in chunks) == json_text(points_of(wf))
+    write_table(path, PLOT_HEADER, plot_rows_of(wf))
+    assert "".join(rows for _, rows in chunks).encode() == path.read_bytes()
 
 
 # every kind of float, the non-finite ones and the float range's edges
@@ -564,7 +590,7 @@ def workflow_results(draw):
 
 
 class TestRunFileWriters:
-    """``points_json`` and ``plot_csv`` format from columns; they must equal
+    """``run_file_chunks`` formats from columns; its files must equal
     json_text of the points and write_table of the plot rows exactly."""
 
     @settings(max_examples=150, deadline=None,
@@ -583,8 +609,8 @@ class TestRunFileWriters:
             chunks = list(wf.run_file_chunks())
             assert [(text, "") for text, _ in chunks] == list(wf.run_file_chunks(plot=False))
         assert len(chunks) == max(1, -(-len(wf.batch) // rows))
-        assert "".join(text for text, _ in chunks) == json_text(list(wf.points))
-        write_table(tmp_path / "plot.csv", PLOT_HEADER, wf.plot_rows)
+        assert "".join(text for text, _ in chunks) == json_text(points_of(wf))
+        write_table(tmp_path / "plot.csv", PLOT_HEADER, plot_rows_of(wf))
         assert "".join(plot for _, plot in chunks).encode() == (tmp_path / "plot.csv").read_bytes()
 
     @pytest.mark.parametrize("in_sample", [True, False], ids=["in-sample", "test-rows"])
@@ -599,7 +625,7 @@ class TestRunFileWriters:
         wf = run_predict_workflow(ds, method="pls", d=d, bandwidth_rule=rule, test_rows=test)
         if h and d > 1:
             # h**d leaves the float range: every density is degenerate
-            assert wf.n_failed == len(wf.points)
+            assert wf.n_failed == len(wf.batch)
         elif not in_sample and h != 1e200:
             assert wf.n_failed >= 3  # the far rows' windows are empty
         assert_run_files_exact(wf, tmp_path / "plot.csv")
@@ -618,5 +644,5 @@ class TestRunFileWriters:
     def test_zero_test_rows(self, shellfish_csv, tmp_path):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         wf = run_predict_workflow(ds, method="pls", d=1, test_rows=np.zeros((0, 4)))
-        assert wf.points_json() == "[]\n"
+        assert list(wf.run_file_chunks(plot=False)) == [("[]\n", "")]
         assert_run_files_exact(wf, tmp_path / "plot.csv")

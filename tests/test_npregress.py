@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 from collections.abc import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rednw.errors import ArgumentError, EmptyWindowError, RednwError
 from rednw.kernels import BUILTIN_PROFILES, KernelProfile, builtin_profile, make_kernel
 from rednw.npregress import (
     _BLOCK_ELEMS,
+    _GRAM_MAX_OFFSET,
     _SORT_MIN_QUERIES,
     BandwidthRule,
     NWBatch,
@@ -27,7 +29,6 @@ from rednw.npregress import (
     gaussian_quantile,
     nw_batch,
     nw_estimate,
-    uniform_sup_error,
 )
 from rednw.reduction import ReductionBasis, oracle_basis, reduce
 from rednw.simulate import (
@@ -443,6 +444,9 @@ class TestBatch:
 
 
 class TestSupError:
+    """The sup-norm error over a grid, max |eta_hat - truth| of a batch whose
+    rows are all ok: a failed row would make it understate the error."""
+
     def test_zero_against_own_fits(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(-1.0, 1.0, size=(60, 1))
@@ -451,16 +455,16 @@ class TestSupError:
         cfg = default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.5))
         grid = np.linspace(-0.5, 0.5, 11).reshape(-1, 1)
         fits = [r.fit.eta_hat for r in nw_batch(cfg, basis, X, Y, grid)]
-        assert uniform_sup_error(cfg, basis, X, Y, grid, np.array(fits)) == 0.0
+        batch = nw_batch(cfg, basis, X, Y, grid)
+        assert batch.ok.all()
+        assert np.max(np.abs(batch.eta_hat - np.array(fits))) == 0.0
 
     def test_empty_window_propagates(self):
         X = np.array([[0.0], [0.1], [0.2]])
         Y = np.array([1.0, 2.0, 3.0])
-        grid = np.array([[40.0]])
-        with pytest.raises(EmptyWindowError):
-            uniform_sup_error(
-                default_config(), oracle_basis([[1.0]]), X, Y, grid, np.zeros(1)
-            )
+        batch = nw_batch(default_config(), oracle_basis([[1.0]]), X, Y, np.array([[40.0]]))
+        assert batch.ok.tolist() == [False] and np.isnan(batch.eta_hat).all()
+        assert batch.errors[0].startswith("no sample points inside the kernel window")
 
     def test_sup_error_shrinks_with_n(self):
         cfg_m = Model1Config(seed=3)
@@ -474,7 +478,9 @@ class TestSupError:
         for n, stream in ((250, 1), (4000, 2)):
             X, Y, _ = gen_model1(cfg_m, n, rng_stream=stream)
             cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=rule, d=1)
-            errs[n] = uniform_sup_error(cfg, basis, X, Y, grid, truth)
+            batch = nw_batch(cfg, basis, X, Y, grid)
+            assert batch.ok.all()
+            errs[n] = np.max(np.abs(batch.eta_hat - truth))
         assert errs[4000] < errs[250]
 
 
@@ -535,12 +541,10 @@ class TestShiftEquivariance:
 def _call_entry(entry, cfg, basis, X, Y, x0):
     if entry == "nw_estimate":
         return nw_estimate(cfg, basis, X, Y, x0)
-    if entry == "nw_batch":
-        return nw_batch(cfg, basis, X, Y, np.atleast_2d(x0))
-    return uniform_sup_error(cfg, basis, X, Y, np.atleast_2d(x0), np.zeros(1))
+    return nw_batch(cfg, basis, X, Y, np.atleast_2d(x0))
 
 
-ENTRIES = ("nw_estimate", "nw_batch", "uniform_sup_error")
+ENTRIES = ("nw_estimate", "nw_batch")
 
 
 class TestNonFiniteInputs:
@@ -1071,6 +1075,21 @@ def direct_sums(kernel, W, Y, w0, h):
     return mass, eta, math.fsum(wts * (Y - eta) ** 2) / mass
 
 
+def gram_slack(kernel, W, w0, h):
+    """How far the Gram form's rounding can move the kernel mass of the row
+    at w0 from ``direct_sums``' for a (1 - t^2)^k profile at d <= 6. Each
+    squared radius s = t^2 in the window moves by at most (2d + 8) eps
+    (|w0 - mu|^2 + |w - mu|^2) / h^2, mu the sample mean, and its weight
+    c (1 - s)^k by c k (1 - s)^(k - 1) times that, doubled for the change
+    of slope; radii within 64 eps of those norms of the edge are direct."""
+    mu = W.mean(axis=0)
+    s = np.sum(((W - w0) / h) ** 2, axis=1)
+    ds = ((2 * W.shape[1] + 8) * np.finfo(float).eps
+          * (np.sum((w0 - mu) ** 2) + np.sum((W - mu) ** 2, axis=1)) / h ** 2)
+    k, inside = kernel.profile.power, s < 1.0
+    return 2.0 * kernel.norm_const * k * float(np.sum((1.0 - s[inside]) ** (k - 1) * ds[inside]))
+
+
 def chunks_with_mass(kernel, W, w0, h, m):
     """Indices of the sample chunks an m-row unsorted batch at d > 1 takes
     that hold kernel mass for the row at w0."""
@@ -1238,6 +1257,21 @@ def _near_edge_instance():
     cfg = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 3), d=3,
                    bandwidth=BandwidthRule(kind="fixed", h_fixed=1.517578125))
     return cfg, _oracle(3, 3), X, np.array([1.0] + [2.0] * 7), X0
+
+
+def _far_rows_instance():
+    """A sorted batch whose query 0 lies 5.7 h from the centre and queries
+    1-31 8.2 h from it, past _GRAM_MAX_OFFSET h: row 0 keeps the Gram form
+    beside them, as in its one-row call. Its one sample in the window, at
+    t = 0.9921875, weighs (1 - t^2)^3, which magnifies a difference in t
+    about 400-fold."""
+    X = np.zeros((17, 2))
+    X[0] = (0.0, 0.9921875)
+    X0 = np.full((_SORT_MIN_QUERIES, 2), 1.190625)
+    X0[0, 0] = 0.0
+    cfg = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 2), d=2,
+                   bandwidth=BandwidthRule(kind="fixed", h_fixed=0.2))
+    return cfg, _oracle(2, 2), X, np.ones(17), X0
 
 
 FIELDS = ("eta_hat", "f_hat", "sigma2_hat", "ci_lo", "ci_hi", "effective_mass")
@@ -1452,6 +1486,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(inst=nw_instances(min_queries=_SORT_MIN_QUERIES, y_range=(1.0, 2.0)))
     @example(inst=_near_edge_instance())
+    @example(inst=_far_rows_instance())
     def test_sorted_batch_matches_rows_one_at_a_time(self, inst):
         cfg, basis, X, Y, X0 = inst
         batch = nw_batch(cfg, basis, X, Y, X0)
@@ -1463,3 +1498,41 @@ class TestProperties:
             # rounding noise near 1e-32 on both sides
             np.testing.assert_allclose(a[name], b[name], rtol=1e-12,
                                        atol=1e-24 if name == "sigma2_hat" else 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 6), n=st.integers(2, 200), spread=st.sampled_from([1.0, 10.0]),
+           h=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_row_sums_do_not_depend_on_the_batch(self, d, n, spread, h, seed):
+        """One query row inside batches of different make-up: alone, among
+        near rows, among rows past _GRAM_MAX_OFFSET h from the centre
+        (unsorted, and sorted beside near ones), and with the sample read in
+        chunks of a few columns. A row past that offset takes direct radii,
+        so its sums match the direct ones up to their order in every batch;
+        a nearer row's match them within the Gram form's rounding
+        (``gram_slack``), which the shape of the block's BLAS product moves."""
+        rng = np.random.default_rng(seed)
+        W = spread * rng.uniform(-1.0, 1.0, size=(n, d))
+        Y = rng.uniform(1.0, 2.0, size=n)
+        # within h of a sample, so the window is never empty; with spread 10
+        # and a small h the row itself is often far from the centre
+        q = W[rng.integers(n)] + 0.99 * h * rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d)
+        mu = W.mean(axis=0)
+        near = spread * rng.uniform(-1.0, 1.0, size=(_SORT_MIN_QUERIES + 8, d))
+        far = mu + (_GRAM_MAX_OFFSET + 1.0) * h * rng.choice([-1.0, 1.0], size=(40, d))
+        kern = make_kernel(builtin_profile("triweight_poly3"), d)
+        make_ups = [(near[:0], _BLOCK_ELEMS), (near[:3], _BLOCK_ELEMS), (far[:5], _BLOCK_ELEMS),
+                    (np.vstack([near[:20], far[:20]]), _BLOCK_ELEMS),
+                    (np.vstack([far[:20], near[:20]]), 4 * (_SORT_MIN_QUERIES + 1))]
+        ref = direct_sums(kern, W, Y, q, h)
+        is_far = np.sum((q - mu) ** 2) > (_GRAM_MAX_OFFSET * h) ** 2
+        slack = 0.0 if is_far else gram_slack(kern, W, q, h)
+        # the sums' own rounding, in any order; Y - eta and its square are
+        # at most 1 in magnitude
+        eps = 4 * n * np.finfo(float).eps
+        tol = (slack + eps * ref[0], slack / ref[0] + eps * 2.0, slack / ref[0] + eps)
+        for others, block in make_ups:
+            at = int(rng.integers(len(others) + 1))
+            with mock.patch.object(npregress, "_BLOCK_ELEMS", block):
+                got = _nw_core(kern, W, Y, np.insert(others, at, q, axis=0), h)
+            for name, col, want, err in zip(("mass", "eta", "sigma2"), got, ref, tol):
+                assert abs(col[at] - want) <= err, (name, len(others), block, col[at], want, err)

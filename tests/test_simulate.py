@@ -17,14 +17,15 @@ from rednw.simulate import (
     MethodSpec,
     Model1Config,
     Model2Config,
-    coverage_experiment,
+    coverage_view,
     default_bandwidth_rule,
     draw_test_points,
     emse,
-    equivalence_experiment,
+    equivalence_view,
     estimate_density_data,
     gen_model1,
     gen_model2,
+    oracle_specs,
     recompute_cell,
     run_replications,
     undersmoothed_rule,
@@ -375,60 +376,60 @@ class TestReplicationHarness:
         assert not np.isnan(table.estimates[(0, 100, "NPRT")]).any()
 
 
+def equivalence_rows(cfg, ns, n_rep, x0, reduction="pls", rule=None, **kw):
+    """The equivalence view of a replication run at x0 alone."""
+    table = run_replications(cfg, oracle_specs(reduction, rule), ns, x0[None, :], n_rep, **kw)
+    return equivalence_view(table, rule)
+
+
+def coverage(cfg, n, n_rep, x0, level=0.95, **kw):
+    """The coverage view of a replication run of the NPR column at x0 alone."""
+    table = run_replications(cfg, oracle_specs()[:1], [n], x0[None, :], n_rep,
+                             ci_level=level, **kw)
+    return coverage_view(table, cfg, n, level)
+
+
 class TestEquivalence:
     def test_consistent_estimate_decays(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        rows = equivalence_experiment(
-            cfg, ns=[200, 1500], n_rep=40, x0=1.5 * b,
-            reduction="root_n_oracle", base_seed=5,
-        )
+        rows = equivalence_rows(cfg, [200, 1500], 40, 1.5 * b, "root_n_oracle", base_seed=5)
         assert rows[1].median_stat < rows[0].median_stat
 
     def test_wrong_direction_does_not_decay(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        rows = equivalence_experiment(
-            cfg, ns=[200, 1500], n_rep=40, x0=1.5 * b,
-            reduction="wrong_direction", base_seed=5,
-        )
+        rows = equivalence_rows(cfg, [200, 1500], 40, 1.5 * b, "wrong_direction", base_seed=5)
         assert rows[1].median_stat >= rows[0].median_stat
 
     def test_rows_carry_bandwidth(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        rule = undersmoothed_rule()
-        rows = equivalence_experiment(
-            cfg, ns=[100, 400], n_rep=3, x0=b, bandwidth_rule=rule, base_seed=1
-        )
+        rows = equivalence_rows(cfg, [100, 400], 3, b, rule=undersmoothed_rule(), base_seed=1)
         np.testing.assert_allclose(rows[0].h, 2.0 * 100.0**-0.3, rtol=1e-13)
         np.testing.assert_allclose(rows[1].h, 2.0 * 400.0**-0.3, rtol=1e-13)
 
     def test_threads_do_not_change_rows(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        runs = [equivalence_experiment(cfg, ns=[100, 300], n_rep=6, x0=1.5 * b,
-                                       reduction="pls", base_seed=2, n_threads=k)
+        runs = [equivalence_rows(cfg, [100, 300], 6, 1.5 * b, base_seed=2, n_threads=k)
                 for k in (1, 2)]
         assert runs[0] == runs[1]
 
     def test_no_usable_replication_raises(self):
         cfg = Model1Config(seed=0)
         with pytest.raises(NumericError, match="n=100"):
-            equivalence_experiment(cfg, ns=[100], n_rep=3, x0=50.0 * np.ones(6), base_seed=1)
+            equivalence_rows(cfg, [100], 3, 50.0 * np.ones(6), base_seed=1)
 
-    def test_loocv_rule_rejected_before_any_replication(self, monkeypatch):
-        """sqrt(n h) needs h from n alone; a data-chosen bandwidth fails
-        with its kind named before one sample is drawn."""
-        def no_draw(*args, **kwargs):
-            raise AssertionError("gen_model1 called")
-
-        monkeypatch.setattr(simulate, "gen_model1", no_draw)
+    def test_loocv_rule_rejected(self):
+        """sqrt(n h) needs h from n alone: the view of a finished table
+        rejects a data-chosen bandwidth and names its kind."""
+        cfg = Model1Config(seed=0)
+        table = run_replications(cfg, oracle_specs(), [100], np.ones((1, 6)), 3, base_seed=1)
         rule = BandwidthRule(kind="loocv", cv_grid=(0.2, 0.4))
-        with pytest.raises(ArgumentError, match="^equivalence experiment needs a bandwidth "
+        with pytest.raises(ArgumentError, match="^equivalence statistic needs a bandwidth "
                            "set by n alone; bandwidth kind 'loocv' is chosen from the data$"):
-            equivalence_experiment(Model1Config(seed=0), ns=[100], n_rep=3,
-                                   x0=np.ones(6), bandwidth_rule=rule, base_seed=1)
+            equivalence_view(table, rule)
 
 
 class TestCoverage:
@@ -439,18 +440,13 @@ class TestCoverage:
         perp[0] = 1.0
         perp -= (perp @ b) * b
         perp /= np.linalg.norm(perp)
-        res = coverage_experiment(
-            cfg, n=1500, n_rep=200, x0=1.5 * b + 0.2 * perp,
-            level=0.5, base_seed=7,
-        )
+        res = coverage(cfg, 1500, 200, 1.5 * b + 0.2 * perp, level=0.5, base_seed=7)
         assert abs(res.coverage - 0.5) <= 0.1
 
     def test_degenerate_design_full_coverage(self):
         """Identically zero data gives zero-width intervals that still cover."""
         cfg = Model1Config(seed=0, sigma_signal=0.0, sigma_noise_cov=0.0, eps_sd=0.0)
-        res = coverage_experiment(
-            cfg, n=100, n_rep=30, x0=np.zeros(6), level=0.95, base_seed=3
-        )
+        res = coverage(cfg, 100, 30, np.zeros(6), level=0.95, base_seed=3)
         assert res.coverage == 1.0
         assert res.truth == 0.0
         assert res.median_ci_width == 0.0
@@ -458,34 +454,20 @@ class TestCoverage:
     def test_threads_do_not_change_result(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        runs = [coverage_experiment(cfg, n=300, n_rep=6, x0=1.5 * b, base_seed=2,
-                                    n_threads=k)
-                for k in (1, 2)]
+        runs = [coverage(cfg, 300, 6, 1.5 * b, base_seed=2, n_threads=k) for k in (1, 2)]
         assert runs[0] == runs[1]
 
     def test_no_usable_replication_raises(self):
         cfg = Model1Config(seed=0)
         with pytest.raises(NumericError, match="n=100"):
-            coverage_experiment(cfg, n=100, n_rep=3, x0=50.0 * np.ones(6), base_seed=1)
+            coverage(cfg, 100, 3, 50.0 * np.ones(6), base_seed=1)
 
     def test_bandwidth_regime_enforced(self):
-        cfg = Model1Config(seed=0)
-        b = np.ones(6) / np.sqrt(6.0)
         # exponent must undersmooth: inside (1/(2q+d), 1/d) = (0.2, 1.0) for q=2, d=1
-        bad = BandwidthRule(
-            kind="power_rule", constant=2.0, exponent_dim="reduced_d", exponent=0.15
-        )
-        with pytest.raises(ArgumentError):
-            coverage_experiment(
-                cfg, n=200, n_rep=3, x0=b, bandwidth_rule=bad, base_seed=1
-            )
-        ambient = BandwidthRule(
-            kind="power_rule", constant=5.0, exponent_dim="ambient_p"
-        )
-        with pytest.raises(ArgumentError):
-            coverage_experiment(
-                cfg, n=200, n_rep=3, x0=b, bandwidth_rule=ambient, base_seed=1
-            )
+        for exponent in (0.15, 0.2):
+            with pytest.raises(ArgumentError, match="strictly inside"):
+                undersmoothed_rule(exponent=exponent)
+        assert undersmoothed_rule(exponent=0.25).exponent == 0.25
 
 
 class TestDensityData:
