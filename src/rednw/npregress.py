@@ -71,7 +71,7 @@ from numpy.typing import NDArray
 
 from .errors import ArgumentError, EmptyWindowError
 from .kernels import RadialKernel
-from .reduction import ReductionBasis, reduce as _reduce
+from .reduction import ReductionBasis, all_finite, reduce as _reduce
 
 BANDWIDTH_KINDS = ("power_rule", "fixed", "loocv")
 EXPONENT_DIMS = ("ambient_p", "reduced_d")
@@ -249,6 +249,14 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
     R, and every entry of a row more than _GRAM_MAX_OFFSET h from mu, get
     the direct expression on the original rows W, W0, so support membership
     is that of the direct form and no row's form depends on the other rows."""
+    far = ~(qq <= np.float64(_GRAM_MAX_OFFSET * h) ** 2)
+    if far.any():
+        # far rows, and rows whose norm is NaN, take direct radii whole (past
+        # the float range a radius is inf, its weight 0), the rest the Gram form
+        t, near = np.empty((W0.shape[0], W.shape[0])), ~far
+        t[far] = np.linalg.norm((W0[far][:, None, :] - W[None, :, :]) / h, axis=2)
+        t[near] = _gram_radii(W, W0[near], h, R, mu, W0c[near], qq[near])
+        return t
     Wc = W - mu
     norms = qq[:, None] + np.einsum("ij,ij->i", Wc, Wc)[None, :]
     # a BLAS product: the replication pool caps OpenBLAS at one thread per
@@ -257,17 +265,11 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
     # float64, so a huge h squares to inf instead of raising
     edge2 = np.float64(R * h) ** 2
     redo = np.abs(d2 - edge2) <= _EDGE_RTOL * norms
-    # far rows, and rows whose norm is NaN, are redone whole below
-    far = ~(qq <= np.float64(_GRAM_MAX_OFFSET * h) ** 2)
-    redo[far] = False
     t = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
     t /= h
     i, j = np.nonzero(redo)
     if i.size:
         t[i, j] = np.linalg.norm((W0[i] - W[j]) / h, axis=1)
-    if far.any():
-        # a radius past the float range is inf, and its weight 0
-        t[far] = np.linalg.norm((W0[far][:, None, :] - W[None, :, :]) / h, axis=2)
     return t
 
 
@@ -657,7 +659,7 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
     # even in a column the basis weights 0 (inf * 0 is NaN)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         W = X if identity else _reduce(basis, X)
-    if not np.isfinite(W).all():
+    if not all_finite(W):
         raise ArgumentError("reduced predictors X @ basis.T are not finite; X must be finite")
     h = bandwidth(config.bandwidth, n=n, p=p, d=config.d, kernel=config.kernel, W=W, Y=Y)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -678,7 +680,7 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
         cols = np.where(ok, [eta, sigma2, f_hats, eta - half, eta + half], np.nan)
     errors = {}
     for i in np.flatnonzero(~ok).tolist():
-        w0 = np.array2string(W0[i], precision=6)
+        w0 = np.array2string(W0[i] + 0.0, precision=6)  # 0, not -0, as X0 @ I gives
         # The density value itself scales like h^{-d} and is legitimately
         # tiny in high dimensions; emptiness is a statement about mass. Only
         # a degenerate value (0 or inf, from h**d or f_hat leaving the float

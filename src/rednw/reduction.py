@@ -110,6 +110,18 @@ def oracle_basis(rows: NDArray[np.floating] | Sequence[Sequence[float]]) -> Redu
     return _make_basis(np.atleast_2d(np.asarray(rows, dtype=float)), "oracle")
 
 
+def all_finite(a: NDArray[np.floating]) -> bool:
+    """Every entry finite; only a sum that is not finite gets the exact test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
+
+
+def row_blocks(n: int, p: int) -> list[slice]:
+    """Row slices of an n x p array, each of at most max(2^16, p) entries."""
+    rows = max(1, (1 << 16) // p)
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
 def _check_xy(X, Y):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
@@ -117,7 +129,7 @@ def _check_xy(X, Y):
         raise ArgumentError(f"X must be a 2-d array, got ndim={X.ndim}")
     if X.shape[0] != Y.shape[0]:
         raise ArgumentError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]} entries")
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
+    if not (all_finite(X) and all_finite(Y)):
         raise ArgumentError("X and Y must be finite")
     return X, Y
 
@@ -199,19 +211,23 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
     if d < 1 or d > min(r, p):
         raise ArgumentError(f"need 1 <= d <= min(r, p), got d={d}, r={r}, p={p}")
     mean, Fc = X.mean(axis=0), F - F.mean(axis=0)
-    # X - mean by blocks of 2^16 entries: no n x p array beside X, which
-    # each replication thread fitting at once would hold
-    rows = max(1, (1 << 16) // p)
-    blocks = [slice(i, i + rows) for i in range(0, n, rows)]
+    del F
+    # X - mean and the fitted values by row blocks, in two buffers every block
+    # reuses: no n x p array beside X, which each replication thread would hold
+    blocks = row_blocks(n, p)
+    xc, fitted = np.empty((2, blocks[0].stop, p))
     try:
-        coef = np.linalg.solve(Fc.T @ Fc, sum(Fc[b].T @ (X[b] - mean) for b in blocks))
+        ftx = sum(Fc[b].T @ np.subtract(X[b], mean, out=xc[:b.stop - b.start]) for b in blocks)
+        coef = np.linalg.solve(Fc.T @ Fc, ftx)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"f_y features are collinear; choose an independent basis ({exc})") from exc
     s_fit, s_res = np.zeros((p, p)), np.zeros((p, p))
     for b in blocks:
-        fitted = Fc[b] @ coef
-        resid = X[b] - mean - fitted
-        s_fit += fitted.T @ fitted
+        k = b.stop - b.start
+        fb = np.matmul(Fc[b], coef, out=fitted[:k])
+        resid = np.subtract(X[b], mean, out=xc[:k])
+        resid -= fb
+        s_fit += fb.T @ fb
         s_res += resid.T @ resid
     s_fit, s_res = s_fit / n, s_res / n
     if ridge is None:

@@ -25,7 +25,7 @@ from ._blas import blas_threads_per_worker, keep_freed_memory
 from .errors import ArgumentError, NumericError, RednwError
 from .kernels import builtin_profile, make_kernel, second_moment
 from .npregress import BandwidthRule, NWConfig, _nw_core, bandwidth, nw_batch
-from .reduction import FIT_METHODS, ReductionBasis, fit, oracle_basis
+from .reduction import FIT_METHODS, ReductionBasis, fit, oracle_basis, row_blocks
 
 METHOD_NAMES = ("np", "npr", "nprt")
 # one direction each, not fitted: root_n_oracle perturbs the true direction by
@@ -168,14 +168,20 @@ class Model2Config:
 
 def _draw_x(cfg, rng: np.random.Generator, n: int):
     # n rows of X, and for model 2 the responses they were drawn given
-    if isinstance(cfg, Model1Config):
-        return rng.standard_normal((n, cfg.p)) @ cfg._x_factor, None
-    y = rng.normal(0.0, cfg.y_sd, n)
-    f_sum = y + np.abs(y) - cfg.e_abs_y
-    # the outer product goes into the matrix product in place: two n x p
-    # arrays live, not three; addition commutes, so the bits are unchanged
-    X = rng.standard_normal((n, cfg.p)) @ cfg._x_factor
-    X += f_sum[:, None] * cfg.A
+    y = None if isinstance(cfg, Model1Config) else rng.normal(0.0, cfg.y_sd, n)
+    if y is not None:
+        # y + |y| - E|Y| in place; addition commutes, so the bits are the same
+        f_sum = np.abs(y)
+        f_sum += y
+        f_sum -= cfg.e_abs_y
+    # X, the one n x p array, is filled by row blocks: normals times the factor
+    # plus the outer product. Philox is counter-based, so the blocks draw the
+    # stream one n x p draw would; only the product's last bits may move
+    X = np.empty((n, cfg.p))
+    for b in row_blocks(n, cfg.p):
+        Xb = np.matmul(rng.standard_normal(X[b].shape), cfg._x_factor, out=X[b])
+        if y is not None:
+            Xb += f_sum[b, None] * cfg.A
     return X, y
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rednw import npregress, simulate
+from rednw import npregress, reduction, simulate
 from rednw.errors import ArgumentError, EmptyWindowError, RednwError
 from rednw.kernels import BUILTIN_PROFILES, KernelProfile, builtin_profile, make_kernel
 from rednw.npregress import (
@@ -30,7 +30,7 @@ from rednw.npregress import (
     nw_batch,
     nw_estimate,
 )
-from rednw.reduction import ReductionBasis, oracle_basis, reduce
+from rednw.reduction import ReductionBasis, oracle_basis, pfc_fit, pls_fit, reduce, sir_fit
 from rednw.simulate import (
     MethodSpec,
     Model1Config,
@@ -555,6 +555,8 @@ class TestNonFiniteInputs:
         self.X, self.Y = _shift_data(seed=5, n=100)
         self.basis = oracle_basis([[1.0, 0.0]])
         self.cfg = default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.5))
+        self.cfg_2d = dataclasses.replace(
+            self.cfg, kernel=make_kernel(builtin_profile("triweight_poly3"), 2), d=2)
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_nan_in_y(self, entry):
@@ -572,6 +574,39 @@ class TestNonFiniteInputs:
     def test_nan_in_query_point(self, entry):
         with pytest.raises(ArgumentError, match="query point 0"):
             _call_entry(entry, self.cfg, self.basis, self.X, self.Y, [np.nan, 0.0])
+
+    @pytest.mark.parametrize("entry", ["pls_fit", "pfc_fit", "sir_fit", "nw_batch"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (57, 1), (99, 1)])
+    def test_non_finite_anywhere_in_x(self, entry, value, where):
+        """The finiteness checks test X's sum first and the entries only
+        when the sum is not finite; a NaN or inf anywhere still raises."""
+        self.X[where] = value
+        fits = {"pls_fit": lambda: pls_fit(self.X, self.Y, 1),
+                "pfc_fit": lambda: pfc_fit(self.X, self.Y, lambda y: np.column_stack([y, y * y]), 1),
+                "sir_fit": lambda: sir_fit(self.X, self.Y, slices=4),
+                # the identity basis: the check reads X itself
+                "nw_batch": lambda: nw_batch(self.cfg_2d, oracle_basis(np.eye(2)), self.X, self.Y,
+                                             np.zeros((1, 2)))}
+        with pytest.raises(ArgumentError, match="finite"):
+            fits[entry]()
+
+    def test_finite_x_whose_sum_overflows(self):
+        """Rows of +-1e308 overflow the sum to a non-finite value, and the
+        exact test then passes X."""
+        X = np.full((100, 2), 1e308)
+        X[1::2] *= -1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(X.sum())
+        assert reduction._check_xy(X, self.Y)[0] is X
+        # the reduced column X[:, 0] overflows its sum the same way; each
+        # row's window holds the rows of its sign, all at radius 0
+        batch = nw_batch(self.cfg, self.basis, X, self.Y, X[:2])
+        assert batch.ok.all()
+        np.testing.assert_allclose(batch.eta_hat, [self.Y[::2].mean(), self.Y[1::2].mean()],
+                                   rtol=1e-12)
+        # the identity basis checks X itself
+        assert len(nw_batch(self.cfg_2d, oracle_basis(np.eye(2)), X, self.Y, X[:2])) == 2
 
 
 class TestLoocvReference:

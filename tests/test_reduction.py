@@ -179,10 +179,10 @@ class TestPFC:
             pfc_fit(X, rng.standard_normal(4), lambda y: np.array([y]), 1)
 
     def test_no_n_by_p_temporary(self):
-        """X - mean is taken by row blocks and the residuals in place, so no
-        n x p array is formed beside X (two replication threads fitting at
-        once would each hold one), and the fit over several blocks is the
-        dense generalized eigenproblem's."""
+        """X - mean and the fitted values are taken by row blocks in two
+        reused buffers, so no n x p array is formed beside X (two replication
+        threads fitting at once would each hold one), and the fit over
+        several blocks is the dense generalized eigenproblem's."""
         from scipy.linalg import eigh
 
         X, Y, _ = gen_model2(Model2Config(seed=0), 20_000)
@@ -194,7 +194,7 @@ class TestPFC:
         finally:
             tracemalloc.stop()
         assert np.array_equal(X, X_before)
-        assert peak < X.nbytes
+        assert peak < 0.5 * X.nbytes
         Xc, Fc = X - X.mean(axis=0), self.fy2(Y) - self.fy2(Y).mean(axis=0)
         fitted = Fc @ np.linalg.solve(Fc.T @ Fc, Fc.T @ Xc)
         s_res = (Xc - fitted).T @ (Xc - fitted) / X.shape[0]
@@ -202,6 +202,37 @@ class TestPFC:
                             s_res + 1e-8 * np.trace(s_res) / X.shape[1] * np.eye(X.shape[1]))
         ref = oracle_basis(evecs[:, [np.argmax(evals)]].T).matrix
         np.testing.assert_allclose(got.matrix, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3000, 3277, 9928, 20_000])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_buffers_match_the_unbuffered_fit(self, n, r):
+        """The reused block buffers change no operation: the basis is bit for
+        bit that of the two passes over fresh per-block arrays, from one
+        block (n p < 2^16) to several with a ragged last one."""
+        from rednw.reduction import _make_basis
+
+        X, Y, _ = gen_model2(Model2Config(seed=1), n)
+        fy = (lambda y: np.column_stack([y, np.abs(y)])) if r == 2 else \
+            (lambda y: np.column_stack([y, y ** 2, y ** 3]))
+        p = X.shape[1]
+        mean, F = X.mean(axis=0), fy(Y)
+        Fc = F - F.mean(axis=0)
+        rows = (1 << 16) // p
+        blocks = [slice(i, i + rows) for i in range(0, n, rows)]
+        coef = np.linalg.solve(Fc.T @ Fc, sum(Fc[b].T @ (X[b] - mean) for b in blocks))
+        s_fit, s_res = np.zeros((p, p)), np.zeros((p, p))
+        for b in blocks:
+            fitted = Fc[b] @ coef
+            resid = X[b] - mean - fitted
+            s_fit += fitted.T @ fitted
+            s_res += resid.T @ resid
+        s_fit, s_res = s_fit / n, s_res / n
+        m = s_res + 1e-8 * float(np.trace(s_res)) / p * np.eye(p)
+        L_inv = np.linalg.inv(np.linalg.cholesky(m))
+        evals, evecs = np.linalg.eigh(L_inv @ s_fit @ L_inv.T)
+        for d in range(1, r + 1):
+            ref = _make_basis(evecs[:, np.argsort(evals)[::-1][:d]].T @ L_inv, "pfc")
+            assert np.array_equal(pfc_fit(X, Y, fy, d).matrix, ref.matrix)
 
 
 class TestSIR:

@@ -79,9 +79,49 @@ class TestModel2Generator:
         assert np.array_equal(X, expected)
         assert np.array_equal(Y, y)
 
+    @staticmethod
+    def _blocked_draw(cfg, rng, n):
+        """X from one n x p stream draw, multiplied by row blocks of 2^16
+        entries, with model 2's outer product added per block."""
+        y = None if isinstance(cfg, Model1Config) else rng.normal(0.0, cfg.y_sd, n)
+        Z = rng.standard_normal((n, cfg.p))
+        rows = (1 << 16) // cfg.p
+        parts = []
+        for i in range(0, n, rows):
+            part = Z[i:i + rows] @ cfg._x_factor
+            if y is not None:
+                part = np.outer(y[i:i + rows] + np.abs(y[i:i + rows]) - cfg.e_abs_y, cfg.A) + part
+            parts.append(part)
+        return np.vstack(parts), y
+
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_blocked_draw_matches_one_stream_draw(self, model):
+        """Over several row blocks and a ragged last one, X is the one-draw
+        stream multiplied block by block, bit for bit, and the stream goes on
+        where one draw would leave it; the same under the replication pool's
+        BLAS cap and uncapped."""
+        if model == 1:
+            cfg, tag, gen = Model1Config(seed=6), simulate._TAG_MODEL1, gen_model1
+        else:
+            cfg, tag, gen = Model2Config(seed=6), simulate._TAG_MODEL2, gen_model2
+        rows = (1 << 16) // cfg.p
+        n = 3 * rows + 101
+        rng = simulate._rng(cfg.seed, tag, n, 2)
+        expected, y = self._blocked_draw(cfg, rng, n)
+        if model == 1:
+            y = (expected @ cfg.beta0) ** 2 + rng.normal(0.0, cfg.eps_sd, n)
+        X, Y, _ = gen(cfg, n, rng_stream=2)
+        with _blas.blas_threads_per_worker(2):
+            X_capped, Y_capped, _ = gen(cfg, n, rng_stream=2)
+        for got, resp in ((X, Y), (X_capped, Y_capped)):
+            assert np.array_equal(got, expected)
+            assert np.array_equal(resp, y)
+
     def test_draw_peak_memory(self):
-        """One draw holds at most two n x p arrays at once."""
+        """One draw holds X and temporaries of at most 2^16 entries: the
+        normals of one block and its outer product."""
         cfg = Model2Config(seed=0)
+        gen_model2(cfg, 10)  # numpy.random's lazy import is not the draw's
         tracemalloc.start()
         try:
             X, _, _ = gen_model2(cfg, 20_000)
@@ -89,7 +129,7 @@ class TestModel2Generator:
         finally:
             tracemalloc.stop()
         assert X.shape == (20_000, 20)
-        assert peak < 2.2 * X.nbytes
+        assert peak < 1.4 * X.nbytes
 
     def test_packaged_s_matrix_regenerates(self):
         """The stored scatter matrix is exactly the draw from its recorded seed."""
@@ -202,6 +242,23 @@ class TestReplicationHarness:
             assert a.variance == b.variance
             assert a.mean_estimate == b.mean_estimate
             assert a.n_missing == b.n_missing
+
+    def test_two_workers_peak_memory(self):
+        """Model 2 at n = 20,000 on two threads: each worker holds its X and
+        temporaries of at most 2^16 entries, so the two workers' draws,
+        fits and NW blocks overlapping peak below 3.5 X."""
+        cfg = Model2Config(seed=0)
+        methods = [MethodSpec("np"), MethodSpec("npr"), MethodSpec("nprt", reduction="pfc")]
+        pts = draw_test_points(cfg, 3)
+        run_replications(cfg, methods, [200], pts, 2, n_threads=2)  # lazy imports
+        tracemalloc.start()
+        try:
+            table = run_replications(cfg, methods, [20_000], pts, 2, n_threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(c.n_missing for c in table.cells)
+        assert peak < 3.5 * (20_000 * cfg.p * 8)
 
     def test_rerun_determinism(self):
         cfg = Model2Config(seed=3)
