@@ -67,7 +67,6 @@ from .simulate import (
     estimate_density_data,
     gen_model1,
     gen_model2,
-    recompute_cell,
     run_replications,
     undersmoothed_rule,
 )

@@ -323,8 +323,7 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     cfg = plan.model_cfg
     # the one replication run; only coverage reads intervals, at the run's level
     table = run_replications(cfg, plan.methods, plan.ns, plan.test_points,
-                             plan.n_rep, base_seed=plan.base_seed,
-                             bandwidth_rule=plan.bandwidth_rule, n_threads=threads,
+                             plan.n_rep, base_seed=plan.base_seed, n_threads=threads,
                              ci_level=plan.coverage_level if plan.coverage else 0.95)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -360,7 +359,7 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
                     [(r.n, r.h, r.median_stat, r.n_used, r.n_missing) for r in eq_rows])
         outputs.append("equivalence.csv")
     if plan.coverage:
-        cov = coverage_view(table, cfg, max(plan.ns), plan.coverage_level)
+        cov = coverage_view(table, cfg, max(plan.ns))
         write_table(out_dir / "coverage.csv",
                     ["n", "level", "coverage", "n_used", "n_excluded", "truth",
                      "median_ci_width"],

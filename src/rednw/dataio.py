@@ -35,7 +35,7 @@ from .simulate import (
     Model1Config,
     Model2Config,
     oracle_specs,
-    recompute_cell,
+    run_replications,
 )
 
 TRANSFORMS = ("none", "log", "center")
@@ -52,7 +52,6 @@ class Dataset:
     X: NDArray[np.floating]
     Y: NDArray[np.floating]
     transforms: tuple[tuple[str, str], ...] = ()
-    n_dropped: int = 0
     dropped_rows: tuple[int, ...] = ()
     # (column, mean) subtracted by each center transform, in order; test
     # rows replay them
@@ -61,6 +60,10 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    @property
+    def n_dropped(self) -> int:
+        return len(self.dropped_rows)
 
     @property
     def p(self) -> int:
@@ -267,7 +270,7 @@ def load_csv(path, response_col: str,
         raise DataError(f"{path}: no predictor columns besides the response")
     return Dataset(column_names=pred_names, response_name=response_col,
                    X=data[:, pred_js], Y=data[:, y_j], transforms=transforms,
-                   n_dropped=len(dropped), dropped_rows=tuple(sorted(dropped)),
+                   dropped_rows=tuple(sorted(dropped)),
                    center_shifts=shifts)
 
 
@@ -357,7 +360,6 @@ class SimulationPlan:
     ns: tuple[int, ...]
     n_rep: int
     base_seed: int
-    bandwidth_rule: BandwidthRule
     test_points: NDArray[np.floating]
     equivalence: bool
     coverage: bool
@@ -390,7 +392,8 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
     d = int(config.get("d", 1))
     nprt_reduction = config.get("nprt_reduction") or default_reduction
     methods = tuple(
-        MethodSpec(method=m, reduction=nprt_reduction if m == "nprt" else None, d=d)
+        MethodSpec(method=m, reduction=nprt_reduction if m == "nprt" else None, d=d,
+                   bandwidth_rule=rule)
         for m in method_names
     )
     if d > PFC_MAX_D and any(spec.reduction == "pfc" for spec in methods):
@@ -400,9 +403,9 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
     # the x0-only columns the views read: NPR for either, NPRT for equivalence
     methods += oracle_specs()[:2 if equivalence else int(coverage)]
     return SimulationPlan(model_cfg=model_cls(seed=seed), methods=methods, ns=ns,
-                          n_rep=n_rep, base_seed=seed, bandwidth_rule=rule,
-                          test_points=test_points, equivalence=equivalence,
-                          coverage=coverage, coverage_level=coverage_level)
+                          n_rep=n_rep, base_seed=seed, test_points=test_points,
+                          equivalence=equivalence, coverage=coverage,
+                          coverage_level=coverage_level)
 
 
 def recompute_cell_from_manifest(manifest: RunManifest | str | Path,
@@ -421,9 +424,9 @@ def recompute_cell_from_manifest(manifest: RunManifest | str | Path,
     spec = next((m for m in methods if m.method == method), None)
     if spec is None:
         raise ArgumentError(f"method {method!r} not in manifest methods {[m.method for m in methods]}")
-    return recompute_cell(plan.model_cfg, spec, plan.test_points, point_id=point_id,
-                          n=n, n_rep=plan.n_rep, base_seed=plan.base_seed,
-                          bandwidth_rule=plan.bandwidth_rule, n_threads=n_threads)
+    table = run_replications(plan.model_cfg, [spec], [n], plan.test_points, plan.n_rep,
+                             base_seed=plan.base_seed, n_threads=n_threads)
+    return table.cell(point_id, n, spec.label)
 
 
 def cubic_fy(y):

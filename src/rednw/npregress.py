@@ -15,8 +15,8 @@ Marron 1994), in blocks of bounded size; memory stays linear in n. Small
 batches scan the whole sample. Leave-one-out runs as a batch whose query
 rows are the sample: the block zeroes each row's own sample, matched by
 index. It serves the bandwidth search at d > 1, with a custom profile, and
-where ``_nw_prefix`` returns None; forming each weight for both of its
-rows takes 1.6 to 2.7 times as long as a pass that forms it once.
+where ``_nw_prefix`` returns None, and forms each pair's weight for both
+of its rows.
 
 For d > 1 a block takes its slab in chunks of at most _BLOCK_ELEMS radii (a
 small batch: all its query rows against one chunk at a time), centres only
@@ -95,6 +95,10 @@ _EDGE_RTOL = 64 * np.finfo(float).eps
 # a query row farther than this many bandwidths from the centre takes direct
 # radii for its whole row: there the Gram form's rounding is large against h^2
 _GRAM_MAX_OFFSET = 8.0
+# rows and samples whose centred squared norms are at most this keep the Gram
+# form's |q|^2 + |w|^2 - 2 q.w within 2 (|q|^2 + |w|^2), in the float range;
+# a larger or non-finite one takes direct radii
+_GRAM_MAX_NORM2 = np.finfo(float).max / 4
 # a d = 1 prefix-sum row whose mass or variance numerator is below this many
 # times its rounding bound (see _nw_prefix) is summed directly over its window
 _PREFIX_SAFETY = 1e5
@@ -246,19 +250,21 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
                 qq: NDArray[np.floating]) -> NDArray[np.floating]:
     """||W0_i - W_j|| / h for d > 1, from the rows W - mu, the query rows
     W0c = W0 - mu and their squared norms qq. Entries near the support edge
-    R, and every entry of a row more than _GRAM_MAX_OFFSET h from mu, get
+    R, every entry of a row more than _GRAM_MAX_OFFSET h from mu, and every
+    entry of a row or sample whose squared norm exceeds _GRAM_MAX_NORM2, get
     the direct expression on the original rows W, W0, so support membership
     is that of the direct form and no row's form depends on the other rows."""
-    far = ~(qq <= np.float64(_GRAM_MAX_OFFSET * h) ** 2)
+    far = ~(qq <= min(np.float64(_GRAM_MAX_OFFSET * h) ** 2, _GRAM_MAX_NORM2))
     if far.any():
-        # far rows, and rows whose norm is NaN, take direct radii whole (past
-        # the float range a radius is inf, its weight 0), the rest the Gram form
+        # far rows, and rows whose norm is past _GRAM_MAX_NORM2 or NaN, take direct
+        # radii whole (past the float range a radius is inf, its weight 0)
         t, near = np.empty((W0.shape[0], W.shape[0])), ~far
         t[far] = np.linalg.norm((W0[far][:, None, :] - W[None, :, :]) / h, axis=2)
         t[near] = _gram_radii(W, W0[near], h, R, mu, W0c[near], qq[near])
         return t
     Wc = W - mu
-    norms = qq[:, None] + np.einsum("ij,ij->i", Wc, Wc)[None, :]
+    ss = np.einsum("ij,ij->i", Wc, Wc)
+    norms = qq[:, None] + ss[None, :]
     # a BLAS product: the replication pool caps OpenBLAS at one thread per
     # worker, and its threads split rows and columns, never a dot product
     d2 = norms - 2.0 * (W0c @ Wc.T)
@@ -270,6 +276,10 @@ def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: 
     i, j = np.nonzero(redo)
     if i.size:
         t[i, j] = np.linalg.norm((W0[i] - W[j]) / h, axis=1)
+    # samples past _GRAM_MAX_NORM2, or NaN, take direct radii in every row
+    wide = ~(ss <= _GRAM_MAX_NORM2)
+    if wide.any():
+        t[:, wide] = np.linalg.norm((W0[:, None, :] - W[None, wide, :]) / h, axis=2)
     return t
 
 
@@ -341,7 +351,7 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
             and duplicate samples still weight each other. The bandwidth
             search calls this at d > 1, with a custom profile, and where
             ``_nw_prefix`` returns None; each pair's weight is formed for
-            both of its rows, 1.6 to 2.7 times the time of forming it once.
+            both of its rows.
         h: bandwidth.
 
     A sorted batch (m >= _SORT_MIN_QUERIES, not leave-one-out) at d = 1

@@ -242,9 +242,10 @@ PFC_MAX_D = 2
 @dataclass(frozen=True)
 class MethodSpec:
     """One estimator column: np (full space), npr (true reduction), nprt
-    (fitted reduction via ``reduction`` in NPRT_REDUCTIONS), with the run's
-    bandwidth rule unless ``bandwidth_rule`` is set; an ``x0_only`` column
-    is evaluated at test point 0 alone and has no cells."""
+    (fitted reduction via ``reduction`` in NPRT_REDUCTIONS), at its
+    ``bandwidth_rule``, None meaning the model's ``default_bandwidth_rule``;
+    an ``x0_only`` column is evaluated at test point 0 alone and has no
+    cells."""
 
     method: str
     reduction: str | None = None
@@ -307,9 +308,12 @@ class ReplicationTable:
     base_seed: int
     # raw per-replication estimates keyed (point_id, n, method), NaN for
     # missing, and under the same keys n_rep x 2 arrays of (ci_lo, ci_hi);
-    # an x0_only column has point 0 alone, and no cells
+    # an x0_only column has point 0 alone, and no cells; each label's resolved
+    # bandwidth rule, x0_only columns included, and the intervals' level
     estimates: dict
     intervals: dict
+    rules: dict
+    ci_level: float
 
     @property
     def missing_rate(self) -> float:
@@ -363,9 +367,7 @@ def _one_rep(cfg, methods, base_seed: int, test_points, configs: dict, fixed: di
 
 
 def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
-                     test_points: NDArray[np.floating], n_rep: int,
-                     base_seed: int | None = None,
-                     bandwidth_rule: BandwidthRule | None = None,
+                     test_points: NDArray[np.floating], n_rep: int, base_seed: int | None = None,
                      n_threads: int = 1, ci_level: float = 0.95) -> ReplicationTable:
     """Replicated estimator comparison on fixed test points.
 
@@ -374,13 +376,12 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     sample variance, and mean per (point, n, method). Empty windows and
     failed fits become missing entries with counts. The table also keeps
     every replication's estimate and its ci_level confidence interval
-    (``estimates``, ``intervals``). Results are identical for any n_threads.
-    A method's own ``bandwidth_rule`` overrides the run's.
+    (``estimates``, ``intervals``), and each column's bandwidth rule
+    (``rules``). Results are identical for any n_threads.
 
     Args:
         cfg: Model1Config or Model2Config.
         base_seed: defaults to cfg.seed.
-        bandwidth_rule: defaults to the model's published power rule.
     """
     methods = list(methods)
     if not methods:
@@ -399,12 +400,12 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     if base_seed is None:
         base_seed = cfg.seed
     cfg_run = replace(cfg, seed=base_seed)
-    rule = bandwidth_rule if bandwidth_rule is not None else default_bandwidth_rule(cfg)
+    rules = {m.label: m.bandwidth_rule or default_bandwidth_rule(cfg) for m in methods}
     dims = {m.label: cfg.p if m.method == "np" else m.d for m in methods}
     profile = builtin_profile("triweight_poly3")
     kernels = {dim: make_kernel(profile, dim) for dim in sorted(set(dims.values()))}
     configs = {m.label: NWConfig(kernel=kernels[dims[m.label]], d=dims[m.label],
-                                 bandwidth=m.bandwidth_rule or rule, ci_level=ci_level)
+                                 bandwidth=rules[m.label], ci_level=ci_level)
                for m in methods}
     # np's, npr's and wrong_direction's bases ignore the data: build each once
     fixed = {m.label: _fit_basis(m, cfg_run, None, None, 0, base_seed) for m in methods
@@ -449,22 +450,7 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     return ReplicationTable(cells=tuple(cells), test_points=test_points,
                             ns=tuple(ns), methods=tuple(full),
                             n_rep=n_rep, base_seed=base_seed, estimates=kept,
-                            intervals=intervals)
-
-
-def recompute_cell(cfg, spec: MethodSpec, test_points: NDArray[np.floating],
-                   point_id: int, n: int, n_rep: int, base_seed: int,
-                   bandwidth_rule: BandwidthRule | None = None,
-                   n_threads: int = 1) -> CellStats:
-    """Recompute one table cell from its coordinates alone.
-
-    Reproduces the stream of every replication that fed the cell, so the
-    result is bit-identical to the full run's cell at any thread count.
-    """
-    table = run_replications(cfg, [spec], [n], test_points, n_rep,
-                             base_seed=base_seed, bandwidth_rule=bandwidth_rule,
-                             n_threads=n_threads)
-    return table.cell(point_id, n, spec.label)
+                            intervals=intervals, rules=rules, ci_level=ci_level)
 
 
 def oracle_specs(reduction: str = "pls", bandwidth_rule: BandwidthRule | None = None) -> tuple:
@@ -483,22 +469,22 @@ class EquivalenceRow:
     n_missing: int
 
 
-def equivalence_view(table: ReplicationTable,
-                     bandwidth_rule: BandwidthRule | None = None) -> list[EquivalenceRow]:
+def equivalence_view(table: ReplicationTable) -> list[EquivalenceRow]:
     """Median of sqrt(n h^d) |eta_hat(x0) - xi_hat(w0)| per sample size, from
-    the ``oracle_specs(reduction, bandwidth_rule)`` columns (NPRT gives
-    eta_hat, NPR xi_hat) over the replications where both exist. With a
+    the table's ``oracle_specs`` columns (NPRT gives eta_hat, NPR xi_hat) over
+    the replications where both exist, h from the NPR column's rule. With a
     root-n consistent reduction the statistic drifts to zero as n grows;
     "wrong_direction" is the negative control and does not decay. The scale
     sqrt(n h) needs h from n alone, so a "loocv" rule raises ArgumentError."""
-    npr, nprt = oracle_specs(bandwidth_rule=bandwidth_rule)
-    if npr.bandwidth_rule.kind == "loocv":
+    npr, nprt = (spec.label for spec in oracle_specs())
+    rule = table.rules[npr]
+    if rule.kind == "loocv":
         raise ArgumentError("equivalence statistic needs a bandwidth set by n alone; "
                             "bandwidth kind 'loocv' is chosen from the data")
     rows = []
     for n in table.ns:
-        h = bandwidth(npr.bandwidth_rule, n=n, p=table.test_points.shape[1], d=1)
-        gap = np.abs(table.estimates[(0, n, nprt.label)] - table.estimates[(0, n, npr.label)])
+        h = bandwidth(rule, n=n, p=table.test_points.shape[1], d=1)
+        gap = np.abs(table.estimates[(0, n, nprt)] - table.estimates[(0, n, npr)])
         stats = math.sqrt(n * h) * gap[~np.isnan(gap)]
         if not stats.size:
             raise NumericError(f"every replication at n={n} hit an empty window")
@@ -518,9 +504,9 @@ class CoverageResult:
     median_ci_width: float
 
 
-def coverage_view(table: ReplicationTable, cfg: Model1Config, n: int, level: float) -> CoverageResult:
+def coverage_view(table: ReplicationTable, cfg: Model1Config, n: int) -> CoverageResult:
     """Fraction of replications at n whose CI, from the table's NPR column of
-    ``oracle_specs`` run at ci_level ``level``, covers the true eta(x0). The
+    ``oracle_specs`` at the table's ``ci_level``, covers the true eta(x0). The
     CLT's bias condition needs an undersmoothing rule, ``undersmoothed_rule``."""
     ci = table.intervals[(0, n, oracle_specs()[0].label)]
     ci_lo, ci_hi = ci[~np.isnan(ci[:, 0])].T
@@ -528,8 +514,8 @@ def coverage_view(table: ReplicationTable, cfg: Model1Config, n: int, level: flo
         raise NumericError(f"every replication at n={n} hit an empty window")
     truth = float(cfg.truth(table.test_points[0]))
     covered = int(np.sum((ci_lo <= truth) & (truth <= ci_hi)))
-    return CoverageResult(coverage=covered / ci_lo.size, level=level, n=n, n_used=ci_lo.size,
-                          n_excluded=table.n_rep - ci_lo.size, truth=truth,
+    return CoverageResult(coverage=covered / ci_lo.size, level=table.ci_level, n=n,
+                          n_used=ci_lo.size, n_excluded=table.n_rep - ci_lo.size, truth=truth,
                           median_ci_width=float(np.median(ci_hi - ci_lo)))
 
 

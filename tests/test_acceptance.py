@@ -242,7 +242,7 @@ def test_c5_interval_coverage():
     x0 = _interval_point(cfg)
     table = run_replications(cfg, oracle_specs()[:1], [4000], x0[None, :], 500,
                              base_seed=BASE_SEED, ci_level=0.95)
-    res = coverage_view(table, cfg, 4000, 0.95)
+    res = coverage_view(table, cfg, 4000)
     ok = 0.88 <= res.coverage <= 0.99
     _line("C5", "interval_coverage", ok,
           f"coverage {res.coverage:.3f} from {res.n_used} reps, "
@@ -423,10 +423,9 @@ def test_c11_estimated_reduction_coverage():
     truth = float(cfg.truth(x0))
     coverage, excluded = {}, 0
     for reduction in ("root_n_oracle", "pls"):
-        table = run_replications(cfg, [MethodSpec(method="nprt", reduction=reduction)],
-                                 ns=[4000], test_points=x0[None, :], n_rep=500,
-                                 base_seed=BASE_SEED, bandwidth_rule=undersmoothed_rule(),
-                                 n_threads=2)
+        spec = MethodSpec(method="nprt", reduction=reduction, bandwidth_rule=undersmoothed_rule())
+        table = run_replications(cfg, [spec], ns=[4000], test_points=x0[None, :], n_rep=500,
+                                 base_seed=BASE_SEED, n_threads=2)
         ci_lo, ci_hi = table.intervals[(0, 4000, "NPRT")].T
         kept = ~np.isnan(ci_lo)
         excluded += int(np.sum(~kept))

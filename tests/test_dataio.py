@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict
 from unittest import mock
 
@@ -433,7 +434,8 @@ class TestManifest:
         assert plan.ns == (80, 120)
         assert plan.test_points.shape == (2, 6)
         assert [m.label for m in plan.methods] == ["NP", "NPRT"]
-        assert plan.bandwidth_rule.constant == 5.0
+        # the manifest's rule is each main column's; the views' columns keep their own
+        assert {m.bandwidth_rule.constant for m in plan.methods} == {5.0}
         # a config without the experiment keys asks for neither experiment
         assert (plan.equivalence, plan.coverage, plan.coverage_level) == (False, False, 0.95)
 
@@ -487,6 +489,18 @@ def plot_rows_of(wf):
 
 
 class TestPredictWorkflow:
+    @pytest.mark.parametrize("kw, message", [
+        (dict(precomputed_basis=oracle_basis(np.eye(5)[:1])), "basis expects p=5 columns, data has 4"),
+        (dict(method="lasso"), "unknown workflow method 'lasso'; expected np, pls, pfc, or sir"),
+        (dict(method="pls", d=0), "need 1 <= d < p for method 'pls', got d=0, p=4"),
+        (dict(method="sir", d=4), "need 1 <= d < p for method 'sir', got d=4, p=4"),
+        (dict(method="np", test_rows=np.zeros((2, 3))), "test rows have 3 columns, data has p=4"),
+    ], ids=["basis-p", "unknown-method", "d-zero", "d-equals-p", "test-row-columns"])
+    def test_argument_checks(self, shellfish_csv, kw, message):
+        ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            run_predict_workflow(ds, **kw)
+
     def test_in_sample_plot_rows(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         res = run_predict_workflow(ds, method="pls", d=1)

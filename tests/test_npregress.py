@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from collections.abc import Sequence
 from unittest import mock
@@ -135,6 +136,12 @@ class TestGaussianQuantile:
 
 
 class TestBandwidth:
+    @pytest.mark.parametrize("exponent", [0.0, 1.0, -0.5, math.nan])
+    def test_power_rule_exponent_outside_the_unit_interval(self, exponent):
+        message = f"power_rule exponent must lie in (0, 1), got {exponent}"
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            BandwidthRule(kind="power_rule", exponent=exponent)
+
     def test_power_rule_ambient_six(self):
         rule = BandwidthRule(kind="power_rule", constant=5.0, exponent_dim="ambient_p")
         np.testing.assert_allclose(
@@ -605,8 +612,23 @@ class TestNonFiniteInputs:
         assert batch.ok.all()
         np.testing.assert_allclose(batch.eta_hat, [self.Y[::2].mean(), self.Y[1::2].mean()],
                                    rtol=1e-12)
-        # the identity basis checks X itself
-        assert len(nw_batch(self.cfg_2d, oracle_basis(np.eye(2)), X, self.Y, X[:2])) == 2
+        # the identity basis checks X itself; at h = 1e308 the centred norms
+        # and (8 h)^2 overflow, and each query still finds its 50 copies at
+        # radius 0, while h^2 overflows the density
+        cfg = dataclasses.replace(self.cfg_2d, bandwidth=BandwidthRule(kind="fixed", h_fixed=1e308))
+        batch = nw_batch(cfg, oracle_basis(np.eye(2)), X, self.Y, X[:2])
+        np.testing.assert_allclose(batch.mass, 50.0 * cfg.kernel.weights(np.zeros(2)), rtol=1e-14)
+        assert all(batch.errors[i].startswith("degenerate density estimate 0.000e+00 at w0=")
+                   for i in (0, 1))
+
+    def test_sample_whose_gram_radius_overflows(self):
+        """A near query against a sample whose Gram-form squared radius
+        overflows takes the sample's direct radius, 0.7 here."""
+        kernel = self.cfg_2d.kernel
+        W = np.vstack([np.zeros((5, 2)), [[1.4e154, 0.0]]])
+        mass = _nw_core(kernel, W, np.arange(6.0), np.zeros((1, 2)), 2e154)[0]
+        np.testing.assert_allclose(mass, kernel.weights(np.array([0.0] * 5 + [0.7])).sum(),
+                                   rtol=1e-14)
 
 
 class TestLoocvReference:
@@ -1395,6 +1417,27 @@ def _one_rep_by_rows(cfg, methods, base_seed, test_points, configs, fixed, task)
 class TestNWBatch:
     CASES = ("empty-windows-sorted", "empty-windows-3d", "degenerate-wide", "degenerate-narrow")
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(X0=np.zeros(2)), "X0 must be a non-empty 2-d array, got shape (2,)"),
+        (dict(X0=np.zeros((0, 2))), "X0 must be a non-empty 2-d array, got shape (0, 2)"),
+        (dict(X=np.zeros(10)), "X must be 2-d, got ndim=1"),
+        (dict(Y=np.zeros(9)), "X has 10 rows but Y has 9 entries"),
+        (dict(X0=np.zeros((1, 3))), "x0 has length 3 but X has 2 columns"),
+        (dict(basis=oracle_basis(np.eye(3)[:1])), "basis expects p=3 columns, data has 2"),
+        (dict(basis=oracle_basis(np.eye(2))), "basis dimension d=2 does not match config d=1"),
+    ], ids=["x0-1d", "x0-empty", "x-1d", "y-length", "x0-length", "basis-p", "basis-d"])
+    def test_argument_checks(self, change, message):
+        args = dict(config=default_config(), basis=oracle_basis([[1.0, 0.0]]),
+                    X=np.zeros((10, 2)), Y=np.zeros(10), X0=np.zeros((1, 2)))
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            nw_batch(**{**args, **change})
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, math.nan])
+    def test_ci_level_outside_the_unit_interval(self, level):
+        message = f"ci_level must lie in (0, 1), got {level}"
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            default_config(ci_level=level)
+
     @pytest.mark.parametrize("case", CASES)
     def test_fields_match_row_reference(self, case):
         cfg, basis, X, Y, X0 = _batch_case(case)
@@ -1444,11 +1487,11 @@ class TestNWBatch:
             cfg, reduction, ns = Model1Config(seed=4), "pls", [40, 70]
         else:
             cfg, reduction, ns = Model2Config(seed=4), "pfc", [150]
-        methods = [MethodSpec(method=m, reduction=reduction if m == "nprt" else None)
-                   for m in ("np", "npr", "nprt")]
         # h = 1 leaves NP's 6-d and 20-d windows empty in some replications
-        kw = dict(ns=ns, test_points=draw_test_points(cfg, 4), n_rep=5, base_seed=9,
-                  bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=1.0))
+        methods = [MethodSpec(method=m, reduction=reduction if m == "nprt" else None,
+                              bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=1.0))
+                   for m in ("np", "npr", "nprt")]
+        kw = dict(ns=ns, test_points=draw_test_points(cfg, 4), n_rep=5, base_seed=9)
         table = run_replications(cfg, methods, **kw)
         monkeypatch.setattr(simulate, "_one_rep", _one_rep_by_rows)
         ref = run_replications(cfg, methods, **kw)

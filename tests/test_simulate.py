@@ -11,7 +11,7 @@ import pytest
 
 from rednw import _blas, simulate
 from rednw.errors import ArgumentError, NumericError
-from rednw.npregress import BandwidthRule
+from rednw.npregress import BandwidthRule, bandwidth
 from rednw.reduction import fit
 from rednw.simulate import (
     MethodSpec,
@@ -26,7 +26,6 @@ from rednw.simulate import (
     gen_model1,
     gen_model2,
     oracle_specs,
-    recompute_cell,
     run_replications,
     undersmoothed_rule,
 )
@@ -284,9 +283,8 @@ class TestReplicationHarness:
             test_points=pts, n_rep=10, base_seed=17,
         )
         cell = table.cell(point_id=1, n=140, method=spec.label)
-        redo = recompute_cell(
-            cfg, spec, pts, point_id=1, n=140, n_rep=10, base_seed=17
-        )
+        # the cell's column alone, at its n alone
+        redo = run_replications(cfg, [spec], [140], pts, 10, base_seed=17).cell(1, 140, spec.label)
         assert redo.emse == cell.emse
         assert redo.mean_estimate == cell.mean_estimate
 
@@ -322,11 +320,8 @@ class TestReplicationHarness:
     def test_missing_cells_counted_not_fatal(self):
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=2) + 50.0  # far outside the data cloud
-        table = run_replications(
-            cfg, [MethodSpec(method="npr")], ns=[80], test_points=pts,
-            n_rep=6, base_seed=9,
-            bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=0.05),
-        )
+        spec = MethodSpec(method="npr", bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=0.05))
+        table = run_replications(cfg, [spec], ns=[80], test_points=pts, n_rep=6, base_seed=9)
         assert table.missing_rate == 1.0
         for cell in table.cells:
             assert cell.n_missing == 6
@@ -375,14 +370,26 @@ class TestReplicationHarness:
         assert {c.method for c in table.cells} == {full.label}
         assert {k for k in table.estimates if k[2] == x0.label} == {key}
 
-    def test_method_bandwidth_rule_overrides_the_run_rule(self):
+    def test_column_runs_its_own_rule_or_the_model_rule(self):
+        """A spec without a rule runs the model's; the table records each
+        column's resolved rule, x0-only columns included, and the level."""
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=2)
-        rule = undersmoothed_rule()
-        kw = dict(ns=[90], test_points=pts, n_rep=4, base_seed=2)
-        own = run_replications(cfg, [MethodSpec(method="npr", bandwidth_rule=rule)], **kw)
-        run = run_replications(cfg, [MethodSpec(method="npr")], bandwidth_rule=rule, **kw)
-        assert own.cells == run.cells
+        rule, model_rule = undersmoothed_rule(), default_bandwidth_rule(cfg)
+        kw = dict(ns=[90], n_rep=4, base_seed=2)
+        table = run_replications(cfg, [MethodSpec(method="npr"),
+                                       MethodSpec(method="npr", bandwidth_rule=rule, x0_only=True)],
+                                 test_points=pts, ci_level=0.9, **kw)
+        assert table.rules == {"NPR": model_rule, "NPR@X0": rule}
+        assert table.ci_level == 0.9
+        named = run_replications(cfg, [MethodSpec(method="npr", bandwidth_rule=model_rule)],
+                                 test_points=pts, ci_level=0.9, **kw)
+        assert table.cells == named.cells
+        own = run_replications(cfg, [MethodSpec(method="npr", bandwidth_rule=rule)],
+                               test_points=pts[:1], ci_level=0.9, **kw)
+        np.testing.assert_array_equal(table.estimates[(0, 90, "NPR@X0")],
+                                      own.estimates[(0, 90, "NPR")])
+        assert np.all(table.estimates[(0, 90, "NPR@X0")] != table.estimates[(0, 90, "NPR")])
 
     def test_input_validation(self):
         cfg = Model1Config(seed=1)
@@ -417,10 +424,11 @@ class TestReplicationHarness:
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=2)
         pts[1] += 50.0  # far outside the data cloud: every replication missing
+        rule = undersmoothed_rule()
         table = run_replications(
-            cfg, [MethodSpec(method="npr"), MethodSpec(method="nprt", reduction="wrong_direction")],
+            cfg, [MethodSpec(method="npr", bandwidth_rule=rule),
+                  MethodSpec(method="nprt", reduction="wrong_direction", bandwidth_rule=rule)],
             ns=[100], test_points=pts, n_rep=8, base_seed=5,
-            bandwidth_rule=undersmoothed_rule(),
         )
         assert table.intervals.keys() == table.estimates.keys()
         for key, eta in table.estimates.items():
@@ -436,14 +444,14 @@ class TestReplicationHarness:
 def equivalence_rows(cfg, ns, n_rep, x0, reduction="pls", rule=None, **kw):
     """The equivalence view of a replication run at x0 alone."""
     table = run_replications(cfg, oracle_specs(reduction, rule), ns, x0[None, :], n_rep, **kw)
-    return equivalence_view(table, rule)
+    return equivalence_view(table)
 
 
 def coverage(cfg, n, n_rep, x0, level=0.95, **kw):
     """The coverage view of a replication run of the NPR column at x0 alone."""
     table = run_replications(cfg, oracle_specs()[:1], [n], x0[None, :], n_rep,
                              ci_level=level, **kw)
-    return coverage_view(table, cfg, n, level)
+    return coverage_view(table, cfg, n)
 
 
 class TestEquivalence:
@@ -466,6 +474,13 @@ class TestEquivalence:
         np.testing.assert_allclose(rows[0].h, 2.0 * 100.0**-0.3, rtol=1e-13)
         np.testing.assert_allclose(rows[1].h, 2.0 * 400.0**-0.3, rtol=1e-13)
 
+    def test_rows_carry_the_rule_the_table_ran(self):
+        cfg = Model1Config(seed=0)
+        b = np.ones(6) / np.sqrt(6.0)
+        rule = undersmoothed_rule(constant=1.0)
+        rows = equivalence_rows(cfg, [100, 400], 3, b, "root_n_oracle", rule, base_seed=1)
+        assert [r.h for r in rows] == [bandwidth(rule, n=n, p=6, d=1) for n in (100, 400)]
+
     def test_threads_do_not_change_rows(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
@@ -482,11 +497,10 @@ class TestEquivalence:
         """sqrt(n h) needs h from n alone: the view of a finished table
         rejects a data-chosen bandwidth and names its kind."""
         cfg = Model1Config(seed=0)
-        table = run_replications(cfg, oracle_specs(), [100], np.ones((1, 6)), 3, base_seed=1)
-        rule = BandwidthRule(kind="loocv", cv_grid=(0.2, 0.4))
         with pytest.raises(ArgumentError, match="^equivalence statistic needs a bandwidth "
                            "set by n alone; bandwidth kind 'loocv' is chosen from the data$"):
-            equivalence_view(table, rule)
+            equivalence_rows(cfg, [100], 3, np.ones(6), rule=BandwidthRule(
+                kind="loocv", cv_grid=(0.2, 0.4)), base_seed=1)
 
 
 class TestCoverage:
@@ -498,7 +512,7 @@ class TestCoverage:
         perp -= (perp @ b) * b
         perp /= np.linalg.norm(perp)
         res = coverage(cfg, 1500, 200, 1.5 * b + 0.2 * perp, level=0.5, base_seed=7)
-        assert abs(res.coverage - 0.5) <= 0.1
+        assert abs(res.coverage - 0.5) <= 0.1 and res.level == 0.5
 
     def test_degenerate_design_full_coverage(self):
         """Identically zero data gives zero-width intervals that still cover."""
