@@ -56,21 +56,27 @@ class KernelProfile:
     power: int | None = field(default=None, init=False)
 
 
+def _power_of_squares(u: NDArray[np.floating], k: int) -> NDArray[np.floating]:
+    """(1 - u)^k for squared radii u clipped to [0, 1], written over u where
+    it can be: u >= 1 gives exactly 0, and u <= 0 (a Gram-form radius that
+    rounded below 0) exactly 1. k = 0, the uniform profile, gives 1 for
+    u <= 1 and 0 beyond. The power is taken by products, since libm pow is
+    several times slower, most of all on the zeros."""
+    if k == 0:
+        return np.less_equal(u, 1.0, out=u)
+    np.clip(u, 0.0, 1.0, out=u)
+    np.subtract(1.0, u, out=u)
+    out = u * u if k > 1 else u
+    for _ in range(k - 2):
+        out *= u
+    return out
+
+
 def _power_profile(k: int):
     """The profile (1 - t^2)^k on |t| <= 1 and its derivative."""
     def f(t):
         t = np.asarray(t, dtype=float)
-        if k == 0:
-            return np.where(np.abs(t) <= 1.0, 1.0, 0.0)
-        # u is exactly 0 for |t| >= 1; the power is taken by products, since
-        # libm pow is several times slower, most of all on those zeros
-        u = t * t
-        np.minimum(u, 1.0, out=u)
-        np.subtract(1.0, u, out=u)
-        out = u * u if k > 1 else u
-        for _ in range(k - 2):
-            out *= u
-        return out
+        return _power_of_squares(t * t, k)
 
     def fd(t):
         t = np.asarray(t, dtype=float)
@@ -188,6 +194,19 @@ class RadialKernel:
         out = np.where(t <= self.profile.support_radius, self.profile.raw_profile(t), 0.0)
         out *= self.norm_const
         return out
+
+    def profile_of_squares(self, u: NDArray[np.floating]) -> NDArray[np.floating]:
+        """The profile k(sqrt(u)) at squared radii u, without norm_const,
+        written over u where it can be. A built-in profile forms (1 - u)^k on
+        u itself. A custom one runs on t = sqrt(u) and is 0 where t exceeds
+        the support radius: for u = fl(t * t), sqrt(u) is t again, so that is
+        the direct test on t. A u below 0, a Gram-form radius that rounded
+        below 0, counts as 0."""
+        k = self.profile.power
+        if k is not None:
+            return _power_of_squares(u, k)
+        t = np.sqrt(np.maximum(u, 0.0, out=u), out=u)
+        return np.where(t <= self.profile.support_radius, self.profile.raw_profile(t), 0.0)
 
 
 def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:

@@ -18,18 +18,25 @@ index. It serves the bandwidth search at d > 1, with a custom profile, and
 where ``_nw_prefix`` returns None, and forms each pair's weight for both
 of its rows.
 
-For d > 1 a block takes its slab in chunks of at most _BLOCK_ELEMS radii (a
-small batch: all its query rows against one chunk at a time), centres only
-those rows at the sample mean and forms the radii from the Gram form
+A block forms squared radii u = ||q - w||^2 / h^2 and evaluates the profile
+on them (``RadialKernel.profile_of_squares``): a built-in profile takes
+(1 - min(u, 1))^k in place, with no square root, and norm_const scales
+each row's mass once. At d = 1, u is ((q - w) / h)^2, the square of the direct
+radius. Every block temporary holds at most _BLOCK_ENTRIES entries, the
+budget of ``reduction.row_blocks``. A block takes consecutive queries while
+the union of their slabs fits and holds at most twice their own slabs'
+samples (a small unsorted batch at d > 1: all its query rows), and a d > 1
+block takes its slab in chunks of _BLOCK_ENTRIES // max(rows, d) samples,
+centres only those rows at the sample mean and forms u from the Gram form
 ||q - w||^2 = |q|^2 + |w|^2 - 2 q.w with one BLAS product, so no n x d copy
 is made. Each row's mass, mean and centred sum of squares are merged over
 the chunks by the pairwise update of Chan, Golub & LeVeque (1979), which
 never cancels; the chunks' means are of Y less the slab's mean, so they are
 not rounded at the scale of Y. Where rounding in the Gram form could move a
-radius across the support edge, the direct radius ||q - w|| / h on the
-original rows replaces it, so support is decided exactly as by the direct
-expression. A query row far from the centre takes the direct radii for its
-whole row, whatever rows share its block.
+radius across the support edge, the squared direct radius ||(q - w) / h||^2
+on the original rows replaces it, so support is decided exactly as by the
+direct test t <= R. A query row far from the centre takes the direct radii
+for its whole row, whatever rows share its block.
 
 At d = 1 with a built-in profile, all (1 - t^2)^k, one routine computes
 window sums from prefix sums instead (``_nw_prefix``): Fan & Marron (1994)
@@ -71,7 +78,7 @@ from numpy.typing import NDArray
 
 from .errors import ArgumentError, EmptyWindowError
 from .kernels import RadialKernel
-from .reduction import ReductionBasis, all_finite, reduce as _reduce
+from .reduction import _BLOCK_ENTRIES, ReductionBasis, all_finite, reduce as _reduce
 
 BANDWIDTH_KINDS = ("power_rule", "fixed", "loocv")
 EXPONENT_DIMS = ("ambient_p", "reduced_d")
@@ -82,11 +89,8 @@ _MIN_EFFECTIVE_MASS = 1e-12
 # sample, since they cannot repay an O(n log n) sort when their windows hold
 # most of it
 _SORT_MIN_QUERIES = 32
-# radii per block (query rows x samples), so temporaries stay bounded: a
-# d > 1 block takes its slab in chunks of at most this many, d = 1 it whole
-_BLOCK_ELEMS = 1 << 14
 # relative widening of a slab's bounds: rounding in q +- R*h must never drop
-# a sample whose radius t is exactly R; kernel.weights makes the exact test
+# a sample whose radius t is exactly R; the block makes the exact test
 _SLAB_RTOL = 16 * np.finfo(float).eps
 # Gram-form squared radii within this factor times eps * (|q|^2 + |w|^2) of
 # the squared support edge take the direct radius: rounding in the Gram form
@@ -245,83 +249,112 @@ class NWBatch(abc.Sequence):
         return PointResult(index=i, fit=fit, error=None)
 
 
-def _gram_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float, R: float,
-                mu: NDArray[np.floating], W0c: NDArray[np.floating],
-                qq: NDArray[np.floating]) -> NDArray[np.floating]:
-    """||W0_i - W_j|| / h for d > 1, from the rows W - mu, the query rows
-    W0c = W0 - mu and their squared norms qq. Entries near the support edge
-    R, every entry of a row more than _GRAM_MAX_OFFSET h from mu, and every
-    entry of a row or sample whose squared norm exceeds _GRAM_MAX_NORM2, get
-    the direct expression on the original rows W, W0, so support membership
-    is that of the direct form and no row's form depends on the other rows."""
-    far = ~(qq <= min(np.float64(_GRAM_MAX_OFFSET * h) ** 2, _GRAM_MAX_NORM2))
-    if far.any():
-        # far rows, and rows whose norm is past _GRAM_MAX_NORM2 or NaN, take direct
-        # radii whole (past the float range a radius is inf, its weight 0)
-        t, near = np.empty((W0.shape[0], W.shape[0])), ~far
-        t[far] = np.linalg.norm((W0[far][:, None, :] - W[None, :, :]) / h, axis=2)
-        t[near] = _gram_radii(W, W0[near], h, R, mu, W0c[near], qq[near])
-        return t
+def _direct_sq(W0: NDArray[np.floating], W: NDArray[np.floating], h: float) -> NDArray[np.floating]:
+    """Squared direct radii ||(W0_i - W_j) / h||^2 of the query rows W0
+    (rows) against the samples W (columns), a group of rows at a time so no
+    difference array holds more than _BLOCK_ENTRIES entries."""
+    u = np.empty((W0.shape[0], W.shape[0]))
+    g = max(1, _BLOCK_ENTRIES // max(W.size, 1))
+    for a in range(0, W0.shape[0], g):
+        u[a:a + g] = np.linalg.norm((W0[a:a + g, None, :] - W) / h, axis=2)
+    return np.multiply(u, u, out=u)
+
+
+def _gram_rows(W0: NDArray[np.floating], mu: NDArray[np.floating], h: float, R: float) -> tuple:
+    """A d > 1 block's Gram-form terms for its query rows W0 and the centre
+    mu: (far, near rows, -2 (W0 - mu) and |W0 - mu|^2 on them, mu, 1 / h^2,
+    the squared support edge (R h)^2). ``far`` marks the rows that take
+    direct radii whole, or is None if none does: rows more than
+    _GRAM_MAX_OFFSET h from mu, whose squared norm exceeds _GRAM_MAX_NORM2
+    or is NaN, and every row where h^2 is not a normal float."""
+    W0c = W0 - mu
+    qq = np.einsum("ij,ij->i", W0c, W0c)
+    # float64, so a huge h squares to inf instead of raising
+    h2 = np.float64(h) ** 2
+    lim = (min(np.float64(_GRAM_MAX_OFFSET * h) ** 2, _GRAM_MAX_NORM2)
+           if np.finfo(float).tiny <= h2 < np.inf else -1.0)
+    near = qq <= lim
+    far = None if near.all() else ~near
+    # -2 is exact, so (-2 W0c) @ Wc.T is -2 (W0c @ Wc.T) bit for bit
+    return far, W0[near], -2.0 * W0c[near], qq[near], mu, 1.0 / h2, np.float64(R * h) ** 2
+
+
+def _gram_sq(W: NDArray[np.floating], h: float, gram: tuple) -> NDArray[np.floating]:
+    """||W0_i - W_j||^2 / h^2 for d > 1 from the Gram form |q|^2 + |w|^2 -
+    2 q.w on the rows centred at mu, for ``_gram_rows``' near rows W0.
+    Entries within _EDGE_RTOL (|q|^2 + |w|^2) of the squared support edge,
+    and every entry of a sample whose squared norm exceeds _GRAM_MAX_NORM2
+    or is NaN, take the squared direct radius on the original rows, so
+    support membership is that of the direct form."""
+    _, W0, Q, qq, mu, inv_h2, edge2 = gram
     Wc = W - mu
     ss = np.einsum("ij,ij->i", Wc, Wc)
-    norms = qq[:, None] + ss[None, :]
     # a BLAS product: the replication pool caps OpenBLAS at one thread per
     # worker, and its threads split rows and columns, never a dot product
-    d2 = norms - 2.0 * (W0c @ Wc.T)
-    # float64, so a huge h squares to inf instead of raising
-    edge2 = np.float64(R * h) ** 2
-    redo = np.abs(d2 - edge2) <= _EDGE_RTOL * norms
-    t = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-    t /= h
-    i, j = np.nonzero(redo)
+    d2 = Q @ Wc.T
+    del Wc
+    dev = np.add.outer(qq, ss)
+    d2 += dev
+    # the edge test |d2 - edge2| <= _EDGE_RTOL (qq + ss) runs on the entries
+    # that pass it with the chunk's largest ss; wide samples are redone below
+    top = ss.max()
+    wide = not top <= _GRAM_MAX_NORM2
+    np.subtract(d2, edge2, out=dev)
+    np.abs(dev, out=dev)
+    i, j = np.nonzero(dev <= (_EDGE_RTOL * (qq + (_GRAM_MAX_NORM2 if wide else top)))[:, None])
+    redo = dev[i, j] <= _EDGE_RTOL * (qq[i] + ss[j])
+    i, j = i[redo], j[redo]
+    del dev
+    d2 *= inv_h2
     if i.size:
-        t[i, j] = np.linalg.norm((W0[i] - W[j]) / h, axis=1)
-    # samples past _GRAM_MAX_NORM2, or NaN, take direct radii in every row
-    wide = ~(ss <= _GRAM_MAX_NORM2)
-    if wide.any():
-        t[:, wide] = np.linalg.norm((W0[:, None, :] - W[None, wide, :]) / h, axis=2)
-    return t
+        d2[i, j] = np.linalg.norm((W0[i] - W[j]) / h, axis=1) ** 2
+    if wide:
+        cols = ~(ss <= _GRAM_MAX_NORM2)
+        d2[:, cols] = _direct_sq(W0, W[cols], h)
+    return d2
 
 
-def _weights(kernel: RadialKernel, W: NDArray[np.floating], W0: NDArray[np.floating],
-             h: float, gram: tuple[NDArray[np.floating], ...] | None) -> NDArray[np.floating]:
-    """Kernel weights of the query rows W0 (rows) against the slab W
-    (columns). ``gram`` holds the centre and the query rows centred and
-    their squared norms, (mu, W0c, qq), for d > 1, and is None for d = 1.
-    The radii die on return."""
-    # each form reuses its temporaries in place
-    if gram is not None:
-        # Gram form on the centred rows, direct radii at the support edge
-        t = _gram_radii(W, W0, h, kernel.profile.support_radius, *gram)
-    else:
-        # |x| / h equals the 1-d norm of x / h
-        t = W0[:, None, 0] - W[None, :, 0]
-        np.abs(t, out=t)
-        t /= h
-    return kernel.weights(t)
+def _sq_radii(W: NDArray[np.floating], W0: NDArray[np.floating], h: float,
+              gram: tuple | None) -> NDArray[np.floating]:
+    """Squared radii ||W0_i - W_j||^2 / h^2 of the query rows W0 (rows)
+    against the chunk W (columns). ``gram`` is None for d = 1, where u is
+    the square of the direct radius |q - w| / h, and ``_gram_rows``' terms
+    for d > 1."""
+    if gram is None:
+        u = W0[:, None, 0] - W[None, :, 0]
+        u /= h
+        return np.multiply(u, u, out=u)
+    far = gram[0]
+    if far is None:
+        return _gram_sq(W, h, gram)
+    u = np.empty((W0.shape[0], W.shape[0]))
+    u[far] = _direct_sq(W0[far], W, h)
+    if not far.all():
+        u[~far] = _gram_sq(W, h, gram)
+    return u
 
 
 def _block(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floating],
-           W0: NDArray[np.floating], h: float,
-           gram: tuple[NDArray[np.floating], ...] | None,
+           W0: NDArray[np.floating], h: float, gram: tuple | None,
            own: tuple[NDArray[np.intp], NDArray[np.intp]] | None
            ) -> tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
-    """Kernel mass, weighted mean of Y and centred weighted sum of squares
-    (not divided by the mass) of the query rows W0 over the chunk (W, Y).
-    ``own``, if given, holds the (row, column) entries of each row's own
-    sample, whose weights are zero."""
-    wts = _weights(kernel, W, W0, h, gram)
+    """Kernel mass without norm_const, weighted mean of Y and centred
+    weighted sum of squares (not divided by the mass) of the query rows W0
+    over the chunk (W, Y). ``own``, if given, holds the (row, column)
+    entries of each row's own sample, whose weights are zero."""
+    wts = kernel.profile_of_squares(_sq_radii(W, W0, h, gram))
     if own is not None:
         wts[own] = 0.0
     mass = wts.sum(axis=1)
     # reduced in the same order as the mass, so Y = 1 gives exactly 1
-    eta = (wts * Y).sum(axis=1) / mass
+    tmp = np.multiply(wts, Y)
+    eta = tmp.sum(axis=1) / mass
     # centered weighted variance (West 1979): E[Y^2] - E[Y]^2 cancels
     # when |Y| is large against its spread
-    resid2 = Y[None, :] - eta[:, None]
-    resid2 *= resid2
-    resid2 *= wts
-    return mass, eta, resid2.sum(axis=1)
+    np.subtract(Y, eta[:, None], out=tmp)
+    tmp *= tmp
+    tmp *= wts
+    return mass, eta, tmp.sum(axis=1)
 
 
 def _merge(acc: NDArray[np.floating], part: tuple[NDArray[np.floating], ...]) -> None:
@@ -342,7 +375,9 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
     """Kernel mass, NW estimate and centered weighted variance at each row of W0.
 
     Args:
-        kernel: weights are ``kernel.weights(||w0 - W_i|| / h)``.
+        kernel: weights are norm_const k(||w0 - W_i|| / h), the profile
+            evaluated on squared radii (``kernel.profile_of_squares``),
+            with norm_const applied to each row's mass.
         W, Y: n x d reduced sample and its n responses.
         W0: m x d query rows. With ``leave_one_out`` it must be W itself,
             so row r's own sample is column r, and each block zeroes that
@@ -392,18 +427,23 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
             acc = np.zeros((3, m))
             a = 0
             while a < m:
-                # consecutive queries share the union of their slabs; at
-                # d > 1 a small unsorted batch is one block
+                # consecutive queries share the union of their slabs, while
+                # its radii fit the budget and number at most twice the
+                # rows' own slabs; at d > 1 a small unsorted batch is one block
                 b = m if chunked and qorder is None else a + 1
-                while b < m and (b + 1 - a) * (hi[b] - lo[a]) <= _BLOCK_ELEMS:
+                own = hi[a] - lo[a]
+                while b < m:
+                    own += hi[b] - lo[b]
+                    if (b + 1 - a) * (hi[b] - lo[a]) > min(_BLOCK_ENTRIES, 2 * own):
+                        break
                     b += 1
                 s0, s1 = lo[a], hi[b - 1]
-                # d > 1: chunks of at most _BLOCK_ELEMS radii; d = 1: the slab
+                # d > 1: chunks whose radii and centred rows W - mu each hold
+                # at most _BLOCK_ENTRIES entries; d = 1: the slab
                 step, gram = max(s1 - s0, 1), None
                 if chunked:
-                    step = _BLOCK_ELEMS // (b - a)
-                    W0c = W0[a:b] - mu
-                    gram = (mu, W0c, np.einsum("ij,ij->i", W0c, W0c))
+                    step = max(1, _BLOCK_ENTRIES // max(b - a, W.shape[1]))
+                    gram = _gram_rows(W0[a:b], mu, h, kernel.profile.support_radius)
                 # over several chunks, sums of Y less the slab's mean
                 ref = Y[s0:s1].mean() if s1 - s0 > step else 0.0
                 for c0 in range(s0, s1, step):
@@ -414,13 +454,21 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
                         r = np.arange(max(a, c0), min(b, c1))
                         own = (r - a, r - c0)
                     yc = Y[c0:c1] - ref if ref else Y[c0:c1]
-                    _merge(acc[:, a:b], _block(kernel, W[c0:c1], yc, W0[a:b], h, gram, own))
+                    part = _block(kernel, W[c0:c1], yc, W0[a:b], h, gram, own)
+                    if c0 == s0:
+                        # the first chunk's sums, as _merge from zeros keeps them
+                        np.add(acc[:, a:b], part, out=acc[:, a:b], where=part[0] != 0)
+                    else:
+                        _merge(acc[:, a:b], part)
                 if ref:
                     acc[1, a:b] += ref
                 a = b
             mass, eta, css = acc
             eta[mass == 0] = np.nan
-            sums = mass, eta, np.maximum(css / mass, 0.0)
+            sigma2 = np.maximum(css / mass, 0.0)
+            # the blocks sum the profile; norm_const scales each row's mass once
+            mass *= kernel.norm_const
+            sums = mass, eta, sigma2
         if qorder is None:
             return sums
         out = np.empty((3, m))

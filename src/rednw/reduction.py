@@ -26,6 +26,9 @@ METHODS = ("pls", "pfc", "sir", "oracle", "from_projection")
 FIT_METHODS = ("np", "pls", "pfc", "sir")
 
 _ORTHO_TOL = 1e-10
+# entries per temporary of a row-blocked pass: the blocks of row_blocks, and
+# the radii and centred sample chunks of an NW block in npregress
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,8 @@ def all_finite(a: NDArray[np.floating]) -> bool:
 
 
 def row_blocks(n: int, p: int) -> list[slice]:
-    """Row slices of an n x p array, each of at most max(2^16, p) entries."""
-    rows = max(1, (1 << 16) // p)
+    """Row slices of an n x p array, each of at most max(_BLOCK_ENTRIES, p) entries."""
+    rows = max(1, _BLOCK_ENTRIES // p)
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
@@ -216,20 +219,20 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
     # reuses: no n x p array beside X, which each replication thread would hold
     blocks = row_blocks(n, p)
     xc, fitted = np.empty((2, blocks[0].stop, p))
+    ftf = Fc.T @ Fc
     try:
         ftx = sum(Fc[b].T @ np.subtract(X[b], mean, out=xc[:b.stop - b.start]) for b in blocks)
-        coef = np.linalg.solve(Fc.T @ Fc, ftx)
+        coef = np.linalg.solve(ftf, ftx)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"f_y features are collinear; choose an independent basis ({exc})") from exc
-    s_fit, s_res = np.zeros((p, p)), np.zeros((p, p))
+    # the fitted values' covariance is coef' (Fc' Fc) coef / n, no n x p product
+    s_fit, s_res = coef.T @ (ftf @ coef) / n, np.zeros((p, p))
     for b in blocks:
         k = b.stop - b.start
-        fb = np.matmul(Fc[b], coef, out=fitted[:k])
         resid = np.subtract(X[b], mean, out=xc[:k])
-        resid -= fb
-        s_fit += fb.T @ fb
+        resid -= np.matmul(Fc[b], coef, out=fitted[:k])
         s_res += resid.T @ resid
-    s_fit, s_res = s_fit / n, s_res / n
+    s_res /= n
     if ridge is None:
         ridge = 1e-8 * float(np.trace(s_res)) / p
     if ridge < 0:

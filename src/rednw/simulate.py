@@ -472,12 +472,16 @@ class EquivalenceRow:
 def equivalence_view(table: ReplicationTable) -> list[EquivalenceRow]:
     """Median of sqrt(n h^d) |eta_hat(x0) - xi_hat(w0)| per sample size, from
     the table's ``oracle_specs`` columns (NPRT gives eta_hat, NPR xi_hat) over
-    the replications where both exist, h from the NPR column's rule. With a
+    the replications where both exist, h from the columns' one rule. With a
     root-n consistent reduction the statistic drifts to zero as n grows;
-    "wrong_direction" is the negative control and does not decay. The scale
-    sqrt(n h) needs h from n alone, so a "loocv" rule raises ArgumentError."""
+    "wrong_direction" is the negative control and does not decay. Columns
+    run at two rules, or at a "loocv" rule (the scale sqrt(n h) needs h
+    from n alone), raise ArgumentError."""
     npr, nprt = (spec.label for spec in oracle_specs())
     rule = table.rules[npr]
+    if table.rules[nprt] != rule:
+        raise ArgumentError(f"equivalence statistic needs both columns at one bandwidth rule; "
+                            f"{npr} ran {rule} and {nprt} ran {table.rules[nprt]}")
     if rule.kind == "loocv":
         raise ArgumentError("equivalence statistic needs a bandwidth set by n alone; "
                             "bandwidth kind 'loocv' is chosen from the data")

@@ -16,7 +16,7 @@ from rednw import npregress, reduction, simulate
 from rednw.errors import ArgumentError, EmptyWindowError, RednwError
 from rednw.kernels import BUILTIN_PROFILES, KernelProfile, builtin_profile, make_kernel
 from rednw.npregress import (
-    _BLOCK_ELEMS,
+    _BLOCK_ENTRIES,
     _GRAM_MAX_OFFSET,
     _SORT_MIN_QUERIES,
     BandwidthRule,
@@ -704,7 +704,7 @@ class TestLoocvReference:
         """With blocks of 64 radii a d = 2 row's slab spans several chunks,
         and its own sample often lies in a later chunk than the first: the
         block zeroes it there, by index."""
-        monkeypatch.setattr(npregress, "_BLOCK_ELEMS", 64)
+        monkeypatch.setattr(npregress, "_BLOCK_ENTRIES", 64)
         kern = make_kernel(builtin_profile("triweight_poly3"), 2)
         grid = (0.25, 0.5, 1.0)
         rng = np.random.default_rng(700 + n)
@@ -1150,20 +1150,20 @@ def gram_slack(kernel, W, w0, h):
 def chunks_with_mass(kernel, W, w0, h, m):
     """Indices of the sample chunks an m-row unsorted batch at d > 1 takes
     that hold kernel mass for the row at w0."""
-    step = _BLOCK_ELEMS // m
+    step = _BLOCK_ENTRIES // max(m, W.shape[1])
     live = kernel.weights(np.linalg.norm((W - w0) / h, axis=1)) > 0
     return sorted({int(i) // step for i in np.flatnonzero(live)})
 
 
 class TestChunkMerge:
-    """A small unsorted batch at d > 1 over more than _BLOCK_ELEMS samples
+    """A small unsorted batch at d > 1 over more than _BLOCK_ENTRIES samples
     sums each row over several sample chunks and merges them."""
 
     @pytest.mark.parametrize("shift", [0.0, 1e8])
     @pytest.mark.parametrize("d", [2, 5])
     def test_rows_across_chunks_match_direct_sums(self, d, shift):
         rng = np.random.default_rng(40 + d)
-        n, m, h = _BLOCK_ELEMS + 3000, _SORT_MIN_QUERIES - 1, 0.6 if d == 2 else 1.4
+        n, m, h = _BLOCK_ENTRIES + 3000, _SORT_MIN_QUERIES - 1, 0.6 if d == 2 else 1.4
         W = rng.uniform(-1.0, 1.0, size=(n, d))
         # Y shifted far from zero: the chunk means must not cancel
         Y = shift + np.sin(2.0 * W[:, 0]) + 0.1 * rng.standard_normal(n)
@@ -1179,16 +1179,17 @@ class TestChunkMerge:
         """Samples exactly R*h from the query, in the first and last chunks,
         keep their weight; those one ulp further, in middle chunks, get 0."""
         rng = np.random.default_rng(47)
-        n = _BLOCK_ELEMS + 1000
+        n, step = _BLOCK_ENTRIES + 1000, _BLOCK_ENTRIES // 3
         W = rng.uniform(0.5, 1.5, size=(n, 2))
         W[0], W[-1] = (1.25, 1.0), (1.0, 0.75)
-        W[6000], W[12000] = (np.nextafter(1.25, 2.0), 1.0), (1.0, np.nextafter(0.75, 0.0))
+        mid1, mid2 = step + 1000, 2 * step + 1000
+        W[mid1], W[mid2] = (np.nextafter(1.25, 2.0), 1.0), (1.0, np.nextafter(0.75, 0.0))
         Y = rng.standard_normal(n)
         W0 = np.ones((3, 2))
         uniform = make_kernel(builtin_profile("uniform"), 2)
         mass, eta, sigma2 = _nw_core(uniform, W, Y, W0, 0.25)
         t = np.linalg.norm((W - W0[0]) / 0.25, axis=1)
-        assert t[0] == t[-1] == 1.0 and t[6000] > 1.0 and t[12000] > 1.0
+        assert t[0] == t[-1] == 1.0 and t[mid1] > 1.0 and t[mid2] > 1.0
         ref = direct_sums(uniform, W, Y, W0[0], 0.25)
         np.testing.assert_allclose(mass / uniform.norm_const, np.sum(t <= 1.0), rtol=1e-12)
         for i in range(3):
@@ -1199,7 +1200,7 @@ class TestChunkMerge:
         sums; a row with no mass keeps NaN estimate and variance and the
         empty-window error."""
         rng = np.random.default_rng(53)
-        n = _BLOCK_ELEMS + 3000
+        n = _BLOCK_ENTRIES + 3000
         X = rng.uniform(-1.0, 1.0, size=(n, 2))
         X = X[np.argsort(X[:, 0])]
         Y = np.cos(3.0 * X[:, 1]) + 0.1 * rng.standard_normal(n)
@@ -1219,6 +1220,66 @@ class TestChunkMerge:
                                    "with h=0.3 (effective mass 0.000e+00)"}
 
 
+def _step_profile(radius):
+    """A custom profile 2 - t / R on t <= R: its weight jumps to 0 past R,
+    so the mass counts every sample whose radius passes the support test."""
+    return KernelProfile(name="custom", support_radius=radius, smoothness_order=-1,
+                         raw_profile=lambda t: np.where(t <= radius, 2.0 - t / radius, 0.0))
+
+
+class TestFusedBlock:
+    """A block forms squared radii (((q - w) / h)^2 at d = 1, the Gram form
+    over h^2 at d > 1) and the profile on them, with norm_const applied to
+    each row's mass once. Against the plain reference, direct float64 radii
+    and ``kernel.weights(t)`` (``direct_sums``), the sums agree within
+    1e-13 relative, and support is decided by the direct test t <= R alone,
+    also for samples at t = R and a few ulps either side of it."""
+
+    @staticmethod
+    def _data(d, R, h, rng):
+        """Queries near the sample mean, each with samples R h away along an
+        axis, with either sign, moved by -8..8 ulps, and a cloud around them."""
+        W0 = 0.1 * rng.uniform(-1.0, 1.0, size=(12, d))
+        rows = []
+        for q in W0:
+            for axis in range(d):
+                for sign in (-1.0, 1.0):
+                    w = np.tile(q, (17, 1))
+                    x = q[axis] + sign * R * h
+                    w[:, axis] = x + np.arange(-8, 9) * np.spacing(x)
+                    rows.append(w)
+        W = np.vstack(rows + [rng.uniform(-1.5 * R * h, 1.5 * R * h, size=(300, d))])
+        return W, rng.uniform(1.0, 2.0, size=W.shape[0]), W0
+
+    @pytest.mark.parametrize("budget", [None, 60], ids=["one-chunk", "multi-chunk"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", [*BUILTIN_PROFILES, "custom"])
+    def test_block_matches_direct_radii_and_weights(self, name, d, budget, monkeypatch):
+        profile = _step_profile(1.5) if name == "custom" else builtin_profile(name)
+        kern, R, h = make_kernel(profile, d), profile.support_radius, 0.3
+        W, Y, W0 = self._data(d, R, h, np.random.default_rng(d))
+        t = np.linalg.norm((W0[:, None, :] - W[None, :, :]) / h, axis=2)
+        # the rows at t = R exactly and a few ulps off it, on both sides
+        assert np.any(t == R) and np.any((t > R) & (t < R + 4 * np.spacing(R)))
+        assert np.any((t < R) & (t > R - 4 * np.spacing(R)))
+        if budget is not None:
+            # d = 3: chunks of 60 // 12 = 5 samples; d = 1: one query row per block
+            monkeypatch.setattr(npregress, "_BLOCK_ENTRIES", budget)
+        mass, eta, sigma2 = _nw_core(kern, W, Y, W0, h)
+        for i in range(W0.shape[0]):
+            ref = direct_sums(kern, W, Y, W0[i], h)
+            np.testing.assert_allclose([mass[i], eta[i], sigma2[i]], ref, rtol=1e-13, atol=0)
+        # support is the direct test, entry by entry
+        mu = W.mean(axis=0)
+        gram = None if d == 1 else npregress._gram_rows(W0, mu, h, R)
+        assert gram is None or gram[0] is None  # every query takes the Gram form
+        inside = kern.profile_of_squares(npregress._sq_radii(W, W0, h, gram)) > 0
+        if name in ("uniform", "custom"):
+            assert np.array_equal(inside, t <= R)
+        else:
+            assert np.array_equal(inside, t < R)
+
+
 class TestReplicationMemory:
     """One NP call on model-2 data (n = 20,000, p = 20) holds the reduced
     sample W beside X, and no centred copy of it."""
@@ -1231,29 +1292,77 @@ class TestReplicationMemory:
                         bandwidth=default_bandwidth_rule(cfg))
         return X, lambda: nw_batch(conf, oracle_basis(np.eye(20)), X, Y, draw_test_points(cfg, 10))
 
-    def test_np_batch_peak(self):
-        X, call = self._np_call()
+    @staticmethod
+    def _peak(call):
         tracemalloc.start()
         try:
-            batch = call()
+            out = call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return out, peak
+
+    def test_np_batch_peak(self):
+        X, call = self._np_call()
+        batch, peak = self._peak(call)
         assert batch.ok.all()
         assert peak < 1.5 * X.nbytes
 
+    def test_nw_batches_peak_below_pfc_fit(self):
+        """The NP and NPR batches of a replication worker hold no more above
+        X than its PFC fit does on the same data (10 test points)."""
+        cfg = Model2Config(seed=3)
+        X, Y, _ = gen_model2(cfg, 20_000)
+        pts = draw_test_points(cfg, 10)
+        rule = default_bandwidth_rule(cfg)
+        profile = builtin_profile("triweight_poly3")
+        np_conf = NWConfig(kernel=make_kernel(profile, 20), d=20, bandwidth=rule)
+        npr_conf = NWConfig(kernel=make_kernel(profile, 1), d=1, bandwidth=rule)
+        npr_basis = oracle_basis(cfg.beta_pop[None, :])
+        basis, pfc_peak = self._peak(lambda: pfc_fit(X, Y, simulate._pfc_features, 1))
+        assert basis.d == 1
+        for conf, basis in ((np_conf, oracle_basis(np.eye(20))), (npr_conf, npr_basis)):
+            batch, peak = self._peak(lambda: nw_batch(conf, basis, X, Y, pts))
+            assert batch.ok.all()
+            assert peak <= pfc_peak, (conf.d, peak, pfc_peak)
+
     def test_gram_blocks_bounded(self, monkeypatch):
+        """Each chunk's radii and its centred rows W - mu hold at most
+        _BLOCK_ENTRIES entries."""
         sizes = []
-        gram_radii = npregress._gram_radii
+        gram_sq = npregress._gram_sq
 
-        def spy(W, W0, h, R, *centred):
-            sizes.append(W0.shape[0] * W.shape[0])
-            return gram_radii(W, W0, h, R, *centred)
+        def spy(W, h, gram):
+            sizes.append((gram[1].shape[0] * W.shape[0], W.size))
+            return gram_sq(W, h, gram)
 
-        monkeypatch.setattr(npregress, "_gram_radii", spy)
+        monkeypatch.setattr(npregress, "_gram_sq", spy)
         _, call = self._np_call()
         call()
-        assert len(sizes) > 1 and max(sizes) <= _BLOCK_ELEMS
+        assert len(sizes) > 1 and max(max(s) for s in sizes) <= _BLOCK_ENTRIES == 1 << 16
+
+    def test_sorted_blocks_waste_at_most_half(self, monkeypatch):
+        """A sorted batch's block takes the union of its rows' slabs while
+        that holds at most twice their own slabs' samples, so narrow windows
+        do not pay for the wide union the budget alone would allow."""
+        rng = np.random.default_rng(11)
+        W, Y = np.sort(rng.uniform(0.0, 1.0, 20_000))[:, None], rng.standard_normal(20_000)
+        W0, h = rng.uniform(0.0, 1.0, (2000, 1)), 25 / 20_000
+        blocks = []
+        block = npregress._block
+
+        def spy(kernel, Wc, Yc, Q, *rest):
+            blocks.append((Q[:, 0], Wc.shape[0]))
+            return block(kernel, Wc, Yc, Q, *rest)
+
+        monkeypatch.setattr(npregress, "_block", spy)
+        kern = make_kernel(KernelProfile(name="custom", raw_profile=builtin_profile("biweight").raw_profile,
+                                         smoothness_order=1), 1)
+        _nw_core(kern, W, Y, W0, h)
+        assert len(blocks) > 1
+        for q, cols in blocks:
+            own = np.searchsorted(W[:, 0], q + h, side="right") - np.searchsorted(W[:, 0], q - h)
+            assert q.size * cols <= min(_BLOCK_ENTRIES, 2 * int(own.sum()))
 
     def test_identity_basis_reads_x_itself(self):
         """NP's identity basis reduces X to X itself: no n x p copy, X and
@@ -1598,8 +1707,8 @@ class TestProperties:
         near = spread * rng.uniform(-1.0, 1.0, size=(_SORT_MIN_QUERIES + 8, d))
         far = mu + (_GRAM_MAX_OFFSET + 1.0) * h * rng.choice([-1.0, 1.0], size=(40, d))
         kern = make_kernel(builtin_profile("triweight_poly3"), d)
-        make_ups = [(near[:0], _BLOCK_ELEMS), (near[:3], _BLOCK_ELEMS), (far[:5], _BLOCK_ELEMS),
-                    (np.vstack([near[:20], far[:20]]), _BLOCK_ELEMS),
+        make_ups = [(near[:0], _BLOCK_ENTRIES), (near[:3], _BLOCK_ENTRIES), (far[:5], _BLOCK_ENTRIES),
+                    (np.vstack([near[:20], far[:20]]), _BLOCK_ENTRIES),
                     (np.vstack([far[:20], near[:20]]), 4 * (_SORT_MIN_QUERIES + 1))]
         ref = direct_sums(kern, W, Y, q, h)
         is_far = np.sum((q - mu) ** 2) > (_GRAM_MAX_OFFSET * h) ** 2
@@ -1610,7 +1719,7 @@ class TestProperties:
         tol = (slack + eps * ref[0], slack / ref[0] + eps * 2.0, slack / ref[0] + eps)
         for others, block in make_ups:
             at = int(rng.integers(len(others) + 1))
-            with mock.patch.object(npregress, "_BLOCK_ELEMS", block):
+            with mock.patch.object(npregress, "_BLOCK_ENTRIES", block):
                 got = _nw_core(kern, W, Y, np.insert(others, at, q, axis=0), h)
             for name, col, want, err in zip(("mass", "eta", "sigma2"), got, ref, tol):
                 assert abs(col[at] - want) <= err, (name, len(others), block, col[at], want, err)

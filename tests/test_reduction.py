@@ -208,7 +208,8 @@ class TestPFC:
     def test_buffers_match_the_unbuffered_fit(self, n, r):
         """The reused block buffers change no operation: the basis is bit for
         bit that of the two passes over fresh per-block arrays, from one
-        block (n p < 2^16) to several with a ragged last one."""
+        block (n p < 2^16) to several with a ragged last one. The fitted
+        values' covariance is coef' (Fc' Fc) coef / n."""
         from rednw.reduction import _make_basis
 
         X, Y, _ = gen_model2(Model2Config(seed=1), n)
@@ -219,14 +220,13 @@ class TestPFC:
         Fc = F - F.mean(axis=0)
         rows = (1 << 16) // p
         blocks = [slice(i, i + rows) for i in range(0, n, rows)]
-        coef = np.linalg.solve(Fc.T @ Fc, sum(Fc[b].T @ (X[b] - mean) for b in blocks))
-        s_fit, s_res = np.zeros((p, p)), np.zeros((p, p))
+        ftf = Fc.T @ Fc
+        coef = np.linalg.solve(ftf, sum(Fc[b].T @ (X[b] - mean) for b in blocks))
+        s_fit, s_res = coef.T @ (ftf @ coef) / n, np.zeros((p, p))
         for b in blocks:
-            fitted = Fc[b] @ coef
-            resid = X[b] - mean - fitted
-            s_fit += fitted.T @ fitted
+            resid = X[b] - mean - Fc[b] @ coef
             s_res += resid.T @ resid
-        s_fit, s_res = s_fit / n, s_res / n
+        s_res /= n
         m = s_res + 1e-8 * float(np.trace(s_res)) / p * np.eye(p)
         L_inv = np.linalg.inv(np.linalg.cholesky(m))
         evals, evecs = np.linalg.eigh(L_inv @ s_fit @ L_inv.T)

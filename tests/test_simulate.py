@@ -493,6 +493,21 @@ class TestEquivalence:
         with pytest.raises(NumericError, match="n=100"):
             equivalence_rows(cfg, [100], 3, 50.0 * np.ones(6), base_seed=1)
 
+    def test_columns_at_two_rules_rejected(self):
+        """The two columns' estimates at two bandwidths give no statistic:
+        the view names both rules."""
+        cfg = Model1Config(seed=0)
+        npr_rule, nprt_rule = undersmoothed_rule(), undersmoothed_rule(constant=0.5)
+        specs = [MethodSpec("npr", bandwidth_rule=npr_rule, x0_only=True),
+                 MethodSpec("nprt", reduction="root_n_oracle", bandwidth_rule=nprt_rule,
+                            x0_only=True)]
+        table = run_replications(cfg, specs, [200, 800], 1.5 * cfg.beta0[None, :], 20,
+                                 base_seed=0)
+        with pytest.raises(ArgumentError) as err:
+            equivalence_view(table)
+        assert str(err.value) == (f"equivalence statistic needs both columns at one bandwidth "
+                                  f"rule; NPR@X0 ran {npr_rule} and NPRT@X0 ran {nprt_rule}")
+
     def test_loocv_rule_rejected(self):
         """sqrt(n h) needs h from n alone: the view of a finished table
         rejects a data-chosen bandwidth and names its kind."""
