@@ -1,4 +1,4 @@
-"""C-library settings for the replication pool: OpenBLAS threads per worker, glibc's heap."""
+"""C-library settings: OpenBLAS threads per replication worker, glibc's heap."""
 
 import contextlib
 import ctypes

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._blas import keep_freed_memory
 from .dataio import (
     MODELS,
     RunManifest,
@@ -36,7 +37,7 @@ from .dataio import (
     simulation_plan_from_config,
     write_table,
 )
-from .errors import ArgumentError, DataError, RednwError
+from .errors import ArgumentError, DataError, NumericError, RednwError
 from .kernels import (
     BUILTIN_PROFILES,
     KernelProfile,
@@ -45,7 +46,7 @@ from .kernels import (
     validate_conditions,
 )
 from .npregress import BANDWIDTH_KINDS, EXPONENT_DIMS, BandwidthRule
-from .reduction import FIT_METHODS, fit, oracle_basis
+from .reduction import FIT_METHODS, ReductionBasis, fit, oracle_basis
 from .simulate import (
     NPRT_REDUCTIONS,
     coverage_view,
@@ -153,6 +154,21 @@ def _write_matrix(path, matrix) -> None:
         w = csv.writer(fh)
         for row in np.atleast_2d(matrix):
             w.writerow([repr(float(v)) for v in row])
+
+
+def _read_basis(path) -> ReductionBasis:
+    """The --basis file, a basis's rows as `reduce` writes them; a missing or
+    empty file, or one that holds no basis, raises DataError naming it."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"basis file not found: {path}")
+    try:
+        lines = path.read_text().splitlines()  # a UnicodeDecodeError is a ValueError
+        if not any(line.strip() for line in lines):
+            raise DataError(f"{path}: basis file is empty")
+        return oracle_basis(np.loadtxt(lines, delimiter=",", ndmin=2))
+    except (ValueError, ArgumentError, NumericError) as exc:
+        raise DataError(f"{path}: not a basis: {exc}") from exc
 
 
 def _emit(chunks, args, name: str) -> Path | None:
@@ -270,7 +286,7 @@ def _cmd_fit_predict(args) -> int:
     ds = load_csv(args.input, args.response,
                   transforms=_parse_transforms(args.transform),
                   skip_bad_rows=args.skip_bad_rows)
-    basis = oracle_basis(np.loadtxt(args.basis, delimiter=",", ndmin=2)) if args.basis else None
+    basis = _read_basis(args.basis) if args.basis else None
     test = load_test_rows(args.test_csv, ds) if getattr(args, "test_csv", None) else None
     wf = run_predict_workflow(
         ds, method=args.method, d=args.d, kernel_profile=args.kernel,
@@ -323,7 +339,7 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     cfg = plan.model_cfg
     # the one replication run; only coverage reads intervals, at the run's level
     table = run_replications(cfg, plan.methods, plan.ns, plan.test_points,
-                             plan.n_rep, base_seed=plan.base_seed, n_threads=threads,
+                             plan.n_rep, n_threads=threads,
                              ci_level=plan.coverage_level if plan.coverage else 0.95)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -506,6 +522,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # NW blocks and replications free and redraw temporaries of up to a few MB
+    keep_freed_memory()
     try:
         # config, then manifest, then argv: explicit flags come last and win
         recorded = _manifest_options(args)

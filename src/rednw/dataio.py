@@ -359,7 +359,6 @@ class SimulationPlan:
     methods: tuple[MethodSpec, ...]
     ns: tuple[int, ...]
     n_rep: int
-    base_seed: int
     test_points: NDArray[np.floating]
     equivalence: bool
     coverage: bool
@@ -403,7 +402,7 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
     # the x0-only columns the views read: NPR for either, NPRT for equivalence
     methods += oracle_specs()[:2 if equivalence else int(coverage)]
     return SimulationPlan(model_cfg=model_cls(seed=seed), methods=methods, ns=ns,
-                          n_rep=n_rep, base_seed=seed, test_points=test_points,
+                          n_rep=n_rep, test_points=test_points,
                           equivalence=equivalence, coverage=coverage,
                           coverage_level=coverage_level)
 
@@ -425,7 +424,7 @@ def recompute_cell_from_manifest(manifest: RunManifest | str | Path,
     if spec is None:
         raise ArgumentError(f"method {method!r} not in manifest methods {[m.method for m in methods]}")
     table = run_replications(plan.model_cfg, [spec], [n], plan.test_points, plan.n_rep,
-                             base_seed=plan.base_seed, n_threads=n_threads)
+                             n_threads=n_threads)
     return table.cell(point_id, n, spec.label)
 
 
@@ -543,12 +542,11 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
         if method != "np" and not (1 <= d < p):
             raise ArgumentError(f"need 1 <= d < p for method {method!r}, got d={d}, p={p}")
         basis = fit(method, X, Y, d, fy=cubic_fy)
-    dim = basis.d
 
     rule = bandwidth_rule if bandwidth_rule is not None else \
         BandwidthRule(kind="power_rule", constant=1.0, exponent_dim="ambient_p")
-    kernel = make_kernel(builtin_profile(kernel_profile), dim)
-    config = NWConfig(kernel=kernel, bandwidth=rule, d=dim, ci_level=ci_level,
+    kernel = make_kernel(builtin_profile(kernel_profile), basis.d)
+    config = NWConfig(kernel=kernel, bandwidth=rule, ci_level=ci_level,
                       allow_nonsmooth_kernel=allow_nonsmooth_kernel)
 
     in_sample = test_rows is None

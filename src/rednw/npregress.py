@@ -173,19 +173,20 @@ class BandwidthRule:
 
 @dataclass(frozen=True)
 class NWConfig:
-    """Estimator configuration; kernel.dim must equal the reduced dimension d."""
+    """Estimator configuration; the reduced dimension d is the kernel's."""
 
     kernel: RadialKernel
     bandwidth: BandwidthRule
-    d: int
     ci_level: float = 0.95
     allow_nonsmooth_kernel: bool = False
 
     def __post_init__(self):
-        if self.kernel.dim != self.d:
-            raise ArgumentError(f"kernel dimension {self.kernel.dim} does not match d={self.d}")
         if not (0.0 < self.ci_level < 1.0):
             raise ArgumentError(f"ci_level must lie in (0, 1), got {self.ci_level}")
+
+    @property
+    def d(self) -> int:
+        return self.kernel.dim
 
 
 @dataclass(frozen=True)
@@ -697,7 +698,7 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
         raise ArgumentError(f"need n >= 2 observations, got {n}")
     if Y.shape[0] != n:
         raise ArgumentError(f"X has {n} rows but Y has {Y.shape[0]} entries")
-    if not np.isfinite(Y).all():
+    if not all_finite(Y):
         raise ArgumentError("Y must be finite")
     if X0.shape[1] != p:
         raise ArgumentError(f"x0 has length {X0.shape[1]} but X has {p} columns")

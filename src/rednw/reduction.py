@@ -36,36 +36,40 @@ class ReductionBasis:
     """Orthonormal d x p reduction matrix with its provenance.
 
     Args:
-        matrix: d x p array with orthonormal rows.
+        matrix: d x p array with orthonormal rows; ``d`` (the reduced
+            dimension) and ``p`` (the ambient one) are read from its shape.
         method: one of ``METHODS``.
-        d: number of rows (reduced dimension).
-        p: number of columns (ambient dimension).
     """
 
     matrix: NDArray[np.floating]
     method: str
-    d: int
-    p: int
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         if self.method not in METHODS:
             raise ArgumentError(f"unknown reduction method {self.method!r}; expected one of {METHODS}")
-        if m.ndim != 2 or m.shape != (self.d, self.p):
-            raise ArgumentError(f"basis matrix shape {m.shape} does not match (d, p)=({self.d}, {self.p})")
+        if m.ndim != 2 or m.size == 0:
+            raise ArgumentError(f"basis matrix must be a non-empty 2-d array, got shape {m.shape}")
         gram = m @ m.T
         dev = float(np.max(np.abs(gram - np.eye(self.d))))
-        if dev > _ORTHO_TOL:
+        if not dev <= _ORTHO_TOL:  # NaN entries fail too
             raise ArgumentError(f"basis rows are not orthonormal (max deviation {dev:.3e} > {_ORTHO_TOL:g})")
+
+    @property
+    def d(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """Rank-d orthogonal projection on R^p; invariants checked on build."""
+    """Orthogonal projection on R^p, its rank the trace; invariants checked on build."""
 
     matrix: NDArray[np.floating]
-    rank: int
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -79,12 +83,16 @@ class ProjectionMatrix:
         if idem > 1e-8:
             raise ArgumentError(f"projection matrix is not idempotent (max deviation {idem:.3e})")
         tr = float(np.trace(m))
-        if abs(tr - self.rank) > 1e-6:
-            raise ArgumentError(f"trace {tr:.8f} does not match rank {self.rank}")
+        if not abs(tr - np.rint(tr)) <= 1e-6:
+            raise ArgumentError(f"trace {tr:.8f} is not an integer")
+
+    @property
+    def rank(self) -> int:
+        return int(np.rint(np.trace(self.matrix)))
 
     @classmethod
     def from_basis(cls, basis: ReductionBasis) -> "ProjectionMatrix":
-        return cls(matrix=basis.matrix.T @ basis.matrix, rank=basis.d)
+        return cls(matrix=basis.matrix.T @ basis.matrix)
 
 
 def _fix_signs(rows: NDArray[np.floating]) -> NDArray[np.floating]:
@@ -101,16 +109,20 @@ def _fix_signs(rows: NDArray[np.floating]) -> NDArray[np.floating]:
 
 def _make_basis(rows: NDArray[np.floating], method: str) -> ReductionBasis:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    d, p = rows.shape
+    if rows.ndim != 2 or rows.size == 0:
+        raise ArgumentError(f"directions must form a non-empty 2-d array, got shape {rows.shape}")
+    if not all_finite(rows):
+        raise ArgumentError("directions must be finite")
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     if s[-1] < 1e-12 * max(s[0], 1.0):
         raise DegenerateFitError(f"fitted directions are rank deficient (singular values {s})")
-    return ReductionBasis(matrix=_fix_signs(vt[:d]), method=method, d=d, p=p)
+    return ReductionBasis(matrix=_fix_signs(vt[:rows.shape[0]]), method=method)
 
 
 def oracle_basis(rows: NDArray[np.floating] | Sequence[Sequence[float]]) -> ReductionBasis:
-    """Basis from externally known directions (orthonormalized row span)."""
-    return _make_basis(np.atleast_2d(np.asarray(rows, dtype=float)), "oracle")
+    """Basis from externally known directions (orthonormalized row span);
+    rows that are empty, not 2-d or not finite raise ArgumentError."""
+    return _make_basis(rows, "oracle")
 
 
 def all_finite(a: NDArray[np.floating]) -> bool:
@@ -313,9 +325,8 @@ def fit(method: str, X: NDArray[np.floating], Y: NDArray[np.floating], d: int, *
     raise ArgumentError(f"unknown reduction method {method!r}; expected one of {FIT_METHODS}")
 
 
-def projection_to_basis(P: ProjectionMatrix | NDArray[np.floating],
-                        d: int | None = None) -> ReductionBasis:
-    """Orthonormal basis of the range of a rank-d projection.
+def projection_to_basis(P: ProjectionMatrix | NDArray[np.floating]) -> ReductionBasis:
+    """Orthonormal basis of the range of a projection of rank d, its trace.
 
     Takes the top-d eigenvectors of the symmetrized matrix. Raw arrays are
     validated through ProjectionMatrix first.
@@ -325,15 +336,8 @@ def projection_to_basis(P: ProjectionMatrix | NDArray[np.floating],
             eigenvalue below 1e-6.
     """
     if not isinstance(P, ProjectionMatrix):
-        m = np.asarray(P, dtype=float)
-        if d is None:
-            d = int(round(float(np.trace(m))))
-        P = ProjectionMatrix(matrix=m, rank=d)
-    if d is None:
-        d = P.rank
-    if d != P.rank:
-        raise ArgumentError(f"requested d={d} but projection has rank {P.rank}")
-    p = P.matrix.shape[0]
+        P = ProjectionMatrix(matrix=P)
+    d, p = P.rank, P.matrix.shape[0]
     if not (1 <= d <= p):
         raise ArgumentError(f"need 1 <= d <= p, got d={d}, p={p}")
     sym = 0.5 * (P.matrix + P.matrix.T)
@@ -347,7 +351,7 @@ def projection_to_basis(P: ProjectionMatrix | NDArray[np.floating],
                 f"rank {d} is not identifiable from this matrix"
             )
     rows = evecs[:, desc[:d]].T
-    return ReductionBasis(matrix=_fix_signs(rows), method="from_projection", d=d, p=p)
+    return ReductionBasis(matrix=_fix_signs(rows), method="from_projection")
 
 
 def reduce(basis: ReductionBasis, X: NDArray[np.floating]) -> NDArray[np.floating]:

@@ -13,7 +13,7 @@ import contextlib
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from importlib import resources
 from typing import Sequence
@@ -305,7 +305,6 @@ class ReplicationTable:
     ns: tuple[int, ...]
     methods: tuple[str, ...]
     n_rep: int
-    base_seed: int
     # raw per-replication estimates keyed (point_id, n, method), NaN for
     # missing, and under the same keys n_rep x 2 arrays of (ci_lo, ci_hi);
     # an x0_only column has point 0 alone, and no cells; each label's resolved
@@ -327,7 +326,7 @@ class ReplicationTable:
         raise ArgumentError(f"no cell for point={point_id}, n={n}, method={method!r}")
 
 
-def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int, base_seed: int) -> ReductionBasis:
+def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int) -> ReductionBasis:
     true_direction = cfg.beta0 if isinstance(cfg, Model1Config) else cfg.beta_pop
     if spec.method == "np":
         return oracle_basis(np.eye(cfg.p))
@@ -336,14 +335,14 @@ def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int, base_seed: int) -> Reducti
     if spec.reduction == "root_n_oracle":
         # an n^(-1/2) perturbation whose Gaussian draw is shared across n
         # (paired comparisons across sizes)
-        g = _rng(base_seed, _TAG_ORACLE, rep).standard_normal(cfg.p)
+        g = _rng(cfg.seed, _TAG_ORACLE, rep).standard_normal(cfg.p)
         return oracle_basis((true_direction + g / math.sqrt(X.shape[0]))[None, :])
     if spec.reduction == "wrong_direction":
         return oracle_basis(np.eye(cfg.p)[:1])
     return fit(spec.reduction, X, Y, spec.d, fy=_pfc_features)
 
 
-def _one_rep(cfg, methods, base_seed: int, test_points, configs: dict, fixed: dict,
+def _one_rep(cfg, methods, test_points, configs: dict, fixed: dict,
              task: tuple[int, int]) -> tuple[tuple[int, int], dict]:
     n, rep = task
     gen = gen_model1 if isinstance(cfg, Model1Config) else gen_model2
@@ -359,7 +358,7 @@ def _one_rep(cfg, methods, base_seed: int, test_points, configs: dict, fixed: di
         with contextlib.suppress(RednwError):
             if key not in bases:
                 bases[key] = None  # one fit per key; a failed one stays None
-                bases[key] = fixed.get(spec.label) or _fit_basis(spec, cfg, X, Y, rep, base_seed)
+                bases[key] = fixed.get(spec.label) or _fit_basis(spec, cfg, X, Y, rep)
             if bases[key] is not None:
                 batch = nw_batch(configs[spec.label], bases[key], X, Y, points)
                 out[spec.label] = np.column_stack((batch.eta_hat, batch.ci_lo, batch.ci_hi))
@@ -367,7 +366,7 @@ def _one_rep(cfg, methods, base_seed: int, test_points, configs: dict, fixed: di
 
 
 def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
-                     test_points: NDArray[np.floating], n_rep: int, base_seed: int | None = None,
+                     test_points: NDArray[np.floating], n_rep: int,
                      n_threads: int = 1, ci_level: float = 0.95) -> ReplicationTable:
     """Replicated estimator comparison on fixed test points.
 
@@ -380,8 +379,8 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     (``rules``). Results are identical for any n_threads.
 
     Args:
-        cfg: Model1Config or Model2Config.
-        base_seed: defaults to cfg.seed.
+        cfg: Model1Config or Model2Config; every random stream derives from
+            its ``seed``.
     """
     methods = list(methods)
     if not methods:
@@ -397,23 +396,20 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
         raise ArgumentError(f"test points have {test_points.shape[1]} columns, model has p={cfg.p}")
     if n_rep < 1:
         raise ArgumentError(f"n_rep must be >= 1, got {n_rep}")
-    if base_seed is None:
-        base_seed = cfg.seed
-    cfg_run = replace(cfg, seed=base_seed)
     rules = {m.label: m.bandwidth_rule or default_bandwidth_rule(cfg) for m in methods}
     dims = {m.label: cfg.p if m.method == "np" else m.d for m in methods}
     profile = builtin_profile("triweight_poly3")
     kernels = {dim: make_kernel(profile, dim) for dim in sorted(set(dims.values()))}
-    configs = {m.label: NWConfig(kernel=kernels[dims[m.label]], d=dims[m.label],
-                                 bandwidth=rules[m.label], ci_level=ci_level)
+    configs = {m.label: NWConfig(kernel=kernels[dims[m.label]], bandwidth=rules[m.label],
+                                 ci_level=ci_level)
                for m in methods}
     # np's, npr's and wrong_direction's bases ignore the data: build each once
-    fixed = {m.label: _fit_basis(m, cfg_run, None, None, 0, base_seed) for m in methods
+    fixed = {m.label: _fit_basis(m, cfg, None, None, 0) for m in methods
              if m.method in ("np", "npr") or m.reduction == "wrong_direction"}
 
     tasks = [(n, rep) for n in ns for rep in range(n_rep)]
     keep_freed_memory()  # every replication frees and redraws arrays of a few MB
-    work = partial(_one_rep, cfg_run, methods, base_seed, test_points, configs, fixed)
+    work = partial(_one_rep, cfg, methods, test_points, configs, fixed)
     if n_threads > 1:
         with blas_threads_per_worker(n_threads), ThreadPoolExecutor(max_workers=n_threads) as ex:
             results = dict(ex.map(work, tasks))
@@ -449,7 +445,7 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
                                        true_mse=t_mse))
     return ReplicationTable(cells=tuple(cells), test_points=test_points,
                             ns=tuple(ns), methods=tuple(full),
-                            n_rep=n_rep, base_seed=base_seed, estimates=kept,
+                            n_rep=n_rep, estimates=kept,
                             intervals=intervals, rules=rules, ci_level=ci_level)
 
 

@@ -99,7 +99,7 @@ def model1_table():
         MethodSpec(method="nprt", reduction="root_n_oracle"),
     ]
     return run_replications(cfg, methods, ns=[200, 1000], test_points=pts,
-                            n_rep=200, base_seed=BASE_SEED, n_threads=4)
+                            n_rep=200, n_threads=4)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def model1_iso_table():
         MethodSpec(method="nprt", reduction="root_n_oracle"),
     ]
     return run_replications(cfg, methods, ns=[1000], test_points=pts,
-                            n_rep=200, base_seed=BASE_SEED, n_threads=4)
+                            n_rep=200, n_threads=4)
 
 
 def test_c1_kernel_constants():
@@ -149,13 +149,13 @@ def test_c2_brute_force_equivalence():
         d = int(rng.integers(1, 4))
         p = int(rng.integers(d, d + 4))
         q, _r = np.linalg.qr(rng.standard_normal((p, d)))
-        basis = ReductionBasis(matrix=q.T, method="oracle", d=d, p=p)
+        basis = ReductionBasis(matrix=q.T, method="oracle")
         X = rng.uniform(-1.0, 1.0, size=(n, p))
         Y = rng.standard_normal(n)
         x0 = 0.1 * rng.uniform(-1.0, 1.0, size=p)
         h = float(rng.uniform(1.5, 3.0))
         kern = make_kernel(builtin_profile("triweight_poly3"), d)
-        cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=d)
+        cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
         fit = nw_estimate(cfg, basis, X, Y, x0)
         expected = _brute_force_nw(kern, basis.matrix, X, Y, x0, h)
         worst = max(worst, abs(fit.eta_hat - expected) / max(abs(expected), 1e-300))
@@ -171,16 +171,16 @@ def test_c3_rotation_invariance():
     X, Y, _ = gen_model1(cfg1, 400, rng_stream=0)
     d, p = 2, 6
     q, _r = np.linalg.qr(rng.standard_normal((p, d)))
-    basis = ReductionBasis(matrix=q.T, method="oracle", d=d, p=p)
+    basis = ReductionBasis(matrix=q.T, method="oracle")
     kern = make_kernel(builtin_profile("triweight_poly3"), d)
-    nwc = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=2.0), d=d)
+    nwc = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=2.0))
     x0 = X.mean(axis=0)
     ref = nw_estimate(nwc, basis, X, Y, x0).eta_hat
     worst = 0.0
     for _ in range(50):
         g = rng.standard_normal((d, d))
         a, _r = np.linalg.qr(g)
-        rotated = ReductionBasis(matrix=a @ basis.matrix, method="oracle", d=d, p=p)
+        rotated = ReductionBasis(matrix=a @ basis.matrix, method="oracle")
         worst = max(worst, abs(nw_estimate(nwc, rotated, X, Y, x0).eta_hat - ref))
     ok = worst <= 1e-12
     _line("C3", "rotation_invariance", ok, f"worst |diff| {worst:.2e} over 50 rotations")
@@ -196,7 +196,7 @@ def test_c4_projection_extraction():
         d = int(rng.integers(1, min(5, p)))
         q, _r = np.linalg.qr(rng.standard_normal((p, d)))
         proj = q @ q.T
-        b = projection_to_basis(ProjectionMatrix(matrix=proj, rank=d), d=d)
+        b = projection_to_basis(ProjectionMatrix(matrix=proj))
         worst_orth = max(worst_orth, float(np.abs(b.matrix @ b.matrix.T - np.eye(d)).max()))
         worst_range = max(worst_range, float(np.abs(proj @ b.matrix.T - b.matrix.T).max()))
 
@@ -212,7 +212,7 @@ def test_c4_projection_extraction():
         noisy = proj0 + s0 / np.sqrt(n)
         w, v = np.linalg.eigh((noisy + noisy.T) / 2.0)
         nearest = np.outer(v[:, -1], v[:, -1])
-        b = projection_to_basis(ProjectionMatrix(matrix=nearest, rank=1), d=1)
+        b = projection_to_basis(ProjectionMatrix(matrix=nearest))
         s = np.linalg.svd(b.matrix @ b0.T, compute_uv=False)
         angles.append(float(np.arccos(np.clip(s[0], -1.0, 1.0))))
     slope = float(np.polyfit(np.log(ns), np.log(angles), 1)[0])
@@ -240,8 +240,7 @@ def test_c5_interval_coverage():
     """Plug-in 95% intervals cover the truth at the nominal rate band."""
     cfg = Model1Config(seed=BASE_SEED)
     x0 = _interval_point(cfg)
-    table = run_replications(cfg, oracle_specs()[:1], [4000], x0[None, :], 500,
-                             base_seed=BASE_SEED, ci_level=0.95)
+    table = run_replications(cfg, oracle_specs()[:1], [4000], x0[None, :], 500, ci_level=0.95)
     res = coverage_view(table, cfg, 4000)
     ok = 0.88 <= res.coverage <= 0.99
     _line("C5", "interval_coverage", ok,
@@ -256,7 +255,7 @@ def test_c6_plugin_oracle_equivalence():
     x0 = _interval_point(cfg)
     ns = [250, 1000, 4000]
     rows, rows_w = (equivalence_view(run_replications(cfg, oracle_specs(reduction), ns,
-                                                      x0[None, :], 200, base_seed=BASE_SEED))
+                                                      x0[None, :], 200))
                     for reduction in ("root_n_oracle", "wrong_direction"))
     meds = [r.median_stat for r in rows]
     meds_w = [r.median_stat for r in rows_w]
@@ -320,7 +319,7 @@ def test_c8_high_dim_variance_reduction():
     pts = draw_test_points(cfg, 10)
     methods = [MethodSpec(method="np"), MethodSpec(method="nprt", reduction="pfc")]
     table = run_replications(cfg, methods, ns=[100, 300, 1000], test_points=pts,
-                             n_rep=200, base_seed=BASE_SEED, n_threads=4)
+                             n_rep=200, n_threads=4)
     counts = {}
     for n in (100, 300, 1000):
         counts[n] = sum(
@@ -358,7 +357,7 @@ def test_c9_sup_error_monotonicity():
         [clipped_mean(w * w, cfg.eps_sd, -clip_at, clip_at) for w in w_grid])
 
     kern = make_kernel(builtin_profile("triweight_poly3"), 1)
-    nwc = NWConfig(kernel=kern, d=1, bandwidth=undersmoothed_rule())
+    nwc = NWConfig(kernel=kern, bandwidth=undersmoothed_rule())
     wins_raw = wins_clip = 0
     for rep in range(100):
         errs = {}
@@ -425,7 +424,7 @@ def test_c11_estimated_reduction_coverage():
     for reduction in ("root_n_oracle", "pls"):
         spec = MethodSpec(method="nprt", reduction=reduction, bandwidth_rule=undersmoothed_rule())
         table = run_replications(cfg, [spec], ns=[4000], test_points=x0[None, :], n_rep=500,
-                                 base_seed=BASE_SEED, n_threads=2)
+                                 n_threads=2)
         ci_lo, ci_hi = table.intervals[(0, 4000, "NPRT")].T
         kept = ~np.isnan(ci_lo)
         excluded += int(np.sum(~kept))

@@ -325,6 +325,29 @@ class TestFitPredict:
         points = json.loads(out)
         assert len(points) == 79
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "basis file not found: {path}"),
+        ("a,b,c,d\n", "{path}: not a basis: could not convert string 'a' to float64 at row 0, "
+                      "column 1."),
+        ("nan,1,0,0\n", "{path}: not a basis: directions must be finite"),
+        ("", "{path}: basis file is empty"),
+        (b"\xff\xfe", "{path}: not a basis: 'utf-8' codec can't decode byte 0xff in position 0: "
+                      "invalid start byte"),
+    ], ids=["missing", "header", "nan", "empty", "binary"])
+    def test_bad_basis_file_exits_3(self, shellfish_csv, tmp_path, capsys, text, message):
+        path = tmp_path / "basis.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(
+            ["fit", "--input", str(shellfish_csv), "--response", "muscle_mass", *LOG_FLAGS,
+             "--basis", str(path)],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: {message.format(path=path)}\n"
+
     def test_fixed_bandwidth_missing_h_exits_2(self, shellfish_csv, capsys):
         code, _, err = run_cli(
             [

@@ -50,7 +50,6 @@ TRIWEIGHT_1D = make_kernel(builtin_profile("triweight_poly3"), 1)
 def default_config(**kw):
     kw.setdefault("kernel", TRIWEIGHT_1D)
     kw.setdefault("bandwidth", BandwidthRule(kind="fixed", h_fixed=1.0))
-    kw.setdefault("d", 1)
     return NWConfig(**kw)
 
 
@@ -265,15 +264,13 @@ class TestPointEstimate:
             d = int(rng.integers(1, 4))
             p = int(rng.integers(d, d + 4))
             q, _ = np.linalg.qr(rng.standard_normal((p, d)))
-            basis = ReductionBasis(matrix=q.T, method="oracle", d=d, p=p)
+            basis = ReductionBasis(matrix=q.T, method="oracle")
             X = rng.uniform(-1.0, 1.0, size=(n, p))
             Y = rng.standard_normal(n)
             x0 = 0.1 * rng.uniform(-1.0, 1.0, size=p)
             h = float(rng.uniform(1.5, 3.0))
             kern = make_kernel(builtin_profile("triweight_poly3"), d)
-            cfg = NWConfig(
-                kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=d
-            )
+            cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
             fit = nw_estimate(cfg, basis, X, Y, x0)
             expected = brute_force_nw(kern, basis.matrix, X, Y, x0, h)
             np.testing.assert_allclose(fit.eta_hat, expected, rtol=1e-13)
@@ -294,18 +291,16 @@ class TestPointEstimate:
         rng = np.random.default_rng(12)
         n, p, d = 80, 5, 2
         q, _ = np.linalg.qr(rng.standard_normal((p, d)))
-        basis = ReductionBasis(matrix=q.T, method="oracle", d=d, p=p)
+        basis = ReductionBasis(matrix=q.T, method="oracle")
         X = rng.uniform(-1.0, 1.0, size=(n, p))
         Y = rng.standard_normal(n)
         x0 = np.zeros(p)
         kern = make_kernel(builtin_profile("triweight_poly3"), d)
-        cfg = NWConfig(
-            kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=2.0), d=d
-        )
+        cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=2.0))
         base = nw_estimate(cfg, basis, X, Y, x0)
         for _ in range(10):
             a, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            rotated = ReductionBasis(matrix=a @ q.T, method="oracle", d=d, p=p)
+            rotated = ReductionBasis(matrix=a @ q.T, method="oracle")
             fit = nw_estimate(cfg, rotated, X, Y, x0)
             np.testing.assert_allclose(fit.eta_hat, base.eta_hat, atol=1e-12)
             np.testing.assert_allclose(fit.ci_lo, base.ci_lo, atol=1e-12)
@@ -355,28 +350,25 @@ class TestPointEstimate:
     def test_nonsmooth_kernel_refused_by_default(self):
         epan = make_kernel(builtin_profile("epanechnikov"), 1)
         X = np.array([[0.0], [0.2], [-0.2], [0.4]])
-        cfg = NWConfig(
-            kernel=epan, bandwidth=BandwidthRule(kind="fixed", h_fixed=1.0), d=1
-        )
+        cfg = NWConfig(kernel=epan, bandwidth=BandwidthRule(kind="fixed", h_fixed=1.0))
         with pytest.raises(ArgumentError) as exc:
             nw_estimate(cfg, oracle_basis([[1.0]]), X, np.ones(4), [0.0])
         assert "allow_nonsmooth_kernel" in str(exc.value)
         cfg_ok = NWConfig(
             kernel=epan,
             bandwidth=BandwidthRule(kind="fixed", h_fixed=1.0),
-            d=1,
             allow_nonsmooth_kernel=True,
         )
         fit = nw_estimate(cfg_ok, oracle_basis([[1.0]]), X, np.ones(4), [0.0])
         assert fit.eta_hat == 1.0
 
-    def test_kernel_dim_must_match_d(self):
-        with pytest.raises(ArgumentError):
-            NWConfig(
-                kernel=TRIWEIGHT_1D,
-                bandwidth=BandwidthRule(kind="fixed", h_fixed=1.0),
-                d=2,
-            )
+    def test_d_is_the_kernel_dimension(self):
+        rule = BandwidthRule(kind="fixed", h_fixed=1.0)
+        kernel = make_kernel(builtin_profile("triweight_poly3"), 3)
+        assert NWConfig(kernel=kernel, bandwidth=rule).d == 3
+        # a d given where it used to go lands on ci_level
+        with pytest.raises(ArgumentError, match=r"^ci_level must lie in \(0, 1\), got 3$"):
+            NWConfig(kernel, rule, 3)
 
     def test_minimum_sample_size(self):
         with pytest.raises(ArgumentError):
@@ -428,7 +420,7 @@ class TestBatch:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((30, 2))
         Y = rng.standard_normal(30)
-        cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 2), d=2,
+        cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 2),
                              bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
         # queries at sample rows keep their own point's mass at any h
         out = nw_batch(cfg, oracle_basis(np.eye(2)), X, Y, X[:3])
@@ -440,7 +432,7 @@ class TestBatch:
         X, Y, _ = gen_model1(cfg_m, 500, rng_stream=0)
         basis = oracle_basis([np.ones(6)])
         rule = BandwidthRule(kind="power_rule", constant=5.0, exponent_dim="ambient_p")
-        cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=rule, d=1)
+        cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=rule)
         # test points drawn from the same design stay in the data cloud
         X0, _, _ = gen_model1(cfg_m, 10, rng_stream=123)
         out = nw_batch(cfg, basis, X, Y, X0)
@@ -484,7 +476,7 @@ class TestSupError:
         errs = {}
         for n, stream in ((250, 1), (4000, 2)):
             X, Y, _ = gen_model1(cfg_m, n, rng_stream=stream)
-            cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=rule, d=1)
+            cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=rule)
             batch = nw_batch(cfg, basis, X, Y, grid)
             assert batch.ok.all()
             errs[n] = np.max(np.abs(batch.eta_hat - truth))
@@ -497,7 +489,7 @@ class TestVarianceBands:
         cfg_m = Model1Config(seed=0)
         basis = oracle_basis([np.ones(6)])
         x0 = 1.5 * np.ones(6) / np.sqrt(6.0)
-        cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=undersmoothed_rule(), d=1)
+        cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=undersmoothed_rule())
         s2 = []
         for rep in range(200):
             X, Y, _ = gen_model1(cfg_m, 4000, rng_stream=rep)
@@ -509,7 +501,7 @@ class TestVarianceBands:
         basis = oracle_basis([np.ones(6)])
         x0 = 1.5 * np.ones(6) / np.sqrt(6.0)
         rule = BandwidthRule(kind="power_rule", constant=5.0, exponent_dim="ambient_p")
-        cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=rule, d=1)
+        cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=rule)
         med = {}
         for n in (250, 1000, 4000):
             widths = []
@@ -563,7 +555,7 @@ class TestNonFiniteInputs:
         self.basis = oracle_basis([[1.0, 0.0]])
         self.cfg = default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.5))
         self.cfg_2d = dataclasses.replace(
-            self.cfg, kernel=make_kernel(builtin_profile("triweight_poly3"), 2), d=2)
+            self.cfg, kernel=make_kernel(builtin_profile("triweight_poly3"), 2))
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_nan_in_y(self, entry):
@@ -1020,7 +1012,7 @@ class TestBatchPrefix:
     def test_matches_slab_path(self, profile, inst):
         w, Y, q, h = inst
         kern = make_kernel(builtin_profile(profile), 1)
-        cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=1,
+        cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h),
                        allow_nonsmooth_kernel=True)
         args = (cfg, oracle_basis([[1.0]]), w[:, None], Y, q[:, None])
         batch, ref = prefix_batch(*args), slab_batch(*args)
@@ -1040,7 +1032,7 @@ class TestBatchPrefix:
         Y = np.where(w > 0, 1e8, 0.0) + 1e-4 * rng.standard_normal(n)
         Y[w > 0.5] = 1e8 + 2.0 ** -20
         q = np.linspace(-0.95, 0.95, 400)
-        cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=1)
+        cfg = NWConfig(kernel=TRIWEIGHT_1D, bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
         args = (cfg, oracle_basis([[1.0]]), w[:, None], Y, q[:, None])
         batch = prefix_batch(*args)
         assert batch.ok.all() and np.all(batch.sigma2_hat >= 0.0)
@@ -1075,7 +1067,7 @@ class TestSupportEdge:
     def test_uniform_edge(self, rows):
         uniform = make_kernel(builtin_profile("uniform"), 1)
         cfg = NWConfig(kernel=uniform, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.25),
-                       d=1, allow_nonsmooth_kernel=True)
+                       allow_nonsmooth_kernel=True)
         # w0 = 1, h = 0.25: the differences below are exact (Sterbenz), so
         # the radii are exactly 1 and 1 + a few ulps
         X = np.array([[0.75], [1.25], [np.nextafter(0.75, 0.0)],
@@ -1093,7 +1085,7 @@ class TestSupportEdge:
         rounding bound of 2."""
         uniform = make_kernel(builtin_profile("uniform"), 1)
         cfg = NWConfig(kernel=uniform, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.25),
-                       d=1, allow_nonsmooth_kernel=True)
+                       allow_nonsmooth_kernel=True)
         X = np.array([[0.75], [1.25], [np.nextafter(0.75, 0.0)],
                       [np.nextafter(1.25, 2.0)], [1.0]] + [[1.0]] * 40)
         Y = np.array([1.0, 2.0, 100.0, 200.0, 3.0] + [2.0] * 40)
@@ -1110,7 +1102,7 @@ class TestSupportEdge:
         """The d > 1 radii decide support exactly at the edge too."""
         uniform = make_kernel(builtin_profile("uniform"), 2)
         cfg = NWConfig(kernel=uniform, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.25),
-                       d=2, allow_nonsmooth_kernel=True)
+                       allow_nonsmooth_kernel=True)
         # w0 = (1, 1): the first two samples lie exactly R*h away, the next
         # two one ulp further
         X = np.array([[1.25, 1.0], [1.0, 0.75], [np.nextafter(1.25, 2.0), 1.0],
@@ -1213,7 +1205,7 @@ class TestChunkMerge:
         np.testing.assert_allclose([mass[0], eta[0], sigma2[0]],
                                    direct_sums(kern, X, Y, X0[0], 0.3), rtol=1e-12, atol=0)
         assert mass[1] == 0.0 and np.isnan(eta[1]) and np.isnan(sigma2[1])
-        cfg = default_config(kernel=kern, d=2, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.3))
+        cfg = default_config(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.3))
         batch = nw_batch(cfg, oracle_basis(np.eye(2)), X, Y, X0)
         assert batch.ok.tolist() == [True, False]
         assert batch.errors == {1: "no sample points inside the kernel window at w0=[0.  1.5] "
@@ -1288,7 +1280,7 @@ class TestReplicationMemory:
     def _np_call():
         cfg = Model2Config(seed=3)
         X, Y, _ = gen_model2(cfg, 20_000)
-        conf = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 20), d=20,
+        conf = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 20),
                         bandwidth=default_bandwidth_rule(cfg))
         return X, lambda: nw_batch(conf, oracle_basis(np.eye(20)), X, Y, draw_test_points(cfg, 10))
 
@@ -1316,8 +1308,8 @@ class TestReplicationMemory:
         pts = draw_test_points(cfg, 10)
         rule = default_bandwidth_rule(cfg)
         profile = builtin_profile("triweight_poly3")
-        np_conf = NWConfig(kernel=make_kernel(profile, 20), d=20, bandwidth=rule)
-        npr_conf = NWConfig(kernel=make_kernel(profile, 1), d=1, bandwidth=rule)
+        np_conf = NWConfig(kernel=make_kernel(profile, 20), bandwidth=rule)
+        npr_conf = NWConfig(kernel=make_kernel(profile, 1), bandwidth=rule)
         npr_basis = oracle_basis(cfg.beta_pop[None, :])
         basis, pfc_peak = self._peak(lambda: pfc_fit(X, Y, simulate._pfc_features, 1))
         assert basis.d == 1
@@ -1371,7 +1363,7 @@ class TestReplicationMemory:
         cfg = Model2Config(seed=3)
         X, Y, _ = gen_model2(cfg, 20_000)
         X0 = draw_test_points(cfg, 10)
-        conf = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 20), d=20,
+        conf = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 20),
                         bandwidth=default_bandwidth_rule(cfg))
         basis = oracle_basis(np.eye(20))
         X_in, X0_in = X.copy(), X0.copy()
@@ -1392,7 +1384,7 @@ class TestReplicationMemory:
 
 
 def _oracle(d, p):
-    return ReductionBasis(matrix=np.eye(p)[:d], method="oracle", d=d, p=p)
+    return ReductionBasis(matrix=np.eye(p)[:d], method="oracle")
 
 
 @st.composite
@@ -1408,7 +1400,7 @@ def nw_instances(draw, min_queries=1, y_range=(-1.0, 1.0), min_d=1):
     X0 = 1.2 * draw(hnp.arrays(float, (m, p), elements=unit))
     h = draw(st.floats(0.2, 2.0))
     kern = make_kernel(builtin_profile("triweight_poly3"), d)
-    cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h), d=d)
+    cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
     return cfg, _oracle(d, p), X, Y, X0
 
 
@@ -1420,7 +1412,7 @@ def _near_edge_instance():
     X[0, 0], X[3, 0] = 0.7284456035576934, 0.5088105218632717
     X0 = np.zeros((_SORT_MIN_QUERIES, 3))
     X0[0, 1] = -0.121875
-    cfg = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 3), d=3,
+    cfg = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 3),
                    bandwidth=BandwidthRule(kind="fixed", h_fixed=1.517578125))
     return cfg, _oracle(3, 3), X, np.array([1.0] + [2.0] * 7), X0
 
@@ -1435,7 +1427,7 @@ def _far_rows_instance():
     X[0] = (0.0, 0.9921875)
     X0 = np.full((_SORT_MIN_QUERIES, 2), 1.190625)
     X0[0, 0] = 0.0
-    cfg = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 2), d=2,
+    cfg = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 2),
                    bandwidth=BandwidthRule(kind="fixed", h_fixed=0.2))
     return cfg, _oracle(2, 2), X, np.ones(17), X0
 
@@ -1493,18 +1485,18 @@ def _batch_case(name):
     if name == "empty-windows-3d":
         X = rng.uniform(-1.0, 1.0, size=(80, 4))
         X0 = np.vstack([X[:5], X[:3] + 9.0])
-        cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 3), d=3,
+        cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 3),
                              bandwidth=BandwidthRule(kind="fixed", h_fixed=0.8))
         return cfg, oracle_basis(np.eye(4)[:3]), X, 10.0 + rng.standard_normal(80), X0
     # degenerate density rows: h**d leaves the float range
     h = 1e200 if name == "degenerate-wide" else 1e-200
     X = rng.standard_normal((30, 2))
-    cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 2), d=2,
+    cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 2),
                          bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
     return cfg, oracle_basis(np.eye(2)), X, rng.standard_normal(30), np.vstack([X[:3], X[:2] + 5.0])
 
 
-def _one_rep_by_rows(cfg, methods, base_seed, test_points, configs, fixed, task):
+def _one_rep_by_rows(cfg, methods, test_points, configs, fixed, task):
     """The harness's replication as it was when it read nw_batch row by row."""
     n, rep = task
     gen = simulate.gen_model1 if isinstance(cfg, Model1Config) else simulate.gen_model2
@@ -1513,7 +1505,7 @@ def _one_rep_by_rows(cfg, methods, base_seed, test_points, configs, fixed, task)
     for spec in methods:
         est = np.full((test_points.shape[0], 3), np.nan)
         try:
-            basis = fixed.get(spec.label) or simulate._fit_basis(spec, cfg, X, Y, rep, base_seed)
+            basis = fixed.get(spec.label) or simulate._fit_basis(spec, cfg, X, Y, rep)
             for res in nw_batch(configs[spec.label], basis, X, Y, test_points):
                 if res.ok:
                     est[res.index] = (res.fit.eta_hat, res.fit.ci_lo, res.fit.ci_hi)
@@ -1600,10 +1592,10 @@ class TestNWBatch:
         methods = [MethodSpec(method=m, reduction=reduction if m == "nprt" else None,
                               bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=1.0))
                    for m in ("np", "npr", "nprt")]
-        kw = dict(ns=ns, test_points=draw_test_points(cfg, 4), n_rep=5, base_seed=9)
-        table = run_replications(cfg, methods, **kw)
+        kw = dict(ns=ns, test_points=draw_test_points(cfg, 4), n_rep=5)
+        table = run_replications(dataclasses.replace(cfg, seed=9), methods, **kw)
         monkeypatch.setattr(simulate, "_one_rep", _one_rep_by_rows)
-        ref = run_replications(cfg, methods, **kw)
+        ref = run_replications(dataclasses.replace(cfg, seed=9), methods, **kw)
         assert repr(table.cells) == repr(ref.cells)
         assert any(c.n_missing for c in ref.cells)
         for key, v in ref.estimates.items():
@@ -1661,7 +1653,7 @@ class TestProperties:
     @given(inst=nw_instances(), scale=st.floats(0.01, 100.0))
     def test_co_scaling_of_x_and_h(self, inst, scale):
         cfg, basis, X, Y, X0 = inst
-        scaled_cfg = NWConfig(kernel=cfg.kernel, d=cfg.d, bandwidth=BandwidthRule(
+        scaled_cfg = NWConfig(kernel=cfg.kernel, bandwidth=BandwidthRule(
             kind="fixed", h_fixed=cfg.bandwidth.h_fixed * scale))
         base = _fields(nw_batch(cfg, basis, X, Y, X0))
         moved = _fields(nw_batch(scaled_cfg, basis, scale * X, Y, scale * X0))

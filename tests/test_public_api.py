@@ -1,5 +1,11 @@
 """The package's public names, recorded: adding or removing one is a
-deliberate edit of this list."""
+deliberate edit of this list. So is adding or removing a settable field of
+the core value types, or a parameter of the run and projection entry points."""
+
+import dataclasses
+import inspect
+
+import pytest
 
 import rednw
 
@@ -23,3 +29,29 @@ PUBLIC = [
 
 def test_public_names_are_the_recorded_ones():
     assert sorted(rednw.__all__) == PUBLIC
+
+
+# the values a caller sets; each derived value (a config's d, a basis's d and
+# p, a projection's rank, a run's seed) has one source and is not among them
+SETTABLE = {
+    rednw.NWConfig: ["kernel", "bandwidth", "ci_level", "allow_nonsmooth_kernel"],
+    rednw.ReductionBasis: ["matrix", "method"],
+    rednw.ProjectionMatrix: ["matrix"],
+    rednw.dataio.SimulationPlan: ["model_cfg", "methods", "ns", "n_rep", "test_points",
+                                  "equivalence", "coverage", "coverage_level"],
+}
+PARAMETERS = {
+    rednw.run_replications: ["cfg", "methods", "ns", "test_points", "n_rep", "n_threads",
+                             "ci_level"],
+    rednw.projection_to_basis: ["P"],
+}
+
+
+@pytest.mark.parametrize("cls", list(SETTABLE), ids=lambda c: c.__name__)
+def test_settable_fields_are_the_recorded_ones(cls):
+    assert [f.name for f in dataclasses.fields(cls) if f.init] == SETTABLE[cls]
+
+
+@pytest.mark.parametrize("func", list(PARAMETERS), ids=lambda f: f.__name__)
+def test_parameters_are_the_recorded_ones(func):
+    assert list(inspect.signature(func).parameters) == PARAMETERS[func]

@@ -1,5 +1,6 @@
 """Tests for linear reduction estimators and projection extraction."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,23 +38,51 @@ def principal_angle(basis, target_rows):
 class TestBasisTypes:
     def test_semi_orthogonality_enforced(self):
         with pytest.raises(ArgumentError):
-            ReductionBasis(matrix=np.array([[1.0, 1.0]]), method="oracle", d=1, p=2)
+            ReductionBasis(matrix=np.array([[1.0, 1.0]]), method="oracle")
 
     def test_method_enum_enforced(self):
         with pytest.raises(ArgumentError):
-            ReductionBasis(matrix=np.array([[1.0, 0.0]]), method="ols", d=1, p=2)
+            ReductionBasis(matrix=np.array([[1.0, 0.0]]), method="ols")
 
     def test_projection_invariants(self):
         with pytest.raises(ArgumentError):
-            ProjectionMatrix(matrix=np.array([[0.5, 0.4], [0.1, 0.5]]), rank=1)
+            ProjectionMatrix(matrix=np.array([[0.5, 0.4], [0.1, 0.5]]))
         with pytest.raises(ArgumentError):
             # symmetric but not idempotent
-            ProjectionMatrix(matrix=np.array([[0.5, 0.0], [0.0, 0.5]]), rank=1)
+            ProjectionMatrix(matrix=np.array([[0.5, 0.0], [0.0, 0.5]]))
+
+    def test_dimensions_are_the_matrix_shape(self):
+        b = ReductionBasis(matrix=np.eye(5)[1:3], method="oracle")
+        assert (b.d, b.p) == (2, 5)
+        for bad in (np.zeros((0, 3)), np.ones(3), np.zeros((1, 0))):
+            with pytest.raises(ArgumentError, match="^basis matrix must be a non-empty 2-d array"):
+                ReductionBasis(matrix=bad, method="oracle")
+        with pytest.raises(ArgumentError, match=r"not orthonormal \(max deviation nan"):
+            ReductionBasis(matrix=[[np.nan, 0.0]], method="oracle")
+
+    def test_projection_rank_is_its_trace(self):
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 3)))
+        assert ProjectionMatrix(matrix=q @ q.T).rank == 3
+        assert ProjectionMatrix.from_basis(oracle_basis(q.T[:2])).rank == 2
+        # NaN passes the symmetry and idempotence checks; the trace check catches it
+        with pytest.raises(ArgumentError, match="^trace nan is not an integer$"):
+            ProjectionMatrix(matrix=np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "directions must form a non-empty 2-d array, got shape (1, 0)"),
+        (np.zeros((0, 4)), "directions must form a non-empty 2-d array, got shape (0, 4)"),
+        (np.zeros((1, 2, 2)), "directions must form a non-empty 2-d array, got shape (1, 2, 2)"),
+        ([[np.nan, 1.0, 0.0, 0.0]], "directions must be finite"),
+        ([[1.0, 0.0], [0.0, -np.inf]], "directions must be finite"),
+    ], ids=["empty-list", "no-rows", "3-d", "nan", "inf"])
+    def test_oracle_rows_empty_or_not_finite(self, rows, message):
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            oracle_basis(rows)
 
     def test_projection_from_basis_round_trip(self):
         b = oracle_basis([[3.0, 1.0, 0.0, -2.0]])
         proj = ProjectionMatrix.from_basis(b)
-        back = projection_to_basis(proj, d=1)
+        back = projection_to_basis(proj)
         # compare spans through their projections; arccos near 1 amplifies
         # rounding past any angle tolerance this tight
         diff = back.matrix.T @ back.matrix - b.matrix.T @ b.matrix
@@ -285,13 +314,13 @@ class TestProjectionExtraction:
             d = int(rng.integers(1, min(4, p)))
             q, _ = np.linalg.qr(rng.standard_normal((p, d)))
             proj = q @ q.T
-            b = projection_to_basis(ProjectionMatrix(matrix=proj, rank=d), d=d)
+            b = projection_to_basis(ProjectionMatrix(matrix=proj))
             np.testing.assert_allclose(b.matrix @ b.matrix.T, np.eye(d), atol=1e-10)
             np.testing.assert_allclose(proj @ b.matrix.T, b.matrix.T, atol=1e-8)
 
     def test_identity_full_rank(self):
         p = 5
-        b = projection_to_basis(ProjectionMatrix(matrix=np.eye(p), rank=p), d=p)
+        b = projection_to_basis(ProjectionMatrix(matrix=np.eye(p)))
         np.testing.assert_allclose(b.matrix @ b.matrix.T, np.eye(p), atol=1e-12)
 
     def test_perturbation_rate(self):
@@ -308,7 +337,7 @@ class TestProjectionExtraction:
             noisy = proj0 + s0 / np.sqrt(n)
             w, v = np.linalg.eigh((noisy + noisy.T) / 2.0)
             nearest = np.outer(v[:, -1], v[:, -1])
-            b = projection_to_basis(ProjectionMatrix(matrix=nearest, rank=1), d=1)
+            b = projection_to_basis(ProjectionMatrix(matrix=nearest))
             s = np.linalg.svd(b.matrix @ b0.T, compute_uv=False)
             angles.append(float(np.arccos(np.clip(s[0], -1.0, 1.0))))
         slope = float(np.polyfit(np.log(ns), np.log(angles), 1)[0])
@@ -320,14 +349,8 @@ class TestProjectionExtraction:
         # the guard directly on a synthetic near-projection
         pm = object.__new__(ProjectionMatrix)
         object.__setattr__(pm, "matrix", np.diag([1.0, 0.5 + 1e-7, 0.5, 0.0]))
-        object.__setattr__(pm, "rank", 2)
         with pytest.raises(AmbiguousRankError):
-            projection_to_basis(pm, d=2)
-
-    def test_rank_mismatch_rejected(self):
-        proj = np.diag([1.0, 1.0, 0.0, 0.0])
-        with pytest.raises(ArgumentError):
-            projection_to_basis(ProjectionMatrix(matrix=proj, rank=2), d=1)
+            projection_to_basis(pm)
 
     def test_raw_array_accepted(self):
         q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((4, 2)))
@@ -338,9 +361,7 @@ class TestProjectionExtraction:
 
 class TestReduce:
     def test_coordinate_selection(self):
-        basis = ReductionBasis(
-            matrix=np.array([[0.0, 1.0, 0.0]]), method="oracle", d=1, p=3
-        )
+        basis = ReductionBasis(matrix=np.array([[0.0, 1.0, 0.0]]), method="oracle")
         X = np.arange(12.0).reshape(4, 3)
         np.testing.assert_allclose(reduce(basis, X)[:, 0], X[:, 1])
 
@@ -353,9 +374,9 @@ class TestReduce:
         """reduce(A b, X) = reduce(b, X) A^T for any orthogonal d x d A."""
         rng = np.random.default_rng(21)
         q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-        b = ReductionBasis(matrix=q.T, method="oracle", d=2, p=5)
+        b = ReductionBasis(matrix=q.T, method="oracle")
         a, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        b_rot = ReductionBasis(matrix=a @ q.T, method="oracle", d=2, p=5)
+        b_rot = ReductionBasis(matrix=a @ q.T, method="oracle")
         X = rng.standard_normal((30, 5))
         np.testing.assert_allclose(
             reduce(b_rot, X), reduce(b, X) @ a.T, atol=1e-12

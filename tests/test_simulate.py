@@ -5,6 +5,7 @@ import math
 import os
 import resource
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,12 +213,11 @@ class TestReplicationHarness:
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=3)
         table = run_replications(
-            cfg,
+            replace(cfg, seed=2),
             [MethodSpec(method="np"), MethodSpec(method="npr")],
             ns=[80],
             test_points=pts,
             n_rep=1,
-            base_seed=2,
         )
         for cell in table.cells:
             assert cell.emse == 0.0
@@ -231,9 +231,9 @@ class TestReplicationHarness:
             MethodSpec(method="npr"),
             MethodSpec(method="nprt", reduction="pls"),
         ]
-        kw = dict(ns=[80, 120], test_points=pts, n_rep=12, base_seed=11)
-        t1 = run_replications(cfg, methods, n_threads=1, **kw)
-        t4 = run_replications(cfg, methods, n_threads=4, **kw)
+        kw = dict(ns=[80, 120], test_points=pts, n_rep=12)
+        t1 = run_replications(replace(cfg, seed=11), methods, n_threads=1, **kw)
+        t4 = run_replications(replace(cfg, seed=11), methods, n_threads=4, **kw)
         assert len(t1.cells) == len(t4.cells) == 4 * 2 * 3
         for a, b in zip(t1.cells, t4.cells):
             assert (a.point_id, a.n, a.method) == (b.point_id, b.n, b.method)
@@ -267,10 +267,9 @@ class TestReplicationHarness:
             ns=[150],
             test_points=pts,
             n_rep=8,
-            base_seed=21,
         )
-        t1 = run_replications(cfg, **kw)
-        t2 = run_replications(cfg, **kw)
+        t1 = run_replications(replace(cfg, seed=21), **kw)
+        t2 = run_replications(replace(cfg, seed=21), **kw)
         for a, b in zip(t1.cells, t2.cells):
             assert a.emse == b.emse
 
@@ -278,13 +277,13 @@ class TestReplicationHarness:
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=3)
         spec = MethodSpec(method="nprt", reduction="root_n_oracle")
+        run = replace(cfg, seed=17)
         table = run_replications(
-            cfg, [spec, MethodSpec(method="np")], ns=[90, 140],
-            test_points=pts, n_rep=10, base_seed=17,
+            run, [spec, MethodSpec(method="np")], ns=[90, 140], test_points=pts, n_rep=10,
         )
         cell = table.cell(point_id=1, n=140, method=spec.label)
         # the cell's column alone, at its n alone
-        redo = run_replications(cfg, [spec], [140], pts, 10, base_seed=17).cell(1, 140, spec.label)
+        redo = run_replications(run, [spec], [140], pts, 10).cell(1, 140, spec.label)
         assert redo.emse == cell.emse
         assert redo.mean_estimate == cell.mean_estimate
 
@@ -293,8 +292,8 @@ class TestReplicationHarness:
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=2)
         table = run_replications(
-            cfg, [MethodSpec(method="npr")], ns=[100], test_points=pts,
-            n_rep=15, base_seed=5,
+            replace(cfg, seed=5), [MethodSpec(method="npr")], ns=[100], test_points=pts,
+            n_rep=15,
         )
         for cell in table.cells:
             vec = table.estimates[(cell.point_id, cell.n, cell.method)]
@@ -306,14 +305,14 @@ class TestReplicationHarness:
         pts1 = draw_test_points(cfg1, m=2)
         t1 = run_replications(
             cfg1, [MethodSpec(method="npr")], ns=[90],
-            test_points=pts1, n_rep=5, base_seed=1,
+            test_points=pts1, n_rep=5,
         )
         assert all(c.true_mse is not None for c in t1.cells)
         cfg2 = Model2Config(seed=1)
         pts2 = draw_test_points(cfg2, m=2)
         t2 = run_replications(
             cfg2, [MethodSpec(method="np")], ns=[90],
-            test_points=pts2, n_rep=5, base_seed=1,
+            test_points=pts2, n_rep=5,
         )
         assert all(c.true_mse is None for c in t2.cells)
 
@@ -321,7 +320,7 @@ class TestReplicationHarness:
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=2) + 50.0  # far outside the data cloud
         spec = MethodSpec(method="npr", bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=0.05))
-        table = run_replications(cfg, [spec], ns=[80], test_points=pts, n_rep=6, base_seed=9)
+        table = run_replications(replace(cfg, seed=9), [spec], ns=[80], test_points=pts, n_rep=6)
         assert table.missing_rate == 1.0
         for cell in table.cells:
             assert cell.n_missing == 6
@@ -335,15 +334,15 @@ class TestReplicationHarness:
     def test_fit_failure_leaves_only_its_cells_missing(self, cfg, spec, failing_ns):
         pts = draw_test_points(cfg, m=2)
         npr = MethodSpec(method="npr")
-        kw = dict(ns=[30, 60], test_points=pts, n_rep=4, base_seed=5)
-        table = run_replications(cfg, [npr, spec], **kw)
+        kw = dict(ns=[30, 60], test_points=pts, n_rep=4)
+        table = run_replications(replace(cfg, seed=5), [npr, spec], **kw)
         for cell in table.cells:
             if cell.method == spec.label and cell.n in failing_ns:
                 assert cell.n_rep == 0 and cell.n_missing == 4
                 assert math.isnan(cell.emse)
             else:
                 assert cell.n_rep > 0
-        alone = run_replications(cfg, [npr], **kw)
+        alone = run_replications(replace(cfg, seed=5), [npr], **kw)
         assert [c for c in table.cells if c.method == npr.label] == list(alone.cells)
 
     def test_x0_only_column_is_a_one_row_run(self, monkeypatch):
@@ -357,7 +356,7 @@ class TestReplicationHarness:
         x0 = MethodSpec(method="nprt", reduction="pls", x0_only=True)
         fits = []
         monkeypatch.setattr(simulate, "fit", lambda *a, **k: fits.append(1) or fit(*a, **k))
-        kw = dict(ns=[400], n_rep=20, base_seed=3)
+        kw = dict(ns=[400], n_rep=20)
         table = run_replications(cfg, [full, x0], test_points=pts, **kw)
         assert len(fits) == 20
         alone = run_replications(cfg, [full], test_points=pts[:1], **kw)
@@ -376,16 +375,16 @@ class TestReplicationHarness:
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=2)
         rule, model_rule = undersmoothed_rule(), default_bandwidth_rule(cfg)
-        kw = dict(ns=[90], n_rep=4, base_seed=2)
-        table = run_replications(cfg, [MethodSpec(method="npr"),
+        run, kw = replace(cfg, seed=2), dict(ns=[90], n_rep=4)
+        table = run_replications(run, [MethodSpec(method="npr"),
                                        MethodSpec(method="npr", bandwidth_rule=rule, x0_only=True)],
                                  test_points=pts, ci_level=0.9, **kw)
         assert table.rules == {"NPR": model_rule, "NPR@X0": rule}
         assert table.ci_level == 0.9
-        named = run_replications(cfg, [MethodSpec(method="npr", bandwidth_rule=model_rule)],
+        named = run_replications(run, [MethodSpec(method="npr", bandwidth_rule=model_rule)],
                                  test_points=pts, ci_level=0.9, **kw)
         assert table.cells == named.cells
-        own = run_replications(cfg, [MethodSpec(method="npr", bandwidth_rule=rule)],
+        own = run_replications(run, [MethodSpec(method="npr", bandwidth_rule=rule)],
                                test_points=pts[:1], ci_level=0.9, **kw)
         np.testing.assert_array_equal(table.estimates[(0, 90, "NPR@X0")],
                                       own.estimates[(0, 90, "NPR")])
@@ -397,12 +396,12 @@ class TestReplicationHarness:
         with pytest.raises(ArgumentError):
             run_replications(
                 cfg, [MethodSpec(method="np"), MethodSpec(method="np")],
-                ns=[80], test_points=pts, n_rep=3, base_seed=1,
+                ns=[80], test_points=pts, n_rep=3,
             )
         with pytest.raises(ArgumentError):
             run_replications(
                 cfg, [MethodSpec(method="np")], ns=[1],
-                test_points=pts, n_rep=3, base_seed=1,
+                test_points=pts, n_rep=3,
             )
         with pytest.raises(ArgumentError):
             MethodSpec(method="nprt")  # needs a reduction choice
@@ -426,9 +425,10 @@ class TestReplicationHarness:
         pts[1] += 50.0  # far outside the data cloud: every replication missing
         rule = undersmoothed_rule()
         table = run_replications(
-            cfg, [MethodSpec(method="npr", bandwidth_rule=rule),
-                  MethodSpec(method="nprt", reduction="wrong_direction", bandwidth_rule=rule)],
-            ns=[100], test_points=pts, n_rep=8, base_seed=5,
+            replace(cfg, seed=5), [MethodSpec(method="npr", bandwidth_rule=rule),
+                                   MethodSpec(method="nprt", reduction="wrong_direction",
+                                              bandwidth_rule=rule)],
+            ns=[100], test_points=pts, n_rep=8,
         )
         assert table.intervals.keys() == table.estimates.keys()
         for key, eta in table.estimates.items():
@@ -458,19 +458,19 @@ class TestEquivalence:
     def test_consistent_estimate_decays(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        rows = equivalence_rows(cfg, [200, 1500], 40, 1.5 * b, "root_n_oracle", base_seed=5)
+        rows = equivalence_rows(replace(cfg, seed=5), [200, 1500], 40, 1.5 * b, "root_n_oracle")
         assert rows[1].median_stat < rows[0].median_stat
 
     def test_wrong_direction_does_not_decay(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        rows = equivalence_rows(cfg, [200, 1500], 40, 1.5 * b, "wrong_direction", base_seed=5)
+        rows = equivalence_rows(replace(cfg, seed=5), [200, 1500], 40, 1.5 * b, "wrong_direction")
         assert rows[1].median_stat >= rows[0].median_stat
 
     def test_rows_carry_bandwidth(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        rows = equivalence_rows(cfg, [100, 400], 3, b, rule=undersmoothed_rule(), base_seed=1)
+        rows = equivalence_rows(replace(cfg, seed=1), [100, 400], 3, b, rule=undersmoothed_rule())
         np.testing.assert_allclose(rows[0].h, 2.0 * 100.0**-0.3, rtol=1e-13)
         np.testing.assert_allclose(rows[1].h, 2.0 * 400.0**-0.3, rtol=1e-13)
 
@@ -478,20 +478,20 @@ class TestEquivalence:
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
         rule = undersmoothed_rule(constant=1.0)
-        rows = equivalence_rows(cfg, [100, 400], 3, b, "root_n_oracle", rule, base_seed=1)
+        rows = equivalence_rows(replace(cfg, seed=1), [100, 400], 3, b, "root_n_oracle", rule)
         assert [r.h for r in rows] == [bandwidth(rule, n=n, p=6, d=1) for n in (100, 400)]
 
     def test_threads_do_not_change_rows(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        runs = [equivalence_rows(cfg, [100, 300], 6, 1.5 * b, base_seed=2, n_threads=k)
+        runs = [equivalence_rows(replace(cfg, seed=2), [100, 300], 6, 1.5 * b, n_threads=k)
                 for k in (1, 2)]
         assert runs[0] == runs[1]
 
     def test_no_usable_replication_raises(self):
         cfg = Model1Config(seed=0)
         with pytest.raises(NumericError, match="n=100"):
-            equivalence_rows(cfg, [100], 3, 50.0 * np.ones(6), base_seed=1)
+            equivalence_rows(replace(cfg, seed=1), [100], 3, 50.0 * np.ones(6))
 
     def test_columns_at_two_rules_rejected(self):
         """The two columns' estimates at two bandwidths give no statistic:
@@ -501,8 +501,7 @@ class TestEquivalence:
         specs = [MethodSpec("npr", bandwidth_rule=npr_rule, x0_only=True),
                  MethodSpec("nprt", reduction="root_n_oracle", bandwidth_rule=nprt_rule,
                             x0_only=True)]
-        table = run_replications(cfg, specs, [200, 800], 1.5 * cfg.beta0[None, :], 20,
-                                 base_seed=0)
+        table = run_replications(cfg, specs, [200, 800], 1.5 * cfg.beta0[None, :], 20)
         with pytest.raises(ArgumentError) as err:
             equivalence_view(table)
         assert str(err.value) == (f"equivalence statistic needs both columns at one bandwidth "
@@ -514,8 +513,8 @@ class TestEquivalence:
         cfg = Model1Config(seed=0)
         with pytest.raises(ArgumentError, match="^equivalence statistic needs a bandwidth "
                            "set by n alone; bandwidth kind 'loocv' is chosen from the data$"):
-            equivalence_rows(cfg, [100], 3, np.ones(6), rule=BandwidthRule(
-                kind="loocv", cv_grid=(0.2, 0.4)), base_seed=1)
+            equivalence_rows(replace(cfg, seed=1), [100], 3, np.ones(6), rule=BandwidthRule(
+                kind="loocv", cv_grid=(0.2, 0.4)))
 
 
 class TestCoverage:
@@ -526,13 +525,13 @@ class TestCoverage:
         perp[0] = 1.0
         perp -= (perp @ b) * b
         perp /= np.linalg.norm(perp)
-        res = coverage(cfg, 1500, 200, 1.5 * b + 0.2 * perp, level=0.5, base_seed=7)
+        res = coverage(replace(cfg, seed=7), 1500, 200, 1.5 * b + 0.2 * perp, level=0.5)
         assert abs(res.coverage - 0.5) <= 0.1 and res.level == 0.5
 
     def test_degenerate_design_full_coverage(self):
         """Identically zero data gives zero-width intervals that still cover."""
         cfg = Model1Config(seed=0, sigma_signal=0.0, sigma_noise_cov=0.0, eps_sd=0.0)
-        res = coverage(cfg, 100, 30, np.zeros(6), level=0.95, base_seed=3)
+        res = coverage(replace(cfg, seed=3), 100, 30, np.zeros(6), level=0.95)
         assert res.coverage == 1.0
         assert res.truth == 0.0
         assert res.median_ci_width == 0.0
@@ -540,13 +539,13 @@ class TestCoverage:
     def test_threads_do_not_change_result(self):
         cfg = Model1Config(seed=0)
         b = np.ones(6) / np.sqrt(6.0)
-        runs = [coverage(cfg, 300, 6, 1.5 * b, base_seed=2, n_threads=k) for k in (1, 2)]
+        runs = [coverage(replace(cfg, seed=2), 300, 6, 1.5 * b, n_threads=k) for k in (1, 2)]
         assert runs[0] == runs[1]
 
     def test_no_usable_replication_raises(self):
         cfg = Model1Config(seed=0)
         with pytest.raises(NumericError, match="n=100"):
-            coverage(cfg, 100, 3, 50.0 * np.ones(6), base_seed=1)
+            coverage(replace(cfg, seed=1), 100, 3, 50.0 * np.ones(6))
 
     def test_bandwidth_regime_enforced(self):
         # exponent must undersmooth: inside (1/(2q+d), 1/d) = (0.2, 1.0) for q=2, d=1
