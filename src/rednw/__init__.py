@@ -15,7 +15,6 @@ from .errors import (
     ArgumentError,
     DataError,
     DegenerateFitError,
-    EmptyWindowError,
     NumericError,
     QuadratureError,
     RednwError,
@@ -51,7 +50,6 @@ from .npregress import (
     bandwidth,
     gaussian_quantile,
     nw_batch,
-    nw_estimate,
 )
 from .simulate import (
     CellStats,

@@ -157,14 +157,17 @@ def _write_matrix(path, matrix) -> None:
 
 
 def _read_basis(path) -> ReductionBasis:
-    """The --basis file, a basis's rows as `reduce` writes them; a missing or
-    empty file, or one that holds no basis, raises DataError naming it."""
+    """The --basis file, a basis's rows as `reduce` writes them; a missing
+    file, an empty one (or one of blank and `#` comment lines only), or one
+    that holds no basis raises DataError naming it."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"basis file not found: {path}")
     try:
-        lines = path.read_text().splitlines()  # a UnicodeDecodeError is a ValueError
-        if not any(line.strip() for line in lines):
+        # a UnicodeDecodeError is a ValueError
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # np.loadtxt drops what follows a '#', and warns on a file left empty
+        if not any(line.partition("#")[0].strip() for line in lines):
             raise DataError(f"{path}: basis file is empty")
         return oracle_basis(np.loadtxt(lines, delimiter=",", ndmin=2))
     except (ValueError, ArgumentError, NumericError) as exc:

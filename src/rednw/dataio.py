@@ -108,18 +108,22 @@ def sha256_file(path) -> str:
 @contextlib.contextmanager
 def _open_csv(path: Path, kind: str):
     """The stripped header of a CSV file, read by csv.reader, and the open
-    file positioned after it. A repeated column name raises DataError."""
+    file positioned after it. A repeated column name raises DataError, and so
+    does a byte that is not UTF-8, in the header or in any row read from fh."""
     if not path.exists():
         raise DataError(f"{kind} file not found: {path}")
-    with open(path, newline="") as fh:
-        try:
-            header = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, expected a header row") from None
-        repeated = next((name for k, name in enumerate(header) if name in header[:k]), None)
-        if repeated is not None:
-            raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
-        yield header, fh
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                header = [h.strip() for h in next(csv.reader(fh))]
+            except StopIteration:
+                raise DataError(f"{path}: file is empty, expected a header row") from None
+            repeated = next((name for k, name in enumerate(header) if name in header[:k]), None)
+            if repeated is not None:
+                raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
+            yield header, fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_row(path, i: int, header: list[str], raw: list[str]) -> list[float]:

@@ -41,7 +41,3 @@ class DegenerateFitError(NumericError):
 
 class AmbiguousRankError(NumericError):
     """Projection eigenvalues do not separate rank d from rank d+1."""
-
-
-class EmptyWindowError(NumericError):
-    """No sample mass inside the kernel window at the evaluation point."""

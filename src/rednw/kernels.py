@@ -179,21 +179,7 @@ class RadialKernel:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ArgumentError(f"kernel expects a vector of length {self.dim}, got shape {u.shape}")
-        s = float(np.linalg.norm(u))
-        if s > self.profile.support_radius:
-            return 0.0
-        return self.norm_const * float(self.profile.raw_profile(np.array([s]))[0])
-
-    def weights(self, t: NDArray[np.floating]) -> NDArray[np.floating]:
-        """Vectorized norm_const * k(t) for nonnegative radii t.
-
-        The profile runs over every radius in one pass; radii beyond the
-        support radius are then set to exactly 0, whatever the profile
-        returns there (a custom one may give NaN or inf)."""
-        t = np.asarray(t, dtype=float)
-        out = np.where(t <= self.profile.support_radius, self.profile.raw_profile(t), 0.0)
-        out *= self.norm_const
-        return out
+        return self.norm_const * float(self.profile_of_squares(np.array([u @ u]))[0])
 
     def profile_of_squares(self, u: NDArray[np.floating]) -> NDArray[np.floating]:
         """The profile k(sqrt(u)) at squared radii u, without norm_const,

@@ -71,12 +71,11 @@ import math
 from collections import abc
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ArgumentError, EmptyWindowError
+from .errors import ArgumentError
 from .kernels import RadialKernel
 from .reduction import _BLOCK_ENTRIES, ReductionBasis, all_finite, reduce as _reduce
 
@@ -607,7 +606,7 @@ def _nw_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.floa
         # variance needs no cancelling subtraction; einsum, not a BLAS
         # dot, which may split a long sum over threads
         for i in np.flatnonzero(redo).tolist():
-            wts = kernel.profile.raw_profile(np.abs(q[i] - w[lo[i]:hi[i]]) / h)
+            wts = kernel.profile_of_squares(((q[i] - w[lo[i]:hi[i]]) / h) ** 2)
             if loo:
                 wts[i - lo[i]] = 0.0
             d = Y[lo[i]:hi[i]] - Y[lo[i]]
@@ -748,18 +747,3 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
                      f"(effective mass {mass[i]:.3e})" if mass[i] < _MIN_EFFECTIVE_MASS else
                      f"degenerate density estimate {f_hats[i]:.3e} at w0={w0} with h={h:.6g}")
     return NWBatch(n, h, ok, mass, *cols, errors)
-
-
-def nw_estimate(config: NWConfig, basis: ReductionBasis,
-                X: NDArray[np.floating], Y: NDArray[np.floating],
-                x0: Sequence[float] | NDArray[np.floating]) -> NWFit:
-    """Plug-in estimate of E(Y | X = x0) through the fitted reduction.
-
-    Raises:
-        EmptyWindowError: no kernel mass at the reduced point (names the
-            reduced coordinate and the bandwidth).
-    """
-    res = nw_batch(config, basis, X, Y, np.asarray(x0, dtype=float).reshape(1, -1))[0]
-    if not res.ok:
-        raise EmptyWindowError(res.error)
-    return res.fit

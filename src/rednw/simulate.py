@@ -34,6 +34,10 @@ _ONE_DIRECTION = ("root_n_oracle", "wrong_direction")
 NPRT_REDUCTIONS = FIT_METHODS[1:] + _ONE_DIRECTION
 
 _MASK = (1 << 63) - 1
+# a beta0 whose norm lies within this times p of 1 counts as unit: a computed
+# length-p norm errs by at most about p eps / 2, so a vector normalised once
+# passes and is not normalised again
+_UNIT_RTOL = 4 * np.finfo(float).eps
 
 
 def _tag(name: str) -> int:
@@ -87,13 +91,17 @@ class Model1Config:
         if self.p < 1:
             raise ArgumentError(f"p must be >= 1, got {self.p}")
         b = np.ones(self.p) / math.sqrt(self.p) if self.beta0 is None \
-            else np.asarray(self.beta0, dtype=float).ravel()
+            else np.array(self.beta0, dtype=float).ravel()
         if b.shape != (self.p,):
             raise ArgumentError(f"beta0 must have length p={self.p}, got {b.shape}")
         nb = float(np.linalg.norm(b))
         if nb < 1e-12:
             raise ArgumentError("beta0 must be nonzero")
-        object.__setattr__(self, "beta0", b / nb)
+        # a vector already unit to rounding is kept, so normalising is
+        # idempotent and a config rebuilt from this one keeps beta0's bits
+        if abs(nb - 1.0) > _UNIT_RTOL * self.p:
+            b /= nb
+        object.__setattr__(self, "beta0", b)
         if self.sigma_signal < 0 or self.sigma_noise_cov < 0 or self.eps_sd < 0:
             raise ArgumentError("variance parameters must be >= 0")
 

@@ -1,4 +1,9 @@
-"""Shared pytest wiring: replay acceptance summary lines after capture ends."""
+"""Shared pytest wiring: replay acceptance summary lines after capture ends,
+and the reference kernel weights and one-point NW estimate the tests share."""
+
+import numpy as np
+
+from rednw.npregress import nw_batch
 
 ACCEPT_LINES: list[str] = []
 
@@ -9,3 +14,20 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPT_LINES:
         terminalreporter.write_line(line)
+
+
+def kernel_weights(kernel, t):
+    """Reference weights norm_const * k(t) at radii t, from the raw profile on
+    the radii themselves: exactly 0 beyond the support radius, whatever the
+    profile returns there."""
+    t = np.asarray(t, dtype=float)
+    R = kernel.profile.support_radius
+    return kernel.norm_const * np.where(t <= R, kernel.profile.raw_profile(t), 0.0)
+
+
+def nw_at(config, basis, X, Y, x0):
+    """``nw_batch`` at the one query point x0, whose row must have a fit:
+    the estimate is row 0 of the batch's columns."""
+    batch = nw_batch(config, basis, X, Y, np.atleast_2d(x0))
+    assert batch.ok[0], batch.errors[0]
+    return batch

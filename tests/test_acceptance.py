@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import ACCEPT_LINES
+from conftest import ACCEPT_LINES, kernel_weights, nw_at
 
 from rednw.cli import main as cli_main
 from rednw.dataio import recompute_cell_from_manifest
@@ -29,7 +29,6 @@ from rednw.npregress import (
     BandwidthRule,
     NWConfig,
     nw_batch,
-    nw_estimate,
 )
 from rednw.reduction import (
     ProjectionMatrix,
@@ -82,7 +81,7 @@ def _brute_force_nw(kernel, basis_matrix, X, Y, x0, h):
             for a in range(d)
         ]
         t = math.sqrt(sum((w0[a] - wi[a]) ** 2 for a in range(d))) / h
-        val = float(kernel.weights(np.array([t]))[0])
+        val = float(kernel_weights(kernel, np.array([t]))[0])
         num += val * Y[i]
         den += val
     return num / den
@@ -156,9 +155,9 @@ def test_c2_brute_force_equivalence():
         h = float(rng.uniform(1.5, 3.0))
         kern = make_kernel(builtin_profile("triweight_poly3"), d)
         cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
-        fit = nw_estimate(cfg, basis, X, Y, x0)
+        eta = nw_at(cfg, basis, X, Y, x0).eta_hat[0]
         expected = _brute_force_nw(kern, basis.matrix, X, Y, x0, h)
-        worst = max(worst, abs(fit.eta_hat - expected) / max(abs(expected), 1e-300))
+        worst = max(worst, abs(eta - expected) / max(abs(expected), 1e-300))
     ok = worst <= 1e-13
     _line("C2", "brute_force_equivalence", ok, f"worst rel err {worst:.2e} over 100 instances")
     assert worst <= 1e-13
@@ -175,13 +174,13 @@ def test_c3_rotation_invariance():
     kern = make_kernel(builtin_profile("triweight_poly3"), d)
     nwc = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=2.0))
     x0 = X.mean(axis=0)
-    ref = nw_estimate(nwc, basis, X, Y, x0).eta_hat
+    ref = nw_at(nwc, basis, X, Y, x0).eta_hat[0]
     worst = 0.0
     for _ in range(50):
         g = rng.standard_normal((d, d))
         a, _r = np.linalg.qr(g)
         rotated = ReductionBasis(matrix=a @ basis.matrix, method="oracle")
-        worst = max(worst, abs(nw_estimate(nwc, rotated, X, Y, x0).eta_hat - ref))
+        worst = max(worst, abs(nw_at(nwc, rotated, X, Y, x0).eta_hat[0] - ref))
     ok = worst <= 1e-12
     _line("C3", "rotation_invariance", ok, f"worst |diff| {worst:.2e} over 50 rotations")
     assert worst <= 1e-12

@@ -34,7 +34,8 @@ def test_smoke_matches_reference(workload):
 # the caller. A target that joins this list, nw_batch above all, leaves its
 # layer's metrics reading 0 without failing the run.
 UNTRACED = sorted(["simulate.pls_fit", "simulate.pfc_fit", "simulate.sir_fit",
-                   "dataio.pls_fit", "dataio.pfc_fit", "dataio.sir_fit", "dataio.oracle_basis"])
+                   "dataio.pls_fit", "dataio.pfc_fit", "dataio.sir_fit", "dataio.oracle_basis",
+                   "kernels.RadialKernel.weights"])
 
 
 def test_traced_fit_loocv_sees_the_batch_and_the_bandwidth_search():

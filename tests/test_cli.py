@@ -1088,3 +1088,47 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# each bad file's bytes, None for no file; the non-numeric cell sits in a
+# file of each flag's own layout
+BAD_FILES = {
+    "missing": None,
+    "empty": b"",
+    "not-utf8": b"\xff\xfe\x00\x01",
+    "comment-only": b"# only a comment\n",
+    "non-numeric": {"--input": b"a,b,y\n1.0,2.0,3.0\n1.0,x,3.0\n", "--test-csv": b"a,b\n1.0,x\n",
+                    "--basis": b"1.0,x\n"},
+}
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("flag", ["--input", "--test-csv", "--basis"])
+    @pytest.mark.parametrize("kind", list(BAD_FILES))
+    def test_one_error_line_naming_the_file(self, tmp_path, kind, flag):
+        """Exit 3 with one `error:` line naming the file, and no traceback or
+        warning on stderr, with every warning an error (a child process,
+        since pytest records warnings)."""
+        good = tmp_path / "good.csv"
+        rows = np.random.default_rng(0).standard_normal((20, 3))
+        write_table(good, ["a", "b", "y"], rows)
+        bad = tmp_path / "bad.csv"
+        content = BAD_FILES[kind]
+        if isinstance(content, dict):
+            content = content[flag]
+        if content is not None:
+            bad.write_bytes(content)
+        argv = {"--input": ["fit", "--input", str(bad), "--response", "y"],
+                "--test-csv": ["predict", "--input", str(good), "--response", "y",
+                               "--test-csv", str(bad)],
+                "--basis": ["fit", "--input", str(good), "--response", "y", "--basis", str(bad)]}
+        root = str(Path(rednw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rednw.cli", *argv[flag]],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(bad) in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr

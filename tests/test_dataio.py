@@ -230,6 +230,28 @@ class TestTestRows:
         assert "row 2" in str(exc.value)
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a DataError naming the file, in the
+    header or in a body row read long after it, for training and test rows."""
+
+    # (header, good row, row with a bad byte) of each loader's file
+    ROWS = {"train": (b"a,b,y\n", b"1.0,2.0,3.0\n", b"\xff,8.0,9.0\n"),
+            "test": (b"a,b\n", b"1.0,2.0\n", b"\xff,8.0\n")}
+
+    @pytest.mark.parametrize("loader", ["train", "test"])
+    @pytest.mark.parametrize("good_rows", [None, 2, 4000], ids=["whole-file", "row-3", "row-4001"])
+    def test_raises_data_error_naming_the_file(self, small_csv, tmp_path, loader, good_rows):
+        header, good, bad = self.ROWS[loader]
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfe\x00\x01" if good_rows is None
+                         else header + good * good_rows + bad)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            if loader == "train":
+                load_csv(path, response_col="y")
+            else:
+                load_test_rows(path, load_csv(small_csv, response_col="y"))
+
+
 def read_both_paths(path, transforms=()):
     """The body's matrix from the C-tokenized read, with the per-row parser
     made to fail so that a fallback cannot hide, and from the per-row read."""

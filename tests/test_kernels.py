@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import kernel_weights
+
 from rednw.errors import ArgumentError
 from rednw.kernels import (
     KernelProfile,
@@ -154,30 +156,33 @@ class TestEval:
             k.eval(np.zeros(3))
 
     def test_weights_match_eval_on_radii(self):
+        """K(u) from eval is norm_const times the profile at the squared
+        radius, which is the reference weight at the radius itself."""
         k = make_kernel(builtin_profile("triweight_poly3"), 2)
         t = np.array([0.0, 0.2, 0.7, 0.999, 1.0, 1.5])
         direct = np.array([k.eval(np.array([ti, 0.0])) for ti in t])
-        np.testing.assert_allclose(k.weights(t), direct, rtol=1e-14)
+        np.testing.assert_allclose(kernel_weights(k, t), direct, rtol=1e-14)
+        np.testing.assert_array_equal(k.norm_const * k.profile_of_squares(t * t), direct)
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("name,power", [("triweight_poly3", 3), ("biweight", 2),
                                             ("epanechnikov", 1), ("uniform", 0)])
     def test_weights_match_power_form(self, name, power, dim):
-        """One pass over all radii gives norm_const * (1 - t^2)^k inside the
-        support and exactly 0 from its edge on (beyond it for uniform)."""
+        """One pass over all squared radii gives norm_const * (1 - t^2)^k
+        inside the support and exactly 0 from its edge on (beyond it for uniform)."""
         k = make_kernel(builtin_profile(name), dim)
         r = k.profile.support_radius
         t = np.array([0.0, 0.1, 0.5, 0.9, 0.999, r, np.nextafter(r, np.inf), 2.0 * r, 10.0 * r])
         inside = t <= r
         ref = np.where(inside, k.norm_const * (1.0 - np.minimum(t * t, 1.0)) ** power, 0.0)
-        w = k.weights(t)
+        w = k.norm_const * k.profile_of_squares(t * t)
         np.testing.assert_allclose(w, ref, rtol=1e-15, atol=0.0)
         assert np.all(w[~inside] == 0.0)
         assert w[5] == (k.norm_const if power == 0 else 0.0)
 
     def test_weights_zero_where_custom_profile_is_nan(self):
-        """NaN beyond the support passes make_kernel's probe; weights must
-        still be exactly 0 there, not NaN."""
+        """NaN beyond the support passes make_kernel's probe; the profile of
+        squared radii, and eval, must still be exactly 0 there, not NaN."""
         prof = KernelProfile(
             name="custom",
             raw_profile=lambda t: np.where(t <= 1.0, 1.0 - t * t, np.nan),
@@ -185,9 +190,12 @@ class TestEval:
             smoothness_order=0,
         )
         k = make_kernel(prof, 1)
-        w = k.weights(np.array([0.0, 0.5, 1.0, np.nextafter(1.0, np.inf), 1.5, 10.0]))
+        t = np.array([0.0, 0.5, 1.0, np.nextafter(1.0, np.inf), 1.5, 10.0])
+        w = k.norm_const * k.profile_of_squares(t * t)
         np.testing.assert_allclose(w[:2], k.norm_const * np.array([1.0, 0.75]), rtol=1e-15)
         assert np.array_equal(w[2:], np.zeros(4))
+        assert np.array_equal(w, [k.eval(np.array([ti])) for ti in t])
+        np.testing.assert_array_equal(w, kernel_weights(k, t))
 
     def test_kernel_is_immutable(self):
         k = make_kernel(builtin_profile("uniform"), 1)

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import kernel_weights, nw_at
+
 from rednw import npregress, reduction, simulate
-from rednw.errors import ArgumentError, EmptyWindowError, RednwError
+from rednw.errors import ArgumentError, RednwError
 from rednw.kernels import BUILTIN_PROFILES, KernelProfile, builtin_profile, make_kernel
 from rednw.npregress import (
     _BLOCK_ENTRIES,
@@ -29,7 +31,6 @@ from rednw.npregress import (
     bandwidth,
     gaussian_quantile,
     nw_batch,
-    nw_estimate,
 )
 from rednw.reduction import ReductionBasis, oracle_basis, pfc_fit, pls_fit, reduce, sir_fit
 from rednw.simulate import (
@@ -65,7 +66,7 @@ def brute_force_nw(kernel, basis_matrix, X, Y, x0, h):
             for a in range(d)
         ]
         t = math.sqrt(sum((w0[a] - wi[a]) ** 2 for a in range(d))) / h
-        val = float(kernel.weights(np.array([t]))[0])
+        val = float(kernel_weights(kernel, np.array([t]))[0])
         num += val * Y[i]
         den += val
     return num / den
@@ -80,7 +81,7 @@ def dense_loocv(kernel, W, Y, grid):
     dists = np.linalg.norm(W[:, None, :] - W[None, :, :], axis=2)
     best_h, best_err, per_h = None, math.inf, {}
     for h in grid:
-        wts = kernel.weights(dists / h)
+        wts = kernel_weights(kernel, dists / h)
         np.fill_diagonal(wts, 0.0)
         mass = wts.sum(axis=1)
         ok = mass > 0
@@ -189,7 +190,7 @@ class TestBandwidth:
                     if j == i:
                         continue
                     t = abs(w[i, 0] - w[j, 0]) / hg
-                    val = float(TRIWEIGHT_1D.weights(np.array([t]))[0])
+                    val = float(kernel_weights(TRIWEIGHT_1D, np.array([t]))[0])
                     num += val * y[j]
                     den += val
                 total += (y[i] - num / den) ** 2 if den > 0 else float(np.var(y))
@@ -237,24 +238,24 @@ class TestPointEstimate:
     def test_constant_response(self):
         X = np.linspace(-0.5, 0.5, 9).reshape(-1, 1)
         Y = np.full(9, 3.7)
-        fit = nw_estimate(default_config(), oracle_basis([[1.0]]), X, Y, [0.0])
-        assert fit.eta_hat == 3.7
-        assert fit.sigma2_hat == 0.0
-        assert fit.ci_lo == fit.ci_hi == 3.7
+        fit = nw_at(default_config(), oracle_basis([[1.0]]), X, Y, [0.0])
+        assert fit.eta_hat[0] == 3.7
+        assert fit.sigma2_hat[0] == 0.0
+        assert fit.ci_lo[0] == fit.ci_hi[0] == 3.7
 
     def test_single_in_window_point(self):
         X = np.array([[0.0], [5.0], [-5.0], [7.0]])
         Y = np.array([2.5, 100.0, -100.0, 50.0])
-        fit = nw_estimate(default_config(), oracle_basis([[1.0]]), X, Y, [0.1])
-        assert fit.eta_hat == 2.5
+        fit = nw_at(default_config(), oracle_basis([[1.0]]), X, Y, [0.1])
+        assert fit.eta_hat[0] == 2.5
 
     def test_hand_dataset_matches_brute_force(self):
         X = np.array([[0.0], [0.3], [-0.4], [0.8], [-0.9]])
         Y = np.array([1.0, 2.0, -1.0, 0.5, 3.0])
         basis = oracle_basis([[1.0]])
-        fit = nw_estimate(default_config(), basis, X, Y, [0.1])
+        fit = nw_at(default_config(), basis, X, Y, [0.1])
         expected = brute_force_nw(TRIWEIGHT_1D, basis.matrix, X, Y, [0.1], 1.0)
-        np.testing.assert_allclose(fit.eta_hat, expected, rtol=1e-14)
+        np.testing.assert_allclose(fit.eta_hat[0], expected, rtol=1e-14)
 
     def test_random_instances_match_brute_force(self):
         """Vectorized path equals the direct double loop on small instances."""
@@ -271,9 +272,9 @@ class TestPointEstimate:
             h = float(rng.uniform(1.5, 3.0))
             kern = make_kernel(builtin_profile("triweight_poly3"), d)
             cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
-            fit = nw_estimate(cfg, basis, X, Y, x0)
+            fit = nw_at(cfg, basis, X, Y, x0)
             expected = brute_force_nw(kern, basis.matrix, X, Y, x0, h)
-            np.testing.assert_allclose(fit.eta_hat, expected, rtol=1e-13)
+            np.testing.assert_allclose(fit.eta_hat[0], expected, rtol=1e-13)
 
     def test_convexity_within_window(self):
         rng = np.random.default_rng(31)
@@ -281,10 +282,10 @@ class TestPointEstimate:
         Y = rng.uniform(-5.0, 5.0, size=60)
         basis = oracle_basis([[1.0, 0.0]])
         cfg = default_config()
-        fit = nw_estimate(cfg, basis, X, Y, [0.0, 0.0])
+        fit = nw_at(cfg, basis, X, Y, [0.0, 0.0])
         w = X[:, 0]
         inside = np.abs(w) < 1.0
-        assert Y[inside].min() <= fit.eta_hat <= Y[inside].max()
+        assert Y[inside].min() <= fit.eta_hat[0] <= Y[inside].max()
 
     def test_rotation_invariance(self):
         """Estimates depend on the span only: any orthogonal recombination matches."""
@@ -297,11 +298,11 @@ class TestPointEstimate:
         x0 = np.zeros(p)
         kern = make_kernel(builtin_profile("triweight_poly3"), d)
         cfg = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=2.0))
-        base = nw_estimate(cfg, basis, X, Y, x0)
+        base = nw_at(cfg, basis, X, Y, x0)
         for _ in range(10):
             a, _ = np.linalg.qr(rng.standard_normal((d, d)))
             rotated = ReductionBasis(matrix=a @ q.T, method="oracle")
-            fit = nw_estimate(cfg, rotated, X, Y, x0)
+            fit = nw_at(cfg, rotated, X, Y, x0)
             np.testing.assert_allclose(fit.eta_hat, base.eta_hat, atol=1e-12)
             np.testing.assert_allclose(fit.ci_lo, base.ci_lo, atol=1e-12)
 
@@ -311,9 +312,9 @@ class TestPointEstimate:
         Y = rng.standard_normal(40)
         basis = oracle_basis([[1.0]])
         cfg = default_config()
-        fit = nw_estimate(cfg, basis, X, Y, [0.0])
+        fit = nw_at(cfg, basis, X, Y, [0.0])
         perm = rng.permutation(40)
-        fit_p = nw_estimate(cfg, basis, X[perm], Y[perm], [0.0])
+        fit_p = nw_at(cfg, basis, X[perm], Y[perm], [0.0])
         np.testing.assert_allclose(fit_p.eta_hat, fit.eta_hat, rtol=1e-13)
 
     def test_ci_half_width_formula(self):
@@ -322,10 +323,10 @@ class TestPointEstimate:
         X = rng.uniform(-1.0, 1.0, size=(200, 1))
         Y = X[:, 0] ** 2 + 0.3 * rng.standard_normal(200)
         cfg = default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.4))
-        fit = nw_estimate(cfg, oracle_basis([[1.0]]), X, Y, [0.2])
+        fit = nw_at(cfg, oracle_basis([[1.0]]), X, Y, [0.2])
         z = gaussian_quantile(0.975)
         half = z * math.sqrt(
-            fit.sigma2_hat * TRIWEIGHT_1D.l2_const / (fit.n * fit.h_used * fit.f_hat)
+            fit.sigma2_hat[0] * TRIWEIGHT_1D.l2_const / (fit.n * fit.h * fit.f_hat[0])
         )
         np.testing.assert_allclose(fit.ci_hi - fit.eta_hat, half, rtol=1e-12)
         np.testing.assert_allclose(fit.eta_hat - fit.ci_lo, half, rtol=1e-12)
@@ -334,17 +335,17 @@ class TestPointEstimate:
         rng = np.random.default_rng(16)
         X = rng.uniform(-1.0, 1.0, size=(50, 1))
         Y = rng.standard_normal(50)
-        fit = nw_estimate(default_config(), oracle_basis([[1.0]]), X, Y, [0.0])
+        fit = nw_at(default_config(), oracle_basis([[1.0]]), X, Y, [0.0])
         np.testing.assert_allclose(
-            fit.f_hat, fit.effective_mass / (fit.n * fit.h_used), rtol=1e-14
+            fit.f_hat, fit.mass / (fit.n * fit.h), rtol=1e-14
         )
 
     def test_empty_window_names_point_and_bandwidth(self):
         X = np.array([[10.0], [11.0], [12.0]])
         Y = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(EmptyWindowError) as exc:
-            nw_estimate(default_config(), oracle_basis([[1.0]]), X, Y, [0.0])
-        msg = str(exc.value)
+        batch = nw_batch(default_config(), oracle_basis([[1.0]]), X, Y, [[0.0]])
+        assert not batch.ok[0] and np.isnan(batch.eta_hat[0])
+        msg = batch.errors[0]
         assert "h=" in msg and "w0=" in msg
 
     def test_nonsmooth_kernel_refused_by_default(self):
@@ -352,15 +353,15 @@ class TestPointEstimate:
         X = np.array([[0.0], [0.2], [-0.2], [0.4]])
         cfg = NWConfig(kernel=epan, bandwidth=BandwidthRule(kind="fixed", h_fixed=1.0))
         with pytest.raises(ArgumentError) as exc:
-            nw_estimate(cfg, oracle_basis([[1.0]]), X, np.ones(4), [0.0])
+            nw_at(cfg, oracle_basis([[1.0]]), X, np.ones(4), [0.0])
         assert "allow_nonsmooth_kernel" in str(exc.value)
         cfg_ok = NWConfig(
             kernel=epan,
             bandwidth=BandwidthRule(kind="fixed", h_fixed=1.0),
             allow_nonsmooth_kernel=True,
         )
-        fit = nw_estimate(cfg_ok, oracle_basis([[1.0]]), X, np.ones(4), [0.0])
-        assert fit.eta_hat == 1.0
+        fit = nw_at(cfg_ok, oracle_basis([[1.0]]), X, np.ones(4), [0.0])
+        assert fit.eta_hat[0] == 1.0
 
     def test_d_is_the_kernel_dimension(self):
         rule = BandwidthRule(kind="fixed", h_fixed=1.0)
@@ -372,7 +373,7 @@ class TestPointEstimate:
 
     def test_minimum_sample_size(self):
         with pytest.raises(ArgumentError):
-            nw_estimate(
+            nw_at(
                 default_config(),
                 oracle_basis([[1.0]]),
                 np.array([[0.0]]),
@@ -383,15 +384,16 @@ class TestPointEstimate:
 
 class TestBatch:
     def test_singleton_equals_point_call(self):
+        """A one-row batch's row, read as a PointResult, is its columns' row 0."""
         rng = np.random.default_rng(6)
         X = rng.uniform(-1.0, 1.0, size=(25, 1))
         Y = rng.standard_normal(25)
-        cfg = default_config()
-        basis = oracle_basis([[1.0]])
-        single = nw_estimate(cfg, basis, X, Y, [0.1])
-        batch = nw_batch(cfg, basis, X, Y, np.array([[0.1]]))
+        batch = nw_batch(default_config(), oracle_basis([[1.0]]), X, Y, np.array([[0.1]]))
         assert len(batch) == 1 and batch[0].ok
-        assert batch[0].fit == single
+        assert batch[0].fit == NWFit(
+            eta_hat=batch.eta_hat[0], f_hat=batch.f_hat[0], sigma2_hat=batch.sigma2_hat[0],
+            h_used=batch.h, n=batch.n, ci_lo=batch.ci_lo[0], ci_hi=batch.ci_hi[0],
+            effective_mass=batch.mass[0])
 
     def test_duplicated_rows_duplicated_fits(self):
         rng = np.random.default_rng(7)
@@ -493,7 +495,7 @@ class TestVarianceBands:
         s2 = []
         for rep in range(200):
             X, Y, _ = gen_model1(cfg_m, 4000, rng_stream=rep)
-            s2.append(nw_estimate(cfg, basis, X, Y, x0).sigma2_hat)
+            s2.append(nw_at(cfg, basis, X, Y, x0).sigma2_hat[0])
         assert 0.15 <= float(np.median(s2)) <= 0.35
 
     def test_ci_width_shrinks_with_n(self):
@@ -507,8 +509,8 @@ class TestVarianceBands:
             widths = []
             for rep in range(50):
                 X, Y, _ = gen_model1(cfg_m, n, rng_stream=1000 + rep)
-                fit = nw_estimate(cfg, basis, X, Y, x0)
-                widths.append(fit.ci_hi - fit.ci_lo)
+                fit = nw_at(cfg, basis, X, Y, x0)
+                widths.append(fit.ci_hi[0] - fit.ci_lo[0])
             med[n] = float(np.median(widths))
         assert med[4000] < med[1000] < med[250]
 
@@ -528,22 +530,17 @@ class TestShiftEquivariance:
         basis = oracle_basis([[1.0, 0.0]])
         cfg = default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.3))
         x0 = [0.2, 0.0]
-        base = nw_estimate(cfg, basis, X, Y, x0)
-        shifted = nw_estimate(cfg, basis, X, Y + 1e8, x0)
-        assert base.sigma2_hat > 0.01
+        base = nw_at(cfg, basis, X, Y, x0)
+        shifted = nw_at(cfg, basis, X, Y + 1e8, x0)
+        assert base.sigma2_hat[0] > 0.01
         np.testing.assert_allclose(shifted.eta_hat, base.eta_hat + 1e8, rtol=1e-14)
         np.testing.assert_allclose(shifted.sigma2_hat, base.sigma2_hat, rtol=1e-6)
         np.testing.assert_allclose(shifted.ci_hi - shifted.ci_lo, base.ci_hi - base.ci_lo,
                                    rtol=1e-6)
 
 
-def _call_entry(entry, cfg, basis, X, Y, x0):
-    if entry == "nw_estimate":
-        return nw_estimate(cfg, basis, X, Y, x0)
-    return nw_batch(cfg, basis, X, Y, np.atleast_2d(x0))
-
-
-ENTRIES = ("nw_estimate", "nw_batch")
+# each NW entry point, called at one query point x0
+ENTRIES = {"nw_batch": lambda cfg, basis, X, Y, x0: nw_batch(cfg, basis, X, Y, np.atleast_2d(x0))}
 
 
 class TestNonFiniteInputs:
@@ -561,18 +558,18 @@ class TestNonFiniteInputs:
     def test_nan_in_y(self, entry):
         self.Y[7] = np.nan
         with pytest.raises(ArgumentError, match="Y must be finite"):
-            _call_entry(entry, self.cfg, self.basis, self.X, self.Y, [0.0, 0.0])
+            ENTRIES[entry](self.cfg, self.basis, self.X, self.Y, [0.0, 0.0])
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_inf_in_zero_weight_column(self, entry):
         self.X[3, 1] = np.inf
         with pytest.raises(ArgumentError, match="not finite"):
-            _call_entry(entry, self.cfg, self.basis, self.X, self.Y, [0.0, 0.0])
+            ENTRIES[entry](self.cfg, self.basis, self.X, self.Y, [0.0, 0.0])
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_nan_in_query_point(self, entry):
         with pytest.raises(ArgumentError, match="query point 0"):
-            _call_entry(entry, self.cfg, self.basis, self.X, self.Y, [np.nan, 0.0])
+            ENTRIES[entry](self.cfg, self.basis, self.X, self.Y, [np.nan, 0.0])
 
     @pytest.mark.parametrize("entry", ["pls_fit", "pfc_fit", "sir_fit", "nw_batch"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -609,7 +606,8 @@ class TestNonFiniteInputs:
         # radius 0, while h^2 overflows the density
         cfg = dataclasses.replace(self.cfg_2d, bandwidth=BandwidthRule(kind="fixed", h_fixed=1e308))
         batch = nw_batch(cfg, oracle_basis(np.eye(2)), X, self.Y, X[:2])
-        np.testing.assert_allclose(batch.mass, 50.0 * cfg.kernel.weights(np.zeros(2)), rtol=1e-14)
+        np.testing.assert_allclose(batch.mass, 50.0 * kernel_weights(cfg.kernel, np.zeros(2)),
+                                   rtol=1e-14)
         assert all(batch.errors[i].startswith("degenerate density estimate 0.000e+00 at w0=")
                    for i in (0, 1))
 
@@ -619,7 +617,7 @@ class TestNonFiniteInputs:
         kernel = self.cfg_2d.kernel
         W = np.vstack([np.zeros((5, 2)), [[1.4e154, 0.0]]])
         mass = _nw_core(kernel, W, np.arange(6.0), np.zeros((1, 2)), 2e154)[0]
-        np.testing.assert_allclose(mass, kernel.weights(np.array([0.0] * 5 + [0.7])).sum(),
+        np.testing.assert_allclose(mass, kernel_weights(kernel, np.array([0.0] * 5 + [0.7])).sum(),
                                    rtol=1e-14)
 
 
@@ -708,7 +706,7 @@ class TestLoocvReference:
         expected, per_h = dense_loocv(kern, W, Y, grid)
         rule = BandwidthRule(kind="loocv", cv_grid=grid)
         assert bandwidth(rule, n=n, p=2, d=2, kernel=kern, W=W, Y=Y) == expected
-        k0 = kern.weights(np.zeros(1))[0]
+        k0 = kernel_weights(kern, np.zeros(1))[0]
         for h in grid:
             mass, pred, sigma2 = _nw_core(kern, W, Y, W, h, leave_one_out=True)
             ref_mass, ref_pred = per_h[h]
@@ -1038,7 +1036,7 @@ class TestBatchPrefix:
         assert batch.ok.all() and np.all(batch.sigma2_hat >= 0.0)
         # the direct centred variance, on responses shifted by one of the
         # window's own (exact for the 1e8 half, by Sterbenz)
-        wts = TRIWEIGHT_1D.weights(np.abs(q[:, None] - w[None, :]) / h)
+        wts = kernel_weights(TRIWEIGHT_1D, np.abs(q[:, None] - w[None, :]) / h)
         shift = Y[np.argmin(np.abs(q[:, None] - w[None, :]), axis=1)]
         Yc = Y[None, :] - shift[:, None]
         mean = np.sum(wts * Yc, axis=1) / wts.sum(axis=1)
@@ -1118,7 +1116,7 @@ class TestSupportEdge:
 def direct_sums(kernel, W, Y, w0, h):
     """One row's kernel mass, estimate and centred variance from the direct
     radii ||w0 - W_i|| / h, each sum taken exactly rounded (math.fsum)."""
-    wts = kernel.weights(np.linalg.norm((W - w0) / h, axis=1))
+    wts = kernel_weights(kernel, np.linalg.norm((W - w0) / h, axis=1))
     mass = math.fsum(wts)
     eta = math.fsum(wts * Y) / mass
     return mass, eta, math.fsum(wts * (Y - eta) ** 2) / mass
@@ -1143,7 +1141,7 @@ def chunks_with_mass(kernel, W, w0, h, m):
     """Indices of the sample chunks an m-row unsorted batch at d > 1 takes
     that hold kernel mass for the row at w0."""
     step = _BLOCK_ENTRIES // max(m, W.shape[1])
-    live = kernel.weights(np.linalg.norm((W - w0) / h, axis=1)) > 0
+    live = kernel_weights(kernel, np.linalg.norm((W - w0) / h, axis=1)) > 0
     return sorted({int(i) // step for i in np.flatnonzero(live)})
 
 
@@ -1223,7 +1221,7 @@ class TestFusedBlock:
     """A block forms squared radii (((q - w) / h)^2 at d = 1, the Gram form
     over h^2 at d > 1) and the profile on them, with norm_const applied to
     each row's mass once. Against the plain reference, direct float64 radii
-    and ``kernel.weights(t)`` (``direct_sums``), the sums agree within
+    and the raw profile on them (``direct_sums``), the sums agree within
     1e-13 relative, and support is decided by the direct test t <= R alone,
     also for samples at t = R and a few ulps either side of it."""
 

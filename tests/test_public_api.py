@@ -12,14 +12,14 @@ import rednw
 PUBLIC = [
     "AmbiguousRankError", "ArgumentError", "BUILTIN_PROFILES", "BandwidthRule", "CellStats",
     "ConditionReport", "CoverageResult", "DataError", "Dataset", "DegenerateFitError",
-    "EmptyWindowError", "EquivalenceRow", "KernelProfile", "METHODS", "MethodSpec",
+    "EquivalenceRow", "KernelProfile", "METHODS", "MethodSpec",
     "Model1Config", "Model2Config", "NWBatch", "NWConfig", "NWFit", "NumericError",
     "PointResult", "ProjectionMatrix", "QuadratureError", "RadialKernel", "RednwError",
     "ReductionBasis", "ReplicationTable", "RunManifest", "WorkflowResult", "bandwidth",
     "builtin_profile", "dataio", "default_bandwidth_rule", "draw_test_points", "emse",
     "errors", "estimate_density_data", "gaussian_quantile", "gen_model1", "gen_model2",
     "kernels", "load_csv", "load_test_rows", "make_kernel", "npregress", "nw_batch",
-    "nw_estimate", "oracle_basis", "pfc_fit", "pls_fit", "projection_to_basis",
+    "oracle_basis", "pfc_fit", "pls_fit", "projection_to_basis",
     "recompute_cell_from_manifest", "reduce", "reduction", "run_predict_workflow",
     "run_replications", "second_moment", "simulate", "simulation_plan_from_config",
     "sir_fit", "surface_area", "synthetic_shellfish", "undersmoothed_rule",

@@ -56,6 +56,21 @@ class TestModel1Generator:
         b = np.ones(6) / np.sqrt(6.0)
         np.testing.assert_allclose(truth(x), float(b @ x) ** 2, rtol=1e-12)
 
+    @pytest.mark.parametrize("p", range(1, 30))
+    def test_beta0_normalised_once(self, p):
+        """A config rebuilt by ``replace`` keeps beta0 bit for bit, for the
+        default direction and for random ones of any scale; beta0 is unit."""
+        rng = np.random.default_rng(p)
+        for beta0 in [None] + [rng.standard_normal(p) * 10.0 ** rng.uniform(-3, 3)
+                               for _ in range(50)]:
+            cfg = Model1Config(p=p, beta0=beta0)
+            assert abs(np.linalg.norm(cfg.beta0) - 1.0) <= 4 * p * np.finfo(float).eps
+            for again in (replace(cfg), replace(cfg, seed=7), replace(replace(cfg, seed=7))):
+                assert np.array_equal(again.beta0, cfg.beta0)
+
+    def test_default_beta0_keeps_its_bits_at_p6(self):
+        assert np.array_equal(Model1Config().beta0, np.ones(6) / math.sqrt(6))
+
     def test_stream_determinism(self):
         cfg = Model1Config(seed=9)
         X1, Y1, _ = gen_model1(cfg, 50, rng_stream=3)
