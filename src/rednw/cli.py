@@ -357,7 +357,7 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     if plan.n_rep >= 10:
         n_max = max(plan.ns)
         for j in range(plan.test_points.shape[0]):
-            ests = {lab: table.estimates[(j, n_max, lab)] for lab in table.methods}
+            ests = {lab: table.replicates(j, n_max, lab)[:, 0] for lab in table.methods}
             blocks = [(lab, v[~np.isnan(v)]) for lab, v in ests.items()]
             blocks = [(lab, v) for lab, v in blocks if v.size >= 10]
             if not blocks:

@@ -290,8 +290,17 @@ def _gram_sq(W: NDArray[np.floating], h: float, gram: tuple) -> NDArray[np.float
     Wc = W - mu
     ss = np.einsum("ij,ij->i", Wc, Wc)
     # a BLAS product: the replication pool caps OpenBLAS at one thread per
-    # worker, and its threads split rows and columns, never a dot product
-    d2 = Q @ Wc.T
+    # worker, and its threads split rows and columns, never a dot product.
+    # A one-row or one-column product would go to gemv, which rounds an
+    # entry differently from gemm; the lone row or column is doubled, so a
+    # row's cross terms do not move with the rows sharing its block or the
+    # samples in its chunk
+    m, c = Q.shape[0], Wc.shape[0]
+    if m > 1 and c > 1:
+        d2 = Q @ Wc.T
+    else:
+        d2 = np.ascontiguousarray((np.repeat(Q, 2 if m == 1 else 1, axis=0)
+                                   @ np.repeat(Wc, 2 if c == 1 else 1, axis=0).T)[:m, :c])
     del Wc
     dev = np.add.outer(qq, ss)
     d2 += dev

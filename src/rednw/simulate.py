@@ -38,6 +38,9 @@ _MASK = (1 << 63) - 1
 # length-p norm errs by at most about p eps / 2, so a vector normalised once
 # passes and is not normalised again
 _UNIT_RTOL = 4 * np.finfo(float).eps
+# model 2's S, shipped as _data/model2_s.csv, is
+# np.random.default_rng(MODEL2_S_SEED).standard_normal((20, 20))
+MODEL2_S_SEED = 31415926
 
 
 def _tag(name: str) -> int:
@@ -64,6 +67,14 @@ def _psd_sqrt(m: NDArray[np.floating]) -> NDArray[np.floating]:
     if vals[0] < -1e-10 * max(abs(vals[-1]), 1.0):
         raise NumericError(f"covariance has negative eigenvalue {vals[0]:.3e}")
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def _unit(b: NDArray[np.floating]) -> NDArray[np.floating]:
+    # b / norm(b) for a finite nonzero b, without the norm's overflow or
+    # underflow: scaling by the power of two that brings max|b| into [0.5, 1)
+    # is exact, so the bits are the direct quotient's wherever that is finite
+    u = np.ldexp(b, -np.frexp(np.max(np.abs(b)))[1])
+    return u / np.linalg.norm(u)
 
 
 def _default_s_matrix() -> NDArray[np.floating]:
@@ -94,16 +105,17 @@ class Model1Config:
             else np.array(self.beta0, dtype=float).ravel()
         if b.shape != (self.p,):
             raise ArgumentError(f"beta0 must have length p={self.p}, got {b.shape}")
-        nb = float(np.linalg.norm(b))
-        if nb < 1e-12:
-            raise ArgumentError("beta0 must be nonzero")
+        if not (np.all(np.isfinite(b)) and np.any(b)):
+            raise ArgumentError(f"beta0 must be finite and nonzero, got {b}")
         # a vector already unit to rounding is kept, so normalising is
-        # idempotent and a config rebuilt from this one keeps beta0's bits
-        if abs(nb - 1.0) > _UNIT_RTOL * self.p:
-            b /= nb
+        # idempotent and a config rebuilt from this one keeps beta0's bits;
+        # hypot neither overflows nor underflows
+        if abs(math.hypot(*b) - 1.0) > _UNIT_RTOL * self.p:
+            b = _unit(b)
         object.__setattr__(self, "beta0", b)
-        if self.sigma_signal < 0 or self.sigma_noise_cov < 0 or self.eps_sd < 0:
-            raise ArgumentError("variance parameters must be >= 0")
+        for name in ("sigma_signal", "sigma_noise_cov", "eps_sd"):
+            if not 0 <= (v := getattr(self, name)) < math.inf:
+                raise ArgumentError(f"{name} must be finite and >= 0, got {v}")
 
     def covariance(self) -> NDArray[np.floating]:
         bb = np.outer(self.beta0, self.beta0)
@@ -123,8 +135,8 @@ class Model2Config:
     """Inverse regression design: Y ~ N(0, y_sd^2), X | Y=y ~ N(nu_y, Delta).
 
     nu_y = A * (f_{y,1} + f_{y,2}) with f_y = (y - EY, |y| - E|Y|) centered
-    at the population, Delta = delta_scale * S S' for a fixed S drawn once
-    at the recorded s_seed and shipped as package data.
+    at the population, Delta = delta_scale * S S', by default for the S
+    drawn once at MODEL2_S_SEED and shipped as package data.
     """
 
     p: int = 20
@@ -132,26 +144,33 @@ class Model2Config:
     A: NDArray[np.floating] | None = None
     delta_scale: float = 0.1
     S: NDArray[np.floating] | None = None
-    s_seed: int = 31415926
     seed: int = 0
 
     def __post_init__(self):
         if self.p < 1:
             raise ArgumentError(f"p must be >= 1, got {self.p}")
         if self.A is None:
+            if self.p < 4:
+                raise ArgumentError(f"the default A needs p >= 4, got p={self.p}")
             a = np.zeros(self.p)
             a[:4] = [0.5, 0.5, -0.5, -0.5]
         else:
             a = np.asarray(self.A, dtype=float).ravel()
         if a.shape != (self.p,):
             raise ArgumentError(f"A must have length p={self.p}, got {a.shape}")
+        if not (np.all(np.isfinite(a)) and np.any(a)):
+            raise ArgumentError(f"A must be finite and nonzero, got {a}")
         object.__setattr__(self, "A", a)
         s = _default_s_matrix() if self.S is None else np.asarray(self.S, dtype=float)
         if s.shape != (self.p, self.p):
             raise ArgumentError(f"S must be {self.p}x{self.p}, got {s.shape}")
+        if not np.all(np.isfinite(s)):
+            raise ArgumentError("S must be finite")
         object.__setattr__(self, "S", s)
-        if not self.delta_scale > 0:
-            raise ArgumentError(f"delta_scale must be > 0, got {self.delta_scale}")
+        if not 0 <= self.y_sd < math.inf:
+            raise ArgumentError(f"y_sd must be finite and >= 0, got {self.y_sd}")
+        if not 0 < self.delta_scale < math.inf:
+            raise ArgumentError(f"delta_scale must be finite and > 0, got {self.delta_scale}")
         cond = float(np.linalg.cond(self.delta))
         if cond > 1e12:
             raise ArgumentError(f"Delta condition number {cond:.3e} exceeds 1e12; choose a better S")
@@ -166,8 +185,7 @@ class Model2Config:
 
     @cached_property
     def beta_pop(self) -> NDArray[np.floating]:
-        b = np.linalg.solve(self.delta, self.A)
-        return b / float(np.linalg.norm(b))
+        return _unit(np.linalg.solve(self.delta, self.A))
 
     @cached_property
     def _x_factor(self) -> NDArray[np.floating]:
@@ -245,6 +263,7 @@ def _pfc_features(y: NDArray[np.floating]) -> NDArray[np.floating]:
 
 # pfc gives at most r directions, r the number of columns of _pfc_features
 PFC_MAX_D = 2
+_X0_SUFFIX = "@X0"  # an x0-only column's label suffix
 
 
 @dataclass(frozen=True)
@@ -278,7 +297,7 @@ class MethodSpec:
 
     @property
     def label(self) -> str:
-        return self.method.upper() + ("@X0" if self.x0_only else "")
+        return self.method.upper() + (_X0_SUFFIX if self.x0_only else "")
 
 
 def emse(estimates: Sequence[float] | NDArray[np.floating]) -> float:
@@ -311,16 +330,17 @@ class ReplicationTable:
     cells: tuple[CellStats, ...]
     test_points: NDArray[np.floating]
     ns: tuple[int, ...]
-    methods: tuple[str, ...]
-    n_rep: int
-    # raw per-replication estimates keyed (point_id, n, method), NaN for
-    # missing, and under the same keys n_rep x 2 arrays of (ci_lo, ci_hi);
-    # an x0_only column has point 0 alone, and no cells; each label's resolved
-    # bandwidth rule, x0_only columns included, and the intervals' level
-    estimates: dict
-    intervals: dict
-    rules: dict
-    ci_level: float
+    labels: tuple[str, ...]  # every column, x0-only ones included, in run order
+    # read-only (len(ns), n_rep, len(labels), len(test_points), 3): each rep's
+    # (eta_hat, ci_lo, ci_hi), NaN where it failed or past an x0-only point 0
+    values: NDArray[np.floating]
+    rules: dict  # each label's resolved bandwidth rule
+    ci_level: float  # the intervals' level
+
+    @property
+    def methods(self) -> tuple[str, ...]:
+        """The labels of the columns with cells: all but the x0-only ones."""
+        return tuple(lab for lab in self.labels if not lab.endswith(_X0_SUFFIX))
 
     @property
     def missing_rate(self) -> float:
@@ -332,6 +352,13 @@ class ReplicationTable:
             if (c.point_id, c.n, c.method) == (point_id, n, method.upper()):
                 return c
         raise ArgumentError(f"no cell for point={point_id}, n={n}, method={method!r}")
+
+    def replicates(self, point_id: int, n: int, label: str) -> NDArray[np.floating]:
+        """The (n_rep, 3) view of ``values`` at one point, n and column."""
+        m = self.test_points.shape[0] if label in self.methods else 1
+        if n not in self.ns or label not in self.labels or not 0 <= point_id < m:
+            raise ArgumentError(f"no replicates for point={point_id}, n={n}, label={label!r}")
+        return self.values[self.ns.index(n), :, self.labels.index(label), point_id]
 
 
 def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int) -> ReductionBasis:
@@ -350,18 +377,16 @@ def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int) -> ReductionBasis:
     return fit(spec.reduction, X, Y, spec.d, fy=_pfc_features)
 
 
-def _one_rep(cfg, methods, test_points, configs: dict, fixed: dict,
-             task: tuple[int, int]) -> tuple[tuple[int, int], dict]:
-    n, rep = task
+def _one_rep(cfg, methods, test_points, configs: dict, fixed: dict, task) -> None:
+    # task is (slot, n, rep), slot the NaN-filled part of values no other task writes
+    slot, n, rep = task
     gen = gen_model1 if isinstance(cfg, Model1Config) else gen_model2
     X, Y, _ = gen(cfg, n, rng_stream=rep)
-    bases, out = {}, {}
-    for spec in methods:
+    bases = {}
+    for spec, out in zip(methods, slot):
         # x0 alone in a one-row batch: X0 is projected by one BLAS product,
         # and row 0 of a larger product can differ in the last bit
         points = test_points[:1] if spec.x0_only else test_points
-        # (eta_hat, ci_lo, ci_hi) per test point, NaN where it failed
-        out[spec.label] = np.full((points.shape[0], 3), np.nan)
         key = (spec.method, spec.reduction, spec.d)
         with contextlib.suppress(RednwError):
             if key not in bases:
@@ -369,8 +394,7 @@ def _one_rep(cfg, methods, test_points, configs: dict, fixed: dict,
                 bases[key] = fixed.get(spec.label) or _fit_basis(spec, cfg, X, Y, rep)
             if bases[key] is not None:
                 batch = nw_batch(configs[spec.label], bases[key], X, Y, points)
-                out[spec.label] = np.column_stack((batch.eta_hat, batch.ci_lo, batch.ci_hi))
-    return task, out
+                out[:len(points)] = np.column_stack((batch.eta_hat, batch.ci_lo, batch.ci_hi))
 
 
 def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
@@ -383,7 +407,7 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     sample variance, and mean per (point, n, method). Empty windows and
     failed fits become missing entries with counts. The table also keeps
     every replication's estimate and its ci_level confidence interval
-    (``estimates``, ``intervals``), and each column's bandwidth rule
+    (``values``, read by ``replicates``), and each column's bandwidth rule
     (``rules``). Results are identical for any n_threads.
 
     Args:
@@ -399,6 +423,8 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     ns = [int(n) for n in ns]
     if not ns or any(n < 2 for n in ns):
         raise ArgumentError(f"sample sizes must all be >= 2, got {ns}")
+    if len(set(ns)) != len(ns):
+        raise ArgumentError(f"duplicate sample sizes {ns}")
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
     if test_points.shape[1] != cfg.p:
         raise ArgumentError(f"test points have {test_points.shape[1]} columns, model has p={cfg.p}")
@@ -415,31 +441,26 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     fixed = {m.label: _fit_basis(m, cfg, None, None, 0) for m in methods
              if m.method in ("np", "npr") or m.reduction == "wrong_direction"}
 
-    tasks = [(n, rep) for n in ns for rep in range(n_rep)]
+    values = np.full((len(ns), n_rep, len(methods), test_points.shape[0], 3), np.nan)
+    tasks = [(values[i, rep], n, rep) for i, n in enumerate(ns) for rep in range(n_rep)]
     keep_freed_memory()  # every replication frees and redraws arrays of a few MB
     work = partial(_one_rep, cfg, methods, test_points, configs, fixed)
     if n_threads > 1:
         with blas_threads_per_worker(n_threads), ThreadPoolExecutor(max_workers=n_threads) as ex:
-            results = dict(ex.map(work, tasks))
+            list(ex.map(work, tasks))  # raises what a task raised
     else:
-        results = dict(map(work, tasks))
+        list(map(work, tasks))
+    values.flags.writeable = False
 
     truths = cfg.truth(test_points) if isinstance(cfg, Model1Config) else None
     cells = []
-    kept, intervals = {}, {}
-    full = [m.label for m in methods if not m.x0_only]
+    full = [k for k, m in enumerate(methods) if not m.x0_only]
     for j in range(test_points.shape[0]):
-        for n in ns:
-            for lab in labels if j == 0 else full:
-                # fixed (n, rep, point) aggregation order keeps cells bit-stable
-                reps = np.array([results[(n, rep)][lab][j] for rep in range(n_rep)])
-                v = reps[:, 0]
-                kept[(j, n, lab)] = v.copy()
-                intervals[(j, n, lab)] = reps[:, 1:]
-                if lab not in full:
-                    continue
+        for i, n in enumerate(ns):
+            for k in full:
+                # a 1-d array in rep order: a fixed order keeps cells bit-stable
+                v = values[i, :, k, j, 0]
                 good = v[~np.isnan(v)]
-                n_missing = int(np.isnan(v).sum())
                 if good.size:
                     cell_emse = emse(good)
                     variance = float(np.var(good, ddof=1)) if good.size > 1 else 0.0
@@ -447,14 +468,12 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
                     t_mse = float(np.mean((good - truths[j]) ** 2)) if truths is not None else None
                 else:
                     cell_emse, variance, mean_est, t_mse = math.nan, math.nan, math.nan, None
-                cells.append(CellStats(point_id=j, n=n, method=lab, emse=cell_emse,
+                cells.append(CellStats(point_id=j, n=n, method=labels[k], emse=cell_emse,
                                        variance=variance, mean_estimate=mean_est,
-                                       n_rep=int(good.size), n_missing=n_missing,
+                                       n_rep=int(good.size), n_missing=n_rep - good.size,
                                        true_mse=t_mse))
-    return ReplicationTable(cells=tuple(cells), test_points=test_points,
-                            ns=tuple(ns), methods=tuple(full),
-                            n_rep=n_rep, estimates=kept,
-                            intervals=intervals, rules=rules, ci_level=ci_level)
+    return ReplicationTable(cells=tuple(cells), test_points=test_points, ns=tuple(ns),
+                            labels=tuple(labels), values=values, rules=rules, ci_level=ci_level)
 
 
 def oracle_specs(reduction: str = "pls", bandwidth_rule: BandwidthRule | None = None) -> tuple:
@@ -492,12 +511,12 @@ def equivalence_view(table: ReplicationTable) -> list[EquivalenceRow]:
     rows = []
     for n in table.ns:
         h = bandwidth(rule, n=n, p=table.test_points.shape[1], d=1)
-        gap = np.abs(table.estimates[(0, n, nprt)] - table.estimates[(0, n, npr)])
+        gap = np.abs(table.replicates(0, n, nprt)[:, 0] - table.replicates(0, n, npr)[:, 0])
         stats = math.sqrt(n * h) * gap[~np.isnan(gap)]
         if not stats.size:
             raise NumericError(f"every replication at n={n} hit an empty window")
         rows.append(EquivalenceRow(n=n, h=h, median_stat=float(np.median(stats)),
-                                   n_used=stats.size, n_missing=table.n_rep - stats.size))
+                                   n_used=stats.size, n_missing=gap.size - stats.size))
     return rows
 
 
@@ -516,14 +535,14 @@ def coverage_view(table: ReplicationTable, cfg: Model1Config, n: int) -> Coverag
     """Fraction of replications at n whose CI, from the table's NPR column of
     ``oracle_specs`` at the table's ``ci_level``, covers the true eta(x0). The
     CLT's bias condition needs an undersmoothing rule, ``undersmoothed_rule``."""
-    ci = table.intervals[(0, n, oracle_specs()[0].label)]
+    ci = table.replicates(0, n, oracle_specs()[0].label)[:, 1:]
     ci_lo, ci_hi = ci[~np.isnan(ci[:, 0])].T
     if not ci_lo.size:
         raise NumericError(f"every replication at n={n} hit an empty window")
     truth = float(cfg.truth(table.test_points[0]))
     covered = int(np.sum((ci_lo <= truth) & (truth <= ci_hi)))
     return CoverageResult(coverage=covered / ci_lo.size, level=table.ci_level, n=n,
-                          n_used=ci_lo.size, n_excluded=table.n_rep - ci_lo.size, truth=truth,
+                          n_used=ci_lo.size, n_excluded=len(ci) - ci_lo.size, truth=truth,
                           median_ci_width=float(np.median(ci_hi - ci_lo)))
 
 

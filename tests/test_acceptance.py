@@ -424,7 +424,7 @@ def test_c11_estimated_reduction_coverage():
         spec = MethodSpec(method="nprt", reduction=reduction, bandwidth_rule=undersmoothed_rule())
         table = run_replications(cfg, [spec], ns=[4000], test_points=x0[None, :], n_rep=500,
                                  n_threads=2)
-        ci_lo, ci_hi = table.intervals[(0, 4000, "NPRT")].T
+        ci_lo, ci_hi = table.replicates(0, 4000, "NPRT")[:, 1:].T
         kept = ~np.isnan(ci_lo)
         excluded += int(np.sum(~kept))
         coverage[reduction] = float(np.mean((ci_lo[kept] <= truth) & (truth <= ci_hi[kept])))

@@ -406,6 +406,17 @@ class TestFitPredict:
         assert "bandwidth h_fixed must be finite" in err
         assert not (tmp_path / "sim").exists()
 
+    def test_simulate_duplicate_sample_sizes_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--model", "1", "--ns", "60,60", "--nrep", "2", "--points", "1",
+             "--out", str(tmp_path / "sim")],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "duplicate sample sizes [60, 60]" in err
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("h, f_hat", [("1e200", "0.000e+00"), ("1e-200", "inf")])
     def test_bandwidth_power_outside_float_range(self, shellfish_csv, capsys, h, f_hat):
         # with --method np, h**4 leaves the float range; each row says so

@@ -1,6 +1,7 @@
 """Tests for the plug-in kernel regression estimator and its intervals."""
 
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -1430,7 +1431,21 @@ def _far_rows_instance():
     return cfg, _oracle(2, 2), X, np.ones(17), X0
 
 
-FIELDS = ("eta_hat", "f_hat", "sigma2_hat", "ci_lo", "ci_hi", "effective_mass")
+def _lone_row_instance():
+    """A sorted batch whose query 0 has one sample in its window, at
+    t^2 = 0.99564, whose weight magnifies a difference in t^2 about
+    700-fold: its one-row call must form the Gram cross term as the
+    32-row block does (gemm, not gemv), to the last bit."""
+    X = np.zeros((22, 2))
+    X[0, 0], X[1, 1] = 0.8984375, -0.5
+    X0 = np.zeros((_SORT_MIN_QUERIES, 2))
+    X0[0, 1] = -0.7416592284375627
+    cfg = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 2),
+                   bandwidth=BandwidthRule(kind="fixed", h_fixed=0.2421875))
+    return cfg, _oracle(2, 2), X, np.ones(22), X0
+
+
+FIELDS =("eta_hat", "f_hat", "sigma2_hat", "ci_lo", "ci_hi", "effective_mass")
 
 
 def _fields(results):
@@ -1495,13 +1510,12 @@ def _batch_case(name):
 
 
 def _one_rep_by_rows(cfg, methods, test_points, configs, fixed, task):
-    """The harness's replication as it was when it read nw_batch row by row."""
-    n, rep = task
+    """The harness's replication as it was when it read nw_batch row by row,
+    writing its NaN-filled slot of the run's values."""
+    slot, n, rep = task
     gen = simulate.gen_model1 if isinstance(cfg, Model1Config) else simulate.gen_model2
     X, Y, _ = gen(cfg, n, rng_stream=rep)
-    out = {}
-    for spec in methods:
-        est = np.full((test_points.shape[0], 3), np.nan)
+    for spec, est in zip(methods, slot):
         try:
             basis = fixed.get(spec.label) or simulate._fit_basis(spec, cfg, X, Y, rep)
             for res in nw_batch(configs[spec.label], basis, X, Y, test_points):
@@ -1509,8 +1523,6 @@ def _one_rep_by_rows(cfg, methods, test_points, configs, fixed, task):
                     est[res.index] = (res.fit.eta_hat, res.fit.ci_lo, res.fit.ci_hi)
         except RednwError:
             pass
-        out[spec.label] = est
-    return task, out
 
 
 class TestNWBatch:
@@ -1596,9 +1608,9 @@ class TestNWBatch:
         ref = run_replications(dataclasses.replace(cfg, seed=9), methods, **kw)
         assert repr(table.cells) == repr(ref.cells)
         assert any(c.n_missing for c in ref.cells)
-        for key, v in ref.estimates.items():
-            np.testing.assert_array_equal(table.estimates[key], v)
-            np.testing.assert_array_equal(table.intervals[key], ref.intervals[key])
+        for j, n, m in itertools.product(range(4), ns, methods):
+            np.testing.assert_array_equal(table.replicates(j, n, m.label),
+                                          ref.replicates(j, n, m.label))
 
 
 class TestProperties:
@@ -1664,6 +1676,7 @@ class TestProperties:
     @given(inst=nw_instances(min_queries=_SORT_MIN_QUERIES, y_range=(1.0, 2.0)))
     @example(inst=_near_edge_instance())
     @example(inst=_far_rows_instance())
+    @example(inst=_lone_row_instance())
     def test_sorted_batch_matches_rows_one_at_a_time(self, inst):
         cfg, basis, X, Y, X0 = inst
         batch = nw_batch(cfg, basis, X, Y, X0)

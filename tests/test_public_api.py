@@ -39,6 +39,10 @@ SETTABLE = {
     rednw.ProjectionMatrix: ["matrix"],
     rednw.dataio.SimulationPlan: ["model_cfg", "methods", "ns", "n_rep", "test_points",
                                   "equivalence", "coverage", "coverage_level"],
+    rednw.ReplicationTable: ["cells", "test_points", "ns", "labels", "values", "rules",
+                             "ci_level"],
+    rednw.Model1Config: ["p", "beta0", "sigma_signal", "sigma_noise_cov", "eps_sd", "seed"],
+    rednw.Model2Config: ["p", "y_sd", "A", "delta_scale", "S", "seed"],
 }
 PARAMETERS = {
     rednw.run_replications: ["cfg", "methods", "ns", "test_points", "n_rep", "n_threads",

@@ -3,8 +3,10 @@
 import ctypes
 import math
 import os
+import re
 import resource
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -149,8 +151,8 @@ class TestModel2Generator:
     def test_packaged_s_matrix_regenerates(self):
         """The stored scatter matrix is exactly the draw from its recorded seed."""
         cfg = Model2Config(seed=0)
-        regen = np.random.default_rng(cfg.s_seed).standard_normal((20, 20))
-        assert np.array_equal(cfg.S if cfg.S is not None else regen, regen)
+        regen = np.random.default_rng(simulate.MODEL2_S_SEED).standard_normal((20, 20))
+        assert np.array_equal(cfg.S, regen)
         # delta built from it is well-conditioned but far from spherical
         cond = float(np.linalg.cond(cfg.delta))
         assert 1e2 < cond < 1e12
@@ -201,6 +203,42 @@ class TestModel2Generator:
         cfg = Model2Config(seed=0)
         _, Y, _ = gen_model2(cfg, 50_000, rng_stream=5)
         assert abs(float(Y.std()) - 5.0) <= 0.1
+
+
+class TestConfigInput:
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (Model1Config, dict(p=3, beta0=[math.nan, 1.0, 0.0]), "beta0 must be finite and nonzero"),
+        (Model1Config, dict(p=3, beta0=[math.inf, 1.0, 0.0]), "beta0 must be finite and nonzero"),
+        (Model1Config, dict(p=3, beta0=[0.0, 0.0, 0.0]), "beta0 must be finite and nonzero"),
+        (Model1Config, dict(sigma_signal=math.nan), "sigma_signal must be finite and >= 0"),
+        (Model1Config, dict(sigma_noise_cov=-1.0), "sigma_noise_cov must be finite and >= 0"),
+        (Model1Config, dict(eps_sd=math.inf), "eps_sd must be finite and >= 0"),
+        (Model2Config, dict(p=3), "the default A needs p >= 4, got p=3"),
+        (Model2Config, dict(A=np.zeros(20)), "A must be finite and nonzero"),
+        (Model2Config, dict(A=np.r_[math.nan, np.ones(19)]), "A must be finite and nonzero"),
+        (Model2Config, dict(S=np.full((20, 20), math.nan)), "S must be finite"),
+        (Model2Config, dict(y_sd=-1.0), "y_sd must be finite and >= 0"),
+        (Model2Config, dict(y_sd=math.nan), "y_sd must be finite and >= 0"),
+        (Model2Config, dict(delta_scale=math.inf), "delta_scale must be finite and > 0"),
+    ], ids=["beta0-nan", "beta0-inf", "beta0-zero", "sigma-signal-nan", "sigma-noise-negative",
+            "eps-sd-inf", "A-default-p3", "A-zero", "A-nan", "S-nan", "y-sd-negative",
+            "y-sd-nan", "delta-scale-inf"])
+    def test_bad_input_raises_argument_error(self, cls, kwargs, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match=f"^{re.escape(message)}"):
+                cls(**kwargs)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e100, 1e200, 1e300])
+    def test_direction_of_any_finite_scale(self, scale):
+        """beta0 and A far from unit scale give the unit direction of unit
+        scale, with no overflow or underflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta0 = Model1Config(p=3, beta0=[scale, scale, 0.0]).beta0
+            beta_pop = Model2Config(A=scale * Model2Config().A).beta_pop
+        np.testing.assert_allclose(beta0, [0.5 ** 0.5, 0.5 ** 0.5, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(beta_pop, Model2Config().beta_pop, rtol=1e-14, atol=1e-15)
 
 
 class TestEmse:
@@ -311,8 +349,8 @@ class TestReplicationHarness:
             n_rep=15,
         )
         for cell in table.cells:
-            vec = table.estimates[(cell.point_id, cell.n, cell.method)]
-            clean = np.asarray(vec)[~np.isnan(vec)]
+            vec = table.replicates(cell.point_id, cell.n, cell.method)[:, 0]
+            clean = vec[~np.isnan(vec)]
             np.testing.assert_allclose(emse(clean), cell.emse, rtol=1e-12)
 
     def test_true_mse_only_for_known_truth(self):
@@ -376,13 +414,12 @@ class TestReplicationHarness:
         assert len(fits) == 20
         alone = run_replications(cfg, [full], test_points=pts[:1], **kw)
         key, ref = (0, 400, x0.label), (0, 400, full.label)
-        np.testing.assert_array_equal(table.estimates[key], alone.estimates[ref])
-        np.testing.assert_array_equal(table.intervals[key], alone.intervals[ref])
-        assert np.any(table.estimates[ref] != alone.estimates[ref])
+        np.testing.assert_array_equal(table.replicates(*key), alone.replicates(*ref))
+        assert np.any(table.replicates(*ref)[:, 0] != alone.replicates(*ref)[:, 0])
         # the x0-only column has point 0 alone and no cells
         assert table.methods == (full.label,) and x0.label == "NPRT@X0"
+        assert table.labels == (full.label, x0.label)
         assert {c.method for c in table.cells} == {full.label}
-        assert {k for k in table.estimates if k[2] == x0.label} == {key}
 
     def test_column_runs_its_own_rule_or_the_model_rule(self):
         """A spec without a rule runs the model's; the table records each
@@ -401,9 +438,28 @@ class TestReplicationHarness:
         assert table.cells == named.cells
         own = run_replications(run, [MethodSpec(method="npr", bandwidth_rule=rule)],
                                test_points=pts[:1], ci_level=0.9, **kw)
-        np.testing.assert_array_equal(table.estimates[(0, 90, "NPR@X0")],
-                                      own.estimates[(0, 90, "NPR")])
-        assert np.all(table.estimates[(0, 90, "NPR@X0")] != table.estimates[(0, 90, "NPR")])
+        np.testing.assert_array_equal(table.replicates(0, 90, "NPR@X0")[:, 0],
+                                      own.replicates(0, 90, "NPR")[:, 0])
+        assert np.all(table.replicates(0, 90, "NPR@X0")[:, 0]
+                      != table.replicates(0, 90, "NPR")[:, 0])
+
+    def test_replicates_view_and_its_errors(self):
+        """replicates is a read-only (n_rep, 3) view of the run's values; an
+        unknown n or label, or a point past the column's, raises, and an
+        x0-only column holds NaN past point 0."""
+        cfg = Model1Config(seed=1)
+        table = run_replications(cfg, [MethodSpec("npr"), MethodSpec("npr", x0_only=True)],
+                                 ns=[60, 90], test_points=draw_test_points(cfg, m=3), n_rep=4)
+        assert table.values.shape == (2, 4, 2, 3, 3) and not table.values.flags.writeable
+        rows = table.replicates(2, 90, "NPR")
+        assert rows.shape == (4, 3) and np.shares_memory(rows, table.values)
+        np.testing.assert_array_equal(rows, table.values[1, :, 0, 2])
+        assert not np.isnan(table.replicates(0, 90, "NPR@X0")).any()
+        assert np.isnan(table.values[:, :, 1, 1:]).all()
+        for args in [(0, 70, "NPR"), (0, 60, "NP"), (3, 60, "NPR"), (-1, 60, "NPR"),
+                     (1, 60, "NPR@X0")]:
+            with pytest.raises(ArgumentError, match="^no replicates for "):
+                table.replicates(*args)
 
     def test_input_validation(self):
         cfg = Model1Config(seed=1)
@@ -418,6 +474,9 @@ class TestReplicationHarness:
                 cfg, [MethodSpec(method="np")], ns=[1],
                 test_points=pts, n_rep=3,
             )
+        with pytest.raises(ArgumentError, match=r"^duplicate sample sizes \[60, 90, 60\]$"):
+            run_replications(cfg, [MethodSpec(method="np")], ns=[60, 90, 60],
+                             test_points=pts, n_rep=3)
         with pytest.raises(ArgumentError):
             MethodSpec(method="nprt")  # needs a reduction choice
         with pytest.raises(ArgumentError):
@@ -445,15 +504,15 @@ class TestReplicationHarness:
                                               bandwidth_rule=rule)],
             ns=[100], test_points=pts, n_rep=8,
         )
-        assert table.intervals.keys() == table.estimates.keys()
-        for key, eta in table.estimates.items():
-            ci = table.intervals[key]
+        for j, label in ((0, "NPR"), (1, "NPR"), (0, "NPRT"), (1, "NPRT")):
+            rows = table.replicates(j, 100, label)
+            eta, ci = rows[:, 0], rows[:, 1:]
             assert ci.shape == (8, 2)
             assert np.array_equal(np.isnan(ci[:, 0]), np.isnan(eta))
             ok = ~np.isnan(eta)
             assert np.all(ci[ok, 0] < eta[ok]) and np.all(eta[ok] < ci[ok, 1])
-        assert np.isnan(table.estimates[(1, 100, "NPR")]).all()
-        assert not np.isnan(table.estimates[(0, 100, "NPRT")]).any()
+        assert np.isnan(table.replicates(1, 100, "NPR")[:, 0]).all()
+        assert not np.isnan(table.replicates(0, 100, "NPRT")[:, 0]).any()
 
 
 def equivalence_rows(cfg, ns, n_rep, x0, reduction="pls", rule=None, **kw):
