@@ -26,7 +26,6 @@ from .kernels import (
     RadialKernel,
     builtin_profile,
     make_kernel,
-    second_moment,
     surface_area,
     validate_conditions,
 )

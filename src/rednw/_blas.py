@@ -1,9 +1,8 @@
-"""C-library settings: OpenBLAS threads per replication worker, glibc's heap."""
+"""C-library settings: one OpenBLAS thread per replication worker, glibc's heap."""
 
 import contextlib
 import ctypes
 import functools
-import os
 
 # plain builds, and the symbol-prefixed builds numpy (64-bit) and scipy ship
 _STEMS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
@@ -22,11 +21,11 @@ def _openblas_controls() -> tuple:
 
 
 @contextlib.contextmanager
-def blas_threads_per_worker(n_workers: int):
-    """OpenBLAS at min(found, cores // n_workers) threads, at least 1, inside the block."""
+def one_blas_thread():
+    """OpenBLAS at min(found, 1) threads inside the block."""
     saved = [(put, get()) for get, put in _openblas_controls()]
     for put, found in saved:
-        put(min(found, max(1, len(os.sched_getaffinity(0)) // n_workers)))
+        put(min(found, 1))
     try:
         yield
     finally:

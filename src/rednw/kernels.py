@@ -164,15 +164,14 @@ class RadialKernel:
     """A normalized radial kernel on R^dim.
 
     norm_const is c with int c*k(||u||) du = 1; l2_const is R(K) = int K^2;
-    moment_order is the smallest |alpha| >= 1 with a nonvanishing moment
-    (2 for every nonnegative radial kernel; determined up to order 4).
+    mu2 is the per-coordinate second moment int u_1^2 K(u) du.
     """
 
     profile: KernelProfile
     dim: int
     norm_const: float
     l2_const: float
-    moment_order: int
+    mu2: float
 
     def eval(self, u: Sequence[float] | NDArray[np.floating]) -> float:
         """K(u) = norm_const * k(||u||), zero beyond the support radius."""
@@ -203,8 +202,7 @@ def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:
         dim: ambient dimension d >= 1.
 
     Returns:
-        RadialKernel with quadrature-computed norm_const, l2_const and
-        moment_order.
+        RadialKernel with quadrature-computed norm_const, l2_const and mu2.
     """
     if dim < 1:
         raise ArgumentError(f"kernel dimension must be >= 1, got {dim}")
@@ -237,18 +235,8 @@ def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:
     mu2 = norm_const * _radial_integral(
         lambda s: values(s) * s ** (dim + 1), radius
     ) * surf / dim
-    moment_order = 2 if abs(mu2) > 1e-12 else 4
     return RadialKernel(profile=profile, dim=dim, norm_const=norm_const,
-                        l2_const=l2_const, moment_order=moment_order)
-
-
-def second_moment(kernel: RadialKernel) -> float:
-    """Per-coordinate second moment mu_2 = int u_1^2 K(u) du."""
-    values = kernel.profile.raw_profile
-    radius = kernel.profile.support_radius
-    return kernel.norm_const * _radial_integral(
-        lambda s: values(s) * s ** (kernel.dim + 1), radius
-    ) * surface_area(kernel.dim) / kernel.dim
+                        l2_const=l2_const, mu2=mu2)
 
 
 def _profile_derivative(kernel: RadialKernel) -> Callable[[NDArray[np.floating]], NDArray[np.floating]]:

@@ -23,20 +23,22 @@ on them (``RadialKernel.profile_of_squares``): a built-in profile takes
 (1 - min(u, 1))^k in place, with no square root, and norm_const scales
 each row's mass once. At d = 1, u is ((q - w) / h)^2, the square of the direct
 radius. Every block temporary holds at most _BLOCK_ENTRIES entries, the
-budget of ``reduction.row_blocks``. A block takes consecutive queries while
-the union of their slabs fits and holds at most twice their own slabs'
-samples (a small unsorted batch at d > 1: all its query rows), and a d > 1
-block takes its slab in chunks of _BLOCK_ENTRIES // max(rows, d) samples,
-centres only those rows at the sample mean and forms u from the Gram form
-||q - w||^2 = |q|^2 + |w|^2 - 2 q.w with one BLAS product, so no n x d copy
-is made. Each row's mass, mean and centred sum of squares are merged over
-the chunks by the pairwise update of Chan, Golub & LeVeque (1979), which
-never cancels; the chunks' means are of Y less the slab's mean, so they are
-not rounded at the scale of Y. Where rounding in the Gram form could move a
-radius across the support edge, the squared direct radius ||(q - w) / h||^2
-on the original rows replaces it, so support is decided exactly as by the
-direct test t <= R. A query row far from the centre takes the direct radii
-for its whole row, whatever rows share its block.
+budget of ``reduction.row_blocks``, at every d. A block takes consecutive
+queries while the union of their slabs fits and holds at most twice their
+own slabs' samples (a small unsorted batch at d > 1: all its query rows),
+and takes its slab in chunks of _BLOCK_ENTRIES // max(rows, d) samples; at
+d = 1 only a block of one row, whose slab alone exceeds the budget, has
+more than one chunk. A d > 1 block centres only its chunk's rows at the
+sample mean and forms u from the Gram form ||q - w||^2 = |q|^2 + |w|^2 -
+2 q.w with one BLAS product, so no n x d copy is made. Each row's mass,
+mean and centred sum of squares are merged over the chunks by the pairwise
+update of Chan, Golub & LeVeque (1979), which never cancels; the chunks'
+means are of Y less the slab's mean, so they are not rounded at the scale
+of Y. Where rounding in the Gram form could move a radius across the
+support edge, the squared direct radius ||(q - w) / h||^2 on the original
+rows replaces it, so support is decided exactly as by the direct test
+t <= R. A query row far from the centre takes the direct radii for its
+whole row, whatever rows share its block.
 
 At d = 1 with a built-in profile, all (1 - t^2)^k, one routine computes
 window sums from prefix sums instead (``_nw_prefix``): Fan & Marron (1994)
@@ -53,7 +55,7 @@ test |q - w| / h < 1 (<= 1 for the uniform profile). A row's sums of
 window sample, and the centred variance's numerator S_2 - mu S_1 (mu =
 S_1 / S_0, the window's mean of Y - ybar) one that follows from those; a
 row whose mass or numerator is below 1e5 times its bound is summed
-directly.
+directly, by the block of the windowed core.
 
 Floating-point policy: ``_nw_core``, ``_nw_prefix``, the leave-one-out
 criterion, and ``nw_batch``'s two reductions and its density and interval
@@ -289,7 +291,7 @@ def _gram_sq(W: NDArray[np.floating], h: float, gram: tuple) -> NDArray[np.float
     _, W0, Q, qq, mu, inv_h2, edge2 = gram
     Wc = W - mu
     ss = np.einsum("ij,ij->i", Wc, Wc)
-    # a BLAS product: the replication pool caps OpenBLAS at one thread per
+    # a BLAS product: replication runs cap OpenBLAS at one thread per
     # worker, and its threads split rows and columns, never a dot product.
     # A one-row or one-column product would go to gemv, which rounds an
     # entry differently from gemm; the lone row or column is doubled, so a
@@ -431,7 +433,7 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
                 sums = _nw_prefix(kernel, W[:, 0], Y, h, q)
             lo, hi = lo.tolist(), hi.tolist()
         if sums is None:
-            chunked = W.shape[1] > 1
+            gram_form = W.shape[1] > 1
             # each row's mass, mean and centred sum, merged over chunks
             acc = np.zeros((3, m))
             a = 0
@@ -439,7 +441,7 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
                 # consecutive queries share the union of their slabs, while
                 # its radii fit the budget and number at most twice the
                 # rows' own slabs; at d > 1 a small unsorted batch is one block
-                b = m if chunked and qorder is None else a + 1
+                b = m if gram_form and qorder is None else a + 1
                 own = hi[a] - lo[a]
                 while b < m:
                     own += hi[b] - lo[b]
@@ -447,12 +449,11 @@ def _nw_core(kernel: RadialKernel, W: NDArray[np.floating], Y: NDArray[np.floati
                         break
                     b += 1
                 s0, s1 = lo[a], hi[b - 1]
-                # d > 1: chunks whose radii and centred rows W - mu each hold
-                # at most _BLOCK_ENTRIES entries; d = 1: the slab
-                step, gram = max(s1 - s0, 1), None
-                if chunked:
-                    step = max(1, _BLOCK_ENTRIES // max(b - a, W.shape[1]))
-                    gram = _gram_rows(W0[a:b], mu, h, kernel.profile.support_radius)
+                # chunks whose radii and centred rows W - mu each hold at most
+                # _BLOCK_ENTRIES entries; a d = 1 block of several rows fits
+                # one chunk, so only a lone row's long slab is cut
+                step = max(1, _BLOCK_ENTRIES // max(b - a, W.shape[1]))
+                gram = _gram_rows(W0[a:b], mu, h, kernel.profile.support_radius) if gram_form else None
                 # over several chunks, sums of Y less the slab's mean
                 ref = Y[s0:s1].mean() if s1 - s0 > step else 0.0
                 for c0 in range(s0, s1, step):
@@ -611,18 +612,16 @@ def _nw_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.floa
             var = sums[2] - mu * ysum
             t1, t2 = float(np.sum(np.abs(dy))), float(np.sum(dy * dy))
             redo |= live & (var < _PREFIX_SAFETY * bound * (t2 + 2.0 * np.abs(mu) * t1 + mu * mu * n))
-        # the direct sums centre on the window's first response, so the
-        # variance needs no cancelling subtraction; einsum, not a BLAS
-        # dot, which may split a long sum over threads
+        # the direct block's sums, on responses less the window's first, so
+        # equal responses keep exactly zero variance
         for i in np.flatnonzero(redo).tolist():
-            wts = kernel.profile_of_squares(((q[i] - w[lo[i]:hi[i]]) / h) ** 2)
-            if loo:
-                wts[i - lo[i]] = 0.0
-            d = Y[lo[i]:hi[i]] - Y[lo[i]]
-            mass[i], dsum = wts.sum(), np.einsum("j,j->", wts, d)
-            ysum[i] = dsum + (Y[lo[i]] - ybar) * mass[i]
+            s0, s1 = lo[i], hi[i]
+            own = (np.zeros(1, np.intp), np.array([i - s0])) if loo else None
+            (mass[i],), (eta,), (css,) = _block(kernel, w[s0:s1, None], Y[s0:s1] - Y[s0],
+                                                q[i:i + 1, None], h, None, own)
+            ysum[i] = (eta + (Y[s0] - ybar)) * mass[i]
             if not loo:
-                var[i] = np.einsum("j,j->", wts, (d - dsum / mass[i]) ** 2)
+                var[i] = css
         sigma2 = np.full(q.size, np.nan) if loo else np.maximum(var / mass, 0.0)
         return kernel.norm_const * mass, ybar + ysum / mass, sigma2
 

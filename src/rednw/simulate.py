@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ._blas import blas_threads_per_worker, keep_freed_memory
+from ._blas import keep_freed_memory, one_blas_thread
 from .errors import ArgumentError, NumericError, RednwError
-from .kernels import builtin_profile, make_kernel, second_moment
+from .kernels import builtin_profile, make_kernel
 from .npregress import BandwidthRule, NWConfig, _nw_core, bandwidth, nw_batch
 from .reduction import FIT_METHODS, ReductionBasis, fit, oracle_basis, row_blocks
 
@@ -428,6 +428,8 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
     if test_points.shape[1] != cfg.p:
         raise ArgumentError(f"test points have {test_points.shape[1]} columns, model has p={cfg.p}")
+    if not test_points.shape[0]:
+        raise ArgumentError("need at least one test point")
     if n_rep < 1:
         raise ArgumentError(f"n_rep must be >= 1, got {n_rep}")
     rules = {m.label: m.bandwidth_rule or default_bandwidth_rule(cfg) for m in methods}
@@ -445,11 +447,12 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     tasks = [(values[i, rep], n, rep) for i, n in enumerate(ns) for rep in range(n_rep)]
     keep_freed_memory()  # every replication frees and redraws arrays of a few MB
     work = partial(_one_rep, cfg, methods, test_points, configs, fixed)
-    if n_threads > 1:
-        with blas_threads_per_worker(n_threads), ThreadPoolExecutor(max_workers=n_threads) as ex:
-            list(ex.map(work, tasks))  # raises what a task raised
-    else:
-        list(map(work, tasks))
+    with one_blas_thread():
+        if n_threads > 1:
+            with ThreadPoolExecutor(max_workers=n_threads) as ex:
+                list(ex.map(work, tasks))  # raises what a task raised
+        else:
+            list(map(work, tasks))  # no pool, so Ctrl-C stops a serial run at once
     values.flags.writeable = False
 
     truths = cfg.truth(test_points) if isinstance(cfg, Model1Config) else None
@@ -559,8 +562,7 @@ def estimate_density_data(estimates: Sequence[float] | NDArray[np.floating],
         raise ArgumentError(f"density data needs at least 10 estimates, got {v.size}")
     g = np.asarray(grid, dtype=float).ravel()
     kernel = make_kernel(builtin_profile("triweight_poly3"), 1)
-    mu2 = second_moment(kernel)
-    factor = (8.0 * math.sqrt(math.pi) * kernel.l2_const / (3.0 * mu2 * mu2)) ** 0.2
+    factor = (8.0 * math.sqrt(math.pi) * kernel.l2_const / (3.0 * kernel.mu2 * kernel.mu2)) ** 0.2
     iqr = float(np.subtract(*np.percentile(v, [75, 25])))
     scale = min(float(np.std(v)), iqr / 1.349) if iqr > 0 else float(np.std(v))
     if scale <= 0:

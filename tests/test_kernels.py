@@ -15,7 +15,6 @@ from rednw.kernels import (
     RadialKernel,
     builtin_profile,
     make_kernel,
-    second_moment,
     surface_area,
     validate_conditions,
 )
@@ -75,7 +74,7 @@ class TestConstants:
     def test_second_moment_triweight_d1(self):
         # closed form: 2*(35/32)*B(3/2,4)/2 = 1/9
         k = make_kernel(builtin_profile("triweight_poly3"), 1)
-        np.testing.assert_allclose(second_moment(k), 1.0 / 9.0, atol=1e-10)
+        np.testing.assert_allclose(k.mu2, 1.0 / 9.0, atol=1e-10)
 
     def test_surface_area_low_dims(self):
         np.testing.assert_allclose(surface_area(1), 2.0, rtol=1e-14)
@@ -123,9 +122,8 @@ class TestQuadratureNodes:
         cold = make_kernel(builtin_profile(name), dim)
         warm = make_kernel(builtin_profile(name), dim)
         assert _gauss_legendre.cache_info().hits > 0
-        assert (cold.norm_const, cold.l2_const, cold.moment_order) == (
-            warm.norm_const, warm.l2_const, warm.moment_order)
-        assert second_moment(cold) == second_moment(warm)
+        assert (cold.norm_const, cold.l2_const, cold.mu2) == (
+            warm.norm_const, warm.l2_const, warm.mu2)
 
 
 class TestEval:

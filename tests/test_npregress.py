@@ -1273,7 +1273,8 @@ class TestFusedBlock:
 
 class TestReplicationMemory:
     """One NP call on model-2 data (n = 20,000, p = 20) holds the reduced
-    sample W beside X, and no centred copy of it."""
+    sample W beside X, and no centred copy of it; a d = 1 row reads a long
+    slab in chunks of the one block budget."""
 
     @staticmethod
     def _np_call():
@@ -1298,6 +1299,18 @@ class TestReplicationMemory:
         batch, peak = self._peak(call)
         assert batch.ok.all()
         assert peak < 1.5 * X.nbytes
+
+    def test_long_d1_slab_peak(self):
+        """A lone d = 1 query row whose window holds nearly all of n = 500,000
+        samples forms no n-length temporary: it holds W and a few blocks."""
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((500_000, 2)), rng.standard_normal(500_000)
+        conf = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 1),
+                        bandwidth=BandwidthRule(kind="fixed", h_fixed=3.0))
+        basis = oracle_basis(np.array([[1.0, 0.0]]))
+        batch, peak = self._peak(lambda: nw_batch(conf, basis, X, Y, np.zeros((1, 2))))
+        assert batch.ok.all()
+        assert peak < 8 * X.shape[0] + 4 * 8 * _BLOCK_ENTRIES
 
     def test_nw_batches_peak_below_pfc_fit(self):
         """The NP and NPR batches of a replication worker hold no more above
@@ -1690,13 +1703,15 @@ class TestProperties:
                                        atol=1e-24 if name == "sigma2_hat" else 0.0)
 
     @settings(max_examples=60, deadline=None)
-    @given(d=st.integers(2, 6), n=st.integers(2, 200), spread=st.sampled_from([1.0, 10.0]),
-           h=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+    @given(d=st.integers(2, 6) | st.just(20), n=st.integers(2, 200),
+           spread=st.sampled_from([1.0, 10.0]), h=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+    @example(d=20, n=200, spread=1.0, h=2.0, seed=0)
     def test_row_sums_do_not_depend_on_the_batch(self, d, n, spread, h, seed):
-        """One query row inside batches of different make-up: alone, among
-        near rows, among rows past _GRAM_MAX_OFFSET h from the centre
-        (unsorted, and sorted beside near ones), and with the sample read in
-        chunks of a few columns. A row past that offset takes direct radii,
+        """One query row inside batches of different make-up, up to d = 20
+        (the NP width of the model-2 table): alone, among near rows, among
+        rows past _GRAM_MAX_OFFSET h from the centre (unsorted, and sorted
+        beside near ones), and with the sample read in chunks of a few
+        columns. A row past that offset takes direct radii,
         so its sums match the direct ones up to their order in every batch;
         a nearer row's match them within the Gram form's rounding
         (``gram_slack``), which the shape of the block's BLAS product moves."""

@@ -21,7 +21,7 @@ PUBLIC = [
     "kernels", "load_csv", "load_test_rows", "make_kernel", "npregress", "nw_batch",
     "oracle_basis", "pfc_fit", "pls_fit", "projection_to_basis",
     "recompute_cell_from_manifest", "reduce", "reduction", "run_predict_workflow",
-    "run_replications", "second_moment", "simulate", "simulation_plan_from_config",
+    "run_replications", "simulate", "simulation_plan_from_config",
     "sir_fit", "surface_area", "synthetic_shellfish", "undersmoothed_rule",
     "validate_conditions", "write_table",
 ]
@@ -32,8 +32,10 @@ def test_public_names_are_the_recorded_ones():
 
 
 # the values a caller sets; each derived value (a config's d, a basis's d and
-# p, a projection's rank, a run's seed) has one source and is not among them
+# p, a projection's rank, a run's seed) has one source and is not among them.
+# A kernel's constants are make_kernel's, each integrated once there
 SETTABLE = {
+    rednw.RadialKernel: ["profile", "dim", "norm_const", "l2_const", "mu2"],
     rednw.NWConfig: ["kernel", "bandwidth", "ci_level", "allow_nonsmooth_kernel"],
     rednw.ReductionBasis: ["matrix", "method"],
     rednw.ProjectionMatrix: ["matrix"],

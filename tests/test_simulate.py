@@ -2,7 +2,6 @@
 
 import ctypes
 import math
-import os
 import re
 import resource
 import tracemalloc
@@ -128,7 +127,7 @@ class TestModel2Generator:
         if model == 1:
             y = (expected @ cfg.beta0) ** 2 + rng.normal(0.0, cfg.eps_sd, n)
         X, Y, _ = gen(cfg, n, rng_stream=2)
-        with _blas.blas_threads_per_worker(2):
+        with _blas.one_blas_thread():
             X_capped, Y_capped, _ = gen(cfg, n, rng_stream=2)
         for got, resp in ((X, Y), (X_capped, Y_capped)):
             assert np.array_equal(got, expected)
@@ -482,6 +481,13 @@ class TestReplicationHarness:
         with pytest.raises(ArgumentError):
             MethodSpec(method="np", reduction="pls")  # reduction is nprt-only
 
+    def test_no_test_points_raise_before_any_draw(self, monkeypatch):
+        """A plan with zero test points fails as an empty ``ns`` does, not
+        as a table of no cells after every replication was drawn and fit."""
+        monkeypatch.setattr(simulate, "_one_rep", lambda *a: pytest.fail("drew a replication"))
+        with pytest.raises(ArgumentError, match="^need at least one test point$"):
+            run_replications(Model1Config(), [MethodSpec("np")], [60], np.empty((0, 6)), 3)
+
     def test_one_direction_methods_reject_d_above_1(self):
         # npr and the oracle-style reductions give one direction, so d=2
         # would leave every estimate missing instead of failing
@@ -686,50 +692,45 @@ class TestDefaults:
 
 
 class TestBlasThreads:
-    """The replication pool runs OpenBLAS at cores // n_threads threads, at
-    most the count it found."""
+    """Replications run OpenBLAS at one thread, at most the count it found,
+    at every n_threads, and the counts found come back after the run."""
 
     @staticmethod
-    def _fake_openblas(monkeypatch, cores=4, start=8):
+    def _fake_openblas(monkeypatch, start=8):
         # one fake library whose thread count history is `seen`
         seen = [start]
         monkeypatch.setattr(_blas, "_openblas_controls", lambda: ((lambda: seen[-1], seen.append),))
-        monkeypatch.setattr(_blas.os, "sched_getaffinity", lambda pid: set(range(cores)))
         return seen
 
-    @pytest.mark.parametrize("workers, cap", [(1, 4), (2, 2), (3, 1), (8, 1)])
-    def test_cap_then_restore(self, monkeypatch, workers, cap):
-        seen = self._fake_openblas(monkeypatch)
-        with _blas.blas_threads_per_worker(workers):
-            assert seen[-1] == cap
-        assert seen == [8, cap, 8]
+    @pytest.mark.parametrize("n_threads, found", [(1, 4), (2, 2), (3, 1), (8, 1)])
+    def test_cap_then_restore(self, monkeypatch, n_threads, found):
+        seen = self._fake_openblas(monkeypatch, found)
+        counts = []
+        one_rep = simulate._one_rep
+        monkeypatch.setattr(simulate, "_one_rep", lambda *a: (counts.append(seen[-1]), one_rep(*a)))
+        cfg = Model1Config(seed=1)
+        run_replications(cfg, [MethodSpec("npr")], [60], draw_test_points(cfg, m=2), 4,
+                         n_threads=n_threads)
+        assert counts == [1] * 4
+        assert seen == [found, 1, found]
 
     def test_never_raised_above_the_count_found(self, monkeypatch):
         """A library found at 1 thread (say OPENBLAS_NUM_THREADS=1) stays at 1."""
-        seen = self._fake_openblas(monkeypatch, cores=8, start=1)
-        with _blas.blas_threads_per_worker(2):
+        seen = self._fake_openblas(monkeypatch, start=1)
+        with _blas.one_blas_thread():
             assert seen[-1] == 1
         assert seen == [1, 1, 1]
 
     def test_restored_after_an_error(self, monkeypatch):
         seen = self._fake_openblas(monkeypatch)
-        with pytest.raises(RuntimeError), _blas.blas_threads_per_worker(2):
+        with pytest.raises(RuntimeError), _blas.one_blas_thread():
             raise RuntimeError("inside the pool")
-        assert seen == [8, 2, 8]
-
-    def test_only_the_pool_caps(self, monkeypatch):
-        seen = self._fake_openblas(monkeypatch)
-        cfg = Model1Config(seed=1)
-        kw = dict(ns=[60], test_points=draw_test_points(cfg, m=2), n_rep=4)
-        run_replications(cfg, [MethodSpec("npr")], n_threads=1, **kw)
-        assert seen == [8]
-        run_replications(cfg, [MethodSpec("npr")], n_threads=2, **kw)
-        assert seen == [8, 2, 8]
+        assert seen == [8, 1, 8]
 
     def test_openblas_of_this_process(self):
         controls = _blas._openblas_controls()
         before = [get() for get, _ in controls]
-        with _blas.blas_threads_per_worker(2 * len(os.sched_getaffinity(0))):
+        with _blas.one_blas_thread():
             assert all(get() == 1 for get, _ in controls)
         assert [get() for get, _ in controls] == before
 
