@@ -727,6 +727,17 @@ class TestBlasThreads:
             raise RuntimeError("inside the pool")
         assert seen == [8, 1, 8]
 
+    def test_only_the_pool_caps(self, monkeypatch):
+        """The cap lasts exactly as long as a run, serial or pooled."""
+        seen = self._fake_openblas(monkeypatch)
+        cfg = Model1Config(seed=1)
+        kw = dict(ns=[60], test_points=draw_test_points(cfg, m=2), n_rep=4)
+        assert seen == [8]
+        run_replications(cfg, [MethodSpec("npr")], n_threads=1, **kw)
+        assert seen == [8, 1, 8]
+        run_replications(cfg, [MethodSpec("npr")], n_threads=2, **kw)
+        assert seen == [8, 1, 8, 1, 8]
+
     def test_openblas_of_this_process(self):
         controls = _blas._openblas_controls()
         before = [get() for get, _ in controls]
