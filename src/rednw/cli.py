@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import hashlib
+import functools
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -32,12 +31,14 @@ from .dataio import (
     json_text,
     load_csv,
     load_test_rows,
+    read_basis,
+    read_options,
     run_predict_workflow,
     sha256_file,
     simulation_plan_from_config,
     write_table,
 )
-from .errors import ArgumentError, DataError, NumericError, RednwError
+from .errors import ArgumentError, DataError, RednwError
 from .kernels import (
     BUILTIN_PROFILES,
     KernelProfile,
@@ -46,7 +47,7 @@ from .kernels import (
     validate_conditions,
 )
 from .npregress import BANDWIDTH_KINDS, EXPONENT_DIMS, BandwidthRule
-from .reduction import FIT_METHODS, ReductionBasis, fit, oracle_basis
+from .reduction import FIT_METHODS, fit
 from .simulate import (
     NPRT_REDUCTIONS,
     coverage_view,
@@ -82,26 +83,6 @@ def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
-
-
-def _config_options(args) -> dict:
-    """--config's key=value lines (long flag names) as {dest: value}."""
-    if not args.config:
-        return {}
-    path = Path(args.config)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    options = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        value = {"true": True, "false": False}.get(value.lower(), value)
-        options[key.replace("-", "_")] = value
-    return options
 
 
 def _option_tokens(options: dict) -> list[str]:
@@ -149,29 +130,16 @@ def _rule_from_args(args, default_rule: BandwidthRule | None = None) -> Bandwidt
     )
 
 
-def _write_matrix(path, matrix) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in np.atleast_2d(matrix):
-            w.writerow([repr(float(v)) for v in row])
-
-
-def _read_basis(path) -> ReductionBasis:
-    """The --basis file, a basis's rows as `reduce` writes them; a missing
-    file, an empty one (or one of blank and `#` comment lines only), or one
-    that holds no basis raises DataError naming it."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"basis file not found: {path}")
-    try:
-        # a UnicodeDecodeError is a ValueError
-        lines = path.read_text(encoding="utf-8").splitlines()
-        # np.loadtxt drops what follows a '#', and warns on a file left empty
-        if not any(line.partition("#")[0].strip() for line in lines):
-            raise DataError(f"{path}: basis file is empty")
-        return oracle_basis(np.loadtxt(lines, delimiter=",", ndmin=2))
-    except (ValueError, ArgumentError, NumericError) as exc:
-        raise DataError(f"{path}: not a basis: {exc}") from exc
+def _check_output_paths(args) -> None:
+    """Before any work: --out must be a directory or a path mkdir can make,
+    and --plot-data a file path in an existing directory."""
+    out, plot = getattr(args, "out", None), getattr(args, "plot_data", None)
+    if out:
+        path = Path(out).absolute()
+        if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+            raise ArgumentError(f"--out {out}: not a directory, and none can be made there")
+    if plot and (Path(plot).is_dir() or not Path(plot).absolute().parent.is_dir()):
+        raise ArgumentError(f"--plot-data {plot}: not a file path in an existing directory")
 
 
 def _emit(chunks, args, name: str) -> Path | None:
@@ -251,9 +219,7 @@ def _manifest_options(args) -> dict:
         if key not in keys:
             raise DataError(f"manifest option {key!r} is not a {args.command} option")
     for path, digest in manifest.input_digests.items():
-        if not Path(path).exists():
-            raise DataError(f"manifest input {path} no longer exists")
-        if sha256_file(path) != digest:
+        if sha256_file(path, "manifest input") != digest:
             raise DataError(
                 f"manifest input {path} has changed since the recorded run "
                 f"(digest mismatch); outputs would not reproduce")
@@ -280,7 +246,7 @@ def _cmd_reduce(args) -> int:
     }
     out = _emit([json_text(meta)], args, "basis_meta.json")
     if out:
-        _write_matrix(out / "basis.csv", basis.matrix)
+        write_table(out / "basis.csv", None, basis.matrix)
         _write_manifest(args, out, ("basis.csv", "basis_meta.json"))
     return 0
 
@@ -289,7 +255,7 @@ def _cmd_fit_predict(args) -> int:
     ds = load_csv(args.input, args.response,
                   transforms=_parse_transforms(args.transform),
                   skip_bad_rows=args.skip_bad_rows)
-    basis = _read_basis(args.basis) if args.basis else None
+    basis = read_basis(args.basis) if args.basis else None
     test = load_test_rows(args.test_csv, ds) if getattr(args, "test_csv", None) else None
     wf = run_predict_workflow(
         ds, method=args.method, d=args.d, kernel_profile=args.kernel,
@@ -388,8 +354,8 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
 
     digests = {}
     if config["model"] == 2:
-        data = resources.files("rednw").joinpath("_data/model2_s.csv").read_bytes()
-        digests["model2_s.csv"] = hashlib.sha256(data).hexdigest()
+        with resources.as_file(resources.files("rednw").joinpath("_data/model2_s.csv")) as path:
+            digests["model2_s.csv"] = sha256_file(path)
     manifest = RunManifest(tool_version=__version__, command="simulate",
                            config=config, seeds={"base_seed": config["seed"]},
                            input_digests=digests, outputs=tuple(outputs))
@@ -450,6 +416,7 @@ def _add_bandwidth_args(sp):
     sp.add_argument("--cv-grid", default=None, help="comma list of loocv candidates")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rednw",
@@ -530,7 +497,7 @@ def main(argv=None) -> int:
     try:
         # config, then manifest, then argv: explicit flags come last and win
         recorded = _manifest_options(args)
-        options = {**_config_options(args), **recorded}
+        options = {**(read_options(args.config) if args.config else {}), **recorded}
         if getattr(args, "transform", None):
             options.pop("transform", None)  # --transform appends; argv's list wins
         if options:
@@ -544,6 +511,7 @@ def main(argv=None) -> int:
                 if getattr(args, key, None) != getattr(replay, key, None):
                     raise ArgumentError(f"--{key.replace('_', '-')} conflicts with the "
                                         f"manifest, which recorded {recorded[key]!r}")
+        _check_output_paths(args)
         return args.handler(args)
     except RednwError as exc:
         print(f"error: {exc}", file=sys.stderr)

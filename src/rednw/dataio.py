@@ -1,4 +1,4 @@
-"""CSV ingestion, run manifests, and the real-data prediction workflow.
+"""Input files, run files and manifests, and the real-data prediction workflow.
 
 Everything numeric is serialized as shortest round-trip decimals (Python
 repr), so files written here reload bit-exactly and golden outputs are
@@ -24,10 +24,11 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ArgumentError, DataError
+from . import reduction
+from .errors import ArgumentError, DataError, NumericError
 from .kernels import builtin_profile, make_kernel
 from .npregress import BandwidthRule, NWBatch, NWConfig, nw_batch
-from .reduction import FIT_METHODS, fit
+from .reduction import FIT_METHODS, ReductionBasis, fit
 from .simulate import (
     PFC_MAX_D,
     CellStats,
@@ -83,11 +84,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_table(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """CSV with shortest round-trip float formatting."""
+def write_table(path, header: Sequence[str] | None, rows: Sequence[Sequence]) -> None:
+    """CSV with shortest round-trip float formatting; no header row for a None header."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        if header is not None:
+            w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
 
@@ -97,33 +99,43 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def sha256_file(path) -> str:
+@contextlib.contextmanager
+def _open_input(path, role: str, binary: bool = False):
+    """The one opener of input files, as UTF-8 text with its line ends kept or
+    as bytes: a missing path, one that cannot be opened (a directory, say) and
+    a byte that is not UTF-8, read anywhere in the block, raise DataError."""
+    try:
+        with open(path, "rb") if binary else open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise DataError(f"{role} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read {role} ({exc.strerror})") from None
+
+
+def sha256_file(path, role: str = "input file") -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with _open_input(path, role, binary=True) as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
 
 
 @contextlib.contextmanager
-def _open_csv(path: Path, kind: str):
-    """The stripped header of a CSV file, read by csv.reader, and the open
-    file positioned after it. A repeated column name raises DataError, and so
-    does a byte that is not UTF-8, in the header or in any row read from fh."""
-    if not path.exists():
-        raise DataError(f"{kind} file not found: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            try:
-                header = [h.strip() for h in next(csv.reader(fh))]
-            except StopIteration:
-                raise DataError(f"{path}: file is empty, expected a header row") from None
-            repeated = next((name for k, name in enumerate(header) if name in header[:k]), None)
-            if repeated is not None:
-                raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
-            yield header, fh
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+def _open_csv(path: Path, role: str):
+    """The stripped header of a CSV file, read by csv.reader, and the open file
+    positioned after it. A repeated column name raises DataError."""
+    with _open_input(path, role) as fh:
+        try:
+            header = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise DataError(f"{path}: file is empty, expected a header row") from None
+        repeated = next((name for k, name in enumerate(header) if name in header[:k]), None)
+        if repeated is not None:
+            raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
+        yield header, fh
 
 
 def _parse_row(path, i: int, header: list[str], raw: list[str]) -> list[float]:
@@ -251,7 +263,7 @@ def load_csv(path, response_col: str,
     """
     path = Path(path)
     transforms = tuple(transforms or ())
-    with _open_csv(path, "input") as (header, fh):
+    with _open_csv(path, "input file") as (header, fh):
         if response_col not in header:
             raise DataError(f"{path}: response column {response_col!r} not in header {header}")
         for k, (col, op) in enumerate(transforms):
@@ -287,13 +299,46 @@ def load_test_rows(path, dataset: Dataset) -> NDArray[np.floating]:
     yields a 0-row matrix.
     """
     path = Path(path)
-    with _open_csv(path, "test") as (header, fh):
+    with _open_csv(path, "test file") as (header, fh):
         if set(header) != set(dataset.column_names):
             raise DataError(
                 f"{path}: test columns {header} do not match predictors {list(dataset.column_names)}")
         mat, _ = _read_body(path, fh, header, dataset.transforms)
     _apply_transforms(mat, header, dataset.transforms, dataset.center_shifts)
     return mat[:, [header.index(name) for name in dataset.column_names]]
+
+
+def read_basis(path) -> ReductionBasis:
+    """A basis from its rows, as ``write_table(path, None, basis.matrix)``
+    writes them (``reduce``'s basis.csv); a file of blank and ``#`` comment
+    lines only, or one that holds no basis, raises DataError naming it."""
+    with _open_input(path, "basis file") as fh:
+        lines = fh.read().splitlines()
+    # np.loadtxt drops what follows a '#', and warns on a file left empty
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise DataError(f"{path}: basis file is empty")
+    try:
+        # not bound in dataio, where the benchmark's tracer would time it as a fit
+        return reduction.oracle_basis(np.loadtxt(lines, delimiter=",", ndmin=2))
+    except (ValueError, ArgumentError, NumericError) as exc:
+        raise DataError(f"{path}: not a basis: {exc}") from exc
+
+
+def read_options(path) -> dict:
+    """An option file's ``key = value`` lines as {key: value}: text after a
+    ``#`` and blank lines are skipped, a key's dashes become underscores and
+    true/false (any case) become booleans. An empty file holds no options."""
+    options = {}
+    with _open_input(path, "config file") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+            key, value = (s.strip() for s in line.split("=", 1))
+            options[key.replace("-", "_")] = {"true": True, "false": False}.get(value.lower(), value)
+    return options
 
 
 def synthetic_shellfish(n: int = 79, seed: int = 8671):
@@ -336,18 +381,15 @@ class RunManifest:
         """Load a manifest; with ``command``, raise ArgumentError unless it
         records a run of that subcommand."""
         path = Path(path)
-        if not path.exists():
-            raise DataError(f"manifest not found: {path}")
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: invalid manifest JSON ({exc})") from exc
         try:
+            with _open_input(path, "manifest") as fh:
+                raw = json.load(fh)
             manifest = cls(tool_version=raw["tool_version"], command=raw["command"],
                            config=raw["config"], seeds=raw["seeds"],
                            input_digests=raw["input_digests"],
                            outputs=tuple(raw.get("outputs", ())))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid manifest JSON ({exc})") from exc
         except KeyError as exc:
             raise DataError(f"{path}: manifest missing field {exc}") from exc
         if command is not None and manifest.command != command:

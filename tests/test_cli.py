@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rednw
-from rednw import simulate
+from rednw import cli, simulate
 from rednw.cli import main
 from rednw.dataio import (
     load_csv,
@@ -115,6 +115,18 @@ class TestReduce:
         np.testing.assert_allclose(basis @ basis.T, [[1.0]], atol=1e-10)
         assert (out_dir / "basis_meta.json").exists()
         assert (out_dir / "manifest.json").exists()
+
+    def test_basis_file_bytes(self, shellfish_csv, tmp_path, capsys):
+        """basis.csv is the basis's rows as write_table writes them, without a
+        header: shortest round-trip floats, commas and CRLF line ends. These
+        are the bytes `fit --basis` reads back."""
+        code, _, _ = run_cli(["reduce", "--input", str(shellfish_csv), "--response",
+                              "muscle_mass", *LOG_FLAGS, "--d", "2", "--out", str(tmp_path)],
+                             capsys)
+        assert code == 0
+        assert (tmp_path / "basis.csv").read_bytes() == (
+            b"0.2122493288458518,0.2734840930408275,0.30608199622479465,0.8868317116821919\r\n"
+            b"0.7572204832511049,-0.522796017099546,-0.37585132937753335,0.1097143675867266\r\n")
 
     def test_np_from_config_file_exits_2(self, shellfish_csv, tmp_path, capsys):
         # config lines go through the parser's choices; reduce has no identity "reduction"
@@ -331,8 +343,7 @@ class TestFitPredict:
                       "column 1."),
         ("nan,1,0,0\n", "{path}: not a basis: directions must be finite"),
         ("", "{path}: basis file is empty"),
-        (b"\xff\xfe", "{path}: not a basis: 'utf-8' codec can't decode byte 0xff in position 0: "
-                      "invalid start byte"),
+        (b"\xff\xfe", "{path}: not UTF-8 text (invalid start byte)"),
     ], ids=["missing", "header", "nan", "empty", "binary"])
     def test_bad_basis_file_exits_3(self, shellfish_csv, tmp_path, capsys, text, message):
         path = tmp_path / "basis.csv"
@@ -1101,45 +1112,139 @@ class TestConsoleScript:
         assert proc.stdout.strip() == "[]"
 
 
-# each bad file's bytes, None for no file; the non-numeric cell sits in a
-# file of each flag's own layout
+# each bad file's bytes, None for no file and "dir" for a directory; the
+# non-numeric cell sits in a file of each flag's own layout
 BAD_FILES = {
     "missing": None,
+    "directory": "dir",
     "empty": b"",
     "not-utf8": b"\xff\xfe\x00\x01",
     "comment-only": b"# only a comment\n",
     "non-numeric": {"--input": b"a,b,y\n1.0,2.0,3.0\n1.0,x,3.0\n", "--test-csv": b"a,b\n1.0,x\n",
                     "--basis": b"1.0,x\n"},
 }
+# every input flag, by its command line; a manifest flag is named after its
+# subcommand
+GOOD = ["--input", "{good}", "--response", "y"]
+INPUT_FLAGS = {
+    "--input": ["fit", "--input", "{bad}", "--response", "y"],
+    "--test-csv": ["predict", *GOOD, "--test-csv", "{bad}"],
+    "--basis": ["fit", *GOOD, "--basis", "{bad}"],
+    "--config": ["fit", *GOOD, "--config", "{bad}"],
+    "--from-manifest-fit": ["fit", *GOOD, "--from-manifest", "{bad}"],
+    "--from-manifest-reduce": ["reduce", *GOOD, "--from-manifest", "{bad}"],
+    "--from-manifest-simulate": ["simulate", "--from-manifest", "{bad}", "--out", "{sim}"],
+}
+# an empty or comment-only option file holds no options, and only the CSV
+# layouts hold numbers
+NOT_FAULTS = {("empty", "--config"), ("comment-only", "--config"),
+              *(("non-numeric", f) for f in INPUT_FLAGS if f not in BAD_FILES["non-numeric"])}
+# one child process per fault, spread over the readers; comment-only --basis
+# is the file numpy's loadtxt would warn on
+CHILD_CASES = {"missing": "--config", "directory": "--from-manifest-simulate",
+               "empty": "--from-manifest-fit", "not-utf8": "--config",
+               "comment-only": "--basis", "non-numeric": "--input"}
+
+
+def write_good_csv(path):
+    write_table(path, ["a", "b", "y"], np.random.default_rng(0).standard_normal((20, 3)))
+    return path
+
+
+def bad_file_argv(tmp_path, kind, flag):
+    """The command line of flag's case of the bad file kind, and the file."""
+    good = write_good_csv(tmp_path / "good.csv")
+    bad = tmp_path / "bad.csv"
+    content = BAD_FILES[kind]
+    if isinstance(content, dict):
+        content = content[flag]
+    if content == "dir":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    paths = {"good": good, "bad": bad, "sim": tmp_path / "sim"}
+    return [a.format(**paths) for a in INPUT_FLAGS[flag]], bad
 
 
 class TestBadInputFiles:
-    @pytest.mark.parametrize("flag", ["--input", "--test-csv", "--basis"])
-    @pytest.mark.parametrize("kind", list(BAD_FILES))
-    def test_one_error_line_naming_the_file(self, tmp_path, kind, flag):
-        """Exit 3 with one `error:` line naming the file, and no traceback or
-        warning on stderr, with every warning an error (a child process,
-        since pytest records warnings)."""
-        good = tmp_path / "good.csv"
-        rows = np.random.default_rng(0).standard_normal((20, 3))
-        write_table(good, ["a", "b", "y"], rows)
-        bad = tmp_path / "bad.csv"
-        content = BAD_FILES[kind]
-        if isinstance(content, dict):
-            content = content[flag]
-        if content is not None:
-            bad.write_bytes(content)
-        argv = {"--input": ["fit", "--input", str(bad), "--response", "y"],
-                "--test-csv": ["predict", "--input", str(good), "--response", "y",
-                               "--test-csv", str(bad)],
-                "--basis": ["fit", "--input", str(good), "--response", "y", "--basis", str(bad)]}
+    @pytest.mark.parametrize("kind, flag", [
+        pytest.param(kind, flag, id=f"{kind}-{flag}")
+        for kind in BAD_FILES for flag in INPUT_FLAGS if (kind, flag) not in NOT_FAULTS])
+    def test_one_error_line_naming_the_file(self, tmp_path, capsys, kind, flag):
+        """Exit 3 with one `error:` line naming the file, and no output; a
+        warning would raise here, since pytest makes every warning an error."""
+        argv, bad = bad_file_argv(tmp_path, kind, flag)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("kind", list(CHILD_CASES))
+    def test_no_traceback_or_warning_in_a_child(self, tmp_path, kind):
+        """The same in a child process run as `python -W error -m rednw.cli`:
+        stderr holds the one `error:` line, no traceback and no warning."""
+        argv, bad = bad_file_argv(tmp_path, kind, CHILD_CASES[kind])
         root = str(Path(rednw.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [root, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rednw.cli", *argv[flag]],
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rednw.cli", *argv],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert str(bad) in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--input", "--basis"])
+    def test_recorded_input_now_a_directory(self, tmp_path, capsys, flag):
+        """A manifest input that is now a directory fails its digest check as
+        a DataError naming it."""
+        data = write_good_csv(tmp_path / "data.csv")
+        code, _, _ = run_cli(["reduce", "--input", str(data), "--response", "y",
+                              "--out", str(tmp_path / "red")], capsys)
+        assert code == 0
+        replay = ["fit", "--input", str(data), "--response", "y",
+                  "--basis", str(tmp_path / "red" / "basis.csv")]
+        assert run_cli([*replay, "--out", str(tmp_path / "fit")], capsys)[0] == 0
+        moved = data if flag == "--input" else tmp_path / "red" / "basis.csv"
+        moved.unlink()
+        moved.mkdir()
+        code, out, err = run_cli([*replay, "--from-manifest", str(tmp_path / "fit" / "manifest.json")],
+                                 capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {moved}: cannot read manifest input (Is a directory)\n"
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started its work")
+
+
+class TestBadOutputPaths:
+    """An --out that is a file or lies under one, and a --plot-data that is a
+    directory or lies in none, exit 2 before any data file is read or any
+    replication run, with one `error:` line naming the flag and the path."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", *GOOD, "--out", "{file}"],
+        ["reduce", *GOOD, "--out", "{file}"],
+        ["simulate", "--model", "1", "--ns", "60", "--nrep", "2", "--points", "1",
+         "--out", "{file}"],
+        ["kernel-check", "--out", "{file}"],
+        ["fit", *GOOD, "--out", "{file}/sub"],
+        ["fit", *GOOD, "--plot-data", "{dir}"],
+        ["predict", *GOOD, "--plot-data", "{dir}/none/plot.csv"],
+    ], ids=["fit-out-file", "reduce-out-file", "simulate-out-file", "kernel-check-out-file",
+            "out-under-a-file", "plot-data-directory", "plot-data-in-no-directory"])
+    def test_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        for name in ("load_csv", "run_replications", "validate_conditions"):
+            monkeypatch.setattr(cli, name, _no_work)
+        (tmp_path / "file").write_text("x\n")
+        (tmp_path / "dir").mkdir()
+        argv = [a.format(good=tmp_path / "good.csv", file=tmp_path / "file", dir=tmp_path / "dir")
+                for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        # the last flag is the bad one
+        assert err.startswith(f"error: {argv[-2]} {argv[-1]}: ") and err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == "x\n"
