@@ -130,28 +130,49 @@ def _rule_from_args(args, default_rule: BandwidthRule | None = None) -> Bandwidt
     )
 
 
+# the files each subcommand writes to --out, _MANIFEST aside (all but
+# kernel-check write it); _emit writes the last, the result it prints, and
+# simulate a density file per test point and its last two as its plan asks
+_OUT_FILES = {"kernel-check": ("kernel_check.json",),
+              "reduce": ("basis.csv", "basis_meta.json"),
+              "fit": ("predictions.json",), "predict": ("predictions.json",),
+              "simulate": ("emse.csv", "density_{}.csv", "equivalence.csv", "coverage.csv")}
+_MANIFEST = "manifest.json"
+
+
+def _check_file_names(out: Path, names) -> None:
+    """ArgumentError if a directory stands at one of the names in out."""
+    for name in names:
+        if (out / name).is_dir():
+            raise ArgumentError(f"--out {out}: {out / name} is a directory; the run writes a file there")
+
+
 def _check_output_paths(args) -> None:
     """Before any work: --out must be a directory or a path mkdir can make,
-    and --plot-data a file path in an existing directory."""
+    with no directory where the subcommand writes a file (simulate checks
+    with its plan), and --plot-data a file path in an existing directory."""
     out, plot = getattr(args, "out", None), getattr(args, "plot_data", None)
     if out:
         path = Path(out).absolute()
         if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
             raise ArgumentError(f"--out {out}: not a directory, and none can be made there")
+        if args.command != "simulate":
+            manifest = (_MANIFEST,) if args.command != "kernel-check" else ()
+            _check_file_names(Path(out), _OUT_FILES[args.command] + manifest)
     if plot and (Path(plot).is_dir() or not Path(plot).absolute().parent.is_dir()):
         raise ArgumentError(f"--plot-data {plot}: not a file path in an existing directory")
 
 
-def _emit(chunks, args, name: str) -> Path | None:
+def _emit(chunks, args) -> Path | None:
     """Print a result's JSON text, given as a sequence of chunks; with
-    --out, write each chunk to out/name as well as it is printed. Returns
-    the --out directory, or None without one."""
+    --out, write each chunk to the subcommand's result file there as well
+    as it is printed. Returns the --out directory, or None without one."""
     out = Path(args.out) if args.out else None
     with contextlib.ExitStack() as files:
         sinks = [sys.stdout]
         if out:
             out.mkdir(parents=True, exist_ok=True)
-            sinks.append(files.enter_context(open(out / name, "w")))
+            sinks.append(files.enter_context(open(out / _OUT_FILES[args.command][-1], "w")))
         for text in chunks:
             for fh in sinks:
                 fh.write(text)
@@ -178,7 +199,7 @@ def _cmd_kernel_check(args) -> int:
     report = validate_conditions(kernel).to_json_dict()
     report["profile"] = profile.name
     report["dim"] = args.dim
-    _emit([json_text(report)], args, "kernel_check.json")
+    _emit([json_text(report)], args)
     return 0
 
 
@@ -193,17 +214,20 @@ _MANIFEST_KEYS = {"reduce": _DATA_KEYS + ("ridge", "slices"),
                   "fit": _PREDICT_KEYS, "predict": _PREDICT_KEYS}
 
 
-def _write_manifest(args, out: Path, outputs) -> None:
-    """manifest.json of reduce, fit and predict: the subcommand's options and
-    the digest of each input file given (--input, --basis, --test-csv)."""
+def _write_manifest(args, out: Path) -> None:
+    """manifest.json of reduce, fit and predict: the subcommand's options,
+    the digest of each input file given (--input, --basis, --test-csv) and
+    the files written (--plot-data, then those in --out)."""
     # fit and predict share one handler and key list but not every flag:
     # options a subcommand does not expose are recorded as None
     options = {k: getattr(args, k, None) for k in _MANIFEST_KEYS[args.command]}
     paths = (getattr(args, k, None) for k in ("input", "basis", "test_csv"))
+    plot = getattr(args, "plot_data", None)
     RunManifest(tool_version=__version__, command=args.command,
                 config={"options": options}, seeds={},
                 input_digests={str(p): sha256_file(p) for p in paths if p},
-                outputs=tuple(outputs)).to_json_file(out / "manifest.json")
+                outputs=((str(plot),) if plot else ()) + _OUT_FILES[args.command]
+                ).to_json_file(out / _MANIFEST)
 
 
 def _manifest_options(args) -> dict:
@@ -244,10 +268,10 @@ def _cmd_reduce(args) -> int:
             "n_dropped": ds.n_dropped,
         },
     }
-    out = _emit([json_text(meta)], args, "basis_meta.json")
+    out = _emit([json_text(meta)], args)
     if out:
-        write_table(out / "basis.csv", None, basis.matrix)
-        _write_manifest(args, out, ("basis.csv", "basis_meta.json"))
+        write_table(out / _OUT_FILES["reduce"][0], None, basis.matrix)
+        _write_manifest(args, out)
     return 0
 
 
@@ -272,10 +296,9 @@ def _cmd_fit_predict(args) -> int:
                     plot.write(rows)
                 yield text
 
-        out = _emit(points(), args, "predictions.json")
+        out = _emit(points(), args)
     if out:
-        outputs = (str(args.plot_data),) if args.plot_data else ()
-        _write_manifest(args, out, (*outputs, "predictions.json"))
+        _write_manifest(args, out)
     return 0
 
 
@@ -306,6 +329,11 @@ def _simulate_config_from_args(args) -> dict:
 def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     plan = simulation_plan_from_config(config)
     cfg = plan.model_cfg
+    # every file the plan may write, checked before the run
+    emse, density, equivalence, coverage = _OUT_FILES["simulate"]
+    densities = [density.format(j) for j in range(plan.test_points.shape[0] if plan.n_rep >= 10 else 0)]
+    _check_file_names(out_dir, [emse, *densities, *[equivalence] * plan.equivalence,
+                                *[coverage] * plan.coverage, _MANIFEST])
     # the one replication run; only coverage reads intervals, at the run's level
     table = run_replications(cfg, plan.methods, plan.ns, plan.test_points,
                              plan.n_rep, n_threads=threads,
@@ -315,14 +343,14 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
 
     rows = [(c.point_id, c.n, c.method, c.emse, c.variance, c.mean_estimate,
              c.true_mse, c.n_rep, c.n_missing) for c in table.cells]
-    write_table(out_dir / "emse.csv",
+    write_table(out_dir / emse,
                 ["point_id", "n", "method", "emse", "variance", "mean_estimate",
                  "true_mse", "n_rep", "n_missing"], rows)
-    outputs.append("emse.csv")
+    outputs.append(emse)
 
     if plan.n_rep >= 10:
         n_max = max(plan.ns)
-        for j in range(plan.test_points.shape[0]):
+        for j, name in enumerate(densities):
             ests = {lab: table.replicates(j, n_max, lab)[:, 0] for lab in table.methods}
             blocks = [(lab, v[~np.isnan(v)]) for lab, v in ests.items()]
             blocks = [(lab, v) for lab, v in blocks if v.size >= 10]
@@ -334,23 +362,22 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
             grid = np.linspace(lo - pad, hi + pad, 101)
             drows = [(lab, n_max, g, dens) for lab, v in blocks
                      for g, dens in estimate_density_data(v, grid)]
-            name = f"density_{j}.csv"
             write_table(out_dir / name, ["method", "n", "grid", "density"], drows)
             outputs.append(name)
 
     if plan.equivalence:
         eq_rows = equivalence_view(table)
-        write_table(out_dir / "equivalence.csv", ["n", "h", "median_stat", "n_used", "n_missing"],
+        write_table(out_dir / equivalence, ["n", "h", "median_stat", "n_used", "n_missing"],
                     [(r.n, r.h, r.median_stat, r.n_used, r.n_missing) for r in eq_rows])
-        outputs.append("equivalence.csv")
+        outputs.append(equivalence)
     if plan.coverage:
         cov = coverage_view(table, cfg, max(plan.ns))
-        write_table(out_dir / "coverage.csv",
+        write_table(out_dir / coverage,
                     ["n", "level", "coverage", "n_used", "n_excluded", "truth",
                      "median_ci_width"],
                     [(cov.n, cov.level, cov.coverage, cov.n_used, cov.n_excluded,
                       cov.truth, cov.median_ci_width)])
-        outputs.append("coverage.csv")
+        outputs.append(coverage)
 
     digests = {}
     if config["model"] == 2:
@@ -359,8 +386,8 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     manifest = RunManifest(tool_version=__version__, command="simulate",
                            config=config, seeds={"base_seed": config["seed"]},
                            input_digests=digests, outputs=tuple(outputs))
-    manifest.to_json_file(out_dir / "manifest.json")
-    print(f"wrote {', '.join(outputs)} and manifest.json to {out_dir} "
+    manifest.to_json_file(out_dir / _MANIFEST)
+    print(f"wrote {', '.join(outputs)} and {_MANIFEST} to {out_dir} "
           f"(missing rate {table.missing_rate:.4f})")
     return 0
 

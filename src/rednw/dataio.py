@@ -379,19 +379,38 @@ class RunManifest:
     @classmethod
     def from_json_file(cls, path, command: str | None = None) -> "RunManifest":
         """Load a manifest; with ``command``, raise ArgumentError unless it
-        records a run of that subcommand."""
+        records a run of that subcommand. A DataError names the file and the
+        first field that is missing or of the wrong shape: the JSON,
+        ``config``, ``config.options`` (if given) and ``seeds`` must be
+        objects, ``input_digests`` an object of strings and ``outputs`` (if
+        given) a list of strings."""
         path = Path(path)
         try:
             with _open_input(path, "manifest") as fh:
                 raw = json.load(fh)
-            manifest = cls(tool_version=raw["tool_version"], command=raw["command"],
-                           config=raw["config"], seeds=raw["seeds"],
-                           input_digests=raw["input_digests"],
-                           outputs=tuple(raw.get("outputs", ())))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid manifest JSON ({exc})") from exc
-        except KeyError as exc:
-            raise DataError(f"{path}: manifest missing field {exc}") from exc
+
+        def need(field: str, value, kind: type, entries: type = object) -> None:
+            items = value.values() if isinstance(value, dict) else value
+            if not (isinstance(value, kind) and all(isinstance(v, entries) for v in items)):
+                shape = "an object" if kind is dict else "a list"
+                raise DataError(f"{path}: manifest {field} must be {shape}"
+                                + (" of strings" if entries is str else ""))
+
+        need("JSON", raw, dict)
+        missing = [k for k in ("tool_version", "command", "config", "seeds", "input_digests")
+                   if k not in raw]
+        if missing:
+            raise DataError(f"{path}: manifest missing field {missing[0]!r}")
+        need("field 'config'", raw["config"], dict)
+        need("field 'config.options'", raw["config"].get("options", {}), dict)
+        need("field 'seeds'", raw["seeds"], dict)
+        need("field 'input_digests'", raw["input_digests"], dict, str)
+        need("field 'outputs'", raw.get("outputs", []), list, str)
+        manifest = cls(tool_version=raw["tool_version"], command=raw["command"],
+                       config=raw["config"], seeds=raw["seeds"],
+                       input_digests=raw["input_digests"], outputs=tuple(raw.get("outputs", ())))
         if command is not None and manifest.command != command:
             raise ArgumentError(f"manifest records a {manifest.command!r} run, not {command!r}")
         return manifest
@@ -423,6 +442,7 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
         rule = BandwidthRule(**config["bandwidth"])
         test_points = np.asarray(config["test_points"], dtype=float)
         coverage_level = float(config.get("coverage_level", 0.95))
+        d = int(config.get("d", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"manifest config is incomplete or malformed: {exc}") from exc
     if model not in MODELS:
@@ -434,7 +454,6 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
                             f"(known truth), got model {model}")
     if coverage and not (0.0 < coverage_level < 1.0):
         raise ArgumentError(f"coverage level must lie in (0, 1), got {coverage_level}")
-    d = int(config.get("d", 1))
     nprt_reduction = config.get("nprt_reduction") or default_reduction
     methods = tuple(
         MethodSpec(method=m, reduction=nprt_reduction if m == "nprt" else None, d=d,
@@ -505,10 +524,6 @@ class WorkflowResult:
         return {"x0": x0, "eta_hat": float(b.eta_hat[i]), "ci_lo": float(b.ci_lo[i]),
                 "ci_hi": float(b.ci_hi[i]), "f_hat": float(b.f_hat[i]),
                 "sigma2_hat": float(b.sigma2_hat[i]), "h": float(b.h)}
-
-    @property
-    def n_failed(self) -> int:
-        return int(np.count_nonzero(~self.batch.ok))
 
     def run_file_chunks(self, plot: bool = True) -> Iterator[tuple[str, str]]:
         """The two run files in pieces of ``_CHUNK_ROWS`` query rows: for each

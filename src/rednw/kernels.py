@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -173,13 +173,6 @@ class RadialKernel:
     l2_const: float
     mu2: float
 
-    def eval(self, u: Sequence[float] | NDArray[np.floating]) -> float:
-        """K(u) = norm_const * k(||u||), zero beyond the support radius."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise ArgumentError(f"kernel expects a vector of length {self.dim}, got shape {u.shape}")
-        return self.norm_const * float(self.profile_of_squares(np.array([u @ u]))[0])
-
     def profile_of_squares(self, u: NDArray[np.floating]) -> NDArray[np.floating]:
         """The profile k(sqrt(u)) at squared radii u, without norm_const,
         written over u where it can be. A built-in profile forms (1 - u)^k on
@@ -276,10 +269,6 @@ class ConditionReport:
     norm_const: float
     l2_const: float
     checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {

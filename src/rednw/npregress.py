@@ -49,7 +49,8 @@ leave-one-out bandwidth search, on the sample sorted once for the grid, and
 every sorted batch whose slabs hold more than _PREFIX_WORK (n + m)(2k + 1)
 samples in all, that multiple of the prefix path's work for n samples and
 m queries. Each window's sums come from prefix sums over at most three
-chunks of width h. Window edges, and so empty windows, follow the direct
+chunks of width h, gathered by the query blocks of ``reduction.row_blocks``
+within the same budget. Window edges, and so empty windows, follow the direct
 test |q - w| / h < 1 (<= 1 for the uniform profile). A row's sums of
 (Y - ybar)^r carry a rounding error below eps 5^k sum_i |Y_i - ybar|^r per
 window sample, and the centred variance's numerator S_2 - mu S_1 (mu =
@@ -79,7 +80,7 @@ from numpy.typing import NDArray
 
 from .errors import ArgumentError
 from .kernels import RadialKernel
-from .reduction import _BLOCK_ENTRIES, ReductionBasis, all_finite, reduce as _reduce
+from .reduction import _BLOCK_ENTRIES, ReductionBasis, all_finite, reduce as _reduce, row_blocks
 
 BANDWIDTH_KINDS = ("power_rule", "fixed", "loocv")
 EXPONENT_DIMS = ("ambient_p", "reduced_d")
@@ -107,10 +108,6 @@ _GRAM_MAX_NORM2 = np.finfo(float).max / 4
 # a d = 1 prefix-sum row whose mass or variance numerator is below this many
 # times its rounding bound (see _nw_prefix) is summed directly over its window
 _PREFIX_SAFETY = 1e5
-# queries per block of the prefix path: its prefix sums P are built once,
-# and a block's temporaries hold 3(2k + 1) x _PREFIX_BLOCK entries, no more
-# than P's 3(2k + 1) x (n + 1) once n reaches the block
-_PREFIX_BLOCK = 512
 # a sorted d = 1 batch with a built-in profile takes the prefix path when its
 # slabs hold more than this many times (n + m)(2k + 1) samples in all; below
 # that, per-call overhead makes the prefix path the slower one for n ~ 100
@@ -535,8 +532,14 @@ def _nw_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.floa
     sums within a chunk; the window of q spans at most q's chunk and its two
     neighbours, and (1 - (v - u)^2)^k with v = (q - z) / h expands by
     binomial coefficients into those sums. A left-out row's own chunk is
-    summed on both sides of the row, not as a full sum less K(0). Queries
-    run in blocks of _PREFIX_BLOCK, so no temporary grows with m.
+    summed on both sides of the row, not as a full sum less K(0). The m
+    queries (m = n left out) run in blocks of ``reduction.row_blocks(m,
+    R(2k + 1))``, R = 2 left out and 3 for a batch, so a block holds at
+    most three gathered prefix arrays of at most _BLOCK_ENTRIES entries and
+    coefficient rows of at most one more: with P and at most 20 floats per
+    sample and query, a pass's tracemalloc peak is at most 8 (R(2k + 1)(n +
+    1) + 20 (n + m) + 4 _BLOCK_ENTRIES) bytes. The contractions sum over j
+    in a fixed order, so the sums keep their bits at any block width.
 
     Window bounds, and so empty windows, come from counts and the direct
     core's test at the window edges (``_window_starts``); an empty
@@ -583,17 +586,21 @@ def _nw_prefix(kernel: RadialKernel, w: NDArray[np.floating], Y: NDArray[np.floa
             for j in range(2 * m + 1):
                 M[j, 2 * m - j] += (-1) ** (m + j) * math.comb(k, m) * math.comb(2 * m, j)
         sums = np.zeros((R, q.size))
-        for b0 in range(0, q.size, _PREFIX_BLOCK):
-            b1 = min(b0 + _PREFIX_BLOCK, q.size)
-            i = slice(b0, b1)
+        for i in row_blocks(q.size, R * J):
             li, hi_, si, ei = lo[i], hi[i], start[i], end[i]
             a, b = np.maximum(li, si), np.minimum(hi_, ei)
             # the window's sums in chunks c - 1, c (either side of a left-out
-            # row) and c + 1, each with the offset of that chunk's centre from c
-            own = ((a, i), (slice(b0 + 1, b1 + 1), b)) if loo else ((a, b),)
+            # row r) and c + 1, each with the offset of that chunk's centre from c
+            r = np.arange(i.start, i.stop)
+            own = ((a, r), (r + 1, b)) if loo else ((a, b),)
             for off, segs in ((-0.5, ((np.minimum(li, si), si),)), (0.5, own),
                               (1.5, ((ei, np.maximum(hi_, ei)),))):
-                S = sum(P[:, y] - P[:, x] for x, y in segs)
+                # in place, so at most three gathered arrays are alive at once
+                S = None
+                for x, y in segs:
+                    d = P.take(y, axis=1)
+                    d -= P.take(x, axis=1)
+                    S = d if S is None else np.add(S, d, out=S)
                 A = np.einsum("jp,pi->ji", M, _powers((q[i] - (w0 + (cq[i] + off) * h)) / h, J))
                 sums[:, i] += np.einsum("ji,rji->ri", A, S.reshape(R, J, -1))
         # an empty window's sums are 0 times its expansion, which a far query

@@ -1220,6 +1220,10 @@ def _no_work(*args, **kwargs):
     raise AssertionError("the command started its work")
 
 
+# a small simulate plan: 2 replications, so no density files
+SIM = ["--model", "1", "--ns", "60", "--nrep", "2", "--points", "2"]
+
+
 class TestBadOutputPaths:
     """An --out that is a file or lies under one, and a --plot-data that is a
     directory or lies in none, exit 2 before any data file is read or any
@@ -1248,3 +1252,102 @@ class TestBadOutputPaths:
         # the last flag is the bad one
         assert err.startswith(f"error: {argv[-2]} {argv[-1]}: ") and err.count("\n") == 1
         assert (tmp_path / "file").read_text() == "x\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["kernel-check"], "kernel_check.json"),
+        (["reduce", *GOOD], "basis.csv"),
+        (["reduce", *GOOD], "basis_meta.json"),
+        (["reduce", *GOOD], "manifest.json"),
+        (["fit", *GOOD, "--method", "np"], "predictions.json"),
+        (["predict", *GOOD], "manifest.json"),
+        (["simulate", *SIM], "emse.csv"),
+        (["simulate", *SIM], "manifest.json"),
+        (["simulate", *SIM, "--nrep", "10"], "density_1.csv"),
+        (["simulate", *SIM, "--equivalence"], "equivalence.csv"),
+        (["simulate", *SIM, "--coverage"], "coverage.csv"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_directory_at_an_output_name_exits_2(self, tmp_path, capsys, monkeypatch, argv, name):
+        """A directory where the run would write one of its files exits 2
+        before any work, with one `error:` line naming it; simulate's names
+        follow its plan."""
+        for fn in ("load_csv", "run_replications", "validate_conditions"):
+            monkeypatch.setattr(cli, fn, _no_work)
+        write_good_csv(tmp_path / "good.csv")
+        (tmp_path / "out" / name).mkdir(parents=True)
+        argv = [a.format(good=tmp_path / "good.csv") for a in argv] + ["--out", str(tmp_path / "out")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --out {tmp_path / 'out'}: {tmp_path / 'out' / name} is a directory")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path / "out") == [name]
+
+    @pytest.mark.parametrize("argv, name", [
+        (["kernel-check"], "manifest.json"),
+        (["simulate", *SIM], "density_0.csv"),
+        (["simulate", *SIM], "coverage.csv"),
+    ], ids=["kernel-check-manifest", "density-below-10-reps", "coverage-not-asked"])
+    def test_directory_at_a_name_not_written_is_left_alone(self, tmp_path, capsys, argv, name):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out" / name).is_dir()
+
+
+# each malformed manifest: the field named in the error, and the change to a
+# good fit manifest's JSON tree
+BAD_MANIFESTS = {
+    "top-list": ("JSON", lambda m: []),
+    "top-string": ("JSON", lambda m: "fit"),
+    "config-list": ("field 'config'", lambda m: {**m, "config": []}),
+    "config-string": ("field 'config'", lambda m: {**m, "config": "x"}),
+    "options-list": ("field 'config.options'", lambda m: {**m, "config": {"options": []}}),
+    "digests-list": ("field 'input_digests'", lambda m: {**m, "input_digests": []}),
+    "digest-number": ("field 'input_digests'", lambda m: {**m, "input_digests": {"good.csv": 5}}),
+    "seeds-list": ("field 'seeds'", lambda m: {**m, "seeds": []}),
+    "outputs-string": ("field 'outputs'", lambda m: {**m, "outputs": "predictions.json"}),
+    "outputs-number": ("field 'outputs'", lambda m: {**m, "outputs": [1]}),
+}
+
+
+class TestBadManifestShape:
+    """A --from-manifest file that is valid JSON of the wrong shape exits 3
+    with one `error:` line naming the file and the field."""
+
+    @staticmethod
+    def bad_manifest(tmp_path, capsys, kind):
+        good = write_good_csv(tmp_path / "good.csv")
+        argv = ["fit", "--input", str(good), "--response", "y"]
+        assert run_cli([*argv, "--out", str(tmp_path / "run")], capsys)[0] == 0
+        field, change = BAD_MANIFESTS[kind]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(change(json.loads((tmp_path / "run" / "manifest.json").read_text()))))
+        return [*argv, "--from-manifest", str(bad)], bad, field
+
+    @pytest.mark.parametrize("kind", list(BAD_MANIFESTS))
+    def test_exits_3_naming_the_field(self, tmp_path, capsys, kind):
+        argv, bad, field = self.bad_manifest(tmp_path, capsys, kind)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {bad}: manifest {field} must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["reduce", "simulate"])
+    def test_every_reader_checks_the_shape(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"tool_version": "0", "command": command, "config": [],
+                                   "seeds": {}, "input_digests": {}}))
+        argv = (["reduce", "--input", str(write_good_csv(tmp_path / "good.csv")), "--response", "y"]
+                if command == "reduce" else ["simulate", "--out", str(tmp_path / "sim")])
+        code, out, err = run_cli([*argv, "--from-manifest", str(bad)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {bad}: manifest field 'config' must be an object\n"
+        assert not (tmp_path / "sim").exists()
+
+    def test_no_traceback_or_warning_in_a_child(self, tmp_path, capsys):
+        argv, bad, field = self.bad_manifest(tmp_path, capsys, "top-list")
+        root = str(Path(rednw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rednw.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: {bad}: manifest JSON must be an object\n"

@@ -486,6 +486,14 @@ class TestManifest:
         with pytest.raises(DataError, match="bandwith"):
             simulation_plan_from_config(config)
 
+    @pytest.mark.parametrize("d", [[1], "x"])
+    def test_malformed_dimension_rejected(self, d):
+        """A d that int() cannot read is malformed data, like every other key."""
+        config = {"model": 1, "seed": 3, "ns": [80], "n_rep": 4, "methods": ["np"],
+                  "bandwidth": {"kind": "power_rule"}, "test_points": [[0.0] * 6], "d": d}
+        with pytest.raises(DataError, match="^manifest config is incomplete or malformed"):
+            simulation_plan_from_config(config)
+
 
 def points_of(wf):
     """Each query row's object in the points file, read from the batch's
@@ -532,7 +540,7 @@ class TestPredictWorkflow:
         fitted, observed, lo, hi = rows[0]
         assert observed == ds.Y[0]
         assert lo <= fitted <= hi
-        assert res.n_failed == 0
+        assert res.batch.ok.all()
 
     def test_out_of_sample_has_no_observed(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
@@ -550,7 +558,7 @@ class TestPredictWorkflow:
         )
         res_pls = run_predict_workflow(ds, method="pls", d=1, bandwidth_rule=rule)
         res_np = run_predict_workflow(ds, method="np", bandwidth_rule=rule)
-        assert res_pls.n_failed == 0 and res_np.n_failed == 0
+        assert res_pls.batch.ok.all() and res_np.batch.ok.all()
         w_pls = np.median(res_pls.batch.ci_hi - res_pls.batch.ci_lo)
         w_np = np.median(res_np.batch.ci_hi - res_np.batch.ci_lo)
         assert w_pls < w_np
@@ -579,7 +587,7 @@ class TestPredictWorkflow:
         res = run_predict_workflow(
             ds, method="pls", d=1, bandwidth_rule=rule, test_rows=far
         )
-        assert res.n_failed == 1
+        assert np.count_nonzero(~res.batch.ok) == 1
         assert "error" in points_of(res)[0]
 
     def test_precomputed_basis_used(self, shellfish_csv):
@@ -661,9 +669,9 @@ class TestRunFileWriters:
         wf = run_predict_workflow(ds, method="pls", d=d, bandwidth_rule=rule, test_rows=test)
         if h and d > 1:
             # h**d leaves the float range: every density is degenerate
-            assert wf.n_failed == len(wf.batch)
+            assert np.count_nonzero(~wf.batch.ok) == len(wf.batch)
         elif not in_sample and h != 1e200:
-            assert wf.n_failed >= 3  # the far rows' windows are empty
+            assert np.count_nonzero(~wf.batch.ok) >= 3  # the far rows' windows are empty
         assert_run_files_exact(wf, tmp_path / "plot.csv")
 
     @pytest.mark.parametrize("d", [1, 2, 3])

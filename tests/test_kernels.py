@@ -36,12 +36,13 @@ def quad_integral(kernel):
 
 
 def mc_integral(kernel, func, n_draws, seed):
-    """Monte Carlo integral of func(u) over the support cube, with its std error."""
+    """Monte Carlo integral of f(u) = func(||u||) over the support cube, with
+    its std error; func maps an array of radii elementwise."""
     rng = np.random.default_rng(seed)
     r = kernel.profile.support_radius
     d = kernel.dim
     u = rng.uniform(-r, r, size=(n_draws, d))
-    vals = np.array([func(row) for row in u]) * (2.0 * r) ** d
+    vals = func(np.linalg.norm(u, axis=1)) * (2.0 * r) ** d
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_draws))
 
 
@@ -91,13 +92,13 @@ class TestConstants:
     @pytest.mark.parametrize("name", BUILTINS)
     def test_integral_one_monte_carlo_band(self, name):
         k = make_kernel(builtin_profile(name), 2)
-        est, se = mc_integral(k, k.eval, n_draws=200_000, seed=1234)
+        est, se = mc_integral(k, lambda t: kernel_weights(k, t), n_draws=200_000, seed=1234)
         assert abs(est - 1.0) <= 3.0 * se + 1e-6
 
     def test_l2_const_monte_carlo_band(self):
         k = make_kernel(builtin_profile("triweight_poly3"), 2)
         est, se = mc_integral(
-            k, lambda u: k.eval(u) ** 2, n_draws=200_000, seed=99
+            k, lambda t: kernel_weights(k, t) ** 2, n_draws=200_000, seed=99
         )
         assert abs(est - k.l2_const) <= 3.0 * se + 1e-6
 
@@ -129,14 +130,15 @@ class TestQuadratureNodes:
 class TestEval:
     def test_triweight_at_zero(self):
         k = make_kernel(builtin_profile("triweight_poly3"), 1)
-        np.testing.assert_allclose(k.eval(np.zeros(1)), 35.0 / 32.0, rtol=1e-14)
+        np.testing.assert_allclose(k.norm_const * k.profile_of_squares(np.zeros(1)), 35.0 / 32.0,
+                                   rtol=1e-14)
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_zero_beyond_support(self, name):
         k = make_kernel(builtin_profile(name), 3)
         r = k.profile.support_radius
         u = np.array([2.0 * r, 0.0, 0.0])
-        assert k.eval(u) == 0.0
+        assert k.profile_of_squares(np.array([u @ u]))[0] == 0.0
 
     def test_rotation_invariance(self):
         """K(u) = k(|u|) gives identical values under any orthogonal map."""
@@ -146,21 +148,19 @@ class TestEval:
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             u = rng.uniform(-1.2, 1.2, size=3)
             # same norm, so exactly the same value up to rounding in the norm
-            np.testing.assert_allclose(k.eval(q @ u), k.eval(u), rtol=1e-12, atol=1e-15)
-
-    def test_dimension_mismatch_raises(self):
-        k = make_kernel(builtin_profile("triweight_poly3"), 2)
-        with pytest.raises(ArgumentError):
-            k.eval(np.zeros(3))
+            v = q @ u
+            turned, plain = k.profile_of_squares(np.array([v @ v, u @ u]))
+            np.testing.assert_allclose(turned, plain, rtol=1e-12, atol=1e-15)
 
     def test_weights_match_eval_on_radii(self):
-        """K(u) from eval is norm_const times the profile at the squared
-        radius, which is the reference weight at the radius itself."""
+        """K(u) at a point, norm_const times the profile at the squared
+        radius u . u, is the reference weight at the radius itself."""
         k = make_kernel(builtin_profile("triweight_poly3"), 2)
         t = np.array([0.0, 0.2, 0.7, 0.999, 1.0, 1.5])
-        direct = np.array([k.eval(np.array([ti, 0.0])) for ti in t])
-        np.testing.assert_allclose(kernel_weights(k, t), direct, rtol=1e-14)
-        np.testing.assert_array_equal(k.norm_const * k.profile_of_squares(t * t), direct)
+        u = np.column_stack([t, np.zeros_like(t)])
+        point = k.norm_const * k.profile_of_squares(np.einsum("ij,ij->i", u, u))
+        np.testing.assert_allclose(point, kernel_weights(k, t), rtol=1e-14)
+        np.testing.assert_array_equal(k.norm_const * k.profile_of_squares(t * t), point)
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("name,power", [("triweight_poly3", 3), ("biweight", 2),
@@ -180,7 +180,7 @@ class TestEval:
 
     def test_weights_zero_where_custom_profile_is_nan(self):
         """NaN beyond the support passes make_kernel's probe; the profile of
-        squared radii, and eval, must still be exactly 0 there, not NaN."""
+        squared radii must still be exactly 0 there, not NaN."""
         prof = KernelProfile(
             name="custom",
             raw_profile=lambda t: np.where(t <= 1.0, 1.0 - t * t, np.nan),
@@ -192,7 +192,6 @@ class TestEval:
         w = k.norm_const * k.profile_of_squares(t * t)
         np.testing.assert_allclose(w[:2], k.norm_const * np.array([1.0, 0.75]), rtol=1e-15)
         assert np.array_equal(w[2:], np.zeros(4))
-        assert np.array_equal(w, [k.eval(np.array([ti])) for ti in t])
         np.testing.assert_array_equal(w, kernel_weights(k, t))
 
     def test_kernel_is_immutable(self):
@@ -205,7 +204,7 @@ class TestValidation:
     def test_triweight_all_checks_pass(self):
         k = make_kernel(builtin_profile("triweight_poly3"), 2)
         rep = validate_conditions(k)
-        assert rep.all_passed
+        assert all(c.passed for c in rep.checks)
         by_name = {c.name: c for c in rep.checks}
         assert abs(by_name["k3_odd_integral"].value) <= 1e-10
         assert abs(by_name["first_moment_zero"].value) <= 1e-8
@@ -226,7 +225,7 @@ class TestValidation:
         by_name = {c.name: c for c in rep.checks}
         assert not by_name["k3_twice_differentiable"].passed
         assert not by_name["k4_slope_bound"].passed
-        assert not rep.all_passed
+        assert not all(c.passed for c in rep.checks)
         # the integrability checks still pass
         assert by_name["integral_one"].passed
         assert by_name["bounded"].passed

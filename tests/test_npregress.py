@@ -1059,6 +1059,71 @@ class TestBatchPrefix:
         assert np.median(off) > 1.0
 
 
+class TestPrefixBlocks:
+    """_nw_prefix's query blocks come from ``reduction.row_blocks`` within the
+    one _BLOCK_ENTRIES budget: the sums keep their bits at any budget, and a
+    pass's memory stays within the docstring's bound."""
+
+    @pytest.mark.parametrize("profile", BUILTIN_PROFILES)
+    def test_small_budget_keeps_bits(self, profile, monkeypatch):
+        """At the default budget n = 2000 left-out rows fit one block; with
+        2^8 entries the leave-one-out and batch queries cross many blocks,
+        and every sum is the default's bit for bit."""
+        kern = make_kernel(builtin_profile(profile), 1)
+        rng = np.random.default_rng(31 + BUILTIN_PROFILES.index(profile))
+        n, m = 2000, 1500
+        # ties on a 1/64 grid, and queries far outside the sample
+        w = np.sort(np.round(64.0 * rng.standard_normal(n)) / 64.0)
+        Y = np.sin(w) + 0.1 * rng.standard_normal(n)
+        q = np.sort(np.concatenate([rng.uniform(w[0] - 1.0, w[-1] + 1.0, m - 2), [-1e300, 1e300]]))
+        counts = []
+        row_blocks = npregress.row_blocks
+
+        def counting_blocks(rows, width):
+            counts.append(len(row_blocks(rows, width)))
+            return row_blocks(rows, width)
+
+        monkeypatch.setattr(npregress, "row_blocks", counting_blocks)
+        for h in (0.05, 0.5):
+            default = _nw_prefix(kern, w, Y, h) + _nw_prefix(kern, w, Y, h, q)
+            with monkeypatch.context() as mp:
+                mp.setattr(reduction, "_BLOCK_ENTRIES", 1 << 8)
+                small = _nw_prefix(kern, w, Y, h) + _nw_prefix(kern, w, Y, h, q)
+            assert counts[0] == 1 and min(counts[2:]) >= 10
+            assert [a.tobytes() for a in default] == [b.tobytes() for b in small]
+            counts.clear()
+
+    @pytest.mark.parametrize("profile", BUILTIN_PROFILES)
+    def test_peak_within_stated_bound(self, profile, monkeypatch):
+        """A leave-one-out pass at n = 20,000 and a 10,000-query batch peak
+        at most 8 (R(2k + 1)(n + 1) + 20 (n + m) + 4 _BLOCK_ENTRIES) bytes,
+        and at most 4 _BLOCK_ENTRIES floats above the same pass in blocks of
+        2^8 entries."""
+        kern = make_kernel(builtin_profile(profile), 1)
+        J = 2 * kern.profile.power + 1
+        rng = np.random.default_rng(47)
+        n, m = 20_000, 10_000
+        w = np.sort(rng.standard_normal(n))
+        Y = np.sin(w) + 0.1 * rng.standard_normal(n)
+        q = np.sort(rng.standard_normal(m))
+
+        def peak(queries):
+            tracemalloc.start()
+            try:
+                _nw_prefix(kern, w, Y, 0.1, queries)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for R, queries, rows in ((2, None, n), (3, q, m)):
+            full = peak(queries)
+            with monkeypatch.context() as mp:
+                mp.setattr(reduction, "_BLOCK_ENTRIES", 1 << 8)
+                small = peak(queries)
+            assert full <= 8 * (R * J * (n + 1) + 20 * (n + rows) + 4 * _BLOCK_ENTRIES)
+            assert full - small <= 8 * 4 * _BLOCK_ENTRIES
+
+
 class TestSupportEdge:
     """A sample exactly R*h away keeps its weight, one ulp further gets 0."""
 
