@@ -85,6 +85,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    if not np.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return float(text)
+
+
 def _option_tokens(options: dict) -> list[str]:
     """argv tokens: True is a bare flag, None and False give none, a list repeats."""
     tokens = []
@@ -507,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also run the oracle-equivalence experiment (model 1)")
     sm.add_argument("--coverage", action="store_true",
                     help="also run the CI coverage experiment (model 1)")
-    sm.add_argument("--coverage-level", type=float, default=0.95)
+    sm.add_argument("--coverage-level", type=_finite_float, default=0.95)
     sm.add_argument("--seed", type=int, default=0, help="base RNG seed")
     _add_common(sm, from_manifest=True, threads_help="worker threads")
     sm.set_defaults(handler=_cmd_simulate)

@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -27,7 +28,7 @@ from numpy.typing import NDArray
 from . import reduction
 from .errors import ArgumentError, DataError, NumericError
 from .kernels import builtin_profile, make_kernel
-from .npregress import BandwidthRule, NWBatch, NWConfig, nw_batch
+from .npregress import BandwidthRule, NWBatch, NWConfig, as_float, nw_batch
 from .reduction import FIT_METHODS, ReductionBasis, fit
 from .simulate import (
     PFC_MAX_D,
@@ -362,6 +363,32 @@ def synthetic_shellfish(n: int = 79, seed: int = 8671):
     return header, rows
 
 
+def _is_json(value, kinds: tuple[type, ...]) -> bool:
+    """Whether ``value`` is a JSON ``kinds[0]`` whose entries (an object's
+    values) are each of ``kinds[1:]``. An int is an integral number and a
+    float a number that converts to a finite float; a bool is neither."""
+    kind, entries = kinds[0], kinds[1:]
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is float:
+        return isinstance(value, numbers.Real) and math.isfinite(as_float(value))
+    if not isinstance(value, numbers.Integral if kind is int else kind):
+        return False
+    items = value.values() if isinstance(value, dict) else value
+    return not entries or all(_is_json(v, entries) for v in items)
+
+
+def _need(field: str, value, *kinds: type) -> None:
+    """Raise a DataError saying that ``field`` must be of ``kinds`` (see
+    ``_is_json``), e.g. (list, str) for a list of strings."""
+    if not _is_json(value, kinds):
+        names = {dict: "object", list: "list", str: "string", bool: "bool",
+                 int: "integer", float: "finite number"}
+        head = names[kinds[0]]
+        raise DataError(f"{field} must be {'an' if head[0] in 'aeiou' else 'a'} {head}"
+                        + "".join(f" of {names[k]}s" for k in kinds[1:]))
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce a CLI run byte-identically."""
@@ -391,23 +418,17 @@ class RunManifest:
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid manifest JSON ({exc})") from exc
 
-        def need(field: str, value, kind: type, entries: type = object) -> None:
-            items = value.values() if isinstance(value, dict) else value
-            if not (isinstance(value, kind) and all(isinstance(v, entries) for v in items)):
-                shape = "an object" if kind is dict else "a list"
-                raise DataError(f"{path}: manifest {field} must be {shape}"
-                                + (" of strings" if entries is str else ""))
-
-        need("JSON", raw, dict)
+        _need(f"{path}: manifest JSON", raw, dict)
         missing = [k for k in ("tool_version", "command", "config", "seeds", "input_digests")
                    if k not in raw]
         if missing:
             raise DataError(f"{path}: manifest missing field {missing[0]!r}")
-        need("field 'config'", raw["config"], dict)
-        need("field 'config.options'", raw["config"].get("options", {}), dict)
-        need("field 'seeds'", raw["seeds"], dict)
-        need("field 'input_digests'", raw["input_digests"], dict, str)
-        need("field 'outputs'", raw.get("outputs", []), list, str)
+        field = f"{path}: manifest field"
+        _need(f"{field} 'config'", raw["config"], dict)
+        _need(f"{field} 'config.options'", raw["config"].get("options", {}), dict)
+        _need(f"{field} 'seeds'", raw["seeds"], dict)
+        _need(f"{field} 'input_digests'", raw["input_digests"], dict, str)
+        _need(f"{field} 'outputs'", raw.get("outputs", []), list, str)
         manifest = cls(tool_version=raw["tool_version"], command=raw["command"],
                        config=raw["config"], seeds=raw["seeds"],
                        input_digests=raw["input_digests"], outputs=tuple(raw.get("outputs", ())))
@@ -432,23 +453,32 @@ class SimulationPlan:
 
 def simulation_plan_from_config(config: dict) -> SimulationPlan:
     """Rebuild the exact simulation inputs from a simulate config block; fresh
-    runs and replays both come here, so a bad plan fails before any file."""
+    runs and replays both come here, so a bad plan fails before any file. A
+    field that is missing or of the wrong JSON type raises DataError."""
+    def field(key: str, *kinds: type, default=None):
+        """config[key], or ``default`` where the key is missing, checked to
+        be of ``kinds`` (see ``_is_json``)."""
+        value = config.get(key, default)
+        _need(f"manifest config is incomplete or malformed: field {key!r}", value, *kinds)
+        return value
+
+    model, seed, n_rep = field("model", int), field("seed", int), field("n_rep", int)
+    ns = tuple(field("ns", list, int))
+    method_names = field("methods", list, str)
+    coverage_level = float(field("coverage_level", float, default=0.95))
+    d = field("d", int, default=1)
+    equivalence = field("equivalence", bool, default=False)
+    coverage = field("coverage", bool, default=False)
+    if config.get("nprt_reduction") is not None:
+        field("nprt_reduction", str)
     try:
-        model = int(config["model"])
-        seed = int(config["seed"])
-        ns = tuple(int(n) for n in config["ns"])
-        n_rep = int(config["n_rep"])
-        method_names = list(config["methods"])
-        rule = BandwidthRule(**config["bandwidth"])
-        test_points = np.asarray(config["test_points"], dtype=float)
-        coverage_level = float(config.get("coverage_level", 0.95))
-        d = int(config.get("d", 1))
-    except (KeyError, TypeError, ValueError) as exc:
+        rule = BandwidthRule(**field("bandwidth", dict))
+        test_points = np.asarray(field("test_points", list, list, float), dtype=float)
+    except (TypeError, ValueError) as exc:
         raise DataError(f"manifest config is incomplete or malformed: {exc}") from exc
     if model not in MODELS:
         raise DataError(f"manifest config names unknown model {model!r}")
     model_cls, default_reduction = MODELS[model]
-    equivalence, coverage = bool(config.get("equivalence")), bool(config.get("coverage"))
     if (equivalence or coverage) and model != 1:
         raise ArgumentError("the equivalence and coverage experiments need model 1 "
                             f"(known truth), got model {model}")

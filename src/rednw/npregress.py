@@ -124,6 +124,15 @@ def gaussian_quantile(q: float) -> float:
     return NormalDist().inv_cdf(q)
 
 
+def as_float(value) -> float:
+    """float(value), with an int too large for a float read as an infinity
+    of its sign, so that a finiteness check rejects it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class BandwidthRule:
     """How h is chosen.
@@ -135,8 +144,8 @@ class BandwidthRule:
     kind "fixed": h = h_fixed. kind "loocv": h minimizes the leave-one-out
     squared prediction error over cv_grid.
     A non-finite constant or h_fixed, or a cv_grid entry that is not
-    positive and finite, raises ArgumentError; an empty cv_grid raises when
-    the bandwidth is resolved.
+    positive and finite, raises ArgumentError (an int too large for a float
+    is not finite); an empty cv_grid raises when the bandwidth is resolved.
     """
 
     kind: str
@@ -153,7 +162,7 @@ class BandwidthRule:
             raise ArgumentError(f"exponent_dim must be one of {EXPONENT_DIMS}, got {self.exponent_dim!r}")
         for name in ("constant", "h_fixed"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is not None and not math.isfinite(as_float(value)):
                 raise ArgumentError(f"bandwidth {name} must be finite, got {value}")
         if self.kind == "power_rule":
             if not (self.constant > 0):
@@ -163,7 +172,7 @@ class BandwidthRule:
         if self.kind == "fixed" and (self.h_fixed is None or not self.h_fixed > 0):
             raise ArgumentError(f"fixed bandwidth requires h_fixed > 0, got {self.h_fixed}")
         if self.cv_grid is not None:
-            grid = tuple(float(h) for h in self.cv_grid)
+            grid = tuple(as_float(h) for h in self.cv_grid)
             if not all(0.0 < h < math.inf for h in grid):
                 raise ArgumentError(f"cv_grid values must be positive and finite, got {grid}")
             object.__setattr__(self, "cv_grid", grid)

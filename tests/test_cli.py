@@ -1,16 +1,22 @@
 """End-to-end tests for the command line interface."""
 
+import copy
 import csv
 import errno
+import functools
 import io
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rednw
 from rednw import cli, simulate
@@ -75,6 +81,16 @@ class TestKernelCheck:
         assert code == 0
         rep = json.loads(out)
         assert abs(rep["norm_const"] - 0.75) <= 1e-10
+
+    @pytest.mark.parametrize("coeffs,dim", [("2,-1", "3"), ("3,-1,-1", "4")])
+    def test_custom_profile_with_step_edge(self, coeffs, dim, capsys):
+        """A profile that jumps at its support edge gets the full report."""
+        code, out, _ = run_cli(["kernel-check", "--custom-poly", coeffs,
+                                "--smoothness-order", "2", "--dim", dim], capsys)
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == [
+            "bounded", "integral_one", "edge_decay", "first_moment_zero",
+            "k3_odd_integral", "k3_twice_differentiable", "k4_slope_bound"]
 
     def test_unknown_profile_exits_2(self, capsys):
         code, _, _ = run_cli(
@@ -1057,6 +1073,16 @@ class TestSimulate:
         assert "coverage level must lie in (0, 1), got 1.5" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("extra", [["--coverage-level", "nan"],
+                                       ["--coverage", "--coverage-level", "inf"]])
+    def test_non_finite_coverage_level_exits_2(self, tmp_path, capsys, extra):
+        """The plan's coverage_level is a finite number, with or without --coverage."""
+        out_dir = tmp_path / "x"
+        code, _, err = self.run_small(out_dir, capsys, extra=extra)
+        assert code == 2
+        assert f"argument --coverage-level: must be a finite number, got {extra[-1]!r}" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("methods", [["npr"],["nprt", "--nprt-reduction", "root_n_oracle"],
                                          ["nprt", "--nprt-reduction", "wrong_direction"]])
     def test_one_direction_with_d_2_exits_2(self, methods, tmp_path, capsys):
@@ -1351,3 +1377,114 @@ class TestBadManifestShape:
                               capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"error: {bad}: manifest JSON must be an object\n"
+
+
+# each simulate plan field of the wrong JSON type: the field named in the
+# error, and the change to a good simulate manifest's config
+PLAN_FAULTS = {
+    "seed-float": ("seed", lambda c: {**c, "seed": 1.5}),
+    "seed-string": ("seed", lambda c: {**c, "seed": "1"}),
+    "seed-bool": ("seed", lambda c: {**c, "seed": True}),
+    "n_rep-float": ("n_rep", lambda c: {**c, "n_rep": 3.7}),
+    "model-float": ("model", lambda c: {**c, "model": 1.0}),
+    "ns-float": ("ns", lambda c: {**c, "ns": [60.9]}),
+    "ns-string": ("ns", lambda c: {**c, "ns": "60"}),
+    "d-bool": ("d", lambda c: {**c, "d": True}),
+    "methods-string": ("methods", lambda c: {**c, "methods": "np"}),
+    "nprt_reduction-list": ("nprt_reduction", lambda c: {**c, "nprt_reduction": ["pls"]}),
+    "equivalence-string": ("equivalence", lambda c: {**c, "equivalence": "yes"}),
+    "level-string": ("coverage_level", lambda c: {**c, "coverage_level": "0.9"}),
+    "level-huge-int": ("coverage_level",
+                       lambda c: {**c, "coverage": True, "coverage_level": 10 ** 400}),
+    "point-nan": ("test_points", lambda c: {**c, "test_points": [[math.nan] + [0.0] * 5]}),
+    "point-inf": ("test_points", lambda c: {**c, "test_points": [[math.inf] + [0.0] * 5]}),
+    "point-huge-int": ("test_points", lambda c: {**c, "test_points": [[10 ** 400] + [0.0] * 5]}),
+}
+
+# a small value of each JSON type, for the node swap
+JSON_VALUES = {type(None): st.none(), bool: st.booleans(), int: st.integers(-3, 3),
+               float: st.floats(-3.0, 3.0), str: st.text(max_size=3), list: st.just([]),
+               dict: st.just({})}
+
+
+def json_paths(node, path=()):
+    """The path of every node below the root of a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+class TestSimulatePlanTypes:
+    """Each simulate plan field has one JSON type: a replayed manifest whose
+    field is of another exits 3 with one `error:` line naming the field."""
+
+    @pytest.fixture(scope="class")
+    def good_manifest(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sim") / "run"
+        assert main(["simulate", "--model", "1", "--ns", "20", "--nrep", "2", "--points", "1",
+                     "--methods", "np", "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    @staticmethod
+    def replay_argv(tmp_path, manifest):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        return ["simulate", "--from-manifest", str(path), "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("kind", list(PLAN_FAULTS))
+    def test_exits_3_naming_the_field(self, good_manifest, tmp_path, capsys, kind):
+        field, change = PLAN_FAULTS[kind]
+        manifest = {**good_manifest, "config": change(good_manifest["config"])}
+        code, out, err = run_cli(self.replay_argv(tmp_path, manifest), capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: manifest config is incomplete or malformed: "
+                              f"field {field!r} must be ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_bandwidth_constant_exits_2(self, good_manifest, tmp_path, capsys):
+        bandwidth = {**good_manifest["config"]["bandwidth"], "constant": 10 ** 400}
+        manifest = {**good_manifest, "config": {**good_manifest["config"], "bandwidth": bandwidth}}
+        code, out, err = run_cli(self.replay_argv(tmp_path, manifest), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bandwidth constant must be finite") and err.count("\n") == 1
+
+    def test_no_traceback_or_warning_in_a_child(self, good_manifest, tmp_path):
+        """An int too large for a float once ended in an OverflowError traceback."""
+        change = PLAN_FAULTS["point-huge-int"][1]
+        manifest = {**good_manifest, "config": change(good_manifest["config"])}
+        root = str(Path(rednw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rednw.cli",
+                               *self.replay_argv(tmp_path, manifest)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("error: manifest config is incomplete or malformed: field "
+                               "'test_points' must be a list of lists of finite numbers\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_one_node_swapped(self, good_manifest, data):
+        """One node of a good manifest, anywhere in its tree, swapped for a
+        small value of another JSON type: the replay exits 0, 2 or 3, and an
+        exit 0 writes every output its manifest names."""
+        path = data.draw(st.sampled_from(list(json_paths(good_manifest))), label="path")
+        old = functools.reduce(operator.getitem, path, good_manifest)
+        new = data.draw(st.one_of(*[values for kind, values in JSON_VALUES.items()
+                                    if kind is not type(old)]), label="new")
+        manifest = copy.deepcopy(good_manifest)
+        functools.reduce(operator.getitem, path[:-1], manifest)[path[-1]] = new
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = self.replay_argv(Path(tmp), manifest)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2
+            assert code in (0, 2, 3)
+            if code == 0:
+                out = Path(argv[-1])
+                written = json.loads((out / "manifest.json").read_text())["outputs"]
+                assert written and all((out / name).is_file() for name in written)

@@ -460,6 +460,9 @@ class TestManifest:
         assert {m.bandwidth_rule.constant for m in plan.methods} == {5.0}
         # a config without the experiment keys asks for neither experiment
         assert (plan.equivalence, plan.coverage, plan.coverage_level) == (False, False, 0.95)
+        # numpy integers are integers
+        numpy_ints = {**config, "seed": np.int64(3), "ns": [np.int64(80), 120]}
+        assert simulation_plan_from_config(numpy_ints).ns == (80, 120)
 
     @pytest.mark.parametrize(
         "rule",
@@ -486,9 +489,9 @@ class TestManifest:
         with pytest.raises(DataError, match="bandwith"):
             simulation_plan_from_config(config)
 
-    @pytest.mark.parametrize("d", [[1], "x"])
+    @pytest.mark.parametrize("d", [[1], "x", 1.5, True])
     def test_malformed_dimension_rejected(self, d):
-        """A d that int() cannot read is malformed data, like every other key."""
+        """A d that is not a JSON integer is malformed data, like every other key."""
         config = {"model": 1, "seed": 3, "ns": [80], "n_rep": 4, "methods": ["np"],
                   "bandwidth": {"kind": "power_rule"}, "test_points": [[0.0] * 6], "d": d}
         with pytest.raises(DataError, match="^manifest config is incomplete or malformed"):

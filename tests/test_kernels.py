@@ -206,9 +206,35 @@ class TestValidation:
         rep = validate_conditions(k)
         assert all(c.passed for c in rep.checks)
         by_name = {c.name: c for c in rep.checks}
-        assert abs(by_name["k3_odd_integral"].value) <= 1e-10
-        assert abs(by_name["first_moment_zero"].value) <= 1e-8
+        assert by_name["k3_odd_integral"].value == 0.0
+        assert by_name["first_moment_zero"].value == 0.0
         assert abs(by_name["integral_one"].value) <= 1e-8
+
+    @staticmethod
+    def assert_symmetric_checks_exact(kernel):
+        """A radial kernel is even, so its first moment and odd integral are
+        exactly 0, whatever its profile."""
+        rep = validate_conditions(kernel)
+        assert [c.name for c in rep.checks] == [
+            "bounded", "integral_one", "edge_decay", "first_moment_zero",
+            "k3_odd_integral", "k3_twice_differentiable", "k4_slope_bound"]
+        by_name = {c.name: c for c in rep.checks}
+        for name in ("first_moment_zero", "k3_odd_integral"):
+            assert by_name[name].value == 0.0 and by_name[name].passed
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_symmetric_checks_exact_for_builtins(self, name, dim):
+        self.assert_symmetric_checks_exact(make_kernel(builtin_profile(name), dim))
+
+    def test_symmetric_checks_exact_for_step_edge_custom_profile(self):
+        """A profile that jumps at its edge, with no analytic derivative: the
+        report states the two symmetric conditions instead of integrating a
+        finite-difference |k'| that does not converge."""
+        prof = KernelProfile(name="custom",
+                             raw_profile=lambda t: np.where(t <= 1.0, 2.0 - t, 0.0),
+                             support_radius=1.0, smoothness_order=2)
+        self.assert_symmetric_checks_exact(make_kernel(prof, 3))
 
     def test_triweight_k4_slope_constant(self):
         # max |k'(t)|/t for k(t)=(1-t^2)^3 is 6, attained as t -> 0

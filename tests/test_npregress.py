@@ -222,8 +222,12 @@ class TestBandwidth:
         {"kind": "loocv", "cv_grid": (0.3, math.inf)},
         {"kind": "loocv", "cv_grid": (0.3, 0.0)},
         {"kind": "loocv", "cv_grid": (-0.3, 0.5)},
+        # ints too large for a float
+        {"kind": "fixed", "h_fixed": 10 ** 400},
+        {"kind": "power_rule", "constant": 10 ** 400},
+        {"kind": "loocv", "cv_grid": (0.3, 10 ** 400)},
     ], ids=["h-inf", "h-nan", "constant-inf", "constant-nan", "grid-nan", "grid-inf",
-            "grid-zero", "grid-negative"])
+            "grid-zero", "grid-negative", "h-huge-int", "constant-huge-int", "grid-huge-int"])
     def test_non_finite_or_non_positive_rejected(self, kw):
         with pytest.raises(ArgumentError):
             BandwidthRule(**kw)
