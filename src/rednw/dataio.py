@@ -29,7 +29,7 @@ from . import reduction
 from .errors import ArgumentError, DataError, NumericError
 from .kernels import builtin_profile, make_kernel
 from .npregress import BandwidthRule, NWBatch, NWConfig, as_float, nw_batch
-from .reduction import FIT_METHODS, ReductionBasis, fit
+from .reduction import ReductionBasis, fit
 from .simulate import (
     PFC_MAX_D,
     CellStats,
@@ -609,8 +609,8 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
     Args:
         method: "np" (no reduction, full dimension) or "pls"/"pfc"/"sir";
             pfc uses the feature map ``cubic_fy``.
-        test_rows: m x p matrix of prediction points; None means in-sample
-            fitted values at every data row.
+        test_rows: m x p matrix of prediction points, m >= 0; None means
+            in-sample fitted values at every data row.
         precomputed_basis: a ReductionBasis to use instead of fitting one
             (e.g. loaded from a file); overrides ``method``.
 
@@ -619,33 +619,28 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
         carry their error), the rows, and the observed responses in
         sample; its ``run_file_chunks`` formats the points JSON and the
         plot CSV.
+
+    Raises:
+        ArgumentError: here, d outside 1 <= d < p for a fitted method;
+            from ``reduction.fit``, an unknown method and the fits' errors;
+            from ``nw_batch``, also for m = 0, a basis or test rows not p
+            wide, a bandwidth that cannot be resolved, a non-smooth kernel.
     """
     X, Y = dataset.X, dataset.Y
     p = dataset.p
     if precomputed_basis is not None:
-        if precomputed_basis.p != p:
-            raise ArgumentError(
-                f"basis expects p={precomputed_basis.p} columns, data has {p}")
         basis = precomputed_basis
     else:
-        if method not in FIT_METHODS:
-            raise ArgumentError(f"unknown workflow method {method!r}; expected np, pls, pfc, or sir")
         if method != "np" and not (1 <= d < p):
             raise ArgumentError(f"need 1 <= d < p for method {method!r}, got d={d}, p={p}")
         basis = fit(method, X, Y, d, fy=cubic_fy)
 
-    rule = bandwidth_rule if bandwidth_rule is not None else \
-        BandwidthRule(kind="power_rule", constant=1.0, exponent_dim="ambient_p")
+    rule = bandwidth_rule if bandwidth_rule is not None else BandwidthRule(kind="power_rule")
     kernel = make_kernel(builtin_profile(kernel_profile), basis.d)
     config = NWConfig(kernel=kernel, bandwidth=rule, ci_level=ci_level,
                       allow_nonsmooth_kernel=allow_nonsmooth_kernel)
 
     in_sample = test_rows is None
     X0 = X if in_sample else np.atleast_2d(np.asarray(test_rows, dtype=float))
-    if X0.shape[0] == 0:
-        batch = NWBatch(dataset.n, math.nan, np.zeros(0, dtype=bool), *np.empty((6, 0)), {})
-    elif X0.shape[1] != p:
-        raise ArgumentError(f"test rows have {X0.shape[1]} columns, data has p={p}")
-    else:
-        batch = nw_batch(config, basis, X, Y, X0)
+    batch = nw_batch(config, basis, X, Y, X0)
     return WorkflowResult(batch=batch, X0=X0, observed=Y if in_sample else None)

@@ -704,14 +704,15 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
              X: NDArray[np.floating], Y: NDArray[np.floating],
              X0: NDArray[np.floating]) -> NWBatch:
     """NW estimate at every row of X0, as columns; failed rows carry the
-    error message.
+    error message. An X0 with no rows passes the same checks and resolves
+    h, and gives a batch with no rows.
 
     Raises:
         ArgumentError: Y, X @ basis.T or a reduced row of X0 is not finite.
     """
     X0 = np.asarray(X0, dtype=float)
-    if X0.ndim != 2 or X0.shape[0] < 1:
-        raise ArgumentError(f"X0 must be a non-empty 2-d array, got shape {X0.shape}")
+    if X0.ndim != 2:
+        raise ArgumentError(f"X0 must be a 2-d array, got shape {X0.shape}")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
     if X.ndim != 2:

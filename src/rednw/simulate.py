@@ -192,6 +192,15 @@ class Model2Config:
         return _psd_sqrt(self.delta)
 
 
+def _check_addressable(what: str, value: int, *shape: int) -> None:
+    """ArgumentError naming ``value`` if a float64 array of ``shape`` needs
+    more bytes than numpy can address; a smaller one is the caller's memory
+    budget."""
+    if math.prod(map(int, shape)) * 8 > np.iinfo(np.intp).max:
+        raise ArgumentError(f"{what} {value} is too large: "
+                            f"{' x '.join(map(str, shape))} floats exceed numpy's addressable size")
+
+
 def _draw_x(cfg, rng: np.random.Generator, n: int):
     # n rows of X, and for model 2 the responses they were drawn given
     y = None if isinstance(cfg, Model1Config) else rng.normal(0.0, cfg.y_sd, n)
@@ -253,6 +262,7 @@ def draw_test_points(cfg, m: int = 10) -> NDArray[np.floating]:
     """m points from the model's X distribution at a recorded sub-stream."""
     if m < 1:
         raise ArgumentError(f"m must be >= 1, got {m}")
+    _check_addressable("m", m, m, cfg.p)
     return _draw_x(cfg, _rng(cfg.seed, _TAG_POINTS), m)[0]
 
 
@@ -432,6 +442,10 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
         raise ArgumentError("need at least one test point")
     if n_rep < 1:
         raise ArgumentError(f"n_rep must be >= 1, got {n_rep}")
+    for n in ns:
+        _check_addressable("sample size", n, n, cfg.p)
+    values_shape = (len(ns), n_rep, len(methods), test_points.shape[0], 3)
+    _check_addressable("n_rep", n_rep, *values_shape)
     rules = {m.label: m.bandwidth_rule or default_bandwidth_rule(cfg) for m in methods}
     dims = {m.label: cfg.p if m.method == "np" else m.d for m in methods}
     profile = builtin_profile("triweight_poly3")
@@ -443,7 +457,7 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     fixed = {m.label: _fit_basis(m, cfg, None, None, 0) for m in methods
              if m.method in ("np", "npr") or m.reduction == "wrong_direction"}
 
-    values = np.full((len(ns), n_rep, len(methods), test_points.shape[0], 3), np.nan)
+    values = np.full(values_shape, np.nan)
     tasks = [(values[i, rep], n, rep) for i, n in enumerate(ns) for rep in range(n_rep)]
     keep_freed_memory()  # every replication frees and redraws arrays of a few MB
     work = partial(_one_rep, cfg, methods, test_points, configs, fixed)

@@ -5,6 +5,7 @@ import csv
 import errno
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -331,6 +332,24 @@ class TestFitPredict:
         assert code == 0
         assert json.loads(out) == []
 
+    def test_predict_empty_test_set_loocv(self, shellfish_csv, tmp_path, capsys):
+        """With no test rows the bandwidth search still runs; the run files
+        are an empty list and a plot file with its header alone."""
+        test_csv = tmp_path / "empty.csv"
+        test_csv.write_text("length,width,height,shell_mass\n")
+        plot = tmp_path / "plot.csv"
+        argv = ["predict", "--input", str(shellfish_csv), "--response", "muscle_mass", *LOG_FLAGS,
+                "--method", "pls", "--d", "1", "--test-csv", str(test_csv),
+                "--bandwidth-kind", "loocv", "--plot-data", str(plot), "--out", str(tmp_path / "o")]
+        code, out, err = run_cli([*argv, "--cv-grid", "0.1,0.2"], capsys)
+        assert (code, out, err) == (0, "[]\n", "")
+        assert (tmp_path / "o" / "predictions.json").read_text() == "[]\n"
+        assert plot.read_bytes() == b"fitted,observed,ci_lo,ci_hi\r\n"
+        # a grid whose every window is empty fails as it does with test rows
+        code, out, err = run_cli([*argv, "--cv-grid", "1e-9", "--out", str(tmp_path / "o2")], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: every cv_grid bandwidth produced empty leave-one-out windows\n"
+
     def test_basis_file_reused(self, shellfish_csv, tmp_path, capsys):
         out_dir = tmp_path / "red"
         run_cli(
@@ -442,6 +461,20 @@ class TestFitPredict:
         assert code == 2
         assert out == ""
         assert "duplicate sample sizes [60, 60]" in err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("flag, what", [("--ns", "sample size"), ("--nrep", "n_rep"),
+                                            ("--points", "m")], ids=["ns", "nrep", "points"])
+    @pytest.mark.parametrize("size", [10 ** 30, 2 ** 62], ids=["1e30", "2^62"])
+    def test_simulate_size_past_numpy_address_range_exits_2(self, tmp_path, capsys, flag, what,
+                                                           size):
+        """numpy rejects both sizes before it allocates; the run names the
+        value in one line instead of ending in numpy's ValueError."""
+        sizes = {"--ns": "60", "--nrep": "2", "--points": "1", flag: str(size)}
+        code, out, err = run_cli(["simulate", "--model", "1", *itertools.chain(*sizes.items()),
+                                  "--out", str(tmp_path / "sim")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {what} {size} is too large: ") and err.count("\n") == 1
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("h, f_hat", [("1e200", "0.000e+00"), ("1e-200", "inf")])
@@ -1463,6 +1496,14 @@ class TestSimulatePlanTypes:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == ("error: manifest config is incomplete or malformed: field "
                                "'test_points' must be a list of lists of finite numbers\n")
+
+    @pytest.mark.parametrize("size", [10 ** 30, 2 ** 62], ids=["1e30", "2^62"])
+    def test_size_past_numpy_address_range_exits_2(self, good_manifest, tmp_path, capsys, size):
+        manifest = {**good_manifest, "config": {**good_manifest["config"], "ns": [size]}}
+        code, out, err = run_cli(self.replay_argv(tmp_path, manifest), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: sample size {size} is too large") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

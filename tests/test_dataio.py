@@ -524,11 +524,16 @@ def plot_rows_of(wf):
 class TestPredictWorkflow:
     @pytest.mark.parametrize("kw, message", [
         (dict(precomputed_basis=oracle_basis(np.eye(5)[:1])), "basis expects p=5 columns, data has 4"),
-        (dict(method="lasso"), "unknown workflow method 'lasso'; expected np, pls, pfc, or sir"),
+        # reduction.fit names the methods it accepts
+        (dict(method="lasso"), "unknown reduction method 'lasso'; expected one of "
+                               "('np', 'pls', 'pfc', 'sir')"),
         (dict(method="pls", d=0), "need 1 <= d < p for method 'pls', got d=0, p=4"),
         (dict(method="sir", d=4), "need 1 <= d < p for method 'sir', got d=4, p=4"),
-        (dict(method="np", test_rows=np.zeros((2, 3))), "test rows have 3 columns, data has p=4"),
-    ], ids=["basis-p", "unknown-method", "d-zero", "d-equals-p", "test-row-columns"])
+        # nw_batch checks the width of the test rows, also when there are none
+        (dict(method="np", test_rows=np.zeros((2, 3))), "x0 has length 3 but X has 4 columns"),
+        (dict(test_rows=np.zeros((0, 3))), "x0 has length 3 but X has 4 columns"),
+    ], ids=["basis-p", "unknown-method", "d-zero", "d-equals-p", "test-row-columns",
+            "empty-test-row-columns"])
     def test_argument_checks(self, shellfish_csv, kw, message):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):

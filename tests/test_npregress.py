@@ -1611,19 +1611,35 @@ class TestNWBatch:
     CASES = ("empty-windows-sorted", "empty-windows-3d", "degenerate-wide", "degenerate-narrow")
 
     @pytest.mark.parametrize("change, message", [
-        (dict(X0=np.zeros(2)), "X0 must be a non-empty 2-d array, got shape (2,)"),
-        (dict(X0=np.zeros((0, 2))), "X0 must be a non-empty 2-d array, got shape (0, 2)"),
+        (dict(X0=np.zeros(2)), "X0 must be a 2-d array, got shape (2,)"),
         (dict(X=np.zeros(10)), "X must be 2-d, got ndim=1"),
         (dict(Y=np.zeros(9)), "X has 10 rows but Y has 9 entries"),
         (dict(X0=np.zeros((1, 3))), "x0 has length 3 but X has 2 columns"),
         (dict(basis=oracle_basis(np.eye(3)[:1])), "basis expects p=3 columns, data has 2"),
         (dict(basis=oracle_basis(np.eye(2))), "basis dimension d=2 does not match config d=1"),
-    ], ids=["x0-1d", "x0-empty", "x-1d", "y-length", "x0-length", "basis-p", "basis-d"])
+    ], ids=["x0-1d", "x-1d", "y-length", "x0-length", "basis-p", "basis-d"])
     def test_argument_checks(self, change, message):
         args = dict(config=default_config(), basis=oracle_basis([[1.0, 0.0]]),
                     X=np.zeros((10, 2)), Y=np.zeros(10), X0=np.zeros((1, 2)))
         with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
             nw_batch(**{**args, **change})
+
+    def test_empty_query_set(self):
+        """A (0, p) X0 gives a batch with no rows and the resolved h."""
+        X = np.random.default_rng(3).normal(size=(40, 2))
+        Y = X[:, 0] ** 2
+        basis = oracle_basis([[1.0, 0.0]])
+        for rule in (BandwidthRule(kind="power_rule", constant=2.0),
+                     BandwidthRule(kind="loocv", cv_grid=(0.2, 0.5, 1.0))):
+            cfg = default_config(bandwidth=rule)
+            batch = nw_batch(cfg, basis, X, Y, np.zeros((0, 2)))
+            assert len(batch) == 0 and list(batch) == [] and batch.errors == {}
+            assert batch.n == 40
+            assert batch.h == bandwidth(rule, n=40, p=2, d=1, kernel=cfg.kernel,
+                                        W=X[:, :1], Y=Y)
+            for col in (batch.ok, batch.mass, batch.eta_hat, batch.sigma2_hat, batch.f_hat,
+                        batch.ci_lo, batch.ci_hi):
+                assert col.shape == (0,)
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, math.nan])
     def test_ci_level_outside_the_unit_interval(self, level):

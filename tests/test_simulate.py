@@ -488,6 +488,19 @@ class TestReplicationHarness:
         with pytest.raises(ArgumentError, match="^need at least one test point$"):
             run_replications(Model1Config(), [MethodSpec("np")], [60], np.empty((0, 6)), 3)
 
+    @pytest.mark.parametrize("size", [10 ** 30, 2 ** 62], ids=["1e30", "2^62"])
+    def test_sizes_past_numpy_address_range_raise_before_any_draw(self, monkeypatch, size):
+        """A sample size, replication count or point count whose array numpy
+        could not address fails naming the value, not in numpy."""
+        monkeypatch.setattr(simulate, "_one_rep", lambda *a: pytest.fail("drew a replication"))
+        cfg, pts = Model1Config(), np.zeros((1, 6))
+        with pytest.raises(ArgumentError, match=f"^sample size {size} is too large: {size} x 6 "):
+            run_replications(cfg, [MethodSpec("np")], [60, size], pts, 2)
+        with pytest.raises(ArgumentError, match=f"^n_rep {size} is too large: 1 x {size} x 1 x 1 x 3 "):
+            run_replications(cfg, [MethodSpec("np")], [60], pts, size)
+        with pytest.raises(ArgumentError, match=f"^m {size} is too large: {size} x 6 "):
+            draw_test_points(cfg, size)
+
     def test_one_direction_methods_reject_d_above_1(self):
         # npr and the oracle-style reductions give one direction, so d=2
         # would leave every estimate missing instead of failing
