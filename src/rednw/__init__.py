@@ -30,7 +30,6 @@ from .kernels import (
     validate_conditions,
 )
 from .reduction import (
-    METHODS,
     ProjectionMatrix,
     ReductionBasis,
     oracle_basis,

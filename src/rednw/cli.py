@@ -16,7 +16,7 @@ import argparse
 import contextlib
 import functools
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from importlib import resources
 from pathlib import Path
 
@@ -50,6 +50,9 @@ from .npregress import BANDWIDTH_KINDS, EXPONENT_DIMS, BandwidthRule
 from .reduction import FIT_METHODS, fit
 from .simulate import (
     NPRT_REDUCTIONS,
+    CellStats,
+    CoverageResult,
+    EquivalenceRow,
     coverage_view,
     default_bandwidth_rule,
     draw_test_points,
@@ -188,8 +191,10 @@ def _emit(chunks, args) -> Path | None:
 # ---------------------------------------------------------------- kernel-check
 
 def _cmd_kernel_check(args) -> int:
-    if args.custom_poly:
+    if args.custom_poly is not None:
         coeffs = tuple(_csv_list(args.custom_poly, float))
+        if not coeffs:
+            raise ArgumentError(f"--custom-poly {args.custom_poly!r} holds no coefficient")
 
         def raw(t, _c=coeffs, _r=args.support_radius):
             t = np.asarray(t, dtype=float)
@@ -263,7 +268,7 @@ def _cmd_reduce(args) -> int:
     basis = fit(args.method, ds.X, ds.Y, args.d, fy=cubic_fy, ridge=args.ridge,
                 slices=args.slices)
     meta = {
-        "method": basis.method,
+        "method": args.method,
         "d": basis.d,
         "p": basis.p,
         "diagnostics": {
@@ -347,12 +352,12 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
-    rows = [(c.point_id, c.n, c.method, c.emse, c.variance, c.mean_estimate,
-             c.true_mse, c.n_rep, c.n_missing) for c in table.cells]
-    write_table(out_dir / emse,
-                ["point_id", "n", "method", "emse", "variance", "mean_estimate",
-                 "true_mse", "n_rep", "n_missing"], rows)
-    outputs.append(emse)
+    def write_records(name, record_type, records):
+        # a record type's fields, in order, are its file's columns
+        write_table(out_dir / name, [f.name for f in fields(record_type)], map(astuple, records))
+        outputs.append(name)
+
+    write_records(emse, CellStats, table.cells)
 
     if plan.n_rep >= 10:
         n_max = max(plan.ns)
@@ -372,18 +377,9 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
             outputs.append(name)
 
     if plan.equivalence:
-        eq_rows = equivalence_view(table)
-        write_table(out_dir / equivalence, ["n", "h", "median_stat", "n_used", "n_missing"],
-                    [(r.n, r.h, r.median_stat, r.n_used, r.n_missing) for r in eq_rows])
-        outputs.append(equivalence)
+        write_records(equivalence, EquivalenceRow, equivalence_view(table))
     if plan.coverage:
-        cov = coverage_view(table, cfg, max(plan.ns))
-        write_table(out_dir / coverage,
-                    ["n", "level", "coverage", "n_used", "n_excluded", "truth",
-                     "median_ci_width"],
-                    [(cov.n, cov.level, cov.coverage, cov.n_used, cov.n_excluded,
-                      cov.truth, cov.median_ci_width)])
-        outputs.append(coverage)
+        write_records(coverage, CoverageResult, [coverage_view(table, cfg, max(plan.ns))])
 
     digests = {}
     if config["model"] == 2:
@@ -499,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
         fp.set_defaults(handler=_cmd_fit_predict)
 
     sm = sub.add_parser("simulate", help="replication experiments and table data")
-    sm.add_argument("--model", type=int, choices=[1, 2], default=None)
+    sm.add_argument("--model", type=int, choices=list(MODELS), default=None)
     sm.add_argument("--methods", default="np,npr,nprt",
                     help="comma list from np, npr, nprt")
     sm.add_argument("--ns", default="100,300", help="comma list of sample sizes")

@@ -495,7 +495,7 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
         raise ArgumentError(f"pfc on the harness's features (y, |y|) gives at most "
                             f"{PFC_MAX_D} directions, got d={d}")
     # the x0-only columns the views read: NPR for either, NPRT for equivalence
-    methods += oracle_specs()[:2 if equivalence else int(coverage)]
+    methods += oracle_specs(nprt_reduction)[:2 if equivalence else int(coverage)]
     return SimulationPlan(model_cfg=model_cls(seed=seed), methods=methods, ns=ns,
                           n_rep=n_rep, test_points=test_points,
                           equivalence=equivalence, coverage=coverage,

@@ -18,7 +18,14 @@ from numpy.typing import NDArray
 
 from .errors import ArgumentError, QuadratureError
 
-BUILTIN_PROFILES = ("triweight_poly3", "epanechnikov", "biweight", "uniform")
+# each built-in profile's name: (power k of (1 - t^2)^k, smoothness order)
+_PROFILES = {
+    "triweight_poly3": (3, 2),
+    "epanechnikov": (1, 0),
+    "biweight": (2, 1),
+    "uniform": (0, -1),
+}
+BUILTIN_PROFILES = tuple(_PROFILES)
 
 # Quadrature refinement schedule: node counts double until successive
 # estimates differ by < _QUAD_TARGET; failing to reach _QUAD_REQUIRED after
@@ -93,18 +100,11 @@ def builtin_profile(name: str) -> KernelProfile:
     support edge: (1-t^2)^3 keeps two, (1-t^2)^2 one, 1-t^2 none (kink),
     and the uniform profile is discontinuous there (-1).
     """
-    # name: (power k of (1 - t^2)^k, smoothness order)
-    table = {
-        "triweight_poly3": (3, 2),
-        "biweight": (2, 1),
-        "epanechnikov": (1, 0),
-        "uniform": (0, -1),
-    }
-    if name not in table:
+    if name not in _PROFILES:
         raise ArgumentError(
             f"unknown kernel profile {name!r}; built-ins: {', '.join(BUILTIN_PROFILES)}"
         )
-    k, smooth = table[name]
+    k, smooth = _PROFILES[name]
     f, fd = _power_profile(k)
     profile = KernelProfile(name=name, raw_profile=f, support_radius=1.0,
                             smoothness_order=smooth, raw_derivative=fd)
@@ -216,18 +216,24 @@ def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:
     if np.any(np.abs(probe) > 1e-12):
         raise ArgumentError("profile does not vanish beyond its support radius")
 
-    surf = surface_area(dim)
-    total = _radial_integral(lambda s: values(s) * s ** (dim - 1), radius) * surf
-    if not (total > 1e-300):
-        raise ArgumentError(f"profile integrates to {total:.3e}; cannot normalize")
-    norm_const = 1.0 / total
-    l2_const = norm_const ** 2 * _radial_integral(
-        lambda s: values(s) ** 2 * s ** (dim - 1), radius
-    ) * surf
-    # per-coordinate second moment: int u_i^2 K du = (1/d) int ||u||^2 K du
-    mu2 = norm_const * _radial_integral(
-        lambda s: values(s) * s ** (dim + 1), radius
-    ) * surf / dim
+    try:
+        surf = surface_area(dim)
+        total = _radial_integral(lambda s: values(s) * s ** (dim - 1), radius) * surf
+        if not (total > 1e-300):
+            raise ArgumentError(f"profile integrates to {total:.3e}; cannot normalize")
+        norm_const = 1.0 / total
+        l2_const = norm_const ** 2 * _radial_integral(
+            lambda s: values(s) ** 2 * s ** (dim - 1), radius
+        ) * surf
+        # per-coordinate second moment: int u_i^2 K du = (1/d) int ||u||^2 K du
+        mu2 = norm_const * _radial_integral(
+            lambda s: values(s) * s ** (dim + 1), radius
+        ) * surf / dim
+    except OverflowError:
+        # c ** 2 in R(K) overflows from about d = 250, math.gamma in
+        # surface_area from d = 344
+        raise ArgumentError(f"kernel dimension {dim} is too large: the kernel's "
+                            "constants overflow a float") from None
     return RadialKernel(profile=profile, dim=dim, norm_const=norm_const,
                         l2_const=l2_const, mu2=mu2)
 

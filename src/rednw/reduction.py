@@ -8,6 +8,7 @@ fit returns rows orthonormalized with a deterministic sign convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,7 +22,6 @@ from .errors import (
     NumericError,
 )
 
-METHODS = ("pls", "pfc", "sir", "oracle", "from_projection")
 # names reduction.fit accepts; "np" is the identity basis (no reduction)
 FIT_METHODS = ("np", "pls", "pfc", "sir")
 
@@ -33,22 +33,18 @@ _BLOCK_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class ReductionBasis:
-    """Orthonormal d x p reduction matrix with its provenance.
+    """Orthonormal d x p reduction matrix.
 
     Args:
         matrix: d x p array with orthonormal rows; ``d`` (the reduced
             dimension) and ``p`` (the ambient one) are read from its shape.
-        method: one of ``METHODS``.
     """
 
     matrix: NDArray[np.floating]
-    method: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
-        if self.method not in METHODS:
-            raise ArgumentError(f"unknown reduction method {self.method!r}; expected one of {METHODS}")
         if m.ndim != 2 or m.size == 0:
             raise ArgumentError(f"basis matrix must be a non-empty 2-d array, got shape {m.shape}")
         gram = m @ m.T
@@ -107,7 +103,9 @@ def _fix_signs(rows: NDArray[np.floating]) -> NDArray[np.floating]:
     return out
 
 
-def _make_basis(rows: NDArray[np.floating], method: str) -> ReductionBasis:
+def oracle_basis(rows: NDArray[np.floating] | Sequence[Sequence[float]]) -> ReductionBasis:
+    """Basis from externally known directions (orthonormalized row span);
+    rows that are empty, not 2-d or not finite raise ArgumentError."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.ndim != 2 or rows.size == 0:
         raise ArgumentError(f"directions must form a non-empty 2-d array, got shape {rows.shape}")
@@ -116,13 +114,7 @@ def _make_basis(rows: NDArray[np.floating], method: str) -> ReductionBasis:
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     if s[-1] < 1e-12 * max(s[0], 1.0):
         raise DegenerateFitError(f"fitted directions are rank deficient (singular values {s})")
-    return ReductionBasis(matrix=_fix_signs(vt[:rows.shape[0]]), method=method)
-
-
-def oracle_basis(rows: NDArray[np.floating] | Sequence[Sequence[float]]) -> ReductionBasis:
-    """Basis from externally known directions (orthonormalized row span);
-    rows that are empty, not 2-d or not finite raise ArgumentError."""
-    return _make_basis(rows, "oracle")
+    return ReductionBasis(matrix=_fix_signs(vt[:rows.shape[0]]))
 
 
 def all_finite(a: NDArray[np.floating]) -> bool:
@@ -179,7 +171,7 @@ def pls_fit(X: NDArray[np.floating], Y: NDArray[np.floating], d: int) -> Reducti
             raise DegenerateFitError("PLS score collapsed to zero; predictors already deflated away")
         Xd = Xd - np.outer(t, Xd.T @ t / tt)
         weights.append(w)
-    return _make_basis(np.array(weights), "pls")
+    return oracle_basis(np.array(weights))
 
 
 def _feature_matrix(fy_basis: Callable, Y: NDArray[np.floating]) -> NDArray[np.floating]:
@@ -210,10 +202,12 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
             1e-8 * trace(residual covariance) / p.
 
     Raises:
-        ArgumentError: n <= p + r (includes r >= n), or d outside
-            [1, min(r, p)].
+        ArgumentError: a ridge that is not finite and >= 0, n <= p + r
+            (includes r >= n), or d outside [1, min(r, p)].
         NumericError: singular residual covariance with ridge=0.
     """
+    if ridge is not None and not 0 <= ridge < math.inf:
+        raise ArgumentError(f"ridge must be finite and >= 0, got {ridge}")
     X, Y = _check_xy(X, Y)
     n, p = X.shape
     F = _feature_matrix(fy_basis, Y)
@@ -247,8 +241,6 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
     s_res /= n
     if ridge is None:
         ridge = 1e-8 * float(np.trace(s_res)) / p
-    if ridge < 0:
-        raise ArgumentError(f"ridge must be >= 0, got {ridge}")
     m = s_res + ridge * np.eye(p)
     try:
         L_inv = np.linalg.inv(np.linalg.cholesky(m))
@@ -260,7 +252,7 @@ def pfc_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
     # symmetric L^-1 s_fit L^-T, and its eigenvectors u map back as L^-T u
     evals, evecs = np.linalg.eigh(L_inv @ s_fit @ L_inv.T)
     rows = evecs[:, np.argsort(evals)[::-1][:d]].T @ L_inv
-    return _make_basis(rows, "pfc")
+    return oracle_basis(rows)
 
 
 def sir_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
@@ -301,7 +293,7 @@ def sir_fit(X: NDArray[np.floating], Y: NDArray[np.floating],
         between += (idx.size / n) * np.outer(mz, mz)
     evals, evecs = np.linalg.eigh(between)
     top = evecs[:, np.argsort(evals)[::-1][:d]]
-    return _make_basis((whiten @ top).T, "sir")
+    return oracle_basis((whiten @ top).T)
 
 
 def fit(method: str, X: NDArray[np.floating], Y: NDArray[np.floating], d: int, *,
@@ -351,7 +343,7 @@ def projection_to_basis(P: ProjectionMatrix | NDArray[np.floating]) -> Reduction
                 f"rank {d} is not identifiable from this matrix"
             )
     rows = evecs[:, desc[:d]].T
-    return ReductionBasis(matrix=_fix_signs(rows), method="from_projection")
+    return ReductionBasis(matrix=_fix_signs(rows))
 
 
 def reduce(basis: ReductionBasis, X: NDArray[np.floating]) -> NDArray[np.floating]:

@@ -330,9 +330,9 @@ class CellStats:
     emse: float
     variance: float
     mean_estimate: float
+    true_mse: float | None
     n_rep: int
     n_missing: int
-    true_mse: float | None
 
 
 @dataclass(frozen=True)
@@ -539,9 +539,9 @@ def equivalence_view(table: ReplicationTable) -> list[EquivalenceRow]:
 
 @dataclass(frozen=True)
 class CoverageResult:
-    coverage: float
-    level: float
     n: int
+    level: float
+    coverage: float
     n_used: int
     n_excluded: int
     truth: float

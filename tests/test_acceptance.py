@@ -148,7 +148,7 @@ def test_c2_brute_force_equivalence():
         d = int(rng.integers(1, 4))
         p = int(rng.integers(d, d + 4))
         q, _r = np.linalg.qr(rng.standard_normal((p, d)))
-        basis = ReductionBasis(matrix=q.T, method="oracle")
+        basis = ReductionBasis(matrix=q.T)
         X = rng.uniform(-1.0, 1.0, size=(n, p))
         Y = rng.standard_normal(n)
         x0 = 0.1 * rng.uniform(-1.0, 1.0, size=p)
@@ -170,7 +170,7 @@ def test_c3_rotation_invariance():
     X, Y, _ = gen_model1(cfg1, 400, rng_stream=0)
     d, p = 2, 6
     q, _r = np.linalg.qr(rng.standard_normal((p, d)))
-    basis = ReductionBasis(matrix=q.T, method="oracle")
+    basis = ReductionBasis(matrix=q.T)
     kern = make_kernel(builtin_profile("triweight_poly3"), d)
     nwc = NWConfig(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=2.0))
     x0 = X.mean(axis=0)
@@ -179,7 +179,7 @@ def test_c3_rotation_invariance():
     for _ in range(50):
         g = rng.standard_normal((d, d))
         a, _r = np.linalg.qr(g)
-        rotated = ReductionBasis(matrix=a @ basis.matrix, method="oracle")
+        rotated = ReductionBasis(matrix=a @ basis.matrix)
         worst = max(worst, abs(nw_at(nwc, rotated, X, Y, x0).eta_hat[0] - ref))
     ok = worst <= 1e-12
     _line("C3", "rotation_invariance", ok, f"worst |diff| {worst:.2e} over 50 rotations")

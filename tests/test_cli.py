@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -922,6 +923,45 @@ class TestSimulate:
         assert {r["method"] for r in rows} == {"NP", "NPR", "NPRT"}
         assert all(r["true_mse"] != "" for r in rows)  # known truth for this model
 
+    def test_columns_are_the_record_fields_in_order(self, tmp_path, capsys):
+        """Each table's header is its record type's field list, and its rows
+        lead with the same fields; DictReader would not see the order."""
+        out_dir = tmp_path / "sim"
+        code, _, _ = self.run_small(out_dir, capsys, extra=["--equivalence", "--coverage"])
+        assert code == 0
+        tables = {}
+        for name in ("emse.csv", "equivalence.csv", "coverage.csv"):
+            with open(out_dir / name, newline="") as fh:
+                tables[name] = list(csv.reader(fh))
+        assert tables["emse.csv"][0] == ["point_id", "n", "method", "emse", "variance",
+                                         "mean_estimate", "true_mse", "n_rep", "n_missing"]
+        assert tables["equivalence.csv"][0] == ["n", "h", "median_stat", "n_used", "n_missing"]
+        assert tables["coverage.csv"][0] == ["n", "level", "coverage", "n_used", "n_excluded",
+                                             "truth", "median_ci_width"]
+        assert tables["emse.csv"][1][:3] + tables["emse.csv"][1][-2:] == ["0", "60", "NP", "12", "0"]
+        assert [row[0] for row in tables["equivalence.csv"][1:]] == ["60", "90"]
+        assert tables["coverage.csv"][1][:2] == ["90", "0.95"]
+
+    def test_equivalence_runs_nprt_on_the_chosen_reduction(self, tmp_path, capsys):
+        """equivalence.csv of a root_n_oracle run holds equivalence_view of the
+        oracle columns fitted with root_n_oracle on the run's plan, not pls's."""
+        rows = {}
+        for reduction in ("pls", "root_n_oracle"):
+            out_dir = tmp_path / reduction
+            code, _, _ = run_cli(["simulate", "--model", "1", "--ns", "60,90", "--nrep", "12",
+                                  "--points", "1", "--methods", "npr", "--seed", "5",
+                                  "--nprt-reduction", reduction, "--equivalence",
+                                  "--out", str(out_dir)], capsys)
+            assert code == 0
+            with open(out_dir / "equivalence.csv", newline="") as fh:
+                rows[reduction] = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+        manifest = json.loads((tmp_path / "root_n_oracle" / "manifest.json").read_text())
+        plan = simulation_plan_from_config(manifest["config"])
+        table = simulate.run_replications(plan.model_cfg, simulate.oracle_specs("root_n_oracle"),
+                                          plan.ns, plan.test_points, plan.n_rep)
+        assert rows["root_n_oracle"] == [list(astuple(r)) for r in simulate.equivalence_view(table)]
+        assert rows["root_n_oracle"] != rows["pls"]
+
     @pytest.mark.parametrize("flags", [
         ["--h", "0.5"],
         ["--bandwidth-kind", "fixed", "--h", "0.5", "--exponent-dim", "reduced_d"],
@@ -1281,6 +1321,41 @@ def _no_work(*args, **kwargs):
 
 # a small simulate plan: 2 replications, so no density files
 SIM = ["--model", "1", "--ns", "60", "--nrep", "2", "--points", "2"]
+
+
+# one fault of each class an argument check stops before numpy sees it, and
+# the one line it gives
+ARGUMENT_FAULTS = {
+    "ridge-nan": (["reduce", *GOOD, "--method", "pfc", "--ridge", "nan"],
+                  "ridge must be finite and >= 0, got nan"),
+    "ridge-inf": (["reduce", *GOOD, "--method", "pfc", "--ridge", "inf"],
+                  "ridge must be finite and >= 0, got inf"),
+    "custom-poly-empty": (["kernel-check", "--custom-poly", ","],
+                          "--custom-poly ',' holds no coefficient"),
+    "custom-poly-blank": (["kernel-check", "--custom-poly", ""],
+                          "--custom-poly '' holds no coefficient"),
+    "dim-252": (["kernel-check", "--dim", "252"],
+                "kernel dimension 252 is too large: the kernel's constants overflow a float"),
+    "dim-1e30": (["kernel-check", "--dim", str(10 ** 30)],
+                 f"kernel dimension {10 ** 30} is too large: the kernel's constants "
+                 "overflow a float"),
+}
+
+
+class TestArgumentFaults:
+    @pytest.mark.parametrize("fault", list(ARGUMENT_FAULTS))
+    def test_one_error_line_in_a_child(self, tmp_path, fault):
+        """Exit 2 under `python -W error -m rednw.cli`, with one `error:`
+        line: no traceback, no numpy warning and no output."""
+        argv, message = ARGUMENT_FAULTS[fault]
+        argv = [a.format(good=write_good_csv(tmp_path / "good.csv")) for a in argv]
+        root = str(Path(rednw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rednw.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == f"error: {message}\n"
 
 
 class TestBadOutputPaths:

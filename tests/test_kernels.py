@@ -300,6 +300,19 @@ class TestRejection:
         with pytest.raises(ArgumentError):
             make_kernel(builtin_profile("uniform"), 0)
 
+    @pytest.mark.parametrize("name, last", [
+        ("triweight_poly3", 251), ("biweight", 253), ("epanechnikov", 256), ("uniform", 258),
+    ])
+    def test_dim_past_the_float_range_rejected(self, name, last):
+        """R(K) holds c^2, which overflows one dimension past ``last``; from
+        d = 344 the sphere's area does too. Each raises ArgumentError naming
+        the dimension, while ``last`` itself still gives finite constants."""
+        kernel = make_kernel(builtin_profile(name), last)
+        assert all(math.isfinite(v) for v in (kernel.norm_const, kernel.l2_const, kernel.mu2))
+        for dim in (last + 1, 344, 10 ** 30):
+            with pytest.raises(ArgumentError, match=f"^kernel dimension {dim} is too large"):
+                make_kernel(builtin_profile(name), dim)
+
     @pytest.mark.parametrize("raw", [
         lambda t: max(0.0, 1.0 - t * t),  # scalar-only: truth value of an array
         lambda t: math.exp(-t) if t <= 1.0 else 0.0,

@@ -270,7 +270,7 @@ class TestPointEstimate:
             d = int(rng.integers(1, 4))
             p = int(rng.integers(d, d + 4))
             q, _ = np.linalg.qr(rng.standard_normal((p, d)))
-            basis = ReductionBasis(matrix=q.T, method="oracle")
+            basis = ReductionBasis(matrix=q.T)
             X = rng.uniform(-1.0, 1.0, size=(n, p))
             Y = rng.standard_normal(n)
             x0 = 0.1 * rng.uniform(-1.0, 1.0, size=p)
@@ -297,7 +297,7 @@ class TestPointEstimate:
         rng = np.random.default_rng(12)
         n, p, d = 80, 5, 2
         q, _ = np.linalg.qr(rng.standard_normal((p, d)))
-        basis = ReductionBasis(matrix=q.T, method="oracle")
+        basis = ReductionBasis(matrix=q.T)
         X = rng.uniform(-1.0, 1.0, size=(n, p))
         Y = rng.standard_normal(n)
         x0 = np.zeros(p)
@@ -306,7 +306,7 @@ class TestPointEstimate:
         base = nw_at(cfg, basis, X, Y, x0)
         for _ in range(10):
             a, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            rotated = ReductionBasis(matrix=a @ q.T, method="oracle")
+            rotated = ReductionBasis(matrix=a @ q.T)
             fit = nw_at(cfg, rotated, X, Y, x0)
             np.testing.assert_allclose(fit.eta_hat, base.eta_hat, atol=1e-12)
             np.testing.assert_allclose(fit.ci_lo, base.ci_lo, atol=1e-12)
@@ -1465,7 +1465,7 @@ class TestReplicationMemory:
 
 
 def _oracle(d, p):
-    return ReductionBasis(matrix=np.eye(p)[:d], method="oracle")
+    return ReductionBasis(matrix=np.eye(p)[:d])
 
 
 @st.composite

@@ -12,7 +12,7 @@ import rednw
 PUBLIC = [
     "AmbiguousRankError", "ArgumentError", "BUILTIN_PROFILES", "BandwidthRule", "CellStats",
     "ConditionReport", "CoverageResult", "DataError", "Dataset", "DegenerateFitError",
-    "EquivalenceRow", "KernelProfile", "METHODS", "MethodSpec",
+    "EquivalenceRow", "KernelProfile", "MethodSpec",
     "Model1Config", "Model2Config", "NWBatch", "NWConfig", "NWFit", "NumericError",
     "PointResult", "ProjectionMatrix", "QuadratureError", "RadialKernel", "RednwError",
     "ReductionBasis", "ReplicationTable", "RunManifest", "WorkflowResult", "bandwidth",
@@ -37,7 +37,7 @@ def test_public_names_are_the_recorded_ones():
 SETTABLE = {
     rednw.RadialKernel: ["profile", "dim", "norm_const", "l2_const", "mu2"],
     rednw.NWConfig: ["kernel", "bandwidth", "ci_level", "allow_nonsmooth_kernel"],
-    rednw.ReductionBasis: ["matrix", "method"],
+    rednw.ReductionBasis: ["matrix"],
     rednw.ProjectionMatrix: ["matrix"],
     rednw.dataio.SimulationPlan: ["model_cfg", "methods", "ns", "n_rep", "test_points",
                                   "equivalence", "coverage", "coverage_level"],
@@ -45,6 +45,12 @@ SETTABLE = {
                              "ci_level"],
     rednw.Model1Config: ["p", "beta0", "sigma_signal", "sigma_noise_cov", "eps_sd", "seed"],
     rednw.Model2Config: ["p", "y_sd", "A", "delta_scale", "S", "seed"],
+    # a simulate record's fields, in order, are the columns of its CSV
+    rednw.CellStats: ["point_id", "n", "method", "emse", "variance", "mean_estimate",
+                      "true_mse", "n_rep", "n_missing"],
+    rednw.EquivalenceRow: ["n", "h", "median_stat", "n_used", "n_missing"],
+    rednw.CoverageResult: ["n", "level", "coverage", "n_used", "n_excluded", "truth",
+                           "median_ci_width"],
 }
 PARAMETERS = {
     rednw.run_replications: ["cfg", "methods", "ns", "test_points", "n_rep", "n_threads",

@@ -1,5 +1,6 @@
 """Tests for linear reduction estimators and projection extraction."""
 
+import math
 import re
 import tracemalloc
 
@@ -38,11 +39,7 @@ def principal_angle(basis, target_rows):
 class TestBasisTypes:
     def test_semi_orthogonality_enforced(self):
         with pytest.raises(ArgumentError):
-            ReductionBasis(matrix=np.array([[1.0, 1.0]]), method="oracle")
-
-    def test_method_enum_enforced(self):
-        with pytest.raises(ArgumentError):
-            ReductionBasis(matrix=np.array([[1.0, 0.0]]), method="ols")
+            ReductionBasis(matrix=np.array([[1.0, 1.0]]))
 
     def test_projection_invariants(self):
         with pytest.raises(ArgumentError):
@@ -52,13 +49,13 @@ class TestBasisTypes:
             ProjectionMatrix(matrix=np.array([[0.5, 0.0], [0.0, 0.5]]))
 
     def test_dimensions_are_the_matrix_shape(self):
-        b = ReductionBasis(matrix=np.eye(5)[1:3], method="oracle")
+        b = ReductionBasis(matrix=np.eye(5)[1:3])
         assert (b.d, b.p) == (2, 5)
         for bad in (np.zeros((0, 3)), np.ones(3), np.zeros((1, 0))):
             with pytest.raises(ArgumentError, match="^basis matrix must be a non-empty 2-d array"):
-                ReductionBasis(matrix=bad, method="oracle")
+                ReductionBasis(matrix=bad)
         with pytest.raises(ArgumentError, match=r"not orthonormal \(max deviation nan"):
-            ReductionBasis(matrix=[[np.nan, 0.0]], method="oracle")
+            ReductionBasis(matrix=[[np.nan, 0.0]])
 
     def test_projection_rank_is_its_trace(self):
         q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 3)))
@@ -91,7 +88,6 @@ class TestBasisTypes:
     def test_oracle_basis_normalizes(self):
         b = oracle_basis([[2.0, 0.0, 0.0]])
         np.testing.assert_allclose(b.matrix, [[1.0, 0.0, 0.0]], atol=1e-15)
-        assert b.method == "oracle"
 
 
 class TestPLS:
@@ -194,6 +190,13 @@ class TestPFC:
             pfc_fit(X, Y, self.fy2, 1, ridge=0.0)
         assert pfc_fit(X, Y, self.fy2, 1).d == 1  # the default ridge is positive
 
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf, -math.inf, -1.0])
+    def test_ridge_not_finite_and_nonnegative_rejected_first(self, ridge):
+        """Checked before X is read: a Y of the wrong length is not reached."""
+        X, Y, _ = gen_model2(Model2Config(seed=0), 200)
+        with pytest.raises(ArgumentError, match=f"^ridge must be finite and >= 0, got {ridge}$"):
+            pfc_fit(X, Y[:10], self.fy2, 1, ridge=ridge)
+
     def test_too_many_features_rejected(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((10, 3))
@@ -239,8 +242,6 @@ class TestPFC:
         bit that of the two passes over fresh per-block arrays, from one
         block (n p < 2^16) to several with a ragged last one. The fitted
         values' covariance is coef' (Fc' Fc) coef / n."""
-        from rednw.reduction import _make_basis
-
         X, Y, _ = gen_model2(Model2Config(seed=1), n)
         fy = (lambda y: np.column_stack([y, np.abs(y)])) if r == 2 else \
             (lambda y: np.column_stack([y, y ** 2, y ** 3]))
@@ -260,7 +261,7 @@ class TestPFC:
         L_inv = np.linalg.inv(np.linalg.cholesky(m))
         evals, evecs = np.linalg.eigh(L_inv @ s_fit @ L_inv.T)
         for d in range(1, r + 1):
-            ref = _make_basis(evecs[:, np.argsort(evals)[::-1][:d]].T @ L_inv, "pfc")
+            ref = oracle_basis(evecs[:, np.argsort(evals)[::-1][:d]].T @ L_inv)
             assert np.array_equal(pfc_fit(X, Y, fy, d).matrix, ref.matrix)
 
 
@@ -361,7 +362,7 @@ class TestProjectionExtraction:
 
 class TestReduce:
     def test_coordinate_selection(self):
-        basis = ReductionBasis(matrix=np.array([[0.0, 1.0, 0.0]]), method="oracle")
+        basis = ReductionBasis(matrix=np.array([[0.0, 1.0, 0.0]]))
         X = np.arange(12.0).reshape(4, 3)
         np.testing.assert_allclose(reduce(basis, X)[:, 0], X[:, 1])
 
@@ -374,9 +375,9 @@ class TestReduce:
         """reduce(A b, X) = reduce(b, X) A^T for any orthogonal d x d A."""
         rng = np.random.default_rng(21)
         q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-        b = ReductionBasis(matrix=q.T, method="oracle")
+        b = ReductionBasis(matrix=q.T)
         a, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        b_rot = ReductionBasis(matrix=a @ q.T, method="oracle")
+        b_rot = ReductionBasis(matrix=a @ q.T)
         X = rng.standard_normal((30, 5))
         np.testing.assert_allclose(
             reduce(b_rot, X), reduce(b, X) @ a.T, atol=1e-12
@@ -422,7 +423,6 @@ class TestDispatcher:
         }
         for method in FIT_METHODS:
             got = fit(method, X, Y, d, fy=self.cubic, ridge=1e-6, slices=5)
-            assert got.method == direct[method].method
             assert np.array_equal(got.matrix, direct[method].matrix), method
 
     def test_defaults_match_direct_call(self):
