@@ -43,8 +43,6 @@ from .npregress import (
     BandwidthRule,
     NWBatch,
     NWConfig,
-    NWFit,
-    PointResult,
     bandwidth,
     gaussian_quantile,
     nw_batch,

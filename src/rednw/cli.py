@@ -191,21 +191,27 @@ def _emit(chunks, args) -> Path | None:
 # ---------------------------------------------------------------- kernel-check
 
 def _cmd_kernel_check(args) -> int:
-    if args.custom_poly is not None:
+    custom = args.custom_poly is not None
+    # the flags the other mode reads; setting one is an error
+    for key in ("profile",) if custom else ("support_radius", "smoothness_order"):
+        if getattr(args, key) is not None:
+            raise ArgumentError(f"--{key.replace('_', '-')} is not used "
+                                f"{'with' if custom else 'without'} --custom-poly")
+    if custom:
         coeffs = tuple(_csv_list(args.custom_poly, float))
         if not coeffs:
             raise ArgumentError(f"--custom-poly {args.custom_poly!r} holds no coefficient")
+        radius = 1.0 if args.support_radius is None else args.support_radius
 
-        def raw(t, _c=coeffs, _r=args.support_radius):
+        def raw(t, _c=coeffs, _r=radius):
             t = np.asarray(t, dtype=float)
             vals = np.polynomial.polynomial.polyval(t, _c)
             return np.where(t <= _r, vals, 0.0)
 
-        profile = KernelProfile(name="custom", raw_profile=raw,
-                                support_radius=args.support_radius,
-                                smoothness_order=args.smoothness_order)
+        profile = KernelProfile(name="custom", raw_profile=raw, support_radius=radius,
+                                smoothness_order=args.smoothness_order or 0)
     else:
-        profile = builtin_profile(args.profile)
+        profile = builtin_profile(args.profile or "triweight_poly3")
     kernel = make_kernel(profile, args.dim)
     report = validate_conditions(kernel).to_json_dict()
     report["profile"] = profile.name
@@ -454,13 +460,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     kc = sub.add_parser("kernel-check", help="normalize a kernel and report its checks")
-    kc.add_argument("--profile", choices=list(BUILTIN_PROFILES), default="triweight_poly3")
+    kc.add_argument("--profile", choices=list(BUILTIN_PROFILES), default=None,
+                    help="built-in profile (default triweight_poly3)")
     kc.add_argument("--dim", type=int, default=1)
     kc.add_argument("--custom-poly", default=None,
                     metavar="C0,C1,...", help="polynomial profile coefficients in t")
-    kc.add_argument("--support-radius", type=float, default=1.0)
-    kc.add_argument("--smoothness-order", type=int, default=0,
-                    help="smoothness declared for a custom profile")
+    kc.add_argument("--support-radius", type=float, default=None,
+                    help="support radius of a custom profile (default 1)")
+    kc.add_argument("--smoothness-order", type=int, default=None,
+                    help="smoothness declared for a custom profile (default 0)")
     _add_common(kc)
     kc.set_defaults(handler=_cmd_kernel_check)
 

@@ -29,7 +29,7 @@ from . import reduction
 from .errors import ArgumentError, DataError, NumericError
 from .kernels import builtin_profile, make_kernel
 from .npregress import BandwidthRule, NWBatch, NWConfig, as_float, nw_batch
-from .reduction import ReductionBasis, fit
+from .reduction import FIT_METHODS, ReductionBasis, fit
 from .simulate import (
     PFC_MAX_D,
     CellStats,
@@ -490,13 +490,18 @@ def simulation_plan_from_config(config: dict) -> SimulationPlan:
                    bandwidth_rule=rule)
         for m in method_names
     )
-    if d > PFC_MAX_D and any(spec.reduction == "pfc" for spec in methods):
-        # every replication's fit would fail and leave its cells missing
+    model_cfg = model_cls(seed=seed)
+    # past these d every replication's fit would fail and leave its cells missing
+    fitted = "nprt" in method_names and nprt_reduction in FIT_METHODS[1:]
+    if fitted and nprt_reduction == "pfc" and d > PFC_MAX_D:
         raise ArgumentError(f"pfc on the harness's features (y, |y|) gives at most "
                             f"{PFC_MAX_D} directions, got d={d}")
+    if fitted and d > model_cfg.p:
+        raise ArgumentError(f"{nprt_reduction} needs 1 <= d <= p, got d={d} for model {model} "
+                            f"with p={model_cfg.p}")
     # the x0-only columns the views read: NPR for either, NPRT for equivalence
     methods += oracle_specs(nprt_reduction)[:2 if equivalence else int(coverage)]
-    return SimulationPlan(model_cfg=model_cls(seed=seed), methods=methods, ns=ns,
+    return SimulationPlan(model_cfg=model_cfg, methods=methods, ns=ns,
                           n_rep=n_rep, test_points=test_points,
                           equivalence=equivalence, coverage=coverage,
                           coverage_level=coverage_level)

@@ -203,37 +203,41 @@ def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:
     if not (radius > 0 and math.isfinite(radius)):
         raise ArgumentError(f"support radius must be positive and finite, got {radius}")
     values = profile.raw_profile
-    beyond = np.array([radius * 1.01, radius * 2.0, radius * 10.0])
-    try:
-        probe = np.asarray(values(beyond), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError(f"profile must map an array of radii elementwise ({exc})") from exc
-    if probe.shape != beyond.shape:
-        raise ArgumentError(
-            f"profile must map an array of radii elementwise; it returned shape "
-            f"{probe.shape} for shape {beyond.shape}"
-        )
-    if np.any(np.abs(probe) > 1e-12):
-        raise ArgumentError("profile does not vanish beyond its support radius")
+    # an overflow in the profile or an integrand leaves an inf or NaN, not a
+    # numpy warning; the probe, the quadrature's finiteness check or the
+    # normalization test rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        beyond = np.array([radius * 1.01, radius * 2.0, radius * 10.0])
+        try:
+            probe = np.asarray(values(beyond), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"profile must map an array of radii elementwise ({exc})") from exc
+        if probe.shape != beyond.shape:
+            raise ArgumentError(
+                f"profile must map an array of radii elementwise; it returned shape "
+                f"{probe.shape} for shape {beyond.shape}"
+            )
+        if np.any(np.abs(probe) > 1e-12):
+            raise ArgumentError("profile does not vanish beyond its support radius")
 
-    try:
-        surf = surface_area(dim)
-        total = _radial_integral(lambda s: values(s) * s ** (dim - 1), radius) * surf
-        if not (total > 1e-300):
-            raise ArgumentError(f"profile integrates to {total:.3e}; cannot normalize")
-        norm_const = 1.0 / total
-        l2_const = norm_const ** 2 * _radial_integral(
-            lambda s: values(s) ** 2 * s ** (dim - 1), radius
-        ) * surf
-        # per-coordinate second moment: int u_i^2 K du = (1/d) int ||u||^2 K du
-        mu2 = norm_const * _radial_integral(
-            lambda s: values(s) * s ** (dim + 1), radius
-        ) * surf / dim
-    except OverflowError:
-        # c ** 2 in R(K) overflows from about d = 250, math.gamma in
-        # surface_area from d = 344
-        raise ArgumentError(f"kernel dimension {dim} is too large: the kernel's "
-                            "constants overflow a float") from None
+        try:
+            surf = surface_area(dim)
+            total = _radial_integral(lambda s: values(s) * s ** (dim - 1), radius) * surf
+            if not (total > 1e-300):
+                raise ArgumentError(f"profile integrates to {total:.3e}; cannot normalize")
+            norm_const = 1.0 / total
+            l2_const = norm_const ** 2 * _radial_integral(
+                lambda s: values(s) ** 2 * s ** (dim - 1), radius
+            ) * surf
+            # per-coordinate second moment: int u_i^2 K du = (1/d) int ||u||^2 K du
+            mu2 = norm_const * _radial_integral(
+                lambda s: values(s) * s ** (dim + 1), radius
+            ) * surf / dim
+        except OverflowError:
+            # c ** 2 in R(K) overflows from about d = 250, math.gamma in
+            # surface_area from d = 344
+            raise ArgumentError(f"kernel dimension {dim} is too large for support radius "
+                                f"{radius:g}: the kernel's constants overflow a float") from None
     return RadialKernel(profile=profile, dim=dim, norm_const=norm_const,
                         l2_const=l2_const, mu2=mu2)
 

@@ -4,7 +4,7 @@ Point estimates eta_hat(x0) = sum_i w_i Y_i / sum_i w_i with radial kernel
 weights w_i = K((basis x0 - basis X_i)/h), plug-in density and conditional
 variance estimates, and asymptotic confidence intervals with half-width
 z * sqrt(sigma2 * R(K) / (n h^d f_hat)). ``nw_batch`` returns these as
-columns (``NWBatch``), which also reads as a sequence of per-row results.
+columns (``NWBatch``), whose rows and slices are batches too.
 
 Batches, the replication density and leave-one-out bandwidth selection
 run on one core, ``_nw_core``, except where d = 1 sums run on prefix sums
@@ -71,7 +71,6 @@ criterion's comparison, the finiteness checks and the ``ok`` mask judge.
 from __future__ import annotations
 
 import math
-from collections import abc
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -196,38 +195,15 @@ class NWConfig:
         return self.kernel.dim
 
 
-@dataclass(frozen=True)
-class NWFit:
-    eta_hat: float
-    f_hat: float
-    sigma2_hat: float
-    h_used: float
-    n: int
-    ci_lo: float
-    ci_hi: float
-    effective_mass: float
-
-
-@dataclass(frozen=True)
-class PointResult:
-    """One row of a batch: either a fit or the error that prevented it."""
-
-    index: int
-    fit: NWFit | None
-    error: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.fit is not None
-
-
 @dataclass(frozen=True, eq=False)
-class NWBatch(abc.Sequence):
+class NWBatch:
     """``nw_batch``'s result as columns, one entry per query row.
 
     ``mass`` holds every row's kernel mass; the other columns are NaN where
     ``ok`` is False, and ``errors`` maps each such row to its message.
-    Indexing and iteration give each row as a PointResult, built on demand.
+    ``batch[i]`` and ``batch[a:b:s]`` are batches of those rows, with the
+    same n and h and ``errors`` keyed by their new positions, so iterating
+    a batch gives one-row batches.
     """
 
     n: int
@@ -245,16 +221,12 @@ class NWBatch(abc.Sequence):
         return self.ok.shape[0]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = range(len(self))[i]  # negative from the end; IndexError past either end
-        if not self.ok[i]:
-            return PointResult(index=i, fit=None, error=self.errors[i])
-        fit = NWFit(eta_hat=float(self.eta_hat[i]), f_hat=float(self.f_hat[i]),
-                    sigma2_hat=float(self.sigma2_hat[i]), h_used=self.h, n=self.n,
-                    ci_lo=float(self.ci_lo[i]), ci_hi=float(self.ci_hi[i]),
-                    effective_mass=float(self.mass[i]))
-        return PointResult(index=i, fit=fit, error=None)
+        rows = range(len(self))[i]  # negative from the end; IndexError past either end
+        if isinstance(rows, int):
+            i, rows = slice(rows, rows + 1), range(rows, rows + 1)
+        return NWBatch(self.n, self.h, self.ok[i], self.mass[i], self.eta_hat[i],
+                       self.sigma2_hat[i], self.f_hat[i], self.ci_lo[i], self.ci_hi[i],
+                       {rows.index(r): e for r, e in self.errors.items() if r in rows})
 
 
 def _direct_sq(W0: NDArray[np.floating], W: NDArray[np.floating], h: float) -> NDArray[np.floating]:

@@ -154,6 +154,8 @@ def pls_fit(X: NDArray[np.floating], Y: NDArray[np.floating], d: int) -> Reducti
     n, p = X.shape
     if not (n > d >= 1):
         raise ArgumentError(f"need n > d >= 1, got n={n}, d={d}")
+    if d > p:
+        raise ArgumentError(f"need 1 <= d <= p, got d={d}, p={p}")
     Xd = X - X.mean(axis=0)
     yc = Y - Y.mean()
     weights = []

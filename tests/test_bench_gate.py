@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rednw import BandwidthRule, NWConfig, builtin_profile, make_kernel, nw_batch, oracle_basis
 
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
@@ -56,19 +59,43 @@ def test_traced_fit_loocv_sees_the_batch_and_the_bandwidth_search():
     assert sorted(missing) == UNTRACED
 
 
-def test_tracer_targets_still_resolve(monkeypatch):
-    """Every target of the rebinding tracer but the known-missing ones is a
-    module-level name it can rebind (simulate.gen_model1, nw_batch,
-    make_kernel, oracle_basis, ...), so a refactor that renames or hides
-    one fails here instead of leaving its layer's metrics at 0."""
+def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", RUN.parent / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the class is built
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_targets_still_resolve(monkeypatch):
+    """Every target of the rebinding tracer but the known-missing ones is a
+    module-level name it can rebind (simulate.gen_model1, nw_batch,
+    make_kernel, oracle_basis, ...), so a refactor that renames or hides
+    one fails here instead of leaving its layer's metrics at 0."""
+    tracing = _load_tracing(monkeypatch)
     for _, path, _, _ in tracing.TARGETS:
         importlib.import_module(f"rednw.{path.split('.')[0]}")  # as the runs do
     unresolved = [f"{path}.{attr}" for _, path, attr, _ in tracing.TARGETS
                   if attr not in vars(tracing._owner(path) or object)]
     assert sorted(unresolved) == UNTRACED
     assert sorted(t[len("rednw."):] for t in tracing.missing_targets()) == UNTRACED
+
+
+def test_after_batch_counts_the_failed_rows(monkeypatch):
+    """The tracer's batch hook iterates nw_batch's result row by row; the
+    empty windows it counts are the batch's failed rows."""
+    tracing = _load_tracing(monkeypatch)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, size=(60, 2))
+    X0 = rng.uniform(-1.0, 1.0, size=(40, 2))
+    X0[::3] += 50.0  # empty windows
+    config = NWConfig(kernel=make_kernel(builtin_profile("triweight_poly3"), 1),
+                      bandwidth=BandwidthRule(kind="fixed", h_fixed=0.3))
+    args = (config, oracle_basis([[0.6, 0.8]]), X, rng.standard_normal(60), X0)
+    batch = nw_batch(*args)
+    tracer = tracing.Tracer()
+    tracing._after_batch(tracer, args, {}, batch)
+    counts = tracer.counts[tracer.pass_id]
+    assert counts["npregress.empty_windows"] == np.count_nonzero(~batch.ok) == 14
+    assert counts["npregress.points"] == len(X0)

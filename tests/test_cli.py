@@ -94,6 +94,20 @@ class TestKernelCheck:
             "bounded", "integral_one", "edge_decay", "first_moment_zero",
             "k3_odd_integral", "k3_twice_differentiable", "k4_slope_bound"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--profile", "biweight", "--support-radius", "5"],
+         "--support-radius is not used without --custom-poly"),
+        (["--smoothness-order", "2"], "--smoothness-order is not used without --custom-poly"),
+        (["--custom-poly", "1,0,-1", "--profile", "biweight"],
+         "--profile is not used with --custom-poly"),
+    ], ids=["support-radius", "smoothness-order", "profile"])
+    def test_flag_the_mode_ignores_exits_2(self, argv, message, capsys):
+        """A built-in profile reads neither --support-radius nor
+        --smoothness-order, a custom one not --profile; the first once gave
+        the radius-1 biweight report."""
+        code, out, err = run_cli(["kernel-check", *argv], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_unknown_profile_exits_2(self, capsys):
         code, _, _ = run_cli(
             ["kernel-check", "--profile", "cosine", "--dim", "1"], capsys
@@ -547,6 +561,31 @@ class TestFitPredict:
         assert code == 2
         assert out == ""
         assert "min(r, p)" in err
+
+    @pytest.mark.parametrize("method", ["pls", "sir"])
+    def test_reduce_d_above_p_exits_2(self, method, shellfish_csv, capsys):
+        """A d past the 4 predictors is an argument error before any fit;
+        pls once exited 4, its covariance vanished after 4 deflations."""
+        argv = ["reduce", "--input", str(shellfish_csv), "--response", "muscle_mass",
+                *LOG_FLAGS, "--method", method]
+        assert run_cli([*argv, "--d", "4"], capsys)[0] == 0
+        code, out, err = run_cli([*argv, "--d", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: need 1 <= d <= p, got d=5") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("reduction", ["pls", "sir"])
+    def test_simulate_d_above_p_exits_2(self, reduction, tmp_path, capsys):
+        """A fitted NPRT reduction past model 1's p = 6 directions is
+        rejected before any replication; it once ran with every cell missing."""
+        argv = ["simulate", "--model", "1", "--ns", "100", "--nrep", "2", "--points", "1",
+                "--methods", "nprt", "--nprt-reduction", reduction]
+        code, out, err = run_cli([*argv, "--d", "7", "--out", str(tmp_path / "d7")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {reduction} needs 1 <= d <= p, got d=7 for model 1 with p=6\n"
+        assert not (tmp_path / "d7").exists()
+        code, out, _ = run_cli([*argv, "--d", "6", "--out", str(tmp_path / "d6")], capsys)
+        assert code == 0
+        assert "(missing rate 0.0000)" in out
 
     def test_unknown_flag_exits_2(self, shellfish_csv, capsys):
         # --seed belongs to simulate, the only subcommand that draws numbers
@@ -1335,10 +1374,23 @@ ARGUMENT_FAULTS = {
     "custom-poly-blank": (["kernel-check", "--custom-poly", ""],
                           "--custom-poly '' holds no coefficient"),
     "dim-252": (["kernel-check", "--dim", "252"],
-                "kernel dimension 252 is too large: the kernel's constants overflow a float"),
+                "kernel dimension 252 is too large for support radius 1: the kernel's "
+                "constants overflow a float"),
     "dim-1e30": (["kernel-check", "--dim", str(10 ** 30)],
-                 f"kernel dimension {10 ** 30} is too large: the kernel's constants "
-                 "overflow a float"),
+                 f"kernel dimension {10 ** 30} is too large for support radius 1: the "
+                 "kernel's constants overflow a float"),
+    # a profile value past the float range: numpy warned and the run ended
+    # in a traceback
+    "poly-square-overflow": (["kernel-check", "--custom-poly", "1e200,-1e200"],
+                             "kernel profile integral is not finite; profile not integrable"),
+    "poly-value-overflow": (["kernel-check", "--custom-poly", "1e308,1e308"],
+                            "kernel profile integral is not finite; profile not integrable"),
+    "radius-1e300": (["kernel-check", "--custom-poly", "1,0,-1", "--support-radius", "1e300"],
+                     "kernel profile integral is not finite; profile not integrable"),
+    # norm_const ** 2 overflows at the smallest dimension
+    "radius-1e-300": (["kernel-check", "--custom-poly", "1,0,-1", "--support-radius", "1e-300"],
+                      "kernel dimension 1 is too large for support radius 1e-300: the "
+                      "kernel's constants overflow a float"),
 }
 
 

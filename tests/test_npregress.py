@@ -5,7 +5,6 @@ import itertools
 import math
 import re
 import tracemalloc
-from collections.abc import Sequence
 from unittest import mock
 
 import numpy as np
@@ -25,8 +24,6 @@ from rednw.npregress import (
     BandwidthRule,
     NWBatch,
     NWConfig,
-    NWFit,
-    PointResult,
     _nw_core,
     _nw_prefix,
     bandwidth,
@@ -389,16 +386,14 @@ class TestPointEstimate:
 
 class TestBatch:
     def test_singleton_equals_point_call(self):
-        """A one-row batch's row, read as a PointResult, is its columns' row 0."""
+        """A one-row batch's row 0 is a batch of that row: the same columns,
+        h and n."""
         rng = np.random.default_rng(6)
         X = rng.uniform(-1.0, 1.0, size=(25, 1))
         Y = rng.standard_normal(25)
         batch = nw_batch(default_config(), oracle_basis([[1.0]]), X, Y, np.array([[0.1]]))
-        assert len(batch) == 1 and batch[0].ok
-        assert batch[0].fit == NWFit(
-            eta_hat=batch.eta_hat[0], f_hat=batch.f_hat[0], sigma2_hat=batch.sigma2_hat[0],
-            h_used=batch.h, n=batch.n, ci_lo=batch.ci_lo[0], ci_hi=batch.ci_hi[0],
-            effective_mass=batch.mass[0])
+        assert len(batch) == len(batch[0]) == 1 and batch[0].ok[0]
+        assert _rows(batch[0]) == _rows(batch)
 
     def test_duplicated_rows_duplicated_fits(self):
         rng = np.random.default_rng(7)
@@ -407,19 +402,18 @@ class TestBatch:
         out = nw_batch(
             default_config(), oracle_basis([[1.0]]), X, Y, np.array([[0.1], [0.1]])
         )
-        assert out[0].fit == out[1].fit
+        assert out.ok.all() and _rows(out[0]) == _rows(out[1])
 
     def test_error_marker_does_not_abort_batch(self):
         X = np.array([[0.0], [0.1], [-0.1]])
         Y = np.array([1.0, 2.0, 0.0])
         X0 = np.array([[0.0], [50.0], [0.05]])
         out = nw_batch(default_config(), oracle_basis([[1.0]]), X, Y, X0)
-        assert out[0].ok and out[2].ok
-        assert not out[1].ok
+        assert out.ok.tolist() == [True, False, True]
         # the marker is a serializable message, not a raised exception
-        assert "window" in out[1].error and "h=" in out[1].error
-        assert out[1].fit is None
-        assert out[1].index == 1
+        assert list(out.errors) == [1]
+        assert "window" in out.errors[1] and "h=" in out.errors[1]
+        assert np.isnan(out.eta_hat[1])
 
     @pytest.mark.parametrize("h, f_hat", [(1e200, "0.000e+00"), (1e-200, "inf")])
     def test_bandwidth_power_outside_float_range(self, h, f_hat):
@@ -431,8 +425,9 @@ class TestBatch:
                              bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
         # queries at sample rows keep their own point's mass at any h
         out = nw_batch(cfg, oracle_basis(np.eye(2)), X, Y, X[:3])
-        assert [r.ok for r in out] == [False] * 3
-        assert all(r.error.startswith(f"degenerate density estimate {f_hat} at") for r in out)
+        assert out.ok.tolist() == [False] * 3 and list(out.errors) == [0, 1, 2]
+        assert all(e.startswith(f"degenerate density estimate {f_hat} at")
+                   for e in out.errors.values())
 
     def test_model1_points_have_finite_intervals(self):
         cfg_m = Model1Config(seed=0)
@@ -443,10 +438,9 @@ class TestBatch:
         # test points drawn from the same design stay in the data cloud
         X0, _, _ = gen_model1(cfg_m, 10, rng_stream=123)
         out = nw_batch(cfg, basis, X, Y, X0)
-        assert all(r.ok for r in out)
-        for r in out:
-            assert np.isfinite(r.fit.ci_lo) and np.isfinite(r.fit.ci_hi)
-            assert r.fit.ci_lo < r.fit.eta_hat < r.fit.ci_hi
+        assert out.ok.all()
+        assert np.isfinite(out.ci_lo).all() and np.isfinite(out.ci_hi).all()
+        assert np.all((out.ci_lo < out.eta_hat) & (out.eta_hat < out.ci_hi))
 
 
 class TestSupError:
@@ -460,7 +454,7 @@ class TestSupError:
         basis = oracle_basis([[1.0]])
         cfg = default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.5))
         grid = np.linspace(-0.5, 0.5, 11).reshape(-1, 1)
-        fits = [r.fit.eta_hat for r in nw_batch(cfg, basis, X, Y, grid)]
+        fits = [r.eta_hat[0] for r in nw_batch(cfg, basis, X, Y, grid)]
         batch = nw_batch(cfg, basis, X, Y, grid)
         assert batch.ok.all()
         assert np.max(np.abs(batch.eta_hat - np.array(fits))) == 0.0
@@ -1142,9 +1136,9 @@ class TestSupportEdge:
                       [np.nextafter(1.25, 2.0)], [1.0]])
         Y = np.array([1.0, 2.0, 100.0, 200.0, 3.0])
         out = nw_batch(cfg, oracle_basis([[1.0]]), X, Y, np.ones((rows, 1)))
-        for res in out:
-            assert res.fit.effective_mass == 3.0 * uniform.norm_const
-            assert res.fit.eta_hat == 2.0
+        assert out.ok.all()
+        assert np.all(out.mass == 3.0 * uniform.norm_const)
+        assert np.all(out.eta_hat == 2.0)
 
     def test_uniform_edge_prefix(self):
         """test_uniform_edge at a size that takes the d = 1 prefix path: the
@@ -1177,10 +1171,10 @@ class TestSupportEdge:
                       [1.0, np.nextafter(0.75, 0.0)], [1.0, 1.0]])
         Y = np.array([1.0, 2.0, 100.0, 200.0, 3.0])
         out = nw_batch(cfg, oracle_basis(np.eye(2)), X, Y, np.ones((rows, 2)))
-        for res in out:
-            assert res.fit.effective_mass == 3.0 * uniform.norm_const
-            # the sorted batch sums in another order: the last bits may move
-            assert abs(res.fit.eta_hat - 2.0) <= 4 * np.spacing(2.0)
+        assert out.ok.all()
+        assert np.all(out.mass == 3.0 * uniform.norm_const)
+        # the sorted batch sums in another order: the last bits may move
+        assert np.all(np.abs(out.eta_hat - 2.0) <= 4 * np.spacing(2.0))
 
 
 def direct_sums(kernel, W, Y, w0, h):
@@ -1527,20 +1521,31 @@ def _lone_row_instance():
     return cfg, _oracle(2, 2), X, np.ones(22), X0
 
 
-FIELDS =("eta_hat", "f_hat", "sigma2_hat", "ci_lo", "ci_hi", "effective_mass")
+FIELDS = ("eta_hat", "f_hat", "sigma2_hat", "ci_lo", "ci_hi", "mass")
 
 
-def _fields(results):
-    """Per field, the values of the fitted rows; the ok pattern as 'ok'."""
-    out = {"ok": [r.ok for r in results]}
+def _fields(*batches):
+    """Per field, the values of the batches' fitted rows, in order; the ok
+    pattern as 'ok'."""
+    ok = np.concatenate([b.ok for b in batches])
+    out = {"ok": ok.tolist()}
     for name in FIELDS:
-        out[name] = np.array([getattr(r.fit, name) for r in results if r.ok])
+        out[name] = np.concatenate([getattr(b, name) for b in batches])[ok]
     return out
 
 
+def _rows(batch):
+    """A batch's rows as plain (index, error, fit) tuples: fit is a dict of
+    the row's FIELDS and the batch's h and n, or None for a failed row."""
+    return [(i, batch.errors.get(i),
+             {**{name: getattr(batch, name)[i].item() for name in FIELDS},
+              "h": batch.h, "n": batch.n} if ok else None)
+            for i, ok in enumerate(batch.ok.tolist())]
+
+
 def _rows_reference(cfg, basis, X, Y, X0):
-    """The per-row PointResult list nw_batch built before it returned
-    columns, from the same core sums."""
+    """``_rows`` of the batch, as nw_batch built it row by row before it
+    returned columns, from the same core sums."""
     W, W0 = reduce(basis, X), reduce(basis, X0)
     n = X.shape[0]
     h = bandwidth(cfg.bandwidth, n=n, p=X.shape[1], d=cfg.d, kernel=cfg.kernel, W=W, Y=Y)
@@ -1561,9 +1566,9 @@ def _rows_reference(cfg, basis, X, Y, X0):
                      f"w0={np.array2string(W0[i], precision=6)} with h={h:.6g}")
         else:
             half = z * math.sqrt(s2 * cfg.kernel.l2_const / m)
-            fit = NWFit(eta_hat=e, f_hat=f_hat, sigma2_hat=s2, h_used=h, n=n,
-                        ci_lo=e - half, ci_hi=e + half, effective_mass=m)
-        out.append(PointResult(index=i, fit=fit, error=error))
+            fit = dict(eta_hat=e, f_hat=f_hat, sigma2_hat=s2, ci_lo=e - half, ci_hi=e + half,
+                       mass=m, h=h, n=n)
+        out.append((i, error, fit))
     return out
 
 
@@ -1600,9 +1605,9 @@ def _one_rep_by_rows(cfg, methods, test_points, configs, fixed, task):
     for spec, est in zip(methods, slot):
         try:
             basis = fixed.get(spec.label) or simulate._fit_basis(spec, cfg, X, Y, rep)
-            for res in nw_batch(configs[spec.label], basis, X, Y, test_points):
-                if res.ok:
-                    est[res.index] = (res.fit.eta_hat, res.fit.ci_lo, res.fit.ci_hi)
+            for i, res in enumerate(nw_batch(configs[spec.label], basis, X, Y, test_points)):
+                if res.ok[0]:
+                    est[i] = (res.eta_hat[0], res.ci_lo[0], res.ci_hi[0])
         except RednwError:
             pass
 
@@ -1653,16 +1658,16 @@ class TestNWBatch:
         batch = nw_batch(cfg, basis, X, Y, X0)
         ref = _rows_reference(cfg, basis, X, Y, X0)
         assert isinstance(batch, NWBatch) and len(batch) == len(ref) == len(X0)
-        assert 0 < sum(not r.ok for r in ref)
-        assert list(batch) == ref
-        assert batch.ok.tolist() == [r.ok for r in ref]
-        assert batch.errors == {r.index: r.error for r in ref if not r.ok}
-        assert batch.n == X.shape[0] and all(r.fit.h_used == batch.h for r in ref if r.ok)
+        assert 0 < sum(fit is None for _, _, fit in ref)
+        assert _rows(batch) == ref
+        assert batch.ok.tolist() == [fit is not None for _, _, fit in ref]
+        assert batch.errors == {i: error for i, error, fit in ref if fit is None}
+        assert batch.n == X.shape[0] and all(fit["h"] == batch.h for _, _, fit in ref if fit)
         mass, _, _ = _nw_core(cfg.kernel, reduce(basis, X), Y, reduce(basis, X0), batch.h)
         assert batch.mass.tolist() == mass.tolist()
         for name, col in (("eta_hat", batch.eta_hat), ("sigma2_hat", batch.sigma2_hat),
                           ("f_hat", batch.f_hat), ("ci_lo", batch.ci_lo), ("ci_hi", batch.ci_hi)):
-            want = [getattr(r.fit, name) if r.ok else math.nan for r in ref]
+            want = [fit[name] if fit else math.nan for _, _, fit in ref]
             np.testing.assert_array_equal(col, want, err_msg=name)
 
     @settings(max_examples=40, deadline=None)
@@ -1671,23 +1676,50 @@ class TestNWBatch:
         cfg, basis, X, Y, X0 = inst
         X0 = X0.copy()
         X0[:far] += 10.0  # empty windows
-        assert list(nw_batch(cfg, basis, X, Y, X0)) == _rows_reference(cfg, basis, X, Y, X0)
+        assert _rows(nw_batch(cfg, basis, X, Y, X0)) == _rows_reference(cfg, basis, X, Y, X0)
 
     def test_sequence_protocol(self):
+        """len, indexing, iteration and reversed(): iterating gives one-row
+        batches, the rows of batch[i] for i = 0, 1, ..."""
         cfg, basis, X, Y, X0 = _batch_case("empty-windows-sorted")
         batch = nw_batch(cfg, basis, X, Y, X0)
         m = len(X0)
-        assert isinstance(batch, Sequence) and len(batch) == m
-        assert batch[-1] == batch[m - 1] and batch[-1].index == m - 1
-        assert batch[-m] == batch[0] and batch[0].index == 0
+        assert len(batch) == m
+        assert _rows(batch[-1]) == _rows(batch[m - 1])
+        assert _rows(batch[-m]) == _rows(batch[0])
         for i in (m, -m - 1):
             with pytest.raises(IndexError):
                 batch[i]
         rows = list(batch)
-        assert [r.index for r in rows] == list(range(m))
-        assert rows == [batch[i] for i in range(m)]
-        assert [r.ok for r in reversed(batch)] == batch.ok.tolist()[::-1]
-        assert batch[1:4] == rows[1:4] and batch[::-7] == rows[::-7]
+        assert all(isinstance(r, NWBatch) and len(r) == 1 for r in rows)
+        assert [_rows(r) for r in rows] == [_rows(batch[i]) for i in range(m)]
+        assert [r.ok[0] for r in reversed(batch)] == batch.ok.tolist()[::-1]
+        assert [r.errors for r in rows] == [{0: batch.errors[i]} if i in batch.errors else {}
+                                            for i in range(m)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_and_slices_are_batches(self, case):
+        """batch[i] and batch[a:b:s] hold those rows of every column, the
+        same n and h, and the rows' errors keyed by their new positions."""
+        batch = nw_batch(*_batch_case(case))
+        m = len(batch)
+        rows = _rows(batch)
+        keys = [*range(-m, m), slice(1, 4), slice(None, None, -7), slice(3, None, 5),
+                slice(-2, None), slice(5, 5), slice(None, None, 2), slice(m - 1, 0, -3)]
+        for key in keys:
+            sub = batch[key]
+            picked = range(m)[key]
+            picked = [picked] if isinstance(picked, int) else list(picked)
+            assert isinstance(sub, NWBatch) and len(sub) == len(picked)
+            assert (sub.n, sub.h) == (batch.n, batch.h)
+            for name in ("ok", *FIELDS):
+                np.testing.assert_array_equal(getattr(sub, name), getattr(batch, name)[picked],
+                                              err_msg=f"{name} at {key}")
+            assert sub.errors == {k: batch.errors[r] for k, r in enumerate(picked)
+                                  if r in batch.errors}
+            assert _rows(sub) == [(k, *rows[r][1:]) for k, r in enumerate(picked)]
+        assert any(not batch[i].ok[0] and batch[i].errors == {0: batch.errors[i % m]}
+                   for i in range(-m, 0))
 
     @pytest.mark.parametrize("model", [1, 2])
     def test_harness_cells_unchanged(self, model, monkeypatch):
@@ -1731,14 +1763,14 @@ class TestProperties:
         cfg, basis, X, Y, X0 = inst
         base = nw_batch(cfg, basis, X, Y, X0)
         moved = nw_batch(cfg, basis, X, Y + shift, X0)
-        assert [r.ok for r in moved] == [r.ok for r in base]
-        for a, b in zip(base, moved):
-            if not a.ok:
-                continue
-            np.testing.assert_allclose(b.fit.eta_hat, a.fit.eta_hat + shift, rtol=1e-12, atol=1e-9)
-            np.testing.assert_allclose(b.fit.sigma2_hat, a.fit.sigma2_hat, rtol=1e-6, atol=1e-9)
-            np.testing.assert_allclose(b.fit.ci_hi - b.fit.ci_lo, a.fit.ci_hi - a.fit.ci_lo,
-                                       rtol=1e-6, atol=1e-6)
+        assert moved.ok.tolist() == base.ok.tolist()
+        ok = base.ok
+        np.testing.assert_allclose(moved.eta_hat[ok], base.eta_hat[ok] + shift,
+                                   rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(moved.sigma2_hat[ok], base.sigma2_hat[ok],
+                                   rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose((moved.ci_hi - moved.ci_lo)[ok], (base.ci_hi - base.ci_lo)[ok],
+                                   rtol=1e-6, atol=1e-6)
 
     @settings(max_examples=60, deadline=None)
     @given(inst=nw_instances(min_d=2),
@@ -1750,12 +1782,10 @@ class TestProperties:
         shift = offset[:X.shape[1]]
         base = nw_batch(cfg, basis, X, Y, X0)
         moved = nw_batch(cfg, basis, X + shift, Y, X0 + shift)
-        for a, b in zip(base, moved):
-            if not (a.ok and a.fit.effective_mass > 1e-6):
-                continue
-            assert b.ok
-            np.testing.assert_allclose(b.fit.effective_mass, a.fit.effective_mass, rtol=1e-8)
-            np.testing.assert_allclose(b.fit.eta_hat, a.fit.eta_hat, rtol=0, atol=1e-8)
+        kept = base.ok & (base.mass > 1e-6)
+        assert moved.ok[kept].all()
+        np.testing.assert_allclose(moved.mass[kept], base.mass[kept], rtol=1e-8)
+        np.testing.assert_allclose(moved.eta_hat[kept], base.eta_hat[kept], rtol=0, atol=1e-8)
 
     @settings(max_examples=60, deadline=None)
     @given(inst=nw_instances(), scale=st.floats(0.01, 100.0))
@@ -1766,7 +1796,7 @@ class TestProperties:
         base = _fields(nw_batch(cfg, basis, X, Y, X0))
         moved = _fields(nw_batch(scaled_cfg, basis, scale * X, Y, scale * X0))
         assert moved["ok"] == base["ok"]
-        for name in ("eta_hat", "sigma2_hat", "ci_lo", "ci_hi", "effective_mass"):
+        for name in ("eta_hat", "sigma2_hat", "ci_lo", "ci_hi", "mass"):
             np.testing.assert_allclose(moved[name], base[name], rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(moved["f_hat"] * scale ** cfg.d, base["f_hat"], rtol=1e-8)
 
@@ -1778,8 +1808,8 @@ class TestProperties:
     def test_sorted_batch_matches_rows_one_at_a_time(self, inst):
         cfg, basis, X, Y, X0 = inst
         batch = nw_batch(cfg, basis, X, Y, X0)
-        single = [nw_batch(cfg, basis, X, Y, X0[i:i + 1])[0] for i in range(len(X0))]
-        a, b = _fields(batch), _fields(single)
+        single = [nw_batch(cfg, basis, X, Y, X0[i:i + 1]) for i in range(len(X0))]
+        a, b = _fields(batch), _fields(*single)
         assert a["ok"] == b["ok"]
         for name in FIELDS:
             # sigma2 of a window whose responses agree to the last bits is

@@ -13,8 +13,8 @@ PUBLIC = [
     "AmbiguousRankError", "ArgumentError", "BUILTIN_PROFILES", "BandwidthRule", "CellStats",
     "ConditionReport", "CoverageResult", "DataError", "Dataset", "DegenerateFitError",
     "EquivalenceRow", "KernelProfile", "MethodSpec",
-    "Model1Config", "Model2Config", "NWBatch", "NWConfig", "NWFit", "NumericError",
-    "PointResult", "ProjectionMatrix", "QuadratureError", "RadialKernel", "RednwError",
+    "Model1Config", "Model2Config", "NWBatch", "NWConfig", "NumericError",
+    "ProjectionMatrix", "QuadratureError", "RadialKernel", "RednwError",
     "ReductionBasis", "ReplicationTable", "RunManifest", "WorkflowResult", "bandwidth",
     "builtin_profile", "dataio", "default_bandwidth_rule", "draw_test_points", "emse",
     "errors", "estimate_density_data", "gaussian_quantile", "gen_model1", "gen_model2",
