@@ -16,7 +16,6 @@ from .errors import (
     DataError,
     DegenerateFitError,
     NumericError,
-    QuadratureError,
     RednwError,
 )
 from .kernels import (

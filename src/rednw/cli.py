@@ -192,24 +192,17 @@ def _emit(chunks, args) -> Path | None:
 
 def _cmd_kernel_check(args) -> int:
     custom = args.custom_poly is not None
-    # the flags the other mode reads; setting one is an error
-    for key in ("profile",) if custom else ("support_radius", "smoothness_order"):
-        if getattr(args, key) is not None:
-            raise ArgumentError(f"--{key.replace('_', '-')} is not used "
-                                f"{'with' if custom else 'without'} --custom-poly")
+    # the flag the other mode reads; setting it is an error
+    key = "profile" if custom else "support_radius"
+    if getattr(args, key) is not None:
+        raise ArgumentError(f"--{key.replace('_', '-')} is not used "
+                            f"{'with' if custom else 'without'} --custom-poly")
     if custom:
         coeffs = tuple(_csv_list(args.custom_poly, float))
         if not coeffs:
             raise ArgumentError(f"--custom-poly {args.custom_poly!r} holds no coefficient")
         radius = 1.0 if args.support_radius is None else args.support_radius
-
-        def raw(t, _c=coeffs, _r=radius):
-            t = np.asarray(t, dtype=float)
-            vals = np.polynomial.polynomial.polyval(t, _c)
-            return np.where(t <= _r, vals, 0.0)
-
-        profile = KernelProfile(name="custom", raw_profile=raw, support_radius=radius,
-                                smoothness_order=args.smoothness_order or 0)
+        profile = KernelProfile(name="custom", coefficients=coeffs, support_radius=radius)
     else:
         profile = builtin_profile(args.profile or "triweight_poly3")
     kernel = make_kernel(profile, args.dim)
@@ -467,8 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar="C0,C1,...", help="polynomial profile coefficients in t")
     kc.add_argument("--support-radius", type=float, default=None,
                     help="support radius of a custom profile (default 1)")
-    kc.add_argument("--smoothness-order", type=int, default=None,
-                    help="smoothness declared for a custom profile (default 0)")
     _add_common(kc)
     kc.set_defaults(handler=_cmd_kernel_check)
 

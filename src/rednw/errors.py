@@ -31,10 +31,6 @@ class NumericError(RednwError):
     exit_code = 4
 
 
-class QuadratureError(NumericError):
-    """Kernel quadrature did not reach the required tolerance."""
-
-
 class DegenerateFitError(NumericError):
     """A reduction fit has no signal to work with (e.g. zero covariance)."""
 

@@ -223,10 +223,13 @@ class NWBatch:
     def __getitem__(self, i):
         rows = range(len(self))[i]  # negative from the end; IndexError past either end
         if isinstance(rows, int):
-            i, rows = slice(rows, rows + 1), range(rows, rows + 1)
+            # one lookup, so iterating a batch is linear in its rows
+            i = slice(rows, rows + 1)
+            errors = {0: self.errors[rows]} if rows in self.errors else {}
+        else:
+            errors = {rows.index(r): e for r, e in self.errors.items() if r in rows}
         return NWBatch(self.n, self.h, self.ok[i], self.mass[i], self.eta_hat[i],
-                       self.sigma2_hat[i], self.f_hat[i], self.ci_lo[i], self.ci_hi[i],
-                       {rows.index(r): e for r, e in self.errors.items() if r in rows})
+                       self.sigma2_hat[i], self.f_hat[i], self.ci_lo[i], self.ci_hi[i], errors)
 
 
 def _direct_sq(W0: NDArray[np.floating], W: NDArray[np.floating], h: float) -> NDArray[np.floating]:

@@ -17,12 +17,9 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def kernel_weights(kernel, t):
-    """Reference weights norm_const * k(t) at radii t, from the raw profile on
-    the radii themselves: exactly 0 beyond the support radius, whatever the
-    profile returns there."""
-    t = np.asarray(t, dtype=float)
-    R = kernel.profile.support_radius
-    return kernel.norm_const * np.where(t <= R, kernel.profile.raw_profile(t), 0.0)
+    """Reference weights norm_const * k(t) at radii t, from the profile on
+    the radii themselves: exactly 0 beyond the support radius."""
+    return kernel.norm_const * kernel.profile.values(t)
 
 
 def nw_at(config, basis, X, Y, x0):

@@ -64,7 +64,7 @@ def _quad_kernel_integral(kernel) -> float:
     d = kernel.dim
 
     def integrand(s):
-        val = float(np.atleast_1d(prof.raw_profile(np.array([s])))[0])
+        val = float(np.atleast_1d(prof.values(np.array([s])))[0])
         return kernel.norm_const * val * surface_area(d) * s ** (d - 1)
 
     val, _ = integrate.quad(integrand, 0.0, prof.support_radius)

@@ -75,36 +75,52 @@ class TestKernelCheck:
         code, out, _ = run_cli(
             [
                 "kernel-check", "--custom-poly", "1,0,-1",
-                "--support-radius", "1.0", "--smoothness-order", "0",
-                "--dim", "1",
+                "--support-radius", "1.0", "--dim", "1",
             ],
             capsys,
         )
         assert code == 0
         rep = json.loads(out)
         assert abs(rep["norm_const"] - 0.75) <= 1e-10
+        # a simple root at the edge: smoothness 0, derived with no flag
+        by_name = {c["name"]: c for c in rep["checks"]}
+        assert by_name["k3_twice_differentiable"] == {
+            "name": "k3_twice_differentiable", "value": 0.0, "pass": False}
+        assert by_name["k4_slope_bound"] == {"name": "k4_slope_bound", "value": 2.0,
+                                             "pass": False}
 
     @pytest.mark.parametrize("coeffs,dim", [("2,-1", "3"), ("3,-1,-1", "4")])
     def test_custom_profile_with_step_edge(self, coeffs, dim, capsys):
-        """A profile that jumps at its support edge gets the full report."""
-        code, out, _ = run_cli(["kernel-check", "--custom-poly", coeffs,
-                                "--smoothness-order", "2", "--dim", dim], capsys)
+        """A profile that jumps at its support edge gets the full report,
+        and fails the two derived conditions: smoothness -1 for the jump, and
+        an infinite slope bound since k'(0) = -1."""
+        code, out, _ = run_cli(["kernel-check", "--custom-poly", coeffs, "--dim", dim], capsys)
         assert code == 0
-        assert [c["name"] for c in json.loads(out)["checks"]] == [
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == [
             "bounded", "integral_one", "edge_decay", "first_moment_zero",
             "k3_odd_integral", "k3_twice_differentiable", "k4_slope_bound"]
+        assert checks[5:] == [
+            {"name": "k3_twice_differentiable", "value": -1.0, "pass": False},
+            {"name": "k4_slope_bound", "value": math.inf, "pass": False}]
+        assert "Infinity" in out
+
+    def test_smoothness_order_is_not_an_option(self, capsys):
+        """Smoothness is derived from the coefficients, never declared."""
+        code, out, err = run_cli(["kernel-check", "--custom-poly", "2,-1",
+                                  "--smoothness-order", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --smoothness-order 2" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--profile", "biweight", "--support-radius", "5"],
          "--support-radius is not used without --custom-poly"),
-        (["--smoothness-order", "2"], "--smoothness-order is not used without --custom-poly"),
         (["--custom-poly", "1,0,-1", "--profile", "biweight"],
          "--profile is not used with --custom-poly"),
-    ], ids=["support-radius", "smoothness-order", "profile"])
+    ], ids=["support-radius", "profile"])
     def test_flag_the_mode_ignores_exits_2(self, argv, message, capsys):
-        """A built-in profile reads neither --support-radius nor
-        --smoothness-order, a custom one not --profile; the first once gave
-        the radius-1 biweight report."""
+        """A built-in profile does not read --support-radius, a custom one
+        not --profile; the first once gave the radius-1 biweight report."""
         code, out, err = run_cli(["kernel-check", *argv], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -1380,13 +1396,19 @@ ARGUMENT_FAULTS = {
                  f"kernel dimension {10 ** 30} is too large for support radius 1: the "
                  "kernel's constants overflow a float"),
     # a profile value past the float range: numpy warned and the run ended
-    # in a traceback
+    # in a traceback. The polynomial is bounded, so a constant that is not
+    # finite is a range error naming R and d
     "poly-square-overflow": (["kernel-check", "--custom-poly", "1e200,-1e200"],
-                             "kernel profile integral is not finite; profile not integrable"),
+                             "kernel dimension 1 is too large for support radius 1: the "
+                             "kernel's constants overflow a float"),
     "poly-value-overflow": (["kernel-check", "--custom-poly", "1e308,1e308"],
-                            "kernel profile integral is not finite; profile not integrable"),
+                            "kernel dimension 1 is too large for support radius 1: the "
+                            "kernel's constants overflow a float"),
     "radius-1e300": (["kernel-check", "--custom-poly", "1,0,-1", "--support-radius", "1e300"],
-                     "kernel profile integral is not finite; profile not integrable"),
+                     "kernel dimension 1 is too large for support radius 1e+300: the "
+                     "kernel's constants overflow a float"),
+    "poly-nan": (["kernel-check", "--custom-poly", "1,nan"],
+                 "profile coefficients must be finite and at least one, got (1.0, nan)"),
     # norm_const ** 2 overflows at the smallest dimension
     "radius-1e-300": (["kernel-check", "--custom-poly", "1,0,-1", "--support-radius", "1e-300"],
                       "kernel dimension 1 is too large for support radius 1e-300: the "

@@ -19,6 +19,7 @@ from rednw.kernels import (
     validate_conditions,
 )
 
+P = np.polynomial.polynomial
 BUILTINS = ("triweight_poly3", "biweight", "epanechnikov", "uniform")
 
 
@@ -28,7 +29,7 @@ def quad_integral(kernel):
     d = kernel.dim
 
     def integrand(s):
-        val = float(np.atleast_1d(prof.raw_profile(np.array([s])))[0])
+        val = float(np.atleast_1d(prof.values(np.array([s])))[0])
         return kernel.norm_const * val * surface_area(d) * s ** (d - 1)
 
     val, _ = integrate.quad(integrand, 0.0, prof.support_radius)
@@ -63,13 +64,7 @@ class TestConstants:
 
     def test_custom_parabolic_profile_norm(self):
         """k(t) = 1 - t^2 on [0,1) normalizes with c = 3/4 in one dimension."""
-        prof = KernelProfile(
-            name="custom",
-            raw_profile=lambda t: np.where(t < 1.0, 1.0 - t * t, 0.0),
-            support_radius=1.0,
-            smoothness_order=0,
-        )
-        k = make_kernel(prof, 1)
+        k = make_kernel(KernelProfile(name="custom", coefficients=(1, 0, -1)), 1)
         assert abs(k.norm_const - 0.75) <= 1e-10
 
     def test_second_moment_triweight_d1(self):
@@ -178,22 +173,6 @@ class TestEval:
         assert np.all(w[~inside] == 0.0)
         assert w[5] == (k.norm_const if power == 0 else 0.0)
 
-    def test_weights_zero_where_custom_profile_is_nan(self):
-        """NaN beyond the support passes make_kernel's probe; the profile of
-        squared radii must still be exactly 0 there, not NaN."""
-        prof = KernelProfile(
-            name="custom",
-            raw_profile=lambda t: np.where(t <= 1.0, 1.0 - t * t, np.nan),
-            support_radius=1.0,
-            smoothness_order=0,
-        )
-        k = make_kernel(prof, 1)
-        t = np.array([0.0, 0.5, 1.0, np.nextafter(1.0, np.inf), 1.5, 10.0])
-        w = k.norm_const * k.profile_of_squares(t * t)
-        np.testing.assert_allclose(w[:2], k.norm_const * np.array([1.0, 0.75]), rtol=1e-15)
-        assert np.array_equal(w[2:], np.zeros(4))
-        np.testing.assert_array_equal(w, kernel_weights(k, t))
-
     def test_kernel_is_immutable(self):
         k = make_kernel(builtin_profile("uniform"), 1)
         with pytest.raises(Exception):
@@ -228,21 +207,38 @@ class TestValidation:
         self.assert_symmetric_checks_exact(make_kernel(builtin_profile(name), dim))
 
     def test_symmetric_checks_exact_for_step_edge_custom_profile(self):
-        """A profile that jumps at its edge, with no analytic derivative: the
-        report states the two symmetric conditions instead of integrating a
-        finite-difference |k'| that does not converge."""
-        prof = KernelProfile(name="custom",
-                             raw_profile=lambda t: np.where(t <= 1.0, 2.0 - t, 0.0),
-                             support_radius=1.0, smoothness_order=2)
-        self.assert_symmetric_checks_exact(make_kernel(prof, 3))
+        """A profile that jumps at its edge: the report states the two
+        symmetric conditions, and the edge shows in the derived checks."""
+        kernel = make_kernel(KernelProfile(name="custom", coefficients=(2, -1)), 3)
+        self.assert_symmetric_checks_exact(kernel)
+        by_name = {c.name: c for c in validate_conditions(kernel).checks}
+        assert (by_name["k3_twice_differentiable"].value, by_name["k4_slope_bound"].value) == (
+            -1.0, math.inf)
+        assert not by_name["k3_twice_differentiable"].passed
+        assert not by_name["k4_slope_bound"].passed
 
     def test_triweight_k4_slope_constant(self):
-        # max |k'(t)|/t for k(t)=(1-t^2)^3 is 6, attained as t -> 0
+        # max |k'(t)|/t for k(t)=(1-t^2)^3 is 6, attained at t = 0, exactly
         k = make_kernel(builtin_profile("triweight_poly3"), 1)
         rep = validate_conditions(k)
         by_name = {c.name: c for c in rep.checks}
         assert by_name["k4_slope_bound"].passed
-        np.testing.assert_allclose(by_name["k4_slope_bound"].value, 6.0, rtol=1e-6)
+        assert by_name["k4_slope_bound"].value == 6.0
+
+    @pytest.mark.parametrize("name, smoothness, slope", [
+        ("triweight_poly3", 2, 6.0), ("biweight", 1, 4.0), ("epanechnikov", 0, 2.0),
+        ("uniform", -1, 0.0),
+    ])
+    def test_builtins_derive_smoothness_and_exact_slope(self, name, smoothness, slope):
+        """(1 - t^2)^k has a root of multiplicity k at its edge, so k - 1
+        continuous derivatives, and max |k'(t) / t| = 2k, attained at t = 0."""
+        profile = builtin_profile(name)
+        assert profile.smoothness_order == smoothness
+        by_name = {c.name: c for c in validate_conditions(make_kernel(profile, 2)).checks}
+        assert by_name["k3_twice_differentiable"].value == smoothness
+        assert by_name["k4_slope_bound"].value == slope
+        assert by_name["k4_slope_bound"].passed == (smoothness >= 1)
+        assert (by_name["edge_decay"].value, by_name["edge_decay"].passed) == (0.0, True)
 
     def test_uniform_flagged_nondifferentiable(self):
         """Step-edge profiles are admitted but flagged on the smoothness checks."""
@@ -271,30 +267,69 @@ class TestValidation:
             assert set(entry) == {"name", "value", "pass"}
 
 
+class TestDerivedConditions:
+    """A profile is its coefficients: smoothness and the slope bound are
+    derived from them exactly, and its quadrature ends at an exact rule."""
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtin_coefficient_form_matches_product_form(self, name):
+        profile = builtin_profile(name)
+        t = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_allclose(P.polyval(t, profile.coefficients), profile.values(t),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_root_at_edge_found_despite_rounding(self):
+        """1 - t^2 / R^2 at R = 0.3 rounds to 1.1e-16 at R, not 0: within
+        64 eps of its terms' sum, so a root of multiplicity 1, order 0."""
+        R = 0.3
+        coefficients = (1.0, 0.0, -1.0 / R ** 2)
+        assert P.polyval(R, coefficients) != 0.0
+        assert KernelProfile(name="custom", coefficients=coefficients,
+                             support_radius=R).smoothness_order == 0
+
+    @pytest.mark.parametrize("coefficients, order", [
+        (P.polypow([1.0, -1.0], 4), 0),  # (1 - t)^4: the t term makes k(|t|) kink at 0
+        (P.polymul(P.polypow([1.0, 0.0, -1.0], 4), [1.0, 0.0, 0.0, 1.0]), 2),  # t^3 at 0
+        ((1.0, 0.0, 0.0, -1.0), 0),  # a simple root at the edge
+    ], ids=["kink-at-0", "cube-at-0", "simple-root"])
+    def test_smoothness_is_the_smaller_order(self, coefficients, order):
+        assert KernelProfile(name="custom", coefficients=coefficients).smoothness_order == order
+
+    def test_slope_bound_at_an_interior_extremum(self):
+        """k'(t) / t = -(1 + 8 t^2 - 8 t^4) is largest in size, 3, at t^2 = 1/2."""
+        kernel = make_kernel(KernelProfile(name="custom",
+                                           coefficients=(7 / 6, 0, -1 / 2, 0, -2, 0, 4 / 3)), 1)
+        by_name = {c.name: c for c in validate_conditions(kernel).checks}
+        np.testing.assert_allclose(by_name["k4_slope_bound"].value, 3.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_high_degree_profile_integrates_exactly(self, dim):
+        """1 - t^60 needs the 32-node rule; its normalization is then exact:
+        1 / (S_d (1 / d - 1 / (d + 60)))."""
+        kernel = make_kernel(KernelProfile(name="custom", coefficients=(1.0,) + (0.0,) * 59 + (-1.0,)),
+                             dim)
+        expected = 1.0 / (surface_area(dim) * (1.0 / dim - 1.0 / (dim + 60)))
+        np.testing.assert_allclose(kernel.norm_const, expected, rtol=1e-14)
+
+
 class TestRejection:
     def test_unknown_builtin_name(self):
         with pytest.raises(ArgumentError):
             builtin_profile("gaussian")
 
-    def test_profile_not_vanishing_rejected(self):
-        prof = KernelProfile(
-            name="custom",
-            raw_profile=lambda t: np.exp(-t),
-            support_radius=1.0,
-            smoothness_order=2,
-        )
-        with pytest.raises(ArgumentError):
-            make_kernel(prof, 1)
-
     def test_zero_profile_rejected(self):
-        prof = KernelProfile(
-            name="custom",
-            raw_profile=lambda t: np.zeros_like(t),
-            support_radius=1.0,
-            smoothness_order=0,
-        )
-        with pytest.raises(ArgumentError):
-            make_kernel(prof, 1)
+        with pytest.raises(ArgumentError, match="cannot normalize"):
+            make_kernel(KernelProfile(name="custom", coefficients=(0.0,)), 1)
+
+    @pytest.mark.parametrize("coefficients, radius, message", [
+        ((), 1.0, "profile coefficients must be finite and at least one"),
+        ((1.0, math.nan), 1.0, "profile coefficients must be finite and at least one"),
+        ((1.0, 0.0, -1.0), math.inf, "support radius must be positive and finite"),
+        ((1.0, 0.0, -1.0), 0.0, "support radius must be positive and finite"),
+    ], ids=["empty", "nan", "inf-radius", "zero-radius"])
+    def test_invalid_profile_rejected(self, coefficients, radius, message):
+        with pytest.raises(ArgumentError, match=message):
+            KernelProfile(name="custom", coefficients=coefficients, support_radius=radius)
 
     def test_bad_dim_rejected(self):
         with pytest.raises(ArgumentError):
@@ -312,14 +347,3 @@ class TestRejection:
         for dim in (last + 1, 344, 10 ** 30):
             with pytest.raises(ArgumentError, match=f"^kernel dimension {dim} is too large"):
                 make_kernel(builtin_profile(name), dim)
-
-    @pytest.mark.parametrize("raw", [
-        lambda t: max(0.0, 1.0 - t * t),  # scalar-only: truth value of an array
-        lambda t: math.exp(-t) if t <= 1.0 else 0.0,
-        lambda t: 0.0,  # one value whatever the input shape
-    ], ids=["max", "conditional", "constant"])
-    def test_profile_not_applied_elementwise_rejected(self, raw):
-        prof = KernelProfile(name="custom", raw_profile=raw, support_radius=1.0,
-                             smoothness_order=0)
-        with pytest.raises(ArgumentError, match="elementwise"):
-            make_kernel(prof, 1)

@@ -14,7 +14,7 @@ PUBLIC = [
     "ConditionReport", "CoverageResult", "DataError", "Dataset", "DegenerateFitError",
     "EquivalenceRow", "KernelProfile", "MethodSpec",
     "Model1Config", "Model2Config", "NWBatch", "NWConfig", "NumericError",
-    "ProjectionMatrix", "QuadratureError", "RadialKernel", "RednwError",
+    "ProjectionMatrix", "RadialKernel", "RednwError",
     "ReductionBasis", "ReplicationTable", "RunManifest", "WorkflowResult", "bandwidth",
     "builtin_profile", "dataio", "default_bandwidth_rule", "draw_test_points", "emse",
     "errors", "estimate_density_data", "gaussian_quantile", "gen_model1", "gen_model2",
@@ -32,9 +32,11 @@ def test_public_names_are_the_recorded_ones():
 
 
 # the values a caller sets; each derived value (a config's d, a basis's d and
-# p, a projection's rank, a run's seed) has one source and is not among them.
-# A kernel's constants are make_kernel's, each integrated once there
+# p, a projection's rank, a run's seed, a profile's smoothness order) has one
+# source and is not among them. A kernel's constants are make_kernel's, each
+# integrated once there
 SETTABLE = {
+    rednw.KernelProfile: ["name", "coefficients", "support_radius"],
     rednw.RadialKernel: ["profile", "dim", "norm_const", "l2_const", "mu2"],
     rednw.NWConfig: ["kernel", "bandwidth", "ci_level", "allow_nonsmooth_kernel"],
     rednw.ReductionBasis: ["matrix"],
