@@ -555,7 +555,7 @@ class WorkflowResult:
         f_hat, sigma2_hat, h}, or with the row's "error"."""
         b, x0 = self.batch, self.X0[i].tolist()
         if not b.ok[i]:
-            return {"x0": x0, "error": b.errors[i]}
+            return {"x0": x0, "error": b.error(i)}
         return {"x0": x0, "eta_hat": float(b.eta_hat[i]), "ci_lo": float(b.ci_lo[i]),
                 "ci_hi": float(b.ci_hi[i]), "f_hat": float(b.f_hat[i]),
                 "sigma2_hat": float(b.sigma2_hat[i]), "h": float(b.h)}

@@ -4,7 +4,8 @@ Point estimates eta_hat(x0) = sum_i w_i Y_i / sum_i w_i with radial kernel
 weights w_i = K((basis x0 - basis X_i)/h), plug-in density and conditional
 variance estimates, and asymptotic confidence intervals with half-width
 z * sqrt(sigma2 * R(K) / (n h^d f_hat)). ``nw_batch`` returns these as
-columns (``NWBatch``), whose rows and slices are batches too.
+columns (``NWBatch``), whose rows and slices are batches too; a failed
+row's message is formed from its columns when read (``NWBatch.error``).
 
 Batches, the replication density and leave-one-out bandwidth selection
 run on one core, ``_nw_core``, except where d = 1 sums run on prefix sums
@@ -59,11 +60,11 @@ row whose mass or numerator is below 1e5 times its bound is summed
 directly, by the block of the windowed core.
 
 Floating-point policy: ``_nw_core``, ``_nw_prefix``, the leave-one-out
-criterion, and ``nw_batch``'s two reductions and its density and interval
-step each silence numpy's overflow, divide-by-zero and invalid-value
-warnings in one ``with np.errstate`` block that the helpers inherit (a
-``with``, not the decorator, so each call from the replication pool's
-threads has its own context). Every inf or NaN formed there lands in a
+criterion, ``nw_batch``'s two reductions, density and interval step, and
+``NWBatch.error`` each silence numpy's overflow, divide-by-zero and
+invalid-value warnings in one ``with np.errstate`` block that the helpers
+inherit (a ``with``, not the decorator, so each call from the replication
+pool's threads has its own context). Every inf or NaN formed there lands in a
 radius, mass, criterion, reduced row or estimate that the window test, the
 criterion's comparison, the finiteness checks and the ``ok`` mask judge.
 """
@@ -199,11 +200,10 @@ class NWConfig:
 class NWBatch:
     """``nw_batch``'s result as columns, one entry per query row.
 
-    ``mass`` holds every row's kernel mass; the other columns are NaN where
-    ``ok`` is False, and ``errors`` maps each such row to its message.
-    ``batch[i]`` and ``batch[a:b:s]`` are batches of those rows, with the
-    same n and h and ``errors`` keyed by their new positions, so iterating
-    a batch gives one-row batches.
+    ``mass`` is every row's kernel mass and ``w0`` its reduced query row;
+    the other columns are NaN where ``ok`` is False, and ``error(i)`` says
+    why. ``batch[i]`` and ``batch[a:b:s]`` are batches of those rows of
+    every column, same n and h, so iterating gives one-row batches.
     """
 
     n: int
@@ -215,7 +215,7 @@ class NWBatch:
     f_hat: NDArray[np.floating]
     ci_lo: NDArray[np.floating]
     ci_hi: NDArray[np.floating]
-    errors: dict[int, str]
+    w0: NDArray[np.floating]
 
     def __len__(self) -> int:
         return self.ok.shape[0]
@@ -223,13 +223,22 @@ class NWBatch:
     def __getitem__(self, i):
         rows = range(len(self))[i]  # negative from the end; IndexError past either end
         if isinstance(rows, int):
-            # one lookup, so iterating a batch is linear in its rows
             i = slice(rows, rows + 1)
-            errors = {0: self.errors[rows]} if rows in self.errors else {}
-        else:
-            errors = {rows.index(r): e for r, e in self.errors.items() if r in rows}
         return NWBatch(self.n, self.h, self.ok[i], self.mass[i], self.eta_hat[i],
-                       self.sigma2_hat[i], self.f_hat[i], self.ci_lo[i], self.ci_hi[i], errors)
+                       self.sigma2_hat[i], self.f_hat[i], self.ci_lo[i], self.ci_hi[i], self.w0[i])
+
+    def error(self, i: int) -> str | None:
+        """Why row i failed, None for an ok row: an empty window, or else a
+        degenerate density (0 or inf: h**d or f_hat left the float range; a
+        tiny f_hat is not). w0 prints -0 as 0, as X0 @ I gives it."""
+        if self.ok[i]:
+            return None
+        w0, mass, h = np.array2string(self.w0[i] + 0.0, precision=6), self.mass[i], self.h
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            f_hat = mass / (self.n * np.float64(h) ** self.w0.shape[1])  # as nw_batch forms it
+        return (f"no sample points inside the kernel window at w0={w0} with h={h:.6g} "
+                f"(effective mass {mass:.3e})" if mass < _MIN_EFFECTIVE_MASS else
+                f"degenerate density estimate {f_hat:.3e} at w0={w0} with h={h:.6g}")
 
 
 def _direct_sq(W0: NDArray[np.floating], W: NDArray[np.floating], h: float) -> NDArray[np.floating]:
@@ -678,9 +687,9 @@ def bandwidth(rule: BandwidthRule, n: int, p: int, d: int,
 def nw_batch(config: NWConfig, basis: ReductionBasis,
              X: NDArray[np.floating], Y: NDArray[np.floating],
              X0: NDArray[np.floating]) -> NWBatch:
-    """NW estimate at every row of X0, as columns; failed rows carry the
-    error message. An X0 with no rows passes the same checks and resolves
-    h, and gives a batch with no rows.
+    """NW estimate at every row of X0, as columns, with X0's reduced rows.
+    An X0 with no rows passes the same checks and resolves h, and gives a
+    batch with no rows.
 
     Raises:
         ArgumentError: Y, X @ basis.T or a reduced row of X0 is not finite.
@@ -721,7 +730,7 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
         raise ArgumentError("reduced predictors X @ basis.T are not finite; X must be finite")
     h = bandwidth(config.bandwidth, n=n, p=p, d=config.d, kernel=config.kernel, W=W, Y=Y)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        W0 = X0 if identity else _reduce(basis, X0)
+        W0 = X0.copy() if identity else _reduce(basis, X0)  # never the caller's X0
     bad = ~np.isfinite(W0).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -736,14 +745,4 @@ def nw_batch(config: NWConfig, basis: ReductionBasis,
         # re-forming a product that can overflow for large d
         half = z * np.sqrt(sigma2 * config.kernel.l2_const / mass)
         cols = np.where(ok, [eta, sigma2, f_hats, eta - half, eta + half], np.nan)
-    errors = {}
-    for i in np.flatnonzero(~ok).tolist():
-        w0 = np.array2string(W0[i] + 0.0, precision=6)  # 0, not -0, as X0 @ I gives
-        # The density value itself scales like h^{-d} and is legitimately
-        # tiny in high dimensions; emptiness is a statement about mass. Only
-        # a degenerate value (0 or inf, from h**d or f_hat leaving the float
-        # range) is an error.
-        errors[i] = (f"no sample points inside the kernel window at w0={w0} with h={h:.6g} "
-                     f"(effective mass {mass[i]:.3e})" if mass[i] < _MIN_EFFECTIVE_MASS else
-                     f"degenerate density estimate {f_hats[i]:.3e} at w0={w0} with h={h:.6g}")
-    return NWBatch(n, h, ok, mass, *cols, errors)
+    return NWBatch(n, h, ok, mass, *cols, W0)

@@ -25,7 +25,7 @@ from ._blas import keep_freed_memory, one_blas_thread
 from .errors import ArgumentError, NumericError, RednwError
 from .kernels import builtin_profile, make_kernel
 from .npregress import BandwidthRule, NWConfig, _nw_core, bandwidth, nw_batch
-from .reduction import FIT_METHODS, ReductionBasis, fit, oracle_basis, row_blocks
+from .reduction import FIT_METHODS, ReductionBasis, all_finite, fit, oracle_basis, row_blocks
 
 METHOD_NAMES = ("np", "npr", "nprt")
 # one direction each, not fitted: root_n_oracle perturbs the true direction by
@@ -569,12 +569,16 @@ def estimate_density_data(estimates: Sequence[float] | NDArray[np.floating],
 
     Triweight kernel with a Silverman-style bandwidth computed from the
     kernel's own constants; degenerate samples fall back to a nominal width
-    so a point mass shows as a narrow spike.
+    so a point mass shows as a narrow spike. A non-finite estimate or grid
+    point raises ArgumentError.
     """
     v = np.asarray(estimates, dtype=float).ravel()
     if v.size < 10:
         raise ArgumentError(f"density data needs at least 10 estimates, got {v.size}")
     g = np.asarray(grid, dtype=float).ravel()
+    for name, a in (("estimates", v), ("grid points", g)):
+        if not all_finite(a):
+            raise ArgumentError(f"density {name} must be finite")
     kernel = make_kernel(builtin_profile("triweight_poly3"), 1)
     factor = (8.0 * math.sqrt(math.pi) * kernel.l2_const / (3.0 * kernel.mu2 * kernel.mu2)) ** 0.2
     iqr = float(np.subtract(*np.percentile(v, [75, 25])))

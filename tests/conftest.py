@@ -26,5 +26,5 @@ def nw_at(config, basis, X, Y, x0):
     """``nw_batch`` at the one query point x0, whose row must have a fit:
     the estimate is row 0 of the batch's columns."""
     batch = nw_batch(config, basis, X, Y, np.atleast_2d(x0))
-    assert batch.ok[0], batch.errors[0]
+    assert batch.ok[0], batch.error(0)
     return batch

@@ -435,3 +435,43 @@ def test_c11_estimated_reduction_coverage():
           f"at n=4000 from 500 reps, {excluded} excluded")
     assert 0.90 <= root_n <= 0.99
     assert pls <= 0.85
+
+
+def test_c16_rate_is_d_not_p():
+    """The MSE's rate in n is set by the reduced dimension d, not by p.
+
+    The statistic is the least-squares slope of log(median over 10 test
+    points of the true MSE) against log n, for n = 500 to 32,000 at 40
+    reps. NP smooths in p = 6 at the model's rule (theory -4/10), NPRT on
+    the root-n reduction in d = 1 at 2 n^(-1/5) (theory -4/5), and PLS,
+    the negative control, at the same rule: model 1's even link makes its
+    population direction zero, so its bias does not shrink. The bands
+    were fixed from a sweep over seeds 1-12 before the check was written:
+    NP -0.459 to -0.393, NPRT -1.036 to -0.873, NPRT below NP by 0.446 to
+    0.639, PLS -0.676 to +0.322.
+    """
+    ns = [500, 2000, 8000, 32000]
+    rule = BandwidthRule(kind="power_rule", constant=2.0, exponent_dim="reduced_d")
+    root_n = MethodSpec(method="nprt", reduction="root_n_oracle", bandwidth_rule=rule)
+    pls = MethodSpec(method="nprt", reduction="pls", bandwidth_rule=rule)
+    slopes = []
+    for seed in (BASE_SEED, BASE_SEED + 1):
+        cfg = Model1Config(seed=seed)
+        pts = draw_test_points(cfg, 10)
+        slope = {}
+        # PLS runs alone: its column's label is NPRT too
+        for name, specs in (("NP", [MethodSpec(method="np"), root_n]), ("PLS", [pls])):
+            table = run_replications(cfg, specs, ns=ns, test_points=pts, n_rep=40, n_threads=2)
+            for spec in specs:
+                med = [np.median([table.cell(j, n, spec.label).true_mse for j in range(10)])
+                       for n in ns]
+                key = "NPRT" if spec is root_n else name
+                slope[key] = np.polyfit(np.log(ns), np.log(med), 1)[0]
+        slopes.append(slope)
+    ok = all(-0.55 <= s["NP"] <= -0.30 and -1.15 <= s["NPRT"] <= -0.65
+             and s["NPRT"] <= s["NP"] - 0.3 and s["PLS"] >= -0.75 for s in slopes)
+    _line("C16", "rate_is_d_not_p", ok, "; ".join(
+        f"seed {BASE_SEED + k}: NP {s['NP']:.3f} in [-0.55, -0.30], NPRT {s['NPRT']:.3f} in "
+        f"[-1.15, -0.65] and <= NP - 0.3, PLS {s['PLS']:.3f} >= -0.75"
+        for k, s in enumerate(slopes)))
+    assert ok

@@ -504,7 +504,7 @@ def points_of(wf):
     b, out = wf.batch, []
     for i, x0 in enumerate(wf.X0.tolist()):
         if not b.ok[i]:
-            out.append({"x0": x0, "error": b.errors[i]})
+            out.append({"x0": x0, "error": b.error(i)})
             continue
         out.append({"x0": x0, "eta_hat": float(b.eta_hat[i]), "ci_lo": float(b.ci_lo[i]),
                     "ci_hi": float(b.ci_hi[i]), "f_hat": float(b.f_hat[i]),
@@ -623,9 +623,9 @@ ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 
 
 @st.composite
 def workflow_results(draw):
-    """WorkflowResults over hand-made batches: zero to eight rows, x0 of
-    length 1 to 3, any floats, failed rows with any message, in-sample
-    (observed responses) or not."""
+    """WorkflowResults over hand-made batches: zero to eight rows, x0 and
+    reduced rows w0 of length 1 to 3, any floats, so failed rows with any
+    message the batch can form, in-sample (observed responses) or not."""
     m, p = draw(st.integers(0, 8)), draw(st.integers(1, 3))
     ok = draw(hnp.arrays(bool, m))
     mass, *cols = draw(hnp.arrays(float, (6, m), elements=ANY_FLOAT))
@@ -635,7 +635,7 @@ def workflow_results(draw):
                     h=draw(st.sampled_from([1e-200, 0.37, 1e200]) | st.floats(1e-300, 1e300)),
                     ok=ok, mass=mass, eta_hat=cols[0], sigma2_hat=cols[1], f_hat=cols[2],
                     ci_lo=cols[3], ci_hi=cols[4],
-                    errors={i: draw(st.text()) for i in np.flatnonzero(~ok).tolist()})
+                    w0=draw(hnp.arrays(float, (m, draw(st.integers(1, 3))), elements=ANY_FLOAT)))
     X0 = draw(hnp.arrays(float, (m, p), elements=ANY_FLOAT))
     observed = draw(st.none() | hnp.arrays(float, m, elements=ANY_FLOAT))
     return WorkflowResult(batch=batch, X0=X0, observed=observed)

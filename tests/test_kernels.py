@@ -8,6 +8,7 @@ from scipy import integrate
 
 from conftest import kernel_weights
 
+from rednw import kernels
 from rednw.errors import ArgumentError
 from rednw.kernels import (
     KernelProfile,
@@ -216,6 +217,24 @@ class TestValidation:
             -1.0, math.inf)
         assert not by_name["k3_twice_differentiable"].passed
         assert not by_name["k4_slope_bound"].passed
+
+    def test_bounded_is_the_exact_maximum(self):
+        """k(t) = 1 + t - t^3 peaks inside (0, 1), at t = 1 / sqrt(3), where
+        a grid of radii falls short by about 4e-9."""
+        k = make_kernel(KernelProfile(name="custom", coefficients=(1, 1, 0, -1)), 1)
+        bounded = validate_conditions(k).checks[0]
+        assert bounded.name == "bounded" and bounded.passed
+        assert bounded.value == pytest.approx(1 + 2 / (3 * math.sqrt(3)), rel=4e-16)
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_integral_one_checks_the_quadrature(self, name, monkeypatch):
+        """The unit integral is the closed form, so a quadrature 1% off shows."""
+        good = validate_conditions(make_kernel(builtin_profile(name), 3)).checks[1]
+        assert good.name == "integral_one" and good.passed and good.value <= 4e-15
+        quadrature = kernels._radial_integral
+        monkeypatch.setattr(kernels, "_radial_integral", lambda *a: 1.01 * quadrature(*a))
+        bad = validate_conditions(make_kernel(builtin_profile(name), 3)).checks[1]
+        assert not bad.passed and bad.value == pytest.approx(1 - 1 / 1.01, rel=1e-12)
 
     def test_triweight_k4_slope_constant(self):
         # max |k'(t)|/t for k(t)=(1-t^2)^3 is 6, attained at t = 0, exactly

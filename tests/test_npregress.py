@@ -348,7 +348,7 @@ class TestPointEstimate:
         Y = np.array([1.0, 2.0, 3.0])
         batch = nw_batch(default_config(), oracle_basis([[1.0]]), X, Y, [[0.0]])
         assert not batch.ok[0] and np.isnan(batch.eta_hat[0])
-        msg = batch.errors[0]
+        msg = batch.error(0)
         assert "h=" in msg and "w0=" in msg
 
     def test_nonsmooth_kernel_refused_by_default(self):
@@ -412,8 +412,8 @@ class TestBatch:
         out = nw_batch(default_config(), oracle_basis([[1.0]]), X, Y, X0)
         assert out.ok.tolist() == [True, False, True]
         # the marker is a serializable message, not a raised exception
-        assert list(out.errors) == [1]
-        assert "window" in out.errors[1] and "h=" in out.errors[1]
+        assert out.error(0) is None and out.error(2) is None
+        assert "window" in out.error(1) and "h=" in out.error(1)
         assert np.isnan(out.eta_hat[1])
 
     @pytest.mark.parametrize("h, f_hat", [(1e200, "0.000e+00"), (1e-200, "inf")])
@@ -426,9 +426,9 @@ class TestBatch:
                              bandwidth=BandwidthRule(kind="fixed", h_fixed=h))
         # queries at sample rows keep their own point's mass at any h
         out = nw_batch(cfg, oracle_basis(np.eye(2)), X, Y, X[:3])
-        assert out.ok.tolist() == [False] * 3 and list(out.errors) == [0, 1, 2]
-        assert all(e.startswith(f"degenerate density estimate {f_hat} at")
-                   for e in out.errors.values())
+        assert out.ok.tolist() == [False] * 3
+        assert all(out.error(i).startswith(f"degenerate density estimate {f_hat} at")
+                   for i in range(3))
 
     def test_model1_points_have_finite_intervals(self):
         cfg_m = Model1Config(seed=0)
@@ -465,7 +465,7 @@ class TestSupError:
         Y = np.array([1.0, 2.0, 3.0])
         batch = nw_batch(default_config(), oracle_basis([[1.0]]), X, Y, np.array([[40.0]]))
         assert batch.ok.tolist() == [False] and np.isnan(batch.eta_hat).all()
-        assert batch.errors[0].startswith("no sample points inside the kernel window")
+        assert batch.error(0).startswith("no sample points inside the kernel window")
 
     def test_sup_error_shrinks_with_n(self):
         cfg_m = Model1Config(seed=3)
@@ -608,7 +608,7 @@ class TestNonFiniteInputs:
         batch = nw_batch(cfg, oracle_basis(np.eye(2)), X, self.Y, X[:2])
         np.testing.assert_allclose(batch.mass, 50.0 * kernel_weights(cfg.kernel, np.zeros(2)),
                                    rtol=1e-14)
-        assert all(batch.errors[i].startswith("degenerate density estimate 0.000e+00 at w0=")
+        assert all(batch.error(i).startswith("degenerate density estimate 0.000e+00 at w0=")
                    for i in (0, 1))
 
     def test_sample_whose_gram_radius_overflows(self):
@@ -954,12 +954,17 @@ def prefix_bounds(kernel, w, Y, q, h, eta):
     return n * b, b * (t1 + mu * n), b * (t2 + 2.0 * mu * t1 + mu * mu * n)
 
 
+def errors_of(batch):
+    """Each failed row's message, keyed by its row."""
+    return {i: batch.error(i) for i in np.flatnonzero(~batch.ok).tolist()}
+
+
 def assert_batch_close(kernel, w, Y, q, batch, ref):
     """A prefix-path batch against the slab path's: the same ok pattern and
     errors, and every column within _nw_prefix's stated rounding bounds; the
     slab's own sums add about 1e-13 relative."""
     assert batch.ok.tolist() == ref.ok.tolist()
-    assert batch.errors == ref.errors
+    assert errors_of(batch) == errors_of(ref)
     assert np.all(batch.mass[ref.mass == 0] == 0) and not np.signbit(batch.mass).any()
     b0, b1, b2 = prefix_bounds(kernel, w, Y, q, batch.h, ref.eta_hat)
     assert np.all(np.abs(batch.mass - ref.mass) <= kernel.norm_const * b0 + 1e-13 * ref.mass)
@@ -1272,8 +1277,8 @@ class TestChunkMerge:
         cfg = default_config(kernel=kern, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.3))
         batch = nw_batch(cfg, oracle_basis(np.eye(2)), X, Y, X0)
         assert batch.ok.tolist() == [True, False]
-        assert batch.errors == {1: "no sample points inside the kernel window at w0=[0.  1.5] "
-                                   "with h=0.3 (effective mass 0.000e+00)"}
+        assert errors_of(batch) == {1: "no sample points inside the kernel window at w0=[0.  1.5] "
+                                       "with h=0.3 (effective mass 0.000e+00)"}
 
 
 def _step_profile(radius):
@@ -1537,7 +1542,7 @@ def _fields(*batches):
 def _rows(batch):
     """A batch's rows as plain (index, error, fit) tuples: fit is a dict of
     the row's FIELDS and the batch's h and n, or None for a failed row."""
-    return [(i, batch.errors.get(i),
+    return [(i, batch.error(i),
              {**{name: getattr(batch, name)[i].item() for name in FIELDS},
               "h": batch.h, "n": batch.n} if ok else None)
             for i, ok in enumerate(batch.ok.tolist())]
@@ -1638,7 +1643,7 @@ class TestNWBatch:
                      BandwidthRule(kind="loocv", cv_grid=(0.2, 0.5, 1.0))):
             cfg = default_config(bandwidth=rule)
             batch = nw_batch(cfg, basis, X, Y, np.zeros((0, 2)))
-            assert len(batch) == 0 and list(batch) == [] and batch.errors == {}
+            assert len(batch) == 0 and list(batch) == [] and batch.w0.shape == (0, 1)
             assert batch.n == 40
             assert batch.h == bandwidth(rule, n=40, p=2, d=1, kernel=cfg.kernel,
                                         W=X[:, :1], Y=Y)
@@ -1661,7 +1666,7 @@ class TestNWBatch:
         assert 0 < sum(fit is None for _, _, fit in ref)
         assert _rows(batch) == ref
         assert batch.ok.tolist() == [fit is not None for _, _, fit in ref]
-        assert batch.errors == {i: error for i, error, fit in ref if fit is None}
+        assert errors_of(batch) == {i: error for i, error, fit in ref if fit is None}
         assert batch.n == X.shape[0] and all(fit["h"] == batch.h for _, _, fit in ref if fit)
         mass, _, _ = _nw_core(cfg.kernel, reduce(basis, X), Y, reduce(basis, X0), batch.h)
         assert batch.mass.tolist() == mass.tolist()
@@ -1694,30 +1699,54 @@ class TestNWBatch:
         assert all(isinstance(r, NWBatch) and len(r) == 1 for r in rows)
         assert [_rows(r) for r in rows] == [_rows(batch[i]) for i in range(m)]
         assert [r.ok[0] for r in reversed(batch)] == batch.ok.tolist()[::-1]
-        assert [r.errors for r in rows] == [{0: batch.errors[i]} if i in batch.errors else {}
-                                            for i in range(m)]
+        assert [r.error(0) for r in rows] == [batch.error(i) for i in range(m)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_messages_are_formed_when_read(self, case, monkeypatch):
+        """nw_batch formats no message; error(i) formats row i's alone."""
+        calls = []
+        spy = np.array2string
+        monkeypatch.setattr(np, "array2string", lambda *a, **k: calls.append(1) or spy(*a, **k))
+        batch = nw_batch(*_batch_case(case))
+        assert calls == [] and not batch.ok.all()
+        errors = errors_of(batch)
+        assert all(errors.values()) and len(calls) == len(errors)
+        assert all(batch.error(i) is None for i in np.flatnonzero(batch.ok))
+        assert len(calls) == len(errors)
+
+    def test_w0_is_the_batchs_own_array(self):
+        """For the identity basis w0 equals X0 but is a copy of it."""
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(50, 2))
+        X0 = np.array([[0.1, -0.0], [9.0, 9.0]])
+        cfg = default_config(kernel=make_kernel(builtin_profile("triweight_poly3"), 2),
+                             bandwidth=BandwidthRule(kind="fixed", h_fixed=0.5))
+        batch = nw_batch(cfg, oracle_basis(np.eye(2)), X, X[:, 0], X0)
+        assert batch.w0.tolist() == X0.tolist() and not np.shares_memory(batch.w0, X0)
+        message = batch.error(1)
+        X0[:] = 0.0
+        assert batch.w0.tolist() == [[0.1, -0.0], [9.0, 9.0]] and batch.error(1) == message
+        assert message.startswith("no sample points inside the kernel window at w0=[9. 9.]")
 
     def test_iteration_is_linear_in_rows(self):
-        """A row looks up its own error, so iterating 20,000 rows, two thirds
-        of them with empty windows, takes well under 0.5 s; a scan of every
-        error per row took seconds."""
+        """A row slices every column once, so iterating 20,000 rows, two
+        thirds of them with empty windows, takes well under 0.5 s; a scan of
+        every error per row took seconds."""
         rng = np.random.default_rng(5)
         X = rng.uniform(-1.0, 1.0, size=(20_000, 1))
         Y = X[:, 0] + 0.1 * rng.standard_normal(20_000)
         X0 = rng.uniform(-3.0, 3.0, size=(20_000, 1))
         cfg = default_config(bandwidth=BandwidthRule(kind="fixed", h_fixed=0.05))
         batch = nw_batch(cfg, oracle_basis([[1.0]]), X, Y, X0)
-        assert len(batch.errors) > 10_000
+        assert np.count_nonzero(~batch.ok) > 10_000
         start = time.perf_counter()
         rows = list(batch)
         assert time.perf_counter() - start < 0.5
-        assert [r.errors for r in rows] == [{0: batch.errors[i]} if i in batch.errors else {}
-                                            for i in range(len(batch))]
+        assert [r.error(0) for r in rows] == [batch.error(i) for i in range(len(batch))]
 
     @pytest.mark.parametrize("case", CASES)
     def test_rows_and_slices_are_batches(self, case):
         """batch[i] and batch[a:b:s] hold those rows of every column, the
-        same n and h, and the rows' errors keyed by their new positions."""
+        same n and h, and so the rows' errors at their new positions."""
         batch = nw_batch(*_batch_case(case))
         m = len(batch)
         rows = _rows(batch)
@@ -1729,13 +1758,12 @@ class TestNWBatch:
             picked = [picked] if isinstance(picked, int) else list(picked)
             assert isinstance(sub, NWBatch) and len(sub) == len(picked)
             assert (sub.n, sub.h) == (batch.n, batch.h)
-            for name in ("ok", *FIELDS):
+            for name in ("ok", "w0", *FIELDS):
                 np.testing.assert_array_equal(getattr(sub, name), getattr(batch, name)[picked],
                                               err_msg=f"{name} at {key}")
-            assert sub.errors == {k: batch.errors[r] for k, r in enumerate(picked)
-                                  if r in batch.errors}
+            assert [sub.error(k) for k in range(len(sub))] == [batch.error(r) for r in picked]
             assert _rows(sub) == [(k, *rows[r][1:]) for k, r in enumerate(picked)]
-        assert any(not batch[i].ok[0] and batch[i].errors == {0: batch.errors[i % m]}
+        assert any(not batch[i].ok[0] and batch[i].error(0) == batch.error(i % m)
                    for i in range(-m, 0))
 
     @pytest.mark.parametrize("model", [1, 2])

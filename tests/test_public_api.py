@@ -41,6 +41,8 @@ SETTABLE = {
     rednw.NWConfig: ["kernel", "bandwidth", "ci_level", "allow_nonsmooth_kernel"],
     rednw.ReductionBasis: ["matrix"],
     rednw.ProjectionMatrix: ["matrix"],
+    rednw.NWBatch: ["n", "h", "ok", "mass", "eta_hat", "sigma2_hat", "f_hat", "ci_lo", "ci_hi",
+                    "w0"],
     rednw.dataio.SimulationPlan: ["model_cfg", "methods", "ns", "n_rep", "test_points",
                                   "equivalence", "coverage", "coverage_level"],
     rednw.ReplicationTable: ["cells", "test_points", "ns", "labels", "values", "rules",

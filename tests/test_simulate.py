@@ -681,6 +681,17 @@ class TestDensityData:
         with pytest.raises(ArgumentError):
             estimate_density_data(np.ones(5), np.linspace(0, 2, 11))
 
+    @pytest.mark.parametrize("estimate, point, name", [
+        (math.inf, 1.0, "estimates"), (math.nan, 1.0, "estimates"), (1.0, math.nan, "grid points"),
+    ], ids=["inf-estimate", "nan-estimate", "nan-grid-point"])
+    def test_non_finite_input(self, estimate, point, name):
+        """An inf estimate would warn and give NaN densities, and a NaN
+        estimate or grid point NaN densities, without a word."""
+        v, grid = np.linspace(0.0, 1.0, 20), np.linspace(-1.0, 2.0, 11)
+        v[3], grid[4] = estimate, point
+        with pytest.raises(ArgumentError, match=f"^density {name} must be finite$"):
+            estimate_density_data(v, grid)
+
 
 class TestDefaults:
     def test_test_points_deterministic_and_shaped(self):
