@@ -378,7 +378,7 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     if plan.equivalence:
         write_records(equivalence, EquivalenceRow, equivalence_view(table))
     if plan.coverage:
-        write_records(coverage, CoverageResult, [coverage_view(table, cfg, max(plan.ns))])
+        write_records(coverage, CoverageResult, [coverage_view(table, max(plan.ns))])
 
     digests = {}
     if config["model"] == 2:

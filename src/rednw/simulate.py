@@ -13,7 +13,7 @@ import contextlib
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from importlib import resources
 from typing import Sequence
@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 from ._blas import keep_freed_memory, one_blas_thread
 from .errors import ArgumentError, NumericError, RednwError
 from .kernels import builtin_profile, make_kernel
-from .npregress import BandwidthRule, NWConfig, _nw_core, bandwidth, nw_batch
+from .npregress import BandwidthRule, NWConfig, _nw_core, nw_batch
 from .reduction import FIT_METHODS, ReductionBasis, all_finite, fit, oracle_basis, row_blocks
 
 METHOD_NAMES = ("np", "npr", "nprt")
@@ -272,8 +272,7 @@ def _pfc_features(y: NDArray[np.floating]) -> NDArray[np.floating]:
 
 
 # pfc gives at most r directions, r the number of columns of _pfc_features
-PFC_MAX_D = 2
-_X0_SUFFIX = "@X0"  # an x0-only column's label suffix
+PFC_MAX_D = _pfc_features(np.zeros(1)).shape[1]
 
 
 @dataclass(frozen=True)
@@ -307,7 +306,7 @@ class MethodSpec:
 
     @property
     def label(self) -> str:
-        return self.method.upper() + (_X0_SUFFIX if self.x0_only else "")
+        return self.method.upper() + ("@X0" if self.x0_only else "")
 
 
 def emse(estimates: Sequence[float] | NDArray[np.floating]) -> float:
@@ -337,20 +336,47 @@ class CellStats:
 
 @dataclass(frozen=True)
 class ReplicationTable:
-    cells: tuple[CellStats, ...]
+    specs: tuple[MethodSpec, ...]  # every column in run order, at its resolved rule
     test_points: NDArray[np.floating]
+    truths: NDArray[np.floating] | None  # eta at each test point, None if not closed form
     ns: tuple[int, ...]
-    labels: tuple[str, ...]  # every column, x0-only ones included, in run order
-    # read-only (len(ns), n_rep, len(labels), len(test_points), 3): each rep's
+    # read-only (len(ns), n_rep, len(specs), len(test_points), 3): each rep's
     # (eta_hat, ci_lo, ci_hi), NaN where it failed or past an x0-only point 0
     values: NDArray[np.floating]
-    rules: dict  # each label's resolved bandwidth rule
+    h: NDArray[np.floating]  # read-only (len(ns), n_rep, len(specs)): NaN where no batch ran
     ci_level: float  # the intervals' level
+    cells: tuple[CellStats, ...] = field(init=False)  # per (point, n, column with cells)
+
+    def __post_init__(self):
+        cells, truths, n_rep = [], self.truths, self.values.shape[1]
+        full = [(k, spec.label) for k, spec in enumerate(self.specs) if not spec.x0_only]
+        for j in range(self.test_points.shape[0]):
+            for i, n in enumerate(self.ns):
+                for k, label in full:
+                    # a 1-d array in rep order: a fixed order keeps cells bit-stable
+                    v = self.values[i, :, k, j, 0]
+                    good = v[~np.isnan(v)]
+                    if good.size:
+                        cell_emse = emse(good)
+                        variance = float(np.var(good, ddof=1)) if good.size > 1 else 0.0
+                        mean_est = float(good.mean())
+                        t_mse = None if truths is None else float(np.mean((good - truths[j]) ** 2))
+                    else:
+                        cell_emse, variance, mean_est, t_mse = math.nan, math.nan, math.nan, None
+                    cells.append(CellStats(point_id=j, n=n, method=label, emse=cell_emse,
+                                           variance=variance, mean_estimate=mean_est,
+                                           n_rep=int(good.size), n_missing=n_rep - good.size,
+                                           true_mse=t_mse))
+        object.__setattr__(self, "cells", tuple(cells))
+
+    @property
+    def labels(self) -> tuple[str, ...]:  # every column's, x0-only ones included
+        return tuple(spec.label for spec in self.specs)
 
     @property
     def methods(self) -> tuple[str, ...]:
         """The labels of the columns with cells: all but the x0-only ones."""
-        return tuple(lab for lab in self.labels if not lab.endswith(_X0_SUFFIX))
+        return tuple(spec.label for spec in self.specs if not spec.x0_only)
 
     @property
     def missing_rate(self) -> float:
@@ -358,10 +384,11 @@ class ReplicationTable:
         return sum(c.n_missing for c in self.cells) / total if total else 0.0
 
     def cell(self, point_id: int, n: int, method: str) -> CellStats:
-        for c in self.cells:
-            if (c.point_id, c.n, c.method) == (point_id, n, method.upper()):
-                return c
-        raise ArgumentError(f"no cell for point={point_id}, n={n}, method={method!r}")
+        methods, label = self.methods, method.upper()
+        if point_id not in range(len(self.test_points)) or n not in self.ns or label not in methods:
+            raise ArgumentError(f"no cell for point={point_id}, n={n}, method={method!r}")
+        return self.cells[(point_id * len(self.ns) + self.ns.index(n)) * len(methods)
+                          + methods.index(label)]
 
     def replicates(self, point_id: int, n: int, label: str) -> NDArray[np.floating]:
         """The (n_rep, 3) view of ``values`` at one point, n and column."""
@@ -387,13 +414,13 @@ def _fit_basis(spec: MethodSpec, cfg, X, Y, rep: int) -> ReductionBasis:
     return fit(spec.reduction, X, Y, spec.d, fy=_pfc_features)
 
 
-def _one_rep(cfg, methods, test_points, configs: dict, fixed: dict, task) -> None:
-    # task is (slot, n, rep), slot the NaN-filled part of values no other task writes
-    slot, n, rep = task
+def _one_rep(cfg, specs, test_points, configs: list, fixed: dict, task) -> None:
+    # task is (slot, h, n, rep), slot and h the NaN-filled rows no other task writes
+    slot, hs, n, rep = task
     gen = gen_model1 if isinstance(cfg, Model1Config) else gen_model2
     X, Y, _ = gen(cfg, n, rng_stream=rep)
-    bases = {}
-    for spec, out in zip(methods, slot):
+    bases = dict(fixed)
+    for k, (spec, out) in enumerate(zip(specs, slot)):
         # x0 alone in a one-row batch: X0 is projected by one BLAS product,
         # and row 0 of a larger product can differ in the last bit
         points = test_points[:1] if spec.x0_only else test_points
@@ -401,10 +428,11 @@ def _one_rep(cfg, methods, test_points, configs: dict, fixed: dict, task) -> Non
         with contextlib.suppress(RednwError):
             if key not in bases:
                 bases[key] = None  # one fit per key; a failed one stays None
-                bases[key] = fixed.get(spec.label) or _fit_basis(spec, cfg, X, Y, rep)
+                bases[key] = _fit_basis(spec, cfg, X, Y, rep)
             if bases[key] is not None:
-                batch = nw_batch(configs[spec.label], bases[key], X, Y, points)
+                batch = nw_batch(configs[k], bases[key], X, Y, points)
                 out[:len(points)] = np.column_stack((batch.eta_hat, batch.ci_lo, batch.ci_hi))
+                hs[k] = batch.h
 
 
 def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
@@ -417,17 +445,18 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     sample variance, and mean per (point, n, method). Empty windows and
     failed fits become missing entries with counts. The table also keeps
     every replication's estimate and its ci_level confidence interval
-    (``values``, read by ``replicates``), and each column's bandwidth rule
-    (``rules``). Results are identical for any n_threads.
+    (``values``, read by ``replicates``), each batch's h and each column's
+    resolved rule (``h``, ``specs``). Results match for any n_threads >= 1.
 
     Args:
         cfg: Model1Config or Model2Config; every random stream derives from
             its ``seed``.
     """
-    methods = list(methods)
-    if not methods:
+    specs = tuple(replace(m, bandwidth_rule=m.bandwidth_rule or default_bandwidth_rule(cfg))
+                  for m in methods)
+    if not specs:
         raise ArgumentError("need at least one MethodSpec")
-    labels = [m.label for m in methods]
+    labels = [m.label for m in specs]
     if len(set(labels)) != len(labels):
         raise ArgumentError(f"duplicate method labels {labels}; run variants separately")
     ns = [int(n) for n in ns]
@@ -442,55 +471,35 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
         raise ArgumentError("need at least one test point")
     if n_rep < 1:
         raise ArgumentError(f"n_rep must be >= 1, got {n_rep}")
+    if not isinstance(n_threads, (int, np.integer)) or n_threads < 1:
+        raise ArgumentError(f"n_threads must be an int >= 1, got {n_threads!r}")
     for n in ns:
         _check_addressable("sample size", n, n, cfg.p)
-    values_shape = (len(ns), n_rep, len(methods), test_points.shape[0], 3)
+    values_shape = (len(ns), n_rep, len(specs), test_points.shape[0], 3)
     _check_addressable("n_rep", n_rep, *values_shape)
-    rules = {m.label: m.bandwidth_rule or default_bandwidth_rule(cfg) for m in methods}
-    dims = {m.label: cfg.p if m.method == "np" else m.d for m in methods}
+    dims = [cfg.p if m.method == "np" else m.d for m in specs]
     profile = builtin_profile("triweight_poly3")
-    kernels = {dim: make_kernel(profile, dim) for dim in sorted(set(dims.values()))}
-    configs = {m.label: NWConfig(kernel=kernels[dims[m.label]], bandwidth=rules[m.label],
-                                 ci_level=ci_level)
-               for m in methods}
+    kernels = {dim: make_kernel(profile, dim) for dim in sorted(set(dims))}
+    configs = [NWConfig(kernel=kernels[dim], bandwidth=m.bandwidth_rule, ci_level=ci_level)
+               for m, dim in zip(specs, dims)]
     # np's, npr's and wrong_direction's bases ignore the data: build each once
-    fixed = {m.label: _fit_basis(m, cfg, None, None, 0) for m in methods
+    fixed = {(m.method, m.reduction, m.d): _fit_basis(m, cfg, None, None, 0) for m in specs
              if m.method in ("np", "npr") or m.reduction == "wrong_direction"}
 
-    values = np.full(values_shape, np.nan)
-    tasks = [(values[i, rep], n, rep) for i, n in enumerate(ns) for rep in range(n_rep)]
+    values, h = np.full(values_shape, np.nan), np.full(values_shape[:3], np.nan)
+    tasks = [(values[i, rep], h[i, rep], n, rep) for i, n in enumerate(ns) for rep in range(n_rep)]
     keep_freed_memory()  # every replication frees and redraws arrays of a few MB
-    work = partial(_one_rep, cfg, methods, test_points, configs, fixed)
+    work = partial(_one_rep, cfg, specs, test_points, configs, fixed)
     with one_blas_thread():
         if n_threads > 1:
             with ThreadPoolExecutor(max_workers=n_threads) as ex:
                 list(ex.map(work, tasks))  # raises what a task raised
         else:
             list(map(work, tasks))  # no pool, so Ctrl-C stops a serial run at once
-    values.flags.writeable = False
-
+    values.flags.writeable = h.flags.writeable = False
     truths = cfg.truth(test_points) if isinstance(cfg, Model1Config) else None
-    cells = []
-    full = [k for k, m in enumerate(methods) if not m.x0_only]
-    for j in range(test_points.shape[0]):
-        for i, n in enumerate(ns):
-            for k in full:
-                # a 1-d array in rep order: a fixed order keeps cells bit-stable
-                v = values[i, :, k, j, 0]
-                good = v[~np.isnan(v)]
-                if good.size:
-                    cell_emse = emse(good)
-                    variance = float(np.var(good, ddof=1)) if good.size > 1 else 0.0
-                    mean_est = float(good.mean())
-                    t_mse = float(np.mean((good - truths[j]) ** 2)) if truths is not None else None
-                else:
-                    cell_emse, variance, mean_est, t_mse = math.nan, math.nan, math.nan, None
-                cells.append(CellStats(point_id=j, n=n, method=labels[k], emse=cell_emse,
-                                       variance=variance, mean_estimate=mean_est,
-                                       n_rep=int(good.size), n_missing=n_rep - good.size,
-                                       true_mse=t_mse))
-    return ReplicationTable(cells=tuple(cells), test_points=test_points, ns=tuple(ns),
-                            labels=tuple(labels), values=values, rules=rules, ci_level=ci_level)
+    return ReplicationTable(specs=specs, test_points=test_points, truths=truths, ns=tuple(ns),
+                            values=values, h=h, ci_level=ci_level)
 
 
 def oracle_specs(reduction: str = "pls", bandwidth_rule: BandwidthRule | None = None) -> tuple:
@@ -512,26 +521,30 @@ class EquivalenceRow:
 def equivalence_view(table: ReplicationTable) -> list[EquivalenceRow]:
     """Median of sqrt(n h^d) |eta_hat(x0) - xi_hat(w0)| per sample size, from
     the table's ``oracle_specs`` columns (NPRT gives eta_hat, NPR xi_hat) over
-    the replications where both exist, h from the columns' one rule. With a
+    the replications where both exist, at the h and d they ran at. With a
     root-n consistent reduction the statistic drifts to zero as n grows;
-    "wrong_direction" is the negative control and does not decay. Columns
-    run at two rules, or at a "loocv" rule (the scale sqrt(n h) needs h
-    from n alone), raise ArgumentError."""
+    "wrong_direction" is the negative control and does not decay. A table
+    without both columns, or with them at two h or d, or at a "loocv" rule
+    (the scale needs h from n alone), raises ArgumentError."""
     npr, nprt = (spec.label for spec in oracle_specs())
-    rule = table.rules[npr]
-    if table.rules[nprt] != rule:
-        raise ArgumentError(f"equivalence statistic needs both columns at one bandwidth rule; "
-                            f"{npr} ran {rule} and {nprt} ran {table.rules[nprt]}")
-    if rule.kind == "loocv":
+    cols = [k for k, spec in enumerate(table.specs) if spec.label in (npr, nprt)]
+    if len(cols) != 2:
+        raise ArgumentError(f"equivalence statistic needs the table's {npr} and {nprt} columns")
+    if "loocv" in {table.specs[k].bandwidth_rule.kind for k in cols}:
         raise ArgumentError("equivalence statistic needs a bandwidth set by n alone; "
                             "bandwidth kind 'loocv' is chosen from the data")
+    ds = sorted({table.specs[k].d for k in cols})
     rows = []
-    for n in table.ns:
-        h = bandwidth(rule, n=n, p=table.test_points.shape[1], d=1)
+    for i, n in enumerate(table.ns):
         gap = np.abs(table.replicates(0, n, nprt)[:, 0] - table.replicates(0, n, npr)[:, 0])
-        stats = math.sqrt(n * h) * gap[~np.isnan(gap)]
+        stats = gap[~np.isnan(gap)]
         if not stats.size:
             raise NumericError(f"every replication at n={n} hit an empty window")
+        hs = table.h[i][:, cols]  # both columns ran in some replication: not all NaN
+        if len(ds) > 1 or np.nanmax(hs) != (h := float(np.nanmin(hs))):
+            raise ArgumentError(f"equivalence statistic needs both columns at one h and d; at n={n} "
+                                f"they ran at h={np.unique(hs[~np.isnan(hs)]).tolist()}, d={ds}")
+        stats *= math.sqrt(n * h ** ds[0])
         rows.append(EquivalenceRow(n=n, h=h, median_stat=float(np.median(stats)),
                                    n_used=stats.size, n_missing=gap.size - stats.size))
     return rows
@@ -548,15 +561,18 @@ class CoverageResult:
     median_ci_width: float
 
 
-def coverage_view(table: ReplicationTable, cfg: Model1Config, n: int) -> CoverageResult:
+def coverage_view(table: ReplicationTable, n: int) -> CoverageResult:
     """Fraction of replications at n whose CI, from the table's NPR column of
-    ``oracle_specs`` at the table's ``ci_level``, covers the true eta(x0). The
-    CLT's bias condition needs an undersmoothing rule, ``undersmoothed_rule``."""
+    ``oracle_specs`` at the table's ``ci_level``, covers its true eta(x0),
+    ArgumentError if it has none. The CLT's bias condition needs an
+    undersmoothing rule, ``undersmoothed_rule``."""
+    if table.truths is None:
+        raise ArgumentError("coverage needs the true eta(x0); this table's design has none")
     ci = table.replicates(0, n, oracle_specs()[0].label)[:, 1:]
     ci_lo, ci_hi = ci[~np.isnan(ci[:, 0])].T
     if not ci_lo.size:
         raise NumericError(f"every replication at n={n} hit an empty window")
-    truth = float(cfg.truth(table.test_points[0]))
+    truth = float(table.truths[0])
     covered = int(np.sum((ci_lo <= truth) & (truth <= ci_hi)))
     return CoverageResult(coverage=covered / ci_lo.size, level=table.ci_level, n=n,
                           n_used=ci_lo.size, n_excluded=len(ci) - ci_lo.size, truth=truth,

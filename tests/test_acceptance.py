@@ -240,7 +240,7 @@ def test_c5_interval_coverage():
     cfg = Model1Config(seed=BASE_SEED)
     x0 = _interval_point(cfg)
     table = run_replications(cfg, oracle_specs()[:1], [4000], x0[None, :], 500, ci_level=0.95)
-    res = coverage_view(table, cfg, 4000)
+    res = coverage_view(table, 4000)
     ok = 0.88 <= res.coverage <= 0.99
     _line("C5", "interval_coverage", ok,
           f"coverage {res.coverage:.3f} from {res.n_used} reps, "

@@ -1601,16 +1601,19 @@ def _batch_case(name):
     return cfg, oracle_basis(np.eye(2)), X, rng.standard_normal(30), np.vstack([X[:3], X[:2] + 5.0])
 
 
-def _one_rep_by_rows(cfg, methods, test_points, configs, fixed, task):
+def _one_rep_by_rows(cfg, specs, test_points, configs, fixed, task):
     """The harness's replication as it was when it read nw_batch row by row,
-    writing its NaN-filled slot of the run's values."""
-    slot, n, rep = task
+    writing its NaN-filled slots of the run's values and h."""
+    slot, hs, n, rep = task
     gen = simulate.gen_model1 if isinstance(cfg, Model1Config) else simulate.gen_model2
     X, Y, _ = gen(cfg, n, rng_stream=rep)
-    for spec, est in zip(methods, slot):
+    for k, (spec, est) in enumerate(zip(specs, slot)):
         try:
-            basis = fixed.get(spec.label) or simulate._fit_basis(spec, cfg, X, Y, rep)
-            for i, res in enumerate(nw_batch(configs[spec.label], basis, X, Y, test_points)):
+            basis = fixed.get((spec.method, spec.reduction, spec.d)) \
+                or simulate._fit_basis(spec, cfg, X, Y, rep)
+            batch = nw_batch(configs[k], basis, X, Y, test_points)
+            hs[k] = batch.h
+            for i, res in enumerate(batch):
                 if res.ok[0]:
                     est[i] = (res.eta_hat[0], res.ci_lo[0], res.ci_hi[0])
         except RednwError:
@@ -1783,6 +1786,7 @@ class TestNWBatch:
         ref = run_replications(dataclasses.replace(cfg, seed=9), methods, **kw)
         assert repr(table.cells) == repr(ref.cells)
         assert any(c.n_missing for c in ref.cells)
+        np.testing.assert_array_equal(table.h, ref.h)
         for j, n, m in itertools.product(range(4), ns, methods):
             np.testing.assert_array_equal(table.replicates(j, n, m.label),
                                           ref.replicates(j, n, m.label))

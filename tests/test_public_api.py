@@ -45,7 +45,7 @@ SETTABLE = {
                     "w0"],
     rednw.dataio.SimulationPlan: ["model_cfg", "methods", "ns", "n_rep", "test_points",
                                   "equivalence", "coverage", "coverage_level"],
-    rednw.ReplicationTable: ["cells", "test_points", "ns", "labels", "values", "rules",
+    rednw.ReplicationTable: ["specs", "test_points", "truths", "ns", "values", "h",
                              "ci_level"],
     rednw.Model1Config: ["p", "beta0", "sigma_signal", "sigma_noise_cov", "eps_sd", "seed"],
     rednw.Model2Config: ["p", "y_sd", "A", "delta_scale", "S", "seed"],

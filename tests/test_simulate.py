@@ -294,6 +294,52 @@ class TestReplicationHarness:
             assert a.mean_estimate == b.mean_estimate
             assert a.n_missing == b.n_missing
 
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_recorded_h_is_the_rules(self, model):
+        """Every batch's h is recorded: for a power_rule or fixed column it
+        equals bandwidth(rule, n, p, d) bit for bit at every replication,
+        empty windows included, and a column whose fit failed records NaN."""
+        cfg = Model1Config(seed=4) if model == 1 else Model2Config(seed=4)
+        reduced = BandwidthRule(kind="power_rule", constant=2.0, exponent_dim="reduced_d")
+        fixed = BandwidthRule(kind="fixed", h_fixed=0.35)
+        specs = [MethodSpec("np"), MethodSpec("npr", bandwidth_rule=undersmoothed_rule()),
+                 MethodSpec("nprt", reduction="pls", d=2, bandwidth_rule=reduced),
+                 MethodSpec("nprt", reduction="pls", d=2, bandwidth_rule=fixed, x0_only=True),
+                 MethodSpec("npr", bandwidth_rule=fixed, x0_only=True)]
+        pts = np.vstack([draw_test_points(cfg, 2), np.full(cfg.p, 1e3)])  # point 2 is empty
+        ns = [60, 150]
+        table = run_replications(cfg, specs, ns, pts, 3)
+        assert table.h.shape == (2, 3, len(specs)) and not table.h.flags.writeable
+        for k, spec in enumerate(table.specs):
+            dim = cfg.p if spec.method == "np" else spec.d
+            for i, n in enumerate(ns):
+                want = bandwidth(spec.bandwidth_rule, n=n, p=cfg.p, d=dim)
+                assert table.h[i, :, k].tolist() == [want] * 3
+        assert np.isnan(table.values[:, :, :3, 2, 0]).all()  # the batches ran; the row failed
+        failed = run_replications(cfg, [MethodSpec("npr"), MethodSpec("nprt", reduction="pfc", d=3)],
+                                  ns, pts, 3)
+        assert not np.isnan(failed.h[:, :, 0]).any() and np.isnan(failed.h[:, :, 1]).all()
+
+    @pytest.mark.parametrize("n_threads", [0, -3, 2.5, "2", None])
+    def test_bad_thread_count_rejected(self, n_threads):
+        cfg = Model1Config(seed=0)
+        with pytest.raises(ArgumentError, match="^n_threads must be an int >= 1"):
+            run_replications(cfg, [MethodSpec("npr")], [50], draw_test_points(cfg, 1), 1,
+                             n_threads=n_threads)
+
+    def test_data_free_bases_built_before_the_replications(self, monkeypatch):
+        """np's, npr's and wrong_direction's bases are built once per run,
+        keyed as each replication keys its fits, so no replication builds
+        one again."""
+        cfg = Model1Config(seed=0)
+        calls = []
+        real = simulate._fit_basis
+        monkeypatch.setattr(simulate, "_fit_basis", lambda spec, *a: calls.append(spec.label)
+                            or real(spec, *a))
+        specs = [MethodSpec("np"), MethodSpec("npr"), *oracle_specs("wrong_direction")]
+        run_replications(cfg, specs, [50, 80], draw_test_points(cfg, 2), 3)
+        assert calls == ["NP", "NPR", "NPR@X0", "NPRT@X0"]
+
     def test_two_workers_peak_memory(self):
         """Model 2 at n = 20,000 on two threads: each worker holds its X and
         temporaries of at most 2^16 entries, so the two workers' draws,
@@ -430,7 +476,8 @@ class TestReplicationHarness:
         table = run_replications(run, [MethodSpec(method="npr"),
                                        MethodSpec(method="npr", bandwidth_rule=rule, x0_only=True)],
                                  test_points=pts, ci_level=0.9, **kw)
-        assert table.rules == {"NPR": model_rule, "NPR@X0": rule}
+        assert [s.bandwidth_rule for s in table.specs] == [model_rule, rule]
+        assert table.labels == ("NPR", "NPR@X0")
         assert table.ci_level == 0.9
         named = run_replications(run, [MethodSpec(method="npr", bandwidth_rule=model_rule)],
                                  test_points=pts, ci_level=0.9, **kw)
@@ -544,7 +591,7 @@ def coverage(cfg, n, n_rep, x0, level=0.95, **kw):
     """The coverage view of a replication run of the NPR column at x0 alone."""
     table = run_replications(cfg, oracle_specs()[:1], [n], x0[None, :], n_rep,
                              ci_level=level, **kw)
-    return coverage_view(table, cfg, n)
+    return coverage_view(table, n)
 
 
 class TestEquivalence:
@@ -588,17 +635,53 @@ class TestEquivalence:
 
     def test_columns_at_two_rules_rejected(self):
         """The two columns' estimates at two bandwidths give no statistic:
-        the view names both rules."""
+        the view names the h each ran at."""
         cfg = Model1Config(seed=0)
         npr_rule, nprt_rule = undersmoothed_rule(), undersmoothed_rule(constant=0.5)
         specs = [MethodSpec("npr", bandwidth_rule=npr_rule, x0_only=True),
                  MethodSpec("nprt", reduction="root_n_oracle", bandwidth_rule=nprt_rule,
                             x0_only=True)]
         table = run_replications(cfg, specs, [200, 800], 1.5 * cfg.beta0[None, :], 20)
+        hs = sorted(bandwidth(rule, n=200, p=6, d=1) for rule in (npr_rule, nprt_rule))
         with pytest.raises(ArgumentError) as err:
             equivalence_view(table)
-        assert str(err.value) == (f"equivalence statistic needs both columns at one bandwidth "
-                                  f"rule; NPR@X0 ran {npr_rule} and NPRT@X0 ran {nprt_rule}")
+        assert str(err.value) == (f"equivalence statistic needs both columns at one h and d; "
+                                  f"at n=200 they ran at h={hs}, d=[1]")
+
+    def test_columns_at_two_d_rejected(self):
+        """A reduced_d rule gives an NPRT column at d = 2 another h than the
+        d = 1 NPR column at one rule; the view reads the h each ran at and
+        rejects the pair."""
+        cfg = Model1Config(seed=0)
+        rule = BandwidthRule(kind="power_rule", constant=2.0, exponent_dim="reduced_d")
+        specs = [MethodSpec("npr", bandwidth_rule=rule, x0_only=True),
+                 MethodSpec("nprt", reduction="pls", d=2, bandwidth_rule=rule, x0_only=True)]
+        table = run_replications(cfg, specs, [200], 1.5 * cfg.beta0[None, :], 4)
+        hs = [bandwidth(rule, n=200, p=6, d=d) for d in (1, 2)]
+        assert hs[0] != hs[1] and sorted(np.unique(table.h)) == sorted(hs)
+        with pytest.raises(ArgumentError, match=r"one h and d; at n=200 .* d=\[1, 2\]$"):
+            equivalence_view(table)
+
+    def test_fixed_h_at_two_d_rejected(self):
+        """At a fixed h both columns run at one h; the scale sqrt(n h^d)
+        still needs one d."""
+        cfg = Model1Config(seed=0)
+        rule = BandwidthRule(kind="fixed", h_fixed=0.8)
+        specs = [MethodSpec("npr", bandwidth_rule=rule, x0_only=True),
+                 MethodSpec("nprt", reduction="pls", d=2, bandwidth_rule=rule, x0_only=True)]
+        table = run_replications(cfg, specs, [200], 1.5 * cfg.beta0[None, :], 4)
+        with pytest.raises(ArgumentError, match=r"they ran at h=\[0.8\], d=\[1, 2\]$"):
+            equivalence_view(table)
+
+    @pytest.mark.parametrize("specs", [[MethodSpec("npr")], oracle_specs()[:1],
+                                       [MethodSpec("npr"), MethodSpec("nprt", reduction="pls")]],
+                             ids=["npr", "npr_x0", "full_columns"])
+    def test_table_without_both_columns_rejected(self, specs):
+        cfg = Model1Config(seed=0)
+        table = run_replications(cfg, specs, [100], 1.5 * cfg.beta0[None, :], 2)
+        with pytest.raises(ArgumentError, match="^equivalence statistic needs the table's "
+                           "NPR@X0 and NPRT@X0 columns$"):
+            equivalence_view(table)
 
     def test_loocv_rule_rejected(self):
         """sqrt(n h) needs h from n alone: the view of a finished table
@@ -628,6 +711,24 @@ class TestCoverage:
         assert res.coverage == 1.0
         assert res.truth == 0.0
         assert res.median_ci_width == 0.0
+
+    def test_truth_is_the_tables(self):
+        """The truth is the table's eta at test point 0: the one the cells'
+        true MSE reads."""
+        cfg = Model1Config(seed=0)
+        pts = draw_test_points(cfg, 3)
+        table = run_replications(cfg, oracle_specs()[:1], [100], pts, 4)
+        assert coverage_view(table, 100).truth == float(table.truths[0])
+        np.testing.assert_array_equal(table.truths, cfg.truth(pts))
+
+    def test_table_without_truth_rejected(self):
+        """Model 2 has no closed-form eta: a coverage view of its table is
+        an argument error, not a wrong or missing truth."""
+        cfg = Model2Config(seed=0)
+        table = run_replications(cfg, oracle_specs()[:1], [100], draw_test_points(cfg, 1), 2)
+        assert table.truths is None
+        with pytest.raises(ArgumentError, match="^coverage needs the true eta"):
+            coverage_view(table, 100)
 
     def test_threads_do_not_change_result(self):
         cfg = Model1Config(seed=0)
