@@ -260,12 +260,24 @@ def _manifest_options(args) -> dict:
     return options
 
 
-def _cmd_reduce(args) -> int:
+def _load_inputs(args) -> tuple:
+    """The dataset, basis, test rows (None without) and bandwidth rule (None
+    for reduce), read in the order their faults are found; the basis is the
+    --basis file, read second, or else the --method fit at --d, made last."""
     ds = load_csv(args.input, args.response,
                   transforms=_parse_transforms(args.transform),
                   skip_bad_rows=args.skip_bad_rows)
-    basis = fit(args.method, ds.X, ds.Y, args.d, fy=cubic_fy, ridge=args.ridge,
-                slices=args.slices)
+    basis = read_basis(args.basis) if getattr(args, "basis", None) else None
+    test = load_test_rows(args.test_csv, ds) if getattr(args, "test_csv", None) else None
+    rule = _rule_from_args(args) if args.command != "reduce" else None
+    if basis is None:
+        basis = fit(args.method, ds.X, ds.Y, args.d, fy=cubic_fy,
+                    ridge=getattr(args, "ridge", None), slices=getattr(args, "slices", None))
+    return ds, basis, test, rule
+
+
+def _cmd_reduce(args) -> int:
+    ds, basis, _, _ = _load_inputs(args)
     meta = {
         "method": args.method,
         "d": basis.d,
@@ -286,16 +298,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_fit_predict(args) -> int:
-    ds = load_csv(args.input, args.response,
-                  transforms=_parse_transforms(args.transform),
-                  skip_bad_rows=args.skip_bad_rows)
-    basis = read_basis(args.basis) if args.basis else None
-    test = load_test_rows(args.test_csv, ds) if getattr(args, "test_csv", None) else None
-    wf = run_predict_workflow(
-        ds, method=args.method, d=args.d, kernel_profile=args.kernel,
-        bandwidth_rule=_rule_from_args(args), test_rows=test,
-        ci_level=args.ci_level, allow_nonsmooth_kernel=args.allow_nonsmooth_kernel,
-        precomputed_basis=basis)
+    ds, basis, test, rule = _load_inputs(args)
+    wf = run_predict_workflow(ds, basis, kernel_profile=args.kernel, bandwidth_rule=rule,
+                              test_rows=test, ci_level=args.ci_level,
+                              allow_nonsmooth_kernel=args.allow_nonsmooth_kernel)
     with open(args.plot_data, "w", newline="") if args.plot_data else contextlib.nullcontext() as plot:
 
         def points():

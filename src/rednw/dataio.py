@@ -29,7 +29,7 @@ from . import reduction
 from .errors import ArgumentError, DataError, NumericError
 from .kernels import builtin_profile, make_kernel
 from .npregress import BandwidthRule, NWBatch, NWConfig, as_float, nw_batch
-from .reduction import FIT_METHODS, ReductionBasis, fit
+from .reduction import FIT_METHODS, ReductionBasis
 from .simulate import (
     PFC_MAX_D,
     CellStats,
@@ -529,7 +529,7 @@ def recompute_cell_from_manifest(manifest: RunManifest | str | Path,
 
 
 def cubic_fy(y):
-    """PFC feature map [y, y^2, y^3] of the CLI and the prediction workflow."""
+    """PFC feature map [y, y^2, y^3] of the CLI's pfc fits."""
     return np.column_stack([y, y ** 2, y ** 3])
 
 
@@ -602,22 +602,19 @@ class WorkflowResult:
                 for k, y, o, a, z in zip(ok.tolist(), eta, obs, lo, hi))
 
 
-def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
+def run_predict_workflow(dataset: Dataset, basis: ReductionBasis,
                          kernel_profile: str = "triweight_poly3",
                          bandwidth_rule: BandwidthRule | None = None,
                          test_rows: NDArray[np.floating] | None = None,
                          ci_level: float = 0.95,
-                         allow_nonsmooth_kernel: bool = False,
-                         precomputed_basis=None) -> WorkflowResult:
-    """Reduce, fit, and predict with confidence intervals.
+                         allow_nonsmooth_kernel: bool = False) -> WorkflowResult:
+    """Nadaraya-Watson with confidence intervals on the reduced coordinates
+    of ``basis``, fitted or read by the caller (the identity for no
+    reduction).
 
     Args:
-        method: "np" (no reduction, full dimension) or "pls"/"pfc"/"sir";
-            pfc uses the feature map ``cubic_fy``.
         test_rows: m x p matrix of prediction points, m >= 0; None means
             in-sample fitted values at every data row.
-        precomputed_basis: a ReductionBasis to use instead of fitting one
-            (e.g. loaded from a file); overrides ``method``.
 
     Returns:
         WorkflowResult holding the NWBatch at the query rows (failed rows
@@ -626,20 +623,11 @@ def run_predict_workflow(dataset: Dataset, method: str = "pls", d: int = 1,
         plot CSV.
 
     Raises:
-        ArgumentError: here, d outside 1 <= d < p for a fitted method;
-            from ``reduction.fit``, an unknown method and the fits' errors;
-            from ``nw_batch``, also for m = 0, a basis or test rows not p
-            wide, a bandwidth that cannot be resolved, a non-smooth kernel.
+        ArgumentError: from ``nw_batch``, also for m = 0, a basis or test
+            rows not p wide, a bandwidth that cannot be resolved, a
+            non-smooth kernel.
     """
     X, Y = dataset.X, dataset.Y
-    p = dataset.p
-    if precomputed_basis is not None:
-        basis = precomputed_basis
-    else:
-        if method != "np" and not (1 <= d < p):
-            raise ArgumentError(f"need 1 <= d < p for method {method!r}, got d={d}, p={p}")
-        basis = fit(method, X, Y, d, fy=cubic_fy)
-
     rule = bandwidth_rule if bandwidth_rule is not None else BandwidthRule(kind="power_rule")
     kernel = make_kernel(builtin_profile(kernel_profile), basis.d)
     config = NWConfig(kernel=kernel, bandwidth=rule, ci_level=ci_level,

@@ -72,7 +72,7 @@ criterion's comparison, the finiteness checks and the ``ok`` mask judge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -82,7 +82,10 @@ from .errors import ArgumentError
 from .kernels import RadialKernel
 from .reduction import _BLOCK_ENTRIES, ReductionBasis, all_finite, reduce as _reduce, row_blocks
 
-BANDWIDTH_KINDS = ("power_rule", "fixed", "loocv")
+# the BandwidthRule fields each kind reads; the others keep their defaults
+_KIND_FIELDS = {"power_rule": ("kind", "constant", "exponent_dim", "exponent"),
+                "fixed": ("kind", "h_fixed"), "loocv": ("kind", "cv_grid")}
+BANDWIDTH_KINDS = tuple(_KIND_FIELDS)
 EXPONENT_DIMS = ("ambient_p", "reduced_d")
 # total kernel weight below which a window counts as empty
 _MIN_EFFECTIVE_MASS = 1e-12
@@ -145,7 +148,8 @@ class BandwidthRule:
     squared prediction error over cv_grid.
     A non-finite constant or h_fixed, or a cv_grid entry that is not
     positive and finite, raises ArgumentError (an int too large for a float
-    is not finite); an empty cv_grid raises when the bandwidth is resolved.
+    is not finite), as does a field the kind does not read that is not at
+    its default; an empty cv_grid raises when the bandwidth is resolved.
     """
 
     kind: str
@@ -176,6 +180,11 @@ class BandwidthRule:
             if not all(0.0 < h < math.inf for h in grid):
                 raise ArgumentError(f"cv_grid values must be positive and finite, got {grid}")
             object.__setattr__(self, "cv_grid", grid)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in _KIND_FIELDS[self.kind] and value != f.default:
+                raise ArgumentError(f"bandwidth kind {self.kind!r} does not read {f.name}; "
+                                    f"it must keep its default {f.default!r}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -336,7 +336,7 @@ class CellStats:
 
 @dataclass(frozen=True)
 class ReplicationTable:
-    specs: tuple[MethodSpec, ...]  # every column in run order, at its resolved rule
+    specs: tuple[MethodSpec, ...]  # every column in run order, at its resolved rule and d
     test_points: NDArray[np.floating]
     truths: NDArray[np.floating] | None  # eta at each test point, None if not closed form
     ns: tuple[int, ...]
@@ -446,13 +446,15 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
     failed fits become missing entries with counts. The table also keeps
     every replication's estimate and its ci_level confidence interval
     (``values``, read by ``replicates``), each batch's h and each column's
-    resolved rule (``h``, ``specs``). Results match for any n_threads >= 1.
+    resolved rule and d, p for np (``h``, ``specs``). Results match for
+    any n_threads >= 1.
 
     Args:
         cfg: Model1Config or Model2Config; every random stream derives from
             its ``seed``.
     """
-    specs = tuple(replace(m, bandwidth_rule=m.bandwidth_rule or default_bandwidth_rule(cfg))
+    specs = tuple(replace(m, bandwidth_rule=m.bandwidth_rule or default_bandwidth_rule(cfg),
+                          d=cfg.p if m.method == "np" else m.d)
                   for m in methods)
     if not specs:
         raise ArgumentError("need at least one MethodSpec")
@@ -477,11 +479,10 @@ def run_replications(cfg, methods: Sequence[MethodSpec], ns: Sequence[int],
         _check_addressable("sample size", n, n, cfg.p)
     values_shape = (len(ns), n_rep, len(specs), test_points.shape[0], 3)
     _check_addressable("n_rep", n_rep, *values_shape)
-    dims = [cfg.p if m.method == "np" else m.d for m in specs]
     profile = builtin_profile("triweight_poly3")
-    kernels = {dim: make_kernel(profile, dim) for dim in sorted(set(dims))}
-    configs = [NWConfig(kernel=kernels[dim], bandwidth=m.bandwidth_rule, ci_level=ci_level)
-               for m, dim in zip(specs, dims)]
+    kernels = {d: make_kernel(profile, d) for d in sorted({m.d for m in specs})}
+    configs = [NWConfig(kernel=kernels[m.d], bandwidth=m.bandwidth_rule, ci_level=ci_level)
+               for m in specs]
     # np's, npr's and wrong_direction's bases ignore the data: build each once
     fixed = {(m.method, m.reduction, m.d): _fit_basis(m, cfg, None, None, 0) for m in specs
              if m.method in ("np", "npr") or m.reduction == "wrong_direction"}

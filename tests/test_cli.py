@@ -24,6 +24,7 @@ import rednw
 from rednw import cli, simulate
 from rednw.cli import main
 from rednw.dataio import (
+    cubic_fy,
     load_csv,
     recompute_cell_from_manifest,
     run_predict_workflow,
@@ -32,6 +33,7 @@ from rednw.dataio import (
     write_table,
 )
 from rednw.errors import ArgumentError
+from rednw.reduction import fit
 
 
 def run_cli(argv, capsys):
@@ -589,6 +591,30 @@ class TestFitPredict:
         assert (code, out) == (2, "")
         assert err.startswith("error: need 1 <= d <= p, got d=5") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["pls", "sir"])
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_fit_predict_d_equal_p(self, command, method, shellfish_csv, tmp_path, capsys):
+        """fit and predict follow the fits' d rule, as reduce does: at d = p
+        = 4 they run the estimator of reduce --d 4 then predict --basis.
+        read_basis orthonormalizes the rows it reads once more, which moves
+        the 4 x 4 basis, and so the estimates, in the last bits."""
+        data = ["--input", str(shellfish_csv), "--response", "muscle_mass", *LOG_FLAGS]
+        fitted = [*data, "--method", method, "--d", "4"]
+        assert run_cli(["reduce", *fitted, "--out", str(tmp_path / "reduce")], capsys)[0] == 0
+        basis = tmp_path / "reduce" / "basis.csv"
+        assert run_cli(["predict", *data, "--basis", str(basis), "--out", str(tmp_path / "ref")],
+                       capsys)[0] == 0
+        assert run_cli([command, *fitted, "--out", str(tmp_path / "run")], capsys)[0] == 0
+        run, ref = (json.loads((tmp_path / d / "predictions.json").read_text())
+                    for d in ("run", "ref"))
+        assert [sorted(p) for p in run] == [sorted(p) for p in ref]
+        for p, q in zip(run, ref):
+            assert (p["x0"], p["h"]) == (q["x0"], q["h"])
+            np.testing.assert_allclose([p[k] for k in ("eta_hat", "ci_lo", "ci_hi", "f_hat")],
+                                       [q[k] for k in ("eta_hat", "ci_lo", "ci_hi", "f_hat")],
+                                       rtol=1e-12)
+            assert p["sigma2_hat"] == pytest.approx(q["sigma2_hat"], rel=1e-12, abs=1e-14)
+
     @pytest.mark.parametrize("reduction", ["pls", "sir"])
     def test_simulate_d_above_p_exits_2(self, reduction, tmp_path, capsys):
         """A fitted NPRT reduction past model 1's p = 6 directions is
@@ -688,7 +714,7 @@ class TestRunFiles:
                                capsys)
         assert code == 0
         ds = load_csv(data, "muscle_mass", transforms=[(c, "log") for c in header])
-        points, rows = run_files(run_predict_workflow(ds))
+        points, rows = run_files(run_predict_workflow(ds, fit("pls", ds.X, ds.Y, 1, fy=cubic_fy)))
         assert out == (out_dir / "predictions.json").read_text() == points
         assert plot.read_bytes() == rows.encode()
         assert json.loads((out_dir / "manifest.json").read_text())["outputs"] == [
@@ -714,8 +740,8 @@ class TestRunFiles:
             main(["fit", "--input", str(data), "--response", "muscle_mass", *LOG_FLAGS,
                   "--plot-data", str(plot), "--out", str(out_dir)])
         assert not (out_dir / "manifest.json").exists()
-        points, rows = run_files(run_predict_workflow(
-            load_csv(data, "muscle_mass", transforms=[(c, "log") for c in header])))
+        ds = load_csv(data, "muscle_mass", transforms=[(c, "log") for c in header])
+        points, rows = run_files(run_predict_workflow(ds, fit("pls", ds.X, ds.Y, 1, fy=cubic_fy)))
         for part, whole in [(sys.stdout.getvalue(), points),
                             ((out_dir / "predictions.json").read_text(), points),
                             (plot.read_bytes().decode(), rows)]:
@@ -1631,6 +1657,17 @@ class TestSimulatePlanTypes:
         code, out, err = run_cli(self.replay_argv(tmp_path, manifest), capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: bandwidth constant must be finite") and err.count("\n") == 1
+
+    def test_bandwidth_field_the_kind_does_not_read_exits_2(self, good_manifest, tmp_path,
+                                                               capsys):
+        """A fixed rule's cv_grid and exponent were once dropped on replay."""
+        bandwidth = {"kind": "fixed", "h_fixed": 0.9, "cv_grid": [0.1, 0.2], "exponent": 0.5}
+        manifest = {**good_manifest, "config": {**good_manifest["config"], "bandwidth": bandwidth}}
+        code, out, err = run_cli(self.replay_argv(tmp_path, manifest), capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: bandwidth kind 'fixed' does not read cv_grid; it must keep its "
+                       "default None, got (0.1, 0.2)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_no_traceback_or_warning_in_a_child(self, good_manifest, tmp_path):
         """An int too large for a float once ended in an OverflowError traceback."""

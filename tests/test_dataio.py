@@ -18,6 +18,7 @@ from rednw.dataio import (
     Dataset,
     RunManifest,
     WorkflowResult,
+    cubic_fy,
     json_text,
     load_csv,
     load_test_rows,
@@ -29,7 +30,7 @@ from rednw.dataio import (
 )
 from rednw.errors import ArgumentError, DataError
 from rednw.npregress import BandwidthRule, NWBatch
-from rednw.reduction import oracle_basis
+from rednw.reduction import fit, oracle_basis
 
 
 def write_csv(path, text):
@@ -521,27 +522,31 @@ def plot_rows_of(wf):
             else (None, o, None, None) for i, o in enumerate(observed)]
 
 
+def fitted_basis(ds, method="pls", d=1):
+    """The CLI's basis of ``method`` at d: reduction.fit with the cubic pfc features."""
+    return fit(method, ds.X, ds.Y, d, fy=cubic_fy)
+
+
 class TestPredictWorkflow:
-    @pytest.mark.parametrize("kw, message", [
-        (dict(precomputed_basis=oracle_basis(np.eye(5)[:1])), "basis expects p=5 columns, data has 4"),
+    @pytest.mark.parametrize("basis, kw, message", [
+        (oracle_basis(np.eye(5)[:1]), {}, "basis expects p=5 columns, data has 4"),
         # reduction.fit names the methods it accepts
-        (dict(method="lasso"), "unknown reduction method 'lasso'; expected one of "
-                               "('np', 'pls', 'pfc', 'sir')"),
-        (dict(method="pls", d=0), "need 1 <= d < p for method 'pls', got d=0, p=4"),
-        (dict(method="sir", d=4), "need 1 <= d < p for method 'sir', got d=4, p=4"),
+        ("lasso", {}, "unknown reduction method 'lasso'; expected one of "
+                      "('np', 'pls', 'pfc', 'sir')"),
         # nw_batch checks the width of the test rows, also when there are none
-        (dict(method="np", test_rows=np.zeros((2, 3))), "x0 has length 3 but X has 4 columns"),
-        (dict(test_rows=np.zeros((0, 3))), "x0 has length 3 but X has 4 columns"),
-    ], ids=["basis-p", "unknown-method", "d-zero", "d-equals-p", "test-row-columns",
-            "empty-test-row-columns"])
-    def test_argument_checks(self, shellfish_csv, kw, message):
+        ("np", dict(test_rows=np.zeros((2, 3))), "x0 has length 3 but X has 4 columns"),
+        ("pls", dict(test_rows=np.zeros((0, 3))), "x0 has length 3 but X has 4 columns"),
+    ], ids=["basis-p", "unknown-method", "test-row-columns", "empty-test-row-columns"])
+    def test_argument_checks(self, shellfish_csv, basis, kw, message):
+        """``basis`` is a basis, or the name of the method whose fit gives it."""
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
-            run_predict_workflow(ds, **kw)
+            basis = fitted_basis(ds, basis) if isinstance(basis, str) else basis
+            run_predict_workflow(ds, basis, **kw)
 
     def test_in_sample_plot_rows(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
-        res = run_predict_workflow(ds, method="pls", d=1)
+        res = run_predict_workflow(ds, fitted_basis(ds))
         assert len(points_of(res)) == ds.n
         rows = plot_rows_of(res)
         assert len(rows) == ds.n
@@ -552,7 +557,7 @@ class TestPredictWorkflow:
 
     def test_out_of_sample_has_no_observed(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
-        res = run_predict_workflow(ds, method="pls", d=1, test_rows=ds.X[:3])
+        res = run_predict_workflow(ds, fitted_basis(ds), test_rows=ds.X[:3])
         rows = plot_rows_of(res)
         assert len(rows) == 3
         assert all(row[1] is None for row in rows)
@@ -564,8 +569,8 @@ class TestPredictWorkflow:
         rule = BandwidthRule(
             kind="power_rule", constant=1.0, exponent_dim="reduced_d"
         )
-        res_pls = run_predict_workflow(ds, method="pls", d=1, bandwidth_rule=rule)
-        res_np = run_predict_workflow(ds, method="np", bandwidth_rule=rule)
+        res_pls = run_predict_workflow(ds, fitted_basis(ds), bandwidth_rule=rule)
+        res_np = run_predict_workflow(ds, fitted_basis(ds, "np"), bandwidth_rule=rule)
         assert res_pls.batch.ok.all() and res_np.batch.ok.all()
         w_pls = np.median(res_pls.batch.ci_hi - res_pls.batch.ci_lo)
         w_np = np.median(res_np.batch.ci_hi - res_np.batch.ci_lo)
@@ -574,35 +579,25 @@ class TestPredictWorkflow:
     def test_identity_basis_matches_full_dimension_fit(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         rule = BandwidthRule(kind="fixed", h_fixed=0.8)
-        res_np = run_predict_workflow(ds, method="np", bandwidth_rule=rule)
+        res_np = run_predict_workflow(ds, fitted_basis(ds, "np"), bandwidth_rule=rule)
         identity = oracle_basis(np.eye(ds.p))
-        res_file = run_predict_workflow(
-            ds, bandwidth_rule=rule, precomputed_basis=identity, d=ds.p
-        )
+        res_file = run_predict_workflow(ds, identity, bandwidth_rule=rule)
         assert res_np.batch.ok.all()
         np.testing.assert_array_equal(res_np.batch.eta_hat, res_file.batch.eta_hat)
         np.testing.assert_array_equal(res_np.batch.ci_lo, res_file.batch.ci_lo)
 
     def test_empty_test_set(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
-        res = run_predict_workflow(ds, method="pls", d=1, test_rows=np.zeros((0, 4)))
+        res = run_predict_workflow(ds, fitted_basis(ds), test_rows=np.zeros((0, 4)))
         assert len(res.batch) == 0 and points_of(res) == [] and plot_rows_of(res) == []
 
     def test_far_test_row_carries_error_marker(self, shellfish_csv):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         rule = BandwidthRule(kind="fixed", h_fixed=0.3)
         far = np.full((1, 4), 80.0)
-        res = run_predict_workflow(
-            ds, method="pls", d=1, bandwidth_rule=rule, test_rows=far
-        )
+        res = run_predict_workflow(ds, fitted_basis(ds), bandwidth_rule=rule, test_rows=far)
         assert np.count_nonzero(~res.batch.ok) == 1
         assert "error" in points_of(res)[0]
-
-    def test_precomputed_basis_used(self, shellfish_csv):
-        ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
-        basis = oracle_basis([[1.0, 0.0, 0.0, 0.0]])
-        res = run_predict_workflow(ds, precomputed_basis=basis)
-        assert not np.array_equal(res.batch.eta_hat, run_predict_workflow(ds).batch.eta_hat)
 
 
 PLOT_HEADER = ["fitted", "observed", "ci_lo", "ci_hi"]
@@ -674,7 +669,7 @@ class TestRunFileWriters:
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         rule = None if h is None else BandwidthRule(kind="fixed", h_fixed=h)
         test = None if in_sample else np.vstack([ds.X[:6], ds.X[:3] + 50.0])
-        wf = run_predict_workflow(ds, method="pls", d=d, bandwidth_rule=rule, test_rows=test)
+        wf = run_predict_workflow(ds, fitted_basis(ds, d=d), bandwidth_rule=rule, test_rows=test)
         if h and d > 1:
             # h**d leaves the float range: every density is degenerate
             assert np.count_nonzero(~wf.batch.ok) == len(wf.batch)
@@ -688,13 +683,13 @@ class TestRunFileWriters:
         and interval bounds are infinite."""
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
         huge = dataclasses.replace(ds, Y=1e300 * np.where(np.arange(ds.n) % 2, 1.0, -1.0))
-        wf = run_predict_workflow(huge, bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=1.0),
-                                  precomputed_basis=oracle_basis(np.eye(ds.p)[:d]))
+        wf = run_predict_workflow(huge, oracle_basis(np.eye(ds.p)[:d]),
+                                  bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=1.0))
         assert not np.isfinite(wf.batch.ci_hi[wf.batch.ok]).all()
         assert_run_files_exact(wf, tmp_path / "plot.csv")
 
     def test_zero_test_rows(self, shellfish_csv, tmp_path):
         ds = load_csv(shellfish_csv, response_col="muscle_mass", transforms=LOG_ALL)
-        wf = run_predict_workflow(ds, method="pls", d=1, test_rows=np.zeros((0, 4)))
+        wf = run_predict_workflow(ds, fitted_basis(ds), test_rows=np.zeros((0, 4)))
         assert list(wf.run_file_chunks(plot=False)) == [("[]\n", "")]
         assert_run_files_exact(wf, tmp_path / "plot.csv")

@@ -36,6 +36,7 @@ from rednw.simulate import (
     MethodSpec,
     Model1Config,
     Model2Config,
+    ReplicationTable,
     default_bandwidth_rule,
     draw_test_points,
     gen_model1,
@@ -135,6 +136,10 @@ class TestGaussianQuantile:
 
 
 class TestBandwidth:
+    def test_sample_size_below_one(self):
+        with pytest.raises(ArgumentError, match=r"^n must be >= 1, got 0$"):
+            bandwidth(BandwidthRule(kind="power_rule"), n=0, p=1, d=1)
+
     @pytest.mark.parametrize("exponent", [0.0, 1.0, -0.5, math.nan])
     def test_power_rule_exponent_outside_the_unit_interval(self, exponent):
         message = f"power_rule exponent must lie in (0, 1), got {exponent}"
@@ -229,6 +234,22 @@ class TestBandwidth:
     def test_non_finite_or_non_positive_rejected(self, kw):
         with pytest.raises(ArgumentError):
             BandwidthRule(**kw)
+
+    @pytest.mark.parametrize("kw, name, value", [
+        ({"kind": "power_rule", "h_fixed": 0.5}, "h_fixed", "0.5"),
+        ({"kind": "fixed", "h_fixed": 0.5, "exponent_dim": "reduced_d"}, "exponent_dim",
+         "'reduced_d'"),
+        ({"kind": "loocv", "cv_grid": (0.5,), "constant": 2.0}, "constant", "2.0"),
+    ], ids=["power_rule", "fixed", "loocv"])
+    def test_field_the_kind_does_not_read_rejected(self, kw, name, value):
+        default = {"constant": 1.0, "exponent_dim": "ambient_p"}.get(name)
+        message = (f"bandwidth kind {kw['kind']!r} does not read {name}; "
+                   f"it must keep its default {default!r}, got {value}")
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            BandwidthRule(**kw)
+        # at its default the field is accepted
+        assert BandwidthRule(**{**kw, name: default}) == BandwidthRule(**{
+            k: v for k, v in kw.items() if k != name})
 
     def test_empty_cv_grid_rejected_at_call(self):
         rule = BandwidthRule(kind="loocv", cv_grid=())
@@ -619,6 +640,24 @@ class TestNonFiniteInputs:
         mass = _nw_core(kernel, W, np.arange(6.0), np.zeros((1, 2)), 2e154)[0]
         np.testing.assert_allclose(mass, kernel_weights(kernel, np.array([0.0] * 5 + [0.7])).sum(),
                                    rtol=1e-14)
+
+    def test_wide_samples_take_direct_radii(self):
+        """Samples at (+-1e155, 0) leave the sample mean near the queries,
+        but their centred squared norms overflow: the Gram form gives those
+        two columns direct radii, and the batch is the one without them."""
+        rng = np.random.default_rng(11)
+        X, Y = rng.uniform(-1.0, 1.0, (60, 2)), rng.standard_normal(60)
+        X0 = rng.uniform(-0.8, 0.8, (5, 2))
+        wide = np.array([[1e155, 0.0], [-1e155, 0.0]])
+        cfg = dataclasses.replace(self.cfg_2d, bandwidth=BandwidthRule(kind="fixed", h_fixed=0.7))
+        identity = oracle_basis(np.eye(2))
+        with mock.patch.object(npregress, "_direct_sq", wraps=npregress._direct_sq) as direct:
+            batch = nw_batch(cfg, identity, np.vstack([X, wide]), np.append(Y, [3.0, -3.0]), X0)
+        assert [call.args[1].tolist() for call in direct.call_args_list] == [wide.tolist()]
+        ref = nw_batch(cfg, identity, X, Y, X0)
+        assert batch.ok.all()
+        np.testing.assert_allclose(batch.mass, ref.mass, rtol=1e-12)
+        np.testing.assert_allclose(batch.eta_hat, ref.eta_hat, rtol=1e-12)
 
 
 class TestLoocvReference:
@@ -1601,25 +1640,6 @@ def _batch_case(name):
     return cfg, oracle_basis(np.eye(2)), X, rng.standard_normal(30), np.vstack([X[:3], X[:2] + 5.0])
 
 
-def _one_rep_by_rows(cfg, specs, test_points, configs, fixed, task):
-    """The harness's replication as it was when it read nw_batch row by row,
-    writing its NaN-filled slots of the run's values and h."""
-    slot, hs, n, rep = task
-    gen = simulate.gen_model1 if isinstance(cfg, Model1Config) else simulate.gen_model2
-    X, Y, _ = gen(cfg, n, rng_stream=rep)
-    for k, (spec, est) in enumerate(zip(specs, slot)):
-        try:
-            basis = fixed.get((spec.method, spec.reduction, spec.d)) \
-                or simulate._fit_basis(spec, cfg, X, Y, rep)
-            batch = nw_batch(configs[k], basis, X, Y, test_points)
-            hs[k] = batch.h
-            for i, res in enumerate(batch):
-                if res.ok[0]:
-                    est[i] = (res.eta_hat[0], res.ci_lo[0], res.ci_hi[0])
-        except RednwError:
-            pass
-
-
 class TestNWBatch:
     CASES = ("empty-windows-sorted", "empty-windows-3d", "degenerate-wide", "degenerate-narrow")
 
@@ -1770,26 +1790,47 @@ class TestNWBatch:
                    for i in range(-m, 0))
 
     @pytest.mark.parametrize("model", [1, 2])
-    def test_harness_cells_unchanged(self, model, monkeypatch):
-        """The harness reads the columns; its table equals the row-by-row one."""
+    def test_harness_cells_unchanged(self, model):
+        """The harness's table equals one built from public calls: each
+        replication's data, its basis, and nw_batch read row by row."""
         if model == 1:
-            cfg, reduction, ns = Model1Config(seed=4), "pls", [40, 70]
+            cfg, gen, reduction_name, ns = Model1Config(seed=4), gen_model1, "pls", [40, 70]
         else:
-            cfg, reduction, ns = Model2Config(seed=4), "pfc", [150]
+            cfg, gen, reduction_name, ns = Model2Config(seed=4), gen_model2, "pfc", [150]
+        run_cfg, n_rep = dataclasses.replace(cfg, seed=9), 5
+        direction = run_cfg.beta0 if model == 1 else run_cfg.beta_pop
         # h = 1 leaves NP's 6-d and 20-d windows empty in some replications
-        methods = [MethodSpec(method=m, reduction=reduction if m == "nprt" else None,
-                              bandwidth_rule=BandwidthRule(kind="fixed", h_fixed=1.0))
-                   for m in ("np", "npr", "nprt")]
-        kw = dict(ns=ns, test_points=draw_test_points(cfg, 4), n_rep=5)
-        table = run_replications(dataclasses.replace(cfg, seed=9), methods, **kw)
-        monkeypatch.setattr(simulate, "_one_rep", _one_rep_by_rows)
-        ref = run_replications(dataclasses.replace(cfg, seed=9), methods, **kw)
+        rule = BandwidthRule(kind="fixed", h_fixed=1.0)
+        methods = [MethodSpec(method=m, reduction=reduction_name if m == "nprt" else None,
+                              bandwidth_rule=rule) for m in ("np", "npr", "nprt")]
+        points = draw_test_points(cfg, 4)
+        table = run_replications(run_cfg, methods, ns=ns, test_points=points, n_rep=n_rep)
+
+        values = np.full((len(ns), n_rep, len(methods), len(points), 3), np.nan)
+        h = np.full((len(ns), n_rep, len(methods)), np.nan)
+        for (i, n), rep in itertools.product(enumerate(ns), range(n_rep)):
+            X, Y, _ = gen(run_cfg, n, rng_stream=rep)
+            for k, m in enumerate(methods):
+                try:
+                    basis = (oracle_basis(np.eye(run_cfg.p)) if m.method == "np" else
+                             oracle_basis(direction[None, :]) if m.method == "npr" else
+                             reduction.fit(m.reduction, X, Y, 1,
+                                           fy=lambda y: np.column_stack((y, np.abs(y)))))
+                except RednwError:
+                    continue  # a failed fit leaves its column's row NaN
+                kernel = make_kernel(builtin_profile("triweight_poly3"), basis.d)
+                batch = nw_batch(NWConfig(kernel=kernel, bandwidth=rule), basis, X, Y, points)
+                h[i, rep, k] = batch.h
+                for j, row in enumerate(batch):
+                    if row.ok[0]:
+                        values[i, rep, k, j] = (row.eta_hat[0], row.ci_lo[0], row.ci_hi[0])
+        ref = ReplicationTable(specs=tuple(methods), test_points=points,
+                               truths=run_cfg.truth(points) if model == 1 else None,
+                               ns=tuple(ns), values=values, h=h, ci_level=0.95)
         assert repr(table.cells) == repr(ref.cells)
         assert any(c.n_missing for c in ref.cells)
-        np.testing.assert_array_equal(table.h, ref.h)
-        for j, n, m in itertools.product(range(4), ns, methods):
-            np.testing.assert_array_equal(table.replicates(j, n, m.label),
-                                          ref.replicates(j, n, m.label))
+        np.testing.assert_array_equal(table.values, values)
+        np.testing.assert_array_equal(table.h, h)
 
 
 class TestProperties:

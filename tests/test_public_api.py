@@ -59,9 +59,8 @@ SETTABLE = {
 PARAMETERS = {
     rednw.run_replications: ["cfg", "methods", "ns", "test_points", "n_rep", "n_threads",
                              "ci_level"],
-    rednw.run_predict_workflow: ["dataset", "method", "d", "kernel_profile", "bandwidth_rule",
-                                 "test_rows", "ci_level", "allow_nonsmooth_kernel",
-                                 "precomputed_basis"],
+    rednw.run_predict_workflow: ["dataset", "basis", "kernel_profile", "bandwidth_rule",
+                                 "test_rows", "ci_level", "allow_nonsmooth_kernel"],
     rednw.nw_batch: ["config", "basis", "X", "Y", "X0"],
     rednw.projection_to_basis: ["P"],
 }

@@ -431,6 +431,18 @@ class TestDispatcher:
                               pfc_fit(X, Y, self.cubic, 1).matrix)
         assert np.array_equal(fit("sir", X, Y, 1).matrix, sir_fit(X, Y, None, 1).matrix)
 
+    @pytest.mark.parametrize("method, d, message", [
+        ("pls", 0, "need n > d >= 1, got n=200, d=0"),
+        ("pls", 5, "need 1 <= d <= p, got d=5, p=4"),
+        ("sir", 0, "need 1 <= d <= p, got d=0"),
+        ("sir", 5, "need 1 <= d <= p, got d=5"),
+    ])
+    def test_d_outside_one_to_p_rejected(self, method, d, message):
+        """pls and sir take 1 <= d <= p, d = p included, here p = 4."""
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            fit(method, self.X, self.Y, d)
+        assert fit(method, self.X, self.Y, 4).d == 4
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ArgumentError, match="unknown reduction method 'oracle'"):
             fit("oracle", self.X, self.Y, 1)

@@ -559,6 +559,17 @@ class TestReplicationHarness:
         assert MethodSpec(method="nprt", reduction="pls", d=2).d == 2
         assert MethodSpec(method="np", d=2).d == 2
 
+    def test_np_column_records_the_d_it_ran_at(self):
+        """np runs in the model's p dimensions whatever d it is given, and
+        its column records p; the d given changes no bit."""
+        cfg = Model1Config(seed=3)
+        kw = dict(ns=[60], test_points=draw_test_points(cfg, 3), n_rep=4)
+        tables = [run_replications(cfg, [MethodSpec("np", d=d)], **kw) for d in (1, 3)]
+        assert [t.specs[0].d for t in tables] == [cfg.p, cfg.p]
+        assert repr(tables[0].cells) == repr(tables[1].cells)
+        np.testing.assert_array_equal(tables[0].values, tables[1].values)
+        np.testing.assert_array_equal(tables[0].h, tables[1].h)
+
     def test_kept_intervals_bracket_estimates(self):
         cfg = Model1Config(seed=1)
         pts = draw_test_points(cfg, m=2)
