@@ -311,16 +311,22 @@ def load_test_rows(path, dataset: Dataset) -> NDArray[np.floating]:
 
 def read_basis(path) -> ReductionBasis:
     """A basis from its rows, as ``write_table(path, None, basis.matrix)``
-    writes them (``reduce``'s basis.csv); a file of blank and ``#`` comment
-    lines only, or one that holds no basis, raises DataError naming it."""
+    writes them (``reduce``'s basis.csv): orthonormal rows are the basis as
+    they stand, other rows span it through ``oracle_basis``. A file of blank
+    and ``#`` comment lines only, or one that holds no basis, raises
+    DataError naming it."""
     with _open_input(path, "basis file") as fh:
         lines = fh.read().splitlines()
     # np.loadtxt drops what follows a '#', and warns on a file left empty
     if not any(line.partition("#")[0].strip() for line in lines):
         raise DataError(f"{path}: basis file is empty")
     try:
-        # not bound in dataio, where the benchmark's tracer would time it as a fit
-        return reduction.oracle_basis(np.loadtxt(lines, delimiter=",", ndmin=2))
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+        try:
+            return ReductionBasis(matrix=rows)
+        except ArgumentError:
+            # not bound in dataio, where the benchmark's tracer would time it as a fit
+            return reduction.oracle_basis(rows)
     except (ValueError, ArgumentError, NumericError) as exc:
         raise DataError(f"{path}: not a basis: {exc}") from exc
 

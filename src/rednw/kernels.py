@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -28,9 +27,6 @@ _PROFILES = {
 }
 BUILTIN_PROFILES = tuple(_PROFILES)
 
-# Quadrature refinement: node counts double until successive estimates
-# differ by < _QUAD_TARGET, or until both rules are exact for the integrand
-_QUAD_TARGET = 1e-12
 # a derivative counts as 0 at the support edge within this many ulps of the
 # sum of its absolute terms there
 _EDGE_ULPS = 64
@@ -159,25 +155,6 @@ def _gauss_legendre(m: int) -> tuple[NDArray[np.floating], NDArray[np.floating]]
     return x, w
 
 
-def _radial_integral(g: Callable[[NDArray[np.floating]], NDArray[np.floating]],
-                     radius: float, degree: int) -> float:
-    """Integrate g, a polynomial of the given degree on [0, radius], with
-    node-doubling Gauss-Legendre. It returns where two successive estimates
-    agree, or else where the previous rule was exact too (m nodes integrate
-    degree 2m - 1 exactly), so the two differ by rounding alone."""
-    prev = None
-    m = 16
-    while True:
-        x, w = _gauss_legendre(m)
-        s = 0.5 * radius * (x + 1.0)
-        val = float(np.sum(w * g(s)) * 0.5 * radius)
-        if prev is not None and (abs(val - prev) < _QUAD_TARGET * max(1.0, abs(val))
-                                 or m > degree):
-            return val
-        prev = val
-        m *= 2
-
-
 @dataclass(frozen=True)
 class RadialKernel:
     """A normalized radial kernel on R^dim.
@@ -213,11 +190,13 @@ def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:
         dim: ambient dimension d >= 1.
 
     Returns:
-        RadialKernel with quadrature-computed norm_const, l2_const and mu2.
+        RadialKernel whose norm_const, l2_const and mu2 come from one
+        Gauss-Legendre rule in the radial variable, exact for every
+        integrand: k s^(d-1), k^2 s^(d-1) and k s^(d+1) are polynomials.
     """
     if dim < 1:
         raise ArgumentError(f"kernel dimension must be >= 1, got {dim}")
-    radius, values = profile.support_radius, profile.values
+    radius = profile.support_radius
     degree = len(profile.coefficients) - 1
     too_large = ArgumentError(f"kernel dimension {dim} is too large for support radius "
                               f"{radius:g}: the kernel's constants overflow a float")
@@ -225,21 +204,30 @@ def make_kernel(profile: KernelProfile, dim: int) -> RadialKernel:
     # and a constant that is not finite raises too_large
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            # first, so that a dimension past the float range raises before
+            # the rule is sized for it
             surf = surface_area(dim)
-            total = _radial_integral(lambda s: values(s) * s ** (dim - 1), radius,
-                                     degree + dim - 1) * surf
+            # m nodes integrate degree 2m - 1 exactly; at least 32, so low
+            # dimensions keep the bits their recorded outputs were run with
+            m = 32
+            while 2 * m - 1 < max(2 * degree + dim - 1, degree + dim + 1):
+                m *= 2
+            x, w = _gauss_legendre(m)
+            s = 0.5 * radius * (x + 1.0)
+            k = profile.values(s)
+
+            def integral(g):
+                return float(np.sum(w * g) * 0.5 * radius)
+
+            total = integral(k * s ** (dim - 1)) * surf
             if not math.isfinite(total):
                 raise too_large
             if not total > 1e-300:
                 raise ArgumentError(f"profile integrates to {total:.3e}; cannot normalize")
             norm_const = 1.0 / total
-            l2_const = norm_const ** 2 * _radial_integral(
-                lambda s: values(s) ** 2 * s ** (dim - 1), radius, 2 * degree + dim - 1
-            ) * surf
+            l2_const = norm_const ** 2 * integral(k ** 2 * s ** (dim - 1)) * surf
             # per-coordinate second moment: int u_i^2 K du = (1/d) int ||u||^2 K du
-            mu2 = norm_const * _radial_integral(
-                lambda s: values(s) * s ** (dim + 1), radius, degree + dim + 1
-            ) * surf / dim
+            mu2 = norm_const * integral(k * s ** (dim + 1)) * surf / dim
         except OverflowError:
             # c ** 2 in R(K) overflows from about d = 250 for the built-ins,
             # math.gamma in surface_area from d = 344

@@ -112,7 +112,8 @@ def oracle_basis(rows: NDArray[np.floating] | Sequence[Sequence[float]]) -> Redu
     if not all_finite(rows):
         raise ArgumentError("directions must be finite")
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s[-1] < 1e-12 * max(s[0], 1.0):
+    # relative, so rows of any scale pass; an all-zero block fails
+    if not s[-1] > 1e-12 * s[0]:
         raise DegenerateFitError(f"fitted directions are rank deficient (singular values {s})")
     return ReductionBasis(matrix=_fix_signs(vt[:rows.shape[0]]))
 
@@ -145,10 +146,14 @@ def pls_fit(X: NDArray[np.floating], Y: NDArray[np.floating], d: int) -> Reducti
     """First-d partial-least-squares weight directions, orthonormalized.
 
     NIPALS with deflation of X only; for d=1 the direction is proportional
-    to the sample covariance cov(X, Y).
+    to the sample covariance cov(X, Y). The basis is the same under any
+    rescaling of X or Y by a power of 2 that keeps them in the float range.
 
     Raises:
-        DegenerateFitError: covariance vector norm below 1e-12 at any step.
+        DegenerateFitError: at any step, a covariance vector norm at most
+            1e-12 ||Xc|| ||Yc|| / n or a squared score norm at most
+            1e-30 ||Xc||^2, for the centered X and Y before any deflation
+            (Frobenius norms).
     """
     X, Y = _check_xy(X, Y)
     n, p = X.shape
@@ -158,18 +163,24 @@ def pls_fit(X: NDArray[np.floating], Y: NDArray[np.floating], d: int) -> Reducti
         raise ArgumentError(f"need 1 <= d <= p, got d={d}, p={p}")
     Xd = X - X.mean(axis=0)
     yc = Y - Y.mean()
+    # both floors scale with the data, so a power-of-2 rescaling moves none
+    # of the tests; ||Xc|| ||Yc|| / n bounds ||c|| by Cauchy-Schwarz. Sums of
+    # squares, not np.linalg.norm, whose BLAS dot on n x p entries wakes
+    # OpenBLAS's threads, which then spin on the CPU after the call
+    x_norm = math.sqrt(float(np.sum(Xd * Xd)))
+    c_floor = 1e-12 * x_norm * math.sqrt(float(np.sum(yc * yc))) / n
     weights = []
     for _ in range(d):
         c = Xd.T @ yc / n
         cn = float(np.linalg.norm(c))
-        if cn < 1e-12:
+        if not cn > c_floor:
             raise DegenerateFitError(
                 f"response is uncorrelated with every predictor column (covariance norm {cn:.3e})"
             )
         w = c / cn
         t = Xd @ w
         tt = float(t @ t)
-        if tt < 1e-30:
+        if not tt > 1e-30 * x_norm ** 2:
             raise DegenerateFitError("PLS score collapsed to zero; predictors already deflated away")
         Xd = Xd - np.outer(t, Xd.T @ t / tt)
         weights.append(w)

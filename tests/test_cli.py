@@ -33,7 +33,7 @@ from rednw.dataio import (
     write_table,
 )
 from rednw.errors import ArgumentError
-from rednw.reduction import fit
+from rednw.reduction import fit, oracle_basis
 
 
 def run_cli(argv, capsys):
@@ -591,29 +591,52 @@ class TestFitPredict:
         assert (code, out) == (2, "")
         assert err.startswith("error: need 1 <= d <= p, got d=5") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("method", ["pls", "sir"])
-    @pytest.mark.parametrize("command", ["fit", "predict"])
-    def test_fit_predict_d_equal_p(self, command, method, shellfish_csv, tmp_path, capsys):
-        """fit and predict follow the fits' d rule, as reduce does: at d = p
-        = 4 they run the estimator of reduce --d 4 then predict --basis.
-        read_basis orthonormalizes the rows it reads once more, which moves
-        the 4 x 4 basis, and so the estimates, in the last bits."""
+    @staticmethod
+    def basis_file_and_fitted_predictions(command, method, d, shellfish_csv, tmp_path, capsys):
+        """predictions.json of reduce then predict --basis, and of
+        ``command`` (fit or predict) fitting the same basis itself."""
         data = ["--input", str(shellfish_csv), "--response", "muscle_mass", *LOG_FLAGS]
-        fitted = [*data, "--method", method, "--d", "4"]
+        fitted = [*data, "--method", method, "--d", str(d)]
         assert run_cli(["reduce", *fitted, "--out", str(tmp_path / "reduce")], capsys)[0] == 0
         basis = tmp_path / "reduce" / "basis.csv"
         assert run_cli(["predict", *data, "--basis", str(basis), "--out", str(tmp_path / "ref")],
                        capsys)[0] == 0
         assert run_cli([command, *fitted, "--out", str(tmp_path / "run")], capsys)[0] == 0
-        run, ref = (json.loads((tmp_path / d / "predictions.json").read_text())
-                    for d in ("run", "ref"))
-        assert [sorted(p) for p in run] == [sorted(p) for p in ref]
-        for p, q in zip(run, ref):
-            assert (p["x0"], p["h"]) == (q["x0"], q["h"])
-            np.testing.assert_allclose([p[k] for k in ("eta_hat", "ci_lo", "ci_hi", "f_hat")],
-                                       [q[k] for k in ("eta_hat", "ci_lo", "ci_hi", "f_hat")],
-                                       rtol=1e-12)
-            assert p["sigma2_hat"] == pytest.approx(q["sigma2_hat"], rel=1e-12, abs=1e-14)
+        return tuple((tmp_path / run / "predictions.json").read_bytes() for run in ("ref", "run"))
+
+    @pytest.mark.parametrize("method", ["pls", "sir"])
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_fit_predict_d_equal_p(self, command, method, shellfish_csv, tmp_path, capsys):
+        """fit and predict follow the fits' d rule, as reduce does: at d = p
+        = 4 they run the estimator of reduce --d 4 then predict --basis,
+        byte for byte, since read_basis keeps the orthonormal rows it reads."""
+        ref, run = self.basis_file_and_fitted_predictions(command, method, 4, shellfish_csv,
+                                                          tmp_path, capsys)
+        assert run == ref
+
+    @pytest.mark.parametrize("method, d", [
+        ("pls", 1), ("pls", 2), ("pls", 3), ("pls", 4), ("sir", 2), ("pfc", 2),
+    ])
+    def test_basis_file_is_the_fitted_basis(self, method, d, shellfish_csv, tmp_path, capsys):
+        """reduce --d k then predict --basis gives fit --d k's predictions
+        byte for byte: the basis file's rows are the basis, not re-fitted."""
+        ref, run = self.basis_file_and_fitted_predictions("fit", method, d, shellfish_csv,
+                                                          tmp_path, capsys)
+        assert run == ref
+
+    def test_hand_written_basis_is_orthonormalized(self, shellfish_csv, tmp_path, capsys):
+        """Rows that are not orthonormal still load: they span the basis, as
+        its orthonormalized rows, and predict as those rows do."""
+        data = ["--input", str(shellfish_csv), "--response", "muscle_mass", *LOG_FLAGS]
+        (tmp_path / "hand.csv").write_text("2,0,0,1\n0,3,0,0\n")
+        write_table(tmp_path / "unit.csv", None, oracle_basis([[2, 0, 0, 1], [0, 3, 0, 0]]).matrix)
+        for name in ("hand", "unit"):
+            argv = ["predict", *data, "--basis", str(tmp_path / f"{name}.csv"),
+                    "--out", str(tmp_path / f"run_{name}")]
+            assert run_cli(argv, capsys)[0] == 0
+        hand, unit = ((tmp_path / f"run_{name}" / "predictions.json").read_bytes()
+                      for name in ("hand", "unit"))
+        assert hand == unit
 
     @pytest.mark.parametrize("reduction", ["pls", "sir"])
     def test_simulate_d_above_p_exits_2(self, reduction, tmp_path, capsys):

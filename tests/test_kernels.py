@@ -1,6 +1,7 @@
 """Tests for radial kernel construction, constants, and condition checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,43 @@ class TestConstants:
         k = make_kernel(builtin_profile(name), 2)
         est, se = mc_integral(k, lambda t: kernel_weights(k, t), n_draws=200_000, seed=1234)
         assert abs(est - 1.0) <= 3.0 * se + 1e-6
+
+    @pytest.mark.parametrize("name, last", [
+        ("triweight_poly3", 251), ("biweight", 253), ("epanechnikov", 256), ("uniform", 258),
+    ])
+    def test_constants_match_closed_forms_to_the_last_dimension(self, name, last):
+        """For (1 - t^2)^k, I(e, j) = int_0^1 (1 - s^2)^j s^(e-1) ds is
+        sum_i C(j, i) (-1)^i / (e + 2i), an exact rational. Then
+        c = 1 / (S_d I(d, k)), R(K) = I(d, 2k) / (S_d I(d, k)^2) and
+        mu2 = I(d + 2, k) / (d I(d, k)), each within 1e-12 at every d that
+        has finite constants. S_d is surface_area's float, so only the
+        quadrature is under test."""
+        k = builtin_profile(name).power
+
+        def radial(e, j):
+            return sum(Fraction(math.comb(j, i) * (-1) ** i, e + 2 * i) for i in range(j + 1))
+
+        for d in range(1, last + 1):
+            kernel = make_kernel(builtin_profile(name), d)
+            surf, base = Fraction(surface_area(d)), radial(d, k)
+            exact = (1 / (surf * base), radial(d, 2 * k) / (surf * base ** 2),
+                     radial(d + 2, k) / (d * base))
+            for got, want in zip((kernel.norm_const, kernel.l2_const, kernel.mu2), exact):
+                assert abs(Fraction(got) / want - 1) <= Fraction(1, 10 ** 12), (d, got, float(want))
+
+    @pytest.mark.parametrize("dim, constants", [
+        (1, ("0x1.1800000000000p+0", "0x1.a1b732b8fd045p-1", "0x1.c71c71c71c714p-4")),
+        (4, ("0x1.0361d9d55bc79p+1", "0x1.728bc979f0d3ep-1", "0x1.5555555555555p-4")),
+        (6, ("0x1.ef6231922f418p+1", "0x1.d7cb3b66a6e91p-1", "0x1.2492492492493p-4")),
+        (20, ("0x1.5a527d382e436p+13", "0x1.8bcbfcd27e03bp+8", "0x1.2492492492492p-5")),
+    ])
+    def test_workload_constants_pinned(self, dim, constants):
+        """The triweight constants of the benchmark workloads (d = 1, 6 and
+        20) and of np on the shellfish table (d = 4), bit for bit: a
+        quadrature change that moved them would move every replayed output
+        in its last bits, below the benchmark's comparison tolerance."""
+        kernel = make_kernel(builtin_profile("triweight_poly3"), dim)
+        assert (kernel.norm_const.hex(), kernel.l2_const.hex(), kernel.mu2.hex()) == constants
 
     def test_l2_const_monte_carlo_band(self):
         k = make_kernel(builtin_profile("triweight_poly3"), 2)
@@ -231,8 +269,8 @@ class TestValidation:
         """The unit integral is the closed form, so a quadrature 1% off shows."""
         good = validate_conditions(make_kernel(builtin_profile(name), 3)).checks[1]
         assert good.name == "integral_one" and good.passed and good.value <= 4e-15
-        quadrature = kernels._radial_integral
-        monkeypatch.setattr(kernels, "_radial_integral", lambda *a: 1.01 * quadrature(*a))
+        rule = kernels._gauss_legendre
+        monkeypatch.setattr(kernels, "_gauss_legendre", lambda m: (rule(m)[0], 1.01 * rule(m)[1]))
         bad = validate_conditions(make_kernel(builtin_profile(name), 3)).checks[1]
         assert not bad.passed and bad.value == pytest.approx(1 - 1 / 1.01, rel=1e-12)
 
@@ -323,7 +361,8 @@ class TestDerivedConditions:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_high_degree_profile_integrates_exactly(self, dim):
-        """1 - t^60 needs the 32-node rule; its normalization is then exact:
+        """1 - t^60, whose square has degree 120, gets the 64-node rule; its
+        normalization is exact:
         1 / (S_d (1 / d - 1 / (d + 60)))."""
         kernel = make_kernel(KernelProfile(name="custom", coefficients=(1.0,) + (0.0,) * 59 + (-1.0,)),
                              dim)

@@ -450,3 +450,50 @@ class TestDispatcher:
     def test_pfc_needs_feature_map(self):
         with pytest.raises(ArgumentError, match="feature map"):
             fit("pfc", self.X, self.Y, 1)
+
+
+class TestScaleEquivariance:
+    """Rescaling X or Y by a power of 2 rescales every intermediate exactly,
+    so a fit's degeneracy tests are relative and its basis stays bit for bit."""
+
+    SCALES = (-60, -43, -24, 0, 24, 43, 60)
+
+    FITS = {
+        "pls": lambda X, Y: pls_fit(X, Y, 2),
+        "sir": lambda X, Y: sir_fit(X, Y, 10, 2),
+        # a feature map homogeneous in y, so Y * 2^k scales every feature alike
+        "pfc": lambda X, Y: pfc_fit(X, Y, lambda y: np.column_stack([y, np.abs(y)]), 2),
+    }
+
+    @pytest.mark.parametrize("method", FITS)
+    def test_basis_unchanged_by_power_of_two_scaling(self, method):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((500, 5))
+        Y = X[:, 0] + 0.5 * X[:, 1] ** 2 + 0.2 * rng.standard_normal(500)
+        fit_basis = self.FITS[method]
+        reference = fit_basis(X, Y).matrix
+        for kx in self.SCALES:
+            for ky in self.SCALES:
+                got = fit_basis(np.ldexp(X, kx), np.ldexp(Y, ky)).matrix
+                assert np.array_equal(got, reference), (kx, ky)
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_pls_degenerate_at_every_scale(self, k):
+        """A zero X, a constant Y and a Y exactly uncorrelated with X (the
+        rows come in +/- pairs, Y even in them) still raise."""
+        X = np.random.default_rng(0).standard_normal((250, 3))
+        pairs, even = np.vstack([X, -X]), np.concatenate([X[:, 0] ** 2] * 2)
+        for X_, Y_ in ((np.zeros((500, 3)), pairs[:, 0]), (pairs, np.full(500, 3.7)),
+                       (pairs, even)):
+            with pytest.raises(DegenerateFitError, match="^response is uncorrelated"):
+                pls_fit(np.ldexp(X_, k), np.ldexp(Y_, k), 2)
+
+    def test_oracle_rank_test_is_relative(self):
+        rows = np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 2.0]])
+        reference = oracle_basis(rows).matrix
+        for k in (-60, 60):
+            assert np.array_equal(oracle_basis(np.ldexp(rows, k)).matrix, reference)
+        np.testing.assert_allclose(oracle_basis(1e-13 * rows).matrix, reference, atol=1e-15)
+        for bad in (np.zeros((2, 3)), [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]):
+            with pytest.raises(DegenerateFitError, match="^fitted directions are rank deficient"):
+                oracle_basis(bad)
