@@ -17,13 +17,12 @@ import contextlib
 import functools
 import sys
 from dataclasses import asdict, astuple, fields
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._blas import keep_freed_memory
+from ._blas import keep_freed_memory, one_blas_thread
 from .dataio import (
     MODELS,
     RunManifest,
@@ -31,6 +30,7 @@ from .dataio import (
     json_text,
     load_csv,
     load_test_rows,
+    packaged_digests,
     read_basis,
     read_options,
     run_predict_workflow,
@@ -46,7 +46,7 @@ from .kernels import (
     make_kernel,
     validate_conditions,
 )
-from .npregress import BANDWIDTH_KINDS, EXPONENT_DIMS, BandwidthRule
+from .npregress import BANDWIDTH_KINDS, EXPONENT_DIMS, _KIND_FIELDS, BandwidthRule
 from .reduction import FIT_METHODS, fit
 from .simulate import (
     NPRT_REDUCTIONS,
@@ -106,12 +106,10 @@ def _option_tokens(options: dict) -> list[str]:
     return tokens
 
 
-# the bandwidth flags each kind reads; setting one the kind ignores is an error
-_KIND_FLAGS = {
-    "power_rule": ("bandwidth_constant", "exponent_dim", "exponent"),
-    "fixed": ("h",),
-    "loocv": ("cv_grid",),
-}
+# the bandwidth flags each kind reads, its rule's fields under their flag
+# names; setting one the kind ignores is an error
+_KIND_FLAGS = {kind: tuple({"constant": "bandwidth_constant", "h_fixed": "h"}.get(f, f)
+                           for f in names if f != "kind") for kind, names in _KIND_FIELDS.items()}
 
 
 def _rule_from_args(args, default_rule: BandwidthRule | None = None) -> BandwidthRule:
@@ -215,22 +213,15 @@ def _cmd_kernel_check(args) -> int:
 
 # -------------------------------------------------------- reduce / fit / predict
 
-# the options each manifest records; simulate records its plan instead
-_DATA_KEYS = ("input", "response", "method", "d", "transform", "skip_bad_rows")
-_PREDICT_KEYS = _DATA_KEYS + (
-    "basis", "kernel", "allow_nonsmooth_kernel", "bandwidth_kind", "bandwidth_constant",
-    "exponent_dim", "exponent", "h", "cv_grid", "ci_level", "test_csv", "plot_data")
-_MANIFEST_KEYS = {"reduce": _DATA_KEYS + ("ridge", "slices"),
-                  "fit": _PREDICT_KEYS, "predict": _PREDICT_KEYS}
+# parsed names outside a run's recipe; a manifest records every other flag
+_NOT_RECIPE = frozenset({"command", "handler", "out", "config", "from_manifest", "threads"})
 
 
 def _write_manifest(args, out: Path) -> None:
     """manifest.json of reduce, fit and predict: the subcommand's options,
     the digest of each input file given (--input, --basis, --test-csv) and
     the files written (--plot-data, then those in --out)."""
-    # fit and predict share one handler and key list but not every flag:
-    # options a subcommand does not expose are recorded as None
-    options = {k: getattr(args, k, None) for k in _MANIFEST_KEYS[args.command]}
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_RECIPE}
     paths = (getattr(args, k, None) for k in ("input", "basis", "test_csv"))
     plot = getattr(args, "plot_data", None)
     RunManifest(tool_version=__version__, command=args.command,
@@ -242,21 +233,19 @@ def _write_manifest(args, out: Path) -> None:
 
 def _manifest_options(args) -> dict:
     """The options a reduce, fit or predict manifest recorded, its inputs checked."""
-    keys = _MANIFEST_KEYS.get(args.command)
-    if not (keys and args.from_manifest):
+    if args.command == "simulate" or not getattr(args, "from_manifest", None):
         return {}
     manifest = RunManifest.from_json_file(args.from_manifest, command=args.command)
     options = dict(manifest.config.get("options", {}))
-    options.pop("seed", None)  # recorded by older versions; these subcommands draw nothing
+    # older versions recorded "seed" everywhere, and predict's test_csv, None, for fit
+    options.pop("seed", None)
+    if args.command == "fit" and options.get("test_csv", "") is None:
+        del options["test_csv"]
     for key in options:
-        # keys never holds "out", so a manifest cannot redirect the outputs
-        if key not in keys:
+        # the recipe never holds "out", so a manifest cannot redirect the outputs
+        if key in _NOT_RECIPE or key not in vars(args):
             raise DataError(f"manifest option {key!r} is not a {args.command} option")
-    for path, digest in manifest.input_digests.items():
-        if sha256_file(path, "manifest input") != digest:
-            raise DataError(
-                f"manifest input {path} has changed since the recorded run "
-                f"(digest mismatch); outputs would not reproduce")
+    manifest.check_inputs(functools.partial(sha256_file, role="manifest input"))
     return options
 
 
@@ -333,7 +322,6 @@ def _simulate_config_from_args(args) -> dict:
         "methods": [m.lower() for m in _csv_list(args.methods)],
         "nprt_reduction": args.nprt_reduction or default_reduction,
         "d": args.d,
-        "n_points": args.points,
         "bandwidth": asdict(rule),
         "test_points": [[float(v) for v in row] for row in points],
         "equivalence": args.equivalence,
@@ -386,13 +374,10 @@ def _run_simulation(config: dict, out_dir: Path, threads: int) -> int:
     if plan.coverage:
         write_records(coverage, CoverageResult, [coverage_view(table, max(plan.ns))])
 
-    digests = {}
-    if config["model"] == 2:
-        with resources.as_file(resources.files("rednw").joinpath("_data/model2_s.csv")) as path:
-            digests["model2_s.csv"] = sha256_file(path)
     manifest = RunManifest(tool_version=__version__, command="simulate",
                            config=config, seeds={"base_seed": config["seed"]},
-                           input_digests=digests, outputs=tuple(outputs))
+                           input_digests=packaged_digests(config["model"]),
+                           outputs=tuple(outputs))
     manifest.to_json_file(out_dir / _MANIFEST)
     print(f"wrote {', '.join(outputs)} and {_MANIFEST} to {out_dir} "
           f"(missing rate {table.missing_rate:.4f})")
@@ -405,11 +390,13 @@ def _cmd_simulate(args) -> int:
     if args.from_manifest:
         # the manifest holds the whole plan; only --out and --threads may vary
         defaults = vars(_build_parser().parse_args(["simulate"]))
-        for key in sorted(defaults.keys() - {"out", "threads", "config", "from_manifest"}):
+        for key in sorted(defaults.keys() - _NOT_RECIPE):
             if getattr(args, key) != defaults[key]:
                 raise ArgumentError(f"--{key.replace('_', '-')} cannot change the plan "
                                     "a --from-manifest replays")
-        config = RunManifest.from_json_file(args.from_manifest, command="simulate").config
+        manifest = RunManifest.from_json_file(args.from_manifest, command="simulate")
+        manifest.check_inputs(packaged_digests(manifest.config.get("model")).get)
+        config = manifest.config
     else:
         if args.model is None:
             raise ArgumentError("simulate requires --model 1 or --model 2 (or --from-manifest)")
@@ -546,7 +533,10 @@ def main(argv=None) -> int:
                     raise ArgumentError(f"--{key.replace('_', '-')} conflicts with the "
                                         f"manifest, which recorded {recorded[key]!r}")
         _check_output_paths(args)
-        return args.handler(args)
+        # one OpenBLAS thread, as in replication workers: outputs do not
+        # depend on the host's core count
+        with one_blas_thread():
+            return args.handler(args)
     except RednwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -19,8 +19,9 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from importlib import resources
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -442,6 +443,22 @@ class RunManifest:
             raise ArgumentError(f"manifest records a {manifest.command!r} run, not {command!r}")
         return manifest
 
+    def check_inputs(self, digest_of: Callable[[str], str | None]) -> None:
+        """DataError naming the first recorded input whose digest is not
+        ``digest_of(input)``, its sha256 as the run would read it now."""
+        for name, digest in self.input_digests.items():
+            if digest_of(name) != digest:
+                raise DataError(f"manifest input {name} has changed since the recorded run "
+                                "(digest mismatch); outputs would not reproduce")
+
+
+def packaged_digests(model) -> dict:
+    """{name: sha256} of the package data a simulate model reads: model 2's S."""
+    if model != 2:
+        return {}
+    with resources.as_file(resources.files("rednw").joinpath("_data/model2_s.csv")) as path:
+        return {"model2_s.csv": sha256_file(path)}
+
 
 @dataclass(frozen=True)
 class SimulationPlan:
@@ -523,6 +540,7 @@ def recompute_cell_from_manifest(manifest: RunManifest | str | Path,
     """
     if not isinstance(manifest, RunManifest):
         manifest = RunManifest.from_json_file(manifest, command="simulate")
+    manifest.check_inputs(packaged_digests(manifest.config.get("model")).get)
     plan = simulation_plan_from_config(manifest.config)
     methods = [m for m in plan.methods if not m.x0_only]
     method = method.lower()

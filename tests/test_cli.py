@@ -10,6 +10,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rednw
-from rednw import cli, simulate
+from rednw import _blas, cli, simulate
 from rednw.cli import main
 from rednw.dataio import (
     cubic_fy,
@@ -32,7 +33,7 @@ from rednw.dataio import (
     synthetic_shellfish,
     write_table,
 )
-from rednw.errors import ArgumentError
+from rednw.errors import ArgumentError, DataError
 from rednw.reduction import fit, oracle_basis
 
 
@@ -254,8 +255,8 @@ class TestFitPredict:
         )
 
     def test_fit_out_dir_writes_manifest(self, shellfish_csv, tmp_path, capsys):
-        """fit with --out must snapshot its options even though it lacks
-        predict-only flags like --test-csv."""
+        """fit with --out snapshots its own options, and not predict-only
+        flags like --test-csv."""
         out = tmp_path / "fitrun"
         code, stdout, _ = run_cli(
             [
@@ -268,7 +269,7 @@ class TestFitPredict:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "fit"
-        assert manifest["config"]["options"]["test_csv"] is None
+        assert "test_csv" not in manifest["config"]["options"]
         code2, stdout2, _ = run_cli(
             [
                 "fit", "--input", str(shellfish_csv),
@@ -704,6 +705,37 @@ def run_files(wf):
     return "".join(text for text, _ in chunks), "".join(rows for _, rows in chunks)
 
 
+class TestBlasThreads:
+    """reduce, fit and predict run OpenBLAS at one thread, as replication
+    workers do, so their outputs do not depend on the host's core count;
+    the count found comes back after the run."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        # one fake library whose thread count history is `seen`
+        seen = [8]
+        monkeypatch.setattr(_blas, "_openblas_controls", lambda: ((lambda: seen[-1], seen.append),))
+        return seen
+
+    @pytest.mark.parametrize("command", ["reduce", "fit", "predict"])
+    def test_run_at_one_thread(self, command, seen, shellfish_csv, monkeypatch, capsys):
+        counts = []
+        fit_basis = cli.fit
+        monkeypatch.setattr(cli, "fit", lambda *a, **kw: (counts.append(seen[-1]),
+                                                          fit_basis(*a, **kw))[1])
+        code, _, _ = run_cli([command, "--input", str(shellfish_csv), "--response",
+                              "muscle_mass"], capsys)
+        assert code == 0
+        assert counts == [1]
+        assert seen == [8, 1, 8]
+
+    def test_restored_after_an_error(self, seen, tmp_path, capsys):
+        code, _, err = run_cli(["fit", "--input", str(tmp_path / "missing.csv"),
+                                "--response", "y"], capsys)
+        assert code == 3 and "missing.csv" in err
+        assert seen == [8, 1, 8]
+
+
 class TestRunFiles:
     """stdout and the --out result file are one text; a manifest replays only
     under the subcommand that wrote it."""
@@ -804,13 +836,15 @@ class TestRunFiles:
         with pytest.raises(ArgumentError, match="'fit' run, not 'simulate'"):
             recompute_cell_from_manifest(manifest, point_id=0, n=60, method="np")
 
-    def _replay_edited(self, shellfish_csv, tmp_path, capsys, **extra):
-        manifest = self._write_run("reduce", shellfish_csv, tmp_path / "red", capsys)
+    def _replay_edited(self, shellfish_csv, tmp_path, capsys, command="reduce", **extra):
+        """Replay into tmp_path / "wanted" a run recorded in tmp_path / "red",
+        its manifest's options updated with extra."""
+        manifest = self._write_run(command, shellfish_csv, tmp_path / "red", capsys)
         data = json.loads(manifest.read_text())
         data["config"]["options"].update(extra)
         manifest.write_text(json.dumps(data))
         return run_cli(
-            ["reduce", "--input", str(shellfish_csv), "--response", "muscle_mass",
+            [command, "--input", str(shellfish_csv), "--response", "muscle_mass",
              "--from-manifest", str(manifest), "--out", str(tmp_path / "wanted")],
             capsys,
         )
@@ -830,6 +864,47 @@ class TestRunFiles:
         for name in ("basis.csv", "basis_meta.json"):
             assert (tmp_path / "wanted" / name).read_bytes() == \
                 (tmp_path / "red" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["reduce", "fit", "predict"])
+    def test_manifest_records_the_parsers_flags(self, command, shellfish_csv, tmp_path,
+                                                capsys):
+        """A manifest's options are its subcommand's every flag but --out,
+        --config, --from-manifest and --threads."""
+        manifest = self._write_run(command, shellfish_csv, tmp_path / "run", capsys)
+        parser = cli._build_parser()._subparsers._group_actions[0].choices[command]
+        flags = {a.dest for a in parser._actions} - {"help", "out", "config", "from_manifest",
+                                                     "threads"}
+        assert set(json.loads(manifest.read_text())["config"]["options"]) == flags
+
+    def test_older_fit_manifest_replays(self, shellfish_csv, tmp_path, capsys):
+        """Older versions recorded predict's test_csv, always null, for fit."""
+        code, _, _ = self._replay_edited(shellfish_csv, tmp_path, capsys, "fit", test_csv=None)
+        assert code == 0
+        assert (tmp_path / "wanted" / "predictions.json").read_bytes() == \
+            (tmp_path / "red" / "predictions.json").read_bytes()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", {"bogus": None}), ("fit", {"bogus": 1}), ("fit", {"test_csv": "new.csv"}),
+        ("reduce", {"test_csv": None}), ("fit", {"threads": 2}),
+    ], ids=["null", "value", "fit-test-csv", "reduce-null-test-csv", "threads"])
+    def test_option_the_subcommand_does_not_record_exits_3(self, command, extra,
+                                                           shellfish_csv, tmp_path, capsys):
+        code, _, err = self._replay_edited(shellfish_csv, tmp_path, capsys, command, **extra)
+        assert code == 3
+        assert f"manifest option {next(iter(extra))!r} is not a {command} option" in err
+        assert not (tmp_path / "wanted").exists()
+
+    def test_changed_input_exits_3(self, shellfish_csv, tmp_path, capsys):
+        manifest = self._write_run("fit", shellfish_csv, tmp_path / "fit", capsys)
+        with open(shellfish_csv, "a") as fh:
+            fh.write("200.0,70.0,40.0,30.0,12.0\n")
+        code, out, err = run_cli(
+            ["fit", "--input", str(shellfish_csv), "--response", "muscle_mass",
+             "--from-manifest", str(manifest), "--out", str(tmp_path / "replay")], capsys)
+        assert (code, out) == (3, "")
+        assert err == (f"error: manifest input {shellfish_csv} has changed since the recorded "
+                       "run (digest mismatch); outputs would not reproduce\n")
+        assert not (tmp_path / "replay").exists()
 
 
 class TestOptionSources:
@@ -890,6 +965,20 @@ class TestOptionSources:
         code, _, err = run_cli([*argv, *data, "--out", str(tmp_path / "x")], capsys)
         assert code == 2
         assert "bad comma list" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["reduce", "--input", "{csv}", "--response", "muscle_mass", "--transform", "length"],
+         "transform must look like column=op, got 'length'"),
+        (["simulate", "--model", "1"], "simulate requires --out <directory>"),
+        (["simulate", "--out", "{out}"],
+         "simulate requires --model 1 or --model 2 (or --from-manifest)"),
+    ], ids=["transform-without-op", "simulate-without-out", "simulate-without-model"])
+    def test_malformed_or_missing_argument_exits_2(self, argv, message, shellfish_csv, tmp_path,
+                                                   capsys):
+        argv = [a.format(csv=shellfish_csv, out=tmp_path / "x") for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_threads_must_be_positive(self, value, tmp_path, capsys):
@@ -1209,6 +1298,47 @@ class TestSimulate:
             "kind": "power_rule", "constant": constant, "exponent_dim": "ambient_p",
             "h_fixed": None, "cv_grid": None, "exponent": None,
         }
+
+    def _model2_manifest(self, out_dir, capsys):
+        code, _, _ = run_cli(
+            ["simulate", "--model", "2", "--ns", "40", "--nrep", "10", "--points", "1",
+             "--methods", "np,nprt", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        return out_dir / "manifest.json"
+
+    def test_older_model2_manifest_replays(self, tmp_path, capsys):
+        """A manifest of an older version, which also recorded the test point
+        count as "n_points", replays byte for byte, its digest checked."""
+        manifest = self._model2_manifest(tmp_path / "first", capsys)
+        data = json.loads(manifest.read_text())
+        assert "n_points" not in data["config"]
+        assert list(data["input_digests"]) == ["model2_s.csv"]
+        data["config"]["n_points"] = 1
+        manifest.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        second = tmp_path / "second"
+        code, _, _ = run_cli(["simulate", "--from-manifest", str(manifest),
+                              "--out", str(second)], capsys)
+        assert code == 0
+        for name in ("emse.csv", "density_0.csv", "manifest.json"):
+            assert (second / name).read_bytes() == (tmp_path / "first" / name).read_bytes(), name
+
+    def test_changed_package_data_exits_3(self, tmp_path, capsys):
+        """Both simulate readers check the recorded digest of model 2's S
+        before any work."""
+        manifest = self._model2_manifest(tmp_path / "first", capsys)
+        data = json.loads(manifest.read_text())
+        data["input_digests"]["model2_s.csv"] = "0" * 64
+        manifest.write_text(json.dumps(data))
+        message = ("manifest input model2_s.csv has changed since the recorded run "
+                   "(digest mismatch); outputs would not reproduce")
+        code, out, err = run_cli(["simulate", "--from-manifest", str(manifest),
+                                  "--out", str(tmp_path / "x")], capsys)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+        assert not (tmp_path / "x").exists()
+        with pytest.raises(DataError, match=re.escape(message)):
+            recompute_cell_from_manifest(manifest, point_id=0, n=40, method="np")
 
     def test_model2_rejects_model1_experiments(self, tmp_path, capsys):
         code, _, _ = run_cli(

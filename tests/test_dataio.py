@@ -22,6 +22,8 @@ from rednw.dataio import (
     json_text,
     load_csv,
     load_test_rows,
+    read_options,
+    recompute_cell_from_manifest,
     run_predict_workflow,
     sha256_file,
     simulation_plan_from_config,
@@ -693,3 +695,26 @@ class TestRunFileWriters:
         wf = run_predict_workflow(ds, fitted_basis(ds), test_rows=np.zeros((0, 4)))
         assert list(wf.run_file_chunks(plot=False)) == [("[]\n", "")]
         assert_run_files_exact(wf, tmp_path / "plot.csv")
+
+
+SIMULATE_CONFIG = {"model": 1, "seed": 3, "ns": [20], "n_rep": 2, "methods": ["np"],
+                   "bandwidth": {"kind": "power_rule"}, "test_points": [[0.0] * 6]}
+
+
+@pytest.mark.parametrize("call, error, head", [
+    (lambda tmp: load_csv(write_csv(tmp / "y.csv", "y\n1\n2\n3\n"), "y"),
+     DataError, "no predictor columns besides the response"),
+    (lambda tmp: read_options(write_csv(tmp / "run.cfg", "method pls\n")),
+     DataError, "line 1: expected key=value, got 'method pls'"),
+    (lambda tmp: simulation_plan_from_config({**SIMULATE_CONFIG, "model": 3}),
+     DataError, "manifest config names unknown model 3"),
+    (lambda tmp: recompute_cell_from_manifest(
+        RunManifest(tool_version="0", command="simulate", config=SIMULATE_CONFIG, seeds={},
+                    input_digests={}), point_id=0, n=20, method="npr"),
+     ArgumentError, "method 'npr' not in manifest methods ['np']"),
+], ids=["response-only", "option-without-equals", "unknown-model", "method-not-in-plan"])
+def test_rejected_input(call, error, head, tmp_path):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert head in str(info.value)

@@ -497,3 +497,16 @@ class TestScaleEquivariance:
         for bad in (np.zeros((2, 3)), [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]):
             with pytest.raises(DegenerateFitError, match="^fitted directions are rank deficient"):
                 oracle_basis(bad)
+
+
+@pytest.mark.parametrize("call, head", [
+    (lambda: ProjectionMatrix(np.zeros((2, 3))), "projection matrix must be square"),
+    (lambda: pls_fit(np.zeros((4, 2, 2)), np.zeros(4), 1), "X must be a 2-d array, got ndim=3"),
+    (lambda: pls_fit(np.zeros((5, 2)), np.zeros(4), 1), "X has 5 rows but Y has 4 entries"),
+    (lambda: pfc_fit(np.eye(4), np.arange(4.0), lambda y: np.full_like(y, np.nan), 1),
+     "fy_basis produced non-finite feature values"),
+], ids=["non-square-projection", "3-d-X", "row-counts-differ", "non-finite-fy"])
+def test_rejected_argument(call, head):
+    with pytest.raises(ArgumentError, match="^" + re.escape(head)) as info:
+        call()
+    assert type(info.value) is ArgumentError

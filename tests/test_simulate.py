@@ -904,3 +904,30 @@ class TestKeepFreedMemory:
     def test_without_mallopt_does_nothing(self, monkeypatch):
         monkeypatch.setattr(_blas.ctypes, "CDLL", lambda name: object())
         assert _blas.keep_freed_memory() is False
+
+
+@pytest.mark.parametrize("call, head", [
+    (lambda: Model1Config(p=0), "p must be >= 1, got 0"),
+    (lambda: Model1Config(p=3, beta0=[1.0, 1.0]), "beta0 must have length p=3"),
+    (lambda: Model2Config(p=0), "p must be >= 1, got 0"),
+    (lambda: Model2Config(A=np.ones(3)), "A must have length p=20"),
+    (lambda: Model2Config(S=np.eye(3)), "S must be 20x20, got (3, 3)"),
+    (lambda: gen_model1(Model1Config(), 0), "n must be >= 1, got 0"),
+    (lambda: gen_model2(Model2Config(), 0), "n must be >= 1, got 0"),
+    (lambda: draw_test_points(Model1Config(), 0), "m must be >= 1, got 0"),
+    (lambda: MethodSpec("np", d=0), "d must be >= 1, got 0"),
+    (lambda: emse([]), "emse needs at least one estimate"),
+    (lambda: run_replications(Model1Config(), [MethodSpec("np")], [20], np.zeros((1, 6)),
+                              2).cell(0, 20, "npr"), "no cell for point=0, n=20, method='npr'"),
+    (lambda: run_replications(Model1Config(), [], [20], np.zeros((1, 6)), 2),
+     "need at least one MethodSpec"),
+    (lambda: run_replications(Model1Config(), [MethodSpec("np")], [20], np.zeros((1, 3)), 2),
+     "test points have 3 columns, model has p=6"),
+    (lambda: run_replications(Model1Config(), [MethodSpec("np")], [20], np.zeros((1, 6)), 0),
+     "n_rep must be >= 1, got 0"),
+], ids=["model1-p", "beta0-shape", "model2-p", "A-shape", "S-shape", "model1-n", "model2-n",
+        "m", "spec-d", "emse-empty", "unknown-cell", "no-specs", "point-width", "n_rep"])
+def test_rejected_argument(call, head):
+    with pytest.raises(ArgumentError, match="^" + re.escape(head)) as info:
+        call()
+    assert type(info.value) is ArgumentError
